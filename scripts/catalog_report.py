@@ -16,18 +16,10 @@ import argparse
 import json
 import math
 
-from heisflow.builders import CATALOG, catalog_get
+from heisflow.builders import CATALOG, H_MINIMAL_CATALOG, catalog_get
 from heisflow.curvature import is_h_minimal, mean_curvature_local
 from heisflow.errors import CharacteristicPoint
 from heisflow.locus import characteristic_locus
-
-MINIMAL = {
-    "paraboloid",
-    "vertical_plane_x0",
-    "plane_t0",
-    "plane_flow_patch",
-    "circle_lift_developable",
-}
 
 
 def survey(name: str, grid: int) -> dict:
@@ -55,7 +47,7 @@ def survey(name: str, grid: int) -> dict:
         "grid_points_skipped": skipped,
         "locus_points": len(characteristic_locus(surf, grid=(101, 101))),
     }
-    if name in MINIMAL:
+    if name in H_MINIMAL_CATALOG:
         report = is_h_minimal(surf, grid=(grid, grid))
         row["max_abs_h"] = report.max_abs_H
         row["is_minimal"] = report.passed

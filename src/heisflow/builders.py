@@ -19,6 +19,12 @@ contact form is c(s, v) ds with
 
 so the patch is characteristic exactly where c vanishes and is horizontally
 minimal everywhere else.
+
+Each builder writes its jet once, as a function of the parameter data, and
+uses it twice: with floats for the scalar jet and with arrays for the batch
+(:func:`heisflow.patch.eval_jets`).  One-parameter curve data is computed by
+the scalar code once per distinct parameter value and broadcast, so both
+paths run the same floating-point operations and agree bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import (
     UnknownName,
     ZeroInRange,
 )
-from .patch import Domain, Jet2, SurfaceHandle, jet2, make_surface
+from .patch import Domain, Jet2, SurfaceHandle, jet2, jet2_batch, make_surface, per_value
 from .rng import Lcg64
 
 __all__ = [
@@ -148,7 +154,12 @@ class TermSum:
 
 
 def _as_range(pair, name: str) -> tuple[float, float]:
-    lo, hi = float(pair[0]), float(pair[1])
+    try:
+        if not isinstance(pair, (list, tuple)):
+            raise TypeError
+        lo, hi = (float(x) for x in pair)
+    except (TypeError, ValueError, OverflowError):
+        raise SpecError(f"{name} must be a finite increasing pair, got {pair!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise SpecError(f"{name} must be a finite increasing pair, got {pair!r}")
     return lo, hi
@@ -200,19 +211,33 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _ruled_jet(spec: RuledSpec, s: float, v: float) -> Jet2:
+def _ruled_curve_data(spec: RuledSpec, s: float) -> tuple:
     (x, x1, x2, _), (y, y1, y2, _), (t, t1, t2, _) = spec.curve.jet3(s)
     a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
     g = y * a - x * b
     g1 = y1 * a + y * a1 - x1 * b - x * b1
     g2 = y2 * a + 2.0 * y1 * a1 + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2
-    return jet2(
+    return x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2, g, g1, g2
+
+
+def _ruled_fields(data, v):
+    x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2, g, g1, g2 = data
+    return (
         (x + v * a, y + v * b, t + 2.0 * v * g),
         (x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1),
         (a, b, 2.0 * g),
         (x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * g2),
         (a1, b1, 2.0 * g1),
     )
+
+
+def _ruled_jet(spec: RuledSpec, s: float, v: float) -> Jet2:
+    return jet2(*_ruled_fields(_ruled_curve_data(spec, s), v))
+
+
+def _ruled_jets(spec: RuledSpec, s, v):
+    data = per_value(lambda si: _ruled_curve_data(spec, si), s)
+    return jet2_batch(len(s), *_ruled_fields(data, v))
 
 
 def ruling_form_coefficients(spec: RuledSpec, s: float) -> tuple[float, float, float]:
@@ -266,6 +291,7 @@ def build_straight_ruled(
         domain,
         label=label if label is not None else (spec.name or "ruled"),
         check_grid=check_grid,
+        batch_jet=lambda s, v: _ruled_jets(spec, s, v),
     )
 
 
@@ -352,9 +378,9 @@ def build_tangent_developable(
             "straight segment is not an immersed patch"
         )
 
-    def jet_fn(s: float, v: float) -> Jet2:
-        (x, x1, x2, x3), (y, y1, y2, y3), (t, t1, t2, t3) = curve.jet3(s)
-        return jet2(
+    def fields(data, v):
+        (x, x1, x2, x3), (y, y1, y2, y3), (t, t1, t2, t3) = data
+        return (
             (x + v * x1, y + v * y1, t + v * t1),
             (x1 + v * x2, y1 + v * y2, t1 + v * t2),
             (x1, y1, t1),
@@ -362,7 +388,15 @@ def build_tangent_developable(
             (x2, y2, t2),
         )
 
-    return make_surface(jet_fn, Domain(s0, s1, v0, v1), label, check_grid)
+    def jet_fn(s: float, v: float) -> Jet2:
+        return jet2(*fields(curve.jet3(s), v))
+
+    def batch_jet(s, v):
+        return jet2_batch(len(s), *fields(per_value(curve.jet3, s).reshape(3, 4, -1), v))
+
+    return make_surface(
+        jet_fn, Domain(s0, s1, v0, v1), label, check_grid, batch_jet=batch_jet
+    )
 
 
 def build_cylinder(
@@ -390,16 +424,20 @@ def build_cylinder(
                 f"profile speed vanishes near s = {s}; cylinder not immersed"
             )
 
-    def jet_fn(u: float, v: float) -> Jet2:
-        (x, x1, x2, _), (y, y1, y2, _), _ = profile.jet3(u)
-        return jet2(
-            (x, y, v),
-            (x1, y1, 0.0),
-            (0.0, 0.0, 1.0),
-            (x2, y2, 0.0),
-        )
+    def fields(data, v):
+        (x, x1, x2, _), (y, y1, y2, _) = data
+        return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
-    return make_surface(jet_fn, Domain(s0, s1, h0, h1), label, check_grid)
+    def jet_fn(u: float, v: float) -> Jet2:
+        return jet2(*fields(profile.jet3(u)[:2], v))
+
+    def batch_jet(u, v):
+        data = per_value(lambda s: profile.jet3(s)[:2], u).reshape(2, 4, -1)
+        return jet2_batch(len(u), *fields(data, v))
+
+    return make_surface(
+        jet_fn, Domain(s0, s1, h0, h1), label, check_grid, batch_jet=batch_jet
+    )
 
 
 def build_graph(
@@ -412,10 +450,12 @@ def build_graph(
     ``f_jets(u, v)`` must return (f, f_u, f_v, f_uu, f_uv, f_vv).  Graphs
     are immersions unconditionally, so no regularity sampling is run.
     """
+    return _graph(f_jets, None, domain, label)
 
-    def jet_fn(u: float, v: float) -> Jet2:
-        f, fu, fv, fuu, fuv, fvv = f_jets(u, v)
-        return jet2(
+
+def _graph(f_jets, f_jets_batch, domain: Domain, label: str) -> SurfaceHandle:
+    def fields(u, v, f, fu, fv, fuu, fuv, fvv):
+        return (
             (u, v, f),
             (1.0, 0.0, fu),
             (0.0, 1.0, fv),
@@ -424,7 +464,15 @@ def build_graph(
             (0.0, 0.0, fvv),
         )
 
-    return make_surface(jet_fn, domain, label, check_grid=None)
+    def jet_fn(u: float, v: float) -> Jet2:
+        return jet2(*fields(u, v, *f_jets(u, v)))
+
+    batch_jet = None
+    if f_jets_batch is not None:
+        def batch_jet(u, v):
+            return jet2_batch(len(u), *fields(u, v, *f_jets_batch(u, v)))
+
+    return make_surface(jet_fn, domain, label, check_grid=None, batch_jet=batch_jet)
 
 
 def build_graph_separable(
@@ -440,7 +488,12 @@ def build_graph_separable(
         fv0, fv1, fv2, _ = f_of_v.jet(v)
         return fu0 + fv0, fu1, fv1, fu2, 0.0, fv2
 
-    return build_graph(f_jets, domain, label)
+    def f_jets_batch(u, v):
+        fu0, fu1, fu2, _ = per_value(f_of_u.jet, u)
+        fv0, fv1, fv2, _ = per_value(f_of_v.jet, v)
+        return fu0 + fv0, fu1, fv1, fu2, 0.0, fv2
+
+    return _graph(f_jets, f_jets_batch, domain, label)
 
 
 def _poly(*coeff_deg: tuple[float, int]) -> TermSum:
@@ -457,9 +510,8 @@ def _circle_profile(radius: float, arc: tuple[float, float]) -> CurveSpec:
 
 
 def _cone_lower() -> SurfaceHandle:
-    def jet_fn(u: float, v: float) -> Jet2:
-        cv, sv = math.cos(v), math.sin(v)
-        return jet2(
+    def fields(u, cv, sv):
+        return (
             (u * cv, u * sv, u),
             (cv, sv, 1.0),
             (-u * sv, u * cv, 0.0),
@@ -468,7 +520,16 @@ def _cone_lower() -> SurfaceHandle:
             (-u * cv, -u * sv, 0.0),
         )
 
-    return make_surface(jet_fn, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
+    def jet_fn(u: float, v: float) -> Jet2:
+        return jet2(*fields(u, math.cos(v), math.sin(v)))
+
+    def batch_jet(u, v):
+        cv, sv = per_value(lambda s: (math.cos(s), math.sin(s)), v)
+        return jet2_batch(len(u), *fields(u, cv, sv))
+
+    return make_surface(
+        jet_fn, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower", batch_jet=batch_jet
+    )
 
 
 _CYLINDER_RE = re.compile(r"^cylinder\((?P<radius>[^)]+)\)$")
@@ -517,10 +578,15 @@ def catalog_get(name: str) -> SurfaceHandle:
             label=name,
         )
     if name == "vertical_plane_x0":
-        def jet_fn(u: float, v: float) -> Jet2:
-            return jet2((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        def fields(u, v):
+            return (0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
-        return make_surface(jet_fn, Domain(-2.0, 2.0, -2.0, 2.0), label=name)
+        return make_surface(
+            lambda u, v: jet2(*fields(u, v)),
+            Domain(-2.0, 2.0, -2.0, 2.0),
+            label=name,
+            batch_jet=lambda u, v: jet2_batch(len(u), *fields(u, v)),
+        )
     if name == "plane_t0":
         return build_graph_separable(
             TermSum(), TermSum(), Domain(-2.0, 2.0, -2.0, 2.0), label=name
@@ -601,9 +667,19 @@ def term_to_dict(term: Term) -> dict:
 
 def term_from_dict(d: dict) -> Term:
     try:
-        return Term(str(d["kind"]), float(d["coeff"]), int(d["k"]))
-    except (KeyError, TypeError, ValueError) as e:
+        kind, coeff, k = str(d["kind"]), float(d["coeff"]), d["k"]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise SpecError(f"bad term entry {d!r}: {e}") from e
+    # JSON reads 1e400 as inf; bool is an int subclass; int() would truncate.
+    # Past 2**53 JSON numbers are not exact integers, and k**3 overflows.
+    if isinstance(k, bool) or not (
+        isinstance(k, int) or (isinstance(k, float) and k.is_integer())
+    ) or abs(k) > 2**53:
+        raise SpecError(
+            f"bad term entry {d!r}: k must be an integer of magnitude at most "
+            f"2**53, got {k!r}"
+        )
+    return Term(kind, coeff, int(k))
 
 
 def terms_to_list(ts: TermSum) -> list:
@@ -626,6 +702,8 @@ def curve_to_dict(curve: CurveSpec) -> dict:
 
 
 def curve_from_dict(d: dict, require_plane: bool = False) -> CurveSpec:
+    if not isinstance(d, dict):
+        raise SpecError(f"curve entry must be an object, got {type(d).__name__}")
     try:
         t_entries = d.get("t", [])
         if require_plane and t_entries:
@@ -634,7 +712,7 @@ def curve_from_dict(d: dict, require_plane: bool = False) -> CurveSpec:
             terms_from_list(d["x"]),
             terms_from_list(d["y"]),
             terms_from_list(t_entries),
-            tuple(d["domain"]),
+            d["domain"],
         )
     except KeyError as e:
         raise SpecError(f"curve entry missing key {e}") from e
@@ -663,27 +741,31 @@ def surface_from_dict(d: dict) -> SurfaceHandle:
             spec = RuledSpec(
                 curve_from_dict(d["curve"]),
                 AngleField(terms_from_list(d["theta"])),
-                tuple(d["v_range"]),
+                d["v_range"],
                 name=name or "",
             )
             return build_straight_ruled(spec)
         if kind == "developable":
             return build_tangent_developable(
                 curve_from_dict(d["curve"]),
-                tuple(d["v_range"]),
+                d["v_range"],
                 label=name or "developable",
             )
         if kind == "cylinder":
             return build_cylinder(
                 curve_from_dict(d["profile"], require_plane=True),
-                tuple(d["height"]),
+                d["height"],
                 label=name or "cylinder",
             )
         if kind == "graph":
             dom = d["domain"]
+            if not (isinstance(dom, dict) and "u" in dom and "v" in dom):
+                raise SpecError(
+                    f"graph domain must be an object with u and v pairs, got {dom!r}"
+                )
             domain = Domain(
-                float(dom["u"][0]), float(dom["u"][1]),
-                float(dom["v"][0]), float(dom["v"][1]),
+                *_as_range(dom["u"], "graph domain u"),
+                *_as_range(dom["v"], "graph domain v"),
             )
             return build_graph_separable(
                 terms_from_list(d.get("fu", [])),

@@ -18,12 +18,12 @@ import os
 import re
 import sys
 
-from .curvature import mean_curvature_local
+from .curvature import mean_curvature_batch
 from .errors import CharacteristicPoint, HeisflowError, OutOfDomain, SpecError, UnknownName
 from .flow import integrate_flow
-from .horizontal import EPS_CHAR, horizontal_normal, induced_form
+from .horizontal import EPS_CHAR, horizontal_normal_batch, induced_form_batch
 from .locus import characteristic_locus
-from .patch import SurfaceHandle, eval_jet2
+from .patch import blocks, eval_jets, grid_points
 from .builders import resolve_surface
 from .verify import DEFAULT_SEED, SUITES, run_suite
 
@@ -139,18 +139,18 @@ def _cmd_eval(args, eps_char: float) -> int:
     v0, v1 = _sub_range(args.vrange, dom.v_min, dom.v_max, "vrange")
     nu, nv = args.grid
     columns = ["u", "v", "x", "y", "t", "n1", "n2", "nh_norm", "p_u", "p_v", "H"]
+    us, vs = grid_points(_axis_points(u0, u1, nu), _axis_points(v0, v1, nv))
     rows = []
-    for u in _axis_points(u0, u1, nu):
-        for v in _axis_points(v0, v1, nv):
-            j = eval_jet2(surface, u, v)
-            nh = horizontal_normal(j)
-            pf = induced_form(j)
-            try:
-                h = mean_curvature_local(surface, u, v, eps_char=eps_char, warn=False).H
-            except CharacteristicPoint:
-                h = math.nan
-            x, y, t = (float(c) for c in j.value)
-            rows.append([u, v, x, y, t, nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v, h])
+    for sl in blocks(len(us)):
+        jets = eval_jets(surface, us[sl], vs[sl])
+        cols = (
+            us[sl], vs[sl], *jets[:, 0].T,
+            *horizontal_normal_batch(jets),
+            *induced_form_batch(jets),
+            # NaN at characteristic points, where the curvature is undefined
+            mean_curvature_batch(jets, eps_char=eps_char).H,
+        )
+        rows.extend(zip(*(c.tolist() for c in cols)))
     report = {
         "surface": surface.label or args.surface,
         "grid": [nu, nv],

@@ -16,6 +16,12 @@ is horizontal and no unit horizontal normal exists.  Away from them the
 kernel direction of omega_Sigma scaled to unit horizontal push-forward is
 (p_v, -p_u) / ||N^h|| in parameter space; its push-forward is the quarter
 turn J(nu^h) = -nu2 X + nu1 Y of the unit horizontal normal.
+
+The ``*_batch`` functions take an (N, 6, 3) jet array from
+:func:`heisflow.patch.eval_jets` and return one value per point, bit-identical
+to the scalar functions: they use only + - * / and sqrt, which numpy rounds
+as Python does, and take ||N^h|| from :func:`math.hypot` per point, because
+numpy's hypot rounds differently on some inputs.
 """
 
 from __future__ import annotations
@@ -37,10 +43,13 @@ __all__ = [
     "FlowDirection",
     "CharCheck",
     "char_threshold",
+    "char_threshold_batch",
     "horizontal_normal",
+    "horizontal_normal_batch",
     "unit_horizontal_normal",
     "is_characteristic",
     "induced_form",
+    "induced_form_batch",
     "induced_form_curl",
     "flow_direction",
     "normal_compatibility",
@@ -92,6 +101,14 @@ def char_threshold(j: Jet2, eps_char: float = EPS_CHAR) -> float:
     return eps_char * (1.0 + d1)
 
 
+def char_threshold_batch(jets: np.ndarray, eps_char: float = EPS_CHAR) -> np.ndarray:
+    """:func:`char_threshold` at every point of a jet array."""
+    xu, yu, tu = jets[:, 1].T
+    xv, yv, tv = jets[:, 2].T
+    d1 = np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv)
+    return eps_char * (1.0 + d1)
+
+
 def _normal_components(j: Jet2) -> tuple[float, float]:
     x, y = float(j.value[0]), float(j.value[1])
     jyt, jtx, jxy = jacobians(j)
@@ -106,6 +123,18 @@ def _pullback_coeffs(j: Jet2) -> tuple[float, float]:
         tu + 2.0 * (x * yu - y * xu),
         tv + 2.0 * (x * yv - y * xv),
     )
+
+
+def horizontal_normal_batch(jets: np.ndarray):
+    """(n1, n2, ||N^h||) at every point, as :func:`horizontal_normal` gives them."""
+    x, y = jets[:, 0, 0], jets[:, 0, 1]
+    xu, yu, tu = jets[:, 1].T
+    xv, yv, tv = jets[:, 2].T
+    jxy = xu * yv - yu * xv
+    n1 = (yu * tv - tu * yv) + 2.0 * y * jxy
+    n2 = (tu * xv - xu * tv) - 2.0 * x * jxy
+    norm = np.fromiter(map(math.hypot, n1.tolist(), n2.tolist()), float, len(n1))
+    return n1, n2, norm
 
 
 def horizontal_normal(j: Jet2) -> HorizontalNormal:
@@ -140,6 +169,17 @@ def induced_form(j: Jet2) -> InducedFormCoeffs:
     """Pullback coefficients of the contact form on the patch."""
     p_u, p_v = _pullback_coeffs(j)
     return InducedFormCoeffs(p_u, p_v)
+
+
+def induced_form_batch(jets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p_u, p_v) at every point, as :func:`induced_form` gives them."""
+    x, y = jets[:, 0, 0], jets[:, 0, 1]
+    xu, yu, tu = jets[:, 1].T
+    xv, yv, tv = jets[:, 2].T
+    return (
+        tu + 2.0 * (x * yu - y * xu),
+        tv + 2.0 * (x * yv - y * xv),
+    )
 
 
 def induced_form_curl(j: Jet2) -> float:

@@ -7,6 +7,12 @@ symmetric, stored once).  Built-in surfaces differentiate in closed form;
 value-only user maps get central-difference jets via :func:`fd_jet2` or the
 :func:`from_value_map` adapter.  Handles are immutable; re-parametrisation
 produces a fresh handle.
+
+Point sets are evaluated in batches by :func:`eval_jets`, which returns the
+jets as one array of shape (N, 6, 3): rows are points, then the fields
+value, du, dv, duu, duv, dvv, then the coordinates x, y, t.  Built-in
+surfaces supply the batch in closed form, bit-identical to their scalar jets;
+any other handle falls back to stacking its scalar jets.
 """
 
 from __future__ import annotations
@@ -24,8 +30,14 @@ __all__ = [
     "Jet2",
     "SurfaceHandle",
     "EPS_REG",
+    "JET_BLOCK",
     "jet2",
+    "jet2_batch",
     "eval_jet2",
+    "eval_jets",
+    "grid_points",
+    "blocks",
+    "per_value",
     "jacobians",
     "fd_jet2",
     "fd_step",
@@ -38,8 +50,14 @@ __all__ = [
 # NotRegular instead of silently continuing.
 EPS_REG = 1e-8
 
+# Batched consumers split point sets into blocks of at most this many
+# points.  The curvature temporaries peak near 1.1 MiB per block; larger
+# blocks grow them in proportion and were measured no faster.
+JET_BLOCK = 1024
+
 _CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _ZERO3 = (0.0, 0.0, 0.0)
+_JET_FIELDS = ("value", "du", "dv", "duu", "duv", "dvv")
 
 
 @dataclass(frozen=True)
@@ -104,7 +122,7 @@ class Jet2:
     dvv: np.ndarray
 
     def __post_init__(self):
-        for name in ("value", "du", "dv", "duu", "duv", "dvv"):
+        for name in _JET_FIELDS:
             arr = getattr(self, name)
             for comp in arr:
                 if not math.isfinite(comp):
@@ -121,6 +139,45 @@ def jet2(value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> Jet2:
         np.asarray(duv, float),
         np.asarray(dvv, float),
     )
+
+
+def jet2_batch(n: int, value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> np.ndarray:
+    """Stack per-coordinate components into an (n, 6, 3) jet array.
+
+    Each field is a triple whose entries are length-n arrays or scalars
+    (broadcast to every point), in the argument order of :func:`jet2`.
+    """
+    out = np.empty((n, 6, 3))
+    for f, field_ in enumerate((value, du, dv, duu, duv, dvv)):
+        for c in range(3):
+            out[:, f, c] = field_[c]
+    return out
+
+
+def grid_points(us, vs) -> tuple[np.ndarray, np.ndarray]:
+    """The grid us x vs as flat u, v arrays, in the order of nested loops
+    over us (outer) and vs (inner)."""
+    us, vs = np.asarray(us, float), np.asarray(vs, float)
+    return np.repeat(us, len(vs)), np.tile(vs, len(us))
+
+
+def blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most :data:`JET_BLOCK` points covering range(n)."""
+    return [slice(i, min(i + JET_BLOCK, n)) for i in range(0, n, JET_BLOCK)]
+
+
+def per_value(fn: Callable[[float], tuple], a: np.ndarray) -> np.ndarray:
+    """Evaluate a scalar function of one parameter once per distinct value.
+
+    ``fn`` returns a (possibly nested) tuple of floats; the result holds one
+    row per flattened output of ``fn`` and one column per entry of ``a``.
+    Values are distinct by bit pattern, so -0.0 and 0.0 are evaluated
+    separately and each entry sees exactly what a scalar call would.
+    """
+    keys, inverse = np.unique(np.ascontiguousarray(a, float).view(np.int64),
+                              return_inverse=True)
+    table = np.array([fn(s) for s in keys.view(np.float64).tolist()], float)
+    return table.reshape(len(keys), -1)[inverse.reshape(-1)].T
 
 
 def jacobians(j: Jet2) -> tuple[float, float, float]:
@@ -146,17 +203,74 @@ class SurfaceHandle:
     jet: Callable[[float, float], Jet2]
     label: str = ""
     orientation: int = field(default=1)
+    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    """Optional closed-form batch of ``jet``: arrays u, v to an (N, 6, 3)
+    jet array.  It skips the domain and finite checks, which
+    :func:`eval_jets` runs once per batch."""
+
+
+def _stacked(jet_fn: Callable[[float, float], Jet2]):
+    """Batch evaluator built from a scalar jet function, one point at a time."""
+
+    def batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        rows = [
+            [getattr(j, name) for name in _JET_FIELDS]
+            for j in map(jet_fn, u.tolist(), v.tolist())
+        ]
+        return np.array(rows, float).reshape(len(rows), 6, 3)
+
+    return batch
+
+
+def _raw_jets(surface: SurfaceHandle):
+    return surface.batch_jet or _stacked(surface.jet)
+
+
+def _check_finite(jets: np.ndarray) -> None:
+    """Raise the ValueError :class:`Jet2` raises, for the first bad point."""
+    ok = np.isfinite(jets).all(axis=2)
+    if not ok.all():
+        i, f = np.argwhere(~ok)[0]
+        raise ValueError(
+            f"non-finite jet component in {_JET_FIELDS[f]}: {jets[i, f]!r}"
+        )
+
+
+def _out_of_domain(domain: Domain, u, v) -> OutOfDomain:
+    return OutOfDomain(
+        f"(u, v) = ({u}, {v}) outside domain "
+        f"[{domain.u_min}, {domain.u_max}] x [{domain.v_min}, {domain.v_max}]"
+    )
 
 
 def eval_jet2(surface: SurfaceHandle, u: float, v: float) -> Jet2:
     """Evaluate the 2-jet, rejecting parameters outside the domain."""
     if not surface.domain.contains(u, v):
-        raise OutOfDomain(
-            f"(u, v) = ({u}, {v}) outside domain "
-            f"[{surface.domain.u_min}, {surface.domain.u_max}] x "
-            f"[{surface.domain.v_min}, {surface.domain.v_max}]"
-        )
+        raise _out_of_domain(surface.domain, u, v)
     return surface.jet(u, v)
+
+
+def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
+    """Jets at the points (u[i], v[i]) as an (N, 6, 3) array.
+
+    Bit-identical to stacking :func:`eval_jet2` over the points.  The domain
+    check and the finite check each run once for the whole batch and raise
+    what the scalar path raises (OutOfDomain, ValueError), naming the first
+    failing point in input order.
+    """
+    u = np.asarray(u, float).reshape(-1)
+    v = np.asarray(v, float).reshape(-1)
+    dom = surface.domain
+    inside = (dom.u_min <= u) & (u <= dom.u_max) & (dom.v_min <= v) & (v <= dom.v_max)
+    if not inside.all():
+        i = int(np.argmin(inside))
+        raise _out_of_domain(dom, float(u[i]), float(v[i]))
+    if not len(u):
+        return np.empty((0, 6, 3))
+    with np.errstate(all="ignore"):
+        jets = _raw_jets(surface)(u, v)
+    _check_finite(jets)
+    return jets
 
 
 def fd_step(u: float, v: float) -> float:
@@ -213,22 +327,26 @@ def fd_jet2(
 
 
 def _check_regularity(
-    jet_fn: Callable[[float, float], Jet2],
+    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray],
     domain: Domain,
     grid: tuple[int, int],
     eps_reg: float,
     label: str,
 ) -> None:
-    us, vs = domain.interior_linspace(*grid)
-    for u in us:
-        for v in vs:
-            j = jet_fn(float(u), float(v))
-            cross = np.cross(j.du, j.dv)
-            if float(np.hypot(np.hypot(cross[0], cross[1]), cross[2])) <= eps_reg:
-                raise NotRegular(
-                    f"{label or 'patch'}: |sigma_u x sigma_v| <= {eps_reg:g} "
-                    f"at (u, v) = ({u}, {v})"
-                )
+    u, v = grid_points(*domain.interior_linspace(*grid))
+    for sl in blocks(len(u)):
+        with np.errstate(all="ignore"):
+            jets = batch_jet(u[sl], v[sl])
+        _check_finite(jets)
+        cross = np.cross(jets[:, 1], jets[:, 2])
+        norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
+        bad = np.flatnonzero(norm <= eps_reg)
+        if bad.size:
+            i = sl.start + bad[0]
+            raise NotRegular(
+                f"{label or 'patch'}: |sigma_u x sigma_v| <= {eps_reg:g} "
+                f"at (u, v) = ({u[i]}, {v[i]})"
+            )
 
 
 def make_surface(
@@ -237,11 +355,18 @@ def make_surface(
     label: str = "",
     check_grid: tuple[int, int] | None = (21, 21),
     eps_reg: float = EPS_REG,
+    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> SurfaceHandle:
-    """Wrap a jet evaluator, verifying sampled rank-2 regularity first."""
+    """Wrap a jet evaluator, verifying sampled rank-2 regularity first.
+
+    ``batch_jet`` is the closed-form batch of ``jet_fn`` (see
+    :class:`SurfaceHandle`); without it batches stack scalar jets.
+    """
     if check_grid is not None:
-        _check_regularity(jet_fn, domain, check_grid, eps_reg, label)
-    return SurfaceHandle(domain=domain, jet=jet_fn, label=label)
+        _check_regularity(
+            batch_jet or _stacked(jet_fn), domain, check_grid, eps_reg, label
+        )
+    return SurfaceHandle(domain=domain, jet=jet_fn, label=label, batch_jet=batch_jet)
 
 
 def from_value_map(
@@ -293,22 +418,34 @@ def reparametrize_affine(
             )
 
     base_jet = surface.jet
+    base_batch = _raw_jets(surface)
+
+    # Shared by the scalar and the batch evaluator: the fields are length-3
+    # arrays for one point or (N, 3) arrays for a batch.
+    def chain_rule(value, du, dv, duu, duv, dvv):
+        return (
+            value,
+            a11 * du + a21 * dv,
+            a12 * du + a22 * dv,
+            a11 * a11 * duu + 2.0 * a11 * a21 * duv + a21 * a21 * dvv,
+            a11 * a12 * duu + (a11 * a22 + a12 * a21) * duv + a21 * a22 * dvv,
+            a12 * a12 * duu + 2.0 * a12 * a22 * duv + a22 * a22 * dvv,
+        )
 
     def jet_fn(w1: float, w2: float) -> Jet2:
         u = a11 * w1 + a12 * w2 + b1
         v = a21 * w1 + a22 * w2 + b2
         j = base_jet(u, v)
-        return Jet2(
-            j.value,
-            a11 * j.du + a21 * j.dv,
-            a12 * j.du + a22 * j.dv,
-            a11 * a11 * j.duu + 2.0 * a11 * a21 * j.duv + a21 * a21 * j.dvv,
-            a11 * a12 * j.duu + (a11 * a22 + a12 * a21) * j.duv + a21 * a22 * j.dvv,
-            a12 * a12 * j.duu + 2.0 * a12 * a22 * j.duv + a22 * a22 * j.dvv,
-        )
+        return Jet2(*chain_rule(j.value, j.du, j.dv, j.duu, j.duv, j.dvv))
+
+    def batch_jet(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+        u = a11 * w1 + a12 * w2 + b1
+        v = a21 * w1 + a22 * w2 + b2
+        return np.stack(chain_rule(*base_batch(u, v).transpose(1, 0, 2)), axis=1)
 
     return SurfaceHandle(
         domain=new_domain,
         jet=jet_fn,
         label=label or (surface.label + "/reparam" if surface.label else "reparam"),
+        batch_jet=batch_jet,
     )

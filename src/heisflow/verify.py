@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .builders import (
     CATALOG,
     H_MINIMAL_CATALOG,
@@ -38,8 +40,11 @@ from .builders import (
 from .curvature import (
     MINIMALITY_BAND,
     NEAR_CHAR_FACTOR,
+    _running_max,
+    mean_curvature_batch,
     mean_curvature_flow_oracle,
     mean_curvature_local,
+    raise_if_characteristic,
 )
 from .errors import CharacteristicPoint, FlowEscapedDomain, OutOfDomain
 from .flow import integrate_flow
@@ -58,14 +63,26 @@ from .heis import (
 )
 from .horizontal import (
     EPS_CHAR,
-    char_threshold,
+    char_threshold_batch,
     horizontal_normal,
+    horizontal_normal_batch,
     induced_form,
     normal_compatibility,
     unit_horizontal_normal,
 )
 from .locus import characteristic_locus
-from .patch import Domain, Jet2, eval_jet2, jet2, make_surface, reparametrize_affine
+from .patch import (
+    JET_BLOCK,
+    Domain,
+    Jet2,
+    blocks,
+    eval_jet2,
+    eval_jets,
+    grid_points,
+    jet2,
+    make_surface,
+    reparametrize_affine,
+)
 from .rng import Lcg64
 
 __all__ = [
@@ -112,6 +129,18 @@ def _mk(name: str, stat: float, tol: float, count: int, detail: str = "") -> Che
 # example-surface checks
 
 
+def _grid_curvature(surf, nu: int, nv: int, eps_char: float):
+    """Flat grid points of the surface and H at each, as mean_curvature_local
+    gives it: a characteristic point raises CharacteristicPoint."""
+    u, v = grid_points(*surf.domain.linspace(nu, nv))
+    h = np.empty(len(u))
+    for sl in blocks(len(u)):
+        batch = mean_curvature_batch(eval_jets(surf, u[sl], v[sl]), eps_char=eps_char)
+        raise_if_characteristic(batch)
+        h[sl] = batch.H
+    return u, v, h
+
+
 def check_cylinder_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     """H on circular cylinders must equal 1/R for every radius and point."""
     worst = 0.0
@@ -119,17 +148,11 @@ def check_cylinder_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     where = ""
     for radius in (0.5, 1.0, 2.0, 5.0):
         surf = catalog_get(f"cylinder({radius})")
-        us, vs = surf.domain.linspace(101, 101)
-        for u in us:
-            for v in vs:
-                sample = mean_curvature_local(
-                    surf, float(u), float(v), eps_char=eps_char, warn=False
-                )
-                err = abs(sample.H - 1.0 / radius)
-                count += 1
-                if err > worst:
-                    worst = err
-                    where = f"R={radius}, u={float(u):.6g}, v={float(v):.6g}"
+        u, v, h = _grid_curvature(surf, 101, 101, eps_char)
+        count += len(h)
+        worst, i = _running_max(np.abs(h - 1.0 / radius), worst)
+        if i is not None:
+            where = f"R={radius}, u={u[i]:.6g}, v={v[i]:.6g}"
     return [_mk("cylinder-curvature", worst, 1e-10, count, where)]
 
 
@@ -143,25 +166,24 @@ def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
 def check_cone_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     """Lower cone: H and nu^h against their closed forms."""
     surf = catalog_get("cone_lower")
-    us, vs = surf.domain.linspace(51, 51)
+    u, v = grid_points(*surf.domain.linspace(51, 51))
     worst = 0.0
-    count = 0
-    for u in us:
-        for v in vs:
-            h_ref, nu1_ref, nu2_ref = _cone_reference(float(u), float(v))
-            j = eval_jet2(surf, float(u), float(v))
-            nu = unit_horizontal_normal(j, eps_char)
-            sample = mean_curvature_local(
-                surf, float(u), float(v), eps_char=eps_char, warn=False
+    for sl in blocks(len(u)):
+        jets = eval_jets(surf, u[sl], v[sl])
+        n1, n2, q = horizontal_normal_batch(jets)
+        char = q < char_threshold_batch(jets, eps_char)
+        if char.any():  # as unit_horizontal_normal raises
+            raise CharacteristicPoint(
+                f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point"
             )
-            worst = max(
-                worst,
-                abs(sample.H - h_ref),
-                abs(nu.h1 - nu1_ref),
-                abs(nu.h2 - nu2_ref),
-            )
-            count += 1
-    return [_mk("cone-curvature-and-normal", worst, 1e-10, count, "51x51 grid")]
+        batch = mean_curvature_batch(jets, eps_char=eps_char)
+        raise_if_characteristic(batch)
+        ref = np.array(
+            [_cone_reference(a, b) for a, b in zip(u[sl].tolist(), v[sl].tolist())]
+        )
+        err = np.stack((batch.H - ref[:, 0], n1 / q - ref[:, 1], n2 / q - ref[:, 2]))
+        worst = _running_max(np.abs(err).reshape(-1), worst)[0]
+    return [_mk("cone-curvature-and-normal", worst, 1e-10, len(u), "51x51 grid")]
 
 
 def check_paraboloid_locus(seed: int, eps_char: float) -> list[CheckResult]:
@@ -177,19 +199,16 @@ def check_paraboloid_locus(seed: int, eps_char: float) -> list[CheckResult]:
 def check_paraboloid_minimality(seed: int, eps_char: float) -> list[CheckResult]:
     """|H| of the paraboloid away from its locus (||N^h|| >= 1e-4)."""
     surf = catalog_get("paraboloid")
-    us, vs = surf.domain.linspace(101, 101)
+    u, v = grid_points(*surf.domain.linspace(101, 101))
     worst = 0.0
     count = 0
-    for u in us:
-        for v in vs:
-            j = eval_jet2(surf, float(u), float(v))
-            if horizontal_normal(j).norm < 1e-4:
-                continue
-            sample = mean_curvature_local(
-                surf, float(u), float(v), eps_char=eps_char, warn=False
-            )
-            worst = max(worst, abs(sample.H))
-            count += 1
+    for sl in blocks(len(u)):
+        jets = eval_jets(surf, u[sl], v[sl])
+        kept = jets[~(horizontal_normal_batch(jets)[2] < 1e-4)]
+        batch = mean_curvature_batch(kept, eps_char=eps_char)
+        raise_if_characteristic(batch)
+        worst = _running_max(np.abs(batch.H), worst)[0]
+        count += len(kept)
     return [_mk("paraboloid-minimality", worst, 1e-8, count, "||N^h|| >= 1e-4 kept")]
 
 
@@ -265,32 +284,31 @@ def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
 def check_random_ruled_minimality(seed: int, eps_char: float) -> list[CheckResult]:
     """Random ruled patches are horizontally minimal off the locus."""
     rng = Lcg64(seed)
+    specs = [random_ruled_spec(rng, i) for i in range(100)]
+    surfs = [build_straight_ruled(spec, check_grid=None) for spec in specs]
+    # Every patch shares the domain of random_ruled_spec, hence one sample set.
+    u, v = grid_points(*surfs[0].domain.linspace(21, 9))
+    per_block = max(1, JET_BLOCK // len(u))
     worst = 0.0
     count = 0
     skipped = 0
     where = ""
-    for i in range(100):
-        spec = random_ruled_spec(rng, i)
-        surf = build_straight_ruled(spec, check_grid=None)
-        us, vs = surf.domain.linspace(21, 9)
-        for u in us:
-            for v in vs:
-                j = eval_jet2(surf, float(u), float(v))
-                q = horizontal_normal(j).norm
-                band = max(
-                    NEAR_CHAR_FACTOR * char_threshold(j, eps_char),
-                    char_threshold(j, MINIMALITY_BAND),
-                )
-                if q < band:
-                    skipped += 1
-                    continue
-                sample = mean_curvature_local(
-                    surf, float(u), float(v), eps_char=eps_char, warn=False
-                )
-                count += 1
-                if abs(sample.H) > worst:
-                    worst = abs(sample.H)
-                    where = f"{spec.name} at u={float(u):.6g}, v={float(v):.6g}"
+    for first in range(0, len(surfs), per_block):
+        group = range(first, min(first + per_block, len(surfs)))
+        jets = np.concatenate([eval_jets(surfs[k], u, v) for k in group])
+        band = np.maximum(
+            NEAR_CHAR_FACTOR * char_threshold_batch(jets, eps_char),
+            char_threshold_batch(jets, MINIMALITY_BAND),
+        )
+        kept = np.flatnonzero(~(horizontal_normal_batch(jets)[2] < band))
+        skipped += len(jets) - len(kept)
+        batch = mean_curvature_batch(jets[kept], eps_char=eps_char)
+        raise_if_characteristic(batch)
+        count += len(kept)
+        worst, i = _running_max(np.abs(batch.H), worst)
+        if i is not None:
+            k, p = divmod(int(kept[i]), len(u))
+            where = f"{specs[first + k].name} at u={u[p]:.6g}, v={v[p]:.6g}"
     detail = f"{skipped} near-characteristic points skipped; worst {where}"
     return [_mk("random-ruled-minimality", worst, 1e-8, count, detail)]
 
@@ -441,17 +459,9 @@ def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
 def check_developable_minimality(seed: int, eps_char: float) -> list[CheckResult]:
     """The circle-lift tangent developable is horizontally minimal."""
     surf = catalog_get("circle_lift_developable")
-    us, vs = surf.domain.linspace(21, 21)
-    worst = 0.0
-    count = 0
-    for u in us:
-        for v in vs:
-            sample = mean_curvature_local(
-                surf, float(u), float(v), eps_char=eps_char, warn=False
-            )
-            worst = max(worst, abs(sample.H))
-            count += 1
-    return [_mk("developable-minimality", worst, 1e-8, count, surf.label)]
+    h = _grid_curvature(surf, 21, 21, eps_char)[2]
+    worst = _running_max(np.abs(h), 0.0)[0]
+    return [_mk("developable-minimality", worst, 1e-8, len(h), surf.label)]
 
 
 # ---------------------------------------------------------------------------

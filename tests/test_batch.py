@@ -1,0 +1,350 @@
+"""Batched evaluation against the scalar reference path, bit for bit.
+
+Every comparison is on bit patterns, so NaN positions and the sign of zero
+count as differences.  The scalar functions (eval_jet2, horizontal_normal,
+induced_form, mean_curvature_local) are the reference.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from heisflow import cli, verify
+from heisflow.builders import (
+    CATALOG,
+    Term,
+    TermSum,
+    build_graph_separable,
+    build_straight_ruled,
+    catalog_get,
+    random_ruled_spec,
+)
+from heisflow.curvature import (
+    MINIMALITY_BAND,
+    NEAR_CHAR_FACTOR,
+    _fsum_columns,
+    is_h_minimal,
+    mean_curvature_batch,
+    mean_curvature_local,
+)
+from heisflow.errors import CharacteristicPoint, NotRegular, OutOfDomain
+from heisflow.horizontal import (
+    char_threshold,
+    horizontal_normal,
+    horizontal_normal_batch,
+    induced_form,
+    induced_form_batch,
+    is_characteristic,
+)
+from heisflow.patch import (
+    JET_BLOCK,
+    Domain,
+    eval_jet2,
+    eval_jets,
+    from_value_map,
+    grid_points,
+    jet2,
+    make_surface,
+    reparametrize_affine,
+)
+from heisflow.rng import Lcg64
+
+
+def bits(values):
+    return np.asarray(values, float).view(np.int64)
+
+
+def sample_points(surface, n=(17, 13), extra=64, seed=0):
+    """A grid including the domain edges plus uniform interior points."""
+    u, v = grid_points(*surface.domain.linspace(*n))
+    rng = np.random.default_rng(seed)
+    dom = surface.domain
+    ru = rng.uniform(dom.u_min, dom.u_max, extra)
+    rv = rng.uniform(dom.v_min, dom.v_max, extra)
+    return np.concatenate((u, ru)), np.concatenate((v, rv))
+
+
+def scalar_columns(surface, u, v):
+    jets, cols, H, q, char = [], [], [], [], []
+    for a, b in zip(u.tolist(), v.tolist()):
+        j = eval_jet2(surface, a, b)
+        jets.append([j.value, j.du, j.dv, j.duu, j.duv, j.dvv])
+        nh, pf = horizontal_normal(j), induced_form(j)
+        cols.append((nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v))
+        try:
+            sample = mean_curvature_local(surface, a, b, warn=False)
+        except CharacteristicPoint:
+            H.append(math.nan)
+            q.append(math.nan)
+            char.append(True)
+        else:
+            H.append(sample.H)
+            q.append(sample.nh_norm)
+            char.append(False)
+    return np.array(jets), np.array(cols).T, np.array(H), np.array(q), np.array(char)
+
+
+def assert_batch_matches_scalar(surface, u, v):
+    jets_ref, cols_ref, H_ref, q_ref, char_ref = scalar_columns(surface, u, v)
+    jets = eval_jets(surface, u, v)
+    batch = mean_curvature_batch(jets)
+    cols = (*horizontal_normal_batch(jets), *induced_form_batch(jets))
+    np.testing.assert_array_equal(bits(jets), bits(jets_ref))
+    for name, got, want in zip(("n1", "n2", "nh_norm", "p_u", "p_v"), cols, cols_ref):
+        np.testing.assert_array_equal(bits(got), bits(want), err_msg=name)
+    np.testing.assert_array_equal(batch.char, char_ref)
+    np.testing.assert_array_equal(bits(batch.H), bits(H_ref), err_msg="H")
+    live = ~char_ref
+    np.testing.assert_array_equal(bits(batch.nh_norm[live]), bits(q_ref[live]))
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + ("cylinder(0.5)", "cylinder(2.0)", "cylinder(5.0)")
+)
+def test_catalog_batch_bit_identical(name):
+    surface = catalog_get(name)
+    assert_batch_matches_scalar(surface, *sample_points(surface))
+
+
+def test_random_ruled_batch_bit_identical():
+    rng = Lcg64(0)
+    for i in range(100):
+        surface = build_straight_ruled(random_ruled_spec(rng, i), check_grid=None)
+        assert_batch_matches_scalar(surface, *sample_points(surface, (7, 5), 8, i))
+
+
+def test_reparametrized_cone_batch_bit_identical(cone):
+    rep = reparametrize_affine(
+        cone, ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0), Domain(-0.25, 0.25, -0.9, 0.9)
+    )
+    assert_batch_matches_scalar(rep, *sample_points(rep))
+
+
+def test_value_map_batch_bit_identical():
+    def value_map(u, v):
+        return (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u)
+
+    dom = Domain(-1.0, 1.0, -1.0, 1.0)
+    surface = from_value_map(value_map, dom)
+    u, v = grid_points(*dom.interior_linspace(9, 11, margin=0.01))
+    assert_batch_matches_scalar(surface, u, v)
+    # the clipped stencil has no room on the boundary: same error either way
+    with pytest.raises(OutOfDomain) as scalar:
+        eval_jet2(surface, -1.0, 0.0)
+    with pytest.raises(OutOfDomain) as batch:
+        eval_jets(surface, [0.0, -1.0], [0.0, 0.0])
+    assert str(batch.value) == str(scalar.value)
+
+
+terms = st.one_of(
+    st.tuples(st.just("poly"), st.floats(-2.0, 2.0), st.integers(0, 6)),
+    st.tuples(st.sampled_from(("cos", "sin")), st.floats(-2.0, 2.0), st.integers(1, 3)),
+)
+
+
+@given(st.lists(terms, max_size=3), st.lists(terms, max_size=3))
+def test_separable_graph_batch_bit_identical(fu, fv):
+    def term_sum(entries):
+        return TermSum(tuple(Term(*e) for e in entries))
+
+    surface = build_graph_separable(
+        term_sum(fu), term_sum(fv), Domain(-1.5, 1.25, -1.0, 1.5)
+    )
+    assert_batch_matches_scalar(surface, *sample_points(surface, (7, 6), 16))
+
+
+def test_eval_jets_empty_batch(paraboloid):
+    assert eval_jets(paraboloid, [], []).shape == (0, 6, 3)
+    assert mean_curvature_batch(np.empty((0, 6, 3))).H.shape == (0,)
+
+
+def test_eval_jets_errors_match_scalar(paraboloid):
+    with pytest.raises(OutOfDomain) as scalar:
+        eval_jet2(paraboloid, 1.6, 0.0)
+    with pytest.raises(OutOfDomain) as batch:
+        eval_jets(paraboloid, [0.0, 1.6, 2.0], [0.0, 0.0, 0.0])
+    assert str(batch.value) == str(scalar.value)
+
+    huge = build_graph_separable(
+        TermSum((Term("poly", 1e300, 2),)), TermSum(), Domain(-1e10, 1e10, -1.0, 1.0)
+    )
+    with pytest.raises(ValueError) as scalar:
+        eval_jet2(huge, 1e10, 0.5)
+    with pytest.raises(ValueError) as batch:
+        eval_jets(huge, [0.0, 1e10], [0.5, 0.5])
+    assert str(batch.value) == str(scalar.value)
+
+
+def test_fsum_columns_matches_fsum():
+    rng = np.random.default_rng(5)
+    n = 4000
+    for k in (3, 10, 26):
+        wide = rng.standard_normal((k, n)) * 10.0 ** rng.integers(-30, 30, (k, n))
+        half = rng.standard_normal((k // 2, n)) * 1e10
+        cancel = np.concatenate(
+            (half, -half * (1 + rng.integers(-3, 3, half.shape) * 2.0**-52),
+             rng.standard_normal((k % 2, n)) * 1e-20)
+        )
+        ties = rng.integers(-(2**54), 2**54, (k, n)) + rng.integers(0, 2, (k, n)) * 0.5
+        tiny = rng.standard_normal((k, n)) * 2.0 ** rng.integers(-1074, -1000, (k, n))
+        zeros = np.where(rng.integers(0, 2, (k, n)) == 1, -0.0, 0.0)
+        for t in (wide, cancel, ties, tiny, zeros):
+            got = _fsum_columns(list(t), np.ones(n, bool))
+            want = [math.fsum(t[:, i].tolist()) for i in range(n)]
+            np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def test_fsum_columns_unsafe_rows_raise_like_fsum():
+    t = np.ones((3, 4))
+    t[:, 2] = (math.inf, -math.inf, 1.0)
+    with pytest.raises(ValueError, match="inf"):
+        _fsum_columns(list(t), np.zeros(4, bool))
+    need = np.array([True, True, False, True])
+    got = _fsum_columns(list(t), np.zeros(4, bool), need)
+    assert got[[0, 1, 3]].tolist() == [3.0, 3.0, 3.0] and math.isnan(got[2])
+
+
+def old_eval_rows(surface, us, vs):
+    """The per-point loop the eval command used before batching."""
+    rows = []
+    for u in us:
+        for v in vs:
+            j = eval_jet2(surface, u, v)
+            nh = horizontal_normal(j)
+            pf = induced_form(j)
+            try:
+                h = mean_curvature_local(surface, u, v, warn=False).H
+            except CharacteristicPoint:
+                h = math.nan
+            x, y, t = (float(c) for c in j.value)
+            rows.append([u, v, x, y, t, nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v, h])
+    return rows
+
+
+@pytest.mark.parametrize(
+    "name, grid, fmt, sub",
+    [
+        ("plane_t0", (9, 9), "json", None),
+        ("paraboloid", (31, 24), "csv", None),
+        ("cone_lower", (70, 61), "json", None),  # more than one block
+        ("circle_lift_developable", (8, 5), "csv", ((0.5, 2.5), (0.2, 1.1))),
+    ],
+)
+def test_eval_stdout_matches_per_point_loop(capsys, name, grid, fmt, sub):
+    nu, nv = grid
+    argv = ["eval", name, "--grid", f"{nu}x{nv}", "--format", fmt]
+    surface = catalog_get(name)
+    dom = surface.domain
+    (u0, u1), (v0, v1) = sub or ((dom.u_min, dom.u_max), (dom.v_min, dom.v_max))
+    if sub:
+        argv += ["--urange", repr(u0), repr(u1), "--vrange", repr(v0), repr(v1)]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+
+    rows = old_eval_rows(
+        surface, cli._axis_points(u0, u1, nu), cli._axis_points(v0, v1, nv)
+    )
+    columns = ["u", "v", "x", "y", "t", "n1", "n2", "nh_norm", "p_u", "p_v", "H"]
+    report = {
+        "surface": name,
+        "grid": [nu, nv],
+        "urange": [u0, u1],
+        "vrange": [v0, v1],
+        "eps_char": 1e-9,
+        "columns": columns,
+        "rows": rows,
+    }
+    cli._emit(report, columns, fmt, None)
+    assert got == capsys.readouterr().out
+
+
+def old_is_h_minimal(surface, grid):
+    """The per-point loop of is_h_minimal before batching."""
+    us, vs = surface.domain.linspace(*grid)
+    worst, argmax, n_eval, n_skip = -1.0, None, 0, 0
+    for u in us:
+        for v in vs:
+            j = eval_jet2(surface, float(u), float(v))
+            _, q = is_characteristic(j)
+            band = max(
+                NEAR_CHAR_FACTOR * char_threshold(j), char_threshold(j, MINIMALITY_BAND)
+            )
+            if q < band:
+                n_skip += 1
+                continue
+            h = mean_curvature_local(surface, float(u), float(v), warn=False).H
+            n_eval += 1
+            if abs(h) > worst:
+                worst, argmax = abs(h), (float(u), float(v))
+    if n_eval == 0:
+        return math.nan, None, 0, n_skip
+    return worst, argmax, n_eval, n_skip
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("paraboloid", (41, 41)),
+        ("paraboloid", (70, 61)),  # more than one block
+        ("cone_lower", (70, 61)),  # worst point in the last block
+        ("cone_lower", (21, 21)),
+        ("plane_t0", (20, 20)),
+        ("circle_lift_developable", (15, 9)),
+    ],
+)
+def test_is_h_minimal_matches_per_point_loop(name, grid):
+    assert JET_BLOCK < 70 * 61
+    surface = catalog_get(name)
+    report = is_h_minimal(surface, grid=grid)
+    got = (report.max_abs_H, report.argmax, report.n_evaluated, report.n_skipped)
+    want = old_is_h_minimal(surface, grid)
+    assert bits(got[0]) == bits(want[0])
+    assert got[1:] == want[1:]
+
+
+def test_not_regular_names_the_same_point():
+    dom = Domain(-1.0, 1.0, -1.0, 1.0)
+
+    def late_fold(u, v):
+        # collapses where u > 0.75 and v > 0.1: in a later block of a 70x70 check
+        fold = 0.0 if u > 0.75 and v > 0.1 else 1.0
+        return jet2((u, fold * v, 0.0), (1.0, 0.0, 0.0), (0.0, fold, 0.0))
+
+    grid = (70, 70)
+    us, vs = dom.interior_linspace(*grid)
+    want = None
+    for u in us:
+        for v in vs:
+            j = late_fold(float(u), float(v))
+            cross = np.cross(j.du, j.dv)
+            if float(np.hypot(np.hypot(cross[0], cross[1]), cross[2])) <= 1e-8:
+                want = f"fold: |sigma_u x sigma_v| <= 1e-08 at (u, v) = ({u}, {v})"
+                break
+        if want:
+            break
+    with pytest.raises(NotRegular) as exc:
+        make_surface(late_fold, dom, label="fold", check_grid=grid)
+    assert str(exc.value) == want
+
+
+@pytest.mark.parametrize(
+    "check, stat, count, detail",
+    [
+        (verify.check_cylinder_curvature, 4.440892098500626e-16, 40804,
+         "R=0.5, u=0.314159, v=-1"),
+        (verify.check_cone_curvature, 6.661338147750939e-16, 2601, "51x51 grid"),
+        (verify.check_paraboloid_minimality, 0.0, 10100, "||N^h|| >= 1e-4 kept"),
+        (verify.check_developable_minimality, 1.751852084787191e-15, 441,
+         "circle_lift_developable"),
+        (verify.check_random_ruled_minimality, 7.238564373564601e-11, 18886,
+         "14 near-characteristic points skipped; worst random-ruled-25 at u=0.2, v=0.375"),
+    ],
+)
+def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
+    # stat, count and detail as the per-point loops reported them at seed 0
+    (result,) = check(0, 1e-9)
+    assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
+    assert result.passed

@@ -263,6 +263,10 @@ def test_term_from_dict_errors():
         term_from_dict({"kind": "poly", "coeff": "x", "k": 1})
     with pytest.raises(SpecError):
         term_from_dict({"coeff": 1.0, "k": 1})
+    for k in (1.7, True, "2", None, math.inf, 1e300, 10**400):
+        with pytest.raises(SpecError, match="k must be an integer"):
+            term_from_dict({"kind": "poly", "coeff": 1.0, "k": k})
+    assert term_from_dict({"kind": "poly", "coeff": 1.0, "k": 2.0}).k == 2
 
 
 def test_surface_from_dict_dispatch(tmp_path):

@@ -88,6 +88,34 @@ class TestCli:
         assert main(["eval", "no_such_surface"]) == 2
         assert "catalog" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"fu": [{"kind": "poly", "coeff": 1.0, "k": 1e400}]}, "k must be an integer"),
+            ({"fu": [{"kind": "poly", "coeff": 1.0, "k": 1.7}]}, "k must be an integer"),
+            ({"fu": [{"kind": "sin", "coeff": 1.0, "k": True}]}, "k must be an integer"),
+            ({"fu": [{"kind": "sin", "coeff": 1.0, "k": 1e300}]}, "k must be an integer"),
+            ({"domain": [[-1, 1], [-1, 1]]}, "u and v pairs"),
+            ({"domain": {"u": [-1, 1]}}, "u and v pairs"),
+            ({"domain": {"u": [-1], "v": [-1, 1]}}, "increasing pair"),
+            ({"domain": {"u": [-1, 10**400], "v": [-1, 1]}}, "increasing pair"),
+            ({"fu": [{"kind": "poly", "coeff": 10**400, "k": 1}]}, "bad term entry"),
+        ],
+    )
+    def test_malformed_surface_file_exits_two(self, tmp_path, spec, message):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"type": "graph", "domain": {"u": [-1, 1], "v": [-1, 1]}, **spec})
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", "eval", str(path), "--grid", "2x2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "plane_t0", "--grid", "3by3"])

@@ -17,23 +17,20 @@ import json
 import math
 
 from heisflow.builders import CATALOG, H_MINIMAL_CATALOG, catalog_get
-from heisflow.curvature import is_h_minimal, mean_curvature_local
-from heisflow.errors import CharacteristicPoint
+from heisflow.curvature import curvature_scan, is_h_minimal
 from heisflow.locus import characteristic_locus
+from heisflow.patch import grid_points
 
 
 def survey(name: str, grid: int) -> dict:
     surf = catalog_get(name)
-    us, vs = surf.domain.linspace(grid, grid)
-    h_lo, h_hi, skipped = math.inf, -math.inf, 0
-    for u in us:
-        for v in vs:
-            try:
-                h = mean_curvature_local(surf, float(u), float(v), warn=False).H
-            except CharacteristicPoint:
-                skipped += 1
-                continue
-            h_lo, h_hi = min(h_lo, h), max(h_hi, h)
+    u, v = grid_points(*surf.domain.linspace(grid, grid))
+    scan = curvature_scan([surf], u, v, strict=False)
+    h = scan.H[~scan.char].tolist()
+    # min and max keep the first of equal values (0.0 before -0.0), as a
+    # running fold over the grid does
+    h_lo, h_hi = min([math.inf, *h]), max([-math.inf, *h])
+    skipped = int(scan.char.sum())
     row = {
         "name": name,
         "domain": [

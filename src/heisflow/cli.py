@@ -13,6 +13,7 @@ computation has no result (e.g. flow seeded on the characteristic locus);
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
 import re
@@ -101,8 +102,6 @@ def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | Non
             lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
         text = "\n".join(lines) + "\n"
     else:
-        import io
-
         buf = io.StringIO()
         _json_dump(report, buf)
         text = buf.getvalue() + "\n"
@@ -116,7 +115,8 @@ def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | Non
 def _axis_points(lo: float, hi: float, n: int) -> list[float]:
     if n == 1:
         return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    # the formula can land one ulp past hi, outside the domain
+    return [min(lo + (hi - lo) * i / (n - 1), hi) for i in range(n)]
 
 
 def _sub_range(pair, lo: float, hi: float, name: str) -> tuple[float, float]:
@@ -231,16 +231,7 @@ def _cmd_verify(args, eps_char: float) -> int:
             f"n={check['count']}",
             file=sys.stderr,
         )
-    if args.out:
-        import io
-
-        buf = io.StringIO()
-        _json_dump(report, buf)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(buf.getvalue() + "\n")
-    else:
-        _json_dump(report, sys.stdout)
-        sys.stdout.write("\n")
+    _emit(report, None, "json", args.out)
     return 0 if report["passed"] else 1
 
 

@@ -30,6 +30,9 @@ summed by TwoSum distillation (Ogita, Rump and Oishi, "Accurate sum and dot
 product", SIAM J. Sci. Comput. 26(6), 2005) and kept only where a bound on
 the residual proves the result correctly rounded, as :func:`math.fsum`'s
 is.  The remaining columns, typically under 1%, go to math.fsum.
+
+:func:`curvature_scan` runs it over one or more surfaces on a shared sample
+set, with the skip rule of a grid check, in blocks of ``JET_BLOCK`` points.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .errors import (
 )
 from .horizontal import (
     EPS_CHAR,
+    _normal_components,
     char_threshold,
     char_threshold_batch,
     horizontal_normal_batch,
@@ -63,11 +67,12 @@ __all__ = [
     "NEAR_CHAR_FACTOR",
     "CurvatureSample",
     "CurvatureBatch",
+    "CurvatureScan",
     "HMinimalityReport",
     "signed_curvature_plane",
     "mean_curvature_local",
     "mean_curvature_batch",
-    "raise_if_characteristic",
+    "curvature_scan",
     "mean_curvature_jacobian_quotient",
     "mean_curvature_flow_oracle",
     "is_h_minimal",
@@ -122,6 +127,16 @@ class CurvatureBatch(NamedTuple):
 
     H: np.ndarray
     nh_norm: np.ndarray
+    char: np.ndarray
+
+
+class CurvatureScan(NamedTuple):
+    """Curvature of S surfaces at N shared points, each field of shape (S, N);
+    H is NaN where the skip rule dropped the point and where it is
+    characteristic, as in :class:`CurvatureBatch`."""
+
+    H: np.ndarray
+    skip: np.ndarray
     char: np.ndarray
 
 
@@ -326,15 +341,9 @@ def _normal_jet(j: Jet2):
 
 
 def _normal_jet_fd(surface: SurfaceHandle, u: float, v: float, h: float):
-    """Same data as :func:`_normal_jet` with the nu-derivatives by central FD."""
-    from .horizontal import _normal_components  # first-jet data only
-
-    j = eval_jet2(surface, u, v)
-    x, y = float(j.value[0]), float(j.value[1])
-    xu, yu, _ = j.du
-    xv, yv, _ = j.dv
-    jxy = xu * yv - yu * xv
-    n1, n2 = _normal_components(j)
+    """The first six outputs of :func:`_normal_jet`, with the nu-derivatives
+    by central FD."""
+    n1, n2 = _normal_components(eval_jet2(surface, u, v))
 
     dom = surface.domain
     hu = min(h, u - dom.u_min, dom.u_max - u)
@@ -351,7 +360,7 @@ def _normal_jet_fd(surface: SurfaceHandle, u: float, v: float, h: float):
     n2_u = (n2pu - n2mu) / (2.0 * hu)
     n1_v = (n1pv - n1mv) / (2.0 * hv)
     n2_v = (n2pv - n2mv) / (2.0 * hv)
-    return n1, n2, n1_u, n1_v, n2_u, n2_v, jxy
+    return n1, n2, n1_u, n1_v, n2_u, n2_v
 
 
 def _gate_characteristic(j, q, eps_char, warn):
@@ -393,7 +402,7 @@ def mean_curvature_local(
         if fd_step is None:
             dom = surface.domain
             fd_step = 1e-5 * max(dom.u_span, dom.v_span)
-        n1, n2, n1_u, n1_v, n2_u, n2_v, _ = _normal_jet_fd(surface, u, v, fd_step)
+        n1, n2, n1_u, n1_v, n2_u, n2_v = _normal_jet_fd(surface, u, v, fd_step)
     else:
         raise ValueError(f"deriv must be 'exact' or 'fd', got {deriv!r}")
 
@@ -434,9 +443,11 @@ def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> Cur
 def _running_max(values: np.ndarray, worst: float):
     """Fold ``values`` into ``worst`` as the loop ``if x > worst: worst = x``.
 
-    Returns the new worst and the index of the value that set it, the first
-    of equal maxima, or None when no value exceeds ``worst``; NaN never does.
+    Returns the new worst and the flat (C order) index of the value that set
+    it, the first of equal maxima, or None when no value exceeds ``worst``;
+    NaN never does.
     """
+    values = np.ravel(values)
     above = values > worst
     if not above.any():
         return worst, None
@@ -444,14 +455,50 @@ def _running_max(values: np.ndarray, worst: float):
     return float(values[i]), i
 
 
-def raise_if_characteristic(batch: CurvatureBatch) -> None:
-    """Raise the CharacteristicPoint :func:`mean_curvature_local` raises at
-    the first characteristic point of the batch, if any."""
-    hits = np.flatnonzero(batch.char)
-    if hits.size:
-        raise CharacteristicPoint(
-            f"curvature undefined: ||N^h|| = {batch.nh_norm[hits[0]]:.3e}"
-        )
+def curvature_scan(
+    surfaces, u, v, *, eps_char: float = EPS_CHAR, floor=None, strict: bool = True
+) -> CurvatureScan:
+    """:func:`mean_curvature_batch` of every surface at the points (u[i], v[i]).
+
+    ``floor`` is the skip rule, on the ||N^h|| of horizontal_normal_batch:
+    None skips nothing; "band" skips the minimality checks' conditioning
+    band, below max(NEAR_CHAR_FACTOR * threshold, MINIMALITY_BAND * (1 +
+    ||d1||_F)); a float skips below that fixed value.  The work runs in
+    ``JET_BLOCK`` slices of the flat (surface, point) index, so small
+    surfaces share blocks.  With ``strict``, the first characteristic point
+    kept, in flat order, raises the CharacteristicPoint of
+    :func:`mean_curvature_local`; otherwise it is flagged in ``char``.
+    """
+    if not (floor is None or isinstance(floor, float) or floor == "band"):
+        raise ValueError(f"floor must be None, 'band' or a float, got {floor!r}")
+    u = np.asarray(u, float).reshape(-1)
+    v = np.asarray(v, float).reshape(-1)
+    n = len(u)
+    H = np.full(len(surfaces) * n, math.nan)
+    skip = np.zeros(len(H), bool)
+    char = np.zeros(len(H), bool)
+    for sl in blocks(len(H)):
+        jets = []
+        for s in range(sl.start // n, (sl.stop - 1) // n + 1):
+            a, b = max(sl.start - s * n, 0), min(sl.stop - s * n, n)
+            jets.append(eval_jets(surfaces[s], u[a:b], v[a:b]))
+        jets = np.concatenate(jets)
+        if floor == "band":
+            skip[sl] = horizontal_normal_batch(jets)[2] < np.maximum(
+                NEAR_CHAR_FACTOR * char_threshold_batch(jets, eps_char),
+                char_threshold_batch(jets, MINIMALITY_BAND),
+            )
+        elif floor is not None:
+            skip[sl] = horizontal_normal_batch(jets)[2] < floor
+        kept = np.flatnonzero(~skip[sl])
+        jets = jets[kept]  # frees the whole block before the curvature temporaries
+        batch = mean_curvature_batch(jets, eps_char=eps_char)
+        if strict and batch.char.any():
+            q = batch.nh_norm[np.argmax(batch.char)]
+            raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
+        H[sl.start + kept] = batch.H
+        char[sl.start + kept] = batch.char
+    return CurvatureScan(*(a.reshape(len(surfaces), n) for a in (H, skip, char)))
 
 
 def mean_curvature_jacobian_quotient(
@@ -533,33 +580,16 @@ def is_h_minimal(
     """Grid test of horizontal minimality: max |H| <= tol off the locus.
 
     Cells too close to the characteristic locus for an absolute claim at
-    tol, meaning ||N^h|| below max(NEAR_CHAR_FACTOR * threshold,
-    MINIMALITY_BAND * (1 + ||d1||_F)), are skipped and counted; an
-    all-skipped grid yields an empty, failed report rather than an error.
+    tol (the ``"band"`` rule of :func:`curvature_scan`) are skipped and
+    counted; an all-skipped grid yields an empty, failed report rather
+    than an error.
     """
     u, v = grid_points(*surface.domain.linspace(*grid))
-    worst = -1.0
-    argmax = None
-    n_eval = 0
-    n_skip = 0
-    for sl in blocks(len(u)):
-        jets = eval_jets(surface, u[sl], v[sl])
-        q = horizontal_normal_batch(jets)[2]
-        band = np.maximum(
-            NEAR_CHAR_FACTOR * char_threshold_batch(jets, eps_char),
-            char_threshold_batch(jets, MINIMALITY_BAND),
-        )
-        kept = np.flatnonzero(~(q < band))
-        n_skip += len(jets) - len(kept)
-        if not len(kept):
-            continue
-        batch = mean_curvature_batch(jets[kept], eps_char=eps_char)
-        raise_if_characteristic(batch)
-        n_eval += len(kept)
-        worst, i = _running_max(np.abs(batch.H), worst)
-        if i is not None:
-            k = sl.start + kept[i]
-            argmax = (float(u[k]), float(v[k]))
+    scan = curvature_scan([surface], u, v, eps_char=eps_char, floor="band")
+    n_skip = int(scan.skip.sum())
+    n_eval = len(u) - n_skip
     if n_eval == 0:
         return HMinimalityReport(math.nan, None, 0, n_skip, tol, False, grid)
+    worst, i = _running_max(np.abs(scan.H[0]), -1.0)
+    argmax = None if i is None else (float(u[i]), float(v[i]))
     return HMinimalityReport(worst, argmax, n_eval, n_skip, tol, worst <= tol, grid)

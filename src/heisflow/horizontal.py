@@ -109,30 +109,30 @@ def char_threshold_batch(jets: np.ndarray, eps_char: float = EPS_CHAR) -> np.nda
     return eps_char * (1.0 + d1)
 
 
-def _normal_components(j: Jet2) -> tuple[float, float]:
-    x, y = float(j.value[0]), float(j.value[1])
-    jyt, jtx, jxy = jacobians(j)
-    return (float(jyt + 2.0 * y * jxy), float(jtx - 2.0 * x * jxy))
+def _first_order(j):
+    """x, y, (xu, yu, tu) and (xv, yv, tv): floats from a :class:`Jet2`, one
+    array per entry from an (N, 6, 3) jet array."""
+    if isinstance(j, Jet2):
+        return float(j.value[0]), float(j.value[1]), j.du.tolist(), j.dv.tolist()
+    return j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T
 
 
-def _pullback_coeffs(j: Jet2) -> tuple[float, float]:
-    x, y = float(j.value[0]), float(j.value[1])
-    xu, yu, tu = j.du
-    xv, yv, tv = j.dv
-    return (
-        tu + 2.0 * (x * yu - y * xu),
-        tv + 2.0 * (x * yv - y * xv),
-    )
+def _normal_components(j) -> tuple[float, float]:
+    """(n1, n2) of one jet, or of every point of a jet array."""
+    x, y, (xu, yu, tu), (xv, yv, tv) = _first_order(j)
+    jxy = xu * yv - yu * xv
+    return (yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy
+
+
+def _pullback_coeffs(j) -> tuple[float, float]:
+    """(p_u, p_v) of one jet, or of every point of a jet array."""
+    x, y, (xu, yu, tu), (xv, yv, tv) = _first_order(j)
+    return tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
 
 
 def horizontal_normal_batch(jets: np.ndarray):
     """(n1, n2, ||N^h||) at every point, as :func:`horizontal_normal` gives them."""
-    x, y = jets[:, 0, 0], jets[:, 0, 1]
-    xu, yu, tu = jets[:, 1].T
-    xv, yv, tv = jets[:, 2].T
-    jxy = xu * yv - yu * xv
-    n1 = (yu * tv - tu * yv) + 2.0 * y * jxy
-    n2 = (tu * xv - xu * tv) - 2.0 * x * jxy
+    n1, n2 = _normal_components(jets)
     norm = np.fromiter(map(math.hypot, n1.tolist(), n2.tolist()), float, len(n1))
     return n1, n2, norm
 
@@ -173,13 +173,7 @@ def induced_form(j: Jet2) -> InducedFormCoeffs:
 
 def induced_form_batch(jets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p_u, p_v) at every point, as :func:`induced_form` gives them."""
-    x, y = jets[:, 0, 0], jets[:, 0, 1]
-    xu, yu, tu = jets[:, 1].T
-    xv, yv, tv = jets[:, 2].T
-    return (
-        tu + 2.0 * (x * yu - y * xu),
-        tv + 2.0 * (x * yv - y * xv),
-    )
+    return _pullback_coeffs(jets)
 
 
 def induced_form_curl(j: Jet2) -> float:

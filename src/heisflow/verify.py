@@ -38,18 +38,14 @@ from .builders import (
     random_ruled_spec,
 )
 from .curvature import (
-    MINIMALITY_BAND,
-    NEAR_CHAR_FACTOR,
     _running_max,
-    mean_curvature_batch,
+    curvature_scan,
     mean_curvature_flow_oracle,
     mean_curvature_local,
-    raise_if_characteristic,
 )
 from .errors import CharacteristicPoint, FlowEscapedDomain, OutOfDomain
 from .flow import integrate_flow
 from .heis import (
-    FrameVector,
     Point3,
     contact_eval,
     euclidean_to_frame,
@@ -67,15 +63,14 @@ from .horizontal import (
     horizontal_normal,
     horizontal_normal_batch,
     induced_form,
+    induced_form_batch,
     normal_compatibility,
     unit_horizontal_normal,
 )
 from .locus import characteristic_locus
 from .patch import (
-    JET_BLOCK,
     Domain,
     Jet2,
-    blocks,
     eval_jet2,
     eval_jets,
     grid_points,
@@ -129,31 +124,20 @@ def _mk(name: str, stat: float, tol: float, count: int, detail: str = "") -> Che
 # example-surface checks
 
 
-def _grid_curvature(surf, nu: int, nv: int, eps_char: float):
-    """Flat grid points of the surface and H at each, as mean_curvature_local
-    gives it: a characteristic point raises CharacteristicPoint."""
-    u, v = grid_points(*surf.domain.linspace(nu, nv))
-    h = np.empty(len(u))
-    for sl in blocks(len(u)):
-        batch = mean_curvature_batch(eval_jets(surf, u[sl], v[sl]), eps_char=eps_char)
-        raise_if_characteristic(batch)
-        h[sl] = batch.H
-    return u, v, h
-
-
 def check_cylinder_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     """H on circular cylinders must equal 1/R for every radius and point."""
-    worst = 0.0
-    count = 0
+    radii = (0.5, 1.0, 2.0, 5.0)
+    surfs = [catalog_get(f"cylinder({radius})") for radius in radii]
+    # Every radius shares one domain, hence one sample set.
+    u, v = grid_points(*surfs[0].domain.linspace(101, 101))
+    h = curvature_scan(surfs, u, v, eps_char=eps_char).H
+    err = np.abs(h - 1.0 / np.array(radii)[:, None])
+    worst, i = _running_max(err, 0.0)
     where = ""
-    for radius in (0.5, 1.0, 2.0, 5.0):
-        surf = catalog_get(f"cylinder({radius})")
-        u, v, h = _grid_curvature(surf, 101, 101, eps_char)
-        count += len(h)
-        worst, i = _running_max(np.abs(h - 1.0 / radius), worst)
-        if i is not None:
-            where = f"R={radius}, u={u[i]:.6g}, v={v[i]:.6g}"
-    return [_mk("cylinder-curvature", worst, 1e-10, count, where)]
+    if i is not None:
+        k, p = divmod(i, len(u))
+        where = f"R={radii[k]}, u={u[p]:.6g}, v={v[p]:.6g}"
+    return [_mk("cylinder-curvature", worst, 1e-10, h.size, where)]
 
 
 def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
@@ -167,22 +151,17 @@ def check_cone_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     """Lower cone: H and nu^h against their closed forms."""
     surf = catalog_get("cone_lower")
     u, v = grid_points(*surf.domain.linspace(51, 51))
-    worst = 0.0
-    for sl in blocks(len(u)):
-        jets = eval_jets(surf, u[sl], v[sl])
-        n1, n2, q = horizontal_normal_batch(jets)
-        char = q < char_threshold_batch(jets, eps_char)
-        if char.any():  # as unit_horizontal_normal raises
-            raise CharacteristicPoint(
-                f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point"
-            )
-        batch = mean_curvature_batch(jets, eps_char=eps_char)
-        raise_if_characteristic(batch)
-        ref = np.array(
-            [_cone_reference(a, b) for a, b in zip(u[sl].tolist(), v[sl].tolist())]
+    jets = eval_jets(surf, u, v)
+    n1, n2, q = horizontal_normal_batch(jets)
+    char = q < char_threshold_batch(jets, eps_char)
+    if char.any():  # as unit_horizontal_normal raises
+        raise CharacteristicPoint(
+            f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point"
         )
-        err = np.stack((batch.H - ref[:, 0], n1 / q - ref[:, 1], n2 / q - ref[:, 2]))
-        worst = _running_max(np.abs(err).reshape(-1), worst)[0]
+    h = curvature_scan([surf], u, v, eps_char=eps_char).H[0]
+    ref = np.array([_cone_reference(a, b) for a, b in zip(u.tolist(), v.tolist())])
+    err = np.stack((h - ref[:, 0], n1 / q - ref[:, 1], n2 / q - ref[:, 2]))
+    worst = _running_max(np.abs(err), 0.0)[0]
     return [_mk("cone-curvature-and-normal", worst, 1e-10, len(u), "51x51 grid")]
 
 
@@ -200,15 +179,9 @@ def check_paraboloid_minimality(seed: int, eps_char: float) -> list[CheckResult]
     """|H| of the paraboloid away from its locus (||N^h|| >= 1e-4)."""
     surf = catalog_get("paraboloid")
     u, v = grid_points(*surf.domain.linspace(101, 101))
-    worst = 0.0
-    count = 0
-    for sl in blocks(len(u)):
-        jets = eval_jets(surf, u[sl], v[sl])
-        kept = jets[~(horizontal_normal_batch(jets)[2] < 1e-4)]
-        batch = mean_curvature_batch(kept, eps_char=eps_char)
-        raise_if_characteristic(batch)
-        worst = _running_max(np.abs(batch.H), worst)[0]
-        count += len(kept)
+    scan = curvature_scan([surf], u, v, eps_char=eps_char, floor=1e-4)
+    worst = _running_max(np.abs(scan.H), 0.0)[0]
+    count = int(scan.skip.size - scan.skip.sum())
     return [_mk("paraboloid-minimality", worst, 1e-8, count, "||N^h|| >= 1e-4 kept")]
 
 
@@ -288,29 +261,15 @@ def check_random_ruled_minimality(seed: int, eps_char: float) -> list[CheckResul
     surfs = [build_straight_ruled(spec, check_grid=None) for spec in specs]
     # Every patch shares the domain of random_ruled_spec, hence one sample set.
     u, v = grid_points(*surfs[0].domain.linspace(21, 9))
-    per_block = max(1, JET_BLOCK // len(u))
-    worst = 0.0
-    count = 0
-    skipped = 0
+    scan = curvature_scan(surfs, u, v, eps_char=eps_char, floor="band")
+    skipped = int(scan.skip.sum())
+    worst, i = _running_max(np.abs(scan.H), 0.0)
     where = ""
-    for first in range(0, len(surfs), per_block):
-        group = range(first, min(first + per_block, len(surfs)))
-        jets = np.concatenate([eval_jets(surfs[k], u, v) for k in group])
-        band = np.maximum(
-            NEAR_CHAR_FACTOR * char_threshold_batch(jets, eps_char),
-            char_threshold_batch(jets, MINIMALITY_BAND),
-        )
-        kept = np.flatnonzero(~(horizontal_normal_batch(jets)[2] < band))
-        skipped += len(jets) - len(kept)
-        batch = mean_curvature_batch(jets[kept], eps_char=eps_char)
-        raise_if_characteristic(batch)
-        count += len(kept)
-        worst, i = _running_max(np.abs(batch.H), worst)
-        if i is not None:
-            k, p = divmod(int(kept[i]), len(u))
-            where = f"{specs[first + k].name} at u={u[p]:.6g}, v={v[p]:.6g}"
+    if i is not None:
+        k, p = divmod(i, len(u))
+        where = f"{specs[k].name} at u={u[p]:.6g}, v={v[p]:.6g}"
     detail = f"{skipped} near-characteristic points skipped; worst {where}"
-    return [_mk("random-ruled-minimality", worst, 1e-8, count, detail)]
+    return [_mk("random-ruled-minimality", worst, 1e-8, scan.skip.size - skipped, detail)]
 
 
 def check_flow_straightness(seed: int, eps_char: float) -> list[CheckResult]:
@@ -402,22 +361,13 @@ def check_contact_factor(seed: int, eps_char: float) -> list[CheckResult]:
     target = build_plane_flow_patch(
         spec.angle, spec.curve.domain, spec.v_range, label="normal-form"
     )
-    us, vs = source.domain.linspace(21, 21)
-    worst = 0.0
-    count = 0
-    for s in us:
-        for v in vs:
-            lam = plane_contact_factor(spec, float(s), float(v))
-            src = induced_form(eval_jet2(source, float(s), float(v)))
-            tgt = induced_form(eval_jet2(target, float(s), float(v)))
-            scale = 1.0 + abs(tgt.p_u)
-            worst = max(
-                worst,
-                abs(tgt.p_u - lam * src.p_u) / scale,
-                abs(tgt.p_v - lam * src.p_v) / scale,
-            )
-            count += 1
-    return [_mk("contact-factor-pullback", worst, 1e-10, count, spec.name)]
+    u, v = grid_points(*source.domain.linspace(21, 21))
+    lam = np.array([plane_contact_factor(spec, *p) for p in zip(u.tolist(), v.tolist())])
+    src_u, src_v = induced_form_batch(eval_jets(source, u, v))
+    tgt_u, tgt_v = induced_form_batch(eval_jets(target, u, v))
+    err = np.abs(np.stack((tgt_u - lam * src_u, tgt_v - lam * src_v)))
+    worst = _running_max(err / (1.0 + np.abs(tgt_u)), 0.0)[0]
+    return [_mk("contact-factor-pullback", worst, 1e-10, len(u), spec.name)]
 
 
 def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
@@ -438,30 +388,22 @@ def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
     dom = Domain(0.25, 2.0, -2.0, 2.0)
     source = make_surface(source_jet, dom, "vertical-plane-strip")
     image = make_surface(image_jet, dom, "graph-image")
-    us, vs = dom.linspace(21, 21)
-    worst = 0.0
-    count = 0
-    for u in us:
-        for v in vs:
-            ratio = -2.0 * float(u) * float(u)
-            src = induced_form(eval_jet2(source, float(u), float(v)))
-            img = induced_form(eval_jet2(image, float(u), float(v)))
-            scale = 1.0 + abs(ratio)
-            worst = max(
-                worst,
-                abs(img.p_u - ratio * src.p_u) / scale,
-                abs(img.p_v - ratio * src.p_v) / scale,
-            )
-            count += 1
-    return [_mk("plane-map-contact-ratio", worst, 1e-10, count, "strip u in [0.25, 2]")]
+    u, v = grid_points(*dom.linspace(21, 21))
+    ratio = -2.0 * u * u
+    src_u, src_v = induced_form_batch(eval_jets(source, u, v))
+    img_u, img_v = induced_form_batch(eval_jets(image, u, v))
+    err = np.abs(np.stack((img_u - ratio * src_u, img_v - ratio * src_v)))
+    worst = _running_max(err / (1.0 + np.abs(ratio)), 0.0)[0]
+    return [_mk("plane-map-contact-ratio", worst, 1e-10, len(u), "strip u in [0.25, 2]")]
 
 
 def check_developable_minimality(seed: int, eps_char: float) -> list[CheckResult]:
     """The circle-lift tangent developable is horizontally minimal."""
     surf = catalog_get("circle_lift_developable")
-    h = _grid_curvature(surf, 21, 21, eps_char)[2]
+    u, v = grid_points(*surf.domain.linspace(21, 21))
+    h = curvature_scan([surf], u, v, eps_char=eps_char).H
     worst = _running_max(np.abs(h), 0.0)[0]
-    return [_mk("developable-minimality", worst, 1e-8, len(h), surf.label)]
+    return [_mk("developable-minimality", worst, 1e-8, h.size, surf.label)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ from heisflow.curvature import (
     MINIMALITY_BAND,
     NEAR_CHAR_FACTOR,
     _fsum_columns,
+    _running_max,
+    curvature_scan,
     is_h_minimal,
     mean_curvature_batch,
     mean_curvature_local,
@@ -348,3 +350,119 @@ def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
     (result,) = check(0, 1e-9)
     assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
     assert result.passed
+
+
+@pytest.mark.parametrize(
+    "check, seed, stat, count, detail",
+    [
+        (verify.check_random_ruled_minimality, 5, 2.433380646451381e-11, 18892,
+         "8 near-characteristic points skipped; worst random-ruled-50 at u=1.2, v=0.625"),
+        (verify.check_contact_factor, 0, 3.8010922508393467e-16, 441, "circle-lift-ruled"),
+        (verify.check_plane_map_ratio, 0, 0.0, 441, "strip u in [0.25, 2]"),
+    ],
+)
+def test_verify_checks_keep_per_point_results(check, seed, stat, count, detail):
+    # stat, count and detail as the per-point loops reported them
+    (result,) = check(seed, 1e-9)
+    assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
+    assert result.passed
+
+
+def scan_surfaces():
+    """Four graphs over one domain: two minimal, one with a locus line, two
+    with isolated characteristic points, and H far from zero on the last two."""
+    dom = Domain(-1.5, 1.5, -1.5, 1.5)
+
+    def graph(fu, fv):
+        return build_graph_separable(TermSum(fu), TermSum(fv), dom)
+
+    return [
+        catalog_get("paraboloid"),
+        graph((), ()),
+        graph((Term("poly", 1.0, 2),), (Term("poly", 1.0, 2),)),
+        graph((Term("sin", 1.0, 2),), (Term("cos", 0.5, 1), Term("poly", 0.25, 3))),
+    ]
+
+
+def scalar_scan(surfaces, u, v, floor):
+    """The per-point loop a scan replaces: H, skip and char, surface by surface."""
+    H, skip, char = [], [], []
+    for surface in surfaces:
+        for a, b in zip(u.tolist(), v.tolist()):
+            j = eval_jet2(surface, a, b)
+            q = is_characteristic(j).nh_norm
+            if floor == "band":
+                lim = max(NEAR_CHAR_FACTOR * char_threshold(j),
+                          char_threshold(j, MINIMALITY_BAND))
+            else:
+                lim = -math.inf if floor is None else floor
+            h, skipped, flagged = math.nan, q < lim, False
+            if not skipped:
+                try:
+                    h = mean_curvature_local(surface, a, b, warn=False).H
+                except CharacteristicPoint:
+                    flagged = True
+            H.append(h)
+            skip.append(skipped)
+            char.append(flagged)
+    shape = (len(surfaces), len(u))
+    return (np.reshape(H, shape), np.reshape(skip, shape), np.reshape(char, shape))
+
+
+def sequential_fold(surfaces, H):
+    """max |H| by the loop ``if x > worst``, surface after surface, and the
+    (surface, point) where it was set."""
+    worst, where = 0.0, None
+    for k in range(len(surfaces)):
+        for p, h in enumerate(H[k].tolist()):
+            if abs(h) > worst:
+                worst, where = abs(h), (k, p)
+    return worst, where
+
+
+@pytest.mark.parametrize("floor", [None, 1e-4, "band"])
+def test_curvature_scan_matches_per_point_loop(floor):
+    surfaces = scan_surfaces()
+    u, v = grid_points(*surfaces[0].domain.linspace(25, 25))
+    assert len(surfaces) * len(u) > 2 * JET_BLOCK  # surfaces straddle blocks
+    scan = curvature_scan(surfaces, u, v, floor=floor, strict=False)
+    H, skip, char = scalar_scan(surfaces, u, v, floor)
+    np.testing.assert_array_equal(bits(scan.H), bits(H))
+    np.testing.assert_array_equal(scan.skip, skip)
+    np.testing.assert_array_equal(scan.char, char)
+    # each rule acts here: None keeps the locus points, the others skip them
+    if floor is None:
+        assert scan.char.any() and not scan.skip.any()
+    else:
+        assert scan.skip.any() and not scan.char.any()
+
+    # the worst point lies past a block boundary and maps back to the
+    # (surface, point) of a sequential per-surface fold
+    worst, i = _running_max(np.abs(scan.H), 0.0)
+    assert i >= JET_BLOCK
+    want_worst, want_where = sequential_fold(surfaces, H)
+    assert (bits(worst), divmod(i, len(u))) == (bits(want_worst), want_where)
+
+
+def test_curvature_scan_skip_rules_differ():
+    surfaces = scan_surfaces()[:1]
+    u, v = grid_points(*surfaces[0].domain.linspace(60, 61))
+    counts = [
+        int(curvature_scan(surfaces, u, v, floor=floor, strict=False).skip.sum())
+        for floor in (None, 1e-4, "band")
+    ]
+    assert counts[0] == 0 < counts[1] < counts[2]
+
+
+def test_curvature_scan_strict_raises_like_mean_curvature_local(plane_t0):
+    u, v = grid_points(*plane_t0.domain.linspace(101, 101))
+    with pytest.raises(CharacteristicPoint) as scalar:
+        mean_curvature_local(plane_t0, 0.0, 0.0)
+    with pytest.raises(CharacteristicPoint) as scan:
+        curvature_scan([plane_t0], u, v)
+    assert str(scan.value) == str(scalar.value)
+    # without strict the origin is flagged, and only the origin
+    scan = curvature_scan([plane_t0], u, v, strict=False)
+    assert np.flatnonzero(scan.char).tolist() == [50 * 101 + 50]
+    with pytest.raises(ValueError, match="floor"):
+        curvature_scan([plane_t0], u, v, floor="wide")

@@ -84,6 +84,46 @@ class TestCli:
         assert report["passed"] is True
         assert report["n_checks"] == captured.err.count("PASS ")
 
+    @pytest.mark.parametrize(
+        "spec, axis, hi",
+        [
+            ({"type": "graph", "domain": {"u": [-1, 1.2], "v": [-1, 1]}}, 0, 1.2),
+            (
+                {
+                    "type": "developable",
+                    "curve": {
+                        "x": [{"kind": "cos", "coeff": 1.0, "k": 1}],
+                        "y": [{"kind": "sin", "coeff": 1.0, "k": 1}],
+                        "t": [{"kind": "poly", "coeff": -2.0, "k": 1}],
+                        "domain": [0.0, 3.0],
+                    },
+                    "v_range": [-1.0, -0.1],
+                },
+                1,
+                -0.1,
+            ),
+        ],
+    )
+    def test_eval_grid_ends_on_the_domain_edge(self, tmp_path, capsys, spec, axis, hi):
+        # lo + (hi - lo) * i / (n - 1) lands one ulp past hi on these ranges
+        path = tmp_path / "surface.json"
+        path.write_text(json.dumps(spec))
+        for grid in ("25x25", "7x9", "2x2"):
+            assert main(["eval", str(path), "--grid", grid]) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            assert max(r[axis] for r in rows) == rows[-1][axis] == hi
+
+    def test_verify_out_file_matches_stdout(self, tmp_path, capsys, monkeypatch):
+        from heisflow import verify
+
+        monkeypatch.setitem(verify.SUITES, "core", (verify.check_plane_map_ratio,))
+        assert main(["verify", "--suite", "core"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "verify.json"
+        assert main(["verify", "--suite", "core", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
     def test_unknown_surface_exits_two(self, capsys):
         assert main(["eval", "no_such_surface"]) == 2
         assert "catalog" in capsys.readouterr().err

@@ -112,7 +112,6 @@ class CurvatureSample:
     v: float
     H: float
     method: str  # "local-formula" | "flow-oracle"
-    char_flag: bool
     nh_norm: float
     near_char: bool = False
 
@@ -413,7 +412,7 @@ def mean_curvature_local(
     x2, y2 = 2.0 * float(j.value[0]), 2.0 * float(j.value[1])
     du, dv = tuple(map(float, j.du)), tuple(map(float, j.dv))
     H = _local_sums(x2, y2, du, dv, n1, n2, n1_u, n1_v, n2_u, n2_v) / (q2 * q)
-    return CurvatureSample(u, v, H, "local-formula", False, q, near)
+    return CurvatureSample(u, v, H, "local-formula", q, near)
 
 
 def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> CurvatureBatch:
@@ -568,7 +567,7 @@ def mean_curvature_flow_oracle(
     d2 = (p_next - 2.0 * p_mid + p_prev) / (ds * ds)
     kappa = signed_curvature_plane(d1, d2)
     q = is_characteristic(eval_jet2(surface, u, v), eps_char).nh_norm
-    return CurvatureSample(u, v, kappa, "flow-oracle", False, q)
+    return CurvatureSample(u, v, kappa, "flow-oracle", q)
 
 
 def is_h_minimal(

@@ -31,7 +31,7 @@ from .errors import (
     TooFewSamples,
 )
 from .horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, char_threshold
-from .patch import SurfaceHandle, eval_jet2
+from .patch import SurfaceHandle, eval_jet2, eval_jets
 
 __all__ = [
     "STOP_FACTOR",
@@ -154,11 +154,8 @@ def integrate_flow(
 
     uv = np.array(bwd[::-1] + [(u, v)] + fwd, dtype=float)
     seed_index = len(bwd)
-    n = uv.shape[0]
-    points = np.empty((n, 3))
-    for i in range(n):
-        points[i] = eval_jet2(surface, uv[i, 0], uv[i, 1]).value
-    params = (np.arange(n) - seed_index) * ds
+    points = eval_jets(surface, uv[:, 0], uv[:, 1])[:, 0]
+    params = (np.arange(len(uv)) - seed_index) * ds
     chords = np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))
     arc = np.concatenate(([0.0], np.cumsum(chords)))
     arc -= arc[seed_index]

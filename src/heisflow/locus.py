@@ -8,16 +8,19 @@ Isolated characteristic points sitting exactly on grid nodes are caught by
 a direct node test.  Curve-shaped loci are recovered as point chains at
 edge resolution; isolated points off the node lattice can be missed when
 the grid is too coarse, so refine the grid rather than the bisection when
-points seem absent.
+points seem absent.  The search is batched: one blocked pass of
+:func:`heisflow.patch.eval_jets` over the nodes, then lockstep bisection of
+every sign-changing edge with one batch of midpoints per step.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .horizontal import _normal_components
-from .patch import SurfaceHandle, eval_jet2
+import numpy as np
+
+from .horizontal import horizontal_normal_batch
+from .patch import SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = ["LocusPoint", "characteristic_locus"]
 
@@ -34,24 +37,21 @@ class LocusPoint:
     nh_norm: float
 
 
-def _keep_threshold(j, keep_tol: float) -> float:
-    du, dv = j.du, j.dv
-    scale = math.sqrt(float(du @ du) + float(dv @ dv))
-    return keep_tol * (1.0 + scale)
-
-
-def _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp: int, refine: int):
-    """Root of normal component ``comp`` on the segment (a, b) by bisection."""
-    for _ in range(refine):
-        um, vm = 0.5 * (ua + ub), 0.5 * (va + vb)
-        gm = _normal_components(eval_jet2(surface, um, vm))[comp]
-        if gm == 0.0:
-            return um, vm
-        if (ga < 0.0) != (gm < 0.0):
-            ub, vb, gb = um, vm, gm
-        else:
-            ua, va, ga = um, vm, gm
-    return 0.5 * (ua + ub), 0.5 * (va + vb)
+def _fields(surface: SurfaceHandle, pts: np.ndarray, keep_tol: float) -> np.ndarray:
+    """Rows n1, n2, ||N^h||, keep threshold, x, y, t at the (u, v) rows of ``pts``."""
+    out = np.empty((7, len(pts)))
+    for sl in blocks(len(pts)):
+        jets = eval_jets(surface, pts[sl, 0], pts[sl, 1])
+        out[:3, sl] = horizontal_normal_batch(jets)
+        # The keep threshold keep_tol * (1 + sqrt(|du|^2 + |dv|^2)).  Each
+        # squared length is a matmul of 3-vectors, which rounds as the scalar
+        # du @ du does (BLAS may fuse the multiply-adds); summing the six
+        # squares in sequence, as char_threshold does, differs in the last bit.
+        d = jets[:, 1:3, None, :]
+        sq = (d @ d.swapaxes(-1, -2))[:, :, 0, 0]
+        out[3, sl] = keep_tol * (1.0 + np.sqrt(sq[:, 0] + sq[:, 1]))
+        out[4:, sl] = jets[:, 0].T
+    return out
 
 
 def characteristic_locus(
@@ -69,55 +69,49 @@ def characteristic_locus(
     nu, nv = grid
     if nu < 2 or nv < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
-    us, vs = surface.domain.linspace(nu, nv)
-    n1g = [[0.0] * nv for _ in range(nu)]
-    n2g = [[0.0] * nv for _ in range(nu)]
-    found: list[LocusPoint] = []
+    nodes = np.column_stack(grid_points(*surface.domain.linspace(nu, nv)))
+    f = _fields(surface, nodes, keep_tol)
 
-    def consider(u: float, v: float):
-        j = eval_jet2(surface, u, v)
-        n1, n2 = _normal_components(j)
-        q = math.hypot(n1, n2)
-        if q <= _keep_threshold(j, keep_tol):
-            x, y, t = (float(c) for c in j.value)
-            found.append(LocusPoint(u, v, x, y, t, q))
+    # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
+    # or the v-edge (d = 1) leaving node (i, k); np.nonzero lists candidates
+    # node by node, u-edge before v-edge, n1 before n2.  Signs are compared
+    # rather than multiplied, because a product can underflow to 0.
+    g = f[:2].T.reshape(nu, nv, 2)
+    nz, neg = g != 0.0, g < 0.0
+    change = np.zeros((nu, nv, 2, 2), bool)
+    change[:-1, :, 0] = nz[:-1] & nz[1:] & (neg[:-1] != neg[1:])
+    change[:, :-1, 1] = nz[:, :-1] & nz[:, 1:] & (neg[:, :-1] != neg[:, 1:])
+    i, k, d, comp = np.nonzero(change)
+    lo, hi = nodes[i * nv + k], nodes[(i + 1 - d) * nv + k + d]
+    neg = neg[i, k, comp]
 
-    for i, u in enumerate(us):
-        for k, v in enumerate(vs):
-            j = eval_jet2(surface, float(u), float(v))
-            n1, n2 = _normal_components(j)
-            n1g[i][k] = n1
-            n2g[i][k] = n2
-            if math.hypot(n1, n2) <= _keep_threshold(j, keep_tol):
-                x, y, t = (float(c) for c in j.value)
-                found.append(LocusPoint(float(u), float(v), x, y, t, math.hypot(n1, n2)))
+    # Lockstep bisection: ``lo`` keeps the sign the component has at the
+    # edge's first node and ``hi`` the other.  An edge whose midpoint is an
+    # exact root stops there (lo = hi = midpoint) and leaves the live set.
+    live = np.arange(len(comp))
+    for _ in range(refine):
+        mid = 0.5 * (lo[live] + hi[live])
+        gm = _fields(surface, mid, keep_tol)[comp[live], np.arange(live.size)]
+        to_hi = neg[live] != (gm < 0.0)
+        hi[live[to_hi]] = mid[to_hi]
+        lo[live[~to_hi]] = mid[~to_hi]
+        hit = gm == 0.0
+        lo[live[hit]] = hi[live[hit]] = mid[hit]
+        live = live[~hit]
+    roots = 0.5 * (lo + hi)
 
-    def scan_edge(ua, va, ub, vb, comp_vals_a, comp_vals_b):
-        for comp in (0, 1):
-            ga, gb = comp_vals_a[comp], comp_vals_b[comp]
-            if ga == 0.0 or gb == 0.0 or (ga < 0.0) == (gb < 0.0):
-                continue
-            ur, vr = _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp, refine)
-            consider(ur, vr)
+    # Candidates in the order nodes, then roots, stably sorted by (u, v).
+    pts = np.concatenate((nodes, roots))
+    f = np.concatenate((f, _fields(surface, roots, keep_tol)), axis=1)
+    keep = f[2] <= f[3]
+    u, v = pts[keep].T.tolist()
+    nh, x, y, t = f[[2, 4, 5, 6]][:, keep].tolist()
+    found = sorted(map(LocusPoint, u, v, x, y, t, nh), key=lambda p: (p.u, p.v))
 
-    for i in range(nu):
-        for k in range(nv):
-            a = (n1g[i][k], n2g[i][k])
-            if i + 1 < nu:
-                b = (n1g[i + 1][k], n2g[i + 1][k])
-                scan_edge(float(us[i]), float(vs[k]), float(us[i + 1]), float(vs[k]), a, b)
-            if k + 1 < nv:
-                b = (n1g[i][k + 1], n2g[i][k + 1])
-                scan_edge(float(us[i]), float(vs[k]), float(us[i]), float(vs[k + 1]), a, b)
-
-    found.sort(key=lambda p: (p.u, p.v))
     merge_u = 1e-6 * max(surface.domain.u_span, 1e-300)
     merge_v = 1e-6 * max(surface.domain.v_span, 1e-300)
     kept: list[LocusPoint] = []
     for p in found:
-        if any(
-            abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in kept
-        ):
-            continue
-        kept.append(p)
+        if not any(abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in kept):
+            kept.append(p)
     return kept

@@ -18,7 +18,7 @@ any other handle falls back to stacking its scalar jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -194,15 +194,13 @@ def jacobians(j: Jet2) -> tuple[float, float, float]:
 class SurfaceHandle:
     """Immutable surface patch: a domain plus a 2-jet evaluator.
 
-    ``orientation`` is fixed at +1; the parameter order itself carries the
-    orientation, and flipping it means building a new handle with swapped
-    parameters.
+    The parameter order carries the orientation; flipping it means building
+    a new handle with swapped parameters.
     """
 
     domain: Domain
     jet: Callable[[float, float], Jet2]
     label: str = ""
-    orientation: int = field(default=1)
     batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     """Optional closed-form batch of ``jet``: arrays u, v to an (N, 6, 3)
     jet array.  It skips the domain and finite checks, which

@@ -34,7 +34,7 @@ from .builders import (
     build_straight_ruled,
     catalog_get,
     plane_contact_factor,
-    ruling_form_coeff,
+    ruling_form_coefficients,
     random_ruled_spec,
 )
 from .curvature import (
@@ -71,11 +71,13 @@ from .locus import characteristic_locus
 from .patch import (
     Domain,
     Jet2,
+    blocks,
     eval_jet2,
     eval_jets,
     grid_points,
     jet2,
     make_surface,
+    per_value,
     reparametrize_affine,
 )
 from .rng import Lcg64
@@ -229,29 +231,26 @@ def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
     specs = [_plane_flow_spec(), _ruled_paraboloid_spec()]
     specs += [random_ruled_spec(rng, i) for i in range(3)]
     worst = 0.0
-    count = 0
     where = ""
     for spec in specs:
         surf = build_straight_ruled(spec, check_grid=None)
         dom = surf.domain
-        for _ in range(2000):
-            s = rng.uniform(dom.u_min, dom.u_max)
-            v = rng.uniform(dom.v_min, dom.v_max)
-            c = ruling_form_coeff(spec, s, v)
-            j = eval_jet2(surf, s, v)
-            coeffs = induced_form(j)
-            q = horizontal_normal(j).norm
-            scale = 1.0 + abs(c)
-            err = max(
-                abs(coeffs.p_u - c) / scale,
-                abs(coeffs.p_v) / scale,
-                abs(q - abs(c)) / scale,
-            )
-            count += 1
-            if err > worst:
-                worst = err
-                where = f"{spec.name} at s={s:.6g}, v={v:.6g}"
-    return [_mk("ruled-form-identity", worst, 1e-10, count, where)]
+        sv = np.array([
+            (rng.uniform(dom.u_min, dom.u_max), rng.uniform(dom.v_min, dom.v_max))
+            for _ in range(2000)
+        ])
+        for s, v in (sv[sl].T for sl in blocks(len(sv))):
+            c0, c1, c2 = per_value(lambda x: ruling_form_coefficients(spec, x), s)
+            c = c0 + v * (c1 + v * c2)  # as ruling_form_coeff evaluates it
+            jets = eval_jets(surf, s, v)
+            p_u, p_v = induced_form_batch(jets)
+            q = horizontal_normal_batch(jets)[2]
+            # Dividing by the positive scale after the max rounds the same.
+            err = np.max([abs(p_u - c), abs(p_v), abs(q - abs(c))], axis=0) / (1.0 + abs(c))
+            worst, i = _running_max(err, worst)
+            if i is not None:
+                where = f"{spec.name} at s={float(s[i]):.6g}, v={float(v[i]):.6g}"
+    return [_mk("ruled-form-identity", worst, 1e-10, len(specs) * len(sv), where)]
 
 
 def check_random_ruled_minimality(seed: int, eps_char: float) -> list[CheckResult]:

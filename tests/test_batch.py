@@ -359,6 +359,12 @@ def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
          "8 near-characteristic points skipped; worst random-ruled-50 at u=1.2, v=0.625"),
         (verify.check_contact_factor, 0, 3.8010922508393467e-16, 441, "circle-lift-ruled"),
         (verify.check_plane_map_ratio, 0, 0.0, 441, "strip u in [0.25, 2]"),
+        (verify.check_ruled_form_identity, 0, 2.0701926888010976e-15, 10000,
+         "random-ruled-0 at s=1.58433, v=1.05913"),
+        (verify.check_ruled_form_identity, 3, 1.7633421911486509e-15, 10000,
+         "random-ruled-2 at s=1.1686, v=1.20188"),
+        (verify.check_ruled_form_identity, 5, 2.3975505088530373e-15, 10000,
+         "random-ruled-2 at s=1.80213, v=0.501529"),
     ],
 )
 def test_verify_checks_keep_per_point_results(check, seed, stat, count, detail):

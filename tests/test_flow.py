@@ -26,6 +26,17 @@ def test_trace_structure(ruled_parabola):
     assert np.allclose(tr.points[k], j.value, atol=0.0)
 
 
+@pytest.mark.parametrize(
+    "surface, seed",
+    [("ruled_parabola", (1.2, 0.7)), ("paraboloid", (0.3, 0.7)), ("cone", (-1.2, 2.0))],
+)
+def test_points_are_the_scalar_jet_values_bit_for_bit(request, surface, seed):
+    surface = request.getfixturevalue(surface)
+    tr = integrate_flow(surface, *seed, max_steps=300)
+    ref = np.array([eval_jet2(surface, u, v).value for u, v in tr.uv.tolist()])
+    assert tr.points.view(np.int64).tolist() == ref.view(np.int64).tolist()
+
+
 def test_ruled_leaves_are_rule_lines(ruled_parabola):
     # flow moves along v only: u frozen, projection an exact straight line
     tr = integrate_flow(ruled_parabola, 1.2, 0.7, ds=1e-3, max_steps=300)

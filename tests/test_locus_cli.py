@@ -1,13 +1,113 @@
 """Characteristic locus extraction and the command line front end."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from heisflow.builders import (
+    CATALOG,
+    build_straight_ruled,
+    catalog_get,
+    random_ruled_spec,
+    surface_from_dict,
+)
 from heisflow.cli import main
-from heisflow.locus import characteristic_locus
+from heisflow.horizontal import _normal_components
+from heisflow.locus import LocusPoint, characteristic_locus
+from heisflow.patch import eval_jet2
+from heisflow.rng import Lcg64
+
+# c(s, v) = 2 v (v - 2 sin s): the locus is the curve v = 2 sin s.
+TURNING_LINE = {
+    "type": "ruled",
+    "name": "turning-line",
+    "curve": {"x": [{"kind": "poly", "coeff": 1.0, "k": 1}], "y": [], "t": [], "domain": [0.0, 2.0]},
+    "theta": [{"kind": "poly", "coeff": 1.0, "k": 1}],
+    "v_range": [0.25, 1.25],
+}
+
+
+def _keep_threshold(j, keep_tol):
+    du, dv = j.du, j.dv
+    scale = math.sqrt(float(du @ du) + float(dv @ dv))
+    return keep_tol * (1.0 + scale)
+
+
+def _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp, refine):
+    for _ in range(refine):
+        um, vm = 0.5 * (ua + ub), 0.5 * (va + vb)
+        gm = _normal_components(eval_jet2(surface, um, vm))[comp]
+        if gm == 0.0:
+            return um, vm
+        if (ga < 0.0) != (gm < 0.0):
+            ub, vb, gb = um, vm, gm
+        else:
+            ua, va, ga = um, vm, gm
+    return 0.5 * (ua + ub), 0.5 * (va + vb)
+
+
+def reference_locus(surface, grid, refine=60, keep_tol=1e-8):
+    """The per-point search, one scalar jet per node and per bisection step:
+    the reference the batched characteristic_locus must match exactly."""
+    nu, nv = grid
+    us, vs = surface.domain.linspace(nu, nv)
+    n1g = [[0.0] * nv for _ in range(nu)]
+    n2g = [[0.0] * nv for _ in range(nu)]
+    found = []
+
+    def consider(u, v):
+        j = eval_jet2(surface, u, v)
+        n1, n2 = _normal_components(j)
+        q = math.hypot(n1, n2)
+        if q <= _keep_threshold(j, keep_tol):
+            x, y, t = (float(c) for c in j.value)
+            found.append(LocusPoint(u, v, x, y, t, q))
+
+    for i, u in enumerate(us):
+        for k, v in enumerate(vs):
+            j = eval_jet2(surface, float(u), float(v))
+            n1, n2 = _normal_components(j)
+            n1g[i][k] = n1
+            n2g[i][k] = n2
+            if math.hypot(n1, n2) <= _keep_threshold(j, keep_tol):
+                x, y, t = (float(c) for c in j.value)
+                found.append(LocusPoint(float(u), float(v), x, y, t, math.hypot(n1, n2)))
+
+    def scan_edge(ua, va, ub, vb, comp_vals_a, comp_vals_b):
+        for comp in (0, 1):
+            ga, gb = comp_vals_a[comp], comp_vals_b[comp]
+            if ga == 0.0 or gb == 0.0 or (ga < 0.0) == (gb < 0.0):
+                continue
+            ur, vr = _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp, refine)
+            consider(ur, vr)
+
+    for i in range(nu):
+        for k in range(nv):
+            a = (n1g[i][k], n2g[i][k])
+            if i + 1 < nu:
+                b = (n1g[i + 1][k], n2g[i + 1][k])
+                scan_edge(float(us[i]), float(vs[k]), float(us[i + 1]), float(vs[k]), a, b)
+            if k + 1 < nv:
+                b = (n1g[i][k + 1], n2g[i][k + 1])
+                scan_edge(float(us[i]), float(vs[k]), float(us[i]), float(vs[k + 1]), a, b)
+
+    found.sort(key=lambda p: (p.u, p.v))
+    merge_u = 1e-6 * max(surface.domain.u_span, 1e-300)
+    merge_v = 1e-6 * max(surface.domain.v_span, 1e-300)
+    kept = []
+    for p in found:
+        if any(abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in kept):
+            continue
+        kept.append(p)
+    return kept
+
+
+def as_bits(points):
+    """LocusPoint fields as exact float reprs, so -0.0 and 0.0 differ."""
+    return [tuple(map(float.hex, (p.u, p.v, p.x, p.y, p.t, p.nh_norm))) for p in points]
 
 
 class TestLocus:
@@ -30,6 +130,39 @@ class TestLocus:
     def test_grid_validation(self, plane_t0):
         with pytest.raises(ValueError):
             characteristic_locus(plane_t0, grid=(1, 5))
+
+    # The paraboloid and turning-line cases stop many bisections at a
+    # midpoint where the component is exactly zero, and keep those points.
+    @pytest.mark.parametrize("grid", [(2, 2), (3, 7), (60, 61), (100, 100), (101, 101)])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_catalog_matches_per_point_search(self, name, grid):
+        surface = catalog_get(name)
+        assert as_bits(characteristic_locus(surface, grid=grid)) == as_bits(
+            reference_locus(surface, grid)
+        )
+
+    def test_random_ruled_match_per_point_search(self):
+        for k in range(20):
+            surface = build_straight_ruled(random_ruled_spec(Lcg64(k)), check_grid=None)
+            assert as_bits(characteristic_locus(surface, grid=(41, 37))) == as_bits(
+                reference_locus(surface, (41, 37))
+            ), k
+
+    @pytest.mark.parametrize("refine", [0, 20, 60])
+    @pytest.mark.parametrize("name", ["paraboloid", "turning-line"])
+    def test_refine_matches_per_point_search(self, name, refine):
+        surface = surface_from_dict(TURNING_LINE) if name == "turning-line" else catalog_get(name)
+        got = characteristic_locus(surface, grid=(33, 29), refine=refine)
+        assert as_bits(got) == as_bits(reference_locus(surface, (33, 29), refine))
+
+    @pytest.mark.parametrize("grid, count", [("101x101", 128), ("100x100", 127), ("37x64", 74)])
+    def test_turning_line_locus_on_closed_form_curve(self, tmp_path, capsys, grid, count):
+        path = tmp_path / "turning-line.json"
+        path.write_text(json.dumps(TURNING_LINE))
+        assert main(["locus", str(path), "--grid", grid]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(rows) == count
+        assert max(abs(v - 2.0 * math.sin(u)) for u, v, *_ in rows) <= 1e-12
 
 
 class TestCli:

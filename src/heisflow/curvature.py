@@ -24,12 +24,15 @@ acceleration kappa * (-nu1, -nu2) has signed curvature kappa; the
 counterclockwise unit circle has kappa = +1.
 
 :func:`mean_curvature_batch` evaluates the local formula at every point of
-a jet array, bit-identical to :func:`mean_curvature_local`.  Each
-compensated sum is built from the same error-free term columns; a column is
-summed by TwoSum distillation (Ogita, Rump and Oishi, "Accurate sum and dot
-product", SIAM J. Sci. Comput. 26(6), 2005) and kept only where a bound on
-the residual proves the result correctly rounded, as :func:`math.fsum`'s
-is.  The remaining columns, typically under 1%, go to math.fsum.
+a jet array; it is the only curvature kernel, and
+:func:`mean_curvature_local` is a batch of one.  Near the characteristic
+locus the sums of the formula cancel to far below the size of their terms,
+so every product is expanded error-free and each sum is correctly rounded:
+a column of terms is summed by TwoSum distillation (Ogita, Rump and Oishi,
+"Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005) and kept
+only where a bound on the residual proves the result correctly rounded.
+The remaining columns, typically under 1%, go to the exact fallback of
+:func:`_fsum_columns`.
 
 :func:`curvature_scan` runs it over one or more surfaces on a shared sample
 set, with the skip rule of a grid check, in blocks of ``JET_BLOCK`` points.
@@ -51,15 +54,8 @@ from .errors import (
     NearCharacteristicWarning,
     ZeroSpeed,
 )
-from .horizontal import (
-    EPS_CHAR,
-    _normal_components,
-    char_threshold,
-    char_threshold_batch,
-    horizontal_normal_batch,
-    is_characteristic,
-)
-from .patch import Jet2, SurfaceHandle, blocks, eval_jet2, eval_jets, grid_points
+from .horizontal import EPS_CHAR, char_threshold, horizontal_normal_batch, is_characteristic
+from .patch import SurfaceHandle, blocks, eval_jet2, eval_jets, grid_points
 
 __all__ = [
     "EPS_JACOBIAN",
@@ -175,14 +171,14 @@ def _two_prod(a: float, b: float) -> tuple[float, float]:
     return p, e
 
 
-def _fsum_terms(pairs, triples=(), total=math.fsum) -> float:
-    """Correctly rounded sum of a*b pairs and c*a*b triples.
+def _fsum_terms(pairs, triples=(), *, total):
+    """Correctly rounded sum of a*b pairs and c*a*b triples, one per point.
 
-    Every product is expanded error-free before the fsum, so cancellation
-    between terms costs no accuracy; triples assume c is an exact double
-    (here always +-2x, +-2y or a doubled jet entry, and doubling is exact).
-    The entries may also be arrays of one value per point, with ``total``
-    a column summer such as :func:`_fsum_columns`.
+    The entries are arrays of one value per point.  Every product is
+    expanded error-free before ``total``, a column summer such as
+    :func:`_fsum_columns`, adds the terms, so cancellation between terms
+    costs no accuracy; triples assume c is an exact double (here always
+    +-2x, +-2y or a doubled jet entry, and doubling is exact).
     """
     acc = []
     for a, b in pairs:
@@ -263,11 +259,12 @@ def _fsum_columns(acc, safe: np.ndarray, need: np.ndarray | None = None) -> np.n
     return out
 
 
-def _normal_sums(x2, y2, du, dv, duu, duv, dvv, total=math.fsum):
+def _normal_sums(x2, y2, du, dv, duu, duv, dvv, *, total):
     """n1, n2 and their u- and v-derivatives from the jet entries.
 
-    The entries are floats for one point or arrays for a batch; ``total``
-    sums the term lists accordingly.
+    With N^h = (jyt + 2y*jxy, jtx - 2x*jxy) in jacobian shorthand, the six
+    outputs are that pair and its u- and v-derivatives by the product rule,
+    each summed by ``total``.
     """
     xu, yu, tu = du
     xv, yv, tv = dv
@@ -308,7 +305,7 @@ def _normal_sums(x2, y2, du, dv, duu, duv, dvv, total=math.fsum):
     return n1, n2, n1_u, n1_v, n2_u, n2_v
 
 
-def _local_sums(x2, y2, du, dv, n1, n2, n1_u, n1_v, n2_u, n2_v, total=math.fsum):
+def _local_sums(x2, y2, du, dv, n1, n2, n1_u, n1_v, n2_u, n2_v, *, total):
     """Numerator p_v A_u - p_u A_v of the local formula, with p_u, p_v, A_u
     and A_v each correctly rounded first."""
     xu, yu, tu = du
@@ -321,60 +318,19 @@ def _local_sums(x2, y2, du, dv, n1, n2, n1_u, n1_v, n2_u, n2_v, total=math.fsum)
     return fsum(((p_v, a_u), (-p_u, a_v)))
 
 
-def _normal_jet(j: Jet2):
-    """n1, n2, their parameter derivatives, and d(x,y), all from one 2-jet.
-
-    With N^h = (jyt + 2y*jxy, jtx - 2x*jxy) in jacobian shorthand, the six
-    outputs are that pair and its u- and v-derivatives by the product rule.
-    Near the characteristic locus the sums cancel to far below the size of
-    their terms, so each is accumulated with error-free products: the
-    results are correctly rounded functions of the jet entries, leaving the
-    curvature limited by input rounding rather than by the arithmetic.
-    """
-    x2, y2 = 2.0 * float(j.value[0]), 2.0 * float(j.value[1])
-    xu, yu, _ = map(float, j.du)
-    xv, yv, _ = map(float, j.dv)
-    jxy = _fsum_terms(((xu, yv), (-yu, xv)))
-    fields = (tuple(map(float, f)) for f in (j.du, j.dv, j.duu, j.duv, j.dvv))
-    return (*_normal_sums(x2, y2, *fields), jxy)
+def _jet_columns(jets: np.ndarray):
+    """2x, 2y and the five derivative columns of a jet array, and the column
+    summer that certifies points whose entries are at most _SAFE."""
+    safe = np.abs(jets).max(axis=(1, 2)) <= _SAFE
+    cols = (2.0 * jets[:, 0, 0], 2.0 * jets[:, 0, 1], *(jets[:, f].T for f in range(1, 6)))
+    return cols, partial(_fsum_columns, safe=safe)
 
 
-def _normal_jet_fd(surface: SurfaceHandle, u: float, v: float, h: float):
-    """The first six outputs of :func:`_normal_jet`, with the nu-derivatives
-    by central FD."""
-    n1, n2 = _normal_components(eval_jet2(surface, u, v))
-
-    dom = surface.domain
-    hu = min(h, u - dom.u_min, dom.u_max - u)
-    hv = min(h, v - dom.v_min, dom.v_max - v)
-    if hu < 1e-14 or hv < 1e-14:
-        raise FlowEscapedDomain(
-            f"no room for the nu finite-difference stencil at ({u}, {v})"
-        )
-    n1pu, n2pu = _normal_components(eval_jet2(surface, u + hu, v))
-    n1mu, n2mu = _normal_components(eval_jet2(surface, u - hu, v))
-    n1pv, n2pv = _normal_components(eval_jet2(surface, u, v + hv))
-    n1mv, n2mv = _normal_components(eval_jet2(surface, u, v - hv))
-    n1_u = (n1pu - n1mu) / (2.0 * hu)
-    n2_u = (n2pu - n2mu) / (2.0 * hu)
-    n1_v = (n1pv - n1mv) / (2.0 * hv)
-    n2_v = (n2pv - n2mv) / (2.0 * hv)
-    return n1, n2, n1_u, n1_v, n2_u, n2_v
-
-
-def _gate_characteristic(j, q, eps_char, warn):
-    thr = char_threshold(j, eps_char)
-    if q < thr:
+def _raise_if_characteristic(nh_norm: np.ndarray, char: np.ndarray) -> None:
+    """Raise the CharacteristicPoint of the first flagged point, if any."""
+    if char.any():
+        q = nh_norm[np.argmax(char)]
         raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
-    near = q < NEAR_CHAR_FACTOR * thr
-    if near and warn:
-        warnings.warn(
-            f"||N^h|| = {q:.3e} within {NEAR_CHAR_FACTOR:g}x of the "
-            "characteristic threshold; curvature accuracy degrades",
-            NearCharacteristicWarning,
-            stacklevel=3,
-        )
-    return near
 
 
 def mean_curvature_local(
@@ -383,58 +339,42 @@ def mean_curvature_local(
     v: float,
     *,
     eps_char: float = EPS_CHAR,
-    deriv: str = "exact",
-    fd_step: float | None = None,
     warn: bool = True,
 ) -> CurvatureSample:
     """Horizontal mean curvature from the local formula at one point.
 
-    ``deriv`` selects how the parameter derivatives of the unit normal are
-    obtained: "exact" uses the patch second jets through the chain rule,
-    "fd" central-differences the normal components with step ``fd_step``
-    (default 1e-5 of the larger domain span).
+    A batch of one through :func:`mean_curvature_batch`, whose fixed cost
+    is most of what a hundred-point batch costs: evaluate point sets with
+    :func:`curvature_scan` instead.
     """
-    j = eval_jet2(surface, u, v)
-    if deriv == "exact":
-        n1, n2, n1_u, n1_v, n2_u, n2_v, _ = _normal_jet(j)
-    elif deriv == "fd":
-        if fd_step is None:
-            dom = surface.domain
-            fd_step = 1e-5 * max(dom.u_span, dom.v_span)
-        n1, n2, n1_u, n1_v, n2_u, n2_v = _normal_jet_fd(surface, u, v, fd_step)
-    else:
-        raise ValueError(f"deriv must be 'exact' or 'fd', got {deriv!r}")
-
-    q2 = n1 * n1 + n2 * n2
-    q = math.sqrt(q2)
-    near = _gate_characteristic(j, q, eps_char, warn)
-
-    x2, y2 = 2.0 * float(j.value[0]), 2.0 * float(j.value[1])
-    du, dv = tuple(map(float, j.du)), tuple(map(float, j.dv))
-    H = _local_sums(x2, y2, du, dv, n1, n2, n1_u, n1_v, n2_u, n2_v) / (q2 * q)
-    return CurvatureSample(u, v, H, "local-formula", q, near)
+    jets = eval_jets(surface, [u], [v])
+    batch = mean_curvature_batch(jets, eps_char=eps_char)
+    _raise_if_characteristic(batch.nh_norm, batch.char)
+    q = float(batch.nh_norm[0])
+    near = q < NEAR_CHAR_FACTOR * float(char_threshold(jets, eps_char)[0])
+    if near and warn:
+        warnings.warn(
+            f"||N^h|| = {q:.3e} within {NEAR_CHAR_FACTOR:g}x of the "
+            "characteristic threshold; curvature accuracy degrades",
+            NearCharacteristicWarning,
+            stacklevel=2,
+        )
+    return CurvatureSample(u, v, float(batch.H[0]), "local-formula", q, near)
 
 
 def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> CurvatureBatch:
-    """:func:`mean_curvature_local` (exact derivatives) at every point of an
-    (N, 6, 3) jet array, bit for bit; characteristic points get H = NaN
-    instead of an exception.  Callers pass blocks of at most ``JET_BLOCK``
-    points to bound the temporaries.
+    """Local-formula curvature at every point of an (N, 6, 3) jet array;
+    characteristic points get H = NaN instead of an exception.  Callers pass
+    blocks of at most ``JET_BLOCK`` points to bound the temporaries.
     """
-    x2, y2 = 2.0 * jets[:, 0, 0], 2.0 * jets[:, 0, 1]
-    du, dv, duu, duv, dvv = (jets[:, f].T for f in range(1, 6))
-    safe = np.abs(jets).max(axis=(1, 2)) <= _SAFE
+    (x2, y2, du, dv, duu, duv, dvv), total = _jet_columns(jets)
     with np.errstate(all="ignore"):
-        sums = _normal_sums(
-            x2, y2, du, dv, duu, duv, dvv, total=partial(_fsum_columns, safe=safe)
-        )
+        sums = _normal_sums(x2, y2, du, dv, duu, duv, dvv, total=total)
         n1, n2 = sums[:2]
         q2 = n1 * n1 + n2 * n2
         q = np.sqrt(q2)
-        char = q < char_threshold_batch(jets, eps_char)
-        num = _local_sums(
-            x2, y2, du, dv, *sums, total=partial(_fsum_columns, safe=safe, need=~char)
-        )
+        char = q < char_threshold(jets, eps_char)
+        num = _local_sums(x2, y2, du, dv, *sums, total=partial(total, need=~char))
         H = np.where(char, math.nan, num / (q2 * q))
     return CurvatureBatch(H, q, char)
 
@@ -484,17 +424,16 @@ def curvature_scan(
         jets = np.concatenate(jets)
         if floor == "band":
             skip[sl] = horizontal_normal_batch(jets)[2] < np.maximum(
-                NEAR_CHAR_FACTOR * char_threshold_batch(jets, eps_char),
-                char_threshold_batch(jets, MINIMALITY_BAND),
+                NEAR_CHAR_FACTOR * char_threshold(jets, eps_char),
+                char_threshold(jets, MINIMALITY_BAND),
             )
         elif floor is not None:
             skip[sl] = horizontal_normal_batch(jets)[2] < floor
         kept = np.flatnonzero(~skip[sl])
         jets = jets[kept]  # frees the whole block before the curvature temporaries
         batch = mean_curvature_batch(jets, eps_char=eps_char)
-        if strict and batch.char.any():
-            q = batch.nh_norm[np.argmax(batch.char)]
-            raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
+        if strict:
+            _raise_if_characteristic(batch.nh_norm, batch.char)
         H[sl.start + kept] = batch.H
         char[sl.start + kept] = batch.char
     return CurvatureScan(*(a.reshape(len(surfaces), n) for a in (H, skip, char)))
@@ -515,11 +454,18 @@ def mean_curvature_jacobian_quotient(
     containing the vertical direction; see the module docstring.  Kept for
     cross-checking :func:`mean_curvature_local`.
     """
-    j = eval_jet2(surface, u, v)
-    n1, n2, n1_u, n1_v, n2_u, n2_v, jxy = _normal_jet(j)
+    jets = eval_jets(surface, [u], [v])
+    cols, total = _jet_columns(jets)
+    (xu, yu, _), (xv, yv, _) = cols[2:4]
+    with np.errstate(all="ignore"):
+        sums = _normal_sums(*cols, total=total)
+        jxy = _fsum_terms(((xu, yv), (-yu, xv)), total=total)
+    n1, n2, n1_u, n1_v, n2_u, n2_v, jxy, xu, yu, xv, yv = (
+        float(a[0]) for a in (*sums, jxy, xu, yu, xv, yv)
+    )
     q2 = n1 * n1 + n2 * n2
     q = math.sqrt(q2)
-    _gate_characteristic(j, q, eps_char, warn=False)
+    _raise_if_characteristic(np.array([q]), q < char_threshold(jets, eps_char))
     if abs(jxy) < eps_jacobian:
         return 0.0
     q3 = q2 * q
@@ -527,8 +473,6 @@ def mean_curvature_jacobian_quotient(
     nu1_v = n2 * (n2 * n1_v - n1 * n2_v) / q3
     nu2_u = n1 * (n1 * n2_u - n2 * n1_u) / q3
     nu2_v = n1 * (n1 * n2_v - n2 * n1_v) / q3
-    xu, yu, _ = j.du
-    xv, yv, _ = j.dv
     num = (nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)
     return num / jxy
 

@@ -64,6 +64,10 @@ class NotRegularProfile(HeisflowError):
 class UnknownName(HeisflowError, KeyError):
     """No catalog surface is registered under the requested name."""
 
+    def __str__(self) -> str:
+        # KeyError would print the message as its repr, in quotes
+        return Exception.__str__(self)
+
 
 class SpecError(HeisflowError, ValueError):
     """A surface specification file or dictionary is malformed."""

@@ -43,7 +43,6 @@ __all__ = [
     "FlowDirection",
     "CharCheck",
     "char_threshold",
-    "char_threshold_batch",
     "horizontal_normal",
     "horizontal_normal_batch",
     "unit_horizontal_normal",
@@ -93,40 +92,46 @@ class CharCheck(NamedTuple):
     nh_norm: float
 
 
-def char_threshold(j: Jet2, eps_char: float = EPS_CHAR) -> float:
-    """Scale-aware vanishing threshold for ||N^h|| at this jet."""
-    xu, yu, tu = j.du
-    xv, yv, tv = j.dv
-    d1 = math.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv)
-    return eps_char * (1.0 + d1)
+def _first_order(formula):
+    """Evaluate ``formula(x, y, (xu, yu, tu), (xv, yv, tv), sqrt, *args)`` on
+    the Python floats of one :class:`Jet2` with math.sqrt, or on the entries
+    of an (N, 6, 3) jet array with np.sqrt under np.errstate(all="ignore"):
+    huge but finite jets overflow there, as float arithmetic does silently."""
+
+    def on_jets(j, *args):
+        if isinstance(j, Jet2):
+            x, y, _ = j.value.tolist()
+            return formula(x, y, j.du.tolist(), j.dv.tolist(), math.sqrt, *args)
+        with np.errstate(all="ignore"):
+            return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt, *args)
+
+    return on_jets
 
 
-def char_threshold_batch(jets: np.ndarray, eps_char: float = EPS_CHAR) -> np.ndarray:
-    """:func:`char_threshold` at every point of a jet array."""
-    xu, yu, tu = jets[:, 1].T
-    xv, yv, tv = jets[:, 2].T
-    d1 = np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv)
-    return eps_char * (1.0 + d1)
+@_first_order
+def _threshold(x, y, du, dv, sqrt, eps_char):
+    (xu, yu, tu), (xv, yv, tv) = du, dv
+    return eps_char * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
 
 
-def _first_order(j):
-    """x, y, (xu, yu, tu) and (xv, yv, tv): floats from a :class:`Jet2`, one
-    array per entry from an (N, 6, 3) jet array."""
-    if isinstance(j, Jet2):
-        return float(j.value[0]), float(j.value[1]), j.du.tolist(), j.dv.tolist()
-    return j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T
+def char_threshold(j, eps_char: float = EPS_CHAR):
+    """Scale-aware vanishing threshold eps_char * (1 + ||d1||_F) for ||N^h||,
+    at one :class:`Jet2` or at every point of an (N, 6, 3) jet array."""
+    return _threshold(j, eps_char)
 
 
-def _normal_components(j) -> tuple[float, float]:
+@_first_order
+def _normal_components(x, y, du, dv, sqrt):
     """(n1, n2) of one jet, or of every point of a jet array."""
-    x, y, (xu, yu, tu), (xv, yv, tv) = _first_order(j)
+    (xu, yu, tu), (xv, yv, tv) = du, dv
     jxy = xu * yv - yu * xv
     return (yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy
 
 
-def _pullback_coeffs(j) -> tuple[float, float]:
+@_first_order
+def _pullback_coeffs(x, y, du, dv, sqrt):
     """(p_u, p_v) of one jet, or of every point of a jet array."""
-    x, y, (xu, yu, tu), (xv, yv, tv) = _first_order(j)
+    (xu, yu, tu), (xv, yv, tv) = du, dv
     return tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
 
 
@@ -150,12 +155,10 @@ def unit_horizontal_normal(j: Jet2, eps_char: float = EPS_CHAR) -> HorizontalVec
     Raises CharacteristicPoint when ||N^h|| falls under the scale-aware
     threshold.
     """
-    n1, n2 = _normal_components(j)
-    q = math.hypot(n1, n2)
-    if q < char_threshold(j, eps_char):
-        raise CharacteristicPoint(f"||N^h|| = {q:.3e} at characteristic point")
-    base = Point3(float(j.value[0]), float(j.value[1]), float(j.value[2]))
-    return HorizontalVec(n1 / q, n2 / q, base)
+    nh = horizontal_normal(j)
+    if nh.norm < char_threshold(j, eps_char):
+        raise CharacteristicPoint(f"||N^h|| = {nh.norm:.3e} at characteristic point")
+    return HorizontalVec(nh.n1 / nh.norm, nh.n2 / nh.norm, nh.base)
 
 
 def is_characteristic(j: Jet2, eps_char: float = EPS_CHAR) -> CharCheck:
@@ -201,12 +204,9 @@ def flow_direction(j: Jet2, eps_char: float = EPS_CHAR) -> FlowDirection:
     quarter turn of the unit horizontal normal, so omega_Sigma annihilates
     it and its horizontal length is one.
     """
-    n1, n2 = _normal_components(j)
-    q = math.hypot(n1, n2)
-    if q < char_threshold(j, eps_char):
-        raise CharacteristicPoint(
-            f"flow direction undefined: ||N^h|| = {q:.3e}"
-        )
+    char, q = is_characteristic(j, eps_char)
+    if char:
+        raise CharacteristicPoint(f"flow direction undefined: ||N^h|| = {q:.3e}")
     p_u, p_v = _pullback_coeffs(j)
     return FlowDirection(p_v / q, -p_u / q)
 

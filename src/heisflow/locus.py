@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .horizontal import horizontal_normal_batch
+from .horizontal import char_threshold, horizontal_normal_batch
 from .patch import SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = ["LocusPoint", "characteristic_locus"]
@@ -43,13 +43,7 @@ def _fields(surface: SurfaceHandle, pts: np.ndarray, keep_tol: float) -> np.ndar
     for sl in blocks(len(pts)):
         jets = eval_jets(surface, pts[sl, 0], pts[sl, 1])
         out[:3, sl] = horizontal_normal_batch(jets)
-        # The keep threshold keep_tol * (1 + sqrt(|du|^2 + |dv|^2)).  Each
-        # squared length is a matmul of 3-vectors, which rounds as the scalar
-        # du @ du does (BLAS may fuse the multiply-adds); summing the six
-        # squares in sequence, as char_threshold does, differs in the last bit.
-        d = jets[:, 1:3, None, :]
-        sq = (d @ d.swapaxes(-1, -2))[:, :, 0, 0]
-        out[3, sl] = keep_tol * (1.0 + np.sqrt(sq[:, 0] + sq[:, 1]))
+        out[3, sl] = char_threshold(jets, keep_tol)
         out[4:, sl] = jets[:, 0].T
     return out
 

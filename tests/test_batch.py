@@ -2,10 +2,12 @@
 
 Every comparison is on bit patterns, so NaN positions and the sign of zero
 count as differences.  The scalar functions (eval_jet2, horizontal_normal,
-induced_form, mean_curvature_local) are the reference.
+induced_form) and the per-point curvature of ``scalar_curvature`` are the
+reference.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, verify
+from scalar_curvature import reference_local, reference_quotient
 from heisflow.builders import (
     CATALOG,
     Term,
@@ -30,9 +33,15 @@ from heisflow.curvature import (
     curvature_scan,
     is_h_minimal,
     mean_curvature_batch,
+    mean_curvature_jacobian_quotient,
     mean_curvature_local,
 )
-from heisflow.errors import CharacteristicPoint, NotRegular, OutOfDomain
+from heisflow.errors import (
+    CharacteristicPoint,
+    NearCharacteristicWarning,
+    NotRegular,
+    OutOfDomain,
+)
 from heisflow.horizontal import (
     char_threshold,
     horizontal_normal,
@@ -77,7 +86,7 @@ def scalar_columns(surface, u, v):
         nh, pf = horizontal_normal(j), induced_form(j)
         cols.append((nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v))
         try:
-            sample = mean_curvature_local(surface, a, b, warn=False)
+            sample = reference_local(surface, a, b)
         except CharacteristicPoint:
             H.append(math.nan)
             q.append(math.nan)
@@ -158,6 +167,64 @@ def test_separable_graph_batch_bit_identical(fu, fv):
     assert_batch_matches_scalar(surface, *sample_points(surface, (7, 6), 16))
 
 
+def local_and_quotient(surface, u, v, local, quotient):
+    """(H, nh_norm, near_char, quotient) of one point, or the error message."""
+    try:
+        sample = local(surface, u, v)
+        got = [sample.H, sample.nh_norm, sample.near_char, quotient(surface, u, v)]
+    except CharacteristicPoint as e:
+        return str(e)
+    assert type(got[2]) is bool
+    return [float(x).hex() for x in got[:2]] + [got[2], float(got[3]).hex()]
+
+
+@pytest.mark.parametrize(
+    "name", CATALOG + ("cylinder(0.5)", "random-ruled", "reparametrized-cone")
+)
+def test_one_point_functions_match_scalar_reference(name, cone):
+    if name == "random-ruled":
+        surface = build_straight_ruled(random_ruled_spec(Lcg64(7), 3), check_grid=None)
+    elif name == "reparametrized-cone":
+        surface = reparametrize_affine(
+            cone, ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0), Domain(-0.25, 0.25, -0.9, 0.9)
+        )
+    else:
+        surface = catalog_get(name)
+    u, v = sample_points(surface, (5, 4), 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearCharacteristicWarning)
+        for a, b in zip(u.tolist(), v.tolist()):
+            got = local_and_quotient(
+                surface, a, b, mean_curvature_local, mean_curvature_jacobian_quotient
+            )
+            want = local_and_quotient(surface, a, b, reference_local, reference_quotient)
+            assert got == want, (a, b)
+
+
+def test_local_warns_where_the_reference_is_near_characteristic(paraboloid):
+    for u, v in ((0.5, -0.5 + 1e-8), (0.5, -0.5 + 1e-6), (0.5, 0.25)):
+        near = reference_local(paraboloid, u, v).near_char
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert mean_curvature_local(paraboloid, u, v).near_char is near
+        assert [w.category for w in caught] == [NearCharacteristicWarning] * near
+        assert not near or caught[0].filename == __file__
+
+
+jet_entries = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    st.lists(st.lists(jet_entries, min_size=18, max_size=18), min_size=1, max_size=12),
+    st.sampled_from((1e-9, 1e-8, 1e-3, 0.1, 1.0, 3.0, 100.0)),
+)
+def test_char_threshold_array_matches_per_jet(rows, eps_char):
+    jets = np.array(rows).reshape(-1, 6, 3)
+    want = [char_threshold(jet2(*j), eps_char) for j in jets]
+    assert all(type(w) is float for w in want)
+    np.testing.assert_array_equal(bits(char_threshold(jets, eps_char)), bits(want))
+
+
 def test_eval_jets_empty_batch(paraboloid):
     assert eval_jets(paraboloid, [], []).shape == (0, 6, 3)
     assert mean_curvature_batch(np.empty((0, 6, 3))).H.shape == (0,)
@@ -218,7 +285,7 @@ def old_eval_rows(surface, us, vs):
             nh = horizontal_normal(j)
             pf = induced_form(j)
             try:
-                h = mean_curvature_local(surface, u, v, warn=False).H
+                h = reference_local(surface, u, v).H
             except CharacteristicPoint:
                 h = math.nan
             x, y, t = (float(c) for c in j.value)
@@ -277,7 +344,7 @@ def old_is_h_minimal(surface, grid):
             if q < band:
                 n_skip += 1
                 continue
-            h = mean_curvature_local(surface, float(u), float(v), warn=False).H
+            h = reference_local(surface, float(u), float(v)).H
             n_eval += 1
             if abs(h) > worst:
                 worst, argmax = abs(h), (float(u), float(v))
@@ -365,12 +432,24 @@ def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
          "random-ruled-2 at s=1.1686, v=1.20188"),
         (verify.check_ruled_form_identity, 5, 2.3975505088530373e-15, 10000,
          "random-ruled-2 at s=1.80213, v=0.501529"),
+        (verify.check_oracle_agreement, 0, 6.374931985630994e-07, 1400,
+         "cone_lower at u=-0.54492, v=1.82622"),
+        (verify.check_oracle_agreement, 5, 6.719424887613457e-07, 1400,
+         "cone_lower at u=-0.534022, v=2.77725"),
     ],
 )
 def test_verify_checks_keep_per_point_results(check, seed, stat, count, detail):
     # stat, count and detail as the per-point loops reported them
     (result,) = check(seed, 1e-9)
     assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
+    assert result.passed
+
+
+@pytest.mark.parametrize("seed, stat", [(0, 2.34480050356066e-16), (5, 2.6025733012013484e-16)])
+def test_reparam_invariance_keeps_per_point_result(seed, stat):
+    results = verify.check_core_invariants(seed, 1e-9)
+    (result,) = [r for r in results if r.name == "core-reparam-invariance"]
+    assert (bits(result.stat), result.count, result.detail) == (bits(stat), 400, "")
     assert result.passed
 
 
@@ -405,7 +484,7 @@ def scalar_scan(surfaces, u, v, floor):
             h, skipped, flagged = math.nan, q < lim, False
             if not skipped:
                 try:
-                    h = mean_curvature_local(surface, a, b, warn=False).H
+                    h = reference_local(surface, a, b).H
                 except CharacteristicPoint:
                     flagged = True
             H.append(h)

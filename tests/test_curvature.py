@@ -94,15 +94,21 @@ def test_quotient_convention_on_vertical_tangency(unit_cylinder):
     assert mean_curvature_local(unit_cylinder, 1.0, 0.5).H == pytest.approx(1.0)
 
 
-def test_fd_derivatives_close_to_exact(cone):
-    u, v = -1.2, 3.0
-    exact = mean_curvature_local(cone, u, v).H
-    fd = mean_curvature_local(cone, u, v, deriv="fd").H
-    assert fd == pytest.approx(exact, abs=1e-6)
-    with pytest.raises(ValueError):
-        mean_curvature_local(cone, u, v, deriv="nope")
-    with pytest.raises(FlowEscapedDomain):  # no stencil room on the edge
-        mean_curvature_local(cone, -2.0, 3.0, deriv="fd")
+def test_fd_normal_derivatives_close_to_exact(cone):
+    # central differences of nu^h itself, through the determinant quotient
+    # (d(nu1, y) + d(x, nu2)) / d(x, y), against the exact-jet local formula
+    u, v, h = -1.2, 3.0, 1e-5
+
+    def nu(uu, vv):
+        n = unit_horizontal_normal(eval_jet2(cone, uu, vv))
+        return n.h1, n.h2
+
+    nu1_u, nu2_u = ((a - b) / (2.0 * h) for a, b in zip(nu(u + h, v), nu(u - h, v)))
+    nu1_v, nu2_v = ((a - b) / (2.0 * h) for a, b in zip(nu(u, v + h), nu(u, v - h)))
+    j = eval_jet2(cone, u, v)
+    (xu, yu, _), (xv, yv, _) = j.du, j.dv
+    fd = ((nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)) / (xu * yv - yu * xv)
+    assert fd == pytest.approx(mean_curvature_local(cone, u, v).H, abs=1e-6)
 
 
 def test_graph_divergence_identity():

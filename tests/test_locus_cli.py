@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -15,7 +16,7 @@ from heisflow.builders import (
     surface_from_dict,
 )
 from heisflow.cli import main
-from heisflow.horizontal import _normal_components
+from heisflow.horizontal import _normal_components, char_threshold
 from heisflow.locus import LocusPoint, characteristic_locus
 from heisflow.patch import eval_jet2
 from heisflow.rng import Lcg64
@@ -28,12 +29,6 @@ TURNING_LINE = {
     "theta": [{"kind": "poly", "coeff": 1.0, "k": 1}],
     "v_range": [0.25, 1.25],
 }
-
-
-def _keep_threshold(j, keep_tol):
-    du, dv = j.du, j.dv
-    scale = math.sqrt(float(du @ du) + float(dv @ dv))
-    return keep_tol * (1.0 + scale)
 
 
 def _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp, refine):
@@ -62,7 +57,7 @@ def reference_locus(surface, grid, refine=60, keep_tol=1e-8):
         j = eval_jet2(surface, u, v)
         n1, n2 = _normal_components(j)
         q = math.hypot(n1, n2)
-        if q <= _keep_threshold(j, keep_tol):
+        if q <= char_threshold(j, keep_tol):
             x, y, t = (float(c) for c in j.value)
             found.append(LocusPoint(u, v, x, y, t, q))
 
@@ -72,7 +67,7 @@ def reference_locus(surface, grid, refine=60, keep_tol=1e-8):
             n1, n2 = _normal_components(j)
             n1g[i][k] = n1
             n2g[i][k] = n2
-            if math.hypot(n1, n2) <= _keep_threshold(j, keep_tol):
+            if math.hypot(n1, n2) <= char_threshold(j, keep_tol):
                 x, y, t = (float(c) for c in j.value)
                 found.append(LocusPoint(float(u), float(v), x, y, t, math.hypot(n1, n2)))
 
@@ -260,6 +255,35 @@ class TestCli:
     def test_unknown_surface_exits_two(self, capsys):
         assert main(["eval", "no_such_surface"]) == 2
         assert "catalog" in capsys.readouterr().err
+
+    def test_unknown_name_message_is_not_quoted(self, capsys):
+        assert main(["eval", "nope"]) == 2
+        assert capsys.readouterr().err == (
+            "heisflow: 'nope' is neither a readable file nor a catalog name; "
+            f"catalog: {', '.join(CATALOG)}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (["eval", "cylinder(1e300)", "--grid", "5x5"], 0, ""),
+            (["locus", "cylinder(1e300)"], 0, ""),
+            (["flow", "cylinder(1e300)", "--seed", "1", "0"], 1,
+             "heisflow: seed too close to the characteristic locus: ||N^h|| = 1.000e+300\n"),
+        ],
+    )
+    def test_huge_finite_surface_raises_no_runtime_warning(self, capsys, argv, code, err):
+        # the first-order formulas overflow to inf on this radius
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == code
+        assert capsys.readouterr().err == err
+
+    def test_verify_core_at_eps_char_one_stops_at_the_reparam_check(self, capsys):
+        assert main(["--eps-char", "1", "verify", "--suite", "core"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "heisflow: curvature undefined: ||N^h|| = 2.035e+00\n"
 
     @pytest.mark.parametrize(
         "spec, message",

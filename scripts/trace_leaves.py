@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Trace a fan of horizontal flow leaves and measure their straightness.
 
-Seeds a grid of leaves over the surface's parameter domain, integrates each
-in both directions, and reports the worst second difference of the (x, y)
-projection per leaf.  On an H-minimal surface every leaf projects to a
-straight segment, so the residual column is an end-to-end integrator check.
+Seeds a grid of leaves over the surface's parameter domain, integrates all
+of them in both directions in one call, and reports the worst second
+difference of the (x, y) projection per leaf.  On an H-minimal surface
+every leaf projects to a straight segment, so the residual column is an
+end-to-end integrator check.
 
 Usage:
     python3 scripts/trace_leaves.py paraboloid --leaves 5 --csv leaves.csv
@@ -19,8 +20,7 @@ import math
 import numpy as np
 
 from heisflow.builders import resolve_surface
-from heisflow.errors import CharacteristicPoint
-from heisflow.flow import integrate_flow
+from heisflow.flow import integrate_flows
 
 
 def straightness(points: np.ndarray) -> float:
@@ -52,26 +52,23 @@ def main() -> int:
     print(f"{'seed':>18s} {'points':>7s} {'stops':>42s} {'max 2nd diff':>13s}")
     worst = 0.0
     leaf_id = 0
-    for u in us:
-        for v in vs:
-            try:
-                trace = integrate_flow(
-                    surf, float(u), float(v), ds=args.ds, max_steps=args.steps
+    seeds = [(u, v) for u in us.tolist() for v in vs.tolist()]
+    traces = integrate_flows(surf, seeds, ds=args.ds, max_steps=args.steps)
+    for (u, v), trace in zip(seeds, traces):
+        if trace is None:
+            print(f"({u:7.3f},{v:7.3f})  characteristic seed, skipped")
+            continue
+        resid = straightness(trace.points)
+        worst = max(worst, resid)
+        stops = f"{trace.stop_backward} / {trace.stop_forward}"
+        print(f"({u:7.3f},{v:7.3f}) {len(trace):7d} {stops:>42s} {resid:13.3e}")
+        if writer:
+            for i in range(len(trace)):
+                writer.writerow(
+                    [leaf_id, trace.params[i], trace.uv[i, 0], trace.uv[i, 1]]
+                    + [trace.points[i, k] for k in range(3)]
                 )
-            except CharacteristicPoint:
-                print(f"({u:7.3f},{v:7.3f})  characteristic seed, skipped")
-                continue
-            resid = straightness(trace.points)
-            worst = max(worst, resid)
-            stops = f"{trace.stop_backward} / {trace.stop_forward}"
-            print(f"({u:7.3f},{v:7.3f}) {len(trace):7d} {stops:>42s} {resid:13.3e}")
-            if writer:
-                for i in range(len(trace)):
-                    writer.writerow(
-                        [leaf_id, trace.params[i], trace.uv[i, 0], trace.uv[i, 1]]
-                        + [trace.points[i, k] for k in range(3)]
-                    )
-            leaf_id += 1
+        leaf_id += 1
 
     if fh:
         fh.close()

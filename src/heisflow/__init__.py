@@ -61,7 +61,13 @@ from .errors import (
     ZeroInRange,
     ZeroSpeed,
 )
-from .flow import FlowTrace, cc_length, horizontality_residual, integrate_flow
+from .flow import (
+    FlowTrace,
+    cc_length,
+    horizontality_residual,
+    integrate_flow,
+    integrate_flows,
+)
 from .heis import (
     ORIGIN,
     FrameVector,

@@ -7,7 +7,8 @@ JSON and literal nan/inf tokens in CSV.
 
 Exit codes: 0 success; 1 a verification check failed or the requested
 computation has no result (e.g. flow seeded on the characteristic locus);
-2 bad usage, unknown surface, or a malformed surface file.
+2 bad usage (including a size option past its limit), unknown surface, a
+malformed surface file, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -32,15 +33,37 @@ __all__ = ["main"]
 
 _GRID_RE = re.compile(r"^(\d+)x(\d+)$")
 
+# Upper limits of the size options.  A larger grid or step count runs for
+# minutes and holds its whole output in memory; past about 60 bisection
+# steps the edge is below one ulp and further steps change nothing.
+MAX_GRID_AXIS = 1000
+MAX_REFINE = 100
+MAX_STEPS = 100_000
+
 
 def _parse_grid(text: str) -> tuple[int, int]:
     m = _GRID_RE.match(text)
     if not m:
         raise argparse.ArgumentTypeError(f"grid must look like 25x25, got {text!r}")
     nu, nv = int(m.group(1)), int(m.group(2))
-    if nu < 1 or nv < 1:
-        raise argparse.ArgumentTypeError("grid axes must be >= 1")
+    if not (1 <= nu <= MAX_GRID_AXIS and 1 <= nv <= MAX_GRID_AXIS):
+        raise argparse.ArgumentTypeError(
+            f"grid axes must be between 1 and {MAX_GRID_AXIS}, got {text}"
+        )
     return nu, nv
+
+
+def _int_between(lo: int, hi: int):
+    """argparse type: an integer in [lo, hi]."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"must be between {lo} and {hi}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
 
 
 def _fmt(x: float) -> str:
@@ -63,6 +86,10 @@ def _json_dump(value, out, indent=0):
     elif isinstance(value, (list, tuple)):
         if not value:
             out.write("[]")
+            return
+        if all(type(v) is float for v in value) and math.isfinite(sum(value)):
+            # one template for a row of finite floats, the bulk of eval output
+            out.write("[" + ", ".join(["%.17g"] * len(value)) % tuple(value) + "]")
             return
         flat = all(isinstance(v, (int, float, str, bool, type(None))) for v in value)
         if flat:
@@ -106,8 +133,11 @@ def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | Non
         _json_dump(report, buf)
         text = buf.getvalue() + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {out_path}: {e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -264,7 +294,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_locus = sub.add_parser("locus", help="locate the characteristic locus")
     p_locus.add_argument("surface")
     p_locus.add_argument("--grid", type=_parse_grid, default=(101, 101), metavar="NxM")
-    p_locus.add_argument("--refine", type=int, default=60)
+    p_locus.add_argument("--refine", type=_int_between(0, MAX_REFINE), default=60)
     add_output_flags(p_locus)
 
     p_flow = sub.add_parser("flow", help="trace the horizontal flow leaf")
@@ -274,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parameter seed point of the leaf",
     )
     p_flow.add_argument("--ds", type=float, default=1e-3)
-    p_flow.add_argument("--steps", type=int, default=2000)
+    p_flow.add_argument("--steps", type=_int_between(1, MAX_STEPS), default=2000)
     add_output_flags(p_flow)
 
     p_verify = sub.add_parser("verify", help="run a self-verification suite")

@@ -150,12 +150,19 @@ class HMinimalityReport:
 
 def signed_curvature_plane(d1, d2) -> float:
     """Signed curvature (x' y'' - y' x'') / |(x', y')|^3 of a plane curve."""
-    xd, yd = float(d1[0]), float(d1[1])
-    xdd, ydd = float(d2[0]), float(d2[1])
-    speed2 = xd * xd + yd * yd
-    if speed2 <= 0.0 or not math.isfinite(speed2):
-        raise ZeroSpeed("signed curvature undefined at zero velocity")
-    return (xd * ydd - yd * xdd) / (speed2 * math.sqrt(speed2))
+    d1, d2 = (np.array([[float(d[0])], [float(d[1])]]) for d in (d1, d2))
+    return float(_signed_curvatures(d1, d2)[0])
+
+
+def _signed_curvatures(d1: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """:func:`signed_curvature_plane` of every column of the (2, K) arrays
+    d1 and d2; raises ZeroSpeed if any column has zero or non-finite speed."""
+    (xd, yd), (xdd, ydd) = d1, d2
+    with np.errstate(all="ignore"):
+        speed2 = xd * xd + yd * yd
+        if np.any((speed2 <= 0.0) | ~np.isfinite(speed2)):
+            raise ZeroSpeed("signed curvature undefined at zero velocity")
+        return (xd * ydd - yd * xdd) / (speed2 * np.sqrt(speed2))
 
 
 def _two_prod(a: float, b: float) -> tuple[float, float]:
@@ -499,19 +506,29 @@ def mean_curvature_flow_oracle(
     trace = integrate_flow(
         surface, u, v, ds=ds, max_steps=n_steps, eps_char=eps_char
     )
-    i = trace.seed_index
-    if i < 1 or i > len(trace.points) - 2:
+    if not _has_stencil(trace):
         raise FlowEscapedDomain(
             "flow leaf too short on one side of the seed for a curvature stencil"
         )
-    p_prev = trace.points[i - 1, :2]
-    p_mid = trace.points[i, :2]
-    p_next = trace.points[i + 1, :2]
-    d1 = (p_next - p_prev) / (2.0 * ds)
-    d2 = (p_next - 2.0 * p_mid + p_prev) / (ds * ds)
-    kappa = signed_curvature_plane(d1, d2)
+    (kappa,) = _seed_curvatures([trace], ds).tolist()
     q = is_characteristic(eval_jet2(surface, u, v), eps_char).nh_norm
     return CurvatureSample(u, v, kappa, "flow-oracle", q)
+
+
+def _has_stencil(trace) -> bool:
+    """Whether a flow trace has a sample on each side of its seed."""
+    return 1 <= trace.seed_index <= len(trace) - 2
+
+
+def _seed_curvatures(traces, ds: float) -> np.ndarray:
+    """The flow oracle's curvature of each trace: the signed curvature of
+    its planar projection at the seed, from central differences over the
+    neighbouring samples.  Every trace must pass :func:`_has_stencil`."""
+    p = np.array([t.points[t.seed_index - 1 : t.seed_index + 2, :2] for t in traces])
+    p_prev, p_mid, p_next = p.reshape(-1, 3, 2).transpose(1, 2, 0)
+    d1 = (p_next - p_prev) / (2.0 * ds)
+    d2 = (p_next - 2.0 * p_mid + p_prev) / (ds * ds)
+    return _signed_curvatures(d1, d2)
 
 
 def is_h_minimal(

@@ -15,6 +15,11 @@ A leg stops for one of three reasons:
   consecutive accepted points (the step straddled the locus, where the
   kernel field flips sign);
 * ``step-limit``: max_steps completed without either event.
+
+:func:`integrate_flows` traces many leaves of one surface: a few legs run
+one at a time through the scalar stepper :func:`_leg`, more in lockstep
+on arrays through :func:`_lockstep`, with the same bits either way.
+:func:`integrate_flow` is its one-seed call.
 """
 
 from __future__ import annotations
@@ -30,13 +35,30 @@ from .errors import (
     OutOfDomain,
     TooFewSamples,
 )
-from .horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, char_threshold
-from .patch import SurfaceHandle, eval_jet2, eval_jets
+from .horizontal import (
+    EPS_CHAR,
+    _array_args,
+    _normal_components,
+    _pullback_coeffs,
+    _threshold,
+    char_threshold,
+    is_characteristic,
+)
+from .patch import (
+    _JET_FIELDS,
+    SurfaceHandle,
+    _check_finite,
+    _raw_jets,
+    eval_jet2,
+    eval_jets,
+)
 
 __all__ = [
     "STOP_FACTOR",
+    "LOCKSTEP_MIN_LEGS",
     "FlowTrace",
     "integrate_flow",
+    "integrate_flows",
     "horizontality_residual",
     "cc_length",
 ]
@@ -45,6 +67,15 @@ __all__ = [
 # threshold; tighter than the NEAR_CHAR_FACTOR reporting band so that traces
 # get as close to the locus as the field stays integrable.
 STOP_FACTOR = 10.0
+
+# integrate_flows steps fewer legs than this one at a time through _leg,
+# and more in lockstep through _lockstep; both give the same bits.  A
+# batched field evaluation costs several scalar ones, so lockstep pays
+# only for enough legs.  Measured with 150-step legs from random seeds on
+# the five catalog surfaces of the benchmark and one random ruled patch,
+# median over the six of the lockstep/scalar time ratio: 1.43 at 6 legs,
+# 1.13 at 8, 0.88 at 10, 0.59 at 16.
+LOCKSTEP_MIN_LEGS = 10
 
 
 class _LegStop(Exception):
@@ -127,6 +158,170 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
     return pts, reason
 
 
+def _stage_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
+    """Jets at the points (u[i], v[i]), all inside the domain, and the mask
+    of the points whose jet function refused them with OutOfDomain, as a
+    stencil jet (:func:`heisflow.patch.from_value_map`) does next to the
+    edge.  There eval_jet2 raises, which a leg takes as a domain exit."""
+    refused = np.zeros(len(u), bool)
+    if not len(u):
+        return np.empty((0, 6, 3)), refused
+    try:
+        with np.errstate(all="ignore"):
+            jets = _raw_jets(surface)(u, v)
+    except OutOfDomain:
+        jets = np.zeros((len(u), 6, 3))
+        for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
+            try:
+                j = surface.jet(a, b)
+            except OutOfDomain:
+                refused[i] = True
+                continue
+            jets[i] = [getattr(j, name) for name in _JET_FIELDS]
+    _check_finite(jets)
+    return jets, refused
+
+
+def _field_rows(jets: np.ndarray, eps_char: float):
+    """:func:`_field` at every point of a jet array: a (4, N) array of
+    (du, dv, x, y) rows, and the mask of the points where it stops."""
+    args = _array_args(jets)
+    with np.errstate(all="ignore"):
+        n1, n2 = _normal_components.formula(*args)
+        q = np.fromiter(map(math.hypot, n1.tolist(), n2.tolist()), float, len(n1))
+        near = q < STOP_FACTOR * _threshold.formula(*args, eps_char)
+        p_u, p_v = _pullback_coeffs.formula(*args)
+        return np.stack((p_v / q, -p_u / q, args[0], args[1])), near
+
+
+def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray, eps_char: float):
+    """:func:`_field` at the points (u[i], v[i]): the rows of
+    :func:`_field_rows` and a stop code per point, 0 where ``_field``
+    returns, else an index into :data:`_STOPS`."""
+    dom = surface.domain
+    inside = (dom.u_min <= u) & (u <= dom.u_max) & (dom.v_min <= v) & (v <= dom.v_max)
+    if inside.all():
+        jets, exits = _stage_jets(surface, u, v)
+    else:
+        jets = np.zeros((len(u), 6, 3))  # rows outside stay zero and exit
+        exits = ~inside
+        jets[inside], exits[inside] = _stage_jets(surface, u[inside], v[inside])
+    rows, near = _field_rows(jets, eps_char)
+    return rows, np.where(exits, 1, np.where(near, 2, 0))
+
+
+_STOPS = ("", "domain-exit", "characteristic-proximity")
+
+
+def _lockstep(surface, u, v, h, f, max_steps, eps_char):
+    """Every leg (u[i], v[i]) with signed step h[i], advanced together.
+
+    ``f`` is the (4, N) field at the starts.  Each RK4 stage evaluates the
+    live legs in one :func:`_fields` call, and a leg retires at its first
+    stop, so each leg takes exactly the steps and the stop of :func:`_leg`.
+    Returns the accepted (u, v) points of each leg as an (n, 2) array and
+    the stop reasons.
+    """
+    reasons = ["step-limit"] * len(u)
+    legs = np.arange(len(u))
+    taken = []  # (legs, u, v) of the points accepted at each step
+
+    def retire(stop, *state):
+        bad = stop != 0
+        if not bad.any():
+            return state
+        for leg, code in zip(legs[bad].tolist(), stop[bad].tolist()):
+            reasons[leg] = _STOPS[code]
+        return [a[..., ~bad] for a in state]
+
+    for _ in range(max_steps):
+        if not len(legs):
+            break
+        ks = [f[:2]]
+        for c in (0.5, 0.5, 1.0):
+            k = ks[-1]
+            g, stop = _fields(surface, u + c * h * k[0], v + c * h * k[1], eps_char)
+            legs, u, v, h, f, g, *ks = retire(stop, legs, u, v, h, f, g, *ks)
+            ks.append(g[:2])
+        k1, k2, k3, k4 = ks
+        un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
+        vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
+        fn, stop = _fields(surface, un, vn, eps_char)
+        # the field reversal and the chord collapse of _leg
+        dx, dy = (fn[2] - f[2]).tolist(), (fn[3] - f[3]).tolist()
+        chord = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+        turned = (fn[0] * f[0] + fn[1] * f[1] < 0.0) | (chord < 0.5 * abs(h))
+        stop = np.where(stop == 0, np.where(turned, 2, 0), stop)
+        legs, un, vn, h, fn = retire(stop, legs, un, vn, h, fn)
+        taken.append((legs, un, vn))
+        u, v, f = un, vn, fn
+
+    leg, uu, vv = (np.concatenate(a) for a in zip(*taken))
+    order = np.argsort(leg, kind="stable")
+    ends = np.cumsum(np.bincount(leg, minlength=len(reasons)))[:-1]
+    return np.split(np.column_stack((uu, vv))[order], ends), reasons
+
+
+def integrate_flows(
+    surface: SurfaceHandle,
+    seeds,
+    *,
+    ds: float = 1e-3,
+    max_steps: int = 2000,
+    eps_char: float = EPS_CHAR,
+) -> list[FlowTrace | None]:
+    """Trace the flow leaf through each seed (u, v) in both directions.
+
+    Returns one :class:`FlowTrace` per seed, or None where the seed is too
+    close to the characteristic locus (where :func:`integrate_flow`
+    raises CharacteristicPoint).  With fewer than :data:`LOCKSTEP_MIN_LEGS`
+    legs to trace, each leg is stepped on its own; otherwise all of them
+    advance in lockstep.  Both ways give the same bits.
+    """
+    if not (ds > 0.0 and math.isfinite(ds)):
+        raise ValueError(f"ds must be positive and finite, got {ds}")
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
+    seeds = np.asarray(seeds, float).reshape(-1, 2)
+    rows, near = _field_rows(eval_jets(surface, seeds[:, 0], seeds[:, 1]), eps_char)
+    ok = np.flatnonzero(~near)
+    starts = seeds[ok]
+    if 2 * len(ok) < LOCKSTEP_MIN_LEGS:
+        legs = []
+        for u, v in starts.tolist():
+            for h in (ds, -ds):
+                pts, reason = _leg(surface, u, v, h, max_steps, eps_char)
+                legs.append((np.array(pts, float).reshape(-1, 2), reason))
+        paths, reasons = zip(*legs) if legs else ((), ())
+    else:
+        # legs 2i and 2i + 1 are the forward and backward legs of seed ok[i]
+        u, v = np.repeat(starts, 2, axis=0).T
+        h = np.tile((ds, -ds), len(ok))
+        f = np.repeat(rows[:, ok], 2, axis=1)
+        paths, reasons = _lockstep(surface, u, v, h, f, max_steps, eps_char)
+
+    uvs = [
+        np.concatenate((paths[2 * i + 1][::-1], starts[i : i + 1], paths[2 * i]))
+        for i in range(len(ok))
+    ]
+    # a copy, so that a trace does not keep the jets of every trace alive
+    points = eval_jets(surface, *np.concatenate(uvs or [np.empty((0, 2))]).T)[:, 0].copy()
+    traces: list[FlowTrace | None] = [None] * len(seeds)
+    start = 0
+    for i, uv in enumerate(uvs):
+        pts = points[start : start + len(uv)]
+        start += len(uv)
+        seed_index = len(paths[2 * i + 1])
+        params = (np.arange(len(uv)) - seed_index) * ds
+        chords = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
+        arc = np.concatenate(([0.0], np.cumsum(chords)))
+        arc -= arc[seed_index]
+        traces[ok[i]] = FlowTrace(
+            params, pts, uv, arc, ds, seed_index, reasons[2 * i + 1], reasons[2 * i]
+        )
+    return traces
+
+
 def integrate_flow(
     surface: SurfaceHandle,
     u: float,
@@ -136,30 +331,18 @@ def integrate_flow(
     max_steps: int = 2000,
     eps_char: float = EPS_CHAR,
 ) -> FlowTrace:
-    """Trace the flow leaf through (u, v) in both directions."""
-    if not (ds > 0.0 and math.isfinite(ds)):
-        raise ValueError(f"ds must be positive and finite, got {ds}")
-    if max_steps < 1:
-        raise ValueError(f"max_steps must be >= 1, got {max_steps}")
-    j = eval_jet2(surface, u, v)
-    n1, n2 = _normal_components(j)
-    q = math.hypot(n1, n2)
-    if q < STOP_FACTOR * char_threshold(j, eps_char):
+    """Trace the flow leaf through (u, v) in both directions: the one-seed
+    call of :func:`integrate_flows`, raising CharacteristicPoint where that
+    returns None."""
+    (trace,) = integrate_flows(
+        surface, [(u, v)], ds=ds, max_steps=max_steps, eps_char=eps_char
+    )
+    if trace is None:
+        q = is_characteristic(eval_jet2(surface, u, v), eps_char).nh_norm
         raise CharacteristicPoint(
             f"seed too close to the characteristic locus: ||N^h|| = {q:.3e}"
         )
-
-    fwd, stop_fwd = _leg(surface, u, v, ds, max_steps, eps_char)
-    bwd, stop_bwd = _leg(surface, u, v, -ds, max_steps, eps_char)
-
-    uv = np.array(bwd[::-1] + [(u, v)] + fwd, dtype=float)
-    seed_index = len(bwd)
-    points = eval_jets(surface, uv[:, 0], uv[:, 1])[:, 0]
-    params = (np.arange(len(uv)) - seed_index) * ds
-    chords = np.hypot(np.diff(points[:, 0]), np.diff(points[:, 1]))
-    arc = np.concatenate(([0.0], np.cumsum(chords)))
-    arc -= arc[seed_index]
-    return FlowTrace(params, points, uv, arc, ds, seed_index, stop_bwd, stop_fwd)
+    return trace
 
 
 def horizontality_residual(points: np.ndarray, ds: float) -> float:

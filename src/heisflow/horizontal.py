@@ -103,9 +103,15 @@ def _first_order(formula):
             x, y, _ = j.value.tolist()
             return formula(x, y, j.du.tolist(), j.dv.tolist(), math.sqrt, *args)
         with np.errstate(all="ignore"):
-            return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt, *args)
+            return formula(*_array_args(j), *args)
 
+    on_jets.formula = formula  # for callers that fuse several under one errstate
     return on_jets
+
+
+def _array_args(j: np.ndarray):
+    """The leading arguments of a first-order formula on an (N, 6, 3) jet array."""
+    return j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt
 
 
 @_first_order

@@ -39,15 +39,15 @@ from .builders import (
 )
 from .curvature import (
     CurvatureBatch,
+    _has_stencil,
     _raise_if_characteristic,
     _running_max,
+    _seed_curvatures,
     curvature_scan,
     mean_curvature_batch,
-    mean_curvature_flow_oracle,
     mean_curvature_local,
 )
-from .errors import CharacteristicPoint, FlowEscapedDomain, OutOfDomain
-from .flow import integrate_flow
+from .flow import integrate_flows
 from .heis import (
     Point3,
     contact_eval,
@@ -291,24 +291,20 @@ def check_flow_straightness(seed: int, eps_char: float) -> list[CheckResult]:
     for name in H_MINIMAL_CATALOG:
         surf = catalog_get(name)
         dom = surf.domain
-        for fu in (0.25, 0.5, 0.75):
-            for fv in (0.25, 0.5, 0.75):
-                u = dom.u_min + fu * dom.u_span
-                v = dom.v_min + fv * dom.v_span
-                try:
-                    trace = integrate_flow(
-                        surf, u, v, ds=ds, max_steps=300, eps_char=eps_char
-                    )
-                except CharacteristicPoint:
-                    continue
-                if len(trace) < 5:
-                    continue
-                n_traces += 1
-                pts = trace.points[:, :2]
-                second = (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) / (ds * ds)
-                count += second.shape[0]
-                mags = (second[:, 0] ** 2 + second[:, 1] ** 2) ** 0.5
-                worst = max(worst, float(mags.max()))
+        seeds = [
+            (dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
+            for fu in (0.25, 0.5, 0.75)
+            for fv in (0.25, 0.5, 0.75)
+        ]
+        for trace in integrate_flows(surf, seeds, ds=ds, max_steps=300, eps_char=eps_char):
+            if trace is None or len(trace) < 5:
+                continue
+            n_traces += 1
+            pts = trace.points[:, :2]
+            second = (pts[2:] - 2.0 * pts[1:-1] + pts[:-2]) / (ds * ds)
+            count += second.shape[0]
+            mags = (second[:, 0] ** 2 + second[:, 1] ** 2) ** 0.5
+            worst = max(worst, float(mags.max()))
     detail = f"{n_traces} traces over {len(H_MINIMAL_CATALOG)} surfaces"
     return [_mk("flow-leaf-straightness", worst, 1e-4, count, detail)]
 
@@ -326,21 +322,35 @@ def check_oracle_agreement(seed: int, eps_char: float) -> list[CheckResult]:
         mu = 0.02 * dom.u_span
         mv = 0.02 * dom.v_span
         seeds, oracle = [], []
-        for _ in range(4000):
-            if len(seeds) >= 200:
-                break
-            u = rng.uniform(dom.u_min + mu, dom.u_max - mu)
-            v = rng.uniform(dom.v_min + mv, dom.v_max - mv)
-            j = eval_jet2(surf, u, v)
-            if horizontal_normal(j).norm < 1e-2:
-                continue
-            try:
-                oracle.append(mean_curvature_flow_oracle(
-                    surf, u, v, ds=1e-3, n_steps=3, eps_char=eps_char
-                ).H)
-            except (CharacteristicPoint, FlowEscapedDomain, OutOfDomain):
-                continue
-            seeds.append((u, v))
+        tried = 0
+        while len(seeds) < 200 and tried < 4000:
+            # Draw ahead on a copy of the stream, trace every candidate that
+            # passes the ||N^h|| screen, then accept in draw order and
+            # advance the stream by the draws the accepted ones used up, so
+            # later surfaces see the seeds a one-at-a-time loop would.  Nearly
+            # every candidate is accepted, so a quarter more than the number
+            # still needed usually ends the search in one round.
+            need = 200 - len(seeds)
+            ahead = Lcg64(rng.state)
+            cand = np.array([
+                (ahead.uniform(dom.u_min + mu, dom.u_max - mu),
+                 ahead.uniform(dom.v_min + mv, dom.v_max - mv))
+                for _ in range(min(4000 - tried, need + need // 4))
+            ])
+            q = horizontal_normal_batch(eval_jets(surf, *cand.T))[2]
+            screened = np.flatnonzero(~(q < 1e-2))
+            traces = integrate_flows(
+                surf, cand[screened], ds=1e-3, max_steps=3, eps_char=eps_char
+            )
+            good = [(k, t) for k, t in zip(screened.tolist(), traces)
+                    if t is not None and _has_stencil(t)][:need]
+            used = good[-1][0] + 1 if len(good) == need else len(cand)
+            for _ in range(2 * used):
+                rng.next_u64()
+            tried += used
+            if good:
+                seeds.extend(cand[[k for k, _ in good]].tolist())
+                oracle.extend(_seed_curvatures([t for _, t in good], 1e-3).tolist())
         # The flow accepts a seed only at ||N^h|| >= STOP_FACTOR (10) times
         # the characteristic threshold, so the local formula, which needs 1x,
         # is defined at every accepted seed.

@@ -432,6 +432,12 @@ def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
          "random-ruled-2 at s=1.1686, v=1.20188"),
         (verify.check_ruled_form_identity, 5, 2.3975505088530373e-15, 10000,
          "random-ruled-2 at s=1.80213, v=0.501529"),
+        (verify.check_flow_straightness, 0, 3.14018491736755e-10, 24406,
+         "41 traces over 5 surfaces"),
+        (verify.check_flow_straightness, 3, 3.14018491736755e-10, 24406,
+         "41 traces over 5 surfaces"),
+        (verify.check_flow_straightness, 5, 3.14018491736755e-10, 24406,
+         "41 traces over 5 surfaces"),
         (verify.check_oracle_agreement, 0, 6.374931985630994e-07, 1400,
          "cone_lower at u=-0.54492, v=1.82622"),
         (verify.check_oracle_agreement, 5, 6.719424887613457e-07, 1400,

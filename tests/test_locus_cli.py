@@ -1,5 +1,6 @@
 """Characteristic locus extraction and the command line front end."""
 
+import io
 import json
 import math
 import subprocess
@@ -7,7 +8,10 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from heisflow import cli
 from heisflow.builders import (
     CATALOG,
     build_straight_ruled,
@@ -348,3 +352,82 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["surface"] == "plane_t0"
+
+
+class TestOutputAndLimits:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "paraboloid", "--grid", "3x3"],
+            ["locus", "paraboloid", "--grid", "5x5"],
+            ["flow", "paraboloid", "--seed", "0.3", "0.7", "--steps", "3"],
+            ["verify", "--suite", "core"],
+        ],
+    )
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, monkeypatch, argv):
+        from heisflow import verify
+
+        monkeypatch.setitem(verify.SUITES, "core", (verify.check_plane_map_ratio,))
+        out = tmp_path / "missing" / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"heisflow: cannot write {out}: No such file or directory\n")
+
+    def test_unwritable_out_prints_no_traceback(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", "flow", "paraboloid", "--seed", "0.3", "0.7",
+             "--steps", "3", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"heisflow: cannot write {out}: No such file or directory\n"
+
+    @pytest.mark.parametrize(
+        "argv, ok",
+        [
+            (["locus", "paraboloid", "--refine", "-3"], False),
+            (["locus", "paraboloid", "--refine", "0"], True),
+            (["locus", "paraboloid", "--refine", str(cli.MAX_REFINE)], True),
+            (["locus", "paraboloid", "--refine", str(cli.MAX_REFINE + 1)], False),
+            (["locus", "paraboloid", "--refine", "100000000"], False),
+            (["locus", "paraboloid", "--refine", "2.5"], False),
+            (["flow", "paraboloid", "--seed", "0", "1", "--steps", "0"], False),
+            (["flow", "paraboloid", "--seed", "0", "1", "--steps", "1"], True),
+            (["flow", "paraboloid", "--seed", "0", "1", "--steps", str(cli.MAX_STEPS)], True),
+            (["flow", "paraboloid", "--seed", "0", "1", "--steps", str(cli.MAX_STEPS + 1)], False),
+            (["eval", "paraboloid", "--grid", "1x1"], True),
+            (["eval", "paraboloid", "--grid", "0x5"], False),
+            (["eval", "paraboloid", "--grid", f"{cli.MAX_GRID_AXIS}x{cli.MAX_GRID_AXIS}"], True),
+            (["eval", "paraboloid", "--grid", f"{cli.MAX_GRID_AXIS + 1}x5"], False),
+            (["locus", "paraboloid", "--grid", f"5x{cli.MAX_GRID_AXIS + 1}"], False),
+        ],
+    )
+    def test_size_limits_by_parsing_alone(self, capsys, argv, ok):
+        # parse only: an accepted limit value is never run
+        parser = cli._build_parser()
+        if ok:
+            parser.parse_args(argv)
+            return
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be between" in err or "invalid int value" in err
+
+    @given(st.lists(st.one_of(st.floats(), st.integers(), st.none(), st.booleans()), max_size=12))
+    def test_json_rows_match_the_atom_writer(self, row):
+        buf = io.StringIO()
+        cli._json_dump(row, buf)
+        want = "[" + ", ".join(cli._json_atom(v) for v in row) + "]" if row else "[]"
+        assert buf.getvalue() == want
+
+    @given(st.lists(st.floats(), min_size=1, max_size=12))
+    def test_json_float_rows_match_the_atom_writer(self, row):
+        # the second row is finite when the first is, but its sum overflows
+        for r in (row, row + [1e308, 1e308]):
+            buf = io.StringIO()
+            cli._json_dump(r, buf)
+            assert buf.getvalue() == "[" + ", ".join(map(cli._json_atom, r)) + "]"

@@ -117,7 +117,10 @@ class Term:
                 p = k - i
                 if p < 0:
                     break
-                out[i] = c * fac * s**p if p > 0 else c * fac
+                try:
+                    out[i] = c * fac * s**p if p > 0 else c * fac
+                except OverflowError:  # float ** raises instead of giving +-inf
+                    out[i] = c * fac * math.copysign(math.inf, s) ** p
                 fac *= p
             return tuple(out)
         w = k * s

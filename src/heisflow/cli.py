@@ -217,19 +217,8 @@ def _cmd_flow(args, eps_char: float) -> int:
         surface, u, v, ds=args.ds, max_steps=args.steps, eps_char=eps_char
     )
     columns = ["s", "u", "v", "x", "y", "t", "arc"]
-    rows = []
-    for i in range(len(trace)):
-        rows.append(
-            [
-                float(trace.params[i]),
-                float(trace.uv[i, 0]),
-                float(trace.uv[i, 1]),
-                float(trace.points[i, 0]),
-                float(trace.points[i, 1]),
-                float(trace.points[i, 2]),
-                float(trace.arc[i]),
-            ]
-        )
+    cols = (trace.params, *trace.uv.T, *trace.points.T, trace.arc)
+    rows = list(zip(*(c.tolist() for c in cols)))
     report = {
         "surface": surface.label or args.surface,
         "seed": [u, v],

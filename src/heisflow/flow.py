@@ -35,6 +35,7 @@ from .errors import (
     OutOfDomain,
     TooFewSamples,
 )
+from .heis import _per_element
 from .horizontal import (
     EPS_CHAR,
     _array_args,
@@ -188,7 +189,7 @@ def _field_rows(jets: np.ndarray, eps_char: float):
     args = _array_args(jets)
     with np.errstate(all="ignore"):
         n1, n2 = _normal_components.formula(*args)
-        q = np.fromiter(map(math.hypot, n1.tolist(), n2.tolist()), float, len(n1))
+        q = _per_element(math.hypot, n1, n2)
         near = q < STOP_FACTOR * _threshold.formula(*args, eps_char)
         p_u, p_v = _pullback_coeffs.formula(*args)
         return np.stack((p_v / q, -p_u / q, args[0], args[1])), near
@@ -248,8 +249,7 @@ def _lockstep(surface, u, v, h, f, max_steps, eps_char):
         vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         fn, stop = _fields(surface, un, vn, eps_char)
         # the field reversal and the chord collapse of _leg
-        dx, dy = (fn[2] - f[2]).tolist(), (fn[3] - f[3]).tolist()
-        chord = np.fromiter(map(math.hypot, dx, dy), float, len(dx))
+        chord = _per_element(math.hypot, fn[2] - f[2], fn[3] - f[3])
         turned = (fn[0] * f[0] + fn[1] * f[1] < 0.0) | (chord < 0.5 * abs(h))
         stop = np.where(stop == 0, np.where(turned, 2, 0), stop)
         legs, un, vn, h, fn = retire(stop, legs, un, vn, h, fn)

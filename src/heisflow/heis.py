@@ -8,12 +8,19 @@ vertical coordinate by twice a symplectic-area term, the frame
 is left invariant, and the horizontal distribution span{X, Y} is the kernel
 of the contact form omega = dt + 2(x dy - y dx), with X, Y declared
 orthonormal.  All functions here are pure; concurrent use is safe.
+
+The fields of Point3, FrameVector and HorizontalVec may be equal-length
+1-D arrays: every function then acts per entry with the bits of the float
+call, taking ``**`` and math.hypot per entry, as numpy's power and hypot
+round differently on some inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BasePointMismatch
 
@@ -37,10 +44,17 @@ __all__ = [
 ]
 
 
-def _require_finite(kind: str, *values: float) -> None:
-    for value in values:
-        if not math.isfinite(value):
-            raise ValueError(f"{kind} requires finite components, got {values!r}")
+def _require_finite(kind: str, *values) -> None:
+    if not np.isfinite(np.broadcast_arrays(*values)).all():
+        raise ValueError(f"{kind} requires finite components, got {values!r}")
+
+
+def _per_element(fn, *args):
+    """``fn`` of floats, or ``fn`` entry by entry of equal-length arrays,
+    returned as a float array."""
+    if np.ndim(args[0]) == 0:
+        return fn(*args)
+    return np.fromiter(map(fn, *(np.asarray(a).tolist() for a in args)), float, len(args[0]))
 
 
 @dataclass(frozen=True)
@@ -86,7 +100,7 @@ class HorizontalVec:
         _require_finite("HorizontalVec", self.h1, self.h2)
 
     def norm(self) -> float:
-        return math.hypot(self.h1, self.h2)
+        return _per_element(math.hypot, self.h1, self.h2)
 
 
 def group_mul(p: Point3, q: Point3) -> Point3:
@@ -102,7 +116,7 @@ def group_inv(p: Point3) -> Point3:
 def koranyi_gauge(p: Point3) -> float:
     """Homogeneous gauge ((x^2 + y^2)^2 + t^2)^(1/4)."""
     r2 = p.x * p.x + p.y * p.y
-    return (r2 * r2 + p.t * p.t) ** 0.25
+    return _per_element(lambda s: s ** 0.25, r2 * r2 + p.t * p.t)
 
 
 def kc_distance(p: Point3, q: Point3) -> float:
@@ -118,13 +132,13 @@ def frame_to_euclidean(v: FrameVector) -> tuple[float, float, float]:
 
 def euclidean_to_frame(p: Point3, w) -> FrameVector:
     """Frame components of an ambient tangent triple ``w`` at base point ``p``."""
-    wx, wy, wt = float(w[0]), float(w[1]), float(w[2])
+    wx, wy, wt = w
     return FrameVector(wx, wy, wt - 2.0 * p.y * wx + 2.0 * p.x * wy, p)
 
 
 def contact_eval(p: Point3, w) -> float:
     """Contact form dt + 2(x dy - y dx) applied to an ambient tangent triple."""
-    wx, wy, wt = float(w[0]), float(w[1]), float(w[2])
+    wx, wy, wt = w
     return wt + 2.0 * (p.x * wy - p.y * wx)
 
 
@@ -146,7 +160,7 @@ def h_wedge(a: FrameVector, b: FrameVector) -> FrameVector:
     Bilinear and antisymmetric, with X^Y = T, Y^T = X, T^X = Y.  Both
     factors must sit at the same base point.
     """
-    if a.base != b.base:
+    if not np.array_equal(a.base.as_tuple(), b.base.as_tuple()):
         raise BasePointMismatch(
             f"wedge factors based at {a.base.as_tuple()} and {b.base.as_tuple()}"
         )

@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CharacteristicPoint
-from .heis import HorizontalVec, Point3
-from .patch import Jet2, jacobians
+from .heis import HorizontalVec, Point3, _per_element
+from .patch import Jet2
 
 __all__ = [
     "EPS_CHAR",
@@ -106,6 +106,7 @@ def _first_order(formula):
             return formula(*_array_args(j), *args)
 
     on_jets.formula = formula  # for callers that fuse several under one errstate
+    on_jets.__name__, on_jets.__doc__ = formula.__name__, formula.__doc__
     return on_jets
 
 
@@ -144,8 +145,7 @@ def _pullback_coeffs(x, y, du, dv, sqrt):
 def horizontal_normal_batch(jets: np.ndarray):
     """(n1, n2, ||N^h||) at every point, as :func:`horizontal_normal` gives them."""
     n1, n2 = _normal_components(jets)
-    norm = np.fromiter(map(math.hypot, n1.tolist(), n2.tolist()), float, len(n1))
-    return n1, n2, norm
+    return n1, n2, _per_element(math.hypot, n1, n2)
 
 
 def horizontal_normal(j: Jet2) -> HorizontalNormal:
@@ -224,13 +224,17 @@ def nh_euclidean(j: Jet2) -> np.ndarray:
     return np.array((n1, n2, 2.0 * y * n1 - 2.0 * x * n2))
 
 
-def normal_compatibility(j: Jet2) -> float:
-    """Ambient dot product N . N^h of the Euclidean and horizontal normals.
+@_first_order
+def normal_compatibility(x, y, du, dv, sqrt):
+    """Ambient dot product N . N^h of the Euclidean and horizontal normals,
+    at one :class:`Jet2` or at every point of an (N, 6, 3) jet array.
 
     Writing N = (d(y,t), d(t,x), d(x,y)) and embedding N^h in ambient
     coordinates, the product collapses to n1^2 + n2^2; returning the
     uncollapsed dot product lets callers verify that identity.
     """
-    jyt, jtx, jxy = jacobians(j)
-    nh = nh_euclidean(j)
-    return jyt * float(nh[0]) + jtx * float(nh[1]) + jxy * float(nh[2])
+    (xu, yu, tu), (xv, yv, tv) = du, dv
+    n1, n2 = _normal_components.formula(x, y, du, dv, sqrt)
+    jxy = xu * yv - yu * xv
+    nh_t = 2.0 * y * n1 - 2.0 * x * n2  # the t entry of nh_euclidean
+    return (yu * tv - tu * yv) * n1 + (tu * xv - xu * tv) * n2 + jxy * nh_t

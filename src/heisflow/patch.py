@@ -333,11 +333,11 @@ def _check_regularity(
 ) -> None:
     u, v = grid_points(*domain.interior_linspace(*grid))
     for sl in blocks(len(u)):
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"):  # huge finite jets overflow to inf
             jets = batch_jet(u[sl], v[sl])
+            cross = np.cross(jets[:, 1], jets[:, 2])
+            norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
         _check_finite(jets)
-        cross = np.cross(jets[:, 1], jets[:, 2])
-        norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
         bad = np.flatnonzero(norm <= eps_reg)
         if bad.size:
             i = sl.start + bad[0]

@@ -12,6 +12,8 @@ counts and pass/fail statistics, never on matching the stream itself.
 
 from __future__ import annotations
 
+import numpy as np
+
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
 _MASK = (1 << 64) - 1
@@ -33,5 +35,6 @@ class Lcg64:
         x = (self.next_u64() >> 11) * _INV_2_53
         return lo + (hi - lo) * x
 
-    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> list[float]:
-        return [self.uniform(lo, hi) for _ in range(n)]
+    def uniforms(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        """n draws of :meth:`uniform` as an array, without a list of floats."""
+        return np.fromiter((self.uniform(lo, hi) for _ in range(n)), float, n)

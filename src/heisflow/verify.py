@@ -49,6 +49,7 @@ from .curvature import (
 )
 from .flow import integrate_flows
 from .heis import (
+    HorizontalVec,
     Point3,
     contact_eval,
     euclidean_to_frame,
@@ -63,9 +64,7 @@ from .heis import (
 from .horizontal import (
     EPS_CHAR,
     char_threshold,
-    horizontal_normal,
     horizontal_normal_batch,
-    induced_form,
     induced_form_batch,
     normal_compatibility,
     unit_horizontal_normal,
@@ -79,6 +78,7 @@ from .patch import (
     eval_jets,
     grid_points,
     jet2,
+    jet2_batch,
     make_surface,
     per_value,
     reparametrize_affine,
@@ -431,109 +431,64 @@ def check_developable_minimality(seed: int, eps_char: float) -> list[CheckResult
 # core invariants
 
 
-def _rand_point(rng: Lcg64) -> Point3:
-    return Point3(
-        rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
-    )
+def _worst(err) -> float:
+    return _running_max(err, 0.0)[0]
 
 
-def _rand_jet(rng: Lcg64) -> Jet2:
-    vals = [rng.uniform(-1.5, 1.5) for _ in range(9)]
-    return jet2(vals[0:3], vals[3:6], vals[6:9])
+def _point_invariants(draw: np.ndarray) -> list[CheckResult]:
+    """Group law, gauge and contact frame on an (n, 3, 3) draw: its rows as
+    point triples, and its first n points."""
+    n = len(draw)
+    a, b, c = (Point3(*draw[:, k].T) for k in range(3))
+    lhs = group_mul(group_mul(a, b), c)
+    rhs = group_mul(a, group_mul(b, c))
+    scale = 1.0 + np.max(np.abs(lhs.as_tuple()), axis=0)
+    assoc = np.abs(np.subtract(lhs.as_tuple(), rhs.as_tuple())) / scale
+    d0 = kc_distance(b, c)
+    d1 = kc_distance(group_mul(a, b), group_mul(a, c))
+    p = Point3(*draw.reshape(-1, 3)[:n].T)
+    ex, ey, et = frame_x(p), frame_y(p), frame_t(p)
+    wx, wy, wt = (frame_to_euclidean(e) for e in (ex, ey, et))
+    contact = np.abs((contact_eval(p, wx), contact_eval(p, wy), contact_eval(p, wt) - 1.0))
+    clock = [
+        (abs(got.a1 - want.a1), abs(got.a2 - want.a2), abs(got.a3 - want.a3))
+        for got, want in ((h_wedge(ex, ey), et), (h_wedge(ey, et), ex), (h_wedge(et, ex), ey))
+    ]
+    return [
+        _mk("core-associativity", _worst(assoc), 1e-12, n),
+        _mk("core-left-invariance", _worst(np.abs(d0 - d1) / (1.0 + d0)), 1e-10, n),
+        _mk("core-contact-frame", _worst(contact), 1e-14, n),
+        _mk("core-wedge-clock", _worst(clock), 0.0, n),
+    ]
+
+
+def _jet_invariants(jets: np.ndarray) -> list[CheckResult]:
+    """Normal compatibility, and the kernel direction of the induced form
+    with its unit push-forward where ||N^h|| >= 1e-2."""
+    n1, n2, nh = horizontal_normal_batch(jets)
+    square = n1 * n1 + n2 * n2
+    compat = np.abs(normal_compatibility(jets) - square) / (1.0 + square)
+    keep = nh >= 1e-2
+    used = int(keep.sum())
+    p_u, p_v = induced_form_batch(jets)
+    alpha, beta = p_v[keep] / nh[keep], -p_u[keep] / nh[keep]
+    w = alpha * jets[keep, 1].T + beta * jets[keep, 2].T  # push-forward of (alpha, beta)
+    pts = Point3(*jets[keep, 0].T)
+    fv = euclidean_to_frame(pts, w)
+    kernel, unit = contact_eval(pts, w), HorizontalVec(fv.a1, fv.a2, pts).norm() - 1.0
+    return [
+        _mk("core-normal-compatibility", _worst(compat), 1e-10, len(jets)),
+        _mk("core-kernel-direction", _worst(np.abs(kernel)), 1e-12, used),
+        _mk("core-pushforward-unit", _worst(np.abs(unit)), 1e-10, used),
+    ]
 
 
 def check_core_invariants(seed: int, eps_char: float) -> list[CheckResult]:
     n = 10000
-    results = []
-
-    rng = Lcg64(seed)
-    worst = 0.0
-    for _ in range(n):
-        p, q, r = _rand_point(rng), _rand_point(rng), _rand_point(rng)
-        lhs = group_mul(group_mul(p, q), r)
-        rhs = group_mul(p, group_mul(q, r))
-        scale = 1.0 + max(abs(lhs.x), abs(lhs.y), abs(lhs.t))
-        worst = max(
-            worst,
-            abs(lhs.x - rhs.x) / scale,
-            abs(lhs.y - rhs.y) / scale,
-            abs(lhs.t - rhs.t) / scale,
-        )
-    results.append(_mk("core-associativity", worst, 1e-12, n))
-
-    rng = Lcg64(seed)
-    worst = 0.0
-    for _ in range(n):
-        g, p, q = _rand_point(rng), _rand_point(rng), _rand_point(rng)
-        d0 = kc_distance(p, q)
-        d1 = kc_distance(group_mul(g, p), group_mul(g, q))
-        worst = max(worst, abs(d0 - d1) / (1.0 + d0))
-    results.append(_mk("core-left-invariance", worst, 1e-10, n))
-
-    rng = Lcg64(seed)
-    worst = 0.0
-    for _ in range(n):
-        p = _rand_point(rng)
-        wx = frame_to_euclidean(frame_x(p))
-        wy = frame_to_euclidean(frame_y(p))
-        wt = frame_to_euclidean(frame_t(p))
-        worst = max(
-            worst,
-            abs(contact_eval(p, wx)),
-            abs(contact_eval(p, wy)),
-            abs(contact_eval(p, wt) - 1.0),
-        )
-    results.append(_mk("core-contact-frame", worst, 1e-14, n))
-
-    rng = Lcg64(seed)
-    worst = 0.0
-    for _ in range(n):
-        p = _rand_point(rng)
-        ex, ey, et = frame_x(p), frame_y(p), frame_t(p)
-        for got, want in (
-            (h_wedge(ex, ey), et),
-            (h_wedge(ey, et), ex),
-            (h_wedge(et, ex), ey),
-        ):
-            worst = max(
-                worst,
-                abs(got.a1 - want.a1),
-                abs(got.a2 - want.a2),
-                abs(got.a3 - want.a3),
-            )
-    results.append(_mk("core-wedge-clock", worst, 0.0, n))
-
-    rng = Lcg64(seed)
-    worst = 0.0
-    for _ in range(n):
-        j = _rand_jet(rng)
-        nh = horizontal_normal(j)
-        rhs = nh.n1 * nh.n1 + nh.n2 * nh.n2
-        worst = max(worst, abs(normal_compatibility(j) - rhs) / (1.0 + rhs))
-    results.append(_mk("core-normal-compatibility", worst, 1e-10, n))
-
-    rng = Lcg64(seed)
-    worst_kernel = 0.0
-    worst_unit = 0.0
-    used = 0
-    for _ in range(n):
-        j = _rand_jet(rng)
-        nh = horizontal_normal(j)
-        if nh.norm < 1e-2:
-            continue
-        used += 1
-        coeffs = induced_form(j)
-        alpha, beta = coeffs.p_v / nh.norm, -coeffs.p_u / nh.norm
-        w = (
-            alpha * float(j.du[0]) + beta * float(j.dv[0]),
-            alpha * float(j.du[1]) + beta * float(j.dv[1]),
-            alpha * float(j.du[2]) + beta * float(j.dv[2]),
-        )
-        worst_kernel = max(worst_kernel, abs(contact_eval(nh.base, w)))
-        fv = euclidean_to_frame(nh.base, w)
-        worst_unit = max(worst_unit, abs(math.hypot(fv.a1, fv.a2) - 1.0))
-    results.append(_mk("core-kernel-direction", worst_kernel, 1e-12, used))
-    results.append(_mk("core-pushforward-unit", worst_unit, 1e-10, used))
+    # One draw: its rows of nine serve as point triples and as jets (value,
+    # du, dv).  Each half runs in its own function, which frees its arrays.
+    draw = Lcg64(seed).uniforms(9 * n, -1.5, 1.5).reshape(n, 3, 3)
+    results = _point_invariants(draw) + _jet_invariants(jet2_batch(n, *draw.transpose(1, 2, 0)))
 
     rng = Lcg64(seed)
     base = catalog_get("cone_lower")

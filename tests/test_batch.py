@@ -451,12 +451,31 @@ def test_verify_checks_keep_per_point_results(check, seed, stat, count, detail):
     assert result.passed
 
 
-@pytest.mark.parametrize("seed, stat", [(0, 2.34480050356066e-16), (5, 2.6025733012013484e-16)])
+# The eight core results of the per-point loops, in report order, with
+# core-reparam-invariance last; every count except the reparam one is 10,000.
+CORE_STATS = {
+    0: (7.508600483441594e-16, 2.9128955656795915e-15, 0.0, 0.0,
+        5.119488672144363e-16, 2.398081733190338e-14, 5.551115123125783e-15),
+    3: (7.863998755363356e-16, 1.1915686101402392e-15, 0.0, 0.0,
+        3.934884703703329e-16, 3.042011087472929e-14, 1.9761969838327786e-14),
+    5: (7.609223791770574e-16, 9.35321780201266e-16, 0.0, 0.0,
+        4.2045157996922453e-16, 1.6542323066914832e-14, 6.106226635438361e-15),
+}
+CORE_NAMES = ("associativity", "left-invariance", "contact-frame", "wedge-clock",
+              "normal-compatibility", "kernel-direction", "pushforward-unit",
+              "reparam-invariance")
+
+
+@pytest.mark.parametrize("seed, stat", [
+    (0, 2.34480050356066e-16), (3, 2.476658748199107e-16), (5, 2.6025733012013484e-16),
+])
 def test_reparam_invariance_keeps_per_point_result(seed, stat):
     results = verify.check_core_invariants(seed, 1e-9)
-    (result,) = [r for r in results if r.name == "core-reparam-invariance"]
-    assert (bits(result.stat), result.count, result.detail) == (bits(stat), 400, "")
-    assert result.passed
+    want = [(f"core-{name}", bits(s), 10000, "")
+            for name, s in zip(CORE_NAMES, CORE_STATS[seed])]
+    want.append(("core-reparam-invariance", bits(stat), 400, ""))
+    assert [(r.name, bits(r.stat), r.count, r.detail) for r in results] == want
+    assert all(r.passed for r in results)
 
 
 def scan_surfaces():

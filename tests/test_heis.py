@@ -24,6 +24,7 @@ from heisflow.heis import (
     kc_distance,
     koranyi_gauge,
 )
+from heisflow.rng import Lcg64
 
 P = Point3(1.0, 2.0, 3.0)
 Q = Point3(-0.5, 0.25, 1.5)
@@ -136,3 +137,120 @@ def test_contact_eval_frozen():
     # omega_p(w) = w_t + 2 (x w_y - y w_x) at p = (1, 2, 3)
     assert contact_eval(P, (1.0, 1.0, 1.0)) == 1.0 + 2.0 * (1.0 - 2.0)
     assert contact_eval(ORIGIN, (5.0, -3.0, 0.25)) == 0.25
+
+
+# ---------------------------------------------------------------------------
+# array-valued points: every function acts per entry, bit for bit
+
+# Two points whose gauge argument ((x^2 + y^2)^2 + t^2) numpy's power, on
+# AVX-512 builds, raises to 1/4 with a different last bit than Python's **.
+POWER_ROWS = [
+    (-0.29064601783967436, -1.4659056543924707, -1.240613411546804),
+    (0.994129738459125, -0.7772092749936724, 1.2360492768590374),
+]
+
+
+def seeded(seed, n=300, width=3):
+    """An (n + 2, width) array of seeded uniforms in [-1.5, 1.5); the last two
+    rows are the POWER_ROWS, padded or cut to ``width``."""
+    draw = Lcg64(seed).uniforms(n * width, -1.5, 1.5).reshape(n, width)
+    extra = np.resize(np.array(POWER_ROWS), (2, width))
+    return np.vstack((draw, extra))
+
+
+def test_uniforms_are_the_stream_of_uniform():
+    one, many = Lcg64(9), Lcg64(9)
+    want = [one.uniform(-1.5, 1.5) for _ in range(50)]
+    assert many.uniforms(50, -1.5, 1.5).tolist() == want
+    assert many.state == one.state
+
+
+def fields(obj):
+    """The float fields of a heis value, as a tuple."""
+    if isinstance(obj, Point3):
+        return obj.as_tuple()
+    if isinstance(obj, FrameVector):
+        return (obj.a1, obj.a2, obj.a3, *obj.base.as_tuple())
+    if isinstance(obj, HorizontalVec):
+        return (obj.h1, obj.h2, *obj.base.as_tuple())
+    return tuple(obj) if isinstance(obj, tuple) else (obj,)
+
+
+def assert_per_entry(fn, *args):
+    """fn on array-valued args equals fn on each entry, bit for bit."""
+    got = np.broadcast_arrays(*fields(fn(*args)))
+    n = len(got[0])
+
+    def entry(arg, i):
+        if isinstance(arg, Point3):
+            return Point3(*(float(c[i]) for c in arg.as_tuple()))
+        if isinstance(arg, FrameVector):
+            a1, a2, a3 = (float(c[i]) for c in (arg.a1, arg.a2, arg.a3))
+            return FrameVector(a1, a2, a3, entry(arg.base, i))
+        if isinstance(arg, HorizontalVec):
+            return HorizontalVec(float(arg.h1[i]), float(arg.h2[i]), entry(arg.base, i))
+        return tuple(float(c[i]) for c in arg)
+
+    want = np.array([fields(fn(*(entry(a, i) for a in args))) for i in range(n)], float).T
+    assert np.array_equal(np.array(got).view(np.int64), want.view(np.int64))
+
+
+def test_group_functions_on_arrays_match_scalar_calls():
+    p, q = Point3(*seeded(1).T), Point3(*seeded(2).T)
+    for fn, args in [
+        (group_mul, (p, q)),
+        (group_inv, (p,)),
+        (koranyi_gauge, (p,)),
+        (kc_distance, (p, q)),
+    ]:
+        assert_per_entry(fn, *args)
+
+
+def test_frame_functions_on_arrays_match_scalar_calls():
+    p = Point3(*seeded(3).T)
+    a1, a2, a3, b1, b2, b3 = seeded(4, width=6).T
+    u, v = FrameVector(a1, a2, a3, p), FrameVector(b1, b2, b3, p)
+    w = tuple(seeded(5).T)
+    for fn, args in [
+        (frame_to_euclidean, (u,)),
+        (euclidean_to_frame, (p, w)),
+        (contact_eval, (p, w)),
+        (h_wedge, (u, v)),
+        (j_rotate, (HorizontalVec(a1, a2, p),)),
+        (HorizontalVec.norm, (HorizontalVec(a1, a2, p),)),
+    ]:
+        assert_per_entry(fn, *args)
+    for frame in (frame_x, frame_y, frame_t):
+        assert_per_entry(lambda q: frame_to_euclidean(frame(q)), p)
+
+
+def test_gauge_of_arrays_rounds_like_python_pow():
+    p = Point3(*np.array(POWER_ROWS).T)
+    want = [((x * x + y * y) * (x * x + y * y) + t * t) ** 0.25 for x, y, t in POWER_ROWS]
+    assert koranyi_gauge(p).tolist() == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_one_non_finite_entry_raises(bad):
+    ok, broken = np.zeros(4), np.array([0.0, 1.0, bad, 2.0])
+    p = Point3(ok, ok, ok)
+    for make in (
+        lambda: Point3(ok, broken, ok),
+        lambda: FrameVector(ok, ok, broken, p),
+        lambda: HorizontalVec(broken, ok, p),
+    ):
+        with pytest.raises(ValueError, match="requires finite components"):
+            make()
+
+
+def test_wedge_on_mismatched_array_bases_raises():
+    x, y, t = seeded(6).T
+    p = Point3(x, y, t)
+    a = FrameVector(x, y, t, p)
+    # equal entries in other arrays count as the same base
+    h_wedge(a, FrameVector(t, x, y, Point3(x.copy(), y.copy(), t.copy())))
+    moved = t.copy()
+    moved[-1] = np.nextafter(moved[-1], 2.0)
+    for base in (Point3(x, y, moved), Point3(x[:-1], y[:-1], t[:-1]), Point3(0.0, 0.0, 0.0)):
+        with pytest.raises(BasePointMismatch):
+            h_wedge(a, FrameVector(1.0, 0.0, 0.0, base))

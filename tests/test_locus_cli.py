@@ -283,6 +283,17 @@ class TestCli:
             assert main(argv) == code
         assert capsys.readouterr().err == err
 
+    def test_regularity_check_overflow_raises_no_runtime_warning(self, tmp_path, capsys):
+        # y = 1e300 s: sigma_u x sigma_v overflows to inf, a regular patch
+        spec = {"type": "ruled", "theta": [], "v_range": [0.25, 1.25],
+                "curve": {"x": [], "y": [{"kind": "poly", "coeff": 1e300, "k": 1}], "t": [],
+                          "domain": [0.5, 2.0]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["locus", str(path), "--grid", "3x3"]) == 0
+
     def test_verify_core_at_eps_char_one_stops_at_the_reparam_check(self, capsys):
         assert main(["--eps-char", "1", "verify", "--suite", "core"]) == 1
         captured = capsys.readouterr()
@@ -315,6 +326,36 @@ class TestCli:
         )
         assert proc.returncode == 2
         assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "graph", "domain": {"u": [0, 1e60], "v": [0, 1]},
+             "fu": [{"kind": "poly", "coeff": 1, "k": 6}]},
+            {**TURNING_LINE, "curve": {**TURNING_LINE["curve"], "domain": [0, 1e60],
+                                       "t": [{"kind": "poly", "coeff": 1.0, "k": 6}]}},
+        ],
+        ids=["graph", "ruled"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--grid", "3x3"], ["locus", "--grid", "3x3"],
+         ["flow", "--seed", "1e59", "0.5", "--steps", "3"]],
+        ids=["eval", "locus", "flow"],
+    )
+    def test_overflowing_power_exits_two(self, tmp_path, spec, argv):
+        # s**6 overflows at s = 1e59: the jet is non-finite, not an OverflowError
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("heisflow: non-finite jet component in ")
         assert "Traceback" not in proc.stderr
 
     def test_bad_grid_is_usage_error(self, capsys):

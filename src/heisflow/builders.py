@@ -20,11 +20,13 @@ contact form is c(s, v) ds with
 so the patch is characteristic exactly where c vanishes and is horizontally
 minimal everywhere else.
 
-Each builder writes its jet once, as a function of the parameter data, and
-uses it twice: with floats for the scalar jet and with arrays for the batch
-(:func:`heisflow.patch.eval_jets`).  One-parameter curve data is computed by
-the scalar code once per distinct parameter value and broadcast, so both
-paths run the same floating-point operations and agree bit for bit.
+The term jets and every formula built on them take a float or a float
+array, so each builder writes its jet once and uses it twice: with floats
+for the scalar jet and with arrays for the batch
+(:func:`heisflow.patch.eval_jets`).  Both calls run the same floating-point
+operations in the same order and agree bit for bit: cosine and sine are
+math's for a float and numpy's for an array, and ``**`` is Python's, entry
+by entry, except for the exponent 1.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     CharacteristicPoint,
@@ -48,7 +52,8 @@ from .errors import (
     UnknownName,
     ZeroInRange,
 )
-from .patch import Domain, Jet2, SurfaceHandle, jet2, jet2_batch, make_surface, per_value
+from .heis import _per_element
+from .patch import Domain, SurfaceHandle, jet2, jet2_batch, make_surface
 from .rng import Lcg64
 
 __all__ = [
@@ -92,6 +97,9 @@ class Term:
     kind: str  # "poly" | "cos" | "sin"
     coeff: float
     k: int
+    # The multipliers of the jet entries: (c k!/(k-i)!, k-i) pairs for a
+    # polynomial, otherwise the four signed c k^i.
+    _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("poly", "cos", "sin"):
@@ -106,28 +114,57 @@ class Term:
                 )
         elif self.k < 1:
             raise SpecError(f"trigonometric frequency must be >= 1, got {self.k}")
-
-    def jet(self, s: float) -> tuple[float, float, float, float]:
-        """Value and first three derivatives at s."""
         c, k = self.coeff, self.k
         if self.kind == "poly":
-            out = [0.0, 0.0, 0.0, 0.0]
-            fac = 1.0
-            for i in range(4):
-                p = k - i
-                if p < 0:
-                    break
-                try:
-                    out[i] = c * fac * s**p if p > 0 else c * fac
-                except OverflowError:  # float ** raises instead of giving +-inf
-                    out[i] = c * fac * math.copysign(math.inf, s) ** p
+            plan, fac = [], 1.0
+            for p in range(k, max(k - 4, -1), -1):
+                plan.append((c * fac, p))
                 fac *= p
+        elif self.kind == "cos":
+            plan = (c, -c * k, -c * k * k, c * k**3)
+        else:
+            plan = (c, c * k, -c * k * k, -c * k**3)
+        object.__setattr__(self, "_plan", tuple(plan))
+
+    def jet(self, s):
+        """Value and first three derivatives at s, a float or a float array."""
+        if self.kind == "poly":
+            power = _array_pow if isinstance(s, np.ndarray) else _pow
+            out = [0.0, 0.0, 0.0, 0.0]
+            for i, (m, p) in enumerate(self._plan):
+                out[i] = m * power(s, p) if p else m
             return tuple(out)
-        w = k * s
-        cw, sw = math.cos(w), math.sin(w)
+        m0, m1, m2, m3 = self._plan
+        cw, sw = _cos_sin(self.k * s)
         if self.kind == "cos":
-            return (c * cw, -c * k * sw, -c * k * k * cw, c * k**3 * sw)
-        return (c * sw, c * k * cw, -c * k * k * sw, -c * k**3 * cw)
+            return m0 * cw, m1 * sw, m2 * cw, m3 * sw
+        return m0 * sw, m1 * cw, m2 * sw, m3 * cw
+
+
+def _pow(s: float, p: int) -> float:
+    """Python's float ``s ** p``, with +-inf where ``**`` raises on overflow."""
+    try:
+        return s**p
+    except OverflowError:
+        return math.copysign(math.inf, s) ** p
+
+
+def _array_pow(s: np.ndarray, p: int) -> np.ndarray:
+    """:func:`_pow` entry by entry, as np.power rounds differently; s**1 is s."""
+    if p == 1:
+        return s
+    return _per_element(lambda x: _pow(x, p), s.ravel()).reshape(s.shape)
+
+
+def _cos_sin(w):
+    """(cos w, sin w): math's for a float, with NaN past the float range where
+    math raises, and numpy's, which round the same, for an array."""
+    if isinstance(w, np.ndarray):
+        return np.cos(w), np.sin(w)
+    try:
+        return math.cos(w), math.sin(w)
+    except ValueError:
+        return math.nan, math.nan
 
 
 @dataclass(frozen=True)
@@ -139,7 +176,7 @@ class TermSum:
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
 
-    def jet(self, s: float) -> tuple[float, float, float, float]:
+    def jet(self, s):
         f = f1 = f2 = f3 = 0.0
         for term in self.terms:
             g, g1, g2, g3 = term.jet(s)
@@ -180,7 +217,7 @@ class CurveSpec:
     def __post_init__(self):
         object.__setattr__(self, "domain", _as_range(self.domain, "curve domain"))
 
-    def jet3(self, s: float):
+    def jet3(self, s):
         """((x..x'''), (y..y'''), (t..t''')) stacked as three 4-tuples."""
         return self.x.jet(s), self.y.jet(s), self.t.jet(s)
 
@@ -191,10 +228,10 @@ class AngleField:
 
     theta: TermSum
 
-    def direction_jet(self, s: float):
+    def direction_jet(self, s):
         """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta."""
         th, th1, th2, _ = self.theta.jet(s)
-        a, b = math.cos(th), math.sin(th)
+        a, b = _cos_sin(th)
         a1, b1 = -b * th1, a * th1
         a2 = -a * th1 * th1 - b * th2
         b2 = -b * th1 * th1 + a * th2
@@ -214,17 +251,21 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _ruled_curve_data(spec: RuledSpec, s: float) -> tuple:
+def _surface(fields, domain: Domain, label: str, check_grid=(21, 21)) -> SurfaceHandle:
+    """make_surface with the scalar and the batch jet of one formula:
+    ``fields(u, v)``, on floats or on arrays, gives the fields of jet2."""
+    return make_surface(
+        lambda u, v: jet2(*fields(u, v)), domain, label, check_grid,
+        batch_jet=lambda u, v: jet2_batch(len(u), *fields(u, v)),
+    )
+
+
+def _ruled_fields(spec: RuledSpec, s, v):
     (x, x1, x2, _), (y, y1, y2, _), (t, t1, t2, _) = spec.curve.jet3(s)
     a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
     g = y * a - x * b
     g1 = y1 * a + y * a1 - x1 * b - x * b1
     g2 = y2 * a + 2.0 * y1 * a1 + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2
-    return x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2, g, g1, g2
-
-
-def _ruled_fields(data, v):
-    x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2, g, g1, g2 = data
     return (
         (x + v * a, y + v * b, t + 2.0 * v * g),
         (x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1),
@@ -234,27 +275,35 @@ def _ruled_fields(data, v):
     )
 
 
-def _ruled_jet(spec: RuledSpec, s: float, v: float) -> Jet2:
-    return jet2(*_ruled_fields(_ruled_curve_data(spec, s), v))
+def _samples(lo: float, hi: float, n: int) -> np.ndarray:
+    """The n + 1 points lo + (hi - lo) * i / n, i = 0..n, of a sample scan."""
+    return lo + (hi - lo) * np.arange(n + 1) / n
 
 
-def _ruled_jets(spec: RuledSpec, s, v):
-    data = per_value(lambda si: _ruled_curve_data(spec, si), s)
-    return jet2_batch(len(s), *_ruled_fields(data, v))
+def _fold_max(a) -> float:
+    """max(0.0, *a) as Python's max takes it, which skips NaN (np.max does not)."""
+    return float(np.fmax.reduce(a, axis=None, initial=0.0))
 
 
-def ruling_form_coefficients(spec: RuledSpec, s: float) -> tuple[float, float, float]:
-    """(c0, c1, c2) of the induced-form coefficient c = c0 + c1 v + c2 v^2."""
+def _hypot(x, y, like: np.ndarray) -> np.ndarray:
+    """math.hypot entry by entry (np.hypot rounds differently), broadcast to
+    the shape of ``like``."""
+    return _per_element(math.hypot, *np.broadcast_arrays(x, y, like)[:2])
+
+
+def ruling_form_coefficients(spec: RuledSpec, s) -> tuple[float, float, float]:
+    """(c0, c1, c2) of the induced-form coefficient c = c0 + c1 v + c2 v^2,
+    at s a float or a float array."""
     (x, x1, _, _), (y, y1, _, _), (t, t1, _, _) = spec.curve.jet3(s)
-    _, th1, _, _ = spec.angle.theta.jet(s)
-    a, b, _, _, _, _ = spec.angle.direction_jet(s)
+    th, th1, _, _ = spec.angle.theta.jet(s)
+    a, b = _cos_sin(th)
     c0 = t1 + 2.0 * (x * y1 - y * x1)
     c1 = 4.0 * (a * y1 - b * x1)
     c2 = 2.0 * th1
     return c0, c1, c2
 
 
-def ruling_form_coeff(spec: RuledSpec, s: float, v: float) -> float:
+def ruling_form_coeff(spec: RuledSpec, s, v) -> float:
     """The coefficient c(s, v) with sigma^* omega = c ds."""
     c0, c1, c2 = ruling_form_coefficients(spec, s)
     return c0 + v * (c1 + v * c2)
@@ -274,51 +323,47 @@ def build_straight_ruled(
     """
     s0, s1 = spec.curve.domain
     v0, v1 = spec.v_range
-    cmax = 0.0
-    cscale = 0.0
-    for i in range(33):
-        s = s0 + (s1 - s0) * i / 32.0
-        c0, c1, c2 = ruling_form_coefficients(spec, s)
-        cscale = max(cscale, abs(c0) + abs(c1) + abs(c2))
-        for jv in range(9):
-            v = v0 + (v1 - v0) * jv / 8.0
-            cmax = max(cmax, abs(c0 + v * (c1 + v * c2)))
+    v = _samples(v0, v1, 8)
+    with np.errstate(all="ignore"):
+        c0, c1, c2 = ruling_form_coefficients(spec, _samples(s0, s1, 32)[:, None])
+        cscale = _fold_max(abs(c0) + abs(c1) + abs(c2))
+        cmax = _fold_max(abs(c0 + v * (c1 + v * c2)))
     if cmax <= 1e-12 * (1.0 + cscale):
         raise DegenerateRuling(
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"
         )
-    domain = Domain(s0, s1, v0, v1)
-    return make_surface(
-        lambda s, v: _ruled_jet(spec, s, v),
-        domain,
-        label=label if label is not None else (spec.name or "ruled"),
-        check_grid=check_grid,
-        batch_jet=lambda s, v: _ruled_jets(spec, s, v),
+    return _surface(
+        lambda s, v: _ruled_fields(spec, s, v),
+        Domain(s0, s1, v0, v1),
+        label if label is not None else (spec.name or "ruled"),
+        check_grid,
     )
 
 
-def plane_contact_factor(spec: RuledSpec, s: float, v: float) -> float:
+def plane_contact_factor(spec: RuledSpec, s, v) -> float:
     """Conformal contact factor relating the patch to its plane normal form.
 
     Straightening the rule lines maps the patch onto the plane patch
     (v cos theta(s), v sin theta(s), 0); the pulled-back contact forms then
     differ by the factor lambda = 2 v^2 theta'(s) / c(s, v) returned here.
     Requires a genuinely turning ruling direction: theta' identically zero
-    means the normal-form target degenerates to a single line.
+    means the normal-form target degenerates to a single line.  s and v are
+    floats or equal-length float arrays; an array call raises at the first
+    failing point.
     """
     s0, s1 = spec.curve.domain
-    th1max = 0.0
-    for i in range(33):
-        si = s0 + (s1 - s0) * i / 32.0
-        th1max = max(th1max, abs(spec.angle.theta.jet(si)[1]))
+    with np.errstate(all="ignore"):
+        th1max = _fold_max(abs(spec.angle.theta.jet(_samples(s0, s1, 32))[1]))
     if th1max < 1e-12:
         raise ConstantRulingDirection(
             "theta' vanishes identically; no plane normal form with this factor"
         )
     c = ruling_form_coeff(spec, s, v)
     _, th1, _, _ = spec.angle.theta.jet(s)
-    if abs(c) < 1e-12 * (1.0 + abs(2.0 * v * v * th1)):
+    bad = abs(c) < 1e-12 * (1.0 + abs(2.0 * v * v * th1))
+    if np.any(bad):
+        s, v, c = (float(np.ravel(a)[np.argmax(bad)]) for a in np.broadcast_arrays(s, v, c))
         raise CharacteristicPoint(
             f"contact factor undefined where c vanishes: c({s}, {v}) = {c:.3e}"
         )
@@ -358,31 +403,32 @@ def build_tangent_developable(
             f"v range [{v0}, {v1}] contains 0, the singular edge of the developable"
         )
     s0, s1 = curve.domain
-    min_bend = math.inf
-    for i in range(65):
-        s = s0 + (s1 - s0) * i / 64.0
+    s = _samples(s0, s1, 64)
+    with np.errstate(all="ignore"):
         (x, x1, x2, _), (y, y1, y2, _), (_, t1, _, _) = curve.jet3(s)
-        horiz = t1 + 2.0 * (x * y1 - y * x1)
-        if abs(horiz) > 1e-10:
+        horiz = np.broadcast_to(t1 + 2.0 * (x * y1 - y * x1), s.shape)
+    speed = _hypot(x1, y1, s)
+    bad = (abs(horiz) > 1e-10) | (abs(speed - 1.0) > 1e-10)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if abs(horiz[i]) > 1e-10:
             raise NotHorizontal(
-                f"curve fails the contact condition at s = {s}: "
-                f"omega(gamma') = {horiz:.3e}"
+                f"curve fails the contact condition at s = {s[i]}: "
+                f"omega(gamma') = {horiz[i]:.3e}"
             )
-        speed = math.hypot(x1, y1)
-        if abs(speed - 1.0) > 1e-10:
-            raise NotUnitSpeed(
-                f"projected speed {speed!r} at s = {s} is not 1; "
-                "reparametrize the curve by horizontal arc length"
-            )
-        min_bend = min(min_bend, math.hypot(x2, y2))
-    if min_bend <= 1e-8:
+        raise NotUnitSpeed(
+            f"projected speed {float(speed[i])!r} at s = {s[i]} is not 1; "
+            "reparametrize the curve by horizontal arc length"
+        )
+    # min over the samples as Python's min takes it, skipping NaN
+    if np.fmin.reduce(_hypot(x2, y2, s), initial=math.inf) <= 1e-8:
         raise StraightLine(
             "gamma'' vanishes somewhere; the tangent developable of a "
             "straight segment is not an immersed patch"
         )
 
-    def fields(data, v):
-        (x, x1, x2, x3), (y, y1, y2, y3), (t, t1, t2, t3) = data
+    def fields(s, v):
+        (x, x1, x2, x3), (y, y1, y2, y3), (t, t1, t2, t3) = curve.jet3(s)
         return (
             (x + v * x1, y + v * y1, t + v * t1),
             (x1 + v * x2, y1 + v * y2, t1 + v * t2),
@@ -391,15 +437,7 @@ def build_tangent_developable(
             (x2, y2, t2),
         )
 
-    def jet_fn(s: float, v: float) -> Jet2:
-        return jet2(*fields(curve.jet3(s), v))
-
-    def batch_jet(s, v):
-        return jet2_batch(len(s), *fields(per_value(curve.jet3, s).reshape(3, 4, -1), v))
-
-    return make_surface(
-        jet_fn, Domain(s0, s1, v0, v1), label, check_grid, batch_jet=batch_jet
-    )
+    return _surface(fields, Domain(s0, s1, v0, v1), label, check_grid)
 
 
 def build_cylinder(
@@ -419,28 +457,20 @@ def build_cylinder(
         raise SpecError("cylinder profile must be a plane curve: t terms present")
     h0, h1 = _as_range(height_range, "height_range")
     s0, s1 = profile.domain
-    for i in range(65):
-        s = s0 + (s1 - s0) * i / 64.0
+    s = _samples(s0, s1, 64)
+    with np.errstate(all="ignore"):
         (_, x1, _, _), (_, y1, _, _), _ = profile.jet3(s)
-        if math.hypot(x1, y1) <= 1e-8:
-            raise NotRegularProfile(
-                f"profile speed vanishes near s = {s}; cylinder not immersed"
-            )
+    slow = _hypot(x1, y1, s) <= 1e-8
+    if slow.any():
+        raise NotRegularProfile(
+            f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
+        )
 
-    def fields(data, v):
-        (x, x1, x2, _), (y, y1, y2, _) = data
+    def fields(u, v):
+        (x, x1, x2, _), (y, y1, y2, _), _ = profile.jet3(u)
         return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
-    def jet_fn(u: float, v: float) -> Jet2:
-        return jet2(*fields(profile.jet3(u)[:2], v))
-
-    def batch_jet(u, v):
-        data = per_value(lambda s: profile.jet3(s)[:2], u).reshape(2, 4, -1)
-        return jet2_batch(len(u), *fields(data, v))
-
-    return make_surface(
-        jet_fn, Domain(s0, s1, h0, h1), label, check_grid, batch_jet=batch_jet
-    )
+    return _surface(fields, Domain(s0, s1, h0, h1), label, check_grid)
 
 
 def build_graph(
@@ -453,29 +483,20 @@ def build_graph(
     ``f_jets(u, v)`` must return (f, f_u, f_v, f_uu, f_uv, f_vv).  Graphs
     are immersions unconditionally, so no regularity sampling is run.
     """
-    return _graph(f_jets, None, domain, label)
+    return make_surface(
+        lambda u, v: jet2(*_graph_fields(u, v, *f_jets(u, v))), domain, label, check_grid=None
+    )
 
 
-def _graph(f_jets, f_jets_batch, domain: Domain, label: str) -> SurfaceHandle:
-    def fields(u, v, f, fu, fv, fuu, fuv, fvv):
-        return (
-            (u, v, f),
-            (1.0, 0.0, fu),
-            (0.0, 1.0, fv),
-            (0.0, 0.0, fuu),
-            (0.0, 0.0, fuv),
-            (0.0, 0.0, fvv),
-        )
-
-    def jet_fn(u: float, v: float) -> Jet2:
-        return jet2(*fields(u, v, *f_jets(u, v)))
-
-    batch_jet = None
-    if f_jets_batch is not None:
-        def batch_jet(u, v):
-            return jet2_batch(len(u), *fields(u, v, *f_jets_batch(u, v)))
-
-    return make_surface(jet_fn, domain, label, check_grid=None, batch_jet=batch_jet)
+def _graph_fields(u, v, f, fu, fv, fuu, fuv, fvv):
+    return (
+        (u, v, f),
+        (1.0, 0.0, fu),
+        (0.0, 1.0, fv),
+        (0.0, 0.0, fuu),
+        (0.0, 0.0, fuv),
+        (0.0, 0.0, fvv),
+    )
 
 
 def build_graph_separable(
@@ -486,17 +507,12 @@ def build_graph_separable(
 ) -> SurfaceHandle:
     """Graph of the separable function f(u, v) = f_of_u(u) + f_of_v(v)."""
 
-    def f_jets(u: float, v: float):
+    def fields(u, v):
         fu0, fu1, fu2, _ = f_of_u.jet(u)
         fv0, fv1, fv2, _ = f_of_v.jet(v)
-        return fu0 + fv0, fu1, fv1, fu2, 0.0, fv2
+        return _graph_fields(u, v, fu0 + fv0, fu1, fv1, fu2, 0.0, fv2)
 
-    def f_jets_batch(u, v):
-        fu0, fu1, fu2, _ = per_value(f_of_u.jet, u)
-        fv0, fv1, fv2, _ = per_value(f_of_v.jet, v)
-        return fu0 + fv0, fu1, fv1, fu2, 0.0, fv2
-
-    return _graph(f_jets, f_jets_batch, domain, label)
+    return _surface(fields, domain, label, check_grid=None)
 
 
 def _poly(*coeff_deg: tuple[float, int]) -> TermSum:
@@ -513,7 +529,8 @@ def _circle_profile(radius: float, arc: tuple[float, float]) -> CurveSpec:
 
 
 def _cone_lower() -> SurfaceHandle:
-    def fields(u, cv, sv):
+    def fields(u, v):
+        cv, sv = _cos_sin(v)
         return (
             (u * cv, u * sv, u),
             (cv, sv, 1.0),
@@ -523,16 +540,7 @@ def _cone_lower() -> SurfaceHandle:
             (-u * cv, -u * sv, 0.0),
         )
 
-    def jet_fn(u: float, v: float) -> Jet2:
-        return jet2(*fields(u, math.cos(v), math.sin(v)))
-
-    def batch_jet(u, v):
-        cv, sv = per_value(lambda s: (math.cos(s), math.sin(s)), v)
-        return jet2_batch(len(u), *fields(u, cv, sv))
-
-    return make_surface(
-        jet_fn, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower", batch_jet=batch_jet
-    )
+    return _surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
 
 
 _CYLINDER_RE = re.compile(r"^cylinder\((?P<radius>[^)]+)\)$")
@@ -581,14 +589,10 @@ def catalog_get(name: str) -> SurfaceHandle:
             label=name,
         )
     if name == "vertical_plane_x0":
-        def fields(u, v):
-            return (0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
-
-        return make_surface(
-            lambda u, v: jet2(*fields(u, v)),
+        return _surface(
+            lambda u, v: ((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
             Domain(-2.0, 2.0, -2.0, 2.0),
-            label=name,
-            batch_jet=lambda u, v: jet2_batch(len(u), *fields(u, v)),
+            name,
         )
     if name == "plane_t0":
         return build_graph_separable(

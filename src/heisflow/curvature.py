@@ -240,8 +240,9 @@ def _fsum_columns(acc, safe: np.ndarray, need: np.ndarray | None = None) -> np.n
     even, as in fsum) where the bound r on |sum(e2)| is zero, and also
     where lo + [-r, r] stays strictly inside half the gap to each
     neighbour of hi.  An exact zero sum gives +0.0, as fsum does.  Other
-    columns are summed by math.fsum, which also raises its own errors
-    there, but only where ``need`` is set; the rest are NaN.
+    columns are summed by math.fsum, but only where ``need`` is set; the
+    rest are NaN, as are the columns where fsum raises (inf - inf, or an
+    intermediate overflow of huge finite terms).
     """
     t = np.stack(acc)
     acc.clear()  # the term arrays live on in t
@@ -262,7 +263,10 @@ def _fsum_columns(acc, safe: np.ndarray, need: np.ndarray | None = None) -> np.n
         out[redo & ~need] = math.nan
         redo &= need
     for i in np.flatnonzero(redo).tolist():
-        out[i] = math.fsum(t[:, i].tolist())
+        try:
+            out[i] = math.fsum(t[:, i].tolist())
+        except (ValueError, OverflowError):
+            out[i] = math.nan
     return out
 
 

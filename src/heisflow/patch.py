@@ -37,7 +37,6 @@ __all__ = [
     "eval_jets",
     "grid_points",
     "blocks",
-    "per_value",
     "jacobians",
     "fd_jet2",
     "fd_step",
@@ -164,20 +163,6 @@ def grid_points(us, vs) -> tuple[np.ndarray, np.ndarray]:
 def blocks(n: int) -> list[slice]:
     """Consecutive slices of at most :data:`JET_BLOCK` points covering range(n)."""
     return [slice(i, min(i + JET_BLOCK, n)) for i in range(0, n, JET_BLOCK)]
-
-
-def per_value(fn: Callable[[float], tuple], a: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar function of one parameter once per distinct value.
-
-    ``fn`` returns a (possibly nested) tuple of floats; the result holds one
-    row per flattened output of ``fn`` and one column per entry of ``a``.
-    Values are distinct by bit pattern, so -0.0 and 0.0 are evaluated
-    separately and each entry sees exactly what a scalar call would.
-    """
-    keys, inverse = np.unique(np.ascontiguousarray(a, float).view(np.int64),
-                              return_inverse=True)
-    table = np.array([fn(s) for s in keys.view(np.float64).tolist()], float)
-    return table.reshape(len(keys), -1)[inverse.reshape(-1)].T
 
 
 def jacobians(j: Jet2) -> tuple[float, float, float]:

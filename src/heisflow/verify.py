@@ -80,7 +80,6 @@ from .patch import (
     jet2,
     jet2_batch,
     make_surface,
-    per_value,
     reparametrize_affine,
 )
 from .rng import Lcg64
@@ -251,7 +250,7 @@ def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
             for _ in range(2000)
         ])
         for s, v in (sv[sl].T for sl in blocks(len(sv))):
-            c0, c1, c2 = per_value(lambda x: ruling_form_coefficients(spec, x), s)
+            c0, c1, c2 = ruling_form_coefficients(spec, s)
             c = c0 + v * (c1 + v * c2)  # as ruling_form_coeff evaluates it
             jets = eval_jets(surf, s, v)
             p_u, p_v = induced_form_batch(jets)
@@ -383,7 +382,7 @@ def check_contact_factor(seed: int, eps_char: float) -> list[CheckResult]:
         spec.angle, spec.curve.domain, spec.v_range, label="normal-form"
     )
     u, v = grid_points(*source.domain.linspace(21, 21))
-    lam = np.array([plane_contact_factor(spec, *p) for p in zip(u.tolist(), v.tolist())])
+    lam = plane_contact_factor(spec, u, v)
     src_u, src_v = induced_form_batch(eval_jets(source, u, v))
     tgt_u, tgt_v = induced_form_batch(eval_jets(target, u, v))
     err = np.abs(np.stack((tgt_u - lam * src_u, tgt_v - lam * src_v)))

@@ -266,11 +266,17 @@ def test_fsum_columns_matches_fsum():
             np.testing.assert_array_equal(bits(got), bits(want))
 
 
-def test_fsum_columns_unsafe_rows_raise_like_fsum():
+def test_fsum_columns_give_nan_where_fsum_raises():
     t = np.ones((3, 4))
     t[:, 2] = (math.inf, -math.inf, 1.0)
+    t[:, 3] = (1e308, 1e308, -1e308)
     with pytest.raises(ValueError, match="inf"):
-        _fsum_columns(list(t), np.zeros(4, bool))
+        math.fsum(t[:, 2].tolist())
+    with pytest.raises(OverflowError):
+        math.fsum(t[:, 3].tolist())
+    got = _fsum_columns(list(t), np.zeros(4, bool))
+    assert got[:2].tolist() == [3.0, 3.0] and np.isnan(got[2:]).all()
+    t[:, 3] = 1.0
     need = np.array([True, True, False, True])
     got = _fsum_columns(list(t), np.zeros(4, bool), need)
     assert got[[0, 1, 3]].tolist() == [3.0, 3.0, 3.0] and math.isnan(got[2])

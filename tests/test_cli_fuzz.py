@@ -24,6 +24,26 @@ OVERFLOW_GRAPH = {
     "domain": {"u": [0, 1e60], "v": [0, 1]},
     "fu": [{"kind": "poly", "coeff": 1, "k": 6}],
 }
+# sin(6 u) past the float range, where math.sin raises
+TRIG_GRAPH = {
+    "type": "graph",
+    "domain": {"u": [0, 1e308], "v": [0, 1]},
+    "fu": [{"kind": "sin", "coeff": 1, "k": 6}],
+}
+# a ruling angle theta = s^6 that overflows, so cos theta is taken of inf
+TRIG_THETA = {
+    "type": "ruled",
+    "curve": {"x": [], "y": [{"kind": "poly", "coeff": 1, "k": 1}], "t": [], "domain": [0.5, 1e60]},
+    "theta": [{"kind": "poly", "coeff": 1, "k": 6}],
+    "v_range": [0.25, 1.25],
+}
+# finite jets whose curvature sums overflow: inf - inf inside math.fsum
+HUGE_RULED = {
+    "type": "ruled",
+    "curve": {"x": [], "y": [{"kind": "poly", "coeff": 1e300, "k": 1}], "t": [], "domain": [0.5, 2.0]},
+    "theta": [],
+    "v_range": [0.25, 1.25],
+}
 
 numbers = st.one_of(
     st.floats(-3.0, 3.0),
@@ -108,6 +128,15 @@ def seed_args(spec, fu, fv):
 @example(spec=OVERFLOW_GRAPH, command="eval", fu=0.5, fv=0.5)
 @example(spec=OVERFLOW_GRAPH, command="locus", fu=0.5, fv=0.5)
 @example(spec=OVERFLOW_GRAPH, command="flow", fu=0.5, fv=0.5)
+@example(spec=TRIG_GRAPH, command="eval", fu=0.5, fv=0.5)
+@example(spec=TRIG_GRAPH, command="locus", fu=0.5, fv=0.5)
+@example(spec=TRIG_GRAPH, command="flow", fu=0.5, fv=0.5)
+@example(spec=TRIG_THETA, command="eval", fu=0.5, fv=0.5)
+@example(spec=TRIG_THETA, command="locus", fu=0.5, fv=0.5)
+@example(spec=TRIG_THETA, command="flow", fu=0.5, fv=0.5)
+@example(spec=HUGE_RULED, command="eval", fu=0.5, fv=0.5)
+@example(spec=HUGE_RULED, command="locus", fu=0.5, fv=0.5)
+@example(spec=HUGE_RULED, command="flow", fu=0.5, fv=0.5)
 def test_surface_files_end_in_a_documented_exit(spec, command, fu, fv):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "surface.json")

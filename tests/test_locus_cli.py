@@ -358,6 +358,50 @@ class TestCli:
         assert proc.stderr.startswith("heisflow: non-finite jet component in ")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "spec, seed",
+        [
+            ({"type": "graph", "domain": {"u": [0, 1e308], "v": [0, 1]},
+              "fu": [{"kind": "sin", "coeff": 1, "k": 6}]}, "1e308"),
+            ({"type": "ruled", "theta": [{"kind": "poly", "coeff": 1, "k": 6}],
+              "v_range": [0.25, 1.25],
+              "curve": {"x": [], "y": [{"kind": "poly", "coeff": 1, "k": 1}], "t": [],
+                        "domain": [0.5, 1e60]}}, "5e59"),
+        ],
+        ids=["sin", "theta"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "locus", "flow"])
+    def test_trig_past_the_float_range_exits_two(self, tmp_path, capsys, spec, seed, command):
+        # cos and sin of inf are NaN, so the jet is non-finite: no math domain error
+        path = tmp_path / "trig.json"
+        path.write_text(json.dumps(spec))
+        argv = {
+            "eval": ["eval", str(path), "--grid", "3x3"],
+            "locus": ["locus", str(path), "--grid", "3x3"],
+            "flow": ["flow", str(path), "--seed", seed, "0.5", "--steps", "3"],
+        }[command]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("heisflow: non-finite jet component in ")
+
+    def test_huge_finite_jets_give_null_curvature(self, tmp_path, capsys):
+        # y = 1e300 s: the curvature sums meet inf - inf, which fsum rejects
+        spec = {"type": "ruled", "theta": [], "v_range": [0.25, 1.25],
+                "curve": {"x": [], "y": [{"kind": "poly", "coeff": 1e300, "k": 1}], "t": [],
+                          "domain": [0.5, 2.0]}}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["eval", str(path), "--grid", "3x3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = json.loads(captured.out)["rows"]
+        assert len(rows) == 9 and all(row[-1] is None for row in rows)
+
     def test_bad_grid_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "plane_t0", "--grid", "3by3"])

@@ -18,7 +18,6 @@ from .builders import (
     Term,
     TermSum,
     build_cylinder,
-    build_graph,
     build_graph_separable,
     build_plane_flow_patch,
     build_straight_ruled,

@@ -21,12 +21,12 @@ so the patch is characteristic exactly where c vanishes and is horizontally
 minimal everywhere else.
 
 The term jets and every formula built on them take a float or a float
-array, so each builder writes its jet once and uses it twice: with floats
-for the scalar jet and with arrays for the batch
-(:func:`heisflow.patch.eval_jets`).  Both calls run the same floating-point
-operations in the same order and agree bit for bit: cosine and sine are
-math's for a float and numpy's for an array, and ``**`` is Python's, entry
-by entry, except for the exponent 1.
+array, so each builder hands :func:`heisflow.patch.make_surface` one field
+formula, which :func:`heisflow.patch.eval_jet2` runs on floats and
+:func:`heisflow.patch.eval_jets` on arrays.  Both calls run the same
+floating-point operations in the same order and agree bit for bit: cosine
+and sine are math's for a float and numpy's for an array, and ``**`` is
+Python's, entry by entry, except for the exponent 1.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     ZeroInRange,
 )
 from .heis import _per_element
-from .patch import Domain, SurfaceHandle, jet2, jet2_batch, make_surface
+from .patch import Domain, SurfaceHandle, make_surface
 from .rng import Lcg64
 
 __all__ = [
@@ -69,7 +69,6 @@ __all__ = [
     "build_plane_flow_patch",
     "build_tangent_developable",
     "build_cylinder",
-    "build_graph",
     "build_graph_separable",
     "catalog_get",
     "CATALOG",
@@ -251,15 +250,6 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _surface(fields, domain: Domain, label: str, check_grid=(21, 21)) -> SurfaceHandle:
-    """make_surface with the scalar and the batch jet of one formula:
-    ``fields(u, v)``, on floats or on arrays, gives the fields of jet2."""
-    return make_surface(
-        lambda u, v: jet2(*fields(u, v)), domain, label, check_grid,
-        batch_jet=lambda u, v: jet2_batch(len(u), *fields(u, v)),
-    )
-
-
 def _ruled_fields(spec: RuledSpec, s, v):
     (x, x1, x2, _), (y, y1, y2, _), (t, t1, t2, _) = spec.curve.jet3(s)
     a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
@@ -333,7 +323,7 @@ def build_straight_ruled(
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"
         )
-    return _surface(
+    return make_surface(
         lambda s, v: _ruled_fields(spec, s, v),
         Domain(s0, s1, v0, v1),
         label if label is not None else (spec.name or "ruled"),
@@ -437,7 +427,7 @@ def build_tangent_developable(
             (x2, y2, t2),
         )
 
-    return _surface(fields, Domain(s0, s1, v0, v1), label, check_grid)
+    return make_surface(fields, Domain(s0, s1, v0, v1), label, check_grid)
 
 
 def build_cylinder(
@@ -470,33 +460,7 @@ def build_cylinder(
         (x, x1, x2, _), (y, y1, y2, _), _ = profile.jet3(u)
         return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
-    return _surface(fields, Domain(s0, s1, h0, h1), label, check_grid)
-
-
-def build_graph(
-    f_jets,
-    domain: Domain,
-    label: str = "graph",
-) -> SurfaceHandle:
-    """Graph patch (u, v, f(u, v)) from a callable returning the 2-jet of f.
-
-    ``f_jets(u, v)`` must return (f, f_u, f_v, f_uu, f_uv, f_vv).  Graphs
-    are immersions unconditionally, so no regularity sampling is run.
-    """
-    return make_surface(
-        lambda u, v: jet2(*_graph_fields(u, v, *f_jets(u, v))), domain, label, check_grid=None
-    )
-
-
-def _graph_fields(u, v, f, fu, fv, fuu, fuv, fvv):
-    return (
-        (u, v, f),
-        (1.0, 0.0, fu),
-        (0.0, 1.0, fv),
-        (0.0, 0.0, fuu),
-        (0.0, 0.0, fuv),
-        (0.0, 0.0, fvv),
-    )
+    return make_surface(fields, Domain(s0, s1, h0, h1), label, check_grid)
 
 
 def build_graph_separable(
@@ -510,9 +474,17 @@ def build_graph_separable(
     def fields(u, v):
         fu0, fu1, fu2, _ = f_of_u.jet(u)
         fv0, fv1, fv2, _ = f_of_v.jet(v)
-        return _graph_fields(u, v, fu0 + fv0, fu1, fv1, fu2, 0.0, fv2)
+        return (
+            (u, v, fu0 + fv0),
+            (1.0, 0.0, fu1),
+            (0.0, 1.0, fv1),
+            (0.0, 0.0, fu2),
+            (0.0, 0.0, 0.0),
+            (0.0, 0.0, fv2),
+        )
 
-    return _surface(fields, domain, label, check_grid=None)
+    # Graphs are immersions unconditionally, so no regularity sampling is run.
+    return make_surface(fields, domain, label, check_grid=None)
 
 
 def _poly(*coeff_deg: tuple[float, int]) -> TermSum:
@@ -540,7 +512,7 @@ def _cone_lower() -> SurfaceHandle:
             (-u * cv, -u * sv, 0.0),
         )
 
-    return _surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
+    return make_surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
 
 
 _CYLINDER_RE = re.compile(r"^cylinder\((?P<radius>[^)]+)\)$")
@@ -589,7 +561,7 @@ def catalog_get(name: str) -> SurfaceHandle:
             label=name,
         )
     if name == "vertical_plane_x0":
-        return _surface(
+        return make_surface(
             lambda u, v: ((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
             Domain(-2.0, 2.0, -2.0, 2.0),
             name,

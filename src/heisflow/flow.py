@@ -11,9 +11,10 @@ A leg stops for one of three reasons:
 * ``domain-exit``: an RK4 stage or the accepted point left the parameter
   rectangle;
 * ``characteristic-proximity``: ||N^h|| dropped under STOP_FACTOR times the
-  scale-aware threshold, or the field direction reversed between
-  consecutive accepted points (the step straddled the locus, where the
-  kernel field flips sign);
+  scale-aware threshold, or the field at an RK4 stage or at the new point
+  reversed against the field at the step's start (the step straddled the
+  locus, where the kernel field flips sign), or the projected chord of the
+  step collapsed under half the step;
 * ``step-limit``: max_steps completed without either event.
 
 :func:`integrate_flows` traces many leaves of one surface: a few legs run
@@ -52,6 +53,7 @@ from .patch import (
     _raw_jets,
     eval_jet2,
     eval_jets,
+    jet2,
 )
 
 __all__ = [
@@ -75,7 +77,11 @@ STOP_FACTOR = 10.0
 # only for enough legs.  Measured with 150-step legs from random seeds on
 # the five catalog surfaces of the benchmark and one random ruled patch,
 # median over the six of the lockstep/scalar time ratio: 1.43 at 6 legs,
-# 1.13 at 8, 0.88 at 10, 0.59 at 16.
+# 1.13 at 8, 0.88 at 10, 0.59 at 16.  At 2 legs, the one-seed call that
+# the benchmark's ``leaves`` workload makes, _fields on 2 points costs
+# 83-169 us against 18-34 us for one _field call, and lockstep for every
+# leg count (this constant at 0) took ``leaves`` run_s from 2.88-2.96 s to
+# 9.00-9.06 s (x3.1), so the scalar stepper stays.
 LOCKSTEP_MIN_LEGS = 10
 
 
@@ -143,9 +149,10 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
         except _LegStop as stop:
             reason = stop.reason
             break
-        if fn[0] * f[0] + fn[1] * f[1] < 0.0:
-            # Field reversed within one step: the leaf crossed the
-            # characteristic locus between samples.  Reject the new point.
+        if any(k[0] * f[0] + k[1] * f[1] < 0.0 for k in (k2, k3, k4, fn)):
+            # Field reversed within one step: a stage or the new point lies
+            # across the characteristic locus, where the field flips sign.
+            # Reject the new point.
             reason = "characteristic-proximity"
             break
         if math.hypot(fn[2] - f[2], fn[3] - f[3]) < 0.5 * abs(h):
@@ -161,20 +168,21 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
 
 def _stage_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
     """Jets at the points (u[i], v[i]), all inside the domain, and the mask
-    of the points whose jet function refused them with OutOfDomain, as a
-    stencil jet (:func:`heisflow.patch.from_value_map`) does next to the
-    edge.  There eval_jet2 raises, which a leg takes as a domain exit."""
+    of the points whose field formula refused them with OutOfDomain, as a
+    stencil (:func:`heisflow.patch.from_value_map`) does next to the edge.
+    There eval_jet2 raises, which a leg takes as a domain exit; one refusal
+    fails the array call, so the formula then runs point by point."""
     refused = np.zeros(len(u), bool)
     if not len(u):
         return np.empty((0, 6, 3)), refused
     try:
         with np.errstate(all="ignore"):
-            jets = _raw_jets(surface)(u, v)
+            jets = _raw_jets(surface, u, v)
     except OutOfDomain:
         jets = np.zeros((len(u), 6, 3))
         for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
             try:
-                j = surface.jet(a, b)
+                j = jet2(*surface.fields(a, b))
             except OutOfDomain:
                 refused[i] = True
                 continue
@@ -248,9 +256,11 @@ def _lockstep(surface, u, v, h, f, max_steps, eps_char):
         un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
         fn, stop = _fields(surface, un, vn, eps_char)
-        # the field reversal and the chord collapse of _leg
+        # the field reversals and the chord collapse of _leg
         chord = _per_element(math.hypot, fn[2] - f[2], fn[3] - f[3])
-        turned = (fn[0] * f[0] + fn[1] * f[1] < 0.0) | (chord < 0.5 * abs(h))
+        turned = chord < 0.5 * abs(h)
+        for k in (k2, k3, k4, fn):
+            turned |= k[0] * f[0] + k[1] * f[1] < 0.0
         stop = np.where(stop == 0, np.where(turned, 2, 0), stop)
         legs, un, vn, h, fn = retire(stop, legs, un, vn, h, fn)
         taken.append((legs, un, vn))

@@ -1,18 +1,17 @@
 """Surface patches as second-order jet evaluators over rectangular domains.
 
-A :class:`SurfaceHandle` bundles a closed parameter rectangle with a function
-returning the full 2-jet of the parametrisation at a point: the ambient value
+A :class:`SurfaceHandle` bundles a closed parameter rectangle with one field
+formula for the full 2-jet of the parametrisation: the ambient value
 (x, y, t), the six first partials and the nine second partials (mixed partials
 symmetric, stored once).  Built-in surfaces differentiate in closed form;
 value-only user maps get central-difference jets via :func:`fd_jet2` or the
 :func:`from_value_map` adapter.  Handles are immutable; re-parametrisation
 produces a fresh handle.
 
-Point sets are evaluated in batches by :func:`eval_jets`, which returns the
-jets as one array of shape (N, 6, 3): rows are points, then the fields
-value, du, dv, duu, duv, dvv, then the coordinates x, y, t.  Built-in
-surfaces supply the batch in closed form, bit-identical to their scalar jets;
-any other handle falls back to stacking its scalar jets.
+The formula takes floats or float arrays: :func:`eval_jet2` evaluates it at
+one point, and :func:`eval_jets` at a point set, returning the jets as one
+array of shape (N, 6, 3): rows are points, then the fields value, du, dv,
+duu, duv, dvv, then the coordinates x, y, t.
 """
 
 from __future__ import annotations
@@ -177,36 +176,23 @@ def jacobians(j: Jet2) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class SurfaceHandle:
-    """Immutable surface patch: a domain plus a 2-jet evaluator.
+    """Immutable surface patch: a domain plus a 2-jet field formula.
 
+    ``fields(u, v)`` takes floats or equal-length float arrays and returns
+    the three to six field triples of :func:`jet2`, with floats standing for
+    every point; :func:`eval_jet2` and :func:`eval_jets` check its output.
     The parameter order carries the orientation; flipping it means building
     a new handle with swapped parameters.
     """
 
     domain: Domain
-    jet: Callable[[float, float], Jet2]
+    fields: Callable
     label: str = ""
-    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    """Optional closed-form batch of ``jet``: arrays u, v to an (N, 6, 3)
-    jet array.  It skips the domain and finite checks, which
-    :func:`eval_jets` runs once per batch."""
 
 
-def _stacked(jet_fn: Callable[[float, float], Jet2]):
-    """Batch evaluator built from a scalar jet function, one point at a time."""
-
-    def batch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        rows = [
-            [getattr(j, name) for name in _JET_FIELDS]
-            for j in map(jet_fn, u.tolist(), v.tolist())
-        ]
-        return np.array(rows, float).reshape(len(rows), 6, 3)
-
-    return batch
-
-
-def _raw_jets(surface: SurfaceHandle):
-    return surface.batch_jet or _stacked(surface.jet)
+def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The unchecked (N, 6, 3) jets of ``surface`` at the points (u[i], v[i])."""
+    return jet2_batch(len(u), *surface.fields(u, v))
 
 
 def _check_finite(jets: np.ndarray) -> None:
@@ -230,7 +216,7 @@ def eval_jet2(surface: SurfaceHandle, u: float, v: float) -> Jet2:
     """Evaluate the 2-jet, rejecting parameters outside the domain."""
     if not surface.domain.contains(u, v):
         raise _out_of_domain(surface.domain, u, v)
-    return surface.jet(u, v)
+    return jet2(*surface.fields(u, v))
 
 
 def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
@@ -251,7 +237,7 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
     if not len(u):
         return np.empty((0, 6, 3))
     with np.errstate(all="ignore"):
-        jets = _raw_jets(surface)(u, v)
+        jets = _raw_jets(surface, u, v)
     _check_finite(jets)
     return jets
 
@@ -309,17 +295,22 @@ def fd_jet2(
     )
 
 
-def _check_regularity(
-    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray],
+def make_surface(
+    fields: Callable,
     domain: Domain,
-    grid: tuple[int, int],
-    eps_reg: float,
-    label: str,
-) -> None:
-    u, v = grid_points(*domain.interior_linspace(*grid))
+    label: str = "",
+    check_grid: tuple[int, int] | None = (21, 21),
+    eps_reg: float = EPS_REG,
+) -> SurfaceHandle:
+    """Wrap a field formula (see :class:`SurfaceHandle`), verifying sampled
+    rank-2 regularity on a ``check_grid`` first."""
+    surface = SurfaceHandle(domain=domain, fields=fields, label=label)
+    if check_grid is None:
+        return surface
+    u, v = grid_points(*domain.interior_linspace(*check_grid))
     for sl in blocks(len(u)):
         with np.errstate(all="ignore"):  # huge finite jets overflow to inf
-            jets = batch_jet(u[sl], v[sl])
+            jets = _raw_jets(surface, u[sl], v[sl])
             cross = np.cross(jets[:, 1], jets[:, 2])
             norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
         _check_finite(jets)
@@ -330,26 +321,7 @@ def _check_regularity(
                 f"{label or 'patch'}: |sigma_u x sigma_v| <= {eps_reg:g} "
                 f"at (u, v) = ({u[i]}, {v[i]})"
             )
-
-
-def make_surface(
-    jet_fn: Callable[[float, float], Jet2],
-    domain: Domain,
-    label: str = "",
-    check_grid: tuple[int, int] | None = (21, 21),
-    eps_reg: float = EPS_REG,
-    batch_jet: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-) -> SurfaceHandle:
-    """Wrap a jet evaluator, verifying sampled rank-2 regularity first.
-
-    ``batch_jet`` is the closed-form batch of ``jet_fn`` (see
-    :class:`SurfaceHandle`); without it batches stack scalar jets.
-    """
-    if check_grid is not None:
-        _check_regularity(
-            batch_jet or _stacked(jet_fn), domain, check_grid, eps_reg, label
-        )
-    return SurfaceHandle(domain=domain, jet=jet_fn, label=label, batch_jet=batch_jet)
+    return surface
 
 
 def from_value_map(
@@ -359,12 +331,17 @@ def from_value_map(
     label: str = "",
     check_grid: tuple[int, int] | None = (21, 21),
 ) -> SurfaceHandle:
-    """Finite-difference adapter promoting a value-only map to a handle."""
+    """Finite-difference adapter promoting a value-only map to a handle; the
+    stencil has no array form, so on arrays it runs point by point."""
 
-    def jet_fn(u: float, v: float) -> Jet2:
-        return fd_jet2(value_map, u, v, h=h, domain=domain)
+    def fields(u, v):
+        if not isinstance(u, np.ndarray):
+            j = fd_jet2(value_map, u, v, h=h, domain=domain)
+            return j.value, j.du, j.dv, j.duu, j.duv, j.dvv
+        jets = [fields(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        return np.array(jets, float).reshape(len(u), 6, 3).transpose(1, 2, 0)
 
-    return make_surface(jet_fn, domain, label=label, check_grid=check_grid)
+    return make_surface(fields, domain, label=label, check_grid=check_grid)
 
 
 def reparametrize_affine(
@@ -400,35 +377,28 @@ def reparametrize_affine(
                 f"affine image of corner ({w1}, {w2}) leaves the base domain"
             )
 
-    base_jet = surface.jet
-    base_batch = _raw_jets(surface)
+    base = surface.fields
+    # (d/dw1, d/dw2) from (d/du, d/dv), and the three second partials from
+    # (duu, duv, dvv), coordinate by coordinate
+    first = ((a11, a21), (a12, a22))
+    second = (
+        (a11 * a11, 2.0 * a11 * a21, a21 * a21),
+        (a11 * a12, a11 * a22 + a12 * a21, a21 * a22),
+        (a12 * a12, 2.0 * a12 * a22, a22 * a22),
+    )
 
-    # Shared by the scalar and the batch evaluator: the fields are length-3
-    # arrays for one point or (N, 3) arrays for a batch.
-    def chain_rule(value, du, dv, duu, duv, dvv):
+    def fields(w1, w2):
+        u = a11 * w1 + a12 * w2 + b1
+        v = a21 * w1 + a22 * w2 + b2
+        value, du, dv, duu, duv, dvv = (*base(u, v), _ZERO3, _ZERO3, _ZERO3)[:6]
         return (
             value,
-            a11 * du + a21 * dv,
-            a12 * du + a22 * dv,
-            a11 * a11 * duu + 2.0 * a11 * a21 * duv + a21 * a21 * dvv,
-            a11 * a12 * duu + (a11 * a22 + a12 * a21) * duv + a21 * a22 * dvv,
-            a12 * a12 * duu + 2.0 * a12 * a22 * duv + a22 * a22 * dvv,
+            *([c * p + d * q for p, q in zip(du, dv)] for c, d in first),
+            *([c * p + d * r + e * q for p, r, q in zip(duu, duv, dvv)] for c, d, e in second),
         )
-
-    def jet_fn(w1: float, w2: float) -> Jet2:
-        u = a11 * w1 + a12 * w2 + b1
-        v = a21 * w1 + a22 * w2 + b2
-        j = base_jet(u, v)
-        return Jet2(*chain_rule(j.value, j.du, j.dv, j.duu, j.duv, j.dvv))
-
-    def batch_jet(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
-        u = a11 * w1 + a12 * w2 + b1
-        v = a21 * w1 + a22 * w2 + b2
-        return np.stack(chain_rule(*base_batch(u, v).transpose(1, 0, 2)), axis=1)
 
     return SurfaceHandle(
         domain=new_domain,
-        jet=jet_fn,
+        fields=fields,
         label=label or (surface.label + "/reparam" if surface.label else "reparam"),
-        batch_jet=batch_jet,
     )

@@ -72,12 +72,10 @@ from .horizontal import (
 from .locus import characteristic_locus
 from .patch import (
     Domain,
-    Jet2,
     blocks,
     eval_jet2,
     eval_jets,
     grid_points,
-    jet2,
     jet2_batch,
     make_surface,
     reparametrize_affine,
@@ -393,11 +391,11 @@ def check_contact_factor(seed: int, eps_char: float) -> list[CheckResult]:
 def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
     """(0, u, v) -> (uv, u, 0) scales the induced form by exactly -2u^2."""
 
-    def source_jet(u: float, v: float) -> Jet2:
-        return jet2((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    def source_fields(u, v):
+        return (0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
-    def image_jet(u: float, v: float) -> Jet2:
-        return jet2(
+    def image_fields(u, v):
+        return (
             (u * v, u, 0.0),
             (v, 1.0, 0.0),
             (u, 0.0, 0.0),
@@ -406,8 +404,8 @@ def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
         )
 
     dom = Domain(0.25, 2.0, -2.0, 2.0)
-    source = make_surface(source_jet, dom, "vertical-plane-strip")
-    image = make_surface(image_jet, dom, "graph-image")
+    source = make_surface(source_fields, dom, "vertical-plane-strip")
+    image = make_surface(image_fields, dom, "graph-image")
     u, v = grid_points(*dom.linspace(21, 21))
     ratio = -2.0 * u * u
     src_u, src_v = induced_form_batch(eval_jets(source, u, v))

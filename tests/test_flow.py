@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from heisflow.errors import CharacteristicPoint, NotHorizontal, TooFewSamples
-from heisflow.flow import cc_length, horizontality_residual, integrate_flow
+from heisflow.flow import (
+    LOCKSTEP_MIN_LEGS,
+    cc_length,
+    horizontality_residual,
+    integrate_flow,
+    integrate_flows,
+)
 from heisflow.patch import eval_jet2
 
 
@@ -54,6 +60,26 @@ def test_stop_reasons_plane(plane_t0):
     assert tr.stop_backward == "characteristic-proximity"
     r = np.hypot(tr.uv[:, 0], tr.uv[:, 1])
     assert r.min() < 1e-3  # pinned close to the locus before stopping
+
+
+@pytest.mark.parametrize(
+    "seed", [(0.012072293540404733, -0.2240575989740221), (-1.3105, 1.1793)]
+)
+def test_reversed_stage_stops_the_leg(paraboloid, seed):
+    # The backward legs end next to the locus u + v = 0 with a step whose
+    # k2, k3 or k4 lies across it and reverses; accepting that step left a
+    # last chord of 2/3 of the step and a planar second difference of 333.
+    ds = 1e-3
+    tr = integrate_flow(paraboloid, *seed, ds=ds, max_steps=150)
+    assert tr.stop_backward == "characteristic-proximity"
+    xy = tr.points[:, :2]
+    second = np.hypot(*((xy[2:] - 2.0 * xy[1:-1] + xy[:-2]) / (ds * ds)).T)
+    assert second.max() <= 1e-4
+    # integrate_flow steps its 2 legs one at a time; with this many legs
+    # integrate_flows runs the lockstep stepper, which stops at the same point
+    (lock, *_) = integrate_flows(paraboloid, [seed] * LOCKSTEP_MIN_LEGS, ds=ds, max_steps=150)
+    assert lock.uv.view(np.int64).tolist() == tr.uv.view(np.int64).tolist()
+    assert (lock.stop_backward, lock.stop_forward) == (tr.stop_backward, tr.stop_forward)
 
 
 def test_stop_reason_step_limit(unit_cylinder):

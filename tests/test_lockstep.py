@@ -22,7 +22,7 @@ from heisflow.builders import (
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
-from heisflow.patch import Domain, eval_jets, jet2, make_surface
+from heisflow.patch import Domain, eval_jets, make_surface
 from heisflow.rng import Lcg64
 
 DS = 1e-2
@@ -31,15 +31,15 @@ STAGES = ("k2", "k3", "k4", "accepted point")
 
 
 def refusing_surface():
-    """The plane t = 0 whose jet function raises OutOfDomain for u > 0.9,
-    as a finite-difference stencil does next to the edge; no batch_jet."""
+    """The plane t = 0 whose field formula raises OutOfDomain when any point
+    has u > 0.9, as a finite-difference stencil does next to the edge."""
 
-    def jet(u, v):
-        if u > 0.9:
+    def fields(u, v):
+        if np.any(np.asarray(u) > 0.9):
             raise OutOfDomain(f"no stencil at ({u}, {v})")
-        return jet2((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        return (u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
 
-    return make_surface(jet, Domain(-1.0, 1.0, -1.0, 1.0), "refusing-plane", check_grid=None)
+    return make_surface(fields, Domain(-1.0, 1.0, -1.0, 1.0), "refusing-plane", check_grid=None)
 
 
 SURFACES = {
@@ -103,14 +103,17 @@ def starts(surface, seeds):
 
 def scalar_legs(surface, seeds, steps):
     """Each leg through flow._leg, forward then backward, with the RK4 stage
-    of each domain exit (counted from the flow._field calls of the leg)."""
+    of each domain exit (counted from the flow._field calls of the leg) and
+    the number of legs that only a k2, k3 or k4 reversed against k1 stops."""
     legs, exit_stages = [], []
+    reversed_stages = 0
     real = flow._field
-    calls = []
+    calls = []  # the field each call returned, None where it raised
 
     def counted(*args):
-        calls.append(args)
-        return real(*args)
+        calls.append(None)
+        calls[-1] = real(*args)
+        return calls[-1]
 
     flow._field = counted
     try:
@@ -122,9 +125,19 @@ def scalar_legs(surface, seeds, steps):
                 if reason == "domain-exit":
                     # call 0 is the seed, then k2, k3, k4 and the new point per step
                     exit_stages.append(STAGES[(len(calls) - 2) % 4])
+                last = calls[-5:]
+                if reason == "characteristic-proximity" and len(last) == 5 and None not in last:
+                    # only a reversed stage stops this step: the new point
+                    # keeps the direction and the chord does not collapse
+                    k1, *ks, fn = last
+                    reversed_stages += (
+                        any(k[0] * k1[0] + k[1] * k1[1] < 0.0 for k in ks)
+                        and fn[0] * k1[0] + fn[1] * k1[1] >= 0.0
+                        and math.hypot(fn[2] - k1[2], fn[3] - k1[3]) >= 0.5 * DS
+                    )
     finally:
         flow._field = real
-    return legs, exit_stages
+    return legs, exit_stages, reversed_stages
 
 
 def lockstep_legs(surface, seeds, rows, steps):
@@ -147,21 +160,22 @@ def leg_runs():
     for name, build in SURFACES.items():
         surface = build()
         edge, rest = seeds_of(name, surface)
-        scalar, lockstep, stages = [], [], []
+        scalar, lockstep, stages, reversals = [], [], [], 0
         # short legs from the edge seeds, long ones from the rest
         for s, steps in ((edge, 3), (rest, 120)):
             s, r = starts(surface, s)
-            legs, exits = scalar_legs(surface, s, steps)
+            legs, exits, rev = scalar_legs(surface, s, steps)
             scalar += legs
             stages += exits
+            reversals += rev
             lockstep += lockstep_legs(surface, s, r, steps)
-        runs[name] = (scalar, lockstep, stages)
+        runs[name] = (scalar, lockstep, stages, reversals)
     return runs
 
 
 @pytest.mark.parametrize("name", list(SURFACES))
 def test_lockstep_legs_match_scalar_legs(leg_runs, name):
-    scalar, lockstep, _ = leg_runs[name]
+    scalar, lockstep, _, _ = leg_runs[name]
     assert len(scalar) == len(lockstep)
     for (want_uv, want_reason), (got_uv, got_reason) in zip(scalar, lockstep):
         assert got_reason == want_reason
@@ -169,10 +183,12 @@ def test_lockstep_legs_match_scalar_legs(leg_runs, name):
 
 
 def test_inputs_reach_every_stop_and_every_exit_stage(leg_runs):
-    reasons = Counter(r for scalar, _, _ in leg_runs.values() for _, r in scalar)
-    stages = Counter(s for _, _, exits in leg_runs.values() for s in exits)
+    reasons = Counter(r for scalar, _, _, _ in leg_runs.values() for _, r in scalar)
+    stages = Counter(s for _, _, exits, _ in leg_runs.values() for s in exits)
     assert set(reasons) == {"domain-exit", "characteristic-proximity", "step-limit"}
     assert set(stages) == set(STAGES)
+    # some leg stops on an RK4 stage reversed across the locus
+    assert sum(run[3] for run in leg_runs.values()) > 0
     # the jet function of refusing-plane refuses stage points in u > 0.9,
     # a step or more from the edges of its domain
     assert any(

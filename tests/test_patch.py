@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from heisflow.builders import catalog_get
 from heisflow.errors import NotRegular, OutOfDomain
 from heisflow.patch import (
     Domain,
     Jet2,
     SurfaceHandle,
     eval_jet2,
+    eval_jets,
     fd_jet2,
     fd_step,
     from_value_map,
+    grid_points,
     jacobians,
     jet2,
     make_surface,
@@ -28,8 +31,8 @@ def quad_map(u, v):
     return (u * u + 0.5 * v, u * v, v * v - u)
 
 
-def quad_jet(u, v):
-    return jet2(
+def quad_fields(u, v):
+    return (
         quad_map(u, v),
         (2.0 * u, v, -1.0),
         (0.5, u, 2.0 * v),
@@ -37,6 +40,10 @@ def quad_jet(u, v):
         (0.0, 1.0, 0.0),
         (0.0, 0.0, 2.0),
     )
+
+
+def quad_jet(u, v):
+    return jet2(*quad_fields(u, v))
 
 
 def test_domain_basic():
@@ -107,7 +114,7 @@ def test_fd_step_floor():
 
 
 def test_make_surface_and_eval():
-    surf = make_surface(quad_jet, DOM, label="quad")
+    surf = make_surface(quad_fields, DOM, label="quad")
     assert isinstance(surf, SurfaceHandle)
     assert surf.label == "quad"
     j = eval_jet2(surf, 0.25, -1.0)
@@ -118,7 +125,7 @@ def test_make_surface_and_eval():
 
 def test_make_surface_rejects_degenerate_patch():
     def collapsed(u, v):
-        return jet2((u + v, u + v, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0))
+        return (u + v, u + v, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 0.0)
 
     with pytest.raises(NotRegular):
         make_surface(collapsed, DOM)
@@ -135,7 +142,7 @@ def test_from_value_map_matches_analytic_jets():
 
 
 def test_reparametrize_affine_chain_rule():
-    surf = make_surface(quad_jet, DOM, label="quad")
+    surf = make_surface(quad_fields, DOM, label="quad")
     a11, a12, a21, a22 = 0.5, 0.125, -0.25, 0.5
     b = (0.25, -0.5)
     new_dom = Domain(-1.0, 1.0, -1.0, 1.0)
@@ -167,8 +174,36 @@ def test_reparametrize_affine_chain_rule():
     )
 
 
+@pytest.mark.parametrize("name", ["vertical_plane_x0", "cylinder(1.0)"])
+def test_reparametrize_affine_pads_short_formulas(name):
+    # these formulas give three and four field triples; the missing second
+    # partials are exact zeros and still go through the chain rule
+    base = catalog_get(name)
+    a11, a12, a21, a22 = 0.5, 0.125, -0.25, 0.5
+    b1, b2 = 1.0, 0.0
+    new_dom = Domain(-1.0, 1.0, -1.0, 1.0)
+    rep = reparametrize_affine(base, ((a11, a12), (a21, a22)), (b1, b2), new_dom)
+    w1, w2 = grid_points(*rep.domain.linspace(9, 7))
+    want = []
+    for x, y in zip(w1.tolist(), w2.tolist()):
+        j = eval_jet2(base, a11 * x + a12 * y + b1, a21 * x + a22 * y + b2)
+        want.append([
+            j.value,
+            a11 * j.du + a21 * j.dv,
+            a12 * j.du + a22 * j.dv,
+            a11 * a11 * j.duu + 2.0 * a11 * a21 * j.duv + a21 * a21 * j.dvv,
+            a11 * a12 * j.duu + (a11 * a22 + a12 * a21) * j.duv + a21 * a22 * j.dvv,
+            a12 * a12 * j.duu + 2.0 * a12 * a22 * j.duv + a22 * a22 * j.dvv,
+        ])
+    want = np.array(want)
+    got = [eval_jet2(rep, x, y) for x, y in zip(w1.tolist(), w2.tolist())]
+    got = np.array([[j.value, j.du, j.dv, j.duu, j.duv, j.dvv] for j in got])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert eval_jets(rep, w1, w2).view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 def test_reparametrize_affine_validation():
-    surf = make_surface(quad_jet, DOM)
+    surf = make_surface(quad_fields, DOM)
     small = Domain(-0.1, 0.1, -0.1, 0.1)
     with pytest.raises(ValueError):  # orientation-reversing
         reparametrize_affine(surf, ((-1.0, 0.0), (0.0, 1.0)), (0.0, 0.0), small)

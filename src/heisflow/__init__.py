@@ -36,7 +36,6 @@ from .curvature import (
     HMinimalityReport,
     is_h_minimal,
     mean_curvature_flow_oracle,
-    mean_curvature_jacobian_quotient,
     mean_curvature_local,
     signed_curvature_plane,
 )
@@ -87,31 +86,19 @@ from .heis import (
 )
 from .horizontal import (
     EPS_CHAR,
-    CharCheck,
-    FlowDirection,
-    HorizontalNormal,
-    InducedFormCoeffs,
     char_threshold,
-    flow_direction,
-    horizontal_normal,
-    induced_form,
-    induced_form_curl,
-    is_characteristic,
-    nh_euclidean,
+    horizontal_normal_batch,
+    induced_form_batch,
     normal_compatibility,
-    unit_horizontal_normal,
 )
 from .locus import LocusPoint, characteristic_locus
 from .patch import (
     EPS_REG,
     Domain,
-    Jet2,
     SurfaceHandle,
-    eval_jet2,
+    eval_jets,
     fd_jet2,
     from_value_map,
-    jacobians,
-    jet2,
     make_surface,
     reparametrize_affine,
 )

@@ -22,7 +22,7 @@ minimal everywhere else.
 
 The term jets and every formula built on them take a float or a float
 array, so each builder hands :func:`heisflow.patch.make_surface` one field
-formula, which :func:`heisflow.patch.eval_jet2` runs on floats and
+formula, which the flow's scalar stepper runs on floats and
 :func:`heisflow.patch.eval_jets` on arrays.  Both calls run the same
 floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is

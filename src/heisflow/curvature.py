@@ -16,8 +16,7 @@ algebraically with the determinant quotient
 but unlike the quotient it stays well conditioned near the characteristic
 locus and remains meaningful when d(x,y) vanishes identically, e.g. on
 cylinders over plane curves, where it returns the signed curvature of the
-profile instead of a conventional zero.  The quotient form is kept as
-:func:`mean_curvature_jacobian_quotient` for cross-checks.
+profile instead of a conventional zero.
 
 Sign conventions: a unit-speed plane curve with velocity (-nu2, nu1) and
 acceleration kappa * (-nu1, -nu2) has signed curvature kappa; the
@@ -54,11 +53,10 @@ from .errors import (
     NearCharacteristicWarning,
     ZeroSpeed,
 )
-from .horizontal import EPS_CHAR, char_threshold, horizontal_normal_batch, is_characteristic
-from .patch import SurfaceHandle, blocks, eval_jet2, eval_jets, grid_points
+from .horizontal import EPS_CHAR, char_threshold, horizontal_normal_batch
+from .patch import SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = [
-    "EPS_JACOBIAN",
     "MINIMALITY_BAND",
     "NEAR_CHAR_FACTOR",
     "CurvatureSample",
@@ -69,14 +67,9 @@ __all__ = [
     "mean_curvature_local",
     "mean_curvature_batch",
     "curvature_scan",
-    "mean_curvature_jacobian_quotient",
     "mean_curvature_flow_oracle",
     "is_h_minimal",
 ]
-
-# Below this |d(x,y)| the determinant-quotient form switches to its
-# vertical-tangency convention.
-EPS_JACOBIAN = 1e-10
 
 # Conditioning margin: within NEAR_CHAR_FACTOR * threshold of the
 # characteristic locus the local formula is flagged as degraded.
@@ -450,44 +443,6 @@ def curvature_scan(
     return CurvatureScan(*(a.reshape(len(surfaces), n) for a in (H, skip, char)))
 
 
-def mean_curvature_jacobian_quotient(
-    surface: SurfaceHandle,
-    u: float,
-    v: float,
-    *,
-    eps_char: float = EPS_CHAR,
-    eps_jacobian: float = EPS_JACOBIAN,
-) -> float:
-    """Determinant form (d(nu1,y) + d(x,nu2)) / d(x,y) of the local formula.
-
-    By convention returns 0 when |d(x,y)| < ``eps_jacobian``, which is only
-    geometrically meaningful when the patch genuinely sits inside a plane
-    containing the vertical direction; see the module docstring.  Kept for
-    cross-checking :func:`mean_curvature_local`.
-    """
-    jets = eval_jets(surface, [u], [v])
-    cols, total = _jet_columns(jets)
-    (xu, yu, _), (xv, yv, _) = cols[2:4]
-    with np.errstate(all="ignore"):
-        sums = _normal_sums(*cols, total=total)
-        jxy = _fsum_terms(((xu, yv), (-yu, xv)), total=total)
-    n1, n2, n1_u, n1_v, n2_u, n2_v, jxy, xu, yu, xv, yv = (
-        float(a[0]) for a in (*sums, jxy, xu, yu, xv, yv)
-    )
-    q2 = n1 * n1 + n2 * n2
-    q = math.sqrt(q2)
-    _raise_if_characteristic(np.array([q]), q < char_threshold(jets, eps_char))
-    if abs(jxy) < eps_jacobian:
-        return 0.0
-    q3 = q2 * q
-    nu1_u = n2 * (n2 * n1_u - n1 * n2_u) / q3
-    nu1_v = n2 * (n2 * n1_v - n1 * n2_v) / q3
-    nu2_u = n1 * (n1 * n2_u - n2 * n1_u) / q3
-    nu2_v = n1 * (n1 * n2_v - n2 * n1_v) / q3
-    num = (nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)
-    return num / jxy
-
-
 def mean_curvature_flow_oracle(
     surface: SurfaceHandle,
     u: float,
@@ -515,7 +470,7 @@ def mean_curvature_flow_oracle(
             "flow leaf too short on one side of the seed for a curvature stencil"
         )
     (kappa,) = _seed_curvatures([trace], ds).tolist()
-    q = is_characteristic(eval_jet2(surface, u, v), eps_char).nh_norm
+    q = float(horizontal_normal_batch(eval_jets(surface, [u], [v]))[2][0])
     return CurvatureSample(u, v, kappa, "flow-oracle", q)
 
 

@@ -19,7 +19,10 @@ A leg stops for one of three reasons:
 
 :func:`integrate_flows` traces many leaves of one surface: a few legs run
 one at a time through the scalar stepper :func:`_leg`, more in lockstep
-on arrays through :func:`_lockstep`, with the same bits either way.
+on arrays through :func:`_lockstep`, with the same bits either way.  The
+scalar stepper runs the surface's field formula and the first-order
+formulas of :mod:`heisflow.horizontal` on Python floats, the lockstep on
+the jet arrays of :func:`heisflow.patch.eval_jets`.
 :func:`integrate_flow` is its one-seed call.
 """
 
@@ -43,17 +46,15 @@ from .horizontal import (
     _normal_components,
     _pullback_coeffs,
     _threshold,
-    char_threshold,
-    is_characteristic,
+    horizontal_normal_batch,
 )
 from .patch import (
-    _JET_FIELDS,
     SurfaceHandle,
     _check_finite,
+    _out_of_domain,
     _raw_jets,
-    eval_jet2,
     eval_jets,
-    jet2,
+    jet2_batch,
 )
 
 __all__ = [
@@ -73,16 +74,15 @@ STOP_FACTOR = 10.0
 
 # integrate_flows steps fewer legs than this one at a time through _leg,
 # and more in lockstep through _lockstep; both give the same bits.  A
-# batched field evaluation costs several scalar ones, so lockstep pays
-# only for enough legs.  Measured with 150-step legs from random seeds on
-# the five catalog surfaces of the benchmark and one random ruled patch,
-# median over the six of the lockstep/scalar time ratio: 1.43 at 6 legs,
-# 1.13 at 8, 0.88 at 10, 0.59 at 16.  At 2 legs, the one-seed call that
-# the benchmark's ``leaves`` workload makes, _fields on 2 points costs
-# 83-169 us against 18-34 us for one _field call, and lockstep for every
-# leg count (this constant at 0) took ``leaves`` run_s from 2.88-2.96 s to
-# 9.00-9.06 s (x3.1), so the scalar stepper stays.
-LOCKSTEP_MIN_LEGS = 10
+# batched field evaluation costs many scalar ones, so lockstep pays only
+# for enough legs.  Measured with 150-step legs from random seeds on the
+# five catalog surfaces of the benchmark and one random ruled patch (2
+# cores, Python 3.11, numpy 2.4), median over the six of the
+# lockstep/scalar time ratio: 8.3 at 2 legs, 2.1 at 8, 1.5 at 12, 1.0-1.2
+# at 16, 0.7 at 24.  One _field call costs 6-23 us, _fields on 2 points
+# 120-260 us.  At 2 legs, the one-seed call of ``heisflow flow``, the
+# scalar stepper is the only fast one.
+LOCKSTEP_MIN_LEGS = 16
 
 
 class _LegStop(Exception):
@@ -114,13 +114,21 @@ class FlowTrace:
 
 
 def _field(surface: SurfaceHandle, u: float, v: float, eps_char: float):
-    j = eval_jet2(surface, u, v)
-    n1, n2 = _normal_components(j)
+    """The field (du, dv) and the point's x, y at one parameter point, from
+    the field formula on floats: what :func:`_field_rows` gives for the jet
+    of :func:`heisflow.patch.eval_jets`, which raises what this raises."""
+    if not surface.domain.contains(u, v):
+        raise _out_of_domain(surface.domain, u, v)
+    fields = surface.fields(u, v)
+    if not all(math.isfinite(c) for f in fields for c in f):
+        _check_finite(jet2_batch(1, *fields))
+    (x, y, _), du, dv = ([float(c) for c in f] for f in fields[:3])
+    n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
     q = math.hypot(n1, n2)
-    if q < STOP_FACTOR * char_threshold(j, eps_char):
+    if q < STOP_FACTOR * _threshold.formula(x, y, du, dv, math.sqrt, eps_char):
         raise _LegStop("characteristic-proximity")
-    p_u, p_v = _pullback_coeffs(j)
-    return p_v / q, -p_u / q, float(j.value[0]), float(j.value[1])
+    p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
+    return p_v / q, -p_u / q, x, y
 
 
 def _leg(surface, u0, v0, h, max_steps, eps_char):
@@ -170,8 +178,8 @@ def _stage_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
     """Jets at the points (u[i], v[i]), all inside the domain, and the mask
     of the points whose field formula refused them with OutOfDomain, as a
     stencil (:func:`heisflow.patch.from_value_map`) does next to the edge.
-    There eval_jet2 raises, which a leg takes as a domain exit; one refusal
-    fails the array call, so the formula then runs point by point."""
+    There :func:`_field` raises, which a leg takes as a domain exit; one
+    refusal fails the array call, so the formula then runs point by point."""
     refused = np.zeros(len(u), bool)
     if not len(u):
         return np.empty((0, 6, 3)), refused
@@ -182,11 +190,9 @@ def _stage_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
         jets = np.zeros((len(u), 6, 3))
         for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
             try:
-                j = jet2(*surface.fields(a, b))
+                jets[i] = jet2_batch(1, *surface.fields(a, b))[0]
             except OutOfDomain:
                 refused[i] = True
-                continue
-            jets[i] = [getattr(j, name) for name in _JET_FIELDS]
     _check_finite(jets)
     return jets, refused
 
@@ -296,6 +302,15 @@ def integrate_flows(
     rows, near = _field_rows(eval_jets(surface, seeds[:, 0], seeds[:, 1]), eps_char)
     ok = np.flatnonzero(~near)
     starts = seeds[ok]
+    # A step that leaves a seed in place would read as a collapsed chord,
+    # a false characteristic-proximity stop.
+    step = ds * rows[:2, ok].T
+    stuck = (starts + step == starts).all(axis=1) | (starts - step == starts).all(axis=1)
+    if stuck.any():
+        u, v = starts[np.argmax(stuck)].tolist()
+        raise ValueError(
+            f"ds = {ds} is below the resolution of the seed ({u}, {v}): a step cannot move it"
+        )
     if 2 * len(ok) < LOCKSTEP_MIN_LEGS:
         legs = []
         for u, v in starts.tolist():
@@ -348,7 +363,7 @@ def integrate_flow(
         surface, [(u, v)], ds=ds, max_steps=max_steps, eps_char=eps_char
     )
     if trace is None:
-        q = is_characteristic(eval_jet2(surface, u, v), eps_char).nh_norm
+        q = horizontal_normal_batch(eval_jets(surface, [u], [v]))[2][0]
         raise CharacteristicPoint(
             f"seed too close to the characteristic locus: ||N^h|| = {q:.3e}"
         )

@@ -8,10 +8,11 @@ value-only user maps get central-difference jets via :func:`fd_jet2` or the
 :func:`from_value_map` adapter.  Handles are immutable; re-parametrisation
 produces a fresh handle.
 
-The formula takes floats or float arrays: :func:`eval_jet2` evaluates it at
-one point, and :func:`eval_jets` at a point set, returning the jets as one
+The formula takes floats or float arrays.  :func:`eval_jets` evaluates it
+at a point set, one point being a set of one, and returns the jets as one
 array of shape (N, 6, 3): rows are points, then the fields value, du, dv,
-duu, duv, dvv, then the coordinates x, y, t.
+duu, duv, dvv, then the coordinates x, y, t.  That array is the only jet
+representation.
 """
 
 from __future__ import annotations
@@ -26,17 +27,13 @@ from .errors import NotRegular, OutOfDomain
 
 __all__ = [
     "Domain",
-    "Jet2",
     "SurfaceHandle",
     "EPS_REG",
     "JET_BLOCK",
-    "jet2",
     "jet2_batch",
-    "eval_jet2",
     "eval_jets",
     "grid_points",
     "blocks",
-    "jacobians",
     "fd_jet2",
     "fd_step",
     "make_surface",
@@ -104,46 +101,11 @@ class Domain:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class Jet2:
-    """Value and first/second parameter derivatives of a patch at one point.
-
-    Every field is a length-3 array over the ambient coordinates (x, y, t).
-    ``duv`` is the symmetric mixed partial, stored once.
-    """
-
-    value: np.ndarray
-    du: np.ndarray
-    dv: np.ndarray
-    duu: np.ndarray
-    duv: np.ndarray
-    dvv: np.ndarray
-
-    def __post_init__(self):
-        for name in _JET_FIELDS:
-            arr = getattr(self, name)
-            for comp in arr:
-                if not math.isfinite(comp):
-                    raise ValueError(f"non-finite jet component in {name}: {arr!r}")
-
-
-def jet2(value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> Jet2:
-    """Build a :class:`Jet2` from any length-3 sequences."""
-    return Jet2(
-        np.asarray(value, float),
-        np.asarray(du, float),
-        np.asarray(dv, float),
-        np.asarray(duu, float),
-        np.asarray(duv, float),
-        np.asarray(dvv, float),
-    )
-
-
 def jet2_batch(n: int, value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> np.ndarray:
     """Stack per-coordinate components into an (n, 6, 3) jet array.
 
     Each field is a triple whose entries are length-n arrays or scalars
-    (broadcast to every point), in the argument order of :func:`jet2`.
+    (broadcast to every point); omitted second partials are zero.
     """
     out = np.empty((n, 6, 3))
     for f, field_ in enumerate((value, du, dv, duu, duv, dvv)):
@@ -164,23 +126,13 @@ def blocks(n: int) -> list[slice]:
     return [slice(i, min(i + JET_BLOCK, n)) for i in range(0, n, JET_BLOCK)]
 
 
-def jacobians(j: Jet2) -> tuple[float, float, float]:
-    """The three 2x2 parameter Jacobians (d(y,t), d(t,x), d(x,y)).
-
-    Convention: d(f,g) = f_u g_v - g_u f_v.
-    """
-    xu, yu, tu = j.du
-    xv, yv, tv = j.dv
-    return (yu * tv - tu * yv, tu * xv - xu * tv, xu * yv - yu * xv)
-
-
 @dataclass(frozen=True)
 class SurfaceHandle:
     """Immutable surface patch: a domain plus a 2-jet field formula.
 
     ``fields(u, v)`` takes floats or equal-length float arrays and returns
-    the three to six field triples of :func:`jet2`, with floats standing for
-    every point; :func:`eval_jet2` and :func:`eval_jets` check its output.
+    the three to six field triples of :func:`jet2_batch`, with floats
+    standing for every point; :func:`eval_jets` checks its output.
     The parameter order carries the orientation; flipping it means building
     a new handle with swapped parameters.
     """
@@ -196,7 +148,7 @@ def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
 
 def _check_finite(jets: np.ndarray) -> None:
-    """Raise the ValueError :class:`Jet2` raises, for the first bad point."""
+    """Raise a ValueError naming the field of the first non-finite jet entry."""
     ok = np.isfinite(jets).all(axis=2)
     if not ok.all():
         i, f = np.argwhere(~ok)[0]
@@ -212,20 +164,13 @@ def _out_of_domain(domain: Domain, u, v) -> OutOfDomain:
     )
 
 
-def eval_jet2(surface: SurfaceHandle, u: float, v: float) -> Jet2:
-    """Evaluate the 2-jet, rejecting parameters outside the domain."""
-    if not surface.domain.contains(u, v):
-        raise _out_of_domain(surface.domain, u, v)
-    return jet2(*surface.fields(u, v))
-
-
 def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
     """Jets at the points (u[i], v[i]) as an (N, 6, 3) array.
 
-    Bit-identical to stacking :func:`eval_jet2` over the points.  The domain
-    check and the finite check each run once for the whole batch and raise
-    what the scalar path raises (OutOfDomain, ValueError), naming the first
-    failing point in input order.
+    The domain check and the finite check each run once for the whole batch
+    and raise OutOfDomain or ValueError naming the first failing point in
+    input order.  Bit-identical to running the formula on each point's
+    floats.
     """
     u = np.asarray(u, float).reshape(-1)
     v = np.asarray(v, float).reshape(-1)
@@ -253,8 +198,9 @@ def fd_jet2(
     v: float,
     h: float | None = None,
     domain: Domain | None = None,
-) -> Jet2:
-    """Second-order central-difference jet of a value-only map.
+) -> tuple[np.ndarray, ...]:
+    """Second-order central-difference jet of a value-only map, as the six
+    field triples value, du, dv, duu, duv, dvv.
 
     When a domain is supplied the stencil is clipped to fit inside it: the
     step shrinks per axis to the available room, and the call fails with
@@ -285,7 +231,7 @@ def fd_jet2(
     fmp = np.asarray(value_map(u - hu, v + hv), float)
     fmm = np.asarray(value_map(u - hu, v - hv), float)
 
-    return Jet2(
+    return (
         f0,
         (fpu - fmu) / (2.0 * hu),
         (fpv - fmv) / (2.0 * hv),
@@ -336,8 +282,7 @@ def from_value_map(
 
     def fields(u, v):
         if not isinstance(u, np.ndarray):
-            j = fd_jet2(value_map, u, v, h=h, domain=domain)
-            return j.value, j.du, j.dv, j.duu, j.duv, j.dvv
+            return fd_jet2(value_map, u, v, h=h, domain=domain)
         jets = [fields(a, b) for a, b in zip(u.tolist(), v.tolist())]
         return np.array(jets, float).reshape(len(u), 6, 3).transpose(1, 2, 0)
 

@@ -45,8 +45,8 @@ from .curvature import (
     _seed_curvatures,
     curvature_scan,
     mean_curvature_batch,
-    mean_curvature_local,
 )
+from .errors import CharacteristicPoint
 from .flow import integrate_flows
 from .heis import (
     HorizontalVec,
@@ -67,13 +67,11 @@ from .horizontal import (
     horizontal_normal_batch,
     induced_form_batch,
     normal_compatibility,
-    unit_horizontal_normal,
 )
 from .locus import characteristic_locus
 from .patch import (
     Domain,
     blocks,
-    eval_jet2,
     eval_jets,
     grid_points,
     jet2_batch,
@@ -151,8 +149,8 @@ def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
 
 def _normal_and_curvature(surf, u, v, eps_char: float):
     """From one jet evaluation at the points (u[i], v[i]): n1, n2, ||N^h||,
-    the mask where unit_horizontal_normal raises, and mean_curvature_batch
-    run block by block."""
+    the mask of points without a unit horizontal normal, and
+    mean_curvature_batch run block by block."""
     jets = eval_jets(surf, u, v)
     n1, n2, q = horizontal_normal_batch(jets)
     parts = [mean_curvature_batch(jets[sl], eps_char=eps_char) for sl in blocks(len(u))]
@@ -160,14 +158,19 @@ def _normal_and_curvature(surf, u, v, eps_char: float):
     return n1, n2, q, q < char_threshold(jets, eps_char), batch
 
 
+def _raise_if_no_unit_normal(q: np.ndarray, char: np.ndarray) -> None:
+    """Raise the CharacteristicPoint of the first flagged point, if any:
+    there ||N^h|| is under the threshold and nu^h = N^h / ||N^h|| undefined."""
+    if char.any():
+        raise CharacteristicPoint(f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point")
+
+
 def check_cone_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     """Lower cone: H and nu^h against their closed forms."""
     surf = catalog_get("cone_lower")
     u, v = grid_points(*surf.domain.linspace(51, 51))
     n1, n2, q, char, batch = _normal_and_curvature(surf, u, v, eps_char)
-    if char.any():  # unit_horizontal_normal raises at the first such point
-        i = int(np.argmax(char))
-        unit_horizontal_normal(eval_jet2(surf, float(u[i]), float(v[i])), eps_char)
+    _raise_if_no_unit_normal(q, char)
     _raise_if_characteristic(batch.nh_norm, batch.char)  # as the strict scan raises
     ref = np.array([_cone_reference(a, b) for a, b in zip(u.tolist(), v.tolist())])
     err = np.stack((batch.H - ref[:, 0], n1 / q - ref[:, 1], n2 / q - ref[:, 2]))
@@ -507,13 +510,12 @@ def check_core_invariants(seed: int, eps_char: float) -> list[CheckResult]:
     bn1, bn2, bq, bchar, bh = _normal_and_curvature(base, u, v, eps_char)
     rn1, rn2, rq, rchar, rh = _normal_and_curvature(repar, w1, w2, eps_char)
     bad = bh.char | rh.char | bchar | rchar
-    if bad.any():  # the per-point calls raise what the per-point loop met first
-        i = int(np.argmax(bad))
-        ub, vb, ur, vr = (float(a[i]) for a in (u, v, w1, w2))
-        mean_curvature_local(base, ub, vb, eps_char=eps_char, warn=False)
-        mean_curvature_local(repar, ur, vr, eps_char=eps_char, warn=False)
-        unit_horizontal_normal(eval_jet2(base, ub, vb), eps_char)
-        unit_horizontal_normal(eval_jet2(repar, ur, vr), eps_char)
+    if bad.any():  # raise what the per-point loop met first, in its order
+        i = [int(np.argmax(bad))]
+        _raise_if_characteristic(bh.nh_norm[i], bh.char[i])
+        _raise_if_characteristic(rh.nh_norm[i], rh.char[i])
+        _raise_if_no_unit_normal(bq[i], bchar[i])
+        _raise_if_no_unit_normal(rq[i], rchar[i])
     h_err = np.abs(bh.H - rh.H) / (1.0 + np.abs(bh.H))
     nu_err = np.abs(np.stack((bn1 / bq - rn1 / rq, bn2 / bq - rn2 / rq)))
     worst = _running_max(np.stack((h_err, *nu_err)), 0.0)[0]

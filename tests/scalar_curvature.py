@@ -1,19 +1,53 @@
-"""The scalar local curvature formula, one point at a time with math.fsum.
+"""The float path: jets, first-order fields and the local curvature formula,
+one point at a time on Python floats.
 
-This is the per-point path that heisflow.curvature.mean_curvature_batch
-replaced: the batch kernel and the functions built on it must match it bit
-for bit.  It keeps its own copy of the term lists and of the threshold, so
-a change to either in the package shows up as a difference here.
+The jet of one point comes from a surface's field formula run on floats,
+the first-order quantities from the package formulas' ``.formula`` run on
+those floats with math.sqrt and math.hypot, and the curvature from the
+per-point math.fsum path that heisflow.curvature.mean_curvature_batch
+replaced.  The array path must match all of it bit for bit.  The curvature
+code keeps its own copy of the term lists and of the threshold, so a change
+to either in the package shows up as a difference here.
 """
 
 import math
 
+import numpy as np
+
 from heisflow.curvature import NEAR_CHAR_FACTOR, CurvatureSample
 from heisflow.errors import CharacteristicPoint
-from heisflow.horizontal import EPS_CHAR
-from heisflow.patch import eval_jet2
+from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
 
 _SPLIT = 134217729.0  # 2**27 + 1
+
+
+def scalar_jet(surface, u, v):
+    """The (6, 3) jet at one point inside the domain, from the field formula
+    on floats; second partials a formula leaves out are zero."""
+    assert surface.domain.contains(u, v)
+    fields = surface.fields(u, v)
+    return np.array([[float(c) for c in f] for f in fields] + [[0.0] * 3] * (6 - len(fields)))
+
+
+def _first_order_args(j):
+    (x, y, _), du, dv = j[:3].tolist()
+    return x, y, du, dv, math.sqrt
+
+
+def scalar_normal(j):
+    """(n1, n2, ||N^h||) of one (6, 3) jet, on floats."""
+    n1, n2 = _normal_components.formula(*_first_order_args(j))
+    return n1, n2, math.hypot(n1, n2)
+
+
+def scalar_pullback(j):
+    """(p_u, p_v) of one (6, 3) jet, on floats."""
+    return _pullback_coeffs.formula(*_first_order_args(j))
+
+
+def scalar_threshold(j, eps_char=EPS_CHAR):
+    """char_threshold of one (6, 3) jet, on floats."""
+    return _threshold.formula(*_first_order_args(j), eps_char)
 
 
 def _two_prod(a, b):
@@ -40,19 +74,16 @@ def fsum_terms(pairs, triples=()):
 
 
 def threshold(j, eps_char):
-    xu, yu, tu = j.du
-    xv, yv, tv = j.dv
+    xu, yu, tu = j[1].tolist()
+    xv, yv, tv = j[2].tolist()
     return eps_char * (1.0 + math.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
 
 
 def normal_jet(j):
-    """n1, n2, their u- and v-derivatives, and d(x,y), from one 2-jet."""
-    x2, y2 = 2.0 * float(j.value[0]), 2.0 * float(j.value[1])
-    xu, yu, tu = map(float, j.du)
-    xv, yv, tv = map(float, j.dv)
-    xuu, yuu, tuu = map(float, j.duu)
-    xuv, yuv, tuv = map(float, j.duv)
-    xvv, yvv, tvv = map(float, j.dvv)
+    """n1, n2, their u- and v-derivatives, and d(x,y), from one (6, 3) jet."""
+    (x, y, _), (xu, yu, tu), (xv, yv, tv), (xuu, yuu, tuu), (xuv, yuv, tuv), (
+        xvv, yvv, tvv) = j.tolist()
+    x2, y2 = 2.0 * x, 2.0 * y
     xu2, yu2, xv2, yv2 = 2.0 * xu, 2.0 * yu, 2.0 * xv, 2.0 * yv
     n1 = fsum_terms(((yu, tv), (-tu, yv)), ((y2, xu, yv), (-y2, yu, xv)))
     n2 = fsum_terms(((tu, xv), (-xu, tv)), ((-x2, xu, yv), (x2, yu, xv)))
@@ -91,12 +122,11 @@ def _gate(j, n1, n2, eps_char):
 
 def reference_local(surface, u, v, eps_char=EPS_CHAR):
     """mean_curvature_local as the scalar path computed it (no warning)."""
-    j = eval_jet2(surface, u, v)
+    j = scalar_jet(surface, u, v)
     n1, n2, n1_u, n1_v, n2_u, n2_v, _ = normal_jet(j)
     q2, q, near = _gate(j, n1, n2, eps_char)
-    x2, y2 = 2.0 * float(j.value[0]), 2.0 * float(j.value[1])
-    xu, yu, tu = map(float, j.du)
-    xv, yv, tv = map(float, j.dv)
+    (x, y, _), (xu, yu, tu), (xv, yv, tv) = j[:3].tolist()
+    x2, y2 = 2.0 * x, 2.0 * y
     p_u = fsum_terms(((tu, 1.0), (x2, yu), (-y2, xu)))
     p_v = fsum_terms(((tv, 1.0), (x2, yv), (-y2, xv)))
     a_u = fsum_terms(((n1, n2_u), (-n2, n1_u)))
@@ -106,8 +136,9 @@ def reference_local(surface, u, v, eps_char=EPS_CHAR):
 
 
 def reference_quotient(surface, u, v, eps_char=EPS_CHAR, eps_jacobian=1e-10):
-    """mean_curvature_jacobian_quotient as the scalar path computed it."""
-    j = eval_jet2(surface, u, v)
+    """The determinant form (d(nu1,y) + d(x,nu2)) / d(x,y) of the local
+    formula, 0 by convention where |d(x,y)| < eps_jacobian."""
+    j = scalar_jet(surface, u, v)
     n1, n2, n1_u, n1_v, n2_u, n2_v, jxy = normal_jet(j)
     q2, q, _ = _gate(j, n1, n2, eps_char)
     if abs(jxy) < eps_jacobian:
@@ -117,6 +148,5 @@ def reference_quotient(surface, u, v, eps_char=EPS_CHAR, eps_jacobian=1e-10):
     nu1_v = n2 * (n2 * n1_v - n1 * n2_v) / q3
     nu2_u = n1 * (n1 * n2_u - n2 * n1_u) / q3
     nu2_v = n1 * (n1 * n2_v - n2 * n1_v) / q3
-    xu, yu, _ = map(float, j.du)
-    xv, yv, _ = map(float, j.dv)
+    (xu, yu, _), (xv, yv, _) = j[1:3].tolist()
     return ((nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)) / jxy

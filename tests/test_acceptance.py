@@ -5,8 +5,12 @@ and prints a single line so a plain ``pytest -v -s`` run doubles as the
 release checklist.  Statistics are worst-case over the check's sample set.
 """
 
+import importlib
+import pkgutil
+
 import pytest
 
+import heisflow
 from heisflow.horizontal import EPS_CHAR
 from heisflow.verify import (
     check_cone_curvature,
@@ -109,3 +113,13 @@ def test_core_algebraic_invariants():
 
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-v", "-s"]))
+
+
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(heisflow.__path__) if m.name[0] != "_")
+)
+def test_every_public_name_resolves(module):
+    # the benchmark's traced run looks up every name of each layer's __all__
+    mod = importlib.import_module(f"heisflow.{module}")
+    names = getattr(mod, "__all__", ())
+    assert [name for name in names if not hasattr(mod, name)] == []

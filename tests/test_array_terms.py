@@ -25,7 +25,8 @@ from heisflow.builders import (
     ruling_form_coefficients,
 )
 from heisflow.errors import CharacteristicPoint, ConstantRulingDirection
-from heisflow.patch import Domain, eval_jet2
+from heisflow.flow import _field
+from heisflow.patch import Domain
 
 # pow(x, 2) != x * x at the first two (glibc pow is not correctly rounded
 # there), and pow(x, 3) != np.power(x, 3) at the third
@@ -91,7 +92,7 @@ def test_float_trig_past_the_float_range_is_nan():
         TermSum((Term("sin", 1.0, 6),)), TermSum(), Domain(0.0, 1e308, 0.0, 1.0)
     )
     with pytest.raises(ValueError, match="^non-finite jet component in value: "):
-        eval_jet2(surface, 1e308, 0.5)
+        _field(surface, 1e308, 0.5, 1e-9)
 
 
 @settings(max_examples=200)

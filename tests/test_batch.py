@@ -1,9 +1,9 @@
 """Batched evaluation against the scalar reference path, bit for bit.
 
 Every comparison is on bit patterns, so NaN positions and the sign of zero
-count as differences.  The scalar functions (eval_jet2, horizontal_normal,
-induced_form) and the per-point curvature of ``scalar_curvature`` are the
-reference.
+count as differences.  The float path of ``scalar_curvature`` is the
+reference: each point's jet from the field formula on floats, the
+first-order formulas on those floats, and the per-point curvature.
 """
 
 import math
@@ -15,7 +15,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, verify
-from scalar_curvature import reference_local, reference_quotient
+from scalar_curvature import (
+    reference_local,
+    scalar_jet,
+    scalar_normal,
+    scalar_pullback,
+    scalar_threshold,
+)
 from heisflow.builders import (
     CATALOG,
     Term,
@@ -33,7 +39,6 @@ from heisflow.curvature import (
     curvature_scan,
     is_h_minimal,
     mean_curvature_batch,
-    mean_curvature_jacobian_quotient,
     mean_curvature_local,
 )
 from heisflow.errors import (
@@ -42,22 +47,18 @@ from heisflow.errors import (
     NotRegular,
     OutOfDomain,
 )
+from heisflow.flow import _field
 from heisflow.horizontal import (
     char_threshold,
-    horizontal_normal,
     horizontal_normal_batch,
-    induced_form,
     induced_form_batch,
-    is_characteristic,
 )
 from heisflow.patch import (
     JET_BLOCK,
     Domain,
-    eval_jet2,
     eval_jets,
     from_value_map,
     grid_points,
-    jet2,
     make_surface,
     reparametrize_affine,
 )
@@ -81,10 +82,9 @@ def sample_points(surface, n=(17, 13), extra=64, seed=0):
 def scalar_columns(surface, u, v):
     jets, cols, H, q, char = [], [], [], [], []
     for a, b in zip(u.tolist(), v.tolist()):
-        j = eval_jet2(surface, a, b)
-        jets.append([j.value, j.du, j.dv, j.duu, j.duv, j.dvv])
-        nh, pf = horizontal_normal(j), induced_form(j)
-        cols.append((nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v))
+        j = scalar_jet(surface, a, b)
+        jets.append(j)
+        cols.append((*scalar_normal(j), *scalar_pullback(j)))
         try:
             sample = reference_local(surface, a, b)
         except CharacteristicPoint:
@@ -144,7 +144,7 @@ def test_value_map_batch_bit_identical():
     assert_batch_matches_scalar(surface, u, v)
     # the clipped stencil has no room on the boundary: same error either way
     with pytest.raises(OutOfDomain) as scalar:
-        eval_jet2(surface, -1.0, 0.0)
+        _field(surface, -1.0, 0.0, 1e-9)
     with pytest.raises(OutOfDomain) as batch:
         eval_jets(surface, [0.0, -1.0], [0.0, 0.0])
     assert str(batch.value) == str(scalar.value)
@@ -167,15 +167,14 @@ def test_separable_graph_batch_bit_identical(fu, fv):
     assert_batch_matches_scalar(surface, *sample_points(surface, (7, 6), 16))
 
 
-def local_and_quotient(surface, u, v, local, quotient):
-    """(H, nh_norm, near_char, quotient) of one point, or the error message."""
+def local_sample(surface, u, v, local):
+    """(H, nh_norm, near_char) of one point, or the error message."""
     try:
         sample = local(surface, u, v)
-        got = [sample.H, sample.nh_norm, sample.near_char, quotient(surface, u, v)]
     except CharacteristicPoint as e:
         return str(e)
-    assert type(got[2]) is bool
-    return [float(x).hex() for x in got[:2]] + [got[2], float(got[3]).hex()]
+    assert type(sample.near_char) is bool
+    return [float(sample.H).hex(), float(sample.nh_norm).hex(), sample.near_char]
 
 
 @pytest.mark.parametrize(
@@ -194,11 +193,8 @@ def test_one_point_functions_match_scalar_reference(name, cone):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NearCharacteristicWarning)
         for a, b in zip(u.tolist(), v.tolist()):
-            got = local_and_quotient(
-                surface, a, b, mean_curvature_local, mean_curvature_jacobian_quotient
-            )
-            want = local_and_quotient(surface, a, b, reference_local, reference_quotient)
-            assert got == want, (a, b)
+            got = local_sample(surface, a, b, mean_curvature_local)
+            assert got == local_sample(surface, a, b, reference_local), (a, b)
 
 
 def test_local_warns_where_the_reference_is_near_characteristic(paraboloid):
@@ -220,7 +216,7 @@ jet_entries = st.floats(allow_nan=False, allow_infinity=False)
 )
 def test_char_threshold_array_matches_per_jet(rows, eps_char):
     jets = np.array(rows).reshape(-1, 6, 3)
-    want = [char_threshold(jet2(*j), eps_char) for j in jets]
+    want = [scalar_threshold(j, eps_char) for j in jets]
     assert all(type(w) is float for w in want)
     np.testing.assert_array_equal(bits(char_threshold(jets, eps_char)), bits(want))
 
@@ -232,7 +228,7 @@ def test_eval_jets_empty_batch(paraboloid):
 
 def test_eval_jets_errors_match_scalar(paraboloid):
     with pytest.raises(OutOfDomain) as scalar:
-        eval_jet2(paraboloid, 1.6, 0.0)
+        _field(paraboloid, 1.6, 0.0, 1e-9)
     with pytest.raises(OutOfDomain) as batch:
         eval_jets(paraboloid, [0.0, 1.6, 2.0], [0.0, 0.0, 0.0])
     assert str(batch.value) == str(scalar.value)
@@ -241,7 +237,7 @@ def test_eval_jets_errors_match_scalar(paraboloid):
         TermSum((Term("poly", 1e300, 2),)), TermSum(), Domain(-1e10, 1e10, -1.0, 1.0)
     )
     with pytest.raises(ValueError) as scalar:
-        eval_jet2(huge, 1e10, 0.5)
+        _field(huge, 1e10, 0.5, 1e-9)
     with pytest.raises(ValueError) as batch:
         eval_jets(huge, [0.0, 1e10], [0.5, 0.5])
     assert str(batch.value) == str(scalar.value)
@@ -287,15 +283,12 @@ def old_eval_rows(surface, us, vs):
     rows = []
     for u in us:
         for v in vs:
-            j = eval_jet2(surface, u, v)
-            nh = horizontal_normal(j)
-            pf = induced_form(j)
+            j = scalar_jet(surface, u, v)
             try:
                 h = reference_local(surface, u, v).H
             except CharacteristicPoint:
                 h = math.nan
-            x, y, t = (float(c) for c in j.value)
-            rows.append([u, v, x, y, t, nh.n1, nh.n2, nh.norm, pf.p_u, pf.p_v, h])
+            rows.append([u, v, *j[0].tolist(), *scalar_normal(j), *scalar_pullback(j), h])
     return rows
 
 
@@ -342,10 +335,10 @@ def old_is_h_minimal(surface, grid):
     worst, argmax, n_eval, n_skip = -1.0, None, 0, 0
     for u in us:
         for v in vs:
-            j = eval_jet2(surface, float(u), float(v))
-            _, q = is_characteristic(j)
+            j = scalar_jet(surface, float(u), float(v))
+            q = scalar_normal(j)[2]
             band = max(
-                NEAR_CHAR_FACTOR * char_threshold(j), char_threshold(j, MINIMALITY_BAND)
+                NEAR_CHAR_FACTOR * scalar_threshold(j), scalar_threshold(j, MINIMALITY_BAND)
             )
             if q < band:
                 n_skip += 1
@@ -393,8 +386,8 @@ def test_not_regular_names_the_same_point():
     want = None
     for u in us:
         for v in vs:
-            j = jet2(*late_fold(float(u), float(v)))
-            cross = np.cross(j.du, j.dv)
+            _, du, dv = (np.array(f, float) for f in late_fold(float(u), float(v)))
+            cross = np.cross(du, dv)
             if float(np.hypot(np.hypot(cross[0], cross[1]), cross[2])) <= 1e-8:
                 want = f"fold: |sigma_u x sigma_v| <= 1e-08 at (u, v) = ({u}, {v})"
                 break
@@ -505,11 +498,11 @@ def scalar_scan(surfaces, u, v, floor):
     H, skip, char = [], [], []
     for surface in surfaces:
         for a, b in zip(u.tolist(), v.tolist()):
-            j = eval_jet2(surface, a, b)
-            q = is_characteristic(j).nh_norm
+            j = scalar_jet(surface, a, b)
+            q = scalar_normal(j)[2]
             if floor == "band":
-                lim = max(NEAR_CHAR_FACTOR * char_threshold(j),
-                          char_threshold(j, MINIMALITY_BAND))
+                lim = max(NEAR_CHAR_FACTOR * scalar_threshold(j),
+                          scalar_threshold(j, MINIMALITY_BAND))
             else:
                 lim = -math.inf if floor is None else floor
             h, skipped, flagged = math.nan, q < lim, False

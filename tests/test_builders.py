@@ -43,8 +43,8 @@ from heisflow.errors import (
     UnknownName,
     ZeroInRange,
 )
-from heisflow.horizontal import induced_form
-from heisflow.patch import eval_jet2
+from heisflow.horizontal import horizontal_normal_batch, induced_form_batch
+from heisflow.patch import eval_jets
 from heisflow.rng import Lcg64
 
 
@@ -107,19 +107,17 @@ def test_ruling_form_coeff_and_induced_form_agree():
     s, v = 1.3, 0.6
     c = ruling_form_coeff(spec, s, v)
     assert c == pytest.approx(4.297056274847714, rel=1e-14)
-    form = induced_form(eval_jet2(surf, s, v))
-    assert form.p_u == pytest.approx(c, rel=1e-13)
-    assert abs(form.p_v) < 1e-13
+    (p_u,), (p_v,) = induced_form_batch(eval_jets(surf, [s], [v]))
+    assert p_u == pytest.approx(c, rel=1e-13)
+    assert abs(p_v) < 1e-13
     assert ruling_form_coeff(circle_lift_ruled_spec(), 2.0, 0.8) == pytest.approx(4.48)
 
 
 def test_ruled_patch_is_minimal_with_norm_equal_coeff():
     spec = circle_lift_ruled_spec()
     surf = build_straight_ruled(spec)
-    from heisflow.horizontal import horizontal_normal
-
     for s, v in ((0.5, 0.4), (3.0, 1.2)):
-        q = horizontal_normal(eval_jet2(surf, s, v)).norm
+        (q,) = horizontal_normal_batch(eval_jets(surf, [s], [v]))[2]
         assert q == pytest.approx(abs(ruling_form_coeff(spec, s, v)), rel=1e-12)
         assert abs(mean_curvature_local(surf, s, v).H) < 1e-12
 
@@ -157,9 +155,9 @@ def test_plane_contact_factor_undefined_on_locus():
 def test_plane_flow_patch_form():
     # sigma = (v cos s, v sin s, 0): p_u = 2 v^2, p_v = 0
     surf = build_plane_flow_patch(AngleField(ts(("poly", 1.0, 1))), (0.0, 3.0), (0.2, 2.0))
-    form = induced_form(eval_jet2(surf, 0.7, 1.0))
-    assert form.p_u == pytest.approx(2.0, rel=1e-14)
-    assert abs(form.p_v) < 1e-14
+    (p_u,), (p_v,) = induced_form_batch(eval_jets(surf, [0.7], [1.0]))
+    assert p_u == pytest.approx(2.0, rel=1e-14)
+    assert abs(p_v) < 1e-14
 
 
 def test_developable_requires_horizontal_curve():
@@ -273,10 +271,10 @@ def test_surface_from_dict_dispatch(tmp_path):
     spec = ruled_parabola_spec()
     direct = build_straight_ruled(spec)
     via_dict = surface_from_dict(spec_to_dict(spec))
-    j1 = eval_jet2(direct, 1.0, 0.5)
-    j2 = eval_jet2(via_dict, 1.0, 0.5)
-    assert j1.value.tolist() == j2.value.tolist()
-    assert j1.du.tolist() == j2.du.tolist()
+    j1 = eval_jets(direct, [1.0], [0.5])[0]
+    j2 = eval_jets(via_dict, [1.0], [0.5])[0]
+    assert j1[0].tolist() == j2[0].tolist()
+    assert j1[1].tolist() == j2[1].tolist()
 
     graph = surface_from_dict(
         {

@@ -11,7 +11,6 @@ from heisflow.curvature import (
     MINIMALITY_BAND,
     is_h_minimal,
     mean_curvature_flow_oracle,
-    mean_curvature_jacobian_quotient,
     mean_curvature_local,
     signed_curvature_plane,
 )
@@ -21,8 +20,15 @@ from heisflow.errors import (
     NearCharacteristicWarning,
     ZeroSpeed,
 )
-from heisflow.horizontal import unit_horizontal_normal
-from heisflow.patch import Domain, eval_jet2, reparametrize_affine
+from heisflow.horizontal import horizontal_normal_batch
+from heisflow.patch import Domain, eval_jets, reparametrize_affine
+from scalar_curvature import reference_quotient
+
+
+def unit_normal(surface, u, v):
+    """(nu1, nu2) = N^h / ||N^h|| at one point."""
+    (n1,), (n2,), (q,) = horizontal_normal_batch(eval_jets(surface, [u], [v]))
+    return n1 / q, n2 / q
 
 
 def test_signed_curvature_plane_frozen():
@@ -63,9 +69,9 @@ def test_cone_closed_form(cone):
     assert sample.H == pytest.approx(-(5.0 ** -1.5), rel=1e-12)
     assert sample.nh_norm == pytest.approx(math.sqrt(5.0), rel=1e-13)
     r = math.sqrt(1.0 + 4.0 * u * u)
-    nu = unit_horizontal_normal(eval_jet2(cone, u, v))
-    assert nu.h1 == pytest.approx((math.cos(v) - 2.0 * u * math.sin(v)) / r, rel=1e-12)
-    assert nu.h2 == pytest.approx((math.sin(v) + 2.0 * u * math.cos(v)) / r, rel=1e-12)
+    nu1, nu2 = unit_normal(cone, u, v)
+    assert nu1 == pytest.approx((math.cos(v) - 2.0 * u * math.sin(v)) / r, rel=1e-12)
+    assert nu2 == pytest.approx((math.sin(v) + 2.0 * u * math.cos(v)) / r, rel=1e-12)
 
 
 def test_paraboloid_curvature_vanishes_exactly(paraboloid):
@@ -83,14 +89,14 @@ def test_vertical_plane_is_minimal():
 def test_quotient_agrees_where_projection_is_immersive(cone):
     for u, v in ((-0.8, 1.0), (-1.7, 4.2)):
         local = mean_curvature_local(cone, u, v).H
-        quot = mean_curvature_jacobian_quotient(cone, u, v)
+        quot = reference_quotient(cone, u, v)
         assert quot == pytest.approx(local, rel=1e-9)
 
 
 def test_quotient_convention_on_vertical_tangency(unit_cylinder):
     # d(x,y) = 0 identically on a cylinder: the quotient form falls back to
     # 0 by convention while the directional form reports the profile value
-    assert mean_curvature_jacobian_quotient(unit_cylinder, 1.0, 0.5) == 0.0
+    assert reference_quotient(unit_cylinder, 1.0, 0.5) == 0.0
     assert mean_curvature_local(unit_cylinder, 1.0, 0.5).H == pytest.approx(1.0)
 
 
@@ -100,13 +106,11 @@ def test_fd_normal_derivatives_close_to_exact(cone):
     u, v, h = -1.2, 3.0, 1e-5
 
     def nu(uu, vv):
-        n = unit_horizontal_normal(eval_jet2(cone, uu, vv))
-        return n.h1, n.h2
+        return unit_normal(cone, uu, vv)
 
     nu1_u, nu2_u = ((a - b) / (2.0 * h) for a, b in zip(nu(u + h, v), nu(u - h, v)))
     nu1_v, nu2_v = ((a - b) / (2.0 * h) for a, b in zip(nu(u, v + h), nu(u, v - h)))
-    j = eval_jet2(cone, u, v)
-    (xu, yu, _), (xv, yv, _) = j.du, j.dv
+    (xu, yu, _), (xv, yv, _) = eval_jets(cone, [u], [v])[0, 1:3].tolist()
     fd = ((nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)) / (xu * yv - yu * xv)
     assert fd == pytest.approx(mean_curvature_local(cone, u, v).H, abs=1e-6)
 
@@ -119,8 +123,7 @@ def test_graph_divergence_identity():
     u, v, h = 0.7, -0.3, 1e-5
 
     def nu(uu, vv):
-        n = unit_horizontal_normal(eval_jet2(bowl, uu, vv))
-        return n.h1, n.h2
+        return unit_normal(bowl, uu, vv)
 
     div = (nu(u + h, v)[0] - nu(u - h, v)[0]) / (2.0 * h) + (
         nu(u, v + h)[1] - nu(u, v - h)[1]

@@ -13,7 +13,8 @@ from heisflow.flow import (
     integrate_flow,
     integrate_flows,
 )
-from heisflow.patch import eval_jet2
+from heisflow.patch import eval_jets
+from scalar_curvature import scalar_jet
 
 
 def test_trace_structure(ruled_parabola):
@@ -28,8 +29,8 @@ def test_trace_structure(ruled_parabola):
     assert np.allclose(np.diff(tr.params), tr.ds)
     # embedded points are the patch evaluated along the parameter path
     k = tr.seed_index + 7
-    j = eval_jet2(ruled_parabola, *tr.uv[k])
-    assert np.allclose(tr.points[k], j.value, atol=0.0)
+    u, v = tr.uv[k].tolist()
+    assert np.allclose(tr.points[k], eval_jets(ruled_parabola, [u], [v])[0, 0], atol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -39,7 +40,7 @@ def test_trace_structure(ruled_parabola):
 def test_points_are_the_scalar_jet_values_bit_for_bit(request, surface, seed):
     surface = request.getfixturevalue(surface)
     tr = integrate_flow(surface, *seed, max_steps=300)
-    ref = np.array([eval_jet2(surface, u, v).value for u, v in tr.uv.tolist()])
+    ref = np.array([scalar_jet(surface, u, v)[0] for u, v in tr.uv.tolist()])
     assert tr.points.view(np.int64).tolist() == ref.view(np.int64).tolist()
 
 
@@ -95,11 +96,18 @@ def test_characteristic_seed_rejected(plane_t0):
         integrate_flow(plane_t0, 1e-9, 0.0)
 
 
-def test_integrate_flow_validation(unit_cylinder):
+def test_integrate_flow_validation(unit_cylinder, paraboloid):
     with pytest.raises(ValueError):
         integrate_flow(unit_cylinder, 1.0, 0.0, ds=0.0)
     with pytest.raises(ValueError):
         integrate_flow(unit_cylinder, 1.0, 0.0, max_steps=0)
+    # a 1e-17 step leaves (0.5, 0.25) unchanged, which the chord test would
+    # report as a false characteristic-proximity stop; 1e-15 still moves it
+    with pytest.raises(ValueError, match=r"^ds = 1e-17 is below the resolution of the seed"):
+        integrate_flow(paraboloid, 0.5, 0.25, ds=1e-17, max_steps=5)
+    tr = integrate_flow(paraboloid, 0.5, 0.25, ds=1e-15, max_steps=5)
+    assert len(tr) == 11
+    assert (tr.stop_backward, tr.stop_forward) == ("step-limit", "step-limit")
 
 
 def test_horizontality_residual_scales(unit_cylinder, ruled_parabola):

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from heisflow import verify
 from heisflow.errors import CharacteristicPoint
+from heisflow.flow import _field_rows, integrate_flow
 from heisflow.heis import (
     FrameVector,
     Point3,
@@ -17,20 +19,16 @@ from heisflow.heis import (
 from heisflow.horizontal import (
     EPS_CHAR,
     char_threshold,
-    flow_direction,
-    horizontal_normal,
-    induced_form,
-    induced_form_curl,
-    is_characteristic,
-    nh_euclidean,
+    horizontal_normal_batch,
+    induced_form_batch,
     normal_compatibility,
-    unit_horizontal_normal,
 )
-from heisflow.patch import eval_jet2, jacobians, jet2
+from heisflow.patch import eval_jets, jet2_batch
 
 # jyt = -3, jtx = 6, jxy = -3 at (x, y) = (0.5, -1):
 # n1 = -3 + 2(-1)(-3) = 3, n2 = 6 - 2(0.5)(-3) = 9
-MESSY = jet2(
+MESSY = jet2_batch(
+    1,
     (0.5, -1.0, 0.25),
     (1.0, 2.0, 3.0),
     (4.0, 5.0, 6.0),
@@ -41,89 +39,90 @@ MESSY = jet2(
 
 
 def test_normal_components_frozen():
-    n = horizontal_normal(MESSY)
-    assert (n.n1, n.n2) == (3.0, 9.0)
-    assert n.norm == pytest.approx(math.sqrt(90.0), rel=1e-15)
-    assert n.base.as_tuple() == (0.5, -1.0, 0.25)
+    n1, n2, q = horizontal_normal_batch(MESSY)
+    assert (n1[0], n2[0]) == (3.0, 9.0)
+    assert q[0] == pytest.approx(math.sqrt(90.0), rel=1e-15)
 
 
 def test_paraboloid_normals(paraboloid):
     # graph of f = v^2 - u^2: n1 = 2(u + v), n2 = -2(u + v), exactly
-    j = eval_jet2(paraboloid, 0.5, 0.25)
-    n = horizontal_normal(j)
-    assert (n.n1, n.n2) == (1.5, -1.5)
-    nu = unit_horizontal_normal(j)
-    assert (nu.h1, nu.h2) == pytest.approx((1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)))
-    assert math.hypot(nu.h1, nu.h2) == pytest.approx(1.0, rel=1e-15)
+    n1, n2, q = horizontal_normal_batch(eval_jets(paraboloid, [0.5], [0.25]))
+    assert (n1[0], n2[0]) == (1.5, -1.5)
+    nu = (n1[0] / q[0], n2[0] / q[0])
+    assert nu == pytest.approx((1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)))
+    assert math.hypot(*nu) == pytest.approx(1.0, rel=1e-15)
 
 
 def test_char_threshold_scale_aware():
-    flat = jet2((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    assert char_threshold(flat, 1e-9) == pytest.approx(1e-9 * (1.0 + math.sqrt(2.0)))
-    assert char_threshold(MESSY, 1e-6) > char_threshold(flat, 1e-6)
+    flat = jet2_batch(1, (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert char_threshold(flat, 1e-9)[0] == pytest.approx(1e-9 * (1.0 + math.sqrt(2.0)))
+    assert char_threshold(MESSY, 1e-6)[0] > char_threshold(flat, 1e-6)[0]
 
 
 def test_is_characteristic_on_paraboloid_locus(paraboloid):
-    flag, q = is_characteristic(eval_jet2(paraboloid, 0.3, -0.3), EPS_CHAR)
-    assert flag and q == 0.0
-    flag, q = is_characteristic(eval_jet2(paraboloid, 0.5, 0.25), EPS_CHAR)
-    assert not flag and q == pytest.approx(1.5 * math.sqrt(2.0))
+    jets = eval_jets(paraboloid, [0.3, 0.5], [-0.3, 0.25])
+    q = horizontal_normal_batch(jets)[2]
+    assert (q < char_threshold(jets, EPS_CHAR)).tolist() == [True, False]
+    assert q[0] == 0.0
+    assert q[1] == pytest.approx(1.5 * math.sqrt(2.0))
 
 
-def test_unit_normal_raises_at_characteristic(paraboloid):
-    with pytest.raises(CharacteristicPoint):
-        unit_horizontal_normal(eval_jet2(paraboloid, 0.3, -0.3))
-    with pytest.raises(CharacteristicPoint):
-        flow_direction(eval_jet2(paraboloid, 0.3, -0.3))
+def test_unit_normal_raises_at_characteristic(paraboloid, cone):
+    with pytest.raises(CharacteristicPoint, match="seed too close"):
+        integrate_flow(paraboloid, 0.3, -0.3)
+    # with a threshold above every ||N^h|| the first grid point has no unit
+    # normal, and the cone check names it
+    u0, v0 = cone.domain.u_min, cone.domain.v_min
+    q0 = horizontal_normal_batch(eval_jets(cone, [u0], [v0]))[2][0]
+    with pytest.raises(CharacteristicPoint) as exc:
+        verify.check_cone_curvature(0, 1e3)
+    assert str(exc.value) == f"||N^h|| = {q0:.3e} at characteristic point"
 
 
 def test_induced_form_frozen():
     # p_u = tu + 2(x yu - y xu), p_v likewise on the dv column
-    c = induced_form(MESSY)
-    assert c.p_u == 3.0 + 2.0 * (0.5 * 2.0 + 1.0 * 1.0)
-    assert c.p_v == 6.0 + 2.0 * (0.5 * 5.0 + 1.0 * 4.0)
-
-
-def test_curl_collapses_to_jacobian():
-    # d(p_u)/dv - d(p_v)/du = -4 d(x,y) after the cross terms cancel
-    _, _, jxy = jacobians(MESSY)
-    assert induced_form_curl(MESSY) == pytest.approx(-4.0 * jxy, rel=1e-14)
+    p_u, p_v = induced_form_batch(MESSY)
+    assert p_u[0] == 3.0 + 2.0 * (0.5 * 2.0 + 1.0 * 1.0)
+    assert p_v[0] == 6.0 + 2.0 * (0.5 * 5.0 + 1.0 * 4.0)
 
 
 def test_flow_direction_in_kernel():
-    d = flow_direction(MESSY)
-    c = induced_form(MESSY)
-    n = horizontal_normal(MESSY)
-    assert d.du == pytest.approx(c.p_v / n.norm, rel=1e-15)
-    assert d.dv == pytest.approx(-c.p_u / n.norm, rel=1e-15)
-    assert c.p_u * d.du + c.p_v * d.dv == pytest.approx(0.0, abs=1e-13)
+    (du, dv, x, y), near = _field_rows(MESSY, EPS_CHAR)
+    (p_u,), (p_v,) = induced_form_batch(MESSY)
+    q = horizontal_normal_batch(MESSY)[2][0]
+    assert not near[0] and (x[0], y[0]) == (0.5, -1.0)
+    assert du[0] == pytest.approx(p_v / q, rel=1e-15)
+    assert dv[0] == pytest.approx(-p_u / q, rel=1e-15)
+    assert p_u * du[0] + p_v * dv[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_nh_is_horizontal_part_of_frame_wedge(cone):
-    j = eval_jet2(cone, -1.3, 2.1)
-    p = Point3(*(float(c) for c in j.value))
-    wu = euclidean_to_frame(p, j.du)
-    wv = euclidean_to_frame(p, j.dv)
+    jets = eval_jets(cone, [-1.3], [2.1])
+    value, du, dv = jets[0, :3]
+    p = Point3(*value.tolist())
+    wu = euclidean_to_frame(p, du)
+    wv = euclidean_to_frame(p, dv)
     w = h_wedge(wu, wv)
-    n = horizontal_normal(j)
-    assert (w.a1, w.a2) == pytest.approx((n.n1, n.n2), rel=1e-12)
+    n1, n2, _ = horizontal_normal_batch(jets)
+    assert (w.a1, w.a2) == pytest.approx((n1[0], n2[0]), rel=1e-12)
     # the full wedge is orthogonal to both tangents in the frame metric
     assert w.a1 * wu.a1 + w.a2 * wu.a2 + w.a3 * wu.a3 == pytest.approx(0.0, abs=1e-12)
     assert w.a1 * wv.a1 + w.a2 * wv.a2 + w.a3 * wv.a3 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_nh_euclidean_embedding(cone):
-    j = eval_jet2(cone, -1.3, 2.1)
-    n = horizontal_normal(j)
-    nh = nh_euclidean(j)
-    ref = frame_to_euclidean(FrameVector(n.n1, n.n2, 0.0, n.base))
+    # the ambient N^h whose t entry normal_compatibility uses,
+    # (n1, n2, 2y n1 - 2x n2), is the frame vector (n1, n2, 0)
+    jets = eval_jets(cone, [-1.3], [2.1])
+    base = Point3(*jets[0, 0].tolist())
+    (n1,), (n2,), _ = horizontal_normal_batch(jets)
+    nh = (n1, n2, 2.0 * base.y * n1 - 2.0 * base.x * n2)
+    ref = frame_to_euclidean(FrameVector(n1, n2, 0.0, base))
     assert np.allclose(nh, ref, rtol=0.0, atol=1e-13)
     # dropping the T component leaves an honestly horizontal ambient vector
-    assert contact_eval(n.base, nh) == pytest.approx(0.0, abs=1e-12)
+    assert contact_eval(base, nh) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_normal_compatibility_identity():
-    n = horizontal_normal(MESSY)
-    assert normal_compatibility(MESSY) == pytest.approx(
-        n.n1 ** 2 + n.n2 ** 2, rel=1e-13
-    )
+    q = horizontal_normal_batch(MESSY)[2][0]
+    assert normal_compatibility(MESSY)[0] == pytest.approx(q**2, rel=1e-13)

@@ -19,10 +19,18 @@ from heisflow.builders import (
     build_straight_ruled,
     catalog_get,
     random_ruled_spec,
+    surface_from_dict,
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
-from heisflow.patch import Domain, eval_jets, make_surface
+from heisflow.patch import (
+    Domain,
+    eval_jets,
+    from_value_map,
+    grid_points,
+    make_surface,
+    reparametrize_affine,
+)
 from heisflow.rng import Lcg64
 
 DS = 1e-2
@@ -242,3 +250,86 @@ def test_characteristic_seed_message_is_unchanged(plane_t0):
     with pytest.raises(CharacteristicPoint) as exc:
         integrate_flow(plane_t0, 1e-12, 0.0)
     assert str(exc.value) == "seed too close to the characteristic locus: ||N^h|| = 2.000e-12"
+
+
+def value_map_surface():
+    """A finite-difference surface: its stencil refuses points next to the edge."""
+
+    def value_map(u, v):
+        return (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u)
+
+    return from_value_map(value_map, Domain(-1.0, 1.0, -1.0, 1.0))
+
+
+def reparametrized_cone():
+    return reparametrize_affine(
+        catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
+        Domain(-0.25, 0.25, -0.9, 0.9),
+    )
+
+
+FIELD_SURFACES = {
+    **SURFACES,
+    "value-map": value_map_surface,
+    "reparametrized-cone": reparametrized_cone,
+}
+
+
+def stop_band_seeds(name):
+    """Points next to the locus whose ||N^h|| runs from under the threshold
+    to past STOP_FACTOR times it."""
+    offsets = np.geomspace(1e-10, 1e-7, 13).tolist()
+    if name == "paraboloid":
+        return [(a, -a + e) for a in (-0.5, 0.2) for e in offsets]
+    if name in ("plane_t0", "refusing-plane"):
+        return [(r, 0.7 * r) for r in offsets]
+    return []
+
+
+def field_or_stop(surface, u, v):
+    """The bits of flow._field on floats, or the stop code of flow._fields
+    where it raises."""
+    try:
+        return bits(flow._field(surface, u, v, EPS))
+    except OutOfDomain:
+        return 1
+    except flow._LegStop:
+        return 2
+
+
+@pytest.mark.parametrize("name", list(FIELD_SURFACES))
+def test_scalar_field_matches_field_rows(name):
+    surface = FIELD_SURFACES[name]()
+    dom = surface.domain
+    # a grid reaching past every edge, next to it and onto it, and the locus
+    u, v = grid_points(
+        np.linspace(dom.u_min - 0.05 * dom.u_span, dom.u_max + 0.05 * dom.u_span, 23),
+        np.linspace(dom.v_min - 0.05 * dom.v_span, dom.v_max + 0.05 * dom.v_span, 19),
+    )
+    extra = np.array(
+        [(dom.u_min, dom.v_min), (dom.u_max, dom.v_max)]
+        + locus_seeds(name, dom) + stop_band_seeds(name), float
+    ).reshape(-1, 2)
+    u, v = np.concatenate((u, extra[:, 0])), np.concatenate((v, extra[:, 1]))
+    rows, stop = flow._fields(surface, u, v, EPS)
+    got = [bits(r) if code == 0 else code for r, code in zip(rows.T, stop.tolist())]
+    assert got == [field_or_stop(surface, a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert {1, 0} <= set(stop.tolist())
+    if name in ("paraboloid", "plane_t0", "refusing-plane"):
+        assert 2 in stop.tolist()
+
+
+def test_scalar_field_raises_what_eval_jets_raises():
+    overflow = surface_from_dict(
+        {"type": "graph", "domain": {"u": [0, 1e60], "v": [0, 1]},
+         "fu": [{"kind": "poly", "coeff": 1, "k": 6}]}
+    )
+    for u, v, error in ((1e59, 0.5, ValueError), (2e60, 0.5, OutOfDomain), (0.5, -1.0, OutOfDomain)):
+        with pytest.raises(error) as scalar:
+            flow._field(overflow, u, v, EPS)
+        with pytest.raises(error) as batch:
+            eval_jets(overflow, [u], [v])
+        assert str(scalar.value) == str(batch.value)
+    assert str(scalar.value).startswith("(u, v) = (0.5, -1.0) outside domain")
+    with pytest.raises(ValueError, match="^non-finite jet component in value: "):
+        flow._field(overflow, 1e59, 0.5, EPS)

@@ -20,10 +20,9 @@ from heisflow.builders import (
     surface_from_dict,
 )
 from heisflow.cli import main
-from heisflow.horizontal import _normal_components, char_threshold
 from heisflow.locus import LocusPoint, characteristic_locus
-from heisflow.patch import eval_jet2
 from heisflow.rng import Lcg64
+from scalar_curvature import scalar_jet, scalar_normal, scalar_threshold
 
 # c(s, v) = 2 v (v - 2 sin s): the locus is the curve v = 2 sin s.
 TURNING_LINE = {
@@ -38,7 +37,7 @@ TURNING_LINE = {
 def _bisect_edge(surface, ua, va, ga, ub, vb, gb, comp, refine):
     for _ in range(refine):
         um, vm = 0.5 * (ua + ub), 0.5 * (va + vb)
-        gm = _normal_components(eval_jet2(surface, um, vm))[comp]
+        gm = scalar_normal(scalar_jet(surface, um, vm))[comp]
         if gm == 0.0:
             return um, vm
         if (ga < 0.0) != (gm < 0.0):
@@ -58,22 +57,21 @@ def reference_locus(surface, grid, refine=60, keep_tol=1e-8):
     found = []
 
     def consider(u, v):
-        j = eval_jet2(surface, u, v)
-        n1, n2 = _normal_components(j)
-        q = math.hypot(n1, n2)
-        if q <= char_threshold(j, keep_tol):
-            x, y, t = (float(c) for c in j.value)
+        j = scalar_jet(surface, u, v)
+        q = scalar_normal(j)[2]
+        if q <= scalar_threshold(j, keep_tol):
+            x, y, t = j[0].tolist()
             found.append(LocusPoint(u, v, x, y, t, q))
 
     for i, u in enumerate(us):
         for k, v in enumerate(vs):
-            j = eval_jet2(surface, float(u), float(v))
-            n1, n2 = _normal_components(j)
+            j = scalar_jet(surface, float(u), float(v))
+            n1, n2, q = scalar_normal(j)
             n1g[i][k] = n1
             n2g[i][k] = n2
-            if math.hypot(n1, n2) <= char_threshold(j, keep_tol):
-                x, y, t = (float(c) for c in j.value)
-                found.append(LocusPoint(float(u), float(v), x, y, t, math.hypot(n1, n2)))
+            if q <= scalar_threshold(j, keep_tol):
+                x, y, t = j[0].tolist()
+                found.append(LocusPoint(float(u), float(v), x, y, t, q))
 
     def scan_edge(ua, va, ub, vb, comp_vals_a, comp_vals_b):
         for comp in (0, 1):
@@ -208,6 +206,20 @@ class TestCli:
     def test_flow_characteristic_seed_exits_one(self, capsys):
         assert main(["flow", "plane_t0", "--seed", "0", "0"]) == 1
         assert "characteristic" in capsys.readouterr().err.lower()
+
+    def test_flow_step_below_seed_resolution_exits_two(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", "flow", "paraboloid", "--seed", "0.5", "0.25",
+             "--ds", "1e-17", "--steps", "5"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "heisflow: ds = 1e-17 is below the resolution of the seed (0.5, 0.25): "
+            "a step cannot move it\n"
+        )
 
     def test_verify_subcommand(self, capsys):
         assert main(["verify", "--suite", "examples"]) == 0

@@ -6,19 +6,17 @@ import numpy as np
 import pytest
 
 from heisflow.builders import catalog_get
+from scalar_curvature import scalar_jet
 from heisflow.errors import NotRegular, OutOfDomain
 from heisflow.patch import (
     Domain,
-    Jet2,
     SurfaceHandle,
-    eval_jet2,
     eval_jets,
     fd_jet2,
     fd_step,
     from_value_map,
     grid_points,
-    jacobians,
-    jet2,
+    jet2_batch,
     make_surface,
     reparametrize_affine,
 )
@@ -43,7 +41,12 @@ def quad_fields(u, v):
 
 
 def quad_jet(u, v):
-    return jet2(*quad_fields(u, v))
+    return np.array(quad_fields(u, v), float)
+
+
+def eval_one(surface, u, v):
+    """The (6, 3) jet of one point, as a batch of one."""
+    return eval_jets(surface, [u], [v])[0]
 
 
 def test_domain_basic():
@@ -65,38 +68,35 @@ def test_domain_linspace():
 
 
 def test_jet2_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        jet2((0.0, math.nan, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    with pytest.raises(ValueError):
-        jet2((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 1.0, 0.0))
+    for fields, message in (
+        (((0.0, math.nan, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)), "in value: "),
+        (((0.0, 0.0, 0.0), (math.inf, 0.0, 0.0), (0.0, 1.0, 0.0)), "in du: "),
+    ):
+        surf = SurfaceHandle(DOM, lambda u, v, fields=fields: fields)
+        with pytest.raises(ValueError, match="non-finite jet component " + message):
+            eval_jets(surf, [0.0], [0.0])
 
 
 def test_jet2_defaults_zero_second_jets():
-    j = jet2((1.0, 2.0, 3.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-    assert not j.duu.any() and not j.duv.any() and not j.dvv.any()
-
-
-def test_jacobians_convention():
-    # d(f, g) = f_u g_v - g_u f_v on du = (1, 2, 3), dv = (4, 5, 6)
-    j = jet2((0.0, 0.0, 0.0), (1.0, 2.0, 3.0), (4.0, 5.0, 6.0))
-    assert jacobians(j) == (2.0 * 6.0 - 3.0 * 5.0, 3.0 * 4.0 - 1.0 * 6.0, 1.0 * 5.0 - 2.0 * 4.0)
+    j = jet2_batch(2, (1.0, 2.0, 3.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    assert j.shape == (2, 6, 3)
+    assert j[:, 0].tolist() == [[1.0, 2.0, 3.0]] * 2
+    assert not j[:, 3:].any()
 
 
 def test_fd_jet2_exact_on_dyadic_quadratic():
     # dyadic point and step keep every stencil value exactly representable
     u, v, h = 0.5, 0.25, 2.0 ** -6
-    j = fd_jet2(quad_map, u, v, h=h)
-    ref = quad_jet(u, v)
-    for name in ("value", "du", "dv", "duu", "duv", "dvv"):
-        assert getattr(j, name).tolist() == getattr(ref, name).tolist()
+    j = np.array(fd_jet2(quad_map, u, v, h=h))
+    assert j.tolist() == quad_jet(u, v).tolist()
 
 
 def test_fd_jet2_clips_to_domain():
     # near the u_max edge the u-step shrinks; quadratic FD stays exact
-    j = fd_jet2(quad_map, 1.0 - 2.0 ** -8, 0.0, h=2.0 ** -4, domain=DOM)
+    _, du, _, duu, _, _ = fd_jet2(quad_map, 1.0 - 2.0 ** -8, 0.0, h=2.0 ** -4, domain=DOM)
     ref = quad_jet(1.0 - 2.0 ** -8, 0.0)
-    assert j.du.tolist() == ref.du.tolist()
-    assert j.duu.tolist() == ref.duu.tolist()
+    assert du.tolist() == ref[1].tolist()
+    assert duu.tolist() == ref[3].tolist()
 
 
 def test_fd_jet2_domain_errors():
@@ -117,10 +117,10 @@ def test_make_surface_and_eval():
     surf = make_surface(quad_fields, DOM, label="quad")
     assert isinstance(surf, SurfaceHandle)
     assert surf.label == "quad"
-    j = eval_jet2(surf, 0.25, -1.0)
-    assert j.value.tolist() == list(quad_map(0.25, -1.0))
+    j = eval_one(surf, 0.25, -1.0)
+    assert j[0].tolist() == list(quad_map(0.25, -1.0))
     with pytest.raises(OutOfDomain):
-        eval_jet2(surf, 2.0, 0.0)
+        eval_one(surf, 2.0, 0.0)
 
 
 def test_make_surface_rejects_degenerate_patch():
@@ -135,10 +135,10 @@ def test_make_surface_rejects_degenerate_patch():
 
 def test_from_value_map_matches_analytic_jets():
     surf = from_value_map(quad_map, DOM, h=2.0 ** -6)
-    j = eval_jet2(surf, 0.125, 0.5)
+    j = eval_one(surf, 0.125, 0.5)
     ref = quad_jet(0.125, 0.5)
-    assert np.allclose(j.du, ref.du, rtol=0.0, atol=1e-12)
-    assert np.allclose(j.duv, ref.duv, rtol=0.0, atol=1e-10)
+    assert np.allclose(j[1], ref[1], rtol=0.0, atol=1e-12)
+    assert np.allclose(j[4], ref[4], rtol=0.0, atol=1e-10)
 
 
 def test_reparametrize_affine_chain_rule():
@@ -150,26 +150,26 @@ def test_reparametrize_affine_chain_rule():
     w1, w2 = 0.5, -0.75
     u = a11 * w1 + a12 * w2 + b[0]
     v = a21 * w1 + a22 * w2 + b[1]
-    j = eval_jet2(rep, w1, w2)
-    base = quad_jet(u, v)
-    assert np.allclose(j.value, base.value, atol=1e-15)
-    assert np.allclose(j.du, a11 * base.du + a21 * base.dv, atol=1e-14)
-    assert np.allclose(j.dv, a12 * base.du + a22 * base.dv, atol=1e-14)
+    value, du, dv, duu, duv, dvv = eval_one(rep, w1, w2)
+    b_value, b_du, b_dv, b_duu, b_duv, b_dvv = quad_jet(u, v)
+    assert np.allclose(value, b_value, atol=1e-15)
+    assert np.allclose(du, a11 * b_du + a21 * b_dv, atol=1e-14)
+    assert np.allclose(dv, a12 * b_du + a22 * b_dv, atol=1e-14)
     assert np.allclose(
-        j.duu,
-        a11 * a11 * base.duu + 2.0 * a11 * a21 * base.duv + a21 * a21 * base.dvv,
+        duu,
+        a11 * a11 * b_duu + 2.0 * a11 * a21 * b_duv + a21 * a21 * b_dvv,
         atol=1e-14,
     )
     assert np.allclose(
-        j.duv,
-        a11 * a12 * base.duu
-        + (a11 * a22 + a12 * a21) * base.duv
-        + a21 * a22 * base.dvv,
+        duv,
+        a11 * a12 * b_duu
+        + (a11 * a22 + a12 * a21) * b_duv
+        + a21 * a22 * b_dvv,
         atol=1e-14,
     )
     assert np.allclose(
-        j.dvv,
-        a12 * a12 * base.duu + 2.0 * a12 * a22 * base.duv + a22 * a22 * base.dvv,
+        dvv,
+        a12 * a12 * b_duu + 2.0 * a12 * a22 * b_duv + a22 * a22 * b_dvv,
         atol=1e-14,
     )
 
@@ -186,18 +186,18 @@ def test_reparametrize_affine_pads_short_formulas(name):
     w1, w2 = grid_points(*rep.domain.linspace(9, 7))
     want = []
     for x, y in zip(w1.tolist(), w2.tolist()):
-        j = eval_jet2(base, a11 * x + a12 * y + b1, a21 * x + a22 * y + b2)
+        u, v = a11 * x + a12 * y + b1, a21 * x + a22 * y + b2
+        value, du, dv, duu, duv, dvv = scalar_jet(base, u, v)
         want.append([
-            j.value,
-            a11 * j.du + a21 * j.dv,
-            a12 * j.du + a22 * j.dv,
-            a11 * a11 * j.duu + 2.0 * a11 * a21 * j.duv + a21 * a21 * j.dvv,
-            a11 * a12 * j.duu + (a11 * a22 + a12 * a21) * j.duv + a21 * a22 * j.dvv,
-            a12 * a12 * j.duu + 2.0 * a12 * a22 * j.duv + a22 * a22 * j.dvv,
+            value,
+            a11 * du + a21 * dv,
+            a12 * du + a22 * dv,
+            a11 * a11 * duu + 2.0 * a11 * a21 * duv + a21 * a21 * dvv,
+            a11 * a12 * duu + (a11 * a22 + a12 * a21) * duv + a21 * a22 * dvv,
+            a12 * a12 * duu + 2.0 * a12 * a22 * duv + a22 * a22 * dvv,
         ])
     want = np.array(want)
-    got = [eval_jet2(rep, x, y) for x, y in zip(w1.tolist(), w2.tolist())]
-    got = np.array([[j.value, j.du, j.dv, j.duu, j.duv, j.dvv] for j in got])
+    got = np.array([scalar_jet(rep, x, y) for x, y in zip(w1.tolist(), w2.tolist())])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     assert eval_jets(rep, w1, w2).view(np.int64).tolist() == want.view(np.int64).tolist()
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -21,8 +22,13 @@ from heisflow.heis import (
     kc_distance,
     koranyi_gauge,
 )
-from heisflow.horizontal import flow_direction, horizontal_normal, normal_compatibility
-from heisflow.patch import jet2
+from heisflow.flow import _field_rows
+from heisflow.horizontal import (
+    EPS_CHAR,
+    horizontal_normal_batch,
+    induced_form_batch,
+    normal_compatibility,
+)
 
 # magnitudes below 1e-60 collapse to exact zero: fourth powers of anything
 # smaller underflow into the subnormal range, where rounding breaks the
@@ -117,34 +123,25 @@ def test_frame_embedding_preserves_contact_pairing(p, h1, h2):
     )
 
 
-jets = st.builds(
-    lambda vals, d1, d2: jet2(
-        tuple(vals), tuple(d1[:3]), tuple(d1[3:]), tuple(d2[:3]), tuple(d2[3:6]), tuple(d2[6:])
-    ),
-    st.lists(small, min_size=3, max_size=3),
-    st.lists(small, min_size=6, max_size=6),
-    st.lists(small, min_size=9, max_size=9),
-)
+jets = st.lists(small, min_size=18, max_size=18).map(lambda e: np.array(e).reshape(1, 6, 3))
 
 
 @given(jets)
 def test_normal_compatibility_is_squared_norm(j):
-    nh = horizontal_normal(j)
-    assert math.isclose(
-        normal_compatibility(j), nh.norm**2, rel_tol=1e-12, abs_tol=1e-12
-    )
+    q = horizontal_normal_batch(j)[2][0]
+    assert math.isclose(normal_compatibility(j)[0], q**2, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @given(jets)
 def test_flow_direction_annihilates_induced_form(j):
-    nh = horizontal_normal(j)
-    if nh.norm <= 1e-3 * (1.0 + math.sqrt(float(j.du @ j.du) + float(j.dv @ j.dv))):
+    q = horizontal_normal_batch(j)[2][0]
+    du, dv = j[0, 1], j[0, 2]
+    if q <= 1e-3 * (1.0 + math.sqrt(float(du @ du) + float(dv @ dv))):
         return
-    d = flow_direction(j)
-    from heisflow.horizontal import induced_form
-
-    f = induced_form(j)
-    pairing = f.p_u * d.du + f.p_v * d.dv
-    scale = math.hypot(f.p_u, f.p_v)
+    (d_u, d_v, _, _), near = _field_rows(j, EPS_CHAR)
+    assert not near[0]
+    (p_u,), (p_v,) = induced_form_batch(j)
+    pairing = p_u * d_u[0] + p_v * d_v[0]
+    scale = math.hypot(p_u, p_v)
     assert abs(pairing) <= 1e-12 * (1.0 + scale)
-    assert math.isclose(math.hypot(d.du, d.dv) * nh.norm, scale, rel_tol=1e-9)
+    assert math.isclose(math.hypot(d_u[0], d_v[0]) * q, scale, rel_tol=1e-9)

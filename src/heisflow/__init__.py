@@ -37,7 +37,6 @@ from .curvature import (
     is_h_minimal,
     mean_curvature_flow_oracle,
     mean_curvature_local,
-    signed_curvature_plane,
 )
 from .errors import (
     BasePointMismatch,
@@ -61,7 +60,6 @@ from .errors import (
 )
 from .flow import (
     FlowTrace,
-    cc_length,
     horizontality_residual,
     integrate_flow,
     integrate_flows,

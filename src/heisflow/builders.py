@@ -764,8 +764,13 @@ def surface_from_dict(d: dict) -> SurfaceHandle:
 
 def load_surface_file(path: str) -> SurfaceHandle:
     """Read a JSON surface description from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as e:
+        raise SpecError(f"cannot read {path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:

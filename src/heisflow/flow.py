@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     CharacteristicPoint,
-    NotHorizontal,
     OutOfDomain,
     TooFewSamples,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "integrate_flow",
     "integrate_flows",
     "horizontality_residual",
-    "cc_length",
 ]
 
 # Legs stop when ||N^h|| falls below STOP_FACTOR times the characteristic
@@ -388,20 +386,3 @@ def horizontality_residual(points: np.ndarray, ds: float) -> float:
     omega = vel[:, 2] + 2.0 * (mid[:, 0] * vel[:, 1] - mid[:, 1] * vel[:, 0])
     return float(np.max(np.abs(omega)))
 
-
-def cc_length(points: np.ndarray, ds: float, tol: float = 1e-6) -> float:
-    """Carnot-Caratheodory length of a sampled horizontal curve.
-
-    Horizontal curves have CC length equal to the Euclidean length of their
-    complex-plane projection, which is what the chord sum below computes.
-    Raises NotHorizontal when the sampled contact residual exceeds ``tol``,
-    since the projection formula is meaningless for non-horizontal data.
-    """
-    pts = np.asarray(points, dtype=float)
-    res = horizontality_residual(pts, ds)
-    if res > tol:
-        raise NotHorizontal(
-            f"contact residual {res:.3e} exceeds {tol:.1e}; "
-            "curve is not horizontal to sampling accuracy"
-        )
-    return float(np.sum(np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))))

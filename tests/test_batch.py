@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisflow import cli, verify
+from heisflow import cli, curvature, verify
 from scalar_curvature import (
     reference_local,
     scalar_jet,
@@ -95,7 +95,9 @@ def scalar_columns(surface, u, v):
             H.append(sample.H)
             q.append(sample.nh_norm)
             char.append(False)
-    return np.array(jets), np.array(cols).T, np.array(H), np.array(q), np.array(char)
+    jets = np.array(jets).reshape(-1, 6, 3)
+    cols = np.array(cols).reshape(-1, 5).T
+    return jets, cols, np.array(H), np.array(q), np.array(char, bool)
 
 
 def assert_batch_matches_scalar(surface, u, v):
@@ -118,6 +120,41 @@ def assert_batch_matches_scalar(surface, u, v):
 def test_catalog_batch_bit_identical(name):
     surface = catalog_get(name)
     assert_batch_matches_scalar(surface, *sample_points(surface))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [(), ((0.001, 0.3),), ((0.001, 0.3), (0.0, 0.0), (1.0, 0.5), (-0.0005, -0.4))],
+    ids=["empty", "one-point", "mixed"],
+)
+def test_edge_batches_bit_identical(points):
+    # t = 1e40 u^6: the origin is characteristic, so its numerator sums are
+    # not needed, and at u = 1 the jet entries pass 2**100, so that point's
+    # sums all go to math.fsum; curvature_scan passes an empty batch when a
+    # whole block is skipped
+    surface = build_graph_separable(
+        TermSum((Term("poly", 1e40, 6),)), TermSum(), Domain(-1.0, 1.0, -1.0, 1.0)
+    )
+    u, v = np.array(points, float).reshape(-1, 2).T
+    assert_batch_matches_scalar(surface, u, v)
+    if len(points) > 1:
+        jets = eval_jets(surface, u, v)
+        assert mean_curvature_batch(jets).char.tolist() == [False, True, False, False]
+        assert (np.abs(jets).max(axis=(1, 2)) > 2.0**100).tolist() == [False, False, True, False]
+
+
+def test_batch_makes_one_column_sum_per_term_shape(monkeypatch, paraboloid):
+    shapes = []
+
+    def counting(t, *args):
+        shapes.append(t.shape)
+        return fsum_columns(t, *args)
+
+    fsum_columns = curvature._fsum_columns
+    monkeypatch.setattr(curvature, "_fsum_columns", counting)
+    mean_curvature_batch(eval_jets(paraboloid, [0.5, 0.1, -0.3], [0.25, -0.3, 0.7]))
+    # n1 and n2; their four derivatives; p_u, p_v, A_u and A_v; the numerator
+    assert shapes == [(10, 6), (26, 12), (6, 12), (4, 3)]
 
 
 def test_random_ruled_batch_bit_identical():
@@ -257,7 +294,7 @@ def test_fsum_columns_matches_fsum():
         tiny = rng.standard_normal((k, n)) * 2.0 ** rng.integers(-1074, -1000, (k, n))
         zeros = np.where(rng.integers(0, 2, (k, n)) == 1, -0.0, 0.0)
         for t in (wide, cancel, ties, tiny, zeros):
-            got = _fsum_columns(list(t), np.ones(n, bool))
+            got = _fsum_columns(t, np.ones(n, bool))
             want = [math.fsum(t[:, i].tolist()) for i in range(n)]
             np.testing.assert_array_equal(bits(got), bits(want))
 
@@ -270,11 +307,11 @@ def test_fsum_columns_give_nan_where_fsum_raises():
         math.fsum(t[:, 2].tolist())
     with pytest.raises(OverflowError):
         math.fsum(t[:, 3].tolist())
-    got = _fsum_columns(list(t), np.zeros(4, bool))
+    got = _fsum_columns(t, np.zeros(4, bool))
     assert got[:2].tolist() == [3.0, 3.0] and np.isnan(got[2:]).all()
     t[:, 3] = 1.0
     need = np.array([True, True, False, True])
-    got = _fsum_columns(list(t), np.zeros(4, bool), need)
+    got = _fsum_columns(t, np.zeros(4, bool), need)
     assert got[[0, 1, 3]].tolist() == [3.0, 3.0, 3.0] and math.isnan(got[2])
 
 

@@ -3,16 +3,17 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from conftest import ts
 from heisflow.builders import CurveSpec, build_cylinder, build_graph_separable
 from heisflow.curvature import (
     MINIMALITY_BAND,
+    _signed_curvatures,
     is_h_minimal,
     mean_curvature_flow_oracle,
     mean_curvature_local,
-    signed_curvature_plane,
 )
 from heisflow.errors import (
     CharacteristicPoint,
@@ -32,12 +33,15 @@ def unit_normal(surface, u, v):
 
 
 def test_signed_curvature_plane_frozen():
-    assert signed_curvature_plane((0.0, 1.0), (-1.0, 0.0)) == 1.0  # ccw circle
-    assert signed_curvature_plane((0.0, -1.0), (-1.0, 0.0)) == -1.0  # cw circle
-    assert signed_curvature_plane((2.0, 0.0), (0.0, 0.0)) == 0.0  # line
-    assert signed_curvature_plane((1.0, 0.0), (0.0, 2.0)) == 2.0  # parabola apex
+    def kappa(d1, d2):
+        return _signed_curvatures(np.array([d1]).T, np.array([d2]).T).tolist()
+
+    assert kappa((0.0, 1.0), (-1.0, 0.0)) == [1.0]  # ccw circle
+    assert kappa((0.0, -1.0), (-1.0, 0.0)) == [-1.0]  # cw circle
+    assert kappa((2.0, 0.0), (0.0, 0.0)) == [0.0]  # line
+    assert kappa((1.0, 0.0), (0.0, 2.0)) == [2.0]  # parabola apex
     with pytest.raises(ZeroSpeed):
-        signed_curvature_plane((0.0, 0.0), (1.0, 1.0))
+        kappa((0.0, 0.0), (1.0, 1.0))
 
 
 @pytest.mark.parametrize("radius", [0.5, 2.0])

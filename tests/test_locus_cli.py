@@ -341,6 +341,32 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "kind, message",
+        [("directory", "cannot read {}: "), ("not-utf8", "{}: not UTF-8 text")],
+        ids=["directory", "not-utf8"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval"], ["locus"], ["flow", "--seed", "0", "0"]],
+        ids=["eval", "locus", "flow"],
+    )
+    def test_unreadable_surface_file_exits_two(self, tmp_path, kind, message, argv):
+        path = tmp_path / "surface.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xfe{}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", argv[0], str(path), *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("heisflow: " + message.format(path))
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
         "spec",
         [
             {"type": "graph", "domain": {"u": [0, 1e60], "v": [0, 1]},

@@ -14,6 +14,7 @@ malformed surface file, or an --out path that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import math
 import os
@@ -254,6 +255,7 @@ def _cmd_verify(args, eps_char: float) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.cache  # built once per process; parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisflow",

@@ -76,11 +76,12 @@ STOP_FACTOR = 10.0
 # for enough legs.  Measured with 150-step legs from random seeds on the
 # five catalog surfaces of the benchmark and one random ruled patch (2
 # cores, Python 3.11, numpy 2.4), median over the six of the
-# lockstep/scalar time ratio: 8.3 at 2 legs, 2.1 at 8, 1.5 at 12, 1.0-1.2
-# at 16, 0.7 at 24.  One _field call costs 6-23 us, _fields on 2 points
-# 120-260 us.  At 2 legs, the one-seed call of ``heisflow flow``, the
-# scalar stepper is the only fast one.
-LOCKSTEP_MIN_LEGS = 16
+# lockstep/scalar time ratio, in two draws of seeds: 8.9-12 at 2 legs,
+# 2.7 at 8, 1.9-2.1 at 12, 1.3-1.4 at 16, 1.2 at 20, 1.0-1.05 at 24,
+# 0.8-0.9 at 28 and 32.  One _field call costs 4-18 us, _fields on 2
+# points 90-240 us.  At 2 legs, the one-seed call of ``heisflow flow``,
+# the scalar stepper is the only fast one.
+LOCKSTEP_MIN_LEGS = 24
 
 
 class _LegStop(Exception):
@@ -114,13 +115,20 @@ class FlowTrace:
 def _field(surface: SurfaceHandle, u: float, v: float, eps_char: float):
     """The field (du, dv) and the point's x, y at one parameter point, from
     the field formula on floats: what :func:`_field_rows` gives for the jet
-    of :func:`heisflow.patch.eval_jets`, which raises what this raises."""
-    if not surface.domain.contains(u, v):
-        raise _out_of_domain(surface.domain, u, v)
+    of :func:`heisflow.patch.eval_jets`, which raises what this raises.
+
+    On floats a field formula returns Python floats (see
+    :class:`heisflow.patch.SurfaceHandle`), read here as they are.  One sum
+    of every component screens them: a non-finite component makes it
+    non-finite, and only then does the per-component check run, so a
+    finite jet whose sum overflows passes as it does in ``eval_jets``."""
+    dom = surface.domain
+    if not (dom.u_min <= u <= dom.u_max and dom.v_min <= v <= dom.v_max):
+        raise _out_of_domain(dom, u, v)
     fields = surface.fields(u, v)
-    if not all(math.isfinite(c) for f in fields for c in f):
+    if not math.isfinite(sum(map(sum, fields))):
         _check_finite(jet2_batch(1, *fields))
-    (x, y, _), du, dv = ([float(c) for c in f] for f in fields[:3])
+    (x, y, _), du, dv = fields[:3]
     n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
     q = math.hypot(n1, n2)
     if q < STOP_FACTOR * _threshold.formula(x, y, du, dv, math.sqrt, eps_char):
@@ -155,7 +163,12 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
         except _LegStop as stop:
             reason = stop.reason
             break
-        if any(k[0] * f[0] + k[1] * f[1] < 0.0 for k in (k2, k3, k4, fn)):
+        if (
+            k2[0] * f[0] + k2[1] * f[1] < 0.0
+            or k3[0] * f[0] + k3[1] * f[1] < 0.0
+            or k4[0] * f[0] + k4[1] * f[1] < 0.0
+            or fn[0] * f[0] + fn[1] * f[1] < 0.0
+        ):
             # Field reversed within one step: a stage or the new point lies
             # across the characteristic locus, where the field flips sign.
             # Reject the new point.

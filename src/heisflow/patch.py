@@ -132,7 +132,9 @@ class SurfaceHandle:
 
     ``fields(u, v)`` takes floats or equal-length float arrays and returns
     the three to six field triples of :func:`jet2_batch`, with floats
-    standing for every point; :func:`eval_jets` checks its output.
+    standing for every point; :func:`eval_jets` checks its output.  On
+    floats every entry is a Python float, not a numpy scalar: the flow's
+    scalar stepper does float arithmetic on them as they are.
     The parameter order carries the orientation; flipping it means building
     a new handle with swapped parameters.
     """
@@ -282,7 +284,7 @@ def from_value_map(
 
     def fields(u, v):
         if not isinstance(u, np.ndarray):
-            return fd_jet2(value_map, u, v, h=h, domain=domain)
+            return tuple(f.tolist() for f in fd_jet2(value_map, u, v, h=h, domain=domain))
         jets = [fields(a, b) for a, b in zip(u.tolist(), v.tolist())]
         return np.array(jets, float).reshape(len(u), 6, 3).transpose(1, 2, 0)
 

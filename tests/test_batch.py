@@ -6,6 +6,7 @@ reference: each point's jet from the field formula on floats, the
 first-order formulas on those floats, and the per-point curvature.
 """
 
+import json
 import math
 import warnings
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisflow import cli, curvature, verify
+from heisflow import cli, curvature, flow, verify
 from scalar_curvature import (
     reference_local,
     scalar_jet,
@@ -29,7 +30,9 @@ from heisflow.builders import (
     build_graph_separable,
     build_straight_ruled,
     catalog_get,
+    load_surface_file,
     random_ruled_spec,
+    spec_to_dict,
 )
 from heisflow.curvature import (
     MINIMALITY_BAND,
@@ -278,6 +281,64 @@ def test_eval_jets_errors_match_scalar(paraboloid):
     with pytest.raises(ValueError) as batch:
         eval_jets(huge, [0.0, 1e10], [0.5, 0.5])
     assert str(batch.value) == str(scalar.value)
+
+
+def six_triple_plane(bad, value):
+    """The plane t = 0 from a formula that returns all six field triples,
+    with ``value`` put at flat position ``bad`` (field * 3 + coordinate)."""
+
+    def fields(u, v):
+        entries = [u, v, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0] + [0.0] * 9
+        entries[bad] = value
+        return tuple(tuple(entries[i : i + 3]) for i in range(0, 18, 3))
+
+    return make_surface(fields, Domain(-1.0, 1.0, -1.0, 1.0), "six-triple-plane", check_grid=None)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(18))
+def test_field_screen_raises_what_eval_jets_raises(position, value):
+    surface = six_triple_plane(position, value)
+    with pytest.raises(ValueError) as scalar:
+        _field(surface, 0.3, 0.4, 1e-9)
+    with pytest.raises(ValueError) as batch:
+        eval_jets(surface, [0.3], [0.4])
+    assert str(scalar.value) == str(batch.value)
+    field = ("value", "du", "dv", "duu", "duv", "dvv")[position // 3]
+    assert str(scalar.value).startswith(f"non-finite jet component in {field}: ")
+
+
+def test_field_screen_passes_finite_jets_whose_sum_overflows():
+    surface = catalog_get("cylinder(1.5e308)")
+    fields = surface.fields(1.0, 0.3)
+    # every component is finite, but their one sum is not: the full check runs
+    assert all(math.isfinite(c) for f in fields for c in f)
+    assert not math.isfinite(sum(map(sum, fields)))
+    got = _field(surface, 1.0, 0.3, 1e-9)
+    rows, near = flow._field_rows(eval_jets(surface, [1.0], [0.3]), 1e-9)
+    assert not near[0]
+    assert bits(got).tolist() == bits(rows[:, 0]).tolist()
+
+
+def test_field_formulas_return_python_floats_on_floats(tmp_path):
+    surfaces = {name: catalog_get(name) for name in CATALOG}
+    surfaces["reparametrized-cone"] = reparametrize_affine(
+        catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
+        Domain(-0.25, 0.25, -0.9, 0.9),
+    )
+    surfaces["value-map"] = from_value_map(
+        lambda u, v: (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u),
+        Domain(-1.0, 1.0, -1.0, 1.0),
+    )
+    path = tmp_path / "ruled.json"
+    path.write_text(json.dumps(spec_to_dict(random_ruled_spec(Lcg64(4), 4))))
+    surfaces["ruled-file"] = load_surface_file(str(path))
+    for name, surface in surfaces.items():
+        dom = surface.domain
+        for fu, fv in ((0.3, 0.6), (0.5, 0.5), (0.8, 0.1)):
+            fields = surface.fields(dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
+            types = {type(c) for f in fields for c in f}
+            assert types == {float}, (name, types)
 
 
 def test_fsum_columns_matches_fsum():

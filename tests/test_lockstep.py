@@ -221,7 +221,14 @@ def test_integrate_flows_matches_one_seed_calls(name):
     # integrate_flow traces 2 legs, under the cutoff: the scalar stepper;
     # these batches are over it, so integrate_flows runs in lockstep
     surface = SURFACES[name]()
-    seeds = interior_seeds(surface.domain) + locus_seeds(name, surface.domain)
+    dom = surface.domain
+    # a second, offset grid keeps the batch over the cutoff
+    offset = [
+        (dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
+        for fu in (0.4, 0.6)
+        for fv in (0.15, 0.4, 0.6, 0.85)
+    ]
+    seeds = interior_seeds(dom) + offset + locus_seeds(name, dom)
     got = integrate_flows(surface, seeds, ds=DS, max_steps=120, eps_char=EPS)
     assert 2 * sum(t is not None for t in got) >= LOCKSTEP_MIN_LEGS
     want = []

@@ -554,3 +554,31 @@ class TestOutputAndLimits:
             buf = io.StringIO()
             cli._json_dump(r, buf)
             assert buf.getvalue() == "[" + ", ".join(map(cli._json_atom, r)) + "]"
+
+    def test_cached_parser_gives_fresh_process_output(self, capsys, monkeypatch):
+        # the parser is built once per process; argparse wraps usage text at
+        # $COLUMNS, so both sides get the same width
+        monkeypatch.setenv("COLUMNS", "80")
+        flow_csv = ["flow", "paraboloid", "--seed", "0.3", "0.7", "--steps", "20", "--format", "csv"]
+        calls = [
+            flow_csv,
+            ["eval", "paraboloid"],
+            ["flow", "paraboloid", "--seed", "0.3", "0.7", "--steps", "0"],
+            flow_csv,
+        ]
+        codes = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            codes.append(code)
+            captured = capsys.readouterr()
+            proc = subprocess.run(
+                [sys.executable, "-m", "heisflow", *argv], capture_output=True, text=True
+            )
+            assert (code, captured.out, captured.err) == (
+                proc.returncode, proc.stdout, proc.stderr
+            ), argv
+        assert codes == [0, 0, 2, 0]
+        assert proc.stdout.startswith("s,u,v,x,y,t,arc\n")

@@ -65,7 +65,6 @@ from .flow import (
     integrate_flows,
 )
 from .heis import (
-    ORIGIN,
     FrameVector,
     HorizontalVec,
     Point3,
@@ -78,7 +77,6 @@ from .heis import (
     group_inv,
     group_mul,
     h_wedge,
-    j_rotate,
     kc_distance,
     koranyi_gauge,
 )

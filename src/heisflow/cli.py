@@ -21,8 +21,10 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from .curvature import mean_curvature_batch
-from .errors import CharacteristicPoint, HeisflowError, OutOfDomain, SpecError, UnknownName
+from .errors import HeisflowError, OutOfDomain, SpecError, UnknownName
 from .flow import integrate_flow
 from .horizontal import EPS_CHAR, horizontal_normal_batch, induced_form_batch
 from .locus import characteristic_locus
@@ -85,15 +87,7 @@ def _json_dump(value, out, indent=0):
             out.write(",\n" if i < len(value) - 1 else "\n")
         out.write(pad + "}")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            out.write("[]")
-            return
-        if all(type(v) is float for v in value) and math.isfinite(sum(value)):
-            # one template for a row of finite floats, the bulk of eval output
-            out.write("[" + ", ".join(["%.17g"] * len(value)) % tuple(value) + "]")
-            return
-        flat = all(isinstance(v, (int, float, str, bool, type(None))) for v in value)
-        if flat:
+        if all(isinstance(v, (int, float, str, bool, type(None))) for v in value):
             out.write("[" + ", ".join(_json_atom(v) for v in value) + "]")
             return
         out.write("[\n")
@@ -102,19 +96,23 @@ def _json_dump(value, out, indent=0):
             _json_dump(v, out, indent + 1)
             out.write(",\n" if i < len(value) - 1 else "\n")
         out.write(pad + "]")
+    elif isinstance(value, np.ndarray):  # a table, one line per row
+        row = pad + "  [" + ", ".join(["%s"] * value.shape[1]) + "]"
+        rows = _table(value, _json_atom, row, ",\n")
+        out.write("[\n" + rows + "\n" + pad + "]" if rows else "[]")
     else:
         out.write(_json_atom(value))
 
 
 def _json_atom(value) -> str:
+    if isinstance(value, float):  # first: a table calls this once per distinct value
+        return _fmt(value) if math.isfinite(value) else "null"
     if value is None:
         return "null"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return _fmt(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
         escaped = (
             value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
@@ -123,12 +121,23 @@ def _json_atom(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+def _table(table: np.ndarray, atom, row: str, sep: str) -> str:
+    """An (N, k) float table's rows through ``row`` (a %s per column), joined
+    by ``sep``.  Each block runs ``atom`` once per distinct value, told apart
+    by bits: -0.0 == 0.0 but prints as -0, and NaN never equals itself."""
+    parts = []
+    for sl in blocks(len(table)):
+        block = table[sl]
+        bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
+        text = np.array([atom(x) for x in bits.view(np.float64).tolist()], dtype=object)
+        parts.append(sep.join([row] * len(block)) % tuple(text[inv].tolist()))
+    return sep.join(parts)
+
+
 def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | None):
     if fmt == "csv":
-        lines = [",".join(columns)]
-        for row in report["rows"]:
-            lines.append(",".join(_fmt(x) if isinstance(x, float) else str(x) for x in row))
-        text = "\n".join(lines) + "\n"
+        row = ",".join(["%s"] * len(columns)) + "\n"
+        text = ",".join(columns) + "\n" + _table(report["rows"], _fmt, row, "")
     else:
         buf = io.StringIO()
         _json_dump(report, buf)
@@ -171,17 +180,16 @@ def _cmd_eval(args, eps_char: float) -> int:
     nu, nv = args.grid
     columns = ["u", "v", "x", "y", "t", "n1", "n2", "nh_norm", "p_u", "p_v", "H"]
     us, vs = grid_points(_axis_points(u0, u1, nu), _axis_points(v0, v1, nv))
-    rows = []
+    rows = np.empty((len(us), len(columns)))
     for sl in blocks(len(us)):
         jets = eval_jets(surface, us[sl], vs[sl])
-        cols = (
-            us[sl], vs[sl], *jets[:, 0].T,
+        rows[sl] = np.column_stack((
+            us[sl], vs[sl], jets[:, 0],
             *horizontal_normal_batch(jets),
             *induced_form_batch(jets),
             # NaN at characteristic points, where the curvature is undefined
             mean_curvature_batch(jets, eps_char=eps_char).H,
-        )
-        rows.extend(zip(*(c.tolist() for c in cols)))
+        ))
     report = {
         "surface": surface.label or args.surface,
         "grid": [nu, nv],
@@ -205,7 +213,7 @@ def _cmd_locus(args, eps_char: float) -> int:
         "refine": args.refine,
         "count": len(pts),
         "columns": columns,
-        "rows": [[p.u, p.v, p.x, p.y, p.t, p.nh_norm] for p in pts],
+        "rows": np.reshape([[p.u, p.v, p.x, p.y, p.t, p.nh_norm] for p in pts], (-1, 6)),
     }
     _emit(report, columns, args.format, args.out)
     return 0
@@ -218,8 +226,6 @@ def _cmd_flow(args, eps_char: float) -> int:
         surface, u, v, ds=args.ds, max_steps=args.steps, eps_char=eps_char
     )
     columns = ["s", "u", "v", "x", "y", "t", "arc"]
-    cols = (trace.params, *trace.uv.T, *trace.points.T, trace.arc)
-    rows = list(zip(*(c.tolist() for c in cols)))
     report = {
         "surface": surface.label or args.surface,
         "seed": [u, v],
@@ -229,7 +235,7 @@ def _cmd_flow(args, eps_char: float) -> int:
         "stop_backward": trace.stop_backward,
         "stop_forward": trace.stop_forward,
         "columns": columns,
-        "rows": rows,
+        "rows": np.column_stack((trace.params, trace.uv, trace.points, trace.arc)),
     }
     _emit(report, columns, args.format, args.out)
     print(
@@ -255,9 +261,21 @@ def _cmd_verify(args, eps_char: float) -> int:
     return 0 if report["passed"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every float literal for a value (argparse alone reads -1e-3 as
+    an option); no option here is a float literal.  Subparsers inherit it."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 @functools.cache  # built once per process; parse_args keeps no state on it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="heisflow",
         description="Surface curvature and horizontal flow tools for the "
         "first Heisenberg group.",
@@ -281,12 +299,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--urange", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     p_eval.add_argument("--vrange", nargs=2, type=float, default=None, metavar=("LO", "HI"))
     add_output_flags(p_eval)
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_locus = sub.add_parser("locus", help="locate the characteristic locus")
     p_locus.add_argument("surface")
     p_locus.add_argument("--grid", type=_parse_grid, default=(101, 101), metavar="NxM")
     p_locus.add_argument("--refine", type=_int_between(0, MAX_REFINE), default=60)
     add_output_flags(p_locus)
+    p_locus.set_defaults(run=_cmd_locus)
 
     p_flow = sub.add_parser("flow", help="trace the horizontal flow leaf")
     p_flow.add_argument("surface")
@@ -297,17 +317,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flow.add_argument("--ds", type=float, default=1e-3)
     p_flow.add_argument("--steps", type=_int_between(1, MAX_STEPS), default=2000)
     add_output_flags(p_flow)
+    p_flow.set_defaults(run=_cmd_flow)
 
     p_verify = sub.add_parser("verify", help="run a self-verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), default="all")
     p_verify.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_verify.add_argument("--out", default=None)
+    p_verify.set_defaults(run=_cmd_verify)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.eps_char is not None:
         eps_char = args.eps_char
     else:
@@ -321,20 +342,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"heisflow: eps-char must be positive, got {eps_char}", file=sys.stderr)
         return 2
 
-    handlers = {
-        "eval": _cmd_eval,
-        "locus": _cmd_locus,
-        "flow": _cmd_flow,
-        "verify": _cmd_verify,
-    }
     try:
-        return handlers[args.command](args, eps_char)
+        return args.run(args, eps_char)
     except (UnknownName, SpecError, OutOfDomain, ValueError) as e:
         print(f"heisflow: {e}", file=sys.stderr)
         return 2
-    except CharacteristicPoint as e:
-        print(f"heisflow: {e}", file=sys.stderr)
-        return 1
     except HeisflowError as e:
         print(f"heisflow: {e}", file=sys.stderr)
         return 1

@@ -28,7 +28,6 @@ __all__ = [
     "Point3",
     "FrameVector",
     "HorizontalVec",
-    "ORIGIN",
     "group_mul",
     "group_inv",
     "koranyi_gauge",
@@ -37,7 +36,6 @@ __all__ = [
     "euclidean_to_frame",
     "contact_eval",
     "h_wedge",
-    "j_rotate",
     "frame_x",
     "frame_y",
     "frame_t",
@@ -70,9 +68,6 @@ class Point3:
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.t)
-
-
-ORIGIN = Point3(0.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +165,3 @@ def h_wedge(a: FrameVector, b: FrameVector) -> FrameVector:
         a.a1 * b.a2 - a.a2 * b.a1,
         a.base,
     )
-
-
-def j_rotate(v: HorizontalVec) -> HorizontalVec:
-    """Positive quarter turn of the horizontal plane: X -> Y, Y -> -X."""
-    return HorizontalVec(-v.h2, v.h1, v.base)

@@ -14,9 +14,18 @@ from heisflow.builders import (
     build_straight_ruled,
     catalog_get,
 )
+from heisflow.heis import HorizontalVec, Point3
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
+
+
+ORIGIN = Point3(0.0, 0.0, 0.0)
+
+
+def j_rotate(v: HorizontalVec) -> HorizontalVec:
+    """Positive quarter turn of the horizontal plane: X -> Y, Y -> -X."""
+    return HorizontalVec(-v.h2, v.h1, v.base)
 
 
 def ts(*terms) -> TermSum:

@@ -16,6 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, curvature, flow, verify
+from reference_writer import render
 from scalar_curvature import (
     reference_local,
     scalar_jet,
@@ -397,6 +398,13 @@ def old_eval_rows(surface, us, vs):
         ("paraboloid", (31, 24), "csv", None),
         ("cone_lower", (70, 61), "json", None),  # more than one block
         ("circle_lift_developable", (8, 5), "csv", ((0.5, 2.5), (0.2, 1.1))),
+        # table sizes at the edges: one row, one block, one block and a row
+        ("paraboloid", (1, 1), "json", None),
+        ("paraboloid", (1, 1), "csv", None),
+        ("paraboloid", (32, 32), "csv", None),
+        ("paraboloid", (32, 32), "json", None),
+        ("paraboloid", (41, 25), "csv", None),
+        ("paraboloid", (41, 25), "json", None),
     ],
 )
 def test_eval_stdout_matches_per_point_loop(capsys, name, grid, fmt, sub):
@@ -423,8 +431,7 @@ def test_eval_stdout_matches_per_point_loop(capsys, name, grid, fmt, sub):
         "columns": columns,
         "rows": rows,
     }
-    cli._emit(report, columns, fmt, None)
-    assert got == capsys.readouterr().out
+    assert got == render(report, columns, fmt)
 
 
 def old_is_h_minimal(surface, grid):

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ORIGIN, j_rotate
 from heisflow.errors import BasePointMismatch
 from heisflow.heis import (
-    ORIGIN,
     FrameVector,
     HorizontalVec,
     Point3,
@@ -20,7 +20,6 @@ from heisflow.heis import (
     group_inv,
     group_mul,
     h_wedge,
-    j_rotate,
     kc_distance,
     koranyi_gauge,
 )

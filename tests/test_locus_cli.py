@@ -540,6 +540,41 @@ class TestOutputAndLimits:
         err = capsys.readouterr().err
         assert "must be between" in err or "invalid int value" in err
 
+    @pytest.mark.parametrize(
+        "argv, option, want",
+        [
+            (["flow", "paraboloid", "--seed", "-1e-3", "0.5"], "seed", [-1e-3, 0.5]),
+            (["flow", "paraboloid", "--seed", "0.5", "-2.5e-1"], "seed", [0.5, -0.25]),
+            (["flow", "paraboloid", "--seed", "-inf", "-1_0.5"], "seed", [-math.inf, -10.5]),
+            (["eval", "paraboloid", "--urange", "-1e-1", "1"], "urange", [-0.1, 1.0]),
+            (["eval", "paraboloid", "--vrange", "-5E-1", "-1e-2"], "vrange", [-0.5, -0.01]),
+            (["flow", "paraboloid", "--seed", "0", "1", "--ds", "-1e-3"], "ds", -1e-3),
+            (["--eps-char", "-1e-3", "verify"], "eps_char", -1e-3),
+        ],
+    )
+    def test_negative_float_literals_are_values(self, argv, option, want):
+        # argparse alone takes -1e-3 for an option and stops --seed short
+        assert getattr(cli._build_parser().parse_args(argv), option) == want
+
+    def test_negative_exponent_seed_runs_like_its_decimal_form(self, capsys):
+        assert main(["flow", "paraboloid", "--seed", "-1e-3", "0.5", "--steps", "5"]) == 0
+        got = capsys.readouterr()
+        assert main(["flow", "paraboloid", "--seed", "-0.001", "0.5", "--steps", "5"]) == 0
+        assert capsys.readouterr() == got
+        assert main(["eval", "paraboloid", "--urange", "-1e-1", "1", "--grid", "3x3"]) == 0
+        assert '"urange": [-0.10000000000000001, 1]' in capsys.readouterr().out
+
+    def test_negative_exponent_ds_reaches_the_ds_check(self, capsys):
+        argv = ["flow", "paraboloid", "--seed", "0.5", "0.5", "--ds", "-1e-3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "heisflow: ds must be positive and finite, got -0.001\n"
+
+    def test_dash_word_is_still_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(["flow", "paraboloid", "--seed", "-x", "0.5"])
+        assert exc.value.code == 2
+        assert "expected 2 arguments" in capsys.readouterr().err
+
     @given(st.lists(st.one_of(st.floats(), st.integers(), st.none(), st.booleans()), max_size=12))
     def test_json_rows_match_the_atom_writer(self, row):
         buf = io.StringIO()

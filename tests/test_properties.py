@@ -6,8 +6,8 @@ import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from conftest import ORIGIN, j_rotate
 from heisflow.heis import (
-    ORIGIN,
     FrameVector,
     HorizontalVec,
     Point3,
@@ -18,7 +18,6 @@ from heisflow.heis import (
     group_inv,
     group_mul,
     h_wedge,
-    j_rotate,
     kc_distance,
     koranyi_gauge,
 )

@@ -1,0 +1,163 @@
+"""The CLI table writer against the per-value reference writer, byte for byte.
+
+``cli._emit`` formats each distinct value of a block once and builds the
+rows from one template; ``reference_writer.render`` formats every cell on
+its own.  Both must give the same text for every table, in both formats.
+"""
+
+import contextlib
+import io
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from heisflow import cli
+from heisflow.builders import catalog_get
+from heisflow.flow import integrate_flow
+from heisflow.locus import characteristic_locus
+from heisflow.patch import JET_BLOCK
+from reference_writer import render
+
+
+def _bits(n: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", n))[0]
+
+
+SPECIAL = [
+    0.0,
+    -0.0,
+    math.nan,
+    _bits(0xFFF8000000000000),  # NaN with the sign bit set
+    _bits(0x7FF8000000000001),  # quiet NaN with a payload
+    _bits(0xFFF0000000000123),  # signalling NaN, sign bit and payload
+    math.inf,
+    -math.inf,
+    5e-324,
+    -5e-324,
+    2.225073858507201e-308,  # the largest subnormal
+    1e308,
+    -1e308,
+    1.7976931348623157e308,
+    0.1,
+    1.0,
+]
+CELLS = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.floats(),
+    st.integers(0, 2**64 - 1).map(_bits),
+)
+
+
+def _report(rows, columns):
+    return {"columns": columns, "rows": rows}
+
+
+def _emitted(table, columns, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli._emit(_report(table, columns), columns, fmt, None)
+    return buf.getvalue()
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda k: st.lists(st.lists(CELLS, min_size=k, max_size=k), max_size=24)
+    ),
+    st.data(),
+)
+def test_table_writer_matches_per_value_writer(rows, data):
+    # one column mixes 0.0 and -0.0, at drawn rows
+    k = len(rows[0]) if rows else data.draw(st.integers(1, 6))
+    for z in (0.0, -0.0):
+        rows.insert(data.draw(st.integers(0, len(rows))), [z] * k)
+    columns = [f"c{i}" for i in range(k)]
+    table = np.array(rows, float)
+    assert table.shape == (len(rows), k)
+    for fmt in ("csv", "json"):
+        want = render(_report(rows, columns), columns, fmt)
+        assert _emitted(table, columns, fmt) == want
+
+
+def test_table_writer_keeps_bits_apart_across_blocks():
+    # values repeat within and across blocks; 0.0/-0.0 and NaNs of every
+    # sign and payload sit in one column
+    n = 2 * JET_BLOCK + 3
+    col = np.array([SPECIAL[i % len(SPECIAL)] for i in range(n)])
+    table = np.column_stack((col, col[::-1], np.arange(n) * 0.1))
+    rows = table.tolist()
+    columns = ["a", "b", "c"]
+    for fmt in ("csv", "json"):
+        assert _emitted(table, columns, fmt) == render(_report(rows, columns), columns, fmt)
+
+
+@pytest.mark.parametrize(
+    "name, seed, steps, ds",
+    [
+        ("cylinder", (1.0, 0.0), 2000, 1e-3),  # stops at domain exits
+        ("paraboloid", (0.5, 0.25), 300, 1e-3),
+        ("cone_lower", (-1.0, 0.7), 40, 1e-2),
+        ("cylinder(1.5e308)", (1.0, 0.3), 5, 1e-3),  # one point
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_flow_stdout_matches_reference_writer(capsys, name, seed, steps, ds, fmt):
+    argv = ["flow", name, "--seed", repr(seed[0]), repr(seed[1]),
+            "--ds", repr(ds), "--steps", str(steps), "--format", fmt]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+
+    surface = catalog_get(name)
+    trace = integrate_flow(surface, *seed, ds=ds, max_steps=steps)
+    cols = (trace.params, *trace.uv.T, *trace.points.T, trace.arc)
+    columns = ["s", "u", "v", "x", "y", "t", "arc"]
+    report = {
+        "surface": surface.label or name,
+        "seed": list(seed),
+        "ds": ds,
+        "steps": steps,
+        "seed_index": trace.seed_index,
+        "stop_backward": trace.stop_backward,
+        "stop_forward": trace.stop_forward,
+        "columns": columns,
+        "rows": [list(r) for r in zip(*(c.tolist() for c in cols))],
+    }
+    assert got == render(report, columns, fmt)
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("cone_lower", (101, 101)),  # no characteristic point: 0 rows
+        ("plane_t0", (101, 101)),  # one row
+        ("paraboloid", (100, 100)),
+        ("cylinder(1e300)", (21, 21)),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_locus_stdout_matches_reference_writer(capsys, name, grid, fmt):
+    argv = ["locus", name, "--grid", f"{grid[0]}x{grid[1]}", "--format", fmt]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+
+    surface = catalog_get(name)
+    pts = characteristic_locus(surface, grid=grid)
+    columns = ["u", "v", "x", "y", "t", "nh_norm"]
+    report = {
+        "surface": surface.label or name,
+        "grid": list(grid),
+        "refine": 60,
+        "count": len(pts),
+        "columns": columns,
+        "rows": [[p.u, p.v, p.x, p.y, p.t, p.nh_norm] for p in pts],
+    }
+    assert got == render(report, columns, fmt)
+    if name == "cone_lower":  # the empty table: the CSV header alone, or []
+        assert not pts
+        if fmt == "csv":
+            assert got == "u,v,x,y,t,nh_norm\n"
+        else:
+            assert got.endswith('  "rows": []\n}\n')

@@ -26,15 +26,20 @@ formula, which the flow's scalar stepper runs on floats and
 :func:`heisflow.patch.eval_jets` on arrays.  Both calls run the same
 floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is
-Python's, entry by entry, except for the exponent 1.
+Python's, entry by entry, except for the exponent 1.  A term sum's jet is
+one generated straight-line function per term shape (kinds and polynomial
+degrees), the same text on floats and on arrays; coefficients and
+frequencies are bound as values, so no file content reaches the text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import re
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,8 +101,9 @@ class Term:
     kind: str  # "poly" | "cos" | "sin"
     coeff: float
     k: int
-    # The multipliers of the jet entries: (c k!/(k-i)!, k-i) pairs for a
-    # polynomial, otherwise the four signed c k^i.
+    # The values its jet binds: the multipliers c k!/(k-i)! of a polynomial's
+    # entries that are not identically zero, otherwise k and the four
+    # signed c k^i.
     _plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -117,27 +123,17 @@ class Term:
         if self.kind == "poly":
             plan, fac = [], 1.0
             for p in range(k, max(k - 4, -1), -1):
-                plan.append((c * fac, p))
+                plan.append(c * fac)
                 fac *= p
         elif self.kind == "cos":
-            plan = (c, -c * k, -c * k * k, c * k**3)
+            plan = (k, c, -c * k, -c * k * k, c * k**3)
         else:
-            plan = (c, c * k, -c * k * k, -c * k**3)
+            plan = (k, c, c * k, -c * k * k, -c * k**3)
         object.__setattr__(self, "_plan", tuple(plan))
 
     def jet(self, s):
         """Value and first three derivatives at s, a float or a float array."""
-        if self.kind == "poly":
-            power = _array_pow if isinstance(s, np.ndarray) else _pow
-            out = [0.0, 0.0, 0.0, 0.0]
-            for i, (m, p) in enumerate(self._plan):
-                out[i] = m * power(s, p) if p else m
-            return tuple(out)
-        m0, m1, m2, m3 = self._plan
-        cw, sw = _cos_sin(self.k * s)
-        if self.kind == "cos":
-            return m0 * cw, m1 * sw, m2 * cw, m3 * sw
-        return m0 * sw, m1 * cw, m2 * sw, m3 * cw
+        return TermSum((self,)).jet(s)
 
 
 def _pow(s: float, p: int) -> float:
@@ -166,24 +162,74 @@ def _cos_sin(w):
         return math.nan, math.nan
 
 
+# The three bindings of a generated jet: floats; floats again where that call
+# raised, on an overflowing ** or on trig past the float range; and arrays.
+_FLOATS = {"pow": pow, "cos": math.cos, "sin": math.sin}
+_GUARDED = {"pow": _pow, "cos": lambda w: _cos_sin(w)[0], "sin": lambda w: _cos_sin(w)[1]}
+_ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin}
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_code(shape: tuple) -> types.CodeType:
+    """The code of ``jet(s, *plans)``, the straight-line jet of a term sum of
+    this shape: a (kind, polynomial degree or 0) pair per term.
+
+    Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
+    entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
+    cos and sin of ``k * s`` once.  An entry that is identically 0.0 is not
+    added: the sum starts at +0.0, so it is never -0.0, and x + 0.0 is x.
+    The text holds only kinds, degrees and term indices, so no coefficient,
+    frequency or file content reaches ``compile``; the plans are bound."""
+    params, lines, sums = ["s"], [], ([], [], [], [])
+    for i, (kind, k) in enumerate(shape):
+        m = [f"m{i}_{j}" for j in range(4)]
+        if kind == "poly":
+            for j, p in enumerate(range(k, max(k - 4, -1), -1)):
+                params.append(m[j])
+                sums[j].append(m[j] if p == 0 else f"{m[j]} * s" if p == 1
+                               else f"{m[j]} * pow(s, {p})")
+            continue
+        params += [f"k{i}", *m]
+        lines.append(f"    w{i} = k{i} * s\n    c{i} = cos(w{i})\n    s{i} = sin(w{i})\n")
+        pair = (f"c{i}", f"s{i}") if kind == "cos" else (f"s{i}", f"c{i}")
+        for j in range(4):
+            sums[j].append(f"{m[j]} * {pair[j % 2]}")
+    entries = ", ".join(" + ".join(["0.0", *terms]) for terms in sums)
+    text = f"def jet({', '.join(params)}):\n{''.join(lines)}    return {entries}\n"
+    namespace: dict = {}
+    exec(compile(text, "<term sum jet>", "exec"), namespace)
+    return namespace["jet"].__code__
+
+
+def _bind(code: types.CodeType, namespace: dict, plans: tuple):
+    return types.FunctionType(code, namespace, "jet", plans)
+
+
 @dataclass(frozen=True)
 class TermSum:
     """A finite sum of terms of one variable; the empty sum is zero."""
 
     terms: tuple[Term, ...] = ()
+    # The generated jet of its shape on floats, with the terms' plans bound
+    # as its argument defaults; the other two bindings are made per call.
+    _jet: types.FunctionType = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = tuple(self.terms)
+        object.__setattr__(self, "terms", terms)
+        code = _jet_code(tuple((t.kind, t.k if t.kind == "poly" else 0) for t in terms))
+        plans = tuple(value for t in terms for value in t._plan)
+        object.__setattr__(self, "_jet", _bind(code, _FLOATS, plans))
 
     def jet(self, s):
-        f = f1 = f2 = f3 = 0.0
-        for term in self.terms:
-            g, g1, g2, g3 = term.jet(s)
-            f += g
-            f1 += g1
-            f2 += g2
-            f3 += g3
-        return f, f1, f2, f3
+        """(f, f', f'', f''') at s, a float or a float array."""
+        jet = self._jet
+        if isinstance(s, np.ndarray):
+            return _bind(jet.__code__, _ARRAYS, jet.__defaults__)(s)
+        try:
+            return jet(s)
+        except (OverflowError, ValueError):
+            return _bind(jet.__code__, _GUARDED, jet.__defaults__)(s)
 
     def __iter__(self):
         return iter(self.terms)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -76,12 +77,13 @@ STOP_FACTOR = 10.0
 # for enough legs.  Measured with 150-step legs from random seeds on the
 # five catalog surfaces of the benchmark and one random ruled patch (2
 # cores, Python 3.11, numpy 2.4), median over the six of the
-# lockstep/scalar time ratio, in two draws of seeds: 8.9-12 at 2 legs,
-# 2.7 at 8, 1.9-2.1 at 12, 1.3-1.4 at 16, 1.2 at 20, 1.0-1.05 at 24,
-# 0.8-0.9 at 28 and 32.  One _field call costs 4-18 us, _fields on 2
-# points 90-240 us.  At 2 legs, the one-seed call of ``heisflow flow``,
-# the scalar stepper is the only fast one.
-LOCKSTEP_MIN_LEGS = 24
+# lockstep/scalar time ratio, in two draws of seeds: 14 at 2 legs, 3.4-3.5
+# at 8, 2.5-2.9 at 12, 1.8-1.9 at 16, 1.5-1.6 at 20, 1.1-1.3 at 24 and 28,
+# 1.0-1.1 at 32, 0.97-0.99 at 36 and 0.73-0.89 at 40 and 48.  One _field
+# call costs 2.4-4.8 us, _fields on 2 points 57-112 us.  At 2 legs, the
+# one-seed call of ``heisflow flow``, the scalar stepper is the only fast
+# one.
+LOCKSTEP_MIN_LEGS = 32
 
 
 class _LegStop(Exception):
@@ -126,7 +128,7 @@ def _field(surface: SurfaceHandle, u: float, v: float, eps_char: float):
     if not (dom.u_min <= u <= dom.u_max and dom.v_min <= v <= dom.v_max):
         raise _out_of_domain(dom, u, v)
     fields = surface.fields(u, v)
-    if not math.isfinite(sum(map(sum, fields))):
+    if not math.isfinite(sum(chain.from_iterable(fields))):
         _check_finite(jet2_batch(1, *fields))
     (x, y, _), du, dv = fields[:3]
     n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)

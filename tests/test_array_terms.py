@@ -27,12 +27,7 @@ from heisflow.builders import (
 from heisflow.errors import CharacteristicPoint, ConstantRulingDirection
 from heisflow.flow import _field
 from heisflow.patch import Domain
-
-# pow(x, 2) != x * x at the first two (glibc pow is not correctly rounded
-# there), and pow(x, 3) != np.power(x, 3) at the third
-POW_DIFFERS = [-2.8239505176090614, 4.309727835887987, 3.710839689613895]
-# 1e60 ** 6 and 1e300 ** 2 overflow, where float ** raises
-EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 1e60, -1e60, 1e300, -1e300]
+from term_reference import EXTREMES, POW_DIFFERS
 
 values = st.floats(allow_nan=False, allow_infinity=False)
 samples = st.lists(values, min_size=1, max_size=8).map(

@@ -1,0 +1,90 @@
+"""The generated term-sum jets against the per-term loop they replaced.
+
+tests/term_reference.py keeps that loop.  On floats and on float arrays
+the generated jet must give its bits, NaN where it gives NaN, and the same
+shape of each entry: a float where the loop adds no array.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heisflow.builders import Term, TermSum, _jet_code, random_ruled_spec
+from heisflow.rng import Lcg64
+from term_reference import EXTREMES, POW_DIFFERS, term_sum_jet
+
+SPECIAL = EXTREMES + POW_DIFFERS + [math.inf, -math.inf, math.nan]
+
+points = st.one_of(st.floats(), st.sampled_from(SPECIAL))
+samples = st.lists(st.floats(), max_size=8).map(lambda xs: np.array(xs + SPECIAL))
+coeffs = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1e-300, 1e300]))
+terms = st.one_of(
+    st.builds(Term, st.just("poly"), coeffs, st.integers(0, 6)),
+    st.builds(Term, st.sampled_from(["cos", "sin"]), coeffs, st.integers(1, 6)),
+)
+term_sums = st.lists(terms, max_size=4).map(TermSum)
+
+
+def assert_same_jet(got, want):
+    assert len(got) == len(want) == 4
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w) and isinstance(g, float) == isinstance(w, float)
+        g, w = np.asarray(g, float), np.asarray(w, float)
+        same = (g.view(np.int64) == w.view(np.int64)) | (np.isnan(g) & np.isnan(w))
+        assert same.all(), (g, w)
+
+
+@settings(max_examples=300)
+@given(ts=term_sums, s=points)
+@example(ts=TermSum((Term("poly", 1.5, 2),)), s=POW_DIFFERS[0])
+@example(ts=TermSum((Term("poly", -0.0, 6), Term("cos", 1e300, 6))), s=1e60)
+def test_term_sum_jet_matches_the_loop_on_floats(ts, s):
+    assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
+
+
+@settings(max_examples=100)
+@given(ts=term_sums, s=samples)
+def test_term_sum_jet_matches_the_loop_on_arrays(ts, s):
+    with np.errstate(all="ignore"):
+        assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
+
+
+@settings(max_examples=200)
+@given(term=terms, s=points)
+def test_term_jet_is_the_jet_of_a_one_term_sum(term, s):
+    # the sum adds each entry to 0.0, which turns a term's -0.0 into 0.0
+    assert_same_jet(term.jet(s), term_sum_jet(TermSum((term,)), s))
+
+
+def test_the_guarded_path():
+    # 1e60 ** 6 raises OverflowError and math.sin(6e308) raises ValueError;
+    # the jet then runs again with +-inf powers and NaN trig
+    poly, sin = TermSum((Term("poly", 1.0, 6),)), TermSum((Term("sin", 1.0, 6),))
+    assert poly.jet(1e60)[0] == math.inf
+    assert all(math.isnan(x) for x in sin.jet(1e308))
+    for ts, s in [(poly, 1e60), (sin, 1e308), (poly, 0.75), (sin, 0.75)]:
+        assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
+
+
+def test_sums_of_one_shape_keep_their_own_constants():
+    a = TermSum((Term("poly", 1.0, 0), Term("poly", 2.0, 3), Term("sin", 0.5, 1)))
+    b = TermSum((Term("poly", -3.0, 0), Term("poly", 0.25, 3), Term("sin", 1.5, 4)))
+    assert a._jet.__code__ is b._jet.__code__
+    for s in [0.3, np.array([0.3, -1.2]), -1.2, 1e60, np.array([1e308])]:
+        with np.errstate(all="ignore"):
+            got_a, got_b = a.jet(s), b.jet(s)
+            want_a, want_b = term_sum_jet(a, s), term_sum_jet(b, s)
+        assert_same_jet(got_a, want_a)
+        assert_same_jet(got_b, want_b)
+
+
+def test_random_ruled_specs_compile_few_shapes():
+    before = _jet_code.cache_info().misses
+    rng = Lcg64(2024)
+    specs = [random_ruled_spec(rng, i) for i in range(100)]
+    assert _jet_code.cache_info().misses - before <= 3
+    for spec in specs[:10]:
+        for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):
+            assert_same_jet(ts.jet(0.7), term_sum_jet(ts, 0.7))

@@ -32,20 +32,15 @@ from .builders import (
 )
 from .curvature import (
     MINIMALITY_BAND,
-    CurvatureSample,
     HMinimalityReport,
     is_h_minimal,
-    mean_curvature_flow_oracle,
-    mean_curvature_local,
 )
 from .errors import (
     BasePointMismatch,
     CharacteristicPoint,
     ConstantRulingDirection,
     DegenerateRuling,
-    FlowEscapedDomain,
     HeisflowError,
-    NearCharacteristicWarning,
     NotHorizontal,
     NotRegular,
     NotRegularProfile,
@@ -93,8 +88,6 @@ from .patch import (
     Domain,
     SurfaceHandle,
     eval_jets,
-    fd_jet2,
-    from_value_map,
     make_surface,
     reparametrize_affine,
 )

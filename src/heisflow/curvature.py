@@ -23,13 +23,13 @@ acceleration kappa * (-nu1, -nu2) has signed curvature kappa; the
 counterclockwise unit circle has kappa = +1.
 
 :func:`mean_curvature_batch` evaluates the local formula at every point of
-a jet array; it is the only curvature kernel, and
-:func:`mean_curvature_local` is a batch of one.  Near the characteristic
-locus the sums of the formula cancel to far below the size of their terms,
-so every product is expanded error-free and each sum is correctly rounded:
-a column of terms is summed by TwoSum distillation (Ogita, Rump and Oishi,
-"Accurate sum and dot product", SIAM J. Sci. Comput. 26(6), 2005) and kept
-only where a bound on the residual proves the result correctly rounded.
+a jet array; it is the only curvature kernel, and a single point is a
+batch of one.  Near the characteristic locus the sums of the formula
+cancel to far below the size of their terms, so every product is expanded
+error-free and each sum is correctly rounded: a column of terms is summed
+by TwoSum distillation (Ogita, Rump and Oishi, "Accurate sum and dot
+product", SIAM J. Sci. Comput. 26(6), 2005) and kept only where a bound on
+the residual proves the result correctly rounded.
 The remaining columns, typically under 1%, go to the exact fallback of
 :func:`_fsum_columns`.  Sums of one shape share one distillation: a batch
 makes four, for n1 and n2, their four derivatives, the four factors of the
@@ -42,37 +42,29 @@ set, with the skip rule of a grid check, in blocks of ``JET_BLOCK`` points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    CharacteristicPoint,
-    FlowEscapedDomain,
-    NearCharacteristicWarning,
-    ZeroSpeed,
-)
+from .errors import CharacteristicPoint, ZeroSpeed
 from .horizontal import EPS_CHAR, char_threshold, horizontal_normal_batch
 from .patch import SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = [
     "MINIMALITY_BAND",
     "NEAR_CHAR_FACTOR",
-    "CurvatureSample",
     "CurvatureBatch",
     "CurvatureScan",
     "HMinimalityReport",
-    "mean_curvature_local",
     "mean_curvature_batch",
     "curvature_scan",
-    "mean_curvature_flow_oracle",
     "is_h_minimal",
 ]
 
 # Conditioning margin: within NEAR_CHAR_FACTOR * threshold of the
-# characteristic locus the local formula is flagged as degraded.
+# characteristic locus the local formula loses accuracy, and the "band"
+# skip rule of curvature_scan drops the point.
 NEAR_CHAR_FACTOR = 100.0
 
 # Grid minimality checks skip a wider conditioning band.  The jet entries
@@ -93,24 +85,11 @@ _SAFE = 2.0**100
 _TINY = 2.0**-960
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """One curvature evaluation: parameters, value and provenance."""
-
-    u: float
-    v: float
-    H: float
-    method: str  # "local-formula" | "flow-oracle"
-    nh_norm: float
-    near_char: bool = False
-
-
 class CurvatureBatch(NamedTuple):
     """Local-formula curvature at every point of a jet array.
 
-    ``H`` is NaN where ``char`` is set, that is where
-    :func:`mean_curvature_local` raises CharacteristicPoint; ``nh_norm`` is
-    the ||N^h|| that gate tests, as in :attr:`CurvatureSample.nh_norm`.
+    ``H`` is NaN where ``char`` is set, that is where ``nh_norm``, the
+    ||N^h|| of the point, falls under the characteristic threshold.
     """
 
     H: np.ndarray
@@ -275,35 +254,6 @@ def _raise_if_characteristic(nh_norm: np.ndarray, char: np.ndarray) -> None:
         raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
 
 
-def mean_curvature_local(
-    surface: SurfaceHandle,
-    u: float,
-    v: float,
-    *,
-    eps_char: float = EPS_CHAR,
-    warn: bool = True,
-) -> CurvatureSample:
-    """Horizontal mean curvature from the local formula at one point.
-
-    A batch of one through :func:`mean_curvature_batch`, about 1.2 ms a
-    call on a 2-vCPU Xeon VM, 70% of what a hundred-point batch costs:
-    evaluate point sets with :func:`curvature_scan` instead.
-    """
-    jets = eval_jets(surface, [u], [v])
-    batch = mean_curvature_batch(jets, eps_char=eps_char)
-    _raise_if_characteristic(batch.nh_norm, batch.char)
-    q = float(batch.nh_norm[0])
-    near = q < NEAR_CHAR_FACTOR * float(char_threshold(jets, eps_char)[0])
-    if near and warn:
-        warnings.warn(
-            f"||N^h|| = {q:.3e} within {NEAR_CHAR_FACTOR:g}x of the "
-            "characteristic threshold; curvature accuracy degrades",
-            NearCharacteristicWarning,
-            stacklevel=2,
-        )
-    return CurvatureSample(u, v, float(batch.H[0]), "local-formula", q, near)
-
-
 def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> CurvatureBatch:
     """Local-formula curvature at every point of an (N, 6, 3) jet array;
     characteristic points get H = NaN instead of an exception.  Callers pass
@@ -378,8 +328,8 @@ def curvature_scan(
     ||d1||_F)); a float skips below that fixed value.  The work runs in
     ``JET_BLOCK`` slices of the flat (surface, point) index, so small
     surfaces share blocks.  With ``strict``, the first characteristic point
-    kept, in flat order, raises the CharacteristicPoint of
-    :func:`mean_curvature_local`; otherwise it is flagged in ``char``.
+    kept, in flat order, raises CharacteristicPoint with its ||N^h||;
+    otherwise it is flagged in ``char``.
     """
     if not (floor is None or isinstance(floor, float) or floor == "band"):
         raise ValueError(f"floor must be None, 'band' or a float, got {floor!r}")
@@ -410,37 +360,6 @@ def curvature_scan(
         H[sl.start + kept] = batch.H
         char[sl.start + kept] = batch.char
     return CurvatureScan(*(a.reshape(len(surfaces), n) for a in (H, skip, char)))
-
-
-def mean_curvature_flow_oracle(
-    surface: SurfaceHandle,
-    u: float,
-    v: float,
-    *,
-    ds: float = 1e-3,
-    n_steps: int = 3,
-    eps_char: float = EPS_CHAR,
-) -> CurvatureSample:
-    """Curvature via the geometric definition: integrate the horizontal flow
-    through (u, v), project the leaf to the complex plane, and estimate the
-    signed curvature of the projection at the seed by central differences.
-
-    Independent of the local formula; agreement between the two validates
-    both.  Needs at least one completed flow step on each side of the seed,
-    otherwise FlowEscapedDomain is raised.
-    """
-    from .flow import integrate_flow
-
-    trace = integrate_flow(
-        surface, u, v, ds=ds, max_steps=n_steps, eps_char=eps_char
-    )
-    if not _has_stencil(trace):
-        raise FlowEscapedDomain(
-            "flow leaf too short on one side of the seed for a curvature stencil"
-        )
-    (kappa,) = _seed_curvatures([trace], ds).tolist()
-    q = float(horizontal_normal_batch(eval_jets(surface, [u], [v]))[2][0])
-    return CurvatureSample(u, v, kappa, "flow-oracle", q)
 
 
 def _has_stencil(trace) -> bool:

@@ -1,4 +1,4 @@
-"""Exception hierarchy and warning categories for the heisflow package."""
+"""Exception hierarchy for the heisflow package."""
 
 
 class HeisflowError(Exception):
@@ -31,10 +31,6 @@ class TooFewSamples(HeisflowError):
 
 class NotHorizontal(HeisflowError):
     """A curve violates the horizontality constraint beyond tolerance."""
-
-
-class FlowEscapedDomain(HeisflowError):
-    """A flow leaf left the parameter domain before enough arc was traced."""
 
 
 class DegenerateRuling(HeisflowError):
@@ -71,8 +67,3 @@ class UnknownName(HeisflowError, KeyError):
 
 class SpecError(HeisflowError, ValueError):
     """A surface specification file or dictionary is malformed."""
-
-
-class NearCharacteristicWarning(UserWarning):
-    """Curvature was requested close to the characteristic locus, where the
-    local formula loses accuracy."""

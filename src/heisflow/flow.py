@@ -187,29 +187,6 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
     return pts, reason
 
 
-def _stage_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
-    """Jets at the points (u[i], v[i]), all inside the domain, and the mask
-    of the points whose field formula refused them with OutOfDomain, as a
-    stencil (:func:`heisflow.patch.from_value_map`) does next to the edge.
-    There :func:`_field` raises, which a leg takes as a domain exit; one
-    refusal fails the array call, so the formula then runs point by point."""
-    refused = np.zeros(len(u), bool)
-    if not len(u):
-        return np.empty((0, 6, 3)), refused
-    try:
-        with np.errstate(all="ignore"):
-            jets = _raw_jets(surface, u, v)
-    except OutOfDomain:
-        jets = np.zeros((len(u), 6, 3))
-        for i, (a, b) in enumerate(zip(u.tolist(), v.tolist())):
-            try:
-                jets[i] = jet2_batch(1, *surface.fields(a, b))[0]
-            except OutOfDomain:
-                refused[i] = True
-    _check_finite(jets)
-    return jets, refused
-
-
 def _field_rows(jets: np.ndarray, eps_char: float):
     """:func:`_field` at every point of a jet array: a (4, N) array of
     (du, dv, x, y) rows, and the mask of the points where it stops."""
@@ -225,17 +202,18 @@ def _field_rows(jets: np.ndarray, eps_char: float):
 def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray, eps_char: float):
     """:func:`_field` at the points (u[i], v[i]): the rows of
     :func:`_field_rows` and a stop code per point, 0 where ``_field``
-    returns, else an index into :data:`_STOPS`."""
+    returns, else an index into :data:`_STOPS`.  The field formula runs
+    once, on the points inside the domain; the rows of the points outside
+    stay zero and stop as domain exits."""
     dom = surface.domain
     inside = (dom.u_min <= u) & (u <= dom.u_max) & (dom.v_min <= v) & (v <= dom.v_max)
-    if inside.all():
-        jets, exits = _stage_jets(surface, u, v)
-    else:
-        jets = np.zeros((len(u), 6, 3))  # rows outside stay zero and exit
-        exits = ~inside
-        jets[inside], exits[inside] = _stage_jets(surface, u[inside], v[inside])
+    jets = np.zeros((len(u), 6, 3))
+    if inside.any():
+        with np.errstate(all="ignore"):
+            jets[inside] = _raw_jets(surface, u[inside], v[inside])
+        _check_finite(jets)
     rows, near = _field_rows(jets, eps_char)
-    return rows, np.where(exits, 1, np.where(near, 2, 0))
+    return rows, np.where(inside, np.where(near, 2, 0), 1)
 
 
 _STOPS = ("", "domain-exit", "characteristic-proximity")

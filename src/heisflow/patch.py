@@ -3,10 +3,8 @@
 A :class:`SurfaceHandle` bundles a closed parameter rectangle with one field
 formula for the full 2-jet of the parametrisation: the ambient value
 (x, y, t), the six first partials and the nine second partials (mixed partials
-symmetric, stored once).  Built-in surfaces differentiate in closed form;
-value-only user maps get central-difference jets via :func:`fd_jet2` or the
-:func:`from_value_map` adapter.  Handles are immutable; re-parametrisation
-produces a fresh handle.
+symmetric, stored once).  Every surface differentiates in closed form.
+Handles are immutable; re-parametrisation produces a fresh handle.
 
 The formula takes floats or float arrays.  :func:`eval_jets` evaluates it
 at a point set, one point being a set of one, and returns the jets as one
@@ -34,10 +32,7 @@ __all__ = [
     "eval_jets",
     "grid_points",
     "blocks",
-    "fd_jet2",
-    "fd_step",
     "make_surface",
-    "from_value_map",
     "reparametrize_affine",
 ]
 
@@ -50,7 +45,6 @@ EPS_REG = 1e-8
 # blocks grow them in proportion and were measured no faster.
 JET_BLOCK = 1024
 
-_CBRT_EPS = float(np.finfo(float).eps) ** (1.0 / 3.0)
 _ZERO3 = (0.0, 0.0, 0.0)
 _JET_FIELDS = ("value", "du", "dv", "duu", "duv", "dvv")
 
@@ -134,7 +128,9 @@ class SurfaceHandle:
     the three to six field triples of :func:`jet2_batch`, with floats
     standing for every point; :func:`eval_jets` checks its output.  On
     floats every entry is a Python float, not a numpy scalar: the flow's
-    scalar stepper does float arithmetic on them as they are.
+    scalar stepper does float arithmetic on them as they are.  A field
+    formula accepts every point of its closed domain: only points outside
+    it are refused, by the callers' domain test, never by the formula.
     The parameter order carries the orientation; flipping it means building
     a new handle with swapped parameters.
     """
@@ -189,60 +185,6 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
     return jets
 
 
-def fd_step(u: float, v: float) -> float:
-    """Default central-difference step, floored for second-derivative noise."""
-    return max(1e-4, _CBRT_EPS * max(1.0, abs(u), abs(v)))
-
-
-def fd_jet2(
-    value_map: Callable[[float, float], tuple],
-    u: float,
-    v: float,
-    h: float | None = None,
-    domain: Domain | None = None,
-) -> tuple[np.ndarray, ...]:
-    """Second-order central-difference jet of a value-only map, as the six
-    field triples value, du, dv, duu, duv, dvv.
-
-    When a domain is supplied the stencil is clipped to fit inside it: the
-    step shrinks per axis to the available room, and the call fails with
-    OutOfDomain if the evaluation point is outside or pinned to the boundary.
-    """
-    if h is None:
-        h = fd_step(u, v)
-    if h <= 0.0 or not math.isfinite(h):
-        raise ValueError(f"step must be positive and finite, got {h!r}")
-    hu = hv = h
-    if domain is not None:
-        if not domain.contains(u, v):
-            raise OutOfDomain(f"(u, v) = ({u}, {v}) outside stencil domain")
-        hu = min(h, u - domain.u_min, domain.u_max - u)
-        hv = min(h, v - domain.v_min, domain.v_max - v)
-        if hu < 1e-12 or hv < 1e-12:
-            raise OutOfDomain(
-                f"no room for a width-{h:g} stencil at ({u}, {v})"
-            )
-
-    f0 = np.asarray(value_map(u, v), float)
-    fpu = np.asarray(value_map(u + hu, v), float)
-    fmu = np.asarray(value_map(u - hu, v), float)
-    fpv = np.asarray(value_map(u, v + hv), float)
-    fmv = np.asarray(value_map(u, v - hv), float)
-    fpp = np.asarray(value_map(u + hu, v + hv), float)
-    fpm = np.asarray(value_map(u + hu, v - hv), float)
-    fmp = np.asarray(value_map(u - hu, v + hv), float)
-    fmm = np.asarray(value_map(u - hu, v - hv), float)
-
-    return (
-        f0,
-        (fpu - fmu) / (2.0 * hu),
-        (fpv - fmv) / (2.0 * hv),
-        (fpu - 2.0 * f0 + fmu) / (hu * hu),
-        (fpp - fpm - fmp + fmm) / (4.0 * hu * hv),
-        (fpv - 2.0 * f0 + fmv) / (hv * hv),
-    )
-
-
 def make_surface(
     fields: Callable,
     domain: Domain,
@@ -270,25 +212,6 @@ def make_surface(
                 f"at (u, v) = ({u[i]}, {v[i]})"
             )
     return surface
-
-
-def from_value_map(
-    value_map: Callable[[float, float], tuple],
-    domain: Domain,
-    h: float | None = None,
-    label: str = "",
-    check_grid: tuple[int, int] | None = (21, 21),
-) -> SurfaceHandle:
-    """Finite-difference adapter promoting a value-only map to a handle; the
-    stencil has no array form, so on arrays it runs point by point."""
-
-    def fields(u, v):
-        if not isinstance(u, np.ndarray):
-            return tuple(f.tolist() for f in fd_jet2(value_map, u, v, h=h, domain=domain))
-        jets = [fields(a, b) for a, b in zip(u.tolist(), v.tolist())]
-        return np.array(jets, float).reshape(len(u), 6, 3).transpose(1, 2, 0)
-
-    return make_surface(fields, domain, label=label, check_grid=check_grid)
 
 
 def reparametrize_affine(

@@ -14,6 +14,7 @@ from heisflow.builders import (
     build_straight_ruled,
     catalog_get,
 )
+from heisflow.curvature import curvature_scan
 from heisflow.heis import HorizontalVec, Point3
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -31,6 +32,11 @@ def j_rotate(v: HorizontalVec) -> HorizontalVec:
 def ts(*terms) -> TermSum:
     """TermSum from (kind, coeff, k) triples; ts() is the zero sum."""
     return TermSum(tuple(Term(kind, coeff, k) for kind, coeff, k in terms))
+
+
+def local_H(surface, u, v) -> float:
+    """The local-formula H at one point, a strict scan of one point."""
+    return float(curvature_scan([surface], [u], [v]).H[0, 0])
 
 
 def circle_lift_curve(domain=(0.0, 2.0 * math.pi)) -> CurveSpec:

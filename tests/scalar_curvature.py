@@ -5,20 +5,30 @@ The jet of one point comes from a surface's field formula run on floats,
 the first-order quantities from the package formulas' ``.formula`` run on
 those floats with math.sqrt and math.hypot, and the curvature from the
 per-point math.fsum path that heisflow.curvature.mean_curvature_batch
-replaced.  The array path must match all of it bit for bit.  The curvature
-code keeps its own copy of the term lists and of the threshold, so a change
-to either in the package shows up as a difference here.
+replaced; :func:`reference_local` is that path, and raises
+CharacteristicPoint with the message of the strict
+heisflow.curvature.curvature_scan.  The array path must match all of it
+bit for bit.  The curvature code keeps its own copy of the term lists and
+of the threshold, so a change to either in the package shows up as a
+difference here.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from heisflow.curvature import NEAR_CHAR_FACTOR, CurvatureSample
 from heisflow.errors import CharacteristicPoint
 from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
 
 _SPLIT = 134217729.0  # 2**27 + 1
+
+
+class LocalSample(NamedTuple):
+    """The curvature of one point and the ||N^h|| its gate tested."""
+
+    H: float
+    nh_norm: float
 
 
 def scalar_jet(surface, u, v):
@@ -117,14 +127,15 @@ def _gate(j, n1, n2, eps_char):
     thr = threshold(j, eps_char)
     if q < thr:
         raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
-    return q2, q, q < NEAR_CHAR_FACTOR * thr
+    return q2, q
 
 
 def reference_local(surface, u, v, eps_char=EPS_CHAR):
-    """mean_curvature_local as the scalar path computed it (no warning)."""
+    """The curvature of one point by the per-point math.fsum path, raising
+    CharacteristicPoint under the threshold."""
     j = scalar_jet(surface, u, v)
     n1, n2, n1_u, n1_v, n2_u, n2_v, _ = normal_jet(j)
-    q2, q, near = _gate(j, n1, n2, eps_char)
+    q2, q = _gate(j, n1, n2, eps_char)
     (x, y, _), (xu, yu, tu), (xv, yv, tv) = j[:3].tolist()
     x2, y2 = 2.0 * x, 2.0 * y
     p_u = fsum_terms(((tu, 1.0), (x2, yu), (-y2, xu)))
@@ -132,7 +143,7 @@ def reference_local(surface, u, v, eps_char=EPS_CHAR):
     a_u = fsum_terms(((n1, n2_u), (-n2, n1_u)))
     a_v = fsum_terms(((n1, n2_v), (-n2, n1_v)))
     H = fsum_terms(((p_v, a_u), (-p_u, a_v))) / (q2 * q)
-    return CurvatureSample(u, v, H, "local-formula", q, near)
+    return LocalSample(H, q)
 
 
 def reference_quotient(surface, u, v, eps_char=EPS_CHAR, eps_jacobian=1e-10):
@@ -140,7 +151,7 @@ def reference_quotient(surface, u, v, eps_char=EPS_CHAR, eps_jacobian=1e-10):
     formula, 0 by convention where |d(x,y)| < eps_jacobian."""
     j = scalar_jet(surface, u, v)
     n1, n2, n1_u, n1_v, n2_u, n2_v, jxy = normal_jet(j)
-    q2, q, _ = _gate(j, n1, n2, eps_char)
+    q2, q = _gate(j, n1, n2, eps_char)
     if abs(jxy) < eps_jacobian:
         return 0.0
     q3 = q2 * q

@@ -8,7 +8,6 @@ first-order formulas on those floats, and the per-point curvature.
 
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, curvature, flow, verify
+from conftest import local_H
 from reference_writer import render
 from scalar_curvature import (
     reference_local,
@@ -43,14 +43,8 @@ from heisflow.curvature import (
     curvature_scan,
     is_h_minimal,
     mean_curvature_batch,
-    mean_curvature_local,
 )
-from heisflow.errors import (
-    CharacteristicPoint,
-    NearCharacteristicWarning,
-    NotRegular,
-    OutOfDomain,
-)
+from heisflow.errors import CharacteristicPoint, NotRegular, OutOfDomain
 from heisflow.flow import _field
 from heisflow.horizontal import (
     char_threshold,
@@ -61,7 +55,6 @@ from heisflow.patch import (
     JET_BLOCK,
     Domain,
     eval_jets,
-    from_value_map,
     grid_points,
     make_surface,
     reparametrize_affine,
@@ -175,22 +168,6 @@ def test_reparametrized_cone_batch_bit_identical(cone):
     assert_batch_matches_scalar(rep, *sample_points(rep))
 
 
-def test_value_map_batch_bit_identical():
-    def value_map(u, v):
-        return (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u)
-
-    dom = Domain(-1.0, 1.0, -1.0, 1.0)
-    surface = from_value_map(value_map, dom)
-    u, v = grid_points(*dom.interior_linspace(9, 11, margin=0.01))
-    assert_batch_matches_scalar(surface, u, v)
-    # the clipped stencil has no room on the boundary: same error either way
-    with pytest.raises(OutOfDomain) as scalar:
-        _field(surface, -1.0, 0.0, 1e-9)
-    with pytest.raises(OutOfDomain) as batch:
-        eval_jets(surface, [0.0, -1.0], [0.0, 0.0])
-    assert str(batch.value) == str(scalar.value)
-
-
 terms = st.one_of(
     st.tuples(st.just("poly"), st.floats(-2.0, 2.0), st.integers(0, 6)),
     st.tuples(st.sampled_from(("cos", "sin")), st.floats(-2.0, 2.0), st.integers(1, 3)),
@@ -208,14 +185,16 @@ def test_separable_graph_batch_bit_identical(fu, fv):
     assert_batch_matches_scalar(surface, *sample_points(surface, (7, 6), 16))
 
 
-def local_sample(surface, u, v, local):
-    """(H, nh_norm, near_char) of one point, or the error message."""
+def one_point_H(local, surface, u, v):
+    """The hex of the H that ``local`` gives at one point, or its error message."""
     try:
-        sample = local(surface, u, v)
+        return float(local(surface, u, v)).hex()
     except CharacteristicPoint as e:
         return str(e)
-    assert type(sample.near_char) is bool
-    return [float(sample.H).hex(), float(sample.nh_norm).hex(), sample.near_char]
+
+
+def reference_H(surface, u, v):
+    return reference_local(surface, u, v).H
 
 
 @pytest.mark.parametrize(
@@ -230,22 +209,11 @@ def test_one_point_functions_match_scalar_reference(name, cone):
         )
     else:
         surface = catalog_get(name)
+    # one point is a strict scan of one point: the same H or the same message
     u, v = sample_points(surface, (5, 4), 6)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NearCharacteristicWarning)
-        for a, b in zip(u.tolist(), v.tolist()):
-            got = local_sample(surface, a, b, mean_curvature_local)
-            assert got == local_sample(surface, a, b, reference_local), (a, b)
-
-
-def test_local_warns_where_the_reference_is_near_characteristic(paraboloid):
-    for u, v in ((0.5, -0.5 + 1e-8), (0.5, -0.5 + 1e-6), (0.5, 0.25)):
-        near = reference_local(paraboloid, u, v).near_char
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert mean_curvature_local(paraboloid, u, v).near_char is near
-        assert [w.category for w in caught] == [NearCharacteristicWarning] * near
-        assert not near or caught[0].filename == __file__
+    for a, b in zip(u.tolist(), v.tolist()):
+        got = one_point_H(local_H, surface, a, b)
+        assert got == one_point_H(reference_H, surface, a, b), (a, b)
 
 
 jet_entries = st.floats(allow_nan=False, allow_infinity=False)
@@ -321,20 +289,75 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
     assert bits(got).tolist() == bits(rows[:, 0]).tolist()
 
 
+def term_list(*entries):
+    return [{"kind": kind, "coeff": coeff, "k": k} for kind, coeff, k in entries]
+
+
+# surface files of every type but catalog, each a builder's formula as the
+# file format reaches it
+SURFACE_FILES = {
+    "ruled-file": spec_to_dict(random_ruled_spec(Lcg64(4), 4)),
+    "developable-file": {
+        "type": "developable",
+        "curve": {"x": term_list(("cos", 1.0, 1)), "y": term_list(("sin", 1.0, 1)),
+                  "t": term_list(("poly", -2.0, 1)), "domain": [0.0, 3.0]},
+        "v_range": [0.1, 1.2],
+    },
+    "cylinder-file": {
+        "type": "cylinder",
+        "profile": {"x": term_list(("cos", 1.5, 1)),
+                    "y": term_list(("sin", 0.75, 2), ("poly", 0.5, 1)),
+                    "domain": [0.0, 2.0]},
+        "height": [-1.0, 0.5],
+    },
+    "graph-file": {
+        "type": "graph",
+        "domain": {"u": [-1.5, 1.25], "v": [-1.0, 2.0]},
+        "fu": term_list(("poly", 0.5, 3), ("sin", 1.0, 2)),
+        "fv": term_list(("cos", -0.25, 1), ("poly", 1.0, 2)),
+    },
+}
+CONTRACT_SURFACES = CATALOG + tuple(SURFACE_FILES) + ("reparametrized-cone",)
+
+
+def contract_surface(name, tmp_path):
+    if name == "reparametrized-cone":
+        return reparametrize_affine(
+            catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
+            Domain(-0.25, 0.25, -0.9, 0.9),
+        )
+    if name in SURFACE_FILES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(SURFACE_FILES[name]))
+        return load_surface_file(str(path))
+    return catalog_get(name)
+
+
+@pytest.mark.parametrize("name", CONTRACT_SURFACES)
+def test_field_formula_accepts_its_closed_domain(name, tmp_path):
+    # the corners and edge midpoints of the domain: finite on floats and on
+    # arrays, with the same bits, and never a domain exit of the flow
+    surface = contract_surface(name, tmp_path)
+    dom = surface.domain
+    (u0, u1), (v0, v1) = (dom.u_min, dom.u_max), (dom.v_min, dom.v_max)
+    um, vm = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
+    u, v = np.array(
+        [(u0, v0), (u1, v0), (u0, v1), (u1, v1), (um, v0), (um, v1), (u0, vm), (u1, vm)]
+    ).T
+    want = []
+    for a, b in zip(u.tolist(), v.tolist()):
+        fields = surface.fields(a, b)
+        assert all(math.isfinite(c) for f in fields for c in f), (a, b)
+        want.append(scalar_jet(surface, a, b))
+    jets = eval_jets(surface, u, v)
+    assert np.isfinite(jets).all()
+    np.testing.assert_array_equal(bits(jets), bits(want))
+    assert 1 not in flow._fields(surface, u, v, 1e-9)[1].tolist()
+
+
 def test_field_formulas_return_python_floats_on_floats(tmp_path):
-    surfaces = {name: catalog_get(name) for name in CATALOG}
-    surfaces["reparametrized-cone"] = reparametrize_affine(
-        catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
-        Domain(-0.25, 0.25, -0.9, 0.9),
-    )
-    surfaces["value-map"] = from_value_map(
-        lambda u, v: (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u),
-        Domain(-1.0, 1.0, -1.0, 1.0),
-    )
-    path = tmp_path / "ruled.json"
-    path.write_text(json.dumps(spec_to_dict(random_ruled_spec(Lcg64(4), 4))))
-    surfaces["ruled-file"] = load_surface_file(str(path))
-    for name, surface in surfaces.items():
+    for name in CONTRACT_SURFACES:
+        surface = contract_surface(name, tmp_path)
         dom = surface.domain
         for fu, fv in ((0.3, 0.6), (0.5, 0.5), (0.8, 0.1)):
             fields = surface.fields(dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
@@ -668,10 +691,10 @@ def test_curvature_scan_skip_rules_differ():
     assert counts[0] == 0 < counts[1] < counts[2]
 
 
-def test_curvature_scan_strict_raises_like_mean_curvature_local(plane_t0):
+def test_curvature_scan_strict_raises_like_reference_local(plane_t0):
     u, v = grid_points(*plane_t0.domain.linspace(101, 101))
     with pytest.raises(CharacteristicPoint) as scalar:
-        mean_curvature_local(plane_t0, 0.0, 0.0)
+        reference_local(plane_t0, 0.0, 0.0)
     with pytest.raises(CharacteristicPoint) as scan:
         curvature_scan([plane_t0], u, v)
     assert str(scan.value) == str(scalar.value)

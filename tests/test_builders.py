@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from conftest import circle_lift_curve, circle_lift_ruled_spec, ruled_parabola_spec, ts
+from conftest import circle_lift_curve, circle_lift_ruled_spec, local_H, ruled_parabola_spec, ts
 from heisflow.builders import (
     CATALOG,
     AngleField,
@@ -30,7 +30,6 @@ from heisflow.builders import (
     surface_from_dict,
     term_from_dict,
 )
-from heisflow.curvature import mean_curvature_local
 from heisflow.errors import (
     CharacteristicPoint,
     ConstantRulingDirection,
@@ -119,7 +118,7 @@ def test_ruled_patch_is_minimal_with_norm_equal_coeff():
     for s, v in ((0.5, 0.4), (3.0, 1.2)):
         (q,) = horizontal_normal_batch(eval_jets(surf, [s], [v]))[2]
         assert q == pytest.approx(abs(ruling_form_coeff(spec, s, v)), rel=1e-12)
-        assert abs(mean_curvature_local(surf, s, v).H) < 1e-12
+        assert abs(local_H(surf, s, v)) < 1e-12
 
 
 def test_degenerate_ruling_rejected():
@@ -190,7 +189,7 @@ def test_developable_rejects_singular_edge():
 
 def test_developable_circle_lift_minimal():
     surf = build_tangent_developable(circle_lift_curve(), (0.1, 1.2))
-    assert abs(mean_curvature_local(surf, 1.0, 0.6).H) < 1e-12
+    assert abs(local_H(surf, 1.0, 0.6)) < 1e-12
 
 
 def test_cylinder_profile_validation():
@@ -212,7 +211,7 @@ def test_catalog_names_all_build():
 
 def test_catalog_cylinder_radius_parse():
     surf = catalog_get("cylinder(2.5)")
-    assert mean_curvature_local(surf, 1.0, 0.0).H == pytest.approx(0.4, rel=1e-12)
+    assert local_H(surf, 1.0, 0.0) == pytest.approx(0.4, rel=1e-12)
     assert catalog_get("cylinder").label == "cylinder(1.0)"
     with pytest.raises(UnknownName):
         catalog_get("cylinder(abc)")
@@ -284,7 +283,7 @@ def test_surface_from_dict_dispatch(tmp_path):
             "domain": {"u": [-1.0, 1.0], "v": [-1.0, 1.0]},
         }
     )
-    assert mean_curvature_local(graph, 0.5, 0.25).H == 0.0
+    assert local_H(graph, 0.5, 0.25) == 0.0
 
     named = surface_from_dict({"type": "catalog", "name": "cone_lower"})
     assert named.label == "cone_lower"

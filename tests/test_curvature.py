@@ -1,29 +1,34 @@
 """Mean-curvature formulas, the flow oracle and minimality reports."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from conftest import ts
+from conftest import local_H, ts
 from heisflow.builders import CurveSpec, build_cylinder, build_graph_separable
 from heisflow.curvature import (
     MINIMALITY_BAND,
+    _has_stencil,
+    _seed_curvatures,
     _signed_curvatures,
+    curvature_scan,
     is_h_minimal,
-    mean_curvature_flow_oracle,
-    mean_curvature_local,
+    mean_curvature_batch,
 )
-from heisflow.errors import (
-    CharacteristicPoint,
-    FlowEscapedDomain,
-    NearCharacteristicWarning,
-    ZeroSpeed,
-)
+from heisflow.errors import CharacteristicPoint, ZeroSpeed
+from heisflow.flow import integrate_flows
 from heisflow.horizontal import horizontal_normal_batch
 from heisflow.patch import Domain, eval_jets, reparametrize_affine
-from scalar_curvature import reference_quotient
+from scalar_curvature import reference_local, reference_quotient
+
+
+def oracle_H(surface, u, v, ds=1e-3, n_steps=3):
+    """The flow oracle at one point: the signed curvature, at the seed, of
+    the projected leaf traced n_steps each way."""
+    (trace,) = integrate_flows(surface, [(u, v)], ds=ds, max_steps=n_steps)
+    assert _has_stencil(trace)
+    return float(_seed_curvatures([trace], ds)[0])
 
 
 def unit_normal(surface, u, v):
@@ -50,28 +55,27 @@ def test_cylinder_curvature_is_inverse_radius(radius):
         ts(("cos", radius, 1)), ts(("sin", radius, 1)), ts(), (0.0, 2.0 * math.pi)
     )
     surf = build_cylinder(profile, (-1.0, 1.0))
-    for u, v in ((0.3, -0.5), (2.0, 0.75), (5.5, 0.0)):
-        sample = mean_curvature_local(surf, u, v)
-        assert sample.H == pytest.approx(1.0 / radius, rel=1e-13, abs=0.0)
-        assert sample.method == "local-formula"
-        assert not sample.near_char
+    scan = curvature_scan([surf], [0.3, 2.0, 5.5], [-0.5, 0.75, 0.0])
+    assert scan.H[0].tolist() == pytest.approx([1.0 / radius] * 3, rel=1e-13, abs=0.0)
+    assert not scan.char.any()
 
 
 def test_parabola_profile_cylinder_curvature():
     # profile (s, s^2): plane curvature 2 / (1 + 4 s^2)^(3/2)
     profile = CurveSpec(ts(("poly", 1.0, 1)), ts(("poly", 1.0, 2)), ts(), (-1.0, 1.0))
     surf = build_cylinder(profile, (-1.0, 1.0))
-    assert mean_curvature_local(surf, 0.0, 0.2).H == pytest.approx(2.0, rel=1e-12)
-    assert mean_curvature_local(surf, 0.5, -0.4).H == pytest.approx(
+    assert local_H(surf, 0.0, 0.2) == pytest.approx(2.0, rel=1e-12)
+    assert local_H(surf, 0.5, -0.4) == pytest.approx(
         2.0 / (1.0 + 1.0) ** 1.5, rel=1e-12
     )
 
 
 def test_cone_closed_form(cone):
     u, v = -1.0, 0.7
-    sample = mean_curvature_local(cone, u, v)
-    assert sample.H == pytest.approx(-(5.0 ** -1.5), rel=1e-12)
-    assert sample.nh_norm == pytest.approx(math.sqrt(5.0), rel=1e-13)
+    batch = mean_curvature_batch(eval_jets(cone, [u], [v]))
+    assert batch.H[0] == pytest.approx(-(5.0 ** -1.5), rel=1e-12)
+    assert batch.nh_norm[0] == pytest.approx(math.sqrt(5.0), rel=1e-13)
+    assert local_H(cone, u, v) == batch.H[0]
     r = math.sqrt(1.0 + 4.0 * u * u)
     nu1, nu2 = unit_normal(cone, u, v)
     assert nu1 == pytest.approx((math.cos(v) - 2.0 * u * math.sin(v)) / r, rel=1e-12)
@@ -79,20 +83,20 @@ def test_cone_closed_form(cone):
 
 
 def test_paraboloid_curvature_vanishes_exactly(paraboloid):
-    for u, v in ((0.5, 0.25), (-1.0, 0.3), (1.2, 1.2)):
-        assert mean_curvature_local(paraboloid, u, v).H == 0.0
+    scan = curvature_scan([paraboloid], [0.5, -1.0, 1.2], [0.25, 0.3, 1.2])
+    assert scan.H[0].tolist() == [0.0, 0.0, 0.0]
 
 
 def test_vertical_plane_is_minimal():
     from heisflow.builders import catalog_get
 
     surf = catalog_get("vertical_plane_x0")
-    assert mean_curvature_local(surf, 0.7, -1.1).H == 0.0
+    assert local_H(surf, 0.7, -1.1) == 0.0
 
 
 def test_quotient_agrees_where_projection_is_immersive(cone):
     for u, v in ((-0.8, 1.0), (-1.7, 4.2)):
-        local = mean_curvature_local(cone, u, v).H
+        local = local_H(cone, u, v)
         quot = reference_quotient(cone, u, v)
         assert quot == pytest.approx(local, rel=1e-9)
 
@@ -101,7 +105,7 @@ def test_quotient_convention_on_vertical_tangency(unit_cylinder):
     # d(x,y) = 0 identically on a cylinder: the quotient form falls back to
     # 0 by convention while the directional form reports the profile value
     assert reference_quotient(unit_cylinder, 1.0, 0.5) == 0.0
-    assert mean_curvature_local(unit_cylinder, 1.0, 0.5).H == pytest.approx(1.0)
+    assert local_H(unit_cylinder, 1.0, 0.5) == pytest.approx(1.0)
 
 
 def test_fd_normal_derivatives_close_to_exact(cone):
@@ -116,7 +120,7 @@ def test_fd_normal_derivatives_close_to_exact(cone):
     nu1_v, nu2_v = ((a - b) / (2.0 * h) for a, b in zip(nu(u, v + h), nu(u, v - h)))
     (xu, yu, _), (xv, yv, _) = eval_jets(cone, [u], [v])[0, 1:3].tolist()
     fd = ((nu1_u * yv - nu1_v * yu) + (xu * nu2_v - xv * nu2_u)) / (xu * yv - yu * xv)
-    assert fd == pytest.approx(mean_curvature_local(cone, u, v).H, abs=1e-6)
+    assert fd == pytest.approx(local_H(cone, u, v), abs=1e-6)
 
 
 def test_graph_divergence_identity():
@@ -132,22 +136,15 @@ def test_graph_divergence_identity():
     div = (nu(u + h, v)[0] - nu(u - h, v)[0]) / (2.0 * h) + (
         nu(u, v + h)[1] - nu(u, v - h)[1]
     ) / (2.0 * h)
-    assert mean_curvature_local(bowl, u, v).H == pytest.approx(div, abs=1e-6)
+    assert local_H(bowl, u, v) == pytest.approx(div, abs=1e-6)
 
 
 def test_characteristic_point_raises(paraboloid):
-    with pytest.raises(CharacteristicPoint):
-        mean_curvature_local(paraboloid, 0.3, -0.3)
-
-
-def test_near_characteristic_warning(paraboloid):
-    u, v = 0.5, -0.5 + 1e-8
-    with pytest.warns(NearCharacteristicWarning):
-        sample = mean_curvature_local(paraboloid, u, v)
-    assert sample.near_char
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        mean_curvature_local(paraboloid, u, v, warn=False)
+    with pytest.raises(CharacteristicPoint) as reference:
+        reference_local(paraboloid, 0.3, -0.3)
+    with pytest.raises(CharacteristicPoint) as scan:
+        curvature_scan([paraboloid], [0.5, 0.3], [0.25, -0.3])
+    assert str(scan.value) == str(reference.value)
 
 
 def test_flow_oracle_cylinder():
@@ -155,25 +152,25 @@ def test_flow_oracle_cylinder():
         ts(("cos", 2.0, 1)), ts(("sin", 2.0, 1)), ts(), (0.0, 2.0 * math.pi)
     )
     surf = build_cylinder(profile, (-1.0, 1.0))
-    sample = mean_curvature_flow_oracle(surf, 0.8, 0.1)
-    assert sample.method == "flow-oracle"
-    assert sample.H == pytest.approx(0.5, abs=1e-4)
+    assert oracle_H(surf, 0.8, 0.1) == pytest.approx(0.5, abs=1e-4)
 
 
 def test_flow_oracle_ruled_vanishes(ruled_parabola):
-    assert abs(mean_curvature_flow_oracle(ruled_parabola, 1.2, 0.7).H) <= 1e-6
+    assert abs(oracle_H(ruled_parabola, 1.2, 0.7)) <= 1e-6
 
 
 def test_flow_oracle_cone(cone):
-    assert mean_curvature_flow_oracle(cone, -1.0, 0.7).H == pytest.approx(
+    assert oracle_H(cone, -1.0, 0.7) == pytest.approx(
         -(5.0 ** -1.5), abs=1e-4
     )
 
 
 def test_flow_oracle_needs_room(ruled_parabola):
     # flow moves only along v here, so a seed on the v edge starves one leg
-    with pytest.raises(FlowEscapedDomain):
-        mean_curvature_flow_oracle(ruled_parabola, 1.2, 0.25)
+    # and the oracle has no stencil there
+    (trace,) = integrate_flows(ruled_parabola, [(1.2, 0.25)], max_steps=3)
+    assert not _has_stencil(trace)
+    assert trace.seed_index == len(trace) - 1 and trace.stop_forward == "domain-exit"
 
 
 def test_is_h_minimal_paraboloid(paraboloid):

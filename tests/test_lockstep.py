@@ -23,31 +23,12 @@ from heisflow.builders import (
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
-from heisflow.patch import (
-    Domain,
-    eval_jets,
-    from_value_map,
-    grid_points,
-    make_surface,
-    reparametrize_affine,
-)
+from heisflow.patch import Domain, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
 
 DS = 1e-2
 EPS = 1e-9
 STAGES = ("k2", "k3", "k4", "accepted point")
-
-
-def refusing_surface():
-    """The plane t = 0 whose field formula raises OutOfDomain when any point
-    has u > 0.9, as a finite-difference stencil does next to the edge."""
-
-    def fields(u, v):
-        if np.any(np.asarray(u) > 0.9):
-            raise OutOfDomain(f"no stencil at ({u}, {v})")
-        return (u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-
-    return make_surface(fields, Domain(-1.0, 1.0, -1.0, 1.0), "refusing-plane", check_grid=None)
 
 
 SURFACES = {
@@ -59,7 +40,6 @@ SURFACES = {
         )
         for k in range(20)
     },
-    "refusing-plane": refusing_surface,
 }
 
 
@@ -87,18 +67,14 @@ def locus_seeds(name, dom):
     """Seeds next to the characteristic locus, where it is known in closed form."""
     if name == "paraboloid":  # locus u + v = 0
         return [(a, -a + e) for a in (-0.5, 0.2, 0.9) for e in (1e-12, 3e-3, 2e-2)]
-    if name in ("plane_t0", "refusing-plane"):  # isolated point at the origin
+    if name == "plane_t0":  # isolated point at the origin
         return [(r, 0.7 * r) for r in (1e-12, 2e-3, 5e-2)]
     return []
 
 
 def seeds_of(name, surface):
     dom = surface.domain
-    edge = edge_seeds(dom)
-    if name == "refusing-plane":  # the refused band u > 0.9 takes the edge's place
-        edge = [(0.9 - DS * k / 8.0, v) for k in range(12) for v in (-0.3, 0.02, 0.4)]
-        edge += [(u, v) for u, v in edge_seeds(dom) if u <= 0.9]
-    return edge, interior_seeds(dom) + locus_seeds(name, dom)
+    return edge_seeds(dom), interior_seeds(dom) + locus_seeds(name, dom)
 
 
 def starts(surface, seeds):
@@ -111,15 +87,18 @@ def starts(surface, seeds):
 
 def scalar_legs(surface, seeds, steps):
     """Each leg through flow._leg, forward then backward, with the RK4 stage
-    of each domain exit (counted from the flow._field calls of the leg) and
-    the number of legs that only a k2, k3 or k4 reversed against k1 stops."""
-    legs, exit_stages = [], []
+    (counted from the flow._field calls of the leg) and the domain edge of
+    each domain exit, and the number of legs that only a k2, k3 or k4
+    reversed against k1 stops."""
+    legs, exits = [], []
     reversed_stages = 0
     real = flow._field
     calls = []  # the field each call returned, None where it raised
+    point = []  # the (u, v) of the last call
 
     def counted(*args):
         calls.append(None)
+        point[:] = args[1:3]
         calls[-1] = real(*args)
         return calls[-1]
 
@@ -132,7 +111,7 @@ def scalar_legs(surface, seeds, steps):
                 legs.append((np.array(pts, float).reshape(-1, 2), reason))
                 if reason == "domain-exit":
                     # call 0 is the seed, then k2, k3, k4 and the new point per step
-                    exit_stages.append(STAGES[(len(calls) - 2) % 4])
+                    exits.append((STAGES[(len(calls) - 2) % 4], exit_edge(surface.domain, *point)))
                 last = calls[-5:]
                 if reason == "characteristic-proximity" and len(last) == 5 and None not in last:
                     # only a reversed stage stops this step: the new point
@@ -145,7 +124,15 @@ def scalar_legs(surface, seeds, steps):
                     )
     finally:
         flow._field = real
-    return legs, exit_stages, reversed_stages
+    return legs, exits, reversed_stages
+
+
+def exit_edge(dom, u, v):
+    """The first edge of the domain, in u_min, u_max, v_min, v_max order,
+    that the point (u, v) lies past."""
+    edges = {"u_min": u < dom.u_min, "u_max": u > dom.u_max,
+             "v_min": v < dom.v_min, "v_max": v > dom.v_max}
+    return next(name for name, past in edges.items() if past)
 
 
 def lockstep_legs(surface, seeds, rows, steps):
@@ -163,21 +150,22 @@ def bits(a):
 
 @pytest.fixture(scope="module")
 def leg_runs():
-    """Every surface: the scalar and the lockstep legs, and the exit stages."""
+    """Every surface: the scalar and the lockstep legs, the exit stages and
+    edges, and the number of legs stopped by a reversed stage alone."""
     runs = {}
     for name, build in SURFACES.items():
         surface = build()
         edge, rest = seeds_of(name, surface)
-        scalar, lockstep, stages, reversals = [], [], [], 0
+        scalar, lockstep, exits, reversals = [], [], [], 0
         # short legs from the edge seeds, long ones from the rest
         for s, steps in ((edge, 3), (rest, 120)):
             s, r = starts(surface, s)
-            legs, exits, rev = scalar_legs(surface, s, steps)
+            legs, e, rev = scalar_legs(surface, s, steps)
             scalar += legs
-            stages += exits
+            exits += e
             reversals += rev
             lockstep += lockstep_legs(surface, s, r, steps)
-        runs[name] = (scalar, lockstep, stages, reversals)
+        runs[name] = (scalar, lockstep, exits, reversals)
     return runs
 
 
@@ -192,17 +180,16 @@ def test_lockstep_legs_match_scalar_legs(leg_runs, name):
 
 def test_inputs_reach_every_stop_and_every_exit_stage(leg_runs):
     reasons = Counter(r for scalar, _, _, _ in leg_runs.values() for _, r in scalar)
-    stages = Counter(s for _, _, exits, _ in leg_runs.values() for s in exits)
+    stages = Counter(s for _, _, exits, _ in leg_runs.values() for s, _ in exits)
     assert set(reasons) == {"domain-exit", "characteristic-proximity", "step-limit"}
     assert set(stages) == set(STAGES)
     # some leg stops on an RK4 stage reversed across the locus
     assert sum(run[3] for run in leg_runs.values()) > 0
-    # the jet function of refusing-plane refuses stage points in u > 0.9,
-    # a step or more from the edges of its domain
-    assert any(
-        r == "domain-exit" and len(uv) and np.abs(uv[-1]).max() < 0.95
-        for uv, r in leg_runs["refusing-plane"][0]
-    )
+    # a leg exits only past an edge, since a field formula accepts its whole
+    # closed domain; on these surfaces legs leave through all four edges
+    for name in ("paraboloid", "cone_lower", "plane_t0", "cylinder(1.0)"):
+        edges = {edge for _, edge in leg_runs[name][2]}
+        assert edges == {"u_min", "u_max", "v_min", "v_max"}, (name, edges)
 
 
 def trace_bits(t):
@@ -215,7 +202,7 @@ def trace_bits(t):
 
 
 @pytest.mark.parametrize(
-    "name", ["paraboloid", "plane_t0", "cylinder(5.0)", "random-ruled-3", "refusing-plane"]
+    "name", ["paraboloid", "plane_t0", "cylinder(5.0)", "random-ruled-3"]
 )
 def test_integrate_flows_matches_one_seed_calls(name):
     # integrate_flow traces 2 legs, under the cutoff: the scalar stepper;
@@ -259,15 +246,6 @@ def test_characteristic_seed_message_is_unchanged(plane_t0):
     assert str(exc.value) == "seed too close to the characteristic locus: ||N^h|| = 2.000e-12"
 
 
-def value_map_surface():
-    """A finite-difference surface: its stencil refuses points next to the edge."""
-
-    def value_map(u, v):
-        return (u + 0.1 * v * v, v - 0.2 * u * v, math.sin(u) * v + u * u)
-
-    return from_value_map(value_map, Domain(-1.0, 1.0, -1.0, 1.0))
-
-
 def reparametrized_cone():
     return reparametrize_affine(
         catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
@@ -275,11 +253,7 @@ def reparametrized_cone():
     )
 
 
-FIELD_SURFACES = {
-    **SURFACES,
-    "value-map": value_map_surface,
-    "reparametrized-cone": reparametrized_cone,
-}
+FIELD_SURFACES = {**SURFACES, "reparametrized-cone": reparametrized_cone}
 
 
 def stop_band_seeds(name):
@@ -288,7 +262,7 @@ def stop_band_seeds(name):
     offsets = np.geomspace(1e-10, 1e-7, 13).tolist()
     if name == "paraboloid":
         return [(a, -a + e) for a in (-0.5, 0.2) for e in offsets]
-    if name in ("plane_t0", "refusing-plane"):
+    if name == "plane_t0":
         return [(r, 0.7 * r) for r in offsets]
     return []
 
@@ -322,7 +296,7 @@ def test_scalar_field_matches_field_rows(name):
     got = [bits(r) if code == 0 else code for r, code in zip(rows.T, stop.tolist())]
     assert got == [field_or_stop(surface, a, b) for a, b in zip(u.tolist(), v.tolist())]
     assert {1, 0} <= set(stop.tolist())
-    if name in ("paraboloid", "plane_t0", "refusing-plane"):
+    if name in ("paraboloid", "plane_t0"):
         assert 2 in stop.tolist()
 
 
@@ -338,5 +312,9 @@ def test_scalar_field_raises_what_eval_jets_raises():
             eval_jets(overflow, [u], [v])
         assert str(scalar.value) == str(batch.value)
     assert str(scalar.value).startswith("(u, v) = (0.5, -1.0) outside domain")
-    with pytest.raises(ValueError, match="^non-finite jet component in value: "):
+    with pytest.raises(ValueError, match="^non-finite jet component in value: ") as scalar:
         flow._field(overflow, 1e59, 0.5, EPS)
+    # the lockstep's field raises it too; a point outside the domain only stops
+    with pytest.raises(ValueError) as lockstep:
+        flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]), EPS)
+    assert str(lockstep.value) == str(scalar.value)

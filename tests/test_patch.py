@@ -1,4 +1,4 @@
-"""Domains, 2-jets, finite-difference jets and affine reparametrization."""
+"""Domains, 2-jets and affine reparametrization."""
 
 import math
 
@@ -12,9 +12,6 @@ from heisflow.patch import (
     Domain,
     SurfaceHandle,
     eval_jets,
-    fd_jet2,
-    fd_step,
-    from_value_map,
     grid_points,
     jet2_batch,
     make_surface,
@@ -25,7 +22,6 @@ DOM = Domain(-1.0, 1.0, -2.0, 2.0)
 
 
 def quad_map(u, v):
-    # dyadic quadratic: central differences are exact in binary arithmetic
     return (u * u + 0.5 * v, u * v, v * v - u)
 
 
@@ -84,35 +80,6 @@ def test_jet2_defaults_zero_second_jets():
     assert not j[:, 3:].any()
 
 
-def test_fd_jet2_exact_on_dyadic_quadratic():
-    # dyadic point and step keep every stencil value exactly representable
-    u, v, h = 0.5, 0.25, 2.0 ** -6
-    j = np.array(fd_jet2(quad_map, u, v, h=h))
-    assert j.tolist() == quad_jet(u, v).tolist()
-
-
-def test_fd_jet2_clips_to_domain():
-    # near the u_max edge the u-step shrinks; quadratic FD stays exact
-    _, du, _, duu, _, _ = fd_jet2(quad_map, 1.0 - 2.0 ** -8, 0.0, h=2.0 ** -4, domain=DOM)
-    ref = quad_jet(1.0 - 2.0 ** -8, 0.0)
-    assert du.tolist() == ref[1].tolist()
-    assert duu.tolist() == ref[3].tolist()
-
-
-def test_fd_jet2_domain_errors():
-    with pytest.raises(OutOfDomain):
-        fd_jet2(quad_map, 1.5, 0.0, domain=DOM)
-    with pytest.raises(OutOfDomain):  # pinned to the boundary: no room
-        fd_jet2(quad_map, 1.0, 0.0, domain=DOM)
-    with pytest.raises(ValueError):
-        fd_jet2(quad_map, 0.0, 0.0, h=-1.0)
-
-
-def test_fd_step_floor():
-    assert fd_step(0.0, 0.0) == pytest.approx(1e-4)
-    assert fd_step(1e6, 0.0) > 1.0e-4
-
-
 def test_make_surface_and_eval():
     surf = make_surface(quad_fields, DOM, label="quad")
     assert isinstance(surf, SurfaceHandle)
@@ -131,14 +98,6 @@ def test_make_surface_rejects_degenerate_patch():
         make_surface(collapsed, DOM)
     # opting out of the ambient-regularity grid check is allowed
     make_surface(collapsed, DOM, check_grid=None)
-
-
-def test_from_value_map_matches_analytic_jets():
-    surf = from_value_map(quad_map, DOM, h=2.0 ** -6)
-    j = eval_one(surf, 0.125, 0.5)
-    ref = quad_jet(0.125, 0.5)
-    assert np.allclose(j[1], ref[1], rtol=0.0, atol=1e-12)
-    assert np.allclose(j[4], ref[4], rtol=0.0, atol=1e-10)
 
 
 def test_reparametrize_affine_chain_rule():

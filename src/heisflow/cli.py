@@ -97,9 +97,13 @@ def _json_dump(value, out, indent=0):
             out.write(",\n" if i < len(value) - 1 else "\n")
         out.write(pad + "]")
     elif isinstance(value, np.ndarray):  # a table, one line per row
+        if not len(value):
+            out.write("[]")
+            return
         row = pad + "  [" + ", ".join(["%s"] * value.shape[1]) + "]"
-        rows = _table(value, _json_atom, row, ",\n")
-        out.write("[\n" + rows + "\n" + pad + "]" if rows else "[]")
+        out.write("[\n")
+        _table(value, _json_atom, row, ",\n", out)
+        out.write("\n" + pad + "]")
     else:
         out.write(_json_atom(value))
 
@@ -121,27 +125,35 @@ def _json_atom(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _table(table: np.ndarray, atom, row: str, sep: str) -> str:
-    """An (N, k) float table's rows through ``row`` (a %s per column), joined
-    by ``sep``.  Each block runs ``atom`` once per distinct value, told apart
-    by bits: -0.0 == 0.0 but prints as -0, and NaN never equals itself."""
-    parts = []
+def _table(table: np.ndarray, atom, row: str, sep: str, out) -> None:
+    """Write an (N, k) float table's rows to ``out`` through ``row`` (a %s
+    per column), joined by ``sep``, one block at a time.  Each block formats
+    its distinct values, told apart by bits (-0.0 == 0.0 but prints as -0,
+    and NaN never equals itself), in one %.17g pass, which is ``atom`` of
+    every finite float; ``atom`` itself runs only on the non-finite ones."""
     for sl in blocks(len(table)):
         block = table[sl]
         bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
-        text = np.array([atom(x) for x in bits.view(np.float64).tolist()], dtype=object)
-        parts.append(sep.join([row] * len(block)) % tuple(text[inv].tolist()))
-    return sep.join(parts)
+        values = bits.view(np.float64)
+        floats = values.tolist()
+        text = ("%.17g\0" * len(floats) % tuple(floats)).split("\0")
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            text[i] = atom(floats[i])
+        text = np.array(text, dtype=object)
+        if sl.start:
+            out.write(sep)
+        out.write(sep.join([row] * len(block)) % tuple(text[inv].tolist()))
 
 
 def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | None):
+    buf = io.StringIO()
     if fmt == "csv":
-        row = ",".join(["%s"] * len(columns)) + "\n"
-        text = ",".join(columns) + "\n" + _table(report["rows"], _fmt, row, "")
+        buf.write(",".join(columns) + "\n")
+        _table(report["rows"], _fmt, ",".join(["%s"] * len(columns)) + "\n", "", buf)
     else:
-        buf = io.StringIO()
         _json_dump(report, buf)
-        text = buf.getvalue() + "\n"
+        buf.write("\n")
+    text = buf.getvalue()
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:

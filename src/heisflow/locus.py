@@ -15,12 +15,13 @@ every sign-changing edge with one batch of midpoints per step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .horizontal import char_threshold, horizontal_normal_batch
-from .patch import SurfaceHandle, blocks, eval_jets, grid_points
+from .patch import Domain, SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = ["LocusPoint", "characteristic_locus"]
 
@@ -101,11 +102,32 @@ def characteristic_locus(
     u, v = pts[keep].T.tolist()
     nh, x, y, t = f[[2, 4, 5, 6]][:, keep].tolist()
     found = sorted(map(LocusPoint, u, v, x, y, t, nh), key=lambda p: (p.u, p.v))
+    return _merge(found, surface.domain)
 
-    merge_u = 1e-6 * max(surface.domain.u_span, 1e-300)
-    merge_v = 1e-6 * max(surface.domain.v_span, 1e-300)
+
+def _merge(found: list[LocusPoint], domain: Domain) -> list[LocusPoint]:
+    """Greedy merge of points of the domain sorted by (u, v): each point is
+    kept unless an earlier kept point lies within 1e-6 of the spans on both
+    axes.
+
+    Kept points are hashed into cells twice that box wide, counted from the
+    domain corner, so every kept point in range lies in the 3 x 3 cells
+    around the new one: rounding moves a cell coordinate by far less than
+    half a cell.  An infinite span puts every point in one cell on its axis.
+    """
+    merge_u = 1e-6 * max(domain.u_span, 1e-300)
+    merge_v = 1e-6 * max(domain.v_span, 1e-300)
+
+    def cell(x: float, lo: float, merge: float) -> int:
+        return math.floor((x - lo) / (2.0 * merge)) if merge < math.inf else 0
+
+    cells: dict[tuple[int, int], list[LocusPoint]] = {}
     kept: list[LocusPoint] = []
     for p in found:
-        if not any(abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in kept):
+        i, k = cell(p.u, domain.u_min, merge_u), cell(p.v, domain.v_min, merge_v)
+        near = (q for a in (i - 1, i, i + 1) for b in (k - 1, k, k + 1)
+                for q in cells.get((a, b), ()))
+        if not any(abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in near):
             kept.append(p)
+            cells.setdefault((i, k), []).append(p)
     return kept

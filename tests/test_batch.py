@@ -8,6 +8,7 @@ first-order formulas on those floats, and the per-point curvature.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -398,6 +399,140 @@ def test_fsum_columns_give_nan_where_fsum_raises():
     need = np.array([True, True, False, True])
     got = _fsum_columns(t, np.zeros(4, bool), need)
     assert got[[0, 1, 3]].tolist() == [3.0, 3.0, 3.0] and math.isnan(got[2])
+
+
+def _fsum_tiers(t, safe):
+    """``_fsum_columns(t, safe)``, the (s, s2, r) that each tier passes to
+    ``_certify``, and the number of math.fsum calls."""
+    seen, fsums = [], []
+    certify, fsum = curvature._certify, math.fsum
+
+    def spy(s, s2, r):
+        seen.append((s.copy(), s2.copy(), r.copy()))
+        return certify(s, s2, r)
+
+    def counting(terms):
+        fsums.append(1)
+        return fsum(terms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curvature, "_certify", spy)
+        mp.setattr(math, "fsum", counting)
+        out = _fsum_columns(t, safe)
+    return out, seen, len(fsums)
+
+
+def _exact(x) -> Fraction:
+    return Fraction(float(x))
+
+
+def _ulp(x: float) -> float:
+    return math.nextafter(abs(x), math.inf) - abs(x)
+
+
+SAFE_FLOATS = st.floats(-(2.0**200), 2.0**200, allow_nan=False)
+SUBNORMAL = st.integers(-(2**40), 2**40).map(lambda k: k * 5e-324)
+
+
+def _column(kind: str, k: int):
+    """A strategy for one column of k >= 2 terms that takes the named path."""
+    if kind == "wide":
+        return st.lists(SAFE_FLOATS, min_size=k, max_size=k)
+    if kind == "zero":  # exact-zero sums
+        return st.lists(SAFE_FLOATS, min_size=k // 2, max_size=k // 2).map(
+            lambda xs: (xs + [-x for x in reversed(xs)] + [0.0] * (k % 2))
+        )
+    if kind == "tie":  # a, half an ulp of a, a tiny term that breaks the tie or not
+        m = max(k - 3, 0)
+        return st.tuples(
+            st.floats(2.0**-900, 2.0**200), st.sampled_from([0.0, 5e-324, -5e-324, 1e-300]),
+            st.lists(SAFE_FLOATS, min_size=m // 2, max_size=m // 2),
+        ).map(lambda a: ([a[0], 0.5 * _ulp(a[0]), a[1]][:k] + a[2] + [-x for x in a[2]]
+                         + [0.0] * (m % 2)))
+    # subnormal: a normal head whose ulp dwarfs the subnormal rest, so the
+    # first distillation's errors have a mass whose bound underflows
+    return st.tuples(
+        st.floats(2.0**-900, 2.0**200), st.lists(SUBNORMAL, min_size=k - 1, max_size=k - 1)
+    ).map(lambda a: [a[0]] + a[1])
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda k: st.lists(
+            st.tuples(st.sampled_from(["wide", "zero", "tie", "subnormal"]), st.booleans())
+            .flatmap(lambda ks: st.tuples(_column(ks[0], k), st.just(ks[1]))),
+            min_size=1, max_size=12,
+        )
+    )
+)
+def test_fsum_column_tiers_match_fsum(columns):
+    t = np.array([c for c, _ in columns], float).T
+    safe = np.array([sf for _, sf in columns], bool)
+    out, seen, n_fsum = _fsum_tiers(t, safe)
+    want = [math.fsum(col) for col, _ in columns]
+    np.testing.assert_array_equal(bits(out), bits(want))
+
+    # tier 1: r bounds the error of s2 = fl(sum e), and is zero only where
+    # every error term is
+    (s, s2, r), *tier2 = seen
+    _, e = curvature._distil(t)
+    for i in range(t.shape[1]):
+        err = abs(sum(map(_exact, e[:, i])) - _exact(s2[i]))
+        assert err <= _exact(r[i])
+        assert (r[i] == 0.0) == (not e[:, i].any())
+    # tier 2 gets the safe columns tier 1 left, and fsum the rest
+    _, ok1 = curvature._certify(s, s2, r)
+    again = safe & ~ok1
+    n2 = len(tier2[0][0]) if tier2 else 0
+    assert n2 == again.sum()
+    ok2 = curvature._certify(*tier2[0])[1].sum() if tier2 else 0
+    assert n_fsum == (~safe).sum() + n2 - ok2
+
+
+@pytest.mark.parametrize(
+    "column, tier",
+    [
+        ([1.0, 2.0**-60, 2.0**-61, 3.0], 1),  # an inexact first sum, certified by its bound
+        ([2.0**-900, 5e-324, -1e-320, 3e-322], 1),  # the error mass's bound underflows
+        ([1.0, 1e-20], 1),  # two terms, one error row
+        ([0.1, -0.7, 0.7, -0.1], 2),  # an exact zero: the second level cancels
+        ([1.0, 2.0**-53, 2.0**-110, -(2.0**-110)], 2),  # a tie that the first bound straddles
+        # a sum under _TINY that neither distillation makes exact: math.fsum
+        ([0.4, -1e-46, 1e-46, -5e-12, -0.4, 2.0**-1000, 5e-12], 3),
+    ],
+)
+def test_fsum_columns_reach_each_tier(column, tier):
+    # (_certify calls, math.fsum calls): an unsafe column skips tier 2
+    want = {1: (1, 0), 2: (2, 0), 3: (2, 1)}[tier]
+    t = np.array([column], float).T
+    for safe, calls in ((True, want), (False, (1, 1))):
+        out, seen, n_fsum = _fsum_tiers(t, np.array([safe]))
+        assert bits(out).tolist() == bits([math.fsum(column)]).tolist()
+        assert (len(seen), n_fsum) == calls
+
+
+# math.fsum calls of a strict=False curvature scan of each catalog grid:
+# the counts of the two-distillation certification, which tier 1 alone
+# exceeds on four of these grids
+FSUM_CALLS = [
+    ("paraboloid", 121, 0),
+    ("cone_lower", 81, 1),
+    ("circle_lift_developable", 81, 748),
+    ("cylinder(2.0)", 81, 0),
+    ("plane_t0", 101, 0),
+    ("vertical_plane_x0", 81, 0),
+    ("plane_flow_patch", 101, 0),
+]
+
+
+@pytest.mark.parametrize("name, n, calls", FSUM_CALLS)
+def test_fsum_fallback_calls_on_catalog_grids(monkeypatch, name, n, calls):
+    count = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: count.append(1) or fsum(terms))
+    surface = catalog_get(name)
+    curvature_scan([surface], *grid_points(*surface.domain.linspace(n, n)), strict=False)
+    assert len(count) == calls
 
 
 def old_eval_rows(surface, us, vs):

@@ -44,6 +44,18 @@ SPECIAL = [
     1.7976931348623157e308,
     0.1,
     1.0,
+    # %.17g boundaries (with the largest float above): the switch between
+    # fixed and exponent form, values that print as the next power of ten,
+    # and exact halves
+    1e16,
+    1e17,
+    9.999999999999999e16,
+    1e-5,
+    9.9999999999999991e-05,
+    1e22,
+    1e23,
+    0.5,
+    2.5,
 ]
 CELLS = st.one_of(
     st.sampled_from(SPECIAL),
@@ -92,6 +104,25 @@ def test_table_writer_keeps_bits_apart_across_blocks():
     columns = ["a", "b", "c"]
     for fmt in ("csv", "json"):
         assert _emitted(table, columns, fmt) == render(_report(rows, columns), columns, fmt)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [x for x in SPECIAL if not math.isfinite(x)],  # every distinct value non-finite
+        [x for x in SPECIAL if math.isfinite(x)],  # none
+    ],
+    ids=["all-non-finite", "all-finite"],
+)
+def test_table_writer_blocks_of_one_kind(values):
+    # a whole block, and a block and a row, of one kind of value
+    for n in (JET_BLOCK, JET_BLOCK + 1):
+        col = np.array([values[i % len(values)] for i in range(n)])
+        table = np.column_stack((col, col[::-1]))
+        rows = table.tolist()
+        columns = ["a", "b"]
+        for fmt in ("csv", "json"):
+            assert _emitted(table, columns, fmt) == render(_report(rows, columns), columns, fmt)
 
 
 @pytest.mark.parametrize(

@@ -41,21 +41,14 @@ from .errors import (
     ConstantRulingDirection,
     DegenerateRuling,
     HeisflowError,
-    NotHorizontal,
     NotRegular,
-    NotRegularProfile,
-    NotUnitSpeed,
     OutOfDomain,
     SpecError,
-    StraightLine,
-    TooFewSamples,
     UnknownName,
-    ZeroInRange,
     ZeroSpeed,
 )
 from .flow import (
     FlowTrace,
-    horizontality_residual,
     integrate_flow,
     integrate_flows,
 )

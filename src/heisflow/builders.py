@@ -3,8 +3,8 @@
 A small closed-form term language (polynomials up to degree 6 plus integer-
 frequency sine/cosine) describes curves and ruling-angle fields.  Everything
 built from it carries exact 2-jets, so curvature evaluations downstream are
-free of finite-difference error.  The same term data round-trips through
-plain dicts for the JSON file format used by the command line tools.
+free of finite-difference error.  The JSON file format of the command line
+tools is read from plain dicts into the same term data; nothing writes it.
 
 The central construction is the straight ruled patch over a base curve
 gamma(s) = (x, y, t) with ruling direction (a, b) = (cos theta, sin theta):
@@ -48,14 +48,9 @@ from .errors import (
     CharacteristicPoint,
     ConstantRulingDirection,
     DegenerateRuling,
-    NotHorizontal,
     NotRegular,
-    NotRegularProfile,
-    NotUnitSpeed,
     SpecError,
-    StraightLine,
     UnknownName,
-    ZeroInRange,
 )
 from .heis import _per_element
 from .patch import Domain, SurfaceHandle, make_surface
@@ -79,13 +74,9 @@ __all__ = [
     "CATALOG",
     "H_MINIMAL_CATALOG",
     "random_ruled_spec",
-    "term_to_dict",
     "term_from_dict",
-    "terms_to_list",
     "terms_from_list",
-    "curve_to_dict",
     "curve_from_dict",
-    "spec_to_dict",
     "surface_from_dict",
     "load_surface_file",
     "resolve_surface",
@@ -230,9 +221,6 @@ class TermSum:
             return jet(s)
         except (OverflowError, ValueError):
             return _bind(jet.__code__, _GUARDED, jet.__defaults__)(s)
-
-    def __iter__(self):
-        return iter(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -422,7 +410,6 @@ def build_tangent_developable(
     curve: CurveSpec,
     v_range: tuple[float, float],
     label: str = "developable",
-    check_grid: tuple[int, int] | None = (21, 21),
 ) -> SurfaceHandle:
     """Tangent developable sigma(s, v) = gamma(s) + v gamma'(s).
 
@@ -435,7 +422,7 @@ def build_tangent_developable(
     """
     v0, v1 = _as_range(v_range, "v_range")
     if v0 <= 0.0 <= v1:
-        raise ZeroInRange(
+        raise SpecError(
             f"v range [{v0}, {v1}] contains 0, the singular edge of the developable"
         )
     s0, s1 = curve.domain
@@ -448,17 +435,17 @@ def build_tangent_developable(
     if bad.any():
         i = int(np.argmax(bad))
         if abs(horiz[i]) > 1e-10:
-            raise NotHorizontal(
+            raise SpecError(
                 f"curve fails the contact condition at s = {s[i]}: "
                 f"omega(gamma') = {horiz[i]:.3e}"
             )
-        raise NotUnitSpeed(
+        raise SpecError(
             f"projected speed {float(speed[i])!r} at s = {s[i]} is not 1; "
             "reparametrize the curve by horizontal arc length"
         )
     # min over the samples as Python's min takes it, skipping NaN
     if np.fmin.reduce(_hypot(x2, y2, s), initial=math.inf) <= 1e-8:
-        raise StraightLine(
+        raise SpecError(
             "gamma'' vanishes somewhere; the tangent developable of a "
             "straight segment is not an immersed patch"
         )
@@ -473,14 +460,13 @@ def build_tangent_developable(
             (x2, y2, t2),
         )
 
-    return make_surface(fields, Domain(s0, s1, v0, v1), label, check_grid)
+    return make_surface(fields, Domain(s0, s1, v0, v1), label)
 
 
 def build_cylinder(
     profile: CurveSpec,
     height_range: tuple[float, float],
     label: str = "cylinder",
-    check_grid: tuple[int, int] | None = (21, 21),
 ) -> SurfaceHandle:
     """Vertical cylinder sigma(u, v) = (x(u), y(u), v) over a plane profile.
 
@@ -498,7 +484,7 @@ def build_cylinder(
         (_, x1, _, _), (_, y1, _, _), _ = profile.jet3(s)
     slow = _hypot(x1, y1, s) <= 1e-8
     if slow.any():
-        raise NotRegularProfile(
+        raise SpecError(
             f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
         )
 
@@ -506,7 +492,7 @@ def build_cylinder(
         (x, x1, x2, _), (y, y1, y2, _), _ = profile.jet3(u)
         return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
-    return make_surface(fields, Domain(s0, s1, h0, h1), label, check_grid)
+    return make_surface(fields, Domain(s0, s1, h0, h1), label)
 
 
 def build_graph_separable(
@@ -683,11 +669,7 @@ def random_ruled_spec(rng: Lcg64, index: int = 0) -> RuledSpec:
 
 
 # ---------------------------------------------------------------------------
-# dict / JSON round-trip
-
-
-def term_to_dict(term: Term) -> dict:
-    return {"kind": term.kind, "coeff": term.coeff, "k": term.k}
+# the dict / JSON file format
 
 
 def term_from_dict(d: dict) -> Term:
@@ -707,23 +689,10 @@ def term_from_dict(d: dict) -> Term:
     return Term(kind, coeff, int(k))
 
 
-def terms_to_list(ts: TermSum) -> list:
-    return [term_to_dict(t) for t in ts]
-
-
 def terms_from_list(entries) -> TermSum:
     if not isinstance(entries, list):
         raise SpecError(f"expected a list of terms, got {type(entries).__name__}")
     return TermSum(tuple(term_from_dict(d) for d in entries))
-
-
-def curve_to_dict(curve: CurveSpec) -> dict:
-    return {
-        "x": terms_to_list(curve.x),
-        "y": terms_to_list(curve.y),
-        "t": terms_to_list(curve.t),
-        "domain": list(curve.domain),
-    }
 
 
 def curve_from_dict(d: dict, require_plane: bool = False) -> CurveSpec:
@@ -741,18 +710,6 @@ def curve_from_dict(d: dict, require_plane: bool = False) -> CurveSpec:
         )
     except KeyError as e:
         raise SpecError(f"curve entry missing key {e}") from e
-
-
-def spec_to_dict(spec: RuledSpec) -> dict:
-    out = {
-        "type": "ruled",
-        "curve": curve_to_dict(spec.curve),
-        "theta": terms_to_list(spec.angle.theta),
-        "v_range": list(spec.v_range),
-    }
-    if spec.name:
-        out["name"] = spec.name
-    return out
 
 
 def surface_from_dict(d: dict) -> SurfaceHandle:

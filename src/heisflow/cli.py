@@ -8,7 +8,8 @@ JSON and literal nan/inf tokens in CSV.
 Exit codes: 0 success; 1 a verification check failed or the requested
 computation has no result (e.g. flow seeded on the characteristic locus);
 2 bad usage (including a size option past its limit), unknown surface, a
-malformed surface file, or an --out path that cannot be written.
+malformed surface file or one a builder rejects (any SpecError), a point
+outside the domain, or an --out path that cannot be written.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.run(args, eps_char)
-    except (UnknownName, SpecError, OutOfDomain, ValueError) as e:
+    except (UnknownName, OutOfDomain, ValueError) as e:
         print(f"heisflow: {e}", file=sys.stderr)
         return 2
     except HeisflowError as e:

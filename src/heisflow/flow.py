@@ -34,11 +34,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (
-    CharacteristicPoint,
-    OutOfDomain,
-    TooFewSamples,
-)
+from .errors import CharacteristicPoint, OutOfDomain
 from .heis import _per_element
 from .horizontal import (
     EPS_CHAR,
@@ -63,7 +59,6 @@ __all__ = [
     "FlowTrace",
     "integrate_flow",
     "integrate_flows",
-    "horizontality_residual",
 ]
 
 # Legs stop when ||N^h|| falls below STOP_FACTOR times the characteristic
@@ -359,23 +354,4 @@ def integrate_flow(
             f"seed too close to the characteristic locus: ||N^h|| = {q:.3e}"
         )
     return trace
-
-
-def horizontality_residual(points: np.ndarray, ds: float) -> float:
-    """Max |contact form on the central-difference velocity| along a trace.
-
-    For an exactly horizontal curve this is the O(ds^2) discretization error
-    of the sampling, so it doubles as an integration-quality metric.
-    """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-    if pts.shape[0] < 3:
-        raise TooFewSamples(
-            f"need at least 3 samples for a central difference, got {pts.shape[0]}"
-        )
-    vel = (pts[2:] - pts[:-2]) / (2.0 * ds)
-    mid = pts[1:-1]
-    omega = vel[:, 2] + 2.0 * (mid[:, 0] * vel[:, 1] - mid[:, 1] * vel[:, 0])
-    return float(np.max(np.abs(omega)))
 

@@ -25,6 +25,9 @@ from .patch import Domain, SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = ["LocusPoint", "characteristic_locus"]
 
+# Candidates are kept where ||N^h|| <= KEEP_TOL times a first-jet scale.
+KEEP_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class LocusPoint:
@@ -38,13 +41,13 @@ class LocusPoint:
     nh_norm: float
 
 
-def _fields(surface: SurfaceHandle, pts: np.ndarray, keep_tol: float) -> np.ndarray:
+def _fields(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
     """Rows n1, n2, ||N^h||, keep threshold, x, y, t at the (u, v) rows of ``pts``."""
     out = np.empty((7, len(pts)))
     for sl in blocks(len(pts)):
         jets = eval_jets(surface, pts[sl, 0], pts[sl, 1])
         out[:3, sl] = horizontal_normal_batch(jets)
-        out[3, sl] = char_threshold(jets, keep_tol)
+        out[3, sl] = char_threshold(jets, KEEP_TOL)
         out[4:, sl] = jets[:, 0].T
     return out
 
@@ -53,19 +56,18 @@ def characteristic_locus(
     surface: SurfaceHandle,
     grid: tuple[int, int] = (101, 101),
     refine: int = 60,
-    keep_tol: float = 1e-8,
 ) -> list[LocusPoint]:
     """Locate characteristic points on a (nu x nv) grid of the domain.
 
     ``refine`` bisection steps per sign-changing edge; candidates are kept
-    when ||N^h|| falls under ``keep_tol`` times a first-jet scale factor.
+    when ||N^h|| falls under :data:`KEEP_TOL` times a first-jet scale factor.
     Returns points sorted by (u, v), deduplicated at 1e-6 of the spans.
     """
     nu, nv = grid
     if nu < 2 or nv < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
     nodes = np.column_stack(grid_points(*surface.domain.linspace(nu, nv)))
-    f = _fields(surface, nodes, keep_tol)
+    f = _fields(surface, nodes)
 
     # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
     # or the v-edge (d = 1) leaving node (i, k); np.nonzero lists candidates
@@ -86,7 +88,7 @@ def characteristic_locus(
     live = np.arange(len(comp))
     for _ in range(refine):
         mid = 0.5 * (lo[live] + hi[live])
-        gm = _fields(surface, mid, keep_tol)[comp[live], np.arange(live.size)]
+        gm = _fields(surface, mid)[comp[live], np.arange(live.size)]
         to_hi = neg[live] != (gm < 0.0)
         hi[live[to_hi]] = mid[to_hi]
         lo[live[~to_hi]] = mid[~to_hi]
@@ -97,7 +99,7 @@ def characteristic_locus(
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).
     pts = np.concatenate((nodes, roots))
-    f = np.concatenate((f, _fields(surface, roots, keep_tol)), axis=1)
+    f = np.concatenate((f, _fields(surface, roots)), axis=1)
     keep = f[2] <= f[3]
     u, v = pts[keep].T.tolist()
     nh, x, y, t = f[[2, 4, 5, 6]][:, keep].tolist()

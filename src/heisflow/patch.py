@@ -84,12 +84,10 @@ class Domain:
             np.linspace(self.v_min, self.v_max, nv),
         )
 
-    def interior_linspace(
-        self, nu: int, nv: int, margin: float = 1e-6
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Grid axes inset from the boundary by ``margin`` of each span."""
-        du = margin * self.u_span
-        dv = margin * self.v_span
+    def interior_linspace(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
+        """Grid axes inset from the boundary by 1e-6 of each span."""
+        du = 1e-6 * self.u_span
+        dv = 1e-6 * self.v_span
         return (
             np.linspace(self.u_min + du, self.u_max - du, nu),
             np.linspace(self.v_min + dv, self.v_max - dv, nv),
@@ -191,7 +189,6 @@ def make_surface(
     domain: Domain,
     label: str = "",
     check_grid: tuple[int, int] | None = (21, 21),
-    eps_reg: float = EPS_REG,
 ) -> SurfaceHandle:
     """Wrap a field formula (see :class:`SurfaceHandle`), verifying sampled
     rank-2 regularity on a ``check_grid`` first."""
@@ -205,11 +202,11 @@ def make_surface(
             cross = np.cross(jets[:, 1], jets[:, 2])
             norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
         _check_finite(jets)
-        bad = np.flatnonzero(norm <= eps_reg)
+        bad = np.flatnonzero(norm <= EPS_REG)
         if bad.size:
             i = sl.start + bad[0]
             raise NotRegular(
-                f"{label or 'patch'}: |sigma_u x sigma_v| <= {eps_reg:g} "
+                f"{label or 'patch'}: |sigma_u x sigma_v| <= {EPS_REG:g} "
                 f"at (u, v) = ({u[i]}, {v[i]})"
             )
     return surface

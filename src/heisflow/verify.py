@@ -34,7 +34,7 @@ from .builders import (
     build_straight_ruled,
     catalog_get,
     plane_contact_factor,
-    ruling_form_coefficients,
+    ruling_form_coeff,
     random_ruled_spec,
 )
 from .curvature import (
@@ -251,8 +251,7 @@ def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
             for _ in range(2000)
         ])
         for s, v in (sv[sl].T for sl in blocks(len(sv))):
-            c0, c1, c2 = ruling_form_coefficients(spec, s)
-            c = c0 + v * (c1 + v * c2)  # as ruling_form_coeff evaluates it
+            c = ruling_form_coeff(spec, s, v)
             jets = eval_jets(surf, s, v)
             p_u, p_v = induced_form_batch(jets)
             q = horizontal_normal_batch(jets)[2]

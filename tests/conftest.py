@@ -34,6 +34,28 @@ def ts(*terms) -> TermSum:
     return TermSum(tuple(Term(kind, coeff, k) for kind, coeff, k in terms))
 
 
+def term_list(*entries) -> list:
+    """The file entries of (kind, coeff, k) triples."""
+    return [{"kind": kind, "coeff": coeff, "k": k} for kind, coeff, k in entries]
+
+
+def spec_dict(spec: RuledSpec) -> dict:
+    """The ruled surface file of ``spec``, as the file readers take it."""
+
+    def terms(term_sum: TermSum) -> list:
+        return term_list(*((t.kind, t.coeff, t.k) for t in term_sum.terms))
+
+    curve = spec.curve
+    out = {
+        "type": "ruled",
+        "curve": {"x": terms(curve.x), "y": terms(curve.y), "t": terms(curve.t),
+                  "domain": list(curve.domain)},
+        "theta": terms(spec.angle.theta),
+        "v_range": list(spec.v_range),
+    }
+    return {**out, "name": spec.name} if spec.name else out
+
+
 def local_H(surface, u, v) -> float:
     """The local-formula H at one point, a strict scan of one point."""
     return float(curvature_scan([surface], [u], [v]).H[0, 0])

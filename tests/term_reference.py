@@ -62,7 +62,7 @@ def term_jet(term, s):
 def term_sum_jet(term_sum, s):
     """The jet of a term sum: each entry starts at 0.0 and adds its terms'."""
     f = f1 = f2 = f3 = 0.0
-    for term in term_sum:
+    for term in term_sum.terms:
         g, g1, g2, g3 = term_jet(term, s)
         f += g
         f1 += g1

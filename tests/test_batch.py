@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, curvature, flow, verify
-from conftest import local_H
+from conftest import local_H, spec_dict, term_list
 from reference_writer import render
 from scalar_curvature import (
     reference_local,
@@ -34,7 +34,6 @@ from heisflow.builders import (
     catalog_get,
     load_surface_file,
     random_ruled_spec,
-    spec_to_dict,
 )
 from heisflow.curvature import (
     MINIMALITY_BAND,
@@ -290,14 +289,10 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
     assert bits(got).tolist() == bits(rows[:, 0]).tolist()
 
 
-def term_list(*entries):
-    return [{"kind": kind, "coeff": coeff, "k": k} for kind, coeff, k in entries]
-
-
 # surface files of every type but catalog, each a builder's formula as the
 # file format reaches it
 SURFACE_FILES = {
-    "ruled-file": spec_to_dict(random_ruled_spec(Lcg64(4), 4)),
+    "ruled-file": spec_dict(random_ruled_spec(Lcg64(4), 4)),
     "developable-file": {
         "type": "developable",
         "curve": {"x": term_list(("cos", 1.0, 1)), "y": term_list(("sin", 1.0, 1)),

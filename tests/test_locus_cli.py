@@ -22,6 +22,7 @@ from heisflow.builders import (
 from heisflow.cli import main
 from heisflow.locus import LocusPoint, characteristic_locus
 from heisflow.rng import Lcg64
+from conftest import term_list
 from scalar_curvature import scalar_jet, scalar_normal, scalar_threshold
 
 # c(s, v) = 2 v (v - 2 sin s): the locus is the curve v = 2 sin s.
@@ -31,6 +32,53 @@ TURNING_LINE = {
     "curve": {"x": [{"kind": "poly", "coeff": 1.0, "k": 1}], "y": [], "t": [], "domain": [0.0, 2.0]},
     "theta": [{"kind": "poly", "coeff": 1.0, "k": 1}],
     "v_range": [0.25, 1.25],
+}
+
+
+CIRCLE = {"x": term_list(("cos", 1.0, 1)), "y": term_list(("sin", 1.0, 1))}
+LINE = {"x": term_list(("poly", 1.0, 1)), "y": [], "t": [], "domain": [0.0, 1.0]}
+# Surface files that a builder refuses, with the message it gives.
+REJECTED_FILES = {
+    "developable-not-horizontal": (
+        {"type": "developable", "curve": {**CIRCLE, "t": term_list(("poly", 2.0, 1)),
+                                          "domain": [0.0, 2.0]}, "v_range": [0.1, 1.0]},
+        "curve fails the contact condition at s = 0.0: omega(gamma') = 4.000e+00",
+    ),
+    "developable-not-unit-speed": (
+        {"type": "developable",
+         "curve": {"x": term_list(("cos", 1.0, 2)), "y": term_list(("sin", 1.0, 2)),
+                   "t": term_list(("poly", -4.0, 1)), "domain": [0.0, 2.0]},
+         "v_range": [0.1, 1.0]},
+        "projected speed 2.0 at s = 0.0 is not 1; "
+        "reparametrize the curve by horizontal arc length",
+    ),
+    "developable-straight": (
+        {"type": "developable", "curve": LINE, "v_range": [0.1, 1.0]},
+        "gamma'' vanishes somewhere; the tangent developable of a straight "
+        "segment is not an immersed patch",
+    ),
+    "developable-zero-in-range": (
+        {"type": "developable", "curve": {**CIRCLE, "t": term_list(("poly", -2.0, 1)),
+                                          "domain": [0.0, 2.0]}, "v_range": [-0.5, 1.0]},
+        "v range [-0.5, 1.0] contains 0, the singular edge of the developable",
+    ),
+    "cylinder-stalled-profile": (
+        {"type": "cylinder", "height": [-1.0, 1.0],
+         "profile": {"x": term_list(("poly", 1.0, 0)), "y": term_list(("poly", 2.0, 0)),
+                     "domain": [0.0, 1.0]}},
+        "profile speed vanishes near s = 0.0; cylinder not immersed",
+    ),
+    "ruled-degenerate": (
+        {"type": "ruled", "curve": LINE, "theta": [], "v_range": [0.25, 1.0]},
+        "induced-form coefficient vanishes identically; "
+        "the ruled patch is characteristic everywhere",
+    ),
+    # (v cos s, v sin s, 0) with v through 0, where the patch folds
+    "ruled-not-immersed": (
+        {"type": "ruled", "curve": {"x": [], "y": [], "t": [], "domain": [0.0, 3.0]},
+         "theta": term_list(("poly", 1.0, 1)), "v_range": [-1.0, 1.0]},
+        "ruled: |sigma_u x sigma_v| <= 1e-08 at (u, v) = (3e-06, -1.1102230246251565e-16)",
+    ),
 }
 
 
@@ -339,6 +387,21 @@ class TestCli:
         assert proc.returncode == 2
         assert message in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case", sorted(REJECTED_FILES))
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval"], ["locus"], ["flow", "--seed", "0.5", "0.5"]],
+        ids=["eval", "locus", "flow"],
+    )
+    def test_file_a_builder_rejects_exits_two(self, tmp_path, capsys, case, argv):
+        spec, message = REJECTED_FILES[case]
+        path = tmp_path / "rejected.json"
+        path.write_text(json.dumps(spec))
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"heisflow: {message}\n"
 
     @pytest.mark.parametrize(
         "kind, message",

@@ -18,7 +18,6 @@ import argparse
 import functools
 import io
 import math
-import os
 import re
 import sys
 
@@ -185,7 +184,7 @@ def _sub_range(pair, lo: float, hi: float, name: str) -> tuple[float, float]:
     return a, b
 
 
-def _cmd_eval(args, eps_char: float) -> int:
+def _cmd_eval(args) -> int:
     surface = resolve_surface(args.surface)
     dom = surface.domain
     u0, u1 = _sub_range(args.urange, dom.u_min, dom.u_max, "urange")
@@ -201,14 +200,14 @@ def _cmd_eval(args, eps_char: float) -> int:
             *horizontal_normal_batch(jets),
             *induced_form_batch(jets),
             # NaN at characteristic points, where the curvature is undefined
-            mean_curvature_batch(jets, eps_char=eps_char).H,
+            mean_curvature_batch(jets).H,
         ))
     report = {
         "surface": surface.label or args.surface,
         "grid": [nu, nv],
         "urange": [u0, u1],
         "vrange": [v0, v1],
-        "eps_char": eps_char,
+        "eps_char": EPS_CHAR,
         "columns": columns,
         "rows": rows,
     }
@@ -216,7 +215,7 @@ def _cmd_eval(args, eps_char: float) -> int:
     return 0
 
 
-def _cmd_locus(args, eps_char: float) -> int:
+def _cmd_locus(args) -> int:
     surface = resolve_surface(args.surface)
     pts = characteristic_locus(surface, grid=args.grid, refine=args.refine)
     columns = ["u", "v", "x", "y", "t", "nh_norm"]
@@ -232,12 +231,10 @@ def _cmd_locus(args, eps_char: float) -> int:
     return 0
 
 
-def _cmd_flow(args, eps_char: float) -> int:
+def _cmd_flow(args) -> int:
     surface = resolve_surface(args.surface)
     u, v = args.seed
-    trace = integrate_flow(
-        surface, u, v, ds=args.ds, max_steps=args.steps, eps_char=eps_char
-    )
+    trace = integrate_flow(surface, u, v, ds=args.ds, max_steps=args.steps)
     columns = ["s", "u", "v", "x", "y", "t", "arc"]
     report = {
         "surface": surface.label or args.surface,
@@ -259,8 +256,8 @@ def _cmd_flow(args, eps_char: float) -> int:
     return 0
 
 
-def _cmd_verify(args, eps_char: float) -> int:
-    report = run_suite(suite=args.suite, seed=args.seed, eps_char=eps_char)
+def _cmd_verify(args) -> int:
+    report = run_suite(suite=args.suite, seed=args.seed)
     for check in report["checks"]:
         status = "PASS" if check["passed"] else "FAIL"
         stat = check["stat"]
@@ -292,13 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="heisflow",
         description="Surface curvature and horizontal flow tools for the "
         "first Heisenberg group.",
-    )
-    parser.add_argument(
-        "--eps-char",
-        type=float,
-        default=None,
-        help="characteristic threshold scale (default 1e-9 or "
-        "HEISFLOW_EPS_CHAR)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -342,21 +332,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.eps_char is not None:
-        eps_char = args.eps_char
-    else:
-        env = os.environ.get("HEISFLOW_EPS_CHAR")
-        try:
-            eps_char = float(env) if env else EPS_CHAR
-        except ValueError:
-            print(f"heisflow: bad HEISFLOW_EPS_CHAR value {env!r}", file=sys.stderr)
-            return 2
-    if not (eps_char > 0.0 and math.isfinite(eps_char)):
-        print(f"heisflow: eps-char must be positive, got {eps_char}", file=sys.stderr)
-        return 2
-
     try:
-        return args.run(args, eps_char)
+        return args.run(args)
     except (UnknownName, OutOfDomain, ValueError) as e:
         print(f"heisflow: {e}", file=sys.stderr)
         return 2

@@ -76,6 +76,9 @@ NEAR_CHAR_FACTOR = 100.0
 # formula can do better with rounded inputs.
 MINIMALITY_BAND = 1e-3
 
+# The bound on max |H| of is_h_minimal, the absolute claim the band allows.
+MINIMALITY_TOL = 1e-8
+
 # Dekker splitting constant, 2**27 + 1.
 _SPLIT = 134217729.0
 
@@ -286,7 +289,7 @@ def _raise_if_characteristic(nh_norm: np.ndarray, char: np.ndarray) -> None:
         raise CharacteristicPoint(f"curvature undefined: ||N^h|| = {q:.3e}")
 
 
-def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> CurvatureBatch:
+def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
     """Local-formula curvature at every point of an (N, 6, 3) jet array;
     characteristic points get H = NaN instead of an exception.  Callers pass
     blocks of at most ``JET_BLOCK`` points to bound the temporaries.
@@ -320,7 +323,7 @@ def mean_curvature_batch(jets: np.ndarray, *, eps_char: float = EPS_CHAR) -> Cur
         ], safe)
         q2 = n1 * n1 + n2 * n2
         q = np.sqrt(q2)
-        char = q < char_threshold(jets, eps_char)
+        char = q < char_threshold(jets, EPS_CHAR)
         # numerator p_v A_u - p_u A_v, with p_u, p_v, A_u and A_v each
         # correctly rounded first
         p_u, p_v, a_u, a_v = _sums([
@@ -349,9 +352,7 @@ def _running_max(values: np.ndarray, worst: float):
     return float(values[i]), i
 
 
-def curvature_scan(
-    surfaces, u, v, *, eps_char: float = EPS_CHAR, floor=None, strict: bool = True
-) -> CurvatureScan:
+def curvature_scan(surfaces, u, v, *, floor=None, strict: bool = True) -> CurvatureScan:
     """:func:`mean_curvature_batch` of every surface at the points (u[i], v[i]).
 
     ``floor`` is the skip rule, on the ||N^h|| of horizontal_normal_batch:
@@ -379,14 +380,14 @@ def curvature_scan(
         jets = np.concatenate(jets)
         if floor == "band":
             skip[sl] = horizontal_normal_batch(jets)[2] < np.maximum(
-                NEAR_CHAR_FACTOR * char_threshold(jets, eps_char),
+                NEAR_CHAR_FACTOR * char_threshold(jets, EPS_CHAR),
                 char_threshold(jets, MINIMALITY_BAND),
             )
         elif floor is not None:
             skip[sl] = horizontal_normal_batch(jets)[2] < floor
         kept = np.flatnonzero(~skip[sl])
         jets = jets[kept]  # frees the whole block before the curvature temporaries
-        batch = mean_curvature_batch(jets, eps_char=eps_char)
+        batch = mean_curvature_batch(jets)
         if strict:
             _raise_if_characteristic(batch.nh_norm, batch.char)
         H[sl.start + kept] = batch.H
@@ -399,12 +400,14 @@ def _has_stencil(trace) -> bool:
     return 1 <= trace.seed_index <= len(trace) - 2
 
 
-def _seed_curvatures(traces, ds: float) -> np.ndarray:
+def _seed_curvatures(traces) -> np.ndarray:
     """The flow oracle's curvature of each trace: the signed curvature of
     its planar projection at the seed, from central differences over the
-    neighbouring samples.  Every trace must pass :func:`_has_stencil`."""
+    neighbouring samples, the trace's own ``ds`` apart.  Every trace must
+    pass :func:`_has_stencil`."""
     p = np.array([t.points[t.seed_index - 1 : t.seed_index + 2, :2] for t in traces])
     p_prev, p_mid, p_next = p.reshape(-1, 3, 2).transpose(1, 2, 0)
+    ds = np.array([t.ds for t in traces])
     d1 = (p_next - p_prev) / (2.0 * ds)
     d2 = (p_next - 2.0 * p_mid + p_prev) / (ds * ds)
     return _signed_curvatures(d1, d2)
@@ -413,18 +416,18 @@ def _seed_curvatures(traces, ds: float) -> np.ndarray:
 def is_h_minimal(
     surface: SurfaceHandle,
     grid: tuple[int, int] = (101, 101),
-    tol: float = 1e-8,
-    eps_char: float = EPS_CHAR,
 ) -> HMinimalityReport:
-    """Grid test of horizontal minimality: max |H| <= tol off the locus.
+    """Grid test of horizontal minimality: max |H| <= tol off the locus,
+    with tol = :data:`MINIMALITY_TOL`.
 
     Cells too close to the characteristic locus for an absolute claim at
     tol (the ``"band"`` rule of :func:`curvature_scan`) are skipped and
     counted; an all-skipped grid yields an empty, failed report rather
     than an error.
     """
+    tol = MINIMALITY_TOL
     u, v = grid_points(*surface.domain.linspace(*grid))
-    scan = curvature_scan([surface], u, v, eps_char=eps_char, floor="band")
+    scan = curvature_scan([surface], u, v, floor="band")
     n_skip = int(scan.skip.sum())
     n_eval = len(u) - n_skip
     if n_eval == 0:

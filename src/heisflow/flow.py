@@ -109,7 +109,7 @@ class FlowTrace:
         return self.points.shape[0]
 
 
-def _field(surface: SurfaceHandle, u: float, v: float, eps_char: float):
+def _field(surface: SurfaceHandle, u: float, v: float):
     """The field (du, dv) and the point's x, y at one parameter point, from
     the field formula on floats: what :func:`_field_rows` gives for the jet
     of :func:`heisflow.patch.eval_jets`, which raises what this raises.
@@ -128,17 +128,17 @@ def _field(surface: SurfaceHandle, u: float, v: float, eps_char: float):
     (x, y, _), du, dv = fields[:3]
     n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
     q = math.hypot(n1, n2)
-    if q < STOP_FACTOR * _threshold.formula(x, y, du, dv, math.sqrt, eps_char):
+    if q < STOP_FACTOR * _threshold.formula(x, y, du, dv, math.sqrt, EPS_CHAR):
         raise _LegStop("characteristic-proximity")
     p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
     return p_v / q, -p_u / q, x, y
 
 
-def _leg(surface, u0, v0, h, max_steps, eps_char):
+def _leg(surface, u0, v0, h, max_steps):
     """One direction of the leaf; returns accepted (u, v) pairs and a reason."""
     pts: list[tuple[float, float]] = []
     try:
-        f = _field(surface, u0, v0, eps_char)
+        f = _field(surface, u0, v0)
     except (OutOfDomain, _LegStop):
         # Caller has already validated the seed; only reachable if the seed
         # sits exactly on the stop band edge.
@@ -148,12 +148,12 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
     for _ in range(max_steps):
         try:
             k1 = f
-            k2 = _field(surface, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1], eps_char)
-            k3 = _field(surface, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1], eps_char)
-            k4 = _field(surface, u + h * k3[0], v + h * k3[1], eps_char)
+            k2 = _field(surface, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+            k3 = _field(surface, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+            k4 = _field(surface, u + h * k3[0], v + h * k3[1])
             un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
             vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-            fn = _field(surface, un, vn, eps_char)
+            fn = _field(surface, un, vn)
         except OutOfDomain:
             reason = "domain-exit"
             break
@@ -182,39 +182,38 @@ def _leg(surface, u0, v0, h, max_steps, eps_char):
     return pts, reason
 
 
-def _field_rows(jets: np.ndarray, eps_char: float):
+def _field_rows(jets: np.ndarray):
     """:func:`_field` at every point of a jet array: a (4, N) array of
     (du, dv, x, y) rows, and the mask of the points where it stops."""
     args = _array_args(jets)
     with np.errstate(all="ignore"):
         n1, n2 = _normal_components.formula(*args)
         q = _per_element(math.hypot, n1, n2)
-        near = q < STOP_FACTOR * _threshold.formula(*args, eps_char)
+        near = q < STOP_FACTOR * _threshold.formula(*args, EPS_CHAR)
         p_u, p_v = _pullback_coeffs.formula(*args)
         return np.stack((p_v / q, -p_u / q, args[0], args[1])), near
 
 
-def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray, eps_char: float):
+def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
     """:func:`_field` at the points (u[i], v[i]): the rows of
     :func:`_field_rows` and a stop code per point, 0 where ``_field``
     returns, else an index into :data:`_STOPS`.  The field formula runs
     once, on the points inside the domain; the rows of the points outside
     stay zero and stop as domain exits."""
-    dom = surface.domain
-    inside = (dom.u_min <= u) & (u <= dom.u_max) & (dom.v_min <= v) & (v <= dom.v_max)
+    inside = surface.domain.contains(u, v)
     jets = np.zeros((len(u), 6, 3))
     if inside.any():
         with np.errstate(all="ignore"):
             jets[inside] = _raw_jets(surface, u[inside], v[inside])
         _check_finite(jets)
-    rows, near = _field_rows(jets, eps_char)
+    rows, near = _field_rows(jets)
     return rows, np.where(inside, np.where(near, 2, 0), 1)
 
 
 _STOPS = ("", "domain-exit", "characteristic-proximity")
 
 
-def _lockstep(surface, u, v, h, f, max_steps, eps_char):
+def _lockstep(surface, u, v, h, f, max_steps):
     """Every leg (u[i], v[i]) with signed step h[i], advanced together.
 
     ``f`` is the (4, N) field at the starts.  Each RK4 stage evaluates the
@@ -241,13 +240,13 @@ def _lockstep(surface, u, v, h, f, max_steps, eps_char):
         ks = [f[:2]]
         for c in (0.5, 0.5, 1.0):
             k = ks[-1]
-            g, stop = _fields(surface, u + c * h * k[0], v + c * h * k[1], eps_char)
+            g, stop = _fields(surface, u + c * h * k[0], v + c * h * k[1])
             legs, u, v, h, f, g, *ks = retire(stop, legs, u, v, h, f, g, *ks)
             ks.append(g[:2])
         k1, k2, k3, k4 = ks
         un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
         vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-        fn, stop = _fields(surface, un, vn, eps_char)
+        fn, stop = _fields(surface, un, vn)
         # the field reversals and the chord collapse of _leg
         chord = _per_element(math.hypot, fn[2] - f[2], fn[3] - f[3])
         turned = chord < 0.5 * abs(h)
@@ -270,7 +269,6 @@ def integrate_flows(
     *,
     ds: float = 1e-3,
     max_steps: int = 2000,
-    eps_char: float = EPS_CHAR,
 ) -> list[FlowTrace | None]:
     """Trace the flow leaf through each seed (u, v) in both directions.
 
@@ -285,7 +283,7 @@ def integrate_flows(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     seeds = np.asarray(seeds, float).reshape(-1, 2)
-    rows, near = _field_rows(eval_jets(surface, seeds[:, 0], seeds[:, 1]), eps_char)
+    rows, near = _field_rows(eval_jets(surface, seeds[:, 0], seeds[:, 1]))
     ok = np.flatnonzero(~near)
     starts = seeds[ok]
     # A step that leaves a seed in place would read as a collapsed chord,
@@ -301,7 +299,7 @@ def integrate_flows(
         legs = []
         for u, v in starts.tolist():
             for h in (ds, -ds):
-                pts, reason = _leg(surface, u, v, h, max_steps, eps_char)
+                pts, reason = _leg(surface, u, v, h, max_steps)
                 legs.append((np.array(pts, float).reshape(-1, 2), reason))
         paths, reasons = zip(*legs) if legs else ((), ())
     else:
@@ -309,7 +307,7 @@ def integrate_flows(
         u, v = np.repeat(starts, 2, axis=0).T
         h = np.tile((ds, -ds), len(ok))
         f = np.repeat(rows[:, ok], 2, axis=1)
-        paths, reasons = _lockstep(surface, u, v, h, f, max_steps, eps_char)
+        paths, reasons = _lockstep(surface, u, v, h, f, max_steps)
 
     uvs = [
         np.concatenate((paths[2 * i + 1][::-1], starts[i : i + 1], paths[2 * i]))
@@ -340,14 +338,11 @@ def integrate_flow(
     *,
     ds: float = 1e-3,
     max_steps: int = 2000,
-    eps_char: float = EPS_CHAR,
 ) -> FlowTrace:
     """Trace the flow leaf through (u, v) in both directions: the one-seed
     call of :func:`integrate_flows`, raising CharacteristicPoint where that
     returns None."""
-    (trace,) = integrate_flows(
-        surface, [(u, v)], ds=ds, max_steps=max_steps, eps_char=eps_char
-    )
+    (trace,) = integrate_flows(surface, [(u, v)], ds=ds, max_steps=max_steps)
     if trace is None:
         q = horizontal_normal_batch(eval_jets(surface, [u], [v]))[2][0]
         raise CharacteristicPoint(

@@ -69,15 +69,15 @@ def _array_args(j: np.ndarray):
 
 
 @_first_order
-def _threshold(x, y, du, dv, sqrt, eps_char):
+def _threshold(x, y, du, dv, sqrt, eps):
     (xu, yu, tu), (xv, yv, tv) = du, dv
-    return eps_char * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    return eps * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
 
 
-def char_threshold(j, eps_char: float = EPS_CHAR):
-    """Scale-aware vanishing threshold eps_char * (1 + ||d1||_F) for ||N^h||
+def char_threshold(j, eps: float = EPS_CHAR):
+    """Scale-aware vanishing threshold eps * (1 + ||d1||_F) for ||N^h||
     at every point of an (N, 6, 3) jet array."""
-    return _threshold(j, eps_char)
+    return _threshold(j, eps)
 
 
 @_first_order

@@ -74,8 +74,9 @@ class Domain:
     def v_span(self) -> float:
         return self.v_max - self.v_min
 
-    def contains(self, u: float, v: float) -> bool:
-        return self.u_min <= u <= self.u_max and self.v_min <= v <= self.v_max
+    def contains(self, u, v):
+        """Whether (u, v) lies in the rectangle; elementwise on arrays."""
+        return (self.u_min <= u) & (u <= self.u_max) & (self.v_min <= v) & (v <= self.v_max)
 
     def linspace(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive nu x nv grid axes over the rectangle."""
@@ -172,7 +173,7 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
     u = np.asarray(u, float).reshape(-1)
     v = np.asarray(v, float).reshape(-1)
     dom = surface.domain
-    inside = (dom.u_min <= u) & (u <= dom.u_max) & (dom.v_min <= v) & (v <= dom.v_max)
+    inside = dom.contains(u, v)
     if not inside.all():
         i = int(np.argmin(inside))
         raise _out_of_domain(dom, float(u[i]), float(v[i]))

@@ -124,13 +124,13 @@ def _mk(name: str, stat: float, tol: float, count: int, detail: str = "") -> Che
 # example-surface checks
 
 
-def check_cylinder_curvature(seed: int, eps_char: float) -> list[CheckResult]:
+def check_cylinder_curvature(seed: int) -> list[CheckResult]:
     """H on circular cylinders must equal 1/R for every radius and point."""
     radii = (0.5, 1.0, 2.0, 5.0)
     surfs = [catalog_get(f"cylinder({radius})") for radius in radii]
     # Every radius shares one domain, hence one sample set.
     u, v = grid_points(*surfs[0].domain.linspace(101, 101))
-    h = curvature_scan(surfs, u, v, eps_char=eps_char).H
+    h = curvature_scan(surfs, u, v).H
     err = np.abs(h - 1.0 / np.array(radii)[:, None])
     worst, i = _running_max(err, 0.0)
     where = ""
@@ -147,15 +147,15 @@ def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
     return 1.0 / (u * root**3), nu1, nu2
 
 
-def _normal_and_curvature(surf, u, v, eps_char: float):
+def _normal_and_curvature(surf, u, v):
     """From one jet evaluation at the points (u[i], v[i]): n1, n2, ||N^h||,
     the mask of points without a unit horizontal normal, and
     mean_curvature_batch run block by block."""
     jets = eval_jets(surf, u, v)
     n1, n2, q = horizontal_normal_batch(jets)
-    parts = [mean_curvature_batch(jets[sl], eps_char=eps_char) for sl in blocks(len(u))]
+    parts = [mean_curvature_batch(jets[sl]) for sl in blocks(len(u))]
     batch = CurvatureBatch(*map(np.concatenate, zip(*parts)))
-    return n1, n2, q, q < char_threshold(jets, eps_char), batch
+    return n1, n2, q, q < char_threshold(jets, EPS_CHAR), batch
 
 
 def _raise_if_no_unit_normal(q: np.ndarray, char: np.ndarray) -> None:
@@ -165,11 +165,11 @@ def _raise_if_no_unit_normal(q: np.ndarray, char: np.ndarray) -> None:
         raise CharacteristicPoint(f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point")
 
 
-def check_cone_curvature(seed: int, eps_char: float) -> list[CheckResult]:
+def check_cone_curvature(seed: int) -> list[CheckResult]:
     """Lower cone: H and nu^h against their closed forms."""
     surf = catalog_get("cone_lower")
     u, v = grid_points(*surf.domain.linspace(51, 51))
-    n1, n2, q, char, batch = _normal_and_curvature(surf, u, v, eps_char)
+    n1, n2, q, char, batch = _normal_and_curvature(surf, u, v)
     _raise_if_no_unit_normal(q, char)
     _raise_if_characteristic(batch.nh_norm, batch.char)  # as the strict scan raises
     ref = np.array([_cone_reference(a, b) for a, b in zip(u.tolist(), v.tolist())])
@@ -178,7 +178,7 @@ def check_cone_curvature(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("cone-curvature-and-normal", worst, 1e-10, len(u), "51x51 grid")]
 
 
-def check_paraboloid_locus(seed: int, eps_char: float) -> list[CheckResult]:
+def check_paraboloid_locus(seed: int) -> list[CheckResult]:
     """Characteristic locus of t = y^2 - x^2 must land on the line x + y = 0."""
     surf = catalog_get("paraboloid")
     pts = characteristic_locus(surf, grid=(101, 101), refine=60)
@@ -188,11 +188,11 @@ def check_paraboloid_locus(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("paraboloid-locus", worst, 1e-6, len(pts), f"{len(pts)} locus points")]
 
 
-def check_paraboloid_minimality(seed: int, eps_char: float) -> list[CheckResult]:
+def check_paraboloid_minimality(seed: int) -> list[CheckResult]:
     """|H| of the paraboloid away from its locus (||N^h|| >= 1e-4)."""
     surf = catalog_get("paraboloid")
     u, v = grid_points(*surf.domain.linspace(101, 101))
-    scan = curvature_scan([surf], u, v, eps_char=eps_char, floor=1e-4)
+    scan = curvature_scan([surf], u, v, floor=1e-4)
     worst = _running_max(np.abs(scan.H), 0.0)[0]
     count = int(scan.skip.size - scan.skip.sum())
     return [_mk("paraboloid-minimality", worst, 1e-8, count, "||N^h|| >= 1e-4 kept")]
@@ -236,7 +236,7 @@ def _circle_lift_ruled_spec() -> RuledSpec:
     )
 
 
-def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
+def check_ruled_form_identity(seed: int) -> list[CheckResult]:
     """On ruled patches (p_s, p_v) = (c, 0) and ||N^h|| = |c| pointwise."""
     rng = Lcg64(seed)
     specs = [_plane_flow_spec(), _ruled_paraboloid_spec()]
@@ -263,14 +263,14 @@ def check_ruled_form_identity(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("ruled-form-identity", worst, 1e-10, len(specs) * len(sv), where)]
 
 
-def check_random_ruled_minimality(seed: int, eps_char: float) -> list[CheckResult]:
+def check_random_ruled_minimality(seed: int) -> list[CheckResult]:
     """Random ruled patches are horizontally minimal off the locus."""
     rng = Lcg64(seed)
     specs = [random_ruled_spec(rng, i) for i in range(100)]
     surfs = [build_straight_ruled(spec, check_grid=None) for spec in specs]
     # Every patch shares the domain of random_ruled_spec, hence one sample set.
     u, v = grid_points(*surfs[0].domain.linspace(21, 9))
-    scan = curvature_scan(surfs, u, v, eps_char=eps_char, floor="band")
+    scan = curvature_scan(surfs, u, v, floor="band")
     skipped = int(scan.skip.sum())
     worst, i = _running_max(np.abs(scan.H), 0.0)
     where = ""
@@ -281,7 +281,7 @@ def check_random_ruled_minimality(seed: int, eps_char: float) -> list[CheckResul
     return [_mk("random-ruled-minimality", worst, 1e-8, scan.skip.size - skipped, detail)]
 
 
-def check_flow_straightness(seed: int, eps_char: float) -> list[CheckResult]:
+def check_flow_straightness(seed: int) -> list[CheckResult]:
     """Flow leaves of minimal surfaces project onto straight lines."""
     worst = 0.0
     count = 0
@@ -295,7 +295,7 @@ def check_flow_straightness(seed: int, eps_char: float) -> list[CheckResult]:
             for fu in (0.25, 0.5, 0.75)
             for fv in (0.25, 0.5, 0.75)
         ]
-        for trace in integrate_flows(surf, seeds, ds=ds, max_steps=300, eps_char=eps_char):
+        for trace in integrate_flows(surf, seeds, ds=ds, max_steps=300):
             if trace is None or len(trace) < 5:
                 continue
             n_traces += 1
@@ -308,7 +308,7 @@ def check_flow_straightness(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("flow-leaf-straightness", worst, 1e-4, count, detail)]
 
 
-def check_oracle_agreement(seed: int, eps_char: float) -> list[CheckResult]:
+def check_oracle_agreement(seed: int) -> list[CheckResult]:
     """Local curvature formula against the integrated-flow oracle."""
     rng = Lcg64(seed)
     worst = 0.0
@@ -338,9 +338,7 @@ def check_oracle_agreement(seed: int, eps_char: float) -> list[CheckResult]:
             ])
             q = horizontal_normal_batch(eval_jets(surf, *cand.T))[2]
             screened = np.flatnonzero(~(q < 1e-2))
-            traces = integrate_flows(
-                surf, cand[screened], ds=1e-3, max_steps=3, eps_char=eps_char
-            )
+            traces = integrate_flows(surf, cand[screened], ds=1e-3, max_steps=3)
             good = [(k, t) for k, t in zip(screened.tolist(), traces)
                     if t is not None and _has_stencil(t)][:need]
             used = good[-1][0] + 1 if len(good) == need else len(cand)
@@ -349,12 +347,12 @@ def check_oracle_agreement(seed: int, eps_char: float) -> list[CheckResult]:
             tried += used
             if good:
                 seeds.extend(cand[[k for k, _ in good]].tolist())
-                oracle.extend(_seed_curvatures([t for _, t in good], 1e-3).tolist())
+                oracle.extend(_seed_curvatures([t for _, t in good]).tolist())
         # The flow accepts a seed only at ||N^h|| >= STOP_FACTOR (10) times
         # the characteristic threshold, so the local formula, which needs 1x,
         # is defined at every accepted seed.
         u, v = np.array(seeds).reshape(-1, 2).T
-        local = curvature_scan([surf], u, v, eps_char=eps_char).H[0]
+        local = curvature_scan([surf], u, v).H[0]
         worst, i = _running_max(np.abs(local - np.array(oracle)), worst)
         if i is not None:
             where = f"{name} at u={u[i]:.6g}, v={v[i]:.6g}"
@@ -374,7 +372,7 @@ def check_oracle_agreement(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("local-vs-flow-oracle", worst, 1e-3, count, where)]
 
 
-def check_contact_factor(seed: int, eps_char: float) -> list[CheckResult]:
+def check_contact_factor(seed: int) -> list[CheckResult]:
     """Straightening factor: target pullback = lambda * source pullback."""
     spec = _circle_lift_ruled_spec()
     source = build_straight_ruled(spec)
@@ -390,7 +388,7 @@ def check_contact_factor(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("contact-factor-pullback", worst, 1e-10, len(u), spec.name)]
 
 
-def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
+def check_plane_map_ratio(seed: int) -> list[CheckResult]:
     """(0, u, v) -> (uv, u, 0) scales the induced form by exactly -2u^2."""
 
     def source_fields(u, v):
@@ -417,11 +415,11 @@ def check_plane_map_ratio(seed: int, eps_char: float) -> list[CheckResult]:
     return [_mk("plane-map-contact-ratio", worst, 1e-10, len(u), "strip u in [0.25, 2]")]
 
 
-def check_developable_minimality(seed: int, eps_char: float) -> list[CheckResult]:
+def check_developable_minimality(seed: int) -> list[CheckResult]:
     """The circle-lift tangent developable is horizontally minimal."""
     surf = catalog_get("circle_lift_developable")
     u, v = grid_points(*surf.domain.linspace(21, 21))
-    h = curvature_scan([surf], u, v, eps_char=eps_char).H
+    h = curvature_scan([surf], u, v).H
     worst = _running_max(np.abs(h), 0.0)[0]
     return [_mk("developable-minimality", worst, 1e-8, h.size, surf.label)]
 
@@ -482,7 +480,7 @@ def _jet_invariants(jets: np.ndarray) -> list[CheckResult]:
     ]
 
 
-def check_core_invariants(seed: int, eps_char: float) -> list[CheckResult]:
+def check_core_invariants(seed: int) -> list[CheckResult]:
     n = 10000
     # One draw: its rows of nine serve as point triples and as jets (value,
     # du, dv).  Each half runs in its own function, which frees its arrays.
@@ -506,8 +504,8 @@ def check_core_invariants(seed: int, eps_char: float) -> list[CheckResult]:
     w1, w2 = np.array([(rng.uniform(-wu, wu), rng.uniform(-wv, wv)) for _ in range(m)]).T
     u = a11 * w1 + a12 * w2 + b1
     v = a21 * w1 + a22 * w2 + b2
-    bn1, bn2, bq, bchar, bh = _normal_and_curvature(base, u, v, eps_char)
-    rn1, rn2, rq, rchar, rh = _normal_and_curvature(repar, w1, w2, eps_char)
+    bn1, bn2, bq, bchar, bh = _normal_and_curvature(base, u, v)
+    rn1, rn2, rq, rchar, rh = _normal_and_curvature(repar, w1, w2)
     bad = bh.char | rh.char | bchar | rchar
     if bad.any():  # raise what the per-point loop met first, in its order
         i = [int(np.argmax(bad))]
@@ -550,18 +548,17 @@ SUITES["all"] = SUITES["examples"] + SUITES["minimal"] + SUITES["core"]
 def run_suite(
     suite: str = "all",
     seed: int = DEFAULT_SEED,
-    eps_char: float = EPS_CHAR,
 ) -> dict:
     """Run one suite and return a JSON-ready report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choices: {sorted(SUITES)}")
     checks: list[CheckResult] = []
     for fn in SUITES[suite]:
-        checks.extend(fn(seed, eps_char))
+        checks.extend(fn(seed))
     return {
         "suite": suite,
         "seed": seed,
-        "eps_char": eps_char,
+        "eps_char": EPS_CHAR,
         "passed": all(c.passed for c in checks),
         "n_checks": len(checks),
         "checks": [asdict(c) for c in checks],

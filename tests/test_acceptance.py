@@ -11,7 +11,6 @@ import pkgutil
 import pytest
 
 import heisflow
-from heisflow.horizontal import EPS_CHAR
 from heisflow.verify import (
     check_cone_curvature,
     check_contact_factor,
@@ -31,7 +30,7 @@ SEED = 0
 
 
 def _run(check_fn):
-    results = check_fn(SEED, EPS_CHAR)
+    results = check_fn(SEED)
     assert results, "check produced no results"
     for r in results:
         status = "PASS" if r.passed else "FAIL"

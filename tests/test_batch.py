@@ -237,7 +237,7 @@ def test_eval_jets_empty_batch(paraboloid):
 
 def test_eval_jets_errors_match_scalar(paraboloid):
     with pytest.raises(OutOfDomain) as scalar:
-        _field(paraboloid, 1.6, 0.0, 1e-9)
+        _field(paraboloid, 1.6, 0.0)
     with pytest.raises(OutOfDomain) as batch:
         eval_jets(paraboloid, [0.0, 1.6, 2.0], [0.0, 0.0, 0.0])
     assert str(batch.value) == str(scalar.value)
@@ -246,7 +246,7 @@ def test_eval_jets_errors_match_scalar(paraboloid):
         TermSum((Term("poly", 1e300, 2),)), TermSum(), Domain(-1e10, 1e10, -1.0, 1.0)
     )
     with pytest.raises(ValueError) as scalar:
-        _field(huge, 1e10, 0.5, 1e-9)
+        _field(huge, 1e10, 0.5)
     with pytest.raises(ValueError) as batch:
         eval_jets(huge, [0.0, 1e10], [0.5, 0.5])
     assert str(batch.value) == str(scalar.value)
@@ -269,7 +269,7 @@ def six_triple_plane(bad, value):
 def test_field_screen_raises_what_eval_jets_raises(position, value):
     surface = six_triple_plane(position, value)
     with pytest.raises(ValueError) as scalar:
-        _field(surface, 0.3, 0.4, 1e-9)
+        _field(surface, 0.3, 0.4)
     with pytest.raises(ValueError) as batch:
         eval_jets(surface, [0.3], [0.4])
     assert str(scalar.value) == str(batch.value)
@@ -283,8 +283,8 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
     # every component is finite, but their one sum is not: the full check runs
     assert all(math.isfinite(c) for f in fields for c in f)
     assert not math.isfinite(sum(map(sum, fields)))
-    got = _field(surface, 1.0, 0.3, 1e-9)
-    rows, near = flow._field_rows(eval_jets(surface, [1.0], [0.3]), 1e-9)
+    got = _field(surface, 1.0, 0.3)
+    rows, near = flow._field_rows(eval_jets(surface, [1.0], [0.3]))
     assert not near[0]
     assert bits(got).tolist() == bits(rows[:, 0]).tolist()
 
@@ -348,7 +348,7 @@ def test_field_formula_accepts_its_closed_domain(name, tmp_path):
     jets = eval_jets(surface, u, v)
     assert np.isfinite(jets).all()
     np.testing.assert_array_equal(bits(jets), bits(want))
-    assert 1 not in flow._fields(surface, u, v, 1e-9)[1].tolist()
+    assert 1 not in flow._fields(surface, u, v)[1].tolist()
 
 
 def test_field_formulas_return_python_floats_on_floats(tmp_path):
@@ -671,7 +671,7 @@ def test_not_regular_names_the_same_point():
 )
 def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
     # stat, count and detail as the per-point loops reported them at seed 0
-    (result,) = check(0, 1e-9)
+    (result,) = check(0)
     assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
     assert result.passed
 
@@ -703,7 +703,7 @@ def test_verify_grid_checks_match_per_point_results(check, stat, count, detail):
 )
 def test_verify_checks_keep_per_point_results(check, seed, stat, count, detail):
     # stat, count and detail as the per-point loops reported them
-    (result,) = check(seed, 1e-9)
+    (result,) = check(seed)
     assert (bits(result.stat), result.count, result.detail) == (bits(stat), count, detail)
     assert result.passed
 
@@ -727,7 +727,7 @@ CORE_NAMES = ("associativity", "left-invariance", "contact-frame", "wedge-clock"
     (0, 2.34480050356066e-16), (3, 2.476658748199107e-16), (5, 2.6025733012013484e-16),
 ])
 def test_reparam_invariance_keeps_per_point_result(seed, stat):
-    results = verify.check_core_invariants(seed, 1e-9)
+    results = verify.check_core_invariants(seed)
     want = [(f"core-{name}", bits(s), 10000, "")
             for name, s in zip(CORE_NAMES, CORE_STATS[seed])]
     want.append(("core-reparam-invariance", bits(stat), 400, ""))

@@ -28,7 +28,7 @@ def oracle_H(surface, u, v, ds=1e-3, n_steps=3):
     the projected leaf traced n_steps each way."""
     (trace,) = integrate_flows(surface, [(u, v)], ds=ds, max_steps=n_steps)
     assert _has_stencil(trace)
-    return float(_seed_curvatures([trace], ds)[0])
+    return float(_seed_curvatures([trace])[0])
 
 
 def unit_normal(surface, u, v):
@@ -163,6 +163,19 @@ def test_flow_oracle_cone(cone):
     assert oracle_H(cone, -1.0, 0.7) == pytest.approx(
         -(5.0 ** -1.5), abs=1e-4
     )
+
+
+def test_flow_oracle_reads_each_trace_step(cone):
+    # one call over traces of different steps: each stencil uses its own ds
+    traces = [integrate_flows(cone, [(-1.0, 0.7)], ds=ds, max_steps=3)[0] for ds in (1e-3, 3e-3)]
+    got = _seed_curvatures(traces).tolist()
+    for t, h in zip(traces, got):
+        (x0, y0), (x1, y1), (x2, y2) = t.points[t.seed_index - 1 : t.seed_index + 2, :2].tolist()
+        xd, yd = (x2 - x0) / (2.0 * t.ds), (y2 - y0) / (2.0 * t.ds)
+        xdd, ydd = (x2 - 2.0 * x1 + x0) / (t.ds * t.ds), (y2 - 2.0 * y1 + y0) / (t.ds * t.ds)
+        speed2 = xd * xd + yd * yd
+        assert h == (xd * ydd - yd * xdd) / (speed2 * math.sqrt(speed2))
+    assert got == pytest.approx([-(5.0 ** -1.5)] * 2, abs=1e-4)
 
 
 def test_flow_oracle_needs_room(ruled_parabola):

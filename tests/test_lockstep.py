@@ -27,7 +27,6 @@ from heisflow.patch import Domain, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
 
 DS = 1e-2
-EPS = 1e-9
 STAGES = ("k2", "k3", "k4", "accepted point")
 
 
@@ -81,7 +80,7 @@ def starts(surface, seeds):
     """The seeds that pass the STOP_FACTOR test, and the field there."""
     seeds = np.asarray(seeds, float)
     jets = eval_jets(surface, *seeds.T)
-    rows, near = flow._field_rows(jets, EPS)
+    rows, near = flow._field_rows(jets)
     return seeds[~near], rows[:, ~near]
 
 
@@ -107,7 +106,7 @@ def scalar_legs(surface, seeds, steps):
         for u, v in seeds.tolist():
             for h in (DS, -DS):
                 calls.clear()
-                pts, reason = flow._leg(surface, u, v, h, steps, EPS)
+                pts, reason = flow._leg(surface, u, v, h, steps)
                 legs.append((np.array(pts, float).reshape(-1, 2), reason))
                 if reason == "domain-exit":
                     # call 0 is the seed, then k2, k3, k4 and the new point per step
@@ -138,9 +137,7 @@ def exit_edge(dom, u, v):
 def lockstep_legs(surface, seeds, rows, steps):
     u, v = np.repeat(seeds, 2, axis=0).T
     h = np.tile((DS, -DS), len(seeds))
-    paths, reasons = flow._lockstep(
-        surface, u, v, h, np.repeat(rows, 2, axis=1), steps, EPS
-    )
+    paths, reasons = flow._lockstep(surface, u, v, h, np.repeat(rows, 2, axis=1), steps)
     return list(zip(paths, reasons))
 
 
@@ -216,12 +213,12 @@ def test_integrate_flows_matches_one_seed_calls(name):
         for fv in (0.15, 0.4, 0.6, 0.85)
     ]
     seeds = interior_seeds(dom) + offset + locus_seeds(name, dom)
-    got = integrate_flows(surface, seeds, ds=DS, max_steps=120, eps_char=EPS)
+    got = integrate_flows(surface, seeds, ds=DS, max_steps=120)
     assert 2 * sum(t is not None for t in got) >= LOCKSTEP_MIN_LEGS
     want = []
     for u, v in seeds:
         try:
-            want.append(integrate_flow(surface, u, v, ds=DS, max_steps=120, eps_char=EPS))
+            want.append(integrate_flow(surface, u, v, ds=DS, max_steps=120))
         except CharacteristicPoint:
             want.append(None)
     assert [trace_bits(t) for t in got] == [trace_bits(t) for t in want]
@@ -271,7 +268,7 @@ def field_or_stop(surface, u, v):
     """The bits of flow._field on floats, or the stop code of flow._fields
     where it raises."""
     try:
-        return bits(flow._field(surface, u, v, EPS))
+        return bits(flow._field(surface, u, v))
     except OutOfDomain:
         return 1
     except flow._LegStop:
@@ -292,7 +289,7 @@ def test_scalar_field_matches_field_rows(name):
         + locus_seeds(name, dom) + stop_band_seeds(name), float
     ).reshape(-1, 2)
     u, v = np.concatenate((u, extra[:, 0])), np.concatenate((v, extra[:, 1]))
-    rows, stop = flow._fields(surface, u, v, EPS)
+    rows, stop = flow._fields(surface, u, v)
     got = [bits(r) if code == 0 else code for r, code in zip(rows.T, stop.tolist())]
     assert got == [field_or_stop(surface, a, b) for a, b in zip(u.tolist(), v.tolist())]
     assert {1, 0} <= set(stop.tolist())
@@ -307,14 +304,14 @@ def test_scalar_field_raises_what_eval_jets_raises():
     )
     for u, v, error in ((1e59, 0.5, ValueError), (2e60, 0.5, OutOfDomain), (0.5, -1.0, OutOfDomain)):
         with pytest.raises(error) as scalar:
-            flow._field(overflow, u, v, EPS)
+            flow._field(overflow, u, v)
         with pytest.raises(error) as batch:
             eval_jets(overflow, [u], [v])
         assert str(scalar.value) == str(batch.value)
     assert str(scalar.value).startswith("(u, v) = (0.5, -1.0) outside domain")
     with pytest.raises(ValueError, match="^non-finite jet component in value: ") as scalar:
-        flow._field(overflow, 1e59, 0.5, EPS)
+        flow._field(overflow, 1e59, 0.5)
     # the lockstep's field raises it too; a point outside the domain only stops
     with pytest.raises(ValueError) as lockstep:
-        flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]), EPS)
+        flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]))
     assert str(lockstep.value) == str(scalar.value)

@@ -354,8 +354,12 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["locus", str(path), "--grid", "3x3"]) == 0
 
-    def test_verify_core_at_eps_char_one_stops_at_the_reparam_check(self, capsys):
-        assert main(["--eps-char", "1", "verify", "--suite", "core"]) == 1
+    def test_verify_core_at_eps_char_one_stops_at_the_reparam_check(self, capsys, monkeypatch):
+        # a threshold scale of 1 flags cone points that the default leaves
+        # alone; the per-point raise order of the reparam check still holds
+        monkeypatch.setattr("heisflow.verify.EPS_CHAR", 1.0)
+        monkeypatch.setattr("heisflow.curvature.EPS_CHAR", 1.0)
+        assert main(["verify", "--suite", "core"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "heisflow: curvature undefined: ||N^h|| = 2.035e+00\n"
@@ -514,21 +518,24 @@ class TestCli:
             assert main(["eval", "cone_lower", "--grid", "7x7", "--out", str(p)]) == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_eps_char_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISFLOW_EPS_CHAR", "1e9")
+    def test_characteristic_threshold_is_not_an_option(self, capsys, monkeypatch):
+        # the threshold scale is the constant EPS_CHAR: no flag sets it
+        proc = subprocess.run(
+            [sys.executable, "-m", "heisflow", "--eps-char", "1e-9", "verify"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: heisflow")
+        assert "Traceback" not in proc.stderr
+        # and no environment variable either
+        monkeypatch.delenv("HEISFLOW_EPS_CHAR", raising=False)
         assert main(["eval", "cylinder", "--grid", "2x2"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["eps_char"] == 1e9
-        assert all(r[-1] is None for r in report["rows"])
-
-    def test_eps_char_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HEISFLOW_EPS_CHAR", "not-a-number")
-        assert main(["eval", "cylinder", "--grid", "2x2"]) == 2
-        assert main(["--eps-char", "1e-9", "eval", "cylinder", "--grid", "2x2"]) == 0
-
-    def test_eps_char_must_be_positive(self, capsys):
-        assert main(["--eps-char", "-1.0", "verify"]) == 2
-        assert "positive" in capsys.readouterr().err
+        want = capsys.readouterr()
+        monkeypatch.setenv("HEISFLOW_EPS_CHAR", "junk")
+        assert main(["eval", "cylinder", "--grid", "2x2"]) == 0
+        assert capsys.readouterr() == want
+        assert json.loads(want.out)["eps_char"] == 1e-9
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -612,7 +619,6 @@ class TestOutputAndLimits:
             (["eval", "paraboloid", "--urange", "-1e-1", "1"], "urange", [-0.1, 1.0]),
             (["eval", "paraboloid", "--vrange", "-5E-1", "-1e-2"], "vrange", [-0.5, -0.01]),
             (["flow", "paraboloid", "--seed", "0", "1", "--ds", "-1e-3"], "ds", -1e-3),
-            (["--eps-char", "-1e-3", "verify"], "eps_char", -1e-3),
         ],
     )
     def test_negative_float_literals_are_values(self, argv, option, want):

@@ -50,6 +50,9 @@ def test_domain_basic():
     assert DOM.contains(0.0, 0.0)
     assert DOM.contains(-1.0, 2.0)  # boundary included
     assert not DOM.contains(1.0001, 0.0)
+    # elementwise on arrays, as eval_jets and the flow's batched field use it
+    u = np.array([0.0, -1.0, 1.0001, math.nan])
+    assert DOM.contains(u, np.zeros(4)).tolist() == [True, True, False, False]
     with pytest.raises(ValueError):
         Domain(1.0, -1.0, 0.0, 1.0)
 

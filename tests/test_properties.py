@@ -23,7 +23,6 @@ from heisflow.heis import (
 )
 from heisflow.flow import _field_rows
 from heisflow.horizontal import (
-    EPS_CHAR,
     horizontal_normal_batch,
     induced_form_batch,
     normal_compatibility,
@@ -137,7 +136,7 @@ def test_flow_direction_annihilates_induced_form(j):
     du, dv = j[0, 1], j[0, 2]
     if q <= 1e-3 * (1.0 + math.sqrt(float(du @ du) + float(dv @ dv))):
         return
-    (d_u, d_v, _, _), near = _field_rows(j, EPS_CHAR)
+    (d_u, d_v, _, _), near = _field_rows(j)
     assert not near[0]
     (p_u,), (p_v,) = induced_form_batch(j)
     pairing = p_u * d_u[0] + p_v * d_v[0]

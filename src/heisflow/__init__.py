@@ -28,7 +28,7 @@ from .builders import (
     resolve_surface,
     ruling_form_coeff,
     ruling_form_coefficients,
-    random_ruled_spec,
+    random_ruled_patch,
 )
 from .curvature import (
     MINIMALITY_BAND,

@@ -73,7 +73,7 @@ __all__ = [
     "catalog_get",
     "CATALOG",
     "H_MINIMAL_CATALOG",
-    "random_ruled_spec",
+    "random_ruled_patch",
     "term_from_dict",
     "terms_from_list",
     "curve_from_dict",
@@ -121,10 +121,6 @@ class Term:
         else:
             plan = (k, c, c * k, -c * k * k, -c * k**3)
         object.__setattr__(self, "_plan", tuple(plan))
-
-    def jet(self, s):
-        """Value and first three derivatives at s, a float or a float array."""
-        return TermSum((self,)).jet(s)
 
 
 def _pow(s: float, p: int) -> float:
@@ -333,11 +329,7 @@ def ruling_form_coeff(spec: RuledSpec, s, v) -> float:
     return c0 + v * (c1 + v * c2)
 
 
-def build_straight_ruled(
-    spec: RuledSpec,
-    label: str | None = None,
-    check_grid: tuple[int, int] | None = (21, 21),
-) -> SurfaceHandle:
+def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
     """Assemble the ruled patch of ``spec`` with exact jets.
 
     Raises DegenerateRuling when c(s, v) vanishes identically on samples,
@@ -357,12 +349,8 @@ def build_straight_ruled(
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"
         )
-    return make_surface(
-        lambda s, v: _ruled_fields(spec, s, v),
-        Domain(s0, s1, v0, v1),
-        label if label is not None else (spec.name or "ruled"),
-        check_grid,
-    )
+    domain = Domain(s0, s1, v0, v1)
+    return make_surface(lambda s, v: _ruled_fields(spec, s, v), domain, spec.name or "ruled")
 
 
 def plane_contact_factor(spec: RuledSpec, s, v) -> float:
@@ -403,7 +391,7 @@ def build_plane_flow_patch(
     """Ruled patch (v cos theta, v sin theta, 0) inside the plane t = 0."""
     zero = TermSum()
     spec = RuledSpec(CurveSpec(zero, zero, zero, s_range), angle, v_range, label)
-    return build_straight_ruled(spec, label=label)
+    return build_straight_ruled(spec)
 
 
 def build_tangent_developable(
@@ -516,7 +504,7 @@ def build_graph_separable(
         )
 
     # Graphs are immersions unconditionally, so no regularity sampling is run.
-    return make_surface(fields, domain, label, check_grid=None)
+    return SurfaceHandle(domain, fields, label)
 
 
 def _poly(*coeff_deg: tuple[float, int]) -> TermSum:
@@ -621,8 +609,9 @@ def catalog_get(name: str) -> SurfaceHandle:
     )
 
 
-def random_ruled_spec(rng: Lcg64, index: int = 0) -> RuledSpec:
-    """Draw a smooth random ruled spec; rejection keeps only immersed patches.
+def random_ruled_patch(rng: Lcg64, index: int = 0) -> tuple[RuledSpec, SurfaceHandle]:
+    """Draw a smooth random ruled patch and its spec; rejection keeps only
+    immersed patches.
 
     Each attempt consumes exactly 14 uniforms, in this order: x constant,
     x slope, x cosine amplitude, x frequency selector; the same four for y
@@ -630,7 +619,7 @@ def random_ruled_spec(rng: Lcg64, index: int = 0) -> RuledSpec:
     theta offset in [0, 2 pi), theta slope in [0.4, 1.2], theta sine
     amplitude.  Frequency selectors pick k = 1 below 0.5 and k = 2 above.
     Rejected attempts (non-immersed or fully characteristic patches) simply
-    advance the stream, so a fixed seed yields a fixed spec sequence.
+    advance the stream, so a fixed seed yields a fixed patch sequence.
     """
     for _ in range(64):
         xc = rng.uniform(-1.5, 1.5)
@@ -661,10 +650,9 @@ def random_ruled_spec(rng: Lcg64, index: int = 0) -> RuledSpec:
             name=f"random-ruled-{index}",
         )
         try:
-            build_straight_ruled(spec, check_grid=(17, 7))
+            return spec, build_straight_ruled(spec)
         except (DegenerateRuling, NotRegular):
             continue
-        return spec
     raise RuntimeError("rejection sampling failed to produce an immersed ruled patch")
 
 
@@ -695,17 +683,14 @@ def terms_from_list(entries) -> TermSum:
     return TermSum(tuple(term_from_dict(d) for d in entries))
 
 
-def curve_from_dict(d: dict, require_plane: bool = False) -> CurveSpec:
+def curve_from_dict(d: dict) -> CurveSpec:
     if not isinstance(d, dict):
         raise SpecError(f"curve entry must be an object, got {type(d).__name__}")
     try:
-        t_entries = d.get("t", [])
-        if require_plane and t_entries:
-            raise SpecError("profile curve must not carry t terms")
         return CurveSpec(
             terms_from_list(d["x"]),
             terms_from_list(d["y"]),
-            terms_from_list(t_entries),
+            terms_from_list(d.get("t", [])),
             d["domain"],
         )
     except KeyError as e:
@@ -735,7 +720,7 @@ def surface_from_dict(d: dict) -> SurfaceHandle:
             )
         if kind == "cylinder":
             return build_cylinder(
-                curve_from_dict(d["profile"], require_plane=True),
+                curve_from_dict(d["profile"]),
                 d["height"],
                 label=name or "cylinder",
             )

@@ -283,18 +283,21 @@ def integrate_flows(
     if max_steps < 1:
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     seeds = np.asarray(seeds, float).reshape(-1, 2)
-    rows, near = _field_rows(eval_jets(surface, seeds[:, 0], seeds[:, 1]))
+    jets = eval_jets(surface, seeds[:, 0], seeds[:, 1])
+    rows, near = _field_rows(jets)
     ok = np.flatnonzero(~near)
     starts = seeds[ok]
-    # A step that leaves a seed in place would read as a collapsed chord,
-    # a false characteristic-proximity stop.
-    step = ds * rows[:2, ok].T
-    stuck = (starts + step == starts).all(axis=1) | (starts - step == starts).all(axis=1)
-    if stuck.any():
-        u, v = starts[np.argmax(stuck)].tolist()
-        raise ValueError(
-            f"ds = {ds} is below the resolution of the seed ({u}, {v}): a step cannot move it"
-        )
+    # Rounding a step's new (u, v) moves its projected point by up to e / 2,
+    # e = ulp(u) |(x_u, y_u)| + ulp(v) |(x_v, y_v)|, so a step under 2 e
+    # could read as a collapsed chord, a false characteristic-proximity stop.
+    # A seed whose field is not finite leaves at its first stage instead.
+    with np.errstate(over="ignore"):
+        lim = 2.0 * (np.spacing(np.abs(starts)) * np.hypot(*jets[ok, 1:3, :2].T).T).sum(axis=1)
+    short = (ds < lim) & np.isfinite(rows[:2, ok]).all(axis=0)
+    if short.any():
+        i = np.argmax(short)
+        u, v = starts[i].tolist()
+        raise ValueError(f"ds = {ds} is below 2e = {lim[i].item()} at the seed ({u}, {v})")
     if 2 * len(ok) < LOCKSTEP_MIN_LEGS:
         legs = []
         for u, v in starts.tolist():

@@ -185,31 +185,24 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
     return jets
 
 
-def make_surface(
-    fields: Callable,
-    domain: Domain,
-    label: str = "",
-    check_grid: tuple[int, int] | None = (21, 21),
-) -> SurfaceHandle:
+def make_surface(fields: Callable, domain: Domain, label: str = "") -> SurfaceHandle:
     """Wrap a field formula (see :class:`SurfaceHandle`), verifying sampled
-    rank-2 regularity on a ``check_grid`` first."""
+    rank-2 regularity on the 21 x 21 interior grid first.  Immersions by
+    construction skip the sampling by building the handle directly."""
+    u, v = grid_points(*domain.interior_linspace(21, 21))
     surface = SurfaceHandle(domain=domain, fields=fields, label=label)
-    if check_grid is None:
-        return surface
-    u, v = grid_points(*domain.interior_linspace(*check_grid))
-    for sl in blocks(len(u)):
-        with np.errstate(all="ignore"):  # huge finite jets overflow to inf
-            jets = _raw_jets(surface, u[sl], v[sl])
-            cross = np.cross(jets[:, 1], jets[:, 2])
-            norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
-        _check_finite(jets)
-        bad = np.flatnonzero(norm <= EPS_REG)
-        if bad.size:
-            i = sl.start + bad[0]
-            raise NotRegular(
-                f"{label or 'patch'}: |sigma_u x sigma_v| <= {EPS_REG:g} "
-                f"at (u, v) = ({u[i]}, {v[i]})"
-            )
+    with np.errstate(all="ignore"):  # huge finite jets overflow to inf
+        jets = _raw_jets(surface, u, v)
+        cross = np.cross(jets[:, 1], jets[:, 2])
+        norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
+    _check_finite(jets)
+    bad = np.flatnonzero(norm <= EPS_REG)
+    if bad.size:
+        i = bad[0]
+        raise NotRegular(
+            f"{label or 'patch'}: |sigma_u x sigma_v| <= {EPS_REG:g} "
+            f"at (u, v) = ({u[i]}, {v[i]})"
+        )
     return surface
 
 

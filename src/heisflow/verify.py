@@ -35,7 +35,7 @@ from .builders import (
     catalog_get,
     plane_contact_factor,
     ruling_form_coeff,
-    random_ruled_spec,
+    random_ruled_patch,
 )
 from .curvature import (
     CurvatureBatch,
@@ -239,12 +239,12 @@ def _circle_lift_ruled_spec() -> RuledSpec:
 def check_ruled_form_identity(seed: int) -> list[CheckResult]:
     """On ruled patches (p_s, p_v) = (c, 0) and ||N^h|| = |c| pointwise."""
     rng = Lcg64(seed)
-    specs = [_plane_flow_spec(), _ruled_paraboloid_spec()]
-    specs += [random_ruled_spec(rng, i) for i in range(3)]
+    patches = [(spec, build_straight_ruled(spec))
+               for spec in (_plane_flow_spec(), _ruled_paraboloid_spec())]
+    patches += [random_ruled_patch(rng, i) for i in range(3)]
     worst = 0.0
     where = ""
-    for spec in specs:
-        surf = build_straight_ruled(spec, check_grid=None)
+    for spec, surf in patches:
         dom = surf.domain
         sv = np.array([
             (rng.uniform(dom.u_min, dom.u_max), rng.uniform(dom.v_min, dom.v_max))
@@ -260,15 +260,14 @@ def check_ruled_form_identity(seed: int) -> list[CheckResult]:
             worst, i = _running_max(err, worst)
             if i is not None:
                 where = f"{spec.name} at s={float(s[i]):.6g}, v={float(v[i]):.6g}"
-    return [_mk("ruled-form-identity", worst, 1e-10, len(specs) * len(sv), where)]
+    return [_mk("ruled-form-identity", worst, 1e-10, len(patches) * len(sv), where)]
 
 
 def check_random_ruled_minimality(seed: int) -> list[CheckResult]:
     """Random ruled patches are horizontally minimal off the locus."""
     rng = Lcg64(seed)
-    specs = [random_ruled_spec(rng, i) for i in range(100)]
-    surfs = [build_straight_ruled(spec, check_grid=None) for spec in specs]
-    # Every patch shares the domain of random_ruled_spec, hence one sample set.
+    specs, surfs = zip(*(random_ruled_patch(rng, i) for i in range(100)))
+    # Every patch shares the domain of random_ruled_patch, hence one sample set.
     u, v = grid_points(*surfs[0].domain.linspace(21, 9))
     scan = curvature_scan(surfs, u, v, floor="band")
     skipped = int(scan.skip.sum())

@@ -81,7 +81,7 @@ def test_numpy_cos_sin_match_math(span):
 
 def test_float_trig_past_the_float_range_is_nan():
     # math.sin(inf) raises; the float call gives NaN, as np.sin does
-    assert all(math.isnan(x) for x in Term("sin", 1.0, 6).jet(1e308))
+    assert all(math.isnan(x) for x in TermSum((Term("sin", 1.0, 6),)).jet(1e308))
     assert all(math.isnan(x) for x in AngleField(TermSum((Term("poly", 1.0, 6),))).direction_jet(1e60))
     surface = build_graph_separable(
         TermSum((Term("sin", 1.0, 6),)), TermSum(), Domain(0.0, 1e308, 0.0, 1.0)
@@ -96,9 +96,10 @@ def test_float_trig_past_the_float_range_is_nan():
 @example(term=Term("poly", -0.0, 6), s=np.array(EXTREMES))
 @example(term=Term("sin", 1.0, 6), s=np.array([1e308, -1e308, 0.5]))
 def test_term_jet_on_arrays(term, s):
+    jet = TermSum((term,)).jet
     with np.errstate(all="ignore"):
-        got = term.jet(s)
-    assert_same(got, per_entry(term.jet, s))
+        got = jet(s)
+    assert_same(got, per_entry(jet, s))
 
 
 @settings(max_examples=100)

@@ -30,10 +30,9 @@ from heisflow.builders import (
     Term,
     TermSum,
     build_graph_separable,
-    build_straight_ruled,
     catalog_get,
     load_surface_file,
-    random_ruled_spec,
+    random_ruled_patch,
 )
 from heisflow.curvature import (
     MINIMALITY_BAND,
@@ -54,6 +53,7 @@ from heisflow.horizontal import (
 from heisflow.patch import (
     JET_BLOCK,
     Domain,
+    SurfaceHandle,
     eval_jets,
     grid_points,
     make_surface,
@@ -157,7 +157,7 @@ def test_batch_makes_one_column_sum_per_term_shape(monkeypatch, paraboloid):
 def test_random_ruled_batch_bit_identical():
     rng = Lcg64(0)
     for i in range(100):
-        surface = build_straight_ruled(random_ruled_spec(rng, i), check_grid=None)
+        _, surface = random_ruled_patch(rng, i)
         assert_batch_matches_scalar(surface, *sample_points(surface, (7, 5), 8, i))
 
 
@@ -202,7 +202,7 @@ def reference_H(surface, u, v):
 )
 def test_one_point_functions_match_scalar_reference(name, cone):
     if name == "random-ruled":
-        surface = build_straight_ruled(random_ruled_spec(Lcg64(7), 3), check_grid=None)
+        _, surface = random_ruled_patch(Lcg64(7), 3)
     elif name == "reparametrized-cone":
         surface = reparametrize_affine(
             cone, ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0), Domain(-0.25, 0.25, -0.9, 0.9)
@@ -261,7 +261,7 @@ def six_triple_plane(bad, value):
         entries[bad] = value
         return tuple(tuple(entries[i : i + 3]) for i in range(0, 18, 3))
 
-    return make_surface(fields, Domain(-1.0, 1.0, -1.0, 1.0), "six-triple-plane", check_grid=None)
+    return SurfaceHandle(Domain(-1.0, 1.0, -1.0, 1.0), fields, "six-triple-plane")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -292,7 +292,7 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
 # surface files of every type but catalog, each a builder's formula as the
 # file format reaches it
 SURFACE_FILES = {
-    "ruled-file": spec_dict(random_ruled_spec(Lcg64(4), 4)),
+    "ruled-file": spec_dict(random_ruled_patch(Lcg64(4), 4)[0]),
     "developable-file": {
         "type": "developable",
         "curve": {"x": term_list(("cos", 1.0, 1)), "y": term_list(("sin", 1.0, 1)),
@@ -635,12 +635,11 @@ def test_not_regular_names_the_same_point():
     dom = Domain(-1.0, 1.0, -1.0, 1.0)
 
     def late_fold(u, v):
-        # collapses where u > 0.75 and v > 0.1: in a later block of a 70x70 check
+        # collapses where u > 0.75 and v > 0.1: late in the 21x21 check
         fold = np.where((u > 0.75) & (v > 0.1), 0.0, 1.0)
         return (u, fold * v, 0.0), (1.0, 0.0, 0.0), (0.0, fold, 0.0)
 
-    grid = (70, 70)
-    us, vs = dom.interior_linspace(*grid)
+    us, vs = dom.interior_linspace(21, 21)
     want = None
     for u in us:
         for v in vs:
@@ -652,7 +651,7 @@ def test_not_regular_names_the_same_point():
         if want:
             break
     with pytest.raises(NotRegular) as exc:
-        make_surface(late_fold, dom, label="fold", check_grid=grid)
+        make_surface(late_fold, dom, label="fold")
     assert str(exc.value) == want
 
 

@@ -23,7 +23,7 @@ from heisflow.builders import (
     curve_from_dict,
     load_surface_file,
     plane_contact_factor,
-    random_ruled_spec,
+    random_ruled_patch,
     resolve_surface,
     ruling_form_coeff,
     ruling_form_coefficients,
@@ -43,13 +43,13 @@ from heisflow.rng import Lcg64
 
 
 def test_term_jets_frozen():
-    assert Term("poly", 1.5, 3).jet(2.0) == (12.0, 18.0, 18.0, 9.0)
-    assert Term("poly", 4.0, 0).jet(7.0) == (4.0, 0.0, 0.0, 0.0)
-    assert Term("cos", 2.0, 2).jet(0.3) == pytest.approx(
+    assert ts(("poly", 1.5, 3)).jet(2.0) == (12.0, 18.0, 18.0, 9.0)
+    assert ts(("poly", 4.0, 0)).jet(7.0) == (4.0, 0.0, 0.0, 0.0)
+    assert ts(("cos", 2.0, 2)).jet(0.3) == pytest.approx(
         (1.6506712298193567, -2.2585698935801415, -6.602684919277427, 9.034279574320566),
         rel=1e-14,
     )
-    assert Term("sin", 0.5, 3).jet(0.4) == pytest.approx(
+    assert ts(("sin", 0.5, 3)).jet(0.4) == pytest.approx(
         (0.46601954298361314, 0.5435366317150104, -4.194175886852518, -4.891829685435094),
         rel=1e-14,
     )
@@ -220,13 +220,17 @@ def test_catalog_unknown_name_lists_choices():
 
 
 def test_random_ruled_spec_deterministic():
-    a = random_ruled_spec(Lcg64(123), 7)
-    b = random_ruled_spec(Lcg64(123), 7)
+    a, patch = random_ruled_patch(Lcg64(123), 7)
+    b, _ = random_ruled_patch(Lcg64(123), 7)
     assert a == b
     assert a.name == "random-ruled-7"
-    c = random_ruled_spec(Lcg64(124), 7)
+    c, _ = random_ruled_patch(Lcg64(124), 7)
     assert c != a
-    build_straight_ruled(a)  # regular and non-degenerate by construction
+    rebuilt = build_straight_ruled(a)  # regular and non-degenerate by construction
+    # the returned patch is the accepted attempt's: the one its spec builds
+    assert (patch.label, patch.domain) == (a.name, rebuilt.domain)
+    u, v = [0.0, 0.7, 2.0], [0.25, 1.1, 1.25]
+    assert eval_jets(patch, u, v).tobytes() == eval_jets(rebuilt, u, v).tobytes()
 
 
 def test_spec_round_trips_through_json():

@@ -1,10 +1,12 @@
 """Flow-leaf integration, stop reasons, horizontality and cc-length."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from heisflow.builders import catalog_get
 from heisflow.errors import CharacteristicPoint
 from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
 from heisflow.patch import eval_jets
@@ -95,13 +97,50 @@ def test_integrate_flow_validation(unit_cylinder, paraboloid):
         integrate_flow(unit_cylinder, 1.0, 0.0, ds=0.0)
     with pytest.raises(ValueError):
         integrate_flow(unit_cylinder, 1.0, 0.0, max_steps=0)
-    # a 1e-17 step leaves (0.5, 0.25) unchanged, which the chord test would
-    # report as a false characteristic-proximity stop; 1e-15 still moves it
-    with pytest.raises(ValueError, match=r"^ds = 1e-17 is below the resolution of the seed"):
+    # rounding a step moves the projected point by up to e / 2, here with
+    # e = ulp(0.5) + ulp(0.25); under 2e the chord test could report a false
+    # characteristic-proximity stop, so 1e-17 is refused and 1e-15 traced
+    message = "ds = 1e-17 is below 2e = 3.3306690738754696e-16 at the seed (0.5, 0.25)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate_flow(paraboloid, 0.5, 0.25, ds=1e-17, max_steps=5)
     tr = integrate_flow(paraboloid, 0.5, 0.25, ds=1e-15, max_steps=5)
     assert len(tr) == 11
     assert (tr.stop_backward, tr.stop_forward) == ("step-limit", "step-limit")
+
+
+# The tiny-step sweep: seven seeds, each with the number of its 152 steps
+# (150 from 1e-18 to 1e-13 and the steps of the two reproducers of the CLI
+# tests, whose seeds come first) that lie under the seed's 2e limit.  Steps
+# of up to 1.48 e there stopped falsely with characteristic-proximity.
+TINY_STEP_SWEEP = [
+    ("cone_lower", (-1.9, 5.9), 109),
+    ("circle_lift_developable", (1.0, 0.5), 88),
+    ("paraboloid", (0.5, 0.25), 78),
+    ("plane_flow_patch", (1.5, 1.0), 90),
+    ("cylinder(1.0)", (1.0, 0.3), 81),
+    ("cone_lower", (-1.0, 0.7), 87),
+    ("paraboloid", (-0.3, 1.2), 84),
+]
+
+
+def test_tiny_step_sweep():
+    steps = [*np.geomspace(1e-18, 1e-13, 150).tolist(), 2.2539339047347933e-16,
+             1.2037516980200671e-16]
+    refused = []
+    for name, seed, want in TINY_STEP_SWEEP:
+        surface = catalog_get(name)
+        count = 0
+        for ds in steps:
+            try:
+                tr = integrate_flow(surface, *seed, ds=ds, max_steps=10)
+            except ValueError:
+                count += 1
+                continue
+            # every step the bound lets through is a clean run
+            assert "characteristic-proximity" not in (tr.stop_backward, tr.stop_forward)
+        refused.append((name, seed, count))
+    assert refused == TINY_STEP_SWEEP
+    assert sum(count for *_, count in refused) == 617
 
 
 def horizontality_residual(points: np.ndarray, ds: float) -> float:

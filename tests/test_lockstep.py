@@ -16,9 +16,8 @@ import pytest
 from heisflow import flow
 from heisflow.builders import (
     CATALOG,
-    build_straight_ruled,
     catalog_get,
-    random_ruled_spec,
+    random_ruled_patch,
     surface_from_dict,
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
@@ -33,12 +32,7 @@ STAGES = ("k2", "k3", "k4", "accepted point")
 SURFACES = {
     **{name: (lambda name=name: catalog_get(name)) for name in CATALOG},
     **{f"cylinder({r})": (lambda r=r: catalog_get(f"cylinder({r})")) for r in (0.5, 2.0, 5.0)},
-    **{
-        f"random-ruled-{k}": (
-            lambda k=k: build_straight_ruled(random_ruled_spec(Lcg64(k), k), check_grid=None)
-        )
-        for k in range(20)
-    },
+    **{f"random-ruled-{k}": (lambda k=k: random_ruled_patch(Lcg64(k), k)[1]) for k in range(20)},
 }
 
 

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from heisflow import cli
 from heisflow.builders import (
     CATALOG,
-    build_straight_ruled,
     catalog_get,
-    random_ruled_spec,
+    random_ruled_patch,
     surface_from_dict,
 )
 from heisflow.cli import main
@@ -61,6 +60,11 @@ REJECTED_FILES = {
         {"type": "developable", "curve": {**CIRCLE, "t": term_list(("poly", -2.0, 1)),
                                           "domain": [0.0, 2.0]}, "v_range": [-0.5, 1.0]},
         "v range [-0.5, 1.0] contains 0, the singular edge of the developable",
+    ),
+    "cylinder-profile-not-plane": (
+        {"type": "cylinder", "height": [-1.0, 1.0],
+         "profile": {**CIRCLE, "t": term_list(("poly", 1.0, 1)), "domain": [0.0, 1.0]}},
+        "cylinder profile must be a plane curve: t terms present",
     ),
     "cylinder-stalled-profile": (
         {"type": "cylinder", "height": [-1.0, 1.0],
@@ -188,7 +192,7 @@ class TestLocus:
 
     def test_random_ruled_match_per_point_search(self):
         for k in range(20):
-            surface = build_straight_ruled(random_ruled_spec(Lcg64(k)), check_grid=None)
+            _, surface = random_ruled_patch(Lcg64(k))
             assert as_bits(characteristic_locus(surface, grid=(41, 37))) == as_bits(
                 reference_locus(surface, (41, 37))
             ), k
@@ -265,8 +269,27 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == (
-            "heisflow: ds = 1e-17 is below the resolution of the seed (0.5, 0.25): "
-            "a step cannot move it\n"
+            "heisflow: ds = 1e-17 is below 2e = 3.3306690738754696e-16 at the seed (0.5, 0.25)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "name, seed, ds, limit",
+        [
+            ("cone_lower", ("-1.9", "5.9"), "2.2539339047347933e-16", "3.819167204710538e-15"),
+            ("circle_lift_developable", ("1.0", "0.5"), "1.2037516980200671e-16",
+             "7.185514355744859e-16"),
+        ],
+    )
+    def test_flow_tiny_step_under_twice_the_rounding_scale_exits_two(
+        self, capsys, name, seed, ds, limit
+    ):
+        # steps this short move the seed, but without the limit both runs
+        # stop falsely with characteristic-proximity, far from the locus
+        assert main(["flow", name, "--seed", *seed, "--ds", ds, "--steps", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"heisflow: ds = {ds} is below 2e = {limit} at the seed ({seed[0]}, {seed[1]})\n"
         )
 
     def test_verify_subcommand(self, capsys):

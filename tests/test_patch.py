@@ -99,8 +99,6 @@ def test_make_surface_rejects_degenerate_patch():
 
     with pytest.raises(NotRegular):
         make_surface(collapsed, DOM)
-    # opting out of the ambient-regularity grid check is allowed
-    make_surface(collapsed, DOM, check_grid=None)
 
 
 def test_reparametrize_affine_chain_rule():

@@ -11,7 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisflow.builders import Term, TermSum, _jet_code, random_ruled_spec
+from heisflow.builders import Term, TermSum, _jet_code, random_ruled_patch
 from heisflow.rng import Lcg64
 from term_reference import EXTREMES, POW_DIFFERS, term_sum_jet
 
@@ -55,7 +55,8 @@ def test_term_sum_jet_matches_the_loop_on_arrays(ts, s):
 @given(term=terms, s=points)
 def test_term_jet_is_the_jet_of_a_one_term_sum(term, s):
     # the sum adds each entry to 0.0, which turns a term's -0.0 into 0.0
-    assert_same_jet(term.jet(s), term_sum_jet(TermSum((term,)), s))
+    one = TermSum((term,))
+    assert_same_jet(one.jet(s), term_sum_jet(one, s))
 
 
 def test_the_guarded_path():
@@ -83,7 +84,7 @@ def test_sums_of_one_shape_keep_their_own_constants():
 def test_random_ruled_specs_compile_few_shapes():
     before = _jet_code.cache_info().misses
     rng = Lcg64(2024)
-    specs = [random_ruled_spec(rng, i) for i in range(100)]
+    specs = [random_ruled_patch(rng, i)[0] for i in range(100)]
     assert _jet_code.cache_info().misses - before <= 3
     for spec in specs[:10]:
         for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):

@@ -413,6 +413,24 @@ def _seed_curvatures(traces) -> np.ndarray:
     return _signed_curvatures(d1, d2)
 
 
+def _grid_max_error(surfaces, grid, *, floor=None, target=0.0):
+    """The worst |H - target| of the surfaces on a grid over their shared
+    domain, from the strict :func:`curvature_scan` with skip rule ``floor``:
+    (worst, (k, u, v) of surfaces[k] where it occurred, the number of points
+    kept, the number skipped).  ``target`` is the exact H, one value for
+    every surface or one per surface.  The fold starts below zero, so any
+    finite H counts; with none, worst is NaN and there is no argmax.
+    """
+    u, v = grid_points(*surfaces[0].domain.linspace(*grid))
+    scan = curvature_scan(surfaces, u, v, floor=floor)
+    worst, i = _running_max(np.abs(scan.H - np.reshape(target, (-1, 1))), -1.0)
+    n_skipped = int(scan.skip.sum())
+    if i is None:
+        return math.nan, None, scan.H.size - n_skipped, n_skipped
+    k, p = divmod(i, len(u))
+    return worst, (k, float(u[p]), float(v[p])), scan.H.size - n_skipped, n_skipped
+
+
 def is_h_minimal(
     surface: SurfaceHandle,
     grid: tuple[int, int] = (101, 101),
@@ -422,16 +440,10 @@ def is_h_minimal(
 
     Cells too close to the characteristic locus for an absolute claim at
     tol (the ``"band"`` rule of :func:`curvature_scan`) are skipped and
-    counted; an all-skipped grid yields an empty, failed report rather
-    than an error.
+    counted; a grid without a finite H yields a failed report with max_abs_H
+    NaN rather than an error.
     """
+    worst, where, n_eval, n_skip = _grid_max_error([surface], grid, floor="band")
+    argmax = None if where is None else where[1:]
     tol = MINIMALITY_TOL
-    u, v = grid_points(*surface.domain.linspace(*grid))
-    scan = curvature_scan([surface], u, v, floor="band")
-    n_skip = int(scan.skip.sum())
-    n_eval = len(u) - n_skip
-    if n_eval == 0:
-        return HMinimalityReport(math.nan, None, 0, n_skip, tol, False, grid)
-    worst, i = _running_max(np.abs(scan.H[0]), -1.0)
-    argmax = None if i is None else (float(u[i]), float(v[i]))
     return HMinimalityReport(worst, argmax, n_eval, n_skip, tol, worst <= tol, grid)

@@ -134,16 +134,11 @@ def _field(surface: SurfaceHandle, u: float, v: float):
     return p_v / q, -p_u / q, x, y
 
 
-def _leg(surface, u0, v0, h, max_steps):
-    """One direction of the leaf; returns accepted (u, v) pairs and a reason."""
+def _leg(surface, u, v, h, f, max_steps):
+    """One direction of the leaf from the seed (u, v), whose field ``f`` the
+    caller has found finite and clear of the stop band; returns accepted
+    (u, v) pairs and a reason."""
     pts: list[tuple[float, float]] = []
-    try:
-        f = _field(surface, u0, v0)
-    except (OutOfDomain, _LegStop):
-        # Caller has already validated the seed; only reachable if the seed
-        # sits exactly on the stop band edge.
-        return pts, "characteristic-proximity"
-    u, v = u0, v0
     reason = "step-limit"
     for _ in range(max_steps):
         try:
@@ -274,9 +269,11 @@ def integrate_flows(
 
     Returns one :class:`FlowTrace` per seed, or None where the seed is too
     close to the characteristic locus (where :func:`integrate_flow`
-    raises CharacteristicPoint).  With fewer than :data:`LOCKSTEP_MIN_LEGS`
-    legs to trace, each leg is stepped on its own; otherwise all of them
-    advance in lockstep.  Both ways give the same bits.
+    raises CharacteristicPoint).  Any other seed whose field is not finite,
+    or where ``ds`` is under twice its rounding scale, raises ValueError.
+    With fewer than :data:`LOCKSTEP_MIN_LEGS` legs to trace, each leg is
+    stepped on its own; otherwise all of them advance in lockstep.  Both
+    ways give the same bits.
     """
     if not (ds > 0.0 and math.isfinite(ds)):
         raise ValueError(f"ds must be positive and finite, got {ds}")
@@ -287,22 +284,25 @@ def integrate_flows(
     rows, near = _field_rows(jets)
     ok = np.flatnonzero(~near)
     starts = seeds[ok]
+    bad = ~np.isfinite(rows[:2, ok]).all(axis=0)
+    if bad.any():
+        u, v = starts[np.argmax(bad)].tolist()
+        raise ValueError(f"the field is not finite at the seed ({u}, {v})")
     # Rounding a step's new (u, v) moves its projected point by up to e / 2,
     # e = ulp(u) |(x_u, y_u)| + ulp(v) |(x_v, y_v)|, so a step under 2 e
     # could read as a collapsed chord, a false characteristic-proximity stop.
-    # A seed whose field is not finite leaves at its first stage instead.
     with np.errstate(over="ignore"):
         lim = 2.0 * (np.spacing(np.abs(starts)) * np.hypot(*jets[ok, 1:3, :2].T).T).sum(axis=1)
-    short = (ds < lim) & np.isfinite(rows[:2, ok]).all(axis=0)
+    short = ds < lim
     if short.any():
         i = np.argmax(short)
         u, v = starts[i].tolist()
         raise ValueError(f"ds = {ds} is below 2e = {lim[i].item()} at the seed ({u}, {v})")
     if 2 * len(ok) < LOCKSTEP_MIN_LEGS:
         legs = []
-        for u, v in starts.tolist():
+        for (u, v), f in zip(starts.tolist(), rows[:, ok].T.tolist()):
             for h in (ds, -ds):
-                pts, reason = _leg(surface, u, v, h, max_steps)
+                pts, reason = _leg(surface, u, v, h, f, max_steps)
                 legs.append((np.array(pts, float).reshape(-1, 2), reason))
         paths, reasons = zip(*legs) if legs else ((), ())
     else:

@@ -38,15 +38,12 @@ from .builders import (
     random_ruled_patch,
 )
 from .curvature import (
-    CurvatureBatch,
+    _grid_max_error,
     _has_stencil,
-    _raise_if_characteristic,
     _running_max,
     _seed_curvatures,
     curvature_scan,
-    mean_curvature_batch,
 )
-from .errors import CharacteristicPoint
 from .flow import integrate_flows
 from .heis import (
     HorizontalVec,
@@ -63,7 +60,6 @@ from .heis import (
 )
 from .horizontal import (
     EPS_CHAR,
-    char_threshold,
     horizontal_normal_batch,
     induced_form_batch,
     normal_compatibility,
@@ -71,7 +67,6 @@ from .horizontal import (
 from .locus import characteristic_locus
 from .patch import (
     Domain,
-    blocks,
     eval_jets,
     grid_points,
     jet2_batch,
@@ -129,15 +124,9 @@ def check_cylinder_curvature(seed: int) -> list[CheckResult]:
     radii = (0.5, 1.0, 2.0, 5.0)
     surfs = [catalog_get(f"cylinder({radius})") for radius in radii]
     # Every radius shares one domain, hence one sample set.
-    u, v = grid_points(*surfs[0].domain.linspace(101, 101))
-    h = curvature_scan(surfs, u, v).H
-    err = np.abs(h - 1.0 / np.array(radii)[:, None])
-    worst, i = _running_max(err, 0.0)
-    where = ""
-    if i is not None:
-        k, p = divmod(i, len(u))
-        where = f"R={radii[k]}, u={u[p]:.6g}, v={v[p]:.6g}"
-    return [_mk("cylinder-curvature", worst, 1e-10, h.size, where)]
+    worst, at, count, _ = _grid_max_error(surfs, (101, 101), target=1.0 / np.array(radii))
+    where = "" if at is None else f"R={radii[at[0]]}, u={at[1]:.6g}, v={at[2]:.6g}"
+    return [_mk("cylinder-curvature", worst, 1e-10, count, where)]
 
 
 def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
@@ -147,33 +136,22 @@ def _cone_reference(u: float, v: float) -> tuple[float, float, float]:
     return 1.0 / (u * root**3), nu1, nu2
 
 
-def _normal_and_curvature(surf, u, v):
-    """From one jet evaluation at the points (u[i], v[i]): n1, n2, ||N^h||,
-    the mask of points without a unit horizontal normal, and
-    mean_curvature_batch run block by block."""
-    jets = eval_jets(surf, u, v)
-    n1, n2, q = horizontal_normal_batch(jets)
-    parts = [mean_curvature_batch(jets[sl]) for sl in blocks(len(u))]
-    batch = CurvatureBatch(*map(np.concatenate, zip(*parts)))
-    return n1, n2, q, q < char_threshold(jets, EPS_CHAR), batch
-
-
-def _raise_if_no_unit_normal(q: np.ndarray, char: np.ndarray) -> None:
-    """Raise the CharacteristicPoint of the first flagged point, if any:
-    there ||N^h|| is under the threshold and nu^h = N^h / ||N^h|| undefined."""
-    if char.any():
-        raise CharacteristicPoint(f"||N^h|| = {q[np.argmax(char)]:.3e} at characteristic point")
+def _curvature_and_normal(surf, u, v):
+    """H and the unit horizontal normal (nu1, nu2) at the points (u[i], v[i]);
+    the strict curvature_scan raises CharacteristicPoint at the first point
+    where they are undefined."""
+    h = curvature_scan([surf], u, v).H[0]
+    n1, n2, q = horizontal_normal_batch(eval_jets(surf, u, v))
+    return h, n1 / q, n2 / q
 
 
 def check_cone_curvature(seed: int) -> list[CheckResult]:
     """Lower cone: H and nu^h against their closed forms."""
     surf = catalog_get("cone_lower")
     u, v = grid_points(*surf.domain.linspace(51, 51))
-    n1, n2, q, char, batch = _normal_and_curvature(surf, u, v)
-    _raise_if_no_unit_normal(q, char)
-    _raise_if_characteristic(batch.nh_norm, batch.char)  # as the strict scan raises
+    h, nu1, nu2 = _curvature_and_normal(surf, u, v)
     ref = np.array([_cone_reference(a, b) for a, b in zip(u.tolist(), v.tolist())])
-    err = np.stack((batch.H - ref[:, 0], n1 / q - ref[:, 1], n2 / q - ref[:, 2]))
+    err = np.stack((h - ref[:, 0], nu1 - ref[:, 1], nu2 - ref[:, 2]))
     worst = _running_max(np.abs(err), 0.0)[0]
     return [_mk("cone-curvature-and-normal", worst, 1e-10, len(u), "51x51 grid")]
 
@@ -190,11 +168,7 @@ def check_paraboloid_locus(seed: int) -> list[CheckResult]:
 
 def check_paraboloid_minimality(seed: int) -> list[CheckResult]:
     """|H| of the paraboloid away from its locus (||N^h|| >= 1e-4)."""
-    surf = catalog_get("paraboloid")
-    u, v = grid_points(*surf.domain.linspace(101, 101))
-    scan = curvature_scan([surf], u, v, floor=1e-4)
-    worst = _running_max(np.abs(scan.H), 0.0)[0]
-    count = int(scan.skip.size - scan.skip.sum())
+    worst, _, count, _ = _grid_max_error([catalog_get("paraboloid")], (101, 101), floor=1e-4)
     return [_mk("paraboloid-minimality", worst, 1e-8, count, "||N^h|| >= 1e-4 kept")]
 
 
@@ -246,21 +220,20 @@ def check_ruled_form_identity(seed: int) -> list[CheckResult]:
     where = ""
     for spec, surf in patches:
         dom = surf.domain
-        sv = np.array([
+        s, v = np.array([
             (rng.uniform(dom.u_min, dom.u_max), rng.uniform(dom.v_min, dom.v_max))
             for _ in range(2000)
-        ])
-        for s, v in (sv[sl].T for sl in blocks(len(sv))):
-            c = ruling_form_coeff(spec, s, v)
-            jets = eval_jets(surf, s, v)
-            p_u, p_v = induced_form_batch(jets)
-            q = horizontal_normal_batch(jets)[2]
-            # Dividing by the positive scale after the max rounds the same.
-            err = np.max([abs(p_u - c), abs(p_v), abs(q - abs(c))], axis=0) / (1.0 + abs(c))
-            worst, i = _running_max(err, worst)
-            if i is not None:
-                where = f"{spec.name} at s={float(s[i]):.6g}, v={float(v[i]):.6g}"
-    return [_mk("ruled-form-identity", worst, 1e-10, len(patches) * len(sv), where)]
+        ]).T
+        c = ruling_form_coeff(spec, s, v)
+        jets = eval_jets(surf, s, v)
+        p_u, p_v = induced_form_batch(jets)
+        q = horizontal_normal_batch(jets)[2]
+        # Dividing by the positive scale after the max rounds the same.
+        err = np.max([abs(p_u - c), abs(p_v), abs(q - abs(c))], axis=0) / (1.0 + abs(c))
+        worst, i = _running_max(err, worst)
+        if i is not None:
+            where = f"{spec.name} at s={float(s[i]):.6g}, v={float(v[i]):.6g}"
+    return [_mk("ruled-form-identity", worst, 1e-10, len(patches) * len(s), where)]
 
 
 def check_random_ruled_minimality(seed: int) -> list[CheckResult]:
@@ -268,16 +241,10 @@ def check_random_ruled_minimality(seed: int) -> list[CheckResult]:
     rng = Lcg64(seed)
     specs, surfs = zip(*(random_ruled_patch(rng, i) for i in range(100)))
     # Every patch shares the domain of random_ruled_patch, hence one sample set.
-    u, v = grid_points(*surfs[0].domain.linspace(21, 9))
-    scan = curvature_scan(surfs, u, v, floor="band")
-    skipped = int(scan.skip.sum())
-    worst, i = _running_max(np.abs(scan.H), 0.0)
-    where = ""
-    if i is not None:
-        k, p = divmod(i, len(u))
-        where = f"{specs[k].name} at u={u[p]:.6g}, v={v[p]:.6g}"
+    worst, at, count, skipped = _grid_max_error(surfs, (21, 9), floor="band")
+    where = "" if at is None else f"{specs[at[0]].name} at u={at[1]:.6g}, v={at[2]:.6g}"
     detail = f"{skipped} near-characteristic points skipped; worst {where}"
-    return [_mk("random-ruled-minimality", worst, 1e-8, scan.skip.size - skipped, detail)]
+    return [_mk("random-ruled-minimality", worst, 1e-8, count, detail)]
 
 
 def check_flow_straightness(seed: int) -> list[CheckResult]:
@@ -417,10 +384,8 @@ def check_plane_map_ratio(seed: int) -> list[CheckResult]:
 def check_developable_minimality(seed: int) -> list[CheckResult]:
     """The circle-lift tangent developable is horizontally minimal."""
     surf = catalog_get("circle_lift_developable")
-    u, v = grid_points(*surf.domain.linspace(21, 21))
-    h = curvature_scan([surf], u, v).H
-    worst = _running_max(np.abs(h), 0.0)[0]
-    return [_mk("developable-minimality", worst, 1e-8, h.size, surf.label)]
+    worst, _, count, _ = _grid_max_error([surf], (21, 21))
+    return [_mk("developable-minimality", worst, 1e-8, count, surf.label)]
 
 
 # ---------------------------------------------------------------------------
@@ -503,17 +468,10 @@ def check_core_invariants(seed: int) -> list[CheckResult]:
     w1, w2 = np.array([(rng.uniform(-wu, wu), rng.uniform(-wv, wv)) for _ in range(m)]).T
     u = a11 * w1 + a12 * w2 + b1
     v = a21 * w1 + a22 * w2 + b2
-    bn1, bn2, bq, bchar, bh = _normal_and_curvature(base, u, v)
-    rn1, rn2, rq, rchar, rh = _normal_and_curvature(repar, w1, w2)
-    bad = bh.char | rh.char | bchar | rchar
-    if bad.any():  # raise what the per-point loop met first, in its order
-        i = [int(np.argmax(bad))]
-        _raise_if_characteristic(bh.nh_norm[i], bh.char[i])
-        _raise_if_characteristic(rh.nh_norm[i], rh.char[i])
-        _raise_if_no_unit_normal(bq[i], bchar[i])
-        _raise_if_no_unit_normal(rq[i], rchar[i])
-    h_err = np.abs(bh.H - rh.H) / (1.0 + np.abs(bh.H))
-    nu_err = np.abs(np.stack((bn1 / bq - rn1 / rq, bn2 / bq - rn2 / rq)))
+    bh, bnu1, bnu2 = _curvature_and_normal(base, u, v)
+    rh, rnu1, rnu2 = _curvature_and_normal(repar, w1, w2)
+    h_err = np.abs(bh - rh) / (1.0 + np.abs(bh))
+    nu_err = np.abs(np.stack((bnu1 - rnu1, bnu2 - rnu2)))
     worst = _running_max(np.stack((h_err, *nu_err)), 0.0)[0]
     results.append(_mk("core-reparam-invariance", worst, 1e-10, m))
 

@@ -7,8 +7,11 @@ import pytest
 
 from conftest import local_H, ts
 from heisflow.builders import CurveSpec, build_cylinder, build_graph_separable
+from heisflow import curvature, verify
+from heisflow.builders import catalog_get
 from heisflow.curvature import (
     MINIMALITY_BAND,
+    _grid_max_error,
     _has_stencil,
     _seed_curvatures,
     _signed_curvatures,
@@ -215,3 +218,22 @@ def test_is_h_minimal_all_skipped(paraboloid):
     assert not report.passed
     assert report.n_evaluated == 0
     assert math.isnan(report.max_abs_H)
+
+
+def test_grid_max_error_all_skipped_is_nan():
+    worst, where, n_kept, n_skipped = _grid_max_error([catalog_get("plane_t0")], (3, 3), floor=1e9)
+    assert math.isnan(worst)
+    assert (where, n_kept, n_skipped) == (None, 0, 9)
+
+
+def test_grid_check_with_every_point_skipped_fails(monkeypatch):
+    scan = curvature.curvature_scan
+
+    def skip_all(surfaces, u, v, floor=None):
+        return scan(surfaces, u, v, floor=1e9)
+
+    monkeypatch.setattr(curvature, "curvature_scan", skip_all)
+    (result,) = verify.check_random_ruled_minimality(3)
+    assert not result.passed
+    assert math.isnan(result.stat)
+    assert result.count == 0

@@ -78,11 +78,12 @@ def starts(surface, seeds):
     return seeds[~near], rows[:, ~near]
 
 
-def scalar_legs(surface, seeds, steps):
-    """Each leg through flow._leg, forward then backward, with the RK4 stage
-    (counted from the flow._field calls of the leg) and the domain edge of
-    each domain exit, and the number of legs that only a k2, k3 or k4
-    reversed against k1 stops."""
+def scalar_legs(surface, seeds, rows, steps):
+    """Each leg through flow._leg from its seed and the field there (a column
+    of rows), forward then backward, with the RK4 stage (counted from the
+    flow._field calls of the leg) and the domain edge of each domain exit,
+    and the number of legs that only a k2, k3 or k4 reversed against k1
+    stops."""
     legs, exits = [], []
     reversed_stages = 0
     real = flow._field
@@ -97,10 +98,10 @@ def scalar_legs(surface, seeds, steps):
 
     flow._field = counted
     try:
-        for u, v in seeds.tolist():
+        for (u, v), f in zip(seeds.tolist(), rows.T.tolist()):
             for h in (DS, -DS):
-                calls.clear()
-                pts, reason = flow._leg(surface, u, v, h, steps)
+                calls[:] = [tuple(f)]
+                pts, reason = flow._leg(surface, u, v, h, f, steps)
                 legs.append((np.array(pts, float).reshape(-1, 2), reason))
                 if reason == "domain-exit":
                     # call 0 is the seed, then k2, k3, k4 and the new point per step
@@ -151,7 +152,7 @@ def leg_runs():
         # short legs from the edge seeds, long ones from the rest
         for s, steps in ((edge, 3), (rest, 120)):
             s, r = starts(surface, s)
-            legs, e, rev = scalar_legs(surface, s, steps)
+            legs, e, rev = scalar_legs(surface, s, r, steps)
             scalar += legs
             exits += e
             reversals += rev

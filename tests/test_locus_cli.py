@@ -272,6 +272,15 @@ class TestCli:
             "heisflow: ds = 1e-17 is below 2e = 3.3306690738754696e-16 at the seed (0.5, 0.25)\n"
         )
 
+    def test_flow_seed_with_a_non_finite_field_exits_two(self, capsys):
+        # the field components of this huge cylinder overflow at the seed;
+        # without the check the flow reports a false domain exit
+        argv = ["flow", "cylinder(1.5e308)", "--seed", "1.0", "0.3", "--steps", "5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "heisflow: the field is not finite at the seed (1.0, 0.3)\n"
+
     @pytest.mark.parametrize(
         "name, seed, ds, limit",
         [
@@ -379,13 +388,14 @@ class TestCli:
 
     def test_verify_core_at_eps_char_one_stops_at_the_reparam_check(self, capsys, monkeypatch):
         # a threshold scale of 1 flags cone points that the default leaves
-        # alone; the per-point raise order of the reparam check still holds
+        # alone; the reparam check's strict curvature scan of the base cone
+        # names the first of them
         monkeypatch.setattr("heisflow.verify.EPS_CHAR", 1.0)
         monkeypatch.setattr("heisflow.curvature.EPS_CHAR", 1.0)
         assert main(["verify", "--suite", "core"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "heisflow: curvature undefined: ||N^h|| = 2.035e+00\n"
+        assert captured.err == "heisflow: curvature undefined: ||N^h|| = 2.730e+00\n"
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -131,7 +131,7 @@ def test_table_writer_blocks_of_one_kind(values):
         ("cylinder", (1.0, 0.0), 2000, 1e-3),  # stops at domain exits
         ("paraboloid", (0.5, 0.25), 300, 1e-3),
         ("cone_lower", (-1.0, 0.7), 40, 1e-2),
-        ("cylinder(1.5e308)", (1.0, 0.3), 5, 1e-3),  # one point
+        ("paraboloid", (0.5, 0.25), 5, 10.0),  # one point: both legs exit the domain
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])

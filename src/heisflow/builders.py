@@ -132,10 +132,12 @@ def _pow(s: float, p: int) -> float:
 
 
 def _array_pow(s: np.ndarray, p: int) -> np.ndarray:
-    """:func:`_pow` entry by entry, as np.power rounds differently; s**1 is s."""
+    """:func:`_pow` on an array: np.float_power calls libm pow per entry, as
+    float ``**`` does (np.power rounds differently); s**1 is s."""
     if p == 1:
         return s
-    return _per_element(lambda x: _pow(x, p), s.ravel()).reshape(s.shape)
+    with np.errstate(over="ignore"):
+        return np.float_power(s, float(p))
 
 
 def _cos_sin(w):

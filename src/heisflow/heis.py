@@ -111,7 +111,9 @@ def group_inv(p: Point3) -> Point3:
 def koranyi_gauge(p: Point3) -> float:
     """Homogeneous gauge ((x^2 + y^2)^2 + t^2)^(1/4)."""
     r2 = p.x * p.x + p.y * p.y
-    return _per_element(lambda s: s ** 0.25, r2 * r2 + p.t * p.t)
+    s = r2 * r2 + p.t * p.t
+    # np.float_power calls libm pow per entry, as float ** does; np.power does not
+    return s ** 0.25 if np.ndim(s) == 0 else np.float_power(s, 0.25)
 
 
 def kc_distance(p: Point3, q: Point3) -> float:

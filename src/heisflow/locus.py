@@ -10,7 +10,11 @@ edge resolution; isolated points off the node lattice can be missed when
 the grid is too coarse, so refine the grid rather than the bisection when
 points seem absent.  The search is batched: one blocked pass of
 :func:`heisflow.patch.eval_jets` over the nodes, then lockstep bisection of
-every sign-changing edge with one batch of midpoints per step.
+every sign-changing edge with one batch of midpoints per step.  A midpoint
+needs only the sign of one component, so it gets (n1, n2) and nothing
+else; each edge bisects only the coordinate it runs along, and leaves the
+batch at an exact root or once bisection can no longer move it, so the
+search ends before ``refine`` steps when every edge has converged.
 """
 
 from __future__ import annotations
@@ -20,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .horizontal import char_threshold, horizontal_normal_batch
+from .heis import _per_element
+from .horizontal import _normal_components, char_threshold
 from .patch import Domain, SurfaceHandle, blocks, eval_jets, grid_points
 
 __all__ = ["LocusPoint", "characteristic_locus"]
@@ -42,14 +47,34 @@ class LocusPoint:
 
 
 def _fields(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
-    """Rows n1, n2, ||N^h||, keep threshold, x, y, t at the (u, v) rows of ``pts``."""
-    out = np.empty((7, len(pts)))
+    """Rows n1, n2, keep threshold, x, y, t at the (u, v) rows of ``pts``."""
+    out = np.empty((6, len(pts)))
     for sl in blocks(len(pts)):
         jets = eval_jets(surface, pts[sl, 0], pts[sl, 1])
-        out[:3, sl] = horizontal_normal_batch(jets)
-        out[3, sl] = char_threshold(jets, KEEP_TOL)
-        out[4:, sl] = jets[:, 0].T
+        out[:2, sl] = _normal_components(jets)
+        out[2, sl] = char_threshold(jets, KEEP_TOL)
+        out[3:, sl] = jets[:, 0].T
     return out
+
+
+def _components(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
+    """Rows n1, n2 at the (u, v) rows of ``pts``: all a midpoint's sign needs."""
+    out = np.empty((2, len(pts)))
+    for sl in blocks(len(pts)):
+        out[:, sl] = _normal_components(eval_jets(surface, pts[sl, 0], pts[sl, 1]))
+    return out
+
+
+def _kept(pts: np.ndarray, f: np.ndarray) -> list[LocusPoint]:
+    """The rows of ``pts`` where ||N^h|| <= keep threshold, in row order,
+    from their :func:`_fields` ``f``.  math.hypot runs only where
+    max(|n1|, |n2|) <= threshold: it is never below that max, NaN included."""
+    near = np.flatnonzero(np.fmax(abs(f[0]), abs(f[1])) <= f[2])
+    nh = _per_element(math.hypot, f[0, near], f[1, near])
+    ok = nh <= f[2, near]
+    u, v = pts[near[ok]].T.tolist()
+    x, y, t = f[3:, near[ok]].tolist()
+    return list(map(LocusPoint, u, v, x, y, t, nh[ok].tolist()))
 
 
 def characteristic_locus(
@@ -59,9 +84,10 @@ def characteristic_locus(
 ) -> list[LocusPoint]:
     """Locate characteristic points on a (nu x nv) grid of the domain.
 
-    ``refine`` bisection steps per sign-changing edge; candidates are kept
-    when ||N^h|| falls under :data:`KEEP_TOL` times a first-jet scale factor.
-    Returns points sorted by (u, v), deduplicated at 1e-6 of the spans.
+    ``refine`` bisection steps at most per sign-changing edge; candidates
+    are kept when ||N^h|| falls under :data:`KEEP_TOL` times a first-jet
+    scale factor.  Returns points sorted by (u, v), deduplicated at 1e-6 of
+    the spans.
     """
     nu, nv = grid
     if nu < 2 or nv < 2:
@@ -82,28 +108,33 @@ def characteristic_locus(
     lo, hi = nodes[i * nv + k], nodes[(i + 1 - d) * nv + k + d]
     neg = neg[i, k, comp]
 
-    # Lockstep bisection: ``lo`` keeps the sign the component has at the
-    # edge's first node and ``hi`` the other.  An edge whose midpoint is an
-    # exact root stops there (lo = hi = midpoint) and leaves the live set.
-    live = np.arange(len(comp))
+    # Lockstep bisection of coordinate d, the one each edge runs along: ``a``
+    # keeps the sign the component has at the edge's first node and ``b``
+    # the other.  The other coordinate of ``mid`` keeps the bits
+    # 0.5 * (lo + hi) that every midpoint has.  An edge leaves the live set
+    # at an exact root (a = b = midpoint), or once its midpoint equals one
+    # of its ends: each end's sign is known and nonzero, so no later step
+    # could move it.
+    live = e = np.arange(len(comp))
+    a, b, mid = lo[e, d], hi[e, d], 0.5 * (lo + hi)
     for _ in range(refine):
-        mid = 0.5 * (lo[live] + hi[live])
-        gm = _fields(surface, mid)[comp[live], np.arange(live.size)]
-        to_hi = neg[live] != (gm < 0.0)
-        hi[live[to_hi]] = mid[to_hi]
-        lo[live[~to_hi]] = mid[~to_hi]
+        if not live.size:
+            break
+        m = 0.5 * (a[live] + b[live])
+        mid[live, d[live]] = m
+        gm = _components(surface, mid[live])[comp[live], np.arange(live.size)]
         hit = gm == 0.0
-        lo[live[hit]] = hi[live[hit]] = mid[hit]
-        live = live[~hit]
-    roots = 0.5 * (lo + hi)
+        to_b = (neg[live] != (gm < 0.0)) | hit
+        to_a = ~to_b | hit
+        done = hit | (m == a[live]) | (m == b[live])
+        b[live[to_b]] = m[to_b]
+        a[live[to_a]] = m[to_a]
+        live = live[~done]
+    mid[e, d] = 0.5 * (a + b)
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).
-    pts = np.concatenate((nodes, roots))
-    f = np.concatenate((f, _fields(surface, roots)), axis=1)
-    keep = f[2] <= f[3]
-    u, v = pts[keep].T.tolist()
-    nh, x, y, t = f[[2, 4, 5, 6]][:, keep].tolist()
-    found = sorted(map(LocusPoint, u, v, x, y, t, nh), key=lambda p: (p.u, p.v))
+    found = _kept(nodes, f) + _kept(mid, _fields(surface, mid))
+    found.sort(key=lambda p: (p.u, p.v))
     return _merge(found, surface.domain)
 
 

@@ -8,6 +8,7 @@ contract: math.nan is positive, NaN made by the hardware need not be.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisflow.builders import (
+    _MAX_POLY_DEGREE,
     AngleField,
     CurveSpec,
     RuledSpec,
     Term,
     TermSum,
+    _array_pow,
+    _pow,
     build_graph_separable,
     plane_contact_factor,
     ruling_form_coefficients,
@@ -68,6 +72,38 @@ def test_power_one_returns_its_argument():
     ))
     assert all(math.copysign(1.0, s**1) == math.copysign(1.0, s) and s**1 == s
                for s in x.tolist())
+
+
+def test_array_power_matches_float_power():
+    # np.float_power calls libm pow per entry, as float ** does; the sign of
+    # an overflowing power follows the parity of the exponent
+    rng = np.random.default_rng(23)
+    s = np.concatenate((
+        rng.uniform(-10.0, 10.0, 50_000),
+        rng.standard_normal(50_000) * 10.0 ** rng.integers(-308, 308, 50_000),
+        rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64),
+        [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+         2.2250738585072014e-308, -2.225073858507201e-308,
+         1.7976931348623157e308, -1.7976931348623157e308],
+        EXTREMES, POW_DIFFERS,
+        2.0 ** np.arange(-1074, 1024),
+        -(2.0 ** np.arange(-1074, 1024)),
+    ))
+    for p in range(2, _MAX_POLY_DEGREE + 1):
+        # the bit patterns hold signaling NaNs, on which libm pow flags invalid
+        with np.errstate(invalid="ignore"):
+            got = _array_pow(s, p)
+        assert_same((got,), [[_pow(x, p) for x in s.tolist()]])
+
+
+def test_term_sum_jet_on_overflowing_arrays_warns_nothing():
+    # s**6 and s**2 overflow to inf, silently as on floats, outside any errstate
+    ts = TermSum((Term("poly", 1.0, 6), Term("poly", 1.0, 2)))
+    s = np.array([1e60, -1e60, 1e300, -1e300, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = ts.jet(s)
+    assert_same(got, per_entry(ts.jet, s))
 
 
 @pytest.mark.parametrize("span", [10.0, 1e4, 1e8, 1e300])

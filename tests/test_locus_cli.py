@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heisflow import cli
+from heisflow import cli, locus
 from heisflow.builders import (
     CATALOG,
     catalog_get,
@@ -20,6 +20,7 @@ from heisflow.builders import (
 )
 from heisflow.cli import main
 from heisflow.locus import LocusPoint, characteristic_locus
+from heisflow.patch import eval_jets
 from heisflow.rng import Lcg64
 from conftest import term_list
 from scalar_curvature import scalar_jet, scalar_normal, scalar_threshold
@@ -197,7 +198,38 @@ class TestLocus:
                 reference_locus(surface, (41, 37))
             ), k
 
-    @pytest.mark.parametrize("refine", [0, 20, 60])
+    @pytest.mark.parametrize("grid", [(40, 37), (101, 101)])
+    def test_random_ruled_match_per_point_search_at_refine_100(self, grid):
+        for k in range(10):
+            _, surface = random_ruled_patch(Lcg64(k))
+            assert as_bits(characteristic_locus(surface, grid=grid, refine=100)) == as_bits(
+                reference_locus(surface, grid, 100)
+            ), k
+
+    @pytest.mark.parametrize("name", ["paraboloid", "turning-line"])
+    def test_bisection_stops_once_every_edge_converges(self, name, monkeypatch):
+        # At 101x101 every edge's bisection ends before step 60: on the
+        # paraboloid at an exact root (by step 48), on the turning line also
+        # at midpoints equal to an end.  More steps evaluate no more points
+        # and change no bit.
+        surface = surface_from_dict(TURNING_LINE) if name == "turning-line" else catalog_get(name)
+        evaluated = [0]
+
+        def counting(surface, u, v):
+            evaluated[0] += len(u)
+            return eval_jets(surface, u, v)
+
+        monkeypatch.setattr(locus, "eval_jets", counting)
+
+        def run(refine):
+            evaluated[0] = 0
+            return as_bits(characteristic_locus(surface, grid=(101, 101), refine=refine)), evaluated[0]
+
+        (_, n40), at60, at100 = run(40), run(60), run(100)
+        assert at60 == at100
+        assert n40 < at60[1]
+
+    @pytest.mark.parametrize("refine", [0, 1, 20, 60, 100])
     @pytest.mark.parametrize("name", ["paraboloid", "turning-line"])
     def test_refine_matches_per_point_search(self, name, refine):
         surface = surface_from_dict(TURNING_LINE) if name == "turning-line" else catalog_get(name)

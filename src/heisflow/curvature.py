@@ -386,7 +386,9 @@ def curvature_scan(surfaces, u, v, *, floor=None, strict: bool = True) -> Curvat
         elif floor is not None:
             skip[sl] = horizontal_normal_batch(jets)[2] < floor
         kept = np.flatnonzero(~skip[sl])
-        jets = jets[kept]  # frees the whole block before the curvature temporaries
+        # frees the whole block before the curvature temporaries; a take along
+        # the point axis of the storage keeps the component-major layout
+        jets = np.take(jets.transpose(1, 2, 0), kept, axis=2).transpose(2, 0, 1)
         batch = mean_curvature_batch(jets)
         if strict:
             _raise_if_characteristic(batch.nh_norm, batch.char)

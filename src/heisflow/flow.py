@@ -75,9 +75,9 @@ STOP_FACTOR = 10.0
 # lockstep/scalar time ratio, in two draws of seeds: 14 at 2 legs, 3.4-3.5
 # at 8, 2.5-2.9 at 12, 1.8-1.9 at 16, 1.5-1.6 at 20, 1.1-1.3 at 24 and 28,
 # 1.0-1.1 at 32, 0.97-0.99 at 36 and 0.73-0.89 at 40 and 48.  One _field
-# call costs 2.4-4.8 us, _fields on 2 points 57-112 us.  At 2 legs, the
-# one-seed call of ``heisflow flow``, the scalar stepper is the only fast
-# one.
+# call costs 2.4-5.0 us, _fields on 2 points 57-108 us (re-measured with
+# component-major jets; 57-112 us point-major).  At 2 legs, the one-seed
+# call of ``heisflow flow``, the scalar stepper is the only fast one.
 LOCKSTEP_MIN_LEGS = 32
 
 
@@ -196,7 +196,7 @@ def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
     once, on the points inside the domain; the rows of the points outside
     stay zero and stop as domain exits."""
     inside = surface.domain.contains(u, v)
-    jets = np.zeros((len(u), 6, 3))
+    jets = np.zeros((6, 3, len(u))).transpose(2, 0, 1)  # the layout of jet2_batch
     if inside.any():
         with np.errstate(all="ignore"):
             jets[inside] = _raw_jets(surface, u[inside], v[inside])

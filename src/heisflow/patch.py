@@ -10,7 +10,9 @@ The formula takes floats or float arrays.  :func:`eval_jets` evaluates it
 at a point set, one point being a set of one, and returns the jets as one
 array of shape (N, 6, 3): rows are points, then the fields value, du, dv,
 duu, duv, dvv, then the coordinates x, y, t.  That array is the only jet
-representation.
+representation.  It is stored component-major, as the transposed view of a
+(6, 3, N) array, because every consumer reads it one component at a time;
+fancy indexing gives point-major copies, which every consumer accepts too.
 """
 
 from __future__ import annotations
@@ -99,13 +101,16 @@ def jet2_batch(n: int, value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> np.
     """Stack per-coordinate components into an (n, 6, 3) jet array.
 
     Each field is a triple whose entries are length-n arrays or scalars
-    (broadcast to every point); omitted second partials are zero.
+    (broadcast to every point); omitted second partials are zero.  The
+    array is stored component-major: it is the (n, 6, 3) transposed view
+    of a C-contiguous (6, 3, n) array, so each component is one contiguous
+    row of n floats.
     """
-    out = np.empty((n, 6, 3))
+    out = np.empty((6, 3, n))
     for f, field_ in enumerate((value, du, dv, duu, duv, dvv)):
         for c in range(3):
-            out[:, f, c] = field_[c]
-    return out
+            out[f, c] = field_[c]
+    return out.transpose(2, 0, 1)
 
 
 def grid_points(us, vs) -> tuple[np.ndarray, np.ndarray]:
@@ -146,13 +151,13 @@ def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarra
 
 
 def _check_finite(jets: np.ndarray) -> None:
-    """Raise a ValueError naming the field of the first non-finite jet entry."""
-    ok = np.isfinite(jets).all(axis=2)
-    if not ok.all():
-        i, f = np.argwhere(~ok)[0]
-        raise ValueError(
-            f"non-finite jet component in {_JET_FIELDS[f]}: {jets[i, f]!r}"
-        )
+    """Raise a ValueError naming the field of the first non-finite jet entry,
+    the first in point order and then field order.  One flat pass over the
+    whole array screens it; the per-field search runs only when it fails."""
+    if np.isfinite(jets).all():
+        return
+    i, f = np.argwhere(~np.isfinite(jets).all(axis=2))[0]
+    raise ValueError(f"non-finite jet component in {_JET_FIELDS[f]}: {jets[i, f]!r}")
 
 
 def _out_of_domain(domain: Domain, u, v) -> OutOfDomain:
@@ -178,7 +183,7 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
         i = int(np.argmin(inside))
         raise _out_of_domain(dom, float(u[i]), float(v[i]))
     if not len(u):
-        return np.empty((0, 6, 3))
+        return jet2_batch(0, _ZERO3, _ZERO3, _ZERO3)
     with np.errstate(all="ignore"):
         jets = _raw_jets(surface, u, v)
     _check_finite(jets)

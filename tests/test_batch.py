@@ -49,13 +49,16 @@ from heisflow.horizontal import (
     char_threshold,
     horizontal_normal_batch,
     induced_form_batch,
+    normal_compatibility,
 )
 from heisflow.patch import (
     JET_BLOCK,
     Domain,
     SurfaceHandle,
+    blocks,
     eval_jets,
     grid_points,
+    jet2_batch,
     make_surface,
     reparametrize_affine,
 )
@@ -832,3 +835,99 @@ def test_curvature_scan_strict_raises_like_reference_local(plane_t0):
     assert np.flatnonzero(scan.char).tolist() == [50 * 101 + 50]
     with pytest.raises(ValueError, match="floor"):
         curvature_scan([plane_t0], u, v, floor="wide")
+
+
+# Jet arrays are stored component-major: the (N, 6, 3) view of a C-contiguous
+# (6, 3, N) array.  Every test below uses at least two points, since with one
+# point both layouts are contiguous at once.
+
+_ZERO = (0.0, 0.0, 0.0)
+
+
+def component_major(jets) -> bool:
+    return jets.transpose(1, 2, 0).flags.c_contiguous
+
+
+def test_jet_arrays_are_component_major(paraboloid, monkeypatch):
+    n = 5
+    jets = jet2_batch(n, (np.arange(n, dtype=float), 1.0, 2.0), (1.0, 0.0, 0.0), _ZERO)
+    assert jets.shape == (n, 6, 3) and component_major(jets)
+    assert not component_major(np.ascontiguousarray(jets))
+    u, v = grid_points(*paraboloid.domain.linspace(9, 7))
+    assert component_major(eval_jets(paraboloid, u, v))
+
+    seen = []
+
+    def spy(real):
+        def wrapped(jets, *args, **kwargs):
+            seen.append(jets)
+            return real(jets, *args, **kwargs)
+        return wrapped
+
+    # the lockstep field, with points on both sides of the domain edge
+    monkeypatch.setattr(flow, "_field_rows", spy(flow._field_rows))
+    flow._fields(paraboloid, np.array([0.0, 1.6, 0.5, -2.0]), np.zeros(4))
+    # the kept subsets of a scan whose band skips points
+    monkeypatch.setattr(curvature, "mean_curvature_batch", spy(mean_curvature_batch))
+    surfaces = scan_surfaces()
+    u, v = grid_points(*surfaces[0].domain.linspace(25, 25))
+    scan = curvature_scan(surfaces, u, v, floor="band", strict=False)
+    assert scan.skip.any() and len(seen) == 1 + len(blocks(scan.skip.size))
+    for jets in seen:
+        assert len(jets) >= 2 and component_major(jets)
+
+
+def layout_outputs(jets):
+    """Every batched consumer of a jet array, as one list of arrays."""
+    batch = mean_curvature_batch(jets)
+    rows, near = flow._field_rows(jets)
+    return [
+        *horizontal_normal_batch(jets), char_threshold(jets),
+        *induced_form_batch(jets), normal_compatibility(jets),
+        batch.H, batch.nh_norm, batch.char, rows, near,
+    ]
+
+
+@pytest.mark.parametrize("name", CATALOG + tuple(SURFACE_FILES))
+def test_consumers_ignore_jet_layout(name, tmp_path):
+    surface = contract_surface(name, tmp_path)
+    jets = eval_jets(surface, *sample_points(surface))
+    copy = np.ascontiguousarray(jets)
+    assert component_major(jets) and not component_major(copy)
+    for got, want in zip(layout_outputs(jets), layout_outputs(copy), strict=True):
+        np.testing.assert_array_equal(bits(got), bits(want))
+
+
+def two_bad_points():
+    """Six points of the plane t = 0 whose jets are finite but at point 3,
+    where dvv is NaN, and at point 5, where the value is infinite."""
+
+    def fields(u, v):
+        k = np.rint(10.0 * u)
+        value = (np.where(k == 5.0, math.inf, u), v, 0.0)
+        return value, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _ZERO, _ZERO, (
+            np.where(k == 3.0, math.nan, 0.0), 0.0, 0.0
+        )
+
+    return SurfaceHandle(Domain(-1.0, 1.0, -1.0, 1.0), fields, "two-bad-points")
+
+
+def test_finite_screen_names_the_first_point_not_the_first_field():
+    # in storage order the value of point 5 comes before the dvv of point 3;
+    # the screen names the first bad point in input order, then its first
+    # bad field
+    u = np.arange(6) / 10.0
+    want = f"non-finite jet component in dvv: {np.array([math.nan, 0.0, 0.0])!r}"
+    with pytest.raises(ValueError) as batch:
+        eval_jets(two_bad_points(), u, np.zeros(6))
+    assert str(batch.value) == want
+    with pytest.raises(ValueError) as lockstep:
+        flow._fields(two_bad_points(), u, np.zeros(6))
+    assert str(lockstep.value) == want
+
+
+def test_finite_screen_passes_huge_finite_jets():
+    surface = catalog_get("cylinder(1.5e308)")
+    u, v = grid_points(*surface.domain.linspace(9, 9))
+    jets = eval_jets(surface, u, v)
+    assert np.isfinite(jets).all() and np.abs(jets).max() > 1e308

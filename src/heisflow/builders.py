@@ -3,7 +3,8 @@
 A small closed-form term language (polynomials up to degree 6 plus integer-
 frequency sine/cosine) describes curves and ruling-angle fields.  Everything
 built from it carries exact 2-jets, so curvature evaluations downstream are
-free of finite-difference error.  The JSON file format of the command line
+free of finite-difference error, and gives the first-order jet alone where
+nothing more is read.  The JSON file format of the command line
 tools is read from plain dicts into the same term data; nothing writes it.
 
 The central construction is the straight ruled patch over a base curve
@@ -28,8 +29,9 @@ floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is
 Python's, entry by entry, except for the exponent 1.  A term sum's jet is
 one generated straight-line function per term shape (kinds and polynomial
-degrees), the same text on floats and on arrays; coefficients and
-frequencies are bound as values, so no file content reaches the text.
+degrees) and number of entries, the same text on floats and on arrays;
+coefficients and frequencies are bound as values, so no file content
+reaches the text.
 """
 
 from __future__ import annotations
@@ -159,9 +161,10 @@ _ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin}
 
 
 @functools.lru_cache(maxsize=None)
-def _jet_code(shape: tuple) -> types.CodeType:
-    """The code of ``jet(s, *plans)``, the straight-line jet of a term sum of
-    this shape: a (kind, polynomial degree or 0) pair per term.
+def _jet_code(shape: tuple, n: int) -> types.CodeType:
+    """The code of ``jet(s, *plans)``, the straight-line function of the
+    first n jet entries of a term sum of this shape: a (kind, polynomial
+    degree or 0) pair per term.
 
     Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
     entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
@@ -183,7 +186,7 @@ def _jet_code(shape: tuple) -> types.CodeType:
         pair = (f"c{i}", f"s{i}") if kind == "cos" else (f"s{i}", f"c{i}")
         for j in range(4):
             sums[j].append(f"{m[j]} * {pair[j % 2]}")
-    entries = ", ".join(" + ".join(["0.0", *terms]) for terms in sums)
+    entries = "".join(" + ".join(["0.0", *terms]) + ", " for terms in sums[:n])
     text = f"def jet({', '.join(params)}):\n{''.join(lines)}    return {entries}\n"
     namespace: dict = {}
     exec(compile(text, "<term sum jet>", "exec"), namespace)
@@ -199,20 +202,26 @@ class TermSum:
     """A finite sum of terms of one variable; the empty sum is zero."""
 
     terms: tuple[Term, ...] = ()
-    # The generated jet of its shape on floats, with the terms' plans bound
-    # as its argument defaults; the other two bindings are made per call.
-    _jet: types.FunctionType = field(init=False, repr=False, compare=False)
+    # The generated jets of its shape on floats, one per number of entries,
+    # each bound on first use with the terms' plans as its argument
+    # defaults; the other two bindings are made per call.
+    _jets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
-        code = _jet_code(tuple((t.kind, t.k if t.kind == "poly" else 0) for t in terms))
-        plans = tuple(value for t in terms for value in t._plan)
-        object.__setattr__(self, "_jet", _bind(code, _FLOATS, plans))
+        object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "_jets", {})
 
-    def jet(self, s):
-        """(f, f', f'', f''') at s, a float or a float array."""
-        jet = self._jet
+    def _float_jet(self, n: int) -> types.FunctionType:
+        jet = self._jets.get(n)
+        if jet is None:
+            shape = tuple((t.kind, t.k if t.kind == "poly" else 0) for t in self.terms)
+            plans = tuple(value for t in self.terms for value in t._plan)
+            jet = self._jets[n] = _bind(_jet_code(shape, n), _FLOATS, plans)
+        return jet
+
+    def jet(self, s, n: int = 4):
+        """The first n of (f, f', f'', f''') at s, a float or a float array."""
+        jet = self._jets.get(n) or self._float_jet(n)
         if isinstance(s, np.ndarray):
             return _bind(jet.__code__, _ARRAYS, jet.__defaults__)(s)
         try:
@@ -248,9 +257,9 @@ class CurveSpec:
     def __post_init__(self):
         object.__setattr__(self, "domain", _as_range(self.domain, "curve domain"))
 
-    def jet3(self, s):
-        """((x..x'''), (y..y'''), (t..t''')) stacked as three 4-tuples."""
-        return self.x.jet(s), self.y.jet(s), self.t.jet(s)
+    def jet3(self, s, n: int = 4):
+        """The first n of ((x..x'''), (y..y'''), (t..t''')), as three n-tuples."""
+        return self.x.jet(s, n), self.y.jet(s, n), self.t.jet(s, n)
 
 
 @dataclass(frozen=True)
@@ -259,11 +268,15 @@ class AngleField:
 
     theta: TermSum
 
-    def direction_jet(self, s):
-        """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta."""
-        th, th1, th2, _ = self.theta.jet(s)
-        a, b = _cos_sin(th)
-        a1, b1 = -b * th1, a * th1
+    def direction_jet(self, s, order: int = 2):
+        """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta, or its
+        first four entries at order 1."""
+        th = self.theta.jet(s, order + 1)
+        a, b = _cos_sin(th[0])
+        a1, b1 = -b * th[1], a * th[1]
+        if order == 1:
+            return a, b, a1, b1
+        th1, th2 = th[1], th[2]
         a2 = -a * th1 * th1 - b * th2
         b2 = -b * th1 * th1 + a * th2
         return a, b, a1, b1, a2, b2
@@ -282,19 +295,26 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _ruled_fields(spec: RuledSpec, s, v):
-    (x, x1, x2, _), (y, y1, y2, _), (t, t1, t2, _) = spec.curve.jet3(s)
-    a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
+def _ruled_fields(spec: RuledSpec, s, v, order: int = 2):
+    # one unpacking per order: on floats a starred target costs about as
+    # much as the second partials it would skip
+    if order == 1:
+        (x, x1), (y, y1), (t, t1) = spec.curve.jet3(s, 2)
+        a, b, a1, b1 = spec.angle.direction_jet(s, 1)
+    else:
+        (x, x1, x2), (y, y1, y2), (t, t1, t2) = spec.curve.jet3(s, 3)
+        a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
     g = y * a - x * b
     g1 = y1 * a + y * a1 - x1 * b - x * b1
-    g2 = y2 * a + 2.0 * y1 * a1 + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2
-    return (
+    first = (
         (x + v * a, y + v * b, t + 2.0 * v * g),
         (x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1),
         (a, b, 2.0 * g),
-        (x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * g2),
-        (a1, b1, 2.0 * g1),
     )
+    if order == 1:
+        return first
+    g2 = y2 * a + 2.0 * y1 * a1 + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2
+    return first + ((x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * g2), (a1, b1, 2.0 * g1))
 
 
 def _samples(lo: float, hi: float, n: int) -> np.ndarray:
@@ -316,8 +336,8 @@ def _hypot(x, y, like: np.ndarray) -> np.ndarray:
 def ruling_form_coefficients(spec: RuledSpec, s) -> tuple[float, float, float]:
     """(c0, c1, c2) of the induced-form coefficient c = c0 + c1 v + c2 v^2,
     at s a float or a float array."""
-    (x, x1, _, _), (y, y1, _, _), (t, t1, _, _) = spec.curve.jet3(s)
-    th, th1, _, _ = spec.angle.theta.jet(s)
+    (x, x1), (y, y1), (t, t1) = spec.curve.jet3(s, 2)
+    th, th1 = spec.angle.theta.jet(s, 2)
     a, b = _cos_sin(th)
     c0 = t1 + 2.0 * (x * y1 - y * x1)
     c1 = 4.0 * (a * y1 - b * x1)
@@ -352,7 +372,7 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
             "the ruled patch is characteristic everywhere"
         )
     domain = Domain(s0, s1, v0, v1)
-    return make_surface(lambda s, v: _ruled_fields(spec, s, v), domain, spec.name or "ruled")
+    return make_surface(functools.partial(_ruled_fields, spec), domain, spec.name or "ruled")
 
 
 def plane_contact_factor(spec: RuledSpec, s, v) -> float:
@@ -368,13 +388,13 @@ def plane_contact_factor(spec: RuledSpec, s, v) -> float:
     """
     s0, s1 = spec.curve.domain
     with np.errstate(all="ignore"):
-        th1max = _fold_max(abs(spec.angle.theta.jet(_samples(s0, s1, 32))[1]))
+        th1max = _fold_max(abs(spec.angle.theta.jet(_samples(s0, s1, 32), 2)[1]))
     if th1max < 1e-12:
         raise ConstantRulingDirection(
             "theta' vanishes identically; no plane normal form with this factor"
         )
     c = ruling_form_coeff(spec, s, v)
-    _, th1, _, _ = spec.angle.theta.jet(s)
+    _, th1 = spec.angle.theta.jet(s, 2)
     bad = abs(c) < 1e-12 * (1.0 + abs(2.0 * v * v * th1))
     if np.any(bad):
         s, v, c = (float(np.ravel(a)[np.argmax(bad)]) for a in np.broadcast_arrays(s, v, c))
@@ -418,7 +438,7 @@ def build_tangent_developable(
     s0, s1 = curve.domain
     s = _samples(s0, s1, 64)
     with np.errstate(all="ignore"):
-        (x, x1, x2, _), (y, y1, y2, _), (_, t1, _, _) = curve.jet3(s)
+        (x, x1, x2), (y, y1, y2), (_, t1, _) = curve.jet3(s, 3)
         horiz = np.broadcast_to(t1 + 2.0 * (x * y1 - y * x1), s.shape)
     speed = _hypot(x1, y1, s)
     bad = (abs(horiz) > 1e-10) | (abs(speed - 1.0) > 1e-10)
@@ -440,15 +460,17 @@ def build_tangent_developable(
             "straight segment is not an immersed patch"
         )
 
-    def fields(s, v):
-        (x, x1, x2, x3), (y, y1, y2, y3), (t, t1, t2, t3) = curve.jet3(s)
-        return (
+    def fields(s, v, order=2):
+        xj, yj, tj = curve.jet3(s, order + 2)
+        (x, x1, x2), (y, y1, y2), (t, t1, t2) = xj[:3], yj[:3], tj[:3]
+        first = (
             (x + v * x1, y + v * y1, t + v * t1),
             (x1 + v * x2, y1 + v * y2, t1 + v * t2),
             (x1, y1, t1),
-            (x2 + v * x3, y2 + v * y3, t2 + v * t3),
-            (x2, y2, t2),
         )
+        if order == 1:
+            return first
+        return first + ((x2 + v * xj[3], y2 + v * yj[3], t2 + v * tj[3]), (x2, y2, t2))
 
     return make_surface(fields, Domain(s0, s1, v0, v1), label)
 
@@ -471,16 +493,17 @@ def build_cylinder(
     s0, s1 = profile.domain
     s = _samples(s0, s1, 64)
     with np.errstate(all="ignore"):
-        (_, x1, _, _), (_, y1, _, _), _ = profile.jet3(s)
+        (_, x1), (_, y1), _ = profile.jet3(s, 2)
     slow = _hypot(x1, y1, s) <= 1e-8
     if slow.any():
         raise SpecError(
             f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
         )
 
-    def fields(u, v):
-        (x, x1, x2, _), (y, y1, y2, _), _ = profile.jet3(u)
-        return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
+    def fields(u, v, order=2):
+        xj, yj = profile.x.jet(u, order + 1), profile.y.jet(u, order + 1)
+        first = (xj[0], yj[0], v), (xj[1], yj[1], 0.0), (0.0, 0.0, 1.0)
+        return first if order == 1 else first + ((xj[2], yj[2], 0.0),)
 
     return make_surface(fields, Domain(s0, s1, h0, h1), label)
 
@@ -493,17 +516,12 @@ def build_graph_separable(
 ) -> SurfaceHandle:
     """Graph of the separable function f(u, v) = f_of_u(u) + f_of_v(v)."""
 
-    def fields(u, v):
-        fu0, fu1, fu2, _ = f_of_u.jet(u)
-        fv0, fv1, fv2, _ = f_of_v.jet(v)
-        return (
-            (u, v, fu0 + fv0),
-            (1.0, 0.0, fu1),
-            (0.0, 1.0, fv1),
-            (0.0, 0.0, fu2),
-            (0.0, 0.0, 0.0),
-            (0.0, 0.0, fv2),
-        )
+    def fields(u, v, order=2):
+        fu, fv = f_of_u.jet(u, order + 1), f_of_v.jet(v, order + 1)
+        first = (u, v, fu[0] + fv[0]), (1.0, 0.0, fu[1]), (0.0, 1.0, fv[1])
+        if order == 1:
+            return first
+        return first + ((0.0, 0.0, fu[2]), (0.0, 0.0, 0.0), (0.0, 0.0, fv[2]))
 
     # Graphs are immersions unconditionally, so no regularity sampling is run.
     return SurfaceHandle(domain, fields, label)
@@ -523,16 +541,12 @@ def _circle_profile(radius: float, arc: tuple[float, float]) -> CurveSpec:
 
 
 def _cone_lower() -> SurfaceHandle:
-    def fields(u, v):
+    def fields(u, v, order=2):
         cv, sv = _cos_sin(v)
-        return (
-            (u * cv, u * sv, u),
-            (cv, sv, 1.0),
-            (-u * sv, u * cv, 0.0),
-            (0.0, 0.0, 0.0),
-            (-sv, cv, 0.0),
-            (-u * cv, -u * sv, 0.0),
-        )
+        first = (u * cv, u * sv, u), (cv, sv, 1.0), (-u * sv, u * cv, 0.0)
+        if order == 1:
+            return first
+        return first + ((0.0, 0.0, 0.0), (-sv, cv, 0.0), (-u * cv, -u * sv, 0.0))
 
     return make_surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
 
@@ -584,7 +598,7 @@ def catalog_get(name: str) -> SurfaceHandle:
         )
     if name == "vertical_plane_x0":
         return make_surface(
-            lambda u, v: ((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+            lambda u, v, order=2: ((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
             Domain(-2.0, 2.0, -2.0, 2.0),
             name,
         )

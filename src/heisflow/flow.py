@@ -19,10 +19,12 @@ A leg stops for one of three reasons:
 
 :func:`integrate_flows` traces many leaves of one surface: a few legs run
 one at a time through the scalar stepper :func:`_leg`, more in lockstep
-on arrays through :func:`_lockstep`, with the same bits either way.  The
-scalar stepper runs the surface's field formula and the first-order
-formulas of :mod:`heisflow.horizontal` on Python floats, the lockstep on
-the jet arrays of :func:`heisflow.patch.eval_jets`.
+on arrays through :func:`_lockstep`, with the same bits either way.  An
+RK4 stage reads the value and first partials alone, so both run the
+surface's field formula at order 1 and one fused stage formula,
+:func:`_stage`: the scalar stepper on Python floats, the lockstep on
+arrays.  The seeds and the reported points of a trace are evaluated, and
+screened, with full 2-jets by :func:`heisflow.patch.eval_jets`.
 :func:`integrate_flow` is its one-seed call.
 """
 
@@ -30,20 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from functools import partial
 
 import numpy as np
 
 from .errors import CharacteristicPoint, OutOfDomain
 from .heis import _per_element
-from .horizontal import (
-    EPS_CHAR,
-    _array_args,
-    _normal_components,
-    _pullback_coeffs,
-    _threshold,
-    horizontal_normal_batch,
-)
+from .horizontal import EPS_CHAR, horizontal_normal_batch
 from .patch import (
     SurfaceHandle,
     _check_finite,
@@ -72,13 +67,13 @@ STOP_FACTOR = 10.0
 # for enough legs.  Measured with 150-step legs from random seeds on the
 # five catalog surfaces of the benchmark and one random ruled patch (2
 # cores, Python 3.11, numpy 2.4), median over the six of the
-# lockstep/scalar time ratio, in two draws of seeds: 14 at 2 legs, 3.4-3.5
-# at 8, 2.5-2.9 at 12, 1.8-1.9 at 16, 1.5-1.6 at 20, 1.1-1.3 at 24 and 28,
-# 1.0-1.1 at 32, 0.97-0.99 at 36 and 0.73-0.89 at 40 and 48.  One _field
-# call costs 2.4-5.0 us, _fields on 2 points 57-108 us (re-measured with
-# component-major jets; 57-112 us point-major).  At 2 legs, the one-seed
-# call of ``heisflow flow``, the scalar stepper is the only fast one.
-LOCKSTEP_MIN_LEGS = 32
+# lockstep/scalar time ratio, with first-order stages, in two or four draws
+# of seeds: 2.0-2.1 at 16 legs, 1.4-1.6 at 24, 1.07-1.10 at 32, 1.08-1.11
+# at 34, 1.00-1.04 at 36, 0.95-0.98 at 38, 0.86-0.96 at 40, 0.85-0.88 at
+# 44, 0.81-0.83 at 48 and 0.61-0.62 at 64.  One _field call costs 1.1-3.0
+# us, _fields on 2 points 41-73 us.  At 2 legs, the one-seed call of
+# ``heisflow flow``, the scalar stepper is the only fast one.
+LOCKSTEP_MIN_LEGS = 38
 
 
 class _LegStop(Exception):
@@ -109,28 +104,37 @@ class FlowTrace:
         return self.points.shape[0]
 
 
+def _stage(x, y, xu, yu, tu, xv, yv, tv, sqrt, hypot):
+    """||N^h||, whether it is in the stop band, and (p_u, p_v) from one
+    first-order jet, on floats or on arrays: the arithmetic of
+    :mod:`heisflow.horizontal`'s ``_normal_components``, ``_threshold`` and
+    ``_pullback_coeffs``, in their order, in one call."""
+    jxy = xu * yv - yu * xv
+    q = hypot((yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy)
+    thr = EPS_CHAR * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    return q, q < STOP_FACTOR * thr, tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
+
+
 def _field(surface: SurfaceHandle, u: float, v: float):
     """The field (du, dv) and the point's x, y at one parameter point, from
-    the field formula on floats: what :func:`_field_rows` gives for the jet
-    of :func:`heisflow.patch.eval_jets`, which raises what this raises.
+    the first-order field formula on floats: what :func:`_field_rows` gives
+    for the jet of :func:`heisflow.patch.eval_jets`, which raises what this
+    raises about the value and first partials.
 
     On floats a field formula returns Python floats (see
     :class:`heisflow.patch.SurfaceHandle`), read here as they are.  One sum
-    of every component screens them: a non-finite component makes it
+    of the nine components screens them: a non-finite component makes it
     non-finite, and only then does the per-component check run, so a
     finite jet whose sum overflows passes as it does in ``eval_jets``."""
     dom = surface.domain
     if not (dom.u_min <= u <= dom.u_max and dom.v_min <= v <= dom.v_max):
         raise _out_of_domain(dom, u, v)
-    fields = surface.fields(u, v)
-    if not math.isfinite(sum(chain.from_iterable(fields))):
-        _check_finite(jet2_batch(1, *fields))
-    (x, y, _), du, dv = fields[:3]
-    n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
-    q = math.hypot(n1, n2)
-    if q < STOP_FACTOR * _threshold.formula(x, y, du, dv, math.sqrt, EPS_CHAR):
+    (x, y, t), (xu, yu, tu), (xv, yv, tv) = surface.fields(u, v, 1)[:3]
+    if not math.isfinite(x + y + t + xu + yu + tu + xv + yv + tv):
+        _check_finite(jet2_batch(1, (x, y, t), (xu, yu, tu), (xv, yv, tv)))
+    q, near, p_u, p_v = _stage(x, y, xu, yu, tu, xv, yv, tv, math.sqrt, math.hypot)
+    if near:
         raise _LegStop("characteristic-proximity")
-    p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
     return p_v / q, -p_u / q, x, y
 
 
@@ -178,28 +182,28 @@ def _leg(surface, u, v, h, f, max_steps):
 
 
 def _field_rows(jets: np.ndarray):
-    """:func:`_field` at every point of a jet array: a (4, N) array of
-    (du, dv, x, y) rows, and the mask of the points where it stops."""
-    args = _array_args(jets)
+    """:func:`_field` at every point of a jet array of order 1 or 2: a
+    (4, N) array of (du, dv, x, y) rows, and the mask of the points where
+    it stops."""
+    x, y = jets[:, 0, 0], jets[:, 0, 1]
     with np.errstate(all="ignore"):
-        n1, n2 = _normal_components.formula(*args)
-        q = _per_element(math.hypot, n1, n2)
-        near = q < STOP_FACTOR * _threshold.formula(*args, EPS_CHAR)
-        p_u, p_v = _pullback_coeffs.formula(*args)
-        return np.stack((p_v / q, -p_u / q, args[0], args[1])), near
+        q, near, p_u, p_v = _stage(
+            x, y, *jets[:, 1].T, *jets[:, 2].T, np.sqrt, partial(_per_element, math.hypot)
+        )
+        return np.stack((p_v / q, -p_u / q, x, y)), near
 
 
 def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
     """:func:`_field` at the points (u[i], v[i]): the rows of
     :func:`_field_rows` and a stop code per point, 0 where ``_field``
-    returns, else an index into :data:`_STOPS`.  The field formula runs
-    once, on the points inside the domain; the rows of the points outside
-    stay zero and stop as domain exits."""
+    returns, else an index into :data:`_STOPS`.  The first-order field
+    formula runs once, on the points inside the domain; the rows of the
+    points outside stay zero and stop as domain exits."""
     inside = surface.domain.contains(u, v)
-    jets = np.zeros((6, 3, len(u))).transpose(2, 0, 1)  # the layout of jet2_batch
+    jets = np.zeros((3, 3, len(u))).transpose(2, 0, 1)  # the layout of jet2_batch
     if inside.any():
         with np.errstate(all="ignore"):
-            jets[inside] = _raw_jets(surface, u[inside], v[inside])
+            jets[inside] = _raw_jets(surface, u[inside], v[inside], 1)
         _check_finite(jets)
     rows, near = _field_rows(jets)
     return rows, np.where(inside, np.where(near, 2, 0), 1)

@@ -18,10 +18,11 @@ kernel direction of omega_Sigma scaled to unit horizontal push-forward is
 turn J(nu^h) = -nu2 X + nu1 Y of the unit horizontal normal.
 
 Every function here takes an (N, 6, 3) jet array from
-:func:`heisflow.patch.eval_jets` and returns one value per point.  The
-first-order formulas keep a ``.formula`` attribute that runs on the Python
-floats of one jet with :func:`math.sqrt`, for the flow's scalar stepper; on
-arrays they use only + - * / and sqrt, which numpy rounds as Python does,
+:func:`heisflow.patch.eval_jets`, or its (N, 3, 3) first-order part, and
+returns one value per point.  The first-order formulas keep a ``.formula``
+attribute that runs on the Python floats of one jet with :func:`math.sqrt`
+(the flow's stages run three of them fused, in ``heisflow.flow._stage``);
+on arrays they use only + - * / and sqrt, which numpy rounds as Python does,
 and ||N^h|| comes from :func:`math.hypot` per point, because numpy's hypot
 rounds differently on some inputs.
 """
@@ -50,22 +51,16 @@ EPS_CHAR = 1e-9
 
 def _first_order(formula):
     """Evaluate ``formula(x, y, (xu, yu, tu), (xv, yv, tv), sqrt, *args)`` on
-    the entries of an (N, 6, 3) jet array with np.sqrt under
-    np.errstate(all="ignore"): huge but finite jets overflow there, as float
-    arithmetic does silently."""
+    the entries of a jet array with np.sqrt under np.errstate(all="ignore"):
+    huge but finite jets overflow there, as float arithmetic does silently."""
 
     def on_jets(j, *args):
         with np.errstate(all="ignore"):
-            return formula(*_array_args(j), *args)
+            return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt, *args)
 
     on_jets.formula = formula  # for float callers, and to fuse several under one errstate
     on_jets.__name__, on_jets.__doc__ = formula.__name__, formula.__doc__
     return on_jets
-
-
-def _array_args(j: np.ndarray):
-    """The leading arguments of a first-order formula on an (N, 6, 3) jet array."""
-    return j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt
 
 
 @_first_order

@@ -11,10 +11,11 @@ the grid is too coarse, so refine the grid rather than the bisection when
 points seem absent.  The search is batched: one blocked pass of
 :func:`heisflow.patch.eval_jets` over the nodes, then lockstep bisection of
 every sign-changing edge with one batch of midpoints per step.  A midpoint
-needs only the sign of one component, so it gets (n1, n2) and nothing
-else; each edge bisects only the coordinate it runs along, and leaves the
-batch at an exact root or once bisection can no longer move it, so the
-search ends before ``refine`` steps when every edge has converged.
+needs only the sign of one component, so it gets (n1, n2) from its
+first-order jet and nothing else; each edge bisects only the coordinate it
+runs along, and leaves the batch at an exact root or once bisection can no
+longer move it, so the search ends before ``refine`` steps when every edge
+has converged.
 """
 
 from __future__ import annotations
@@ -58,10 +59,11 @@ def _fields(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
 
 
 def _components(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
-    """Rows n1, n2 at the (u, v) rows of ``pts``: all a midpoint's sign needs."""
+    """Rows n1, n2 at the (u, v) rows of ``pts``, from first-order jets: all
+    a midpoint's sign needs."""
     out = np.empty((2, len(pts)))
     for sl in blocks(len(pts)):
-        out[:, sl] = _normal_components(eval_jets(surface, pts[sl, 0], pts[sl, 1]))
+        out[:, sl] = _normal_components(eval_jets(surface, pts[sl, 0], pts[sl, 1], 1))
     return out
 
 

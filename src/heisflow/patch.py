@@ -3,16 +3,18 @@
 A :class:`SurfaceHandle` bundles a closed parameter rectangle with one field
 formula for the full 2-jet of the parametrisation: the ambient value
 (x, y, t), the six first partials and the nine second partials (mixed partials
-symmetric, stored once).  Every surface differentiates in closed form.
-Handles are immutable; re-parametrisation produces a fresh handle.
+symmetric, stored once), or at order 1 the value and first partials alone.
+Every surface differentiates in closed form.  Handles are immutable;
+re-parametrisation produces a fresh handle.
 
 The formula takes floats or float arrays.  :func:`eval_jets` evaluates it
 at a point set, one point being a set of one, and returns the jets as one
 array of shape (N, 6, 3): rows are points, then the fields value, du, dv,
-duu, duv, dvv, then the coordinates x, y, t.  That array is the only jet
-representation.  It is stored component-major, as the transposed view of a
-(6, 3, N) array, because every consumer reads it one component at a time;
-fancy indexing gives point-major copies, which every consumer accepts too.
+duu, duv, dvv, then the coordinates x, y, t; at order 1 only the first
+three fields, (N, 3, 3).  That array is the only jet representation.  It
+is stored component-major, as the transposed view of a (6, 3, N) array,
+because every consumer reads it one component at a time; fancy indexing
+gives point-major copies, which every consumer accepts too.
 """
 
 from __future__ import annotations
@@ -106,8 +108,14 @@ def jet2_batch(n: int, value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> np.
     of a C-contiguous (6, 3, n) array, so each component is one contiguous
     row of n floats.
     """
-    out = np.empty((6, 3, n))
-    for f, field_ in enumerate((value, du, dv, duu, duv, dvv)):
+    return _stack(n, (value, du, dv, duu, duv, dvv))
+
+
+def _stack(n: int, fields) -> np.ndarray:
+    """The field triples ``fields`` as an (n, len(fields), 3) component-major
+    array: the work of :func:`jet2_batch`, for any number of fields."""
+    out = np.empty((len(fields), 3, n))
+    for f, field_ in enumerate(fields):
         for c in range(3):
             out[f, c] = field_[c]
     return out.transpose(2, 0, 1)
@@ -129,9 +137,11 @@ def blocks(n: int) -> list[slice]:
 class SurfaceHandle:
     """Immutable surface patch: a domain plus a 2-jet field formula.
 
-    ``fields(u, v)`` takes floats or equal-length float arrays and returns
-    the three to six field triples of :func:`jet2_batch`, with floats
-    standing for every point; :func:`eval_jets` checks its output.  On
+    ``fields(u, v, order=2)`` takes floats or equal-length float arrays and
+    returns the three to six field triples of :func:`jet2_batch`, with
+    floats standing for every point; :func:`eval_jets` checks its output.
+    With ``order=1`` only the first three triples (value, du, dv) are read,
+    and a formula may leave out the rest or return them anyway.  On
     floats every entry is a Python float, not a numpy scalar: the flow's
     scalar stepper does float arithmetic on them as they are.  A field
     formula accepts every point of its closed domain: only points outside
@@ -145,8 +155,11 @@ class SurfaceHandle:
     label: str = ""
 
 
-def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The unchecked (N, 6, 3) jets of ``surface`` at the points (u[i], v[i])."""
+def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray, order: int = 2):
+    """The unchecked (N, 6, 3) jets of ``surface`` at the points (u[i], v[i]),
+    or at order 1 their (N, 3, 3) first-order part."""
+    if order == 1:
+        return _stack(len(u), surface.fields(u, v, 1)[:3])
     return jet2_batch(len(u), *surface.fields(u, v))
 
 
@@ -167,8 +180,9 @@ def _out_of_domain(domain: Domain, u, v) -> OutOfDomain:
     )
 
 
-def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
-    """Jets at the points (u[i], v[i]) as an (N, 6, 3) array.
+def eval_jets(surface: SurfaceHandle, u, v, order: int = 2) -> np.ndarray:
+    """Jets at the points (u[i], v[i]) as an (N, 6, 3) array, or with
+    ``order=1`` as the (N, 3, 3) array of value, du and dv alone.
 
     The domain check and the finite check each run once for the whole batch
     and raise OutOfDomain or ValueError naming the first failing point in
@@ -183,9 +197,9 @@ def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
         i = int(np.argmin(inside))
         raise _out_of_domain(dom, float(u[i]), float(v[i]))
     if not len(u):
-        return jet2_batch(0, _ZERO3, _ZERO3, _ZERO3)
+        return _stack(0, (_ZERO3,) * 3 * order)
     with np.errstate(all="ignore"):
-        jets = _raw_jets(surface, u, v)
+        jets = _raw_jets(surface, u, v, order)
     _check_finite(jets)
     return jets
 
@@ -254,14 +268,15 @@ def reparametrize_affine(
         (a12 * a12, 2.0 * a12 * a22, a22 * a22),
     )
 
-    def fields(w1, w2):
+    def fields(w1, w2, order=2):
         u = a11 * w1 + a12 * w2 + b1
         v = a21 * w1 + a22 * w2 + b2
-        value, du, dv, duu, duv, dvv = (*base(u, v), _ZERO3, _ZERO3, _ZERO3)[:6]
+        value, du, dv, duu, duv, dvv = (*base(u, v, order), _ZERO3, _ZERO3, _ZERO3)[:6]
         return (
             value,
             *([c * p + d * q for p, q in zip(du, dv)] for c, d in first),
-            *([c * p + d * r + e * q for p, r, q in zip(duu, duv, dvv)] for c, d, e in second),
+            *([c * p + d * r + e * q for p, r, q in zip(duu, duv, dvv)]
+              for c, d, e in (second if order == 2 else ())),
         )
 
     return SurfaceHandle(

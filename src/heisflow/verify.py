@@ -357,10 +357,10 @@ def check_contact_factor(seed: int) -> list[CheckResult]:
 def check_plane_map_ratio(seed: int) -> list[CheckResult]:
     """(0, u, v) -> (uv, u, 0) scales the induced form by exactly -2u^2."""
 
-    def source_fields(u, v):
+    def source_fields(u, v, order=2):
         return (0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)
 
-    def image_fields(u, v):
+    def image_fields(u, v, order=2):
         return (
             (u * v, u, 0.0),
             (v, 1.0, 0.0),

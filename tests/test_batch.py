@@ -259,7 +259,7 @@ def six_triple_plane(bad, value):
     """The plane t = 0 from a formula that returns all six field triples,
     with ``value`` put at flat position ``bad`` (field * 3 + coordinate)."""
 
-    def fields(u, v):
+    def fields(u, v, order=2):
         entries = [u, v, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0] + [0.0] * 9
         entries[bad] = value
         return tuple(tuple(entries[i : i + 3]) for i in range(0, 18, 3))
@@ -269,15 +269,26 @@ def six_triple_plane(bad, value):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("position", range(18))
-def test_field_screen_raises_what_eval_jets_raises(position, value):
+def test_field_screen_raises_what_eval_jets_raises(position, value, monkeypatch, capsys):
     surface = six_triple_plane(position, value)
-    with pytest.raises(ValueError) as scalar:
-        _field(surface, 0.3, 0.4)
     with pytest.raises(ValueError) as batch:
         eval_jets(surface, [0.3], [0.4])
-    assert str(scalar.value) == str(batch.value)
     field = ("value", "du", "dv", "duu", "duv", "dvv")[position // 3]
-    assert str(scalar.value).startswith(f"non-finite jet component in {field}: ")
+    assert str(batch.value).startswith(f"non-finite jet component in {field}: ")
+    if position < 9:
+        # a stage reads the value and first partials and screens them
+        with pytest.raises(ValueError) as scalar:
+            _field(surface, 0.3, 0.4)
+        assert str(scalar.value) == str(batch.value)
+        return
+    # a stage reads no second partial, but the seed's 2-jet is screened: the
+    # flow refuses the surface there, with eval_jets's message
+    with pytest.raises(ValueError) as seeded:
+        flow.integrate_flows(surface, [(0.3, 0.4)], max_steps=5)
+    assert str(seeded.value) == str(batch.value)
+    monkeypatch.setattr(cli, "resolve_surface", lambda arg: surface)
+    assert cli.main(["flow", "six-triple-plane", "--seed", "0.3", "0.4", "--steps", "5"]) == 2
+    assert capsys.readouterr().err == f"heisflow: {batch.value}\n"
 
 
 def test_field_screen_passes_finite_jets_whose_sum_overflows():
@@ -316,10 +327,19 @@ SURFACE_FILES = {
         "fv": term_list(("cos", -0.25, 1), ("poly", 1.0, 2)),
     },
 }
-CONTRACT_SURFACES = CATALOG + tuple(SURFACE_FILES) + ("reparametrized-cone",)
+CONTRACT_SURFACES = CATALOG + tuple(SURFACE_FILES) + (
+    "reparametrized-cone", "plane-map-source", "plane-map-image"
+)
 
 
 def contract_surface(name, tmp_path):
+    if name.startswith("plane-map-"):
+        # the two handles check_plane_map_ratio makes from its own formulas
+        made = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(verify, "make_surface", lambda *a: made.append(make_surface(*a)) or made[-1])
+            verify.check_plane_map_ratio(0)
+        return made[name == "plane-map-image"]
     if name == "reparametrized-cone":
         return reparametrize_affine(
             catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
@@ -335,7 +355,8 @@ def contract_surface(name, tmp_path):
 @pytest.mark.parametrize("name", CONTRACT_SURFACES)
 def test_field_formula_accepts_its_closed_domain(name, tmp_path):
     # the corners and edge midpoints of the domain: finite on floats and on
-    # arrays, with the same bits, and never a domain exit of the flow
+    # arrays, with the same bits, and never a domain exit of the flow; at
+    # order 1 the first three triples of the 2-jet, bit for bit
     surface = contract_surface(name, tmp_path)
     dom = surface.domain
     (u0, u1), (v0, v1) = (dom.u_min, dom.u_max), (dom.v_min, dom.v_max)
@@ -347,10 +368,15 @@ def test_field_formula_accepts_its_closed_domain(name, tmp_path):
     for a, b in zip(u.tolist(), v.tolist()):
         fields = surface.fields(a, b)
         assert all(math.isfinite(c) for f in fields for c in f), (a, b)
+        assert bits(surface.fields(a, b, 1)[:3]).tolist() == bits(fields[:3]).tolist()
         want.append(scalar_jet(surface, a, b))
     jets = eval_jets(surface, u, v)
     assert np.isfinite(jets).all()
     np.testing.assert_array_equal(bits(jets), bits(want))
+    np.testing.assert_array_equal(bits(eval_jets(surface, u, v, 1)), bits(jets[:, :3]))
+    for got, full in zip(surface.fields(u, v, 1)[:3], surface.fields(u, v)[:3], strict=True):
+        for g, f in zip(got, full, strict=True):
+            assert np.shape(g) == np.shape(f) and bits(g).tolist() == bits(f).tolist()
     assert 1 not in flow._fields(surface, u, v)[1].tolist()
 
 
@@ -359,9 +385,10 @@ def test_field_formulas_return_python_floats_on_floats(tmp_path):
         surface = contract_surface(name, tmp_path)
         dom = surface.domain
         for fu, fv in ((0.3, 0.6), (0.5, 0.5), (0.8, 0.1)):
-            fields = surface.fields(dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
-            types = {type(c) for f in fields for c in f}
-            assert types == {float}, (name, types)
+            u, v = dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span
+            for fields in (surface.fields(u, v), surface.fields(u, v, 1)[:3]):
+                types = {type(c) for f in fields for c in f}
+                assert types == {float}, (name, types)
 
 
 def test_fsum_columns_matches_fsum():
@@ -902,7 +929,7 @@ def two_bad_points():
     """Six points of the plane t = 0 whose jets are finite but at point 3,
     where dvv is NaN, and at point 5, where the value is infinite."""
 
-    def fields(u, v):
+    def fields(u, v, order=2):
         k = np.rint(10.0 * u)
         value = (np.where(k == 5.0, math.inf, u), v, 0.0)
         return value, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), _ZERO, _ZERO, (
@@ -921,9 +948,16 @@ def test_finite_screen_names_the_first_point_not_the_first_field():
     with pytest.raises(ValueError) as batch:
         eval_jets(two_bad_points(), u, np.zeros(6))
     assert str(batch.value) == want
+    # the lockstep's stages read no second partial: they screen the value,
+    # and name point 5's
     with pytest.raises(ValueError) as lockstep:
         flow._fields(two_bad_points(), u, np.zeros(6))
-    assert str(lockstep.value) == want
+    inf_value = np.array([math.inf, 0.0, 0.0])
+    assert str(lockstep.value) == f"non-finite jet component in value: {inf_value!r}"
+    # but the flow screens the 2-jets of its seeds, and names point 3's dvv
+    with pytest.raises(ValueError) as seeded:
+        flow.integrate_flows(two_bad_points(), np.column_stack((u, np.zeros(6))), max_steps=5)
+    assert str(seeded.value) == want
 
 
 def test_finite_screen_passes_huge_finite_jets():

@@ -22,6 +22,7 @@ from heisflow.builders import (
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
+from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
 from heisflow.patch import Domain, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
 
@@ -205,7 +206,7 @@ def test_integrate_flows_matches_one_seed_calls(name):
     offset = [
         (dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
         for fu in (0.4, 0.6)
-        for fv in (0.15, 0.4, 0.6, 0.85)
+        for fv in (0.15, 0.3, 0.4, 0.6, 0.7, 0.85)
     ]
     seeds = interior_seeds(dom) + offset + locus_seeds(name, dom)
     got = integrate_flows(surface, seeds, ds=DS, max_steps=120)
@@ -310,3 +311,68 @@ def test_scalar_field_raises_what_eval_jets_raises():
     with pytest.raises(ValueError) as lockstep:
         flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]))
     assert str(lockstep.value) == str(scalar.value)
+
+
+def stop_edge(a):
+    """The jet x = y = 0, du = (a, 0, 0), dv = (0, 0, c), ||N^h|| = |a c|,
+    at the least float c > 0 that is not in the stop band, and the jet at
+    the float before it."""
+    def jet(bits):
+        return [[0.0, 0.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, float(np.int64(bits).view(float))]]
+
+    def stops(j):
+        (x, y, _), du, dv = j
+        n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
+        return math.hypot(n1, n2) < flow.STOP_FACTOR * _threshold.formula(
+            x, y, du, dv, math.sqrt, EPS_CHAR
+        )
+
+    lo, hi = int(np.float64(1e-12).view(np.int64)), int(np.float64(1.0).view(np.int64))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if stops(jet(mid)) else (lo, mid)
+    return [jet(lo), jet(hi)]
+
+
+def test_stage_formula_is_the_three_horizontal_formulas():
+    # seeded first-order jets over many scales, a quarter of them with dv
+    # nearly parallel to du and x = y = 0, so that ||N^h|| runs through the
+    # stop band, and pairs of jets on either side of its edge: flow._stage
+    # on floats and on arrays gives the bits of _normal_components,
+    # math.hypot, _threshold and _pullback_coeffs
+    rng = np.random.default_rng(29)
+    n = 4000
+    jets = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.integers(-6, 7, (n, 3, 3))
+    near = np.arange(n) % 4 == 0
+    jets[near, 2] = jets[near, 1] * rng.uniform(-2.0, 2.0, (near.sum(), 1)) + 10.0 ** rng.integers(
+        -15, -6, (near.sum(), 1)
+    ) * rng.standard_normal((near.sum(), 3))
+    jets[near, 0, :2] = 0.0
+    edges = [j for a in rng.uniform(0.1, 10.0, 200).tolist() for j in stop_edge(a)]
+    jets = np.concatenate((jets, edges))
+    n = len(jets)
+    jets = jets.transpose(1, 2, 0).copy().transpose(2, 0, 1)  # the layout of jet2_batch
+    want = []
+    for j in jets.tolist():
+        (x, y, _), du, dv = j
+        n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
+        q = math.hypot(n1, n2)
+        thr = _threshold.formula(x, y, du, dv, math.sqrt, EPS_CHAR)
+        p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
+        want.append((q, q < flow.STOP_FACTOR * thr, p_u, p_v))
+        got = flow._stage(x, y, *du, *dv, math.sqrt, math.hypot)
+        assert bits(got) == bits(want[-1])
+    want = np.array(want).T
+    assert 0 < want[1].sum() < n  # both sides of the stop band
+    with np.errstate(all="ignore"):
+        got = flow._stage(
+            jets[:, 0, 0], jets[:, 0, 1], *jets[:, 1].T, *jets[:, 2].T, np.sqrt,
+            lambda a, b: np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a)),
+        )
+    for g, w in zip(got, want, strict=True):
+        assert bits(g) == bits(w)
+    rows, stop = flow._field_rows(jets)
+    assert (stop == want[1].astype(bool)).all()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        field = np.stack((want[3] / want[0], -want[2] / want[0]))
+    assert bits(rows[:2]) == bits(field)

@@ -215,9 +215,9 @@ class TestLocus:
         surface = surface_from_dict(TURNING_LINE) if name == "turning-line" else catalog_get(name)
         evaluated = [0]
 
-        def counting(surface, u, v):
+        def counting(surface, u, v, order=2):
             evaluated[0] += len(u)
-            return eval_jets(surface, u, v)
+            return eval_jets(surface, u, v, order)
 
         monkeypatch.setattr(locus, "eval_jets", counting)
 

@@ -25,7 +25,7 @@ def quad_map(u, v):
     return (u * u + 0.5 * v, u * v, v * v - u)
 
 
-def quad_fields(u, v):
+def quad_fields(u, v, order=2):
     return (
         quad_map(u, v),
         (2.0 * u, v, -1.0),

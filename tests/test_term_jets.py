@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from heisflow import builders
 from heisflow.builders import Term, TermSum, _jet_code, random_ruled_patch
 from heisflow.rng import Lcg64
 from term_reference import EXTREMES, POW_DIFFERS, term_sum_jet
@@ -72,7 +73,8 @@ def test_the_guarded_path():
 def test_sums_of_one_shape_keep_their_own_constants():
     a = TermSum((Term("poly", 1.0, 0), Term("poly", 2.0, 3), Term("sin", 0.5, 1)))
     b = TermSum((Term("poly", -3.0, 0), Term("poly", 0.25, 3), Term("sin", 1.5, 4)))
-    assert a._jet.__code__ is b._jet.__code__
+    for n in range(1, 5):
+        assert a._float_jet(n).__code__ is b._float_jet(n).__code__
     for s in [0.3, np.array([0.3, -1.2]), -1.2, 1e60, np.array([1e308])]:
         with np.errstate(all="ignore"):
             got_a, got_b = a.jet(s), b.jet(s)
@@ -81,11 +83,51 @@ def test_sums_of_one_shape_keep_their_own_constants():
         assert_same_jet(got_b, want_b)
 
 
-def test_random_ruled_specs_compile_few_shapes():
+def test_random_ruled_specs_compile_few_shapes(monkeypatch):
+    # a code is compiled once per shape and entry count; a build reads two
+    # entries in its ruling-form scan and three in its 2-jet sample
     before = _jet_code.cache_info().misses
+    asked = set()
+    monkeypatch.setattr(builders, "_jet_code", lambda shape, n: asked.add((shape, n)) or _jet_code(shape, n))
     rng = Lcg64(2024)
     specs = [random_ruled_patch(rng, i)[0] for i in range(100)]
-    assert _jet_code.cache_info().misses - before <= 3
+    assert len({shape for shape, _ in asked}) <= 3 and {n for _, n in asked} == {2, 3}
+    assert _jet_code.cache_info().misses - before <= len(asked)
     for spec in specs[:10]:
         for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):
             assert_same_jet(ts.jet(0.7), term_sum_jet(ts, 0.7))
+
+
+def assert_same_prefix(got, full, n):
+    assert len(got) == n
+    for g, w in zip(got, full[:n]):
+        assert np.shape(g) == np.shape(w) and isinstance(g, float) == isinstance(w, float)
+        g, w = np.asarray(g, float), np.asarray(w, float)
+        assert (g.view(np.int64) == w.view(np.int64)).all(), (n, g, w)
+
+
+ONE_TERM_SUMS = [TermSum()] + [
+    TermSum((Term(kind, c, k),))
+    for kind, ks in (("poly", range(7)), ("cos", (1, 2, 5)), ("sin", (1, 2, 5)))
+    for k in ks
+    for c in (1.5, -0.0, 1e300)
+]
+
+
+def test_every_entry_count_is_a_prefix_of_the_full_jet():
+    # the empty sum, each polynomial degree and both trigonometric kinds,
+    # on floats (the guarded path included) and on arrays
+    s_array = np.array([0.0, -0.0, 0.3, -1.7, 1e60, 1e308, math.inf, math.nan] + POW_DIFFERS)
+    for ts in ONE_TERM_SUMS + [TermSum(tuple(t.terms[0] for t in ONE_TERM_SUMS[1::3]))]:
+        for s in [0.3, -1.7, 0.0, 1e60, 1e308, math.inf, s_array]:
+            with np.errstate(all="ignore"):
+                full = ts.jet(s)
+                for n in range(1, 5):
+                    assert_same_prefix(ts.jet(s, n), full, n)
+
+
+@settings(max_examples=150)
+@given(ts=term_sums, s=st.one_of(points, samples), n=st.integers(1, 4))
+def test_entry_counts_match_the_full_jet(ts, s, n):
+    with np.errstate(all="ignore"):
+        assert_same_prefix(ts.jet(s, n), ts.jet(s), n)

@@ -27,11 +27,13 @@ formula, which the flow's scalar stepper runs on floats and
 :func:`heisflow.patch.eval_jets` on arrays.  Both calls run the same
 floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is
-Python's, entry by entry, except for the exponent 1.  A term sum's jet is
-one generated straight-line function per term shape (kinds and polynomial
-degrees) and number of entries, the same text on floats and on arrays;
-coefficients and frequencies are bound as values, so no file content
-reaches the text.
+Python's, entry by entry, except for the exponent 1.  The term sums a
+formula reads are one group, whose jet is one generated straight-line
+function per group of term shapes (kinds and polynomial degrees) and number
+of entries: the same text on floats and on arrays, with the guard against
+an overflowing ``**`` or trig past the float range inside it.  A field
+formula call is then one dispatch and one generated call; coefficients and
+frequencies are bound as values, so no file content reaches the text.
 """
 
 from __future__ import annotations
@@ -153,48 +155,107 @@ def _cos_sin(w):
         return math.nan, math.nan
 
 
-# The three bindings of a generated jet: floats; floats again where that call
-# raised, on an overflowing ** or on trig past the float range; and arrays.
-_FLOATS = {"pow": pow, "cos": math.cos, "sin": math.sin}
-_GUARDED = {"pow": _pow, "cos": lambda w: _cos_sin(w)[0], "sin": lambda w: _cos_sin(w)[1]}
-_ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin}
+def _nan_cos(w: float) -> float:
+    return _cos_sin(w)[0]
+
+
+def _nan_sin(w: float) -> float:
+    return _cos_sin(w)[1]
+
+
+# The two bindings of a generated jet.  Its straight body calls pow, cos and
+# sin.  On floats an overflowing ** or trig past the float range raises
+# there, and the twin body under ``except`` runs the same text with gpow,
+# gcos and gsin, which give +-inf and NaN instead; nothing raises on
+# arrays.  fcos and fsin take the direction of a constant angle, a float on
+# either path.
+_FLOATS = {"pow": pow, "cos": math.cos, "sin": math.sin,
+           "gpow": _pow, "gcos": _nan_cos, "gsin": _nan_sin,
+           "fcos": _nan_cos, "fsin": _nan_sin}
+_ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin,
+           "gpow": _array_pow, "gcos": np.cos, "gsin": np.sin,
+           "fcos": _nan_cos, "fsin": _nan_sin}
 
 
 @functools.lru_cache(maxsize=None)
-def _jet_code(shape: tuple, n: int) -> types.CodeType:
-    """The code of ``jet(s, *plans)``, the straight-line function of the
-    first n jet entries of a term sum of this shape: a (kind, polynomial
-    degree or 0) pair per term.
+def _jet_code(shapes: tuple, n: int, args: tuple, direction: bool = False) -> types.CodeType:
+    """The code of ``jet(*variables, *plans)``, the straight-line function
+    of a group of term sums: the first n jet entries of each sum, the sums
+    in order.  A sum's shape is a (kind, polynomial degree or 0) pair per
+    term, and ``args`` names the variable each sum reads.  With
+    ``direction`` the last sum is an angle theta, whose n entries give way
+    to the first n of (a, b), (a', b'), (a'', b'') for a = cos theta and
+    b = sin theta.
 
     Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
     entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
-    cos and sin of ``k * s`` once.  An entry that is identically 0.0 is not
-    added: the sum starts at +0.0, so it is never -0.0, and x + 0.0 is x.
-    The text holds only kinds, degrees and term indices, so no coefficient,
-    frequency or file content reaches ``compile``; the plans are bound."""
-    params, lines, sums = ["s"], [], ([], [], [], [])
-    for i, (kind, k) in enumerate(shape):
-        m = [f"m{i}_{j}" for j in range(4)]
-        if kind == "poly":
-            for j, p in enumerate(range(k, max(k - 4, -1), -1)):
-                params.append(m[j])
-                sums[j].append(m[j] if p == 0 else f"{m[j]} * s" if p == 1
-                               else f"{m[j]} * pow(s, {p})")
-            continue
-        params += [f"k{i}", *m]
-        lines.append(f"    w{i} = k{i} * s\n    c{i} = cos(w{i})\n    s{i} = sin(w{i})\n")
-        pair = (f"c{i}", f"s{i}") if kind == "cos" else (f"s{i}", f"c{i}")
-        for j in range(4):
-            sums[j].append(f"{m[j]} * {pair[j % 2]}")
-    entries = "".join(" + ".join(["0.0", *terms]) + ", " for terms in sums[:n])
-    text = f"def jet({', '.join(params)}):\n{''.join(lines)}    return {entries}\n"
+    cos and sin of ``k * s`` once, each only if an entry reads it.  An entry
+    that is identically 0.0 is not added: the sum starts at +0.0, so it is
+    never -0.0, and x + 0.0 is x.  The body runs under ``try`` and its twin,
+    with the guarded names of :data:`_FLOATS`, under ``except``.  The text
+    holds only kinds, degrees, indices and variable names, so no
+    coefficient, frequency or file content reaches ``compile``; the plans
+    are bound."""
+    params, lines, out = list(dict.fromkeys(args)), [], []
+    for g, (shape, s) in enumerate(zip(shapes, args)):
+        sums = [[] for _ in range(n)]
+        for i, (kind, k) in enumerate(shape):
+            m = [f"m{g}_{i}_{j}" for j in range(n)]
+            if kind == "poly":
+                for j, p in enumerate(range(k, max(k - n, -1), -1)):
+                    params.append(m[j])
+                    sums[j].append(m[j] if p == 0 else f"{m[j]} * {s}" if p == 1
+                                   else f"{m[j]} * {{pow}}({s}, {p})")
+                continue
+            params += [f"k{g}_{i}", *m]
+            calls = {f"c{g}_{i}": "{cos}", f"n{g}_{i}": "{sin}"}
+            pair = list(calls) if kind == "cos" else list(calls)[::-1]
+            lines.append(f"w{g}_{i} = k{g}_{i} * {s}")
+            lines += [f"{name} = {calls[name]}(w{g}_{i})" for name in pair[:n]]
+            for j in range(n):
+                sums[j].append(f"{m[j]} * {pair[j % 2]}")
+        entries = [" + ".join(["0.0", *terms]) for terms in sums]
+        if direction and g == len(shapes) - 1:
+            th = [f"e{g}_{j}" for j in range(n)]
+            lines += [f"{e} = {entry}" for e, entry in zip(th, entries)]
+            varies = any(kind != "poly" or k for kind, k in shape)
+            cos, sin = ("{cos}", "{sin}") if varies else ("fcos", "fsin")
+            lines += [f"a = {cos}({th[0]})", f"b = {sin}({th[0]})"]
+            entries = ["a", "b"]
+            if n > 1:
+                entries += [f"-b * {th[1]}", f"a * {th[1]}"]
+            if n > 2:
+                entries += [f"-a * {th[1]} * {th[1]} - b * {th[2]}",
+                            f"-b * {th[1]} * {th[1]} + a * {th[2]}"]
+        out += entries
+    body = "".join(f"        {line}\n" for line in lines) + f"        return {', '.join(out)},\n"
+    text = (f"def jet({', '.join(params)}):\n    try:\n"
+            + body.format(pow="pow", cos="cos", sin="sin")
+            + "    except (OverflowError, ValueError):\n"
+            + body.format(pow="gpow", cos="gcos", sin="gsin"))
     namespace: dict = {}
     exec(compile(text, "<term sum jet>", "exec"), namespace)
     return namespace["jet"].__code__
 
 
-def _bind(code: types.CodeType, namespace: dict, plans: tuple):
-    return types.FunctionType(code, namespace, "jet", plans)
+def _group_jet(sums, n: int, args: tuple = (), direction: bool = False) -> tuple:
+    """The generated jet of the term sums ``sums`` (see :func:`_jet_code`),
+    bound to the float and to the array names, in that order, so that
+    ``jet[isinstance(s, np.ndarray)](s)`` runs the one for ``s``.  Each sum
+    reads s unless ``args`` names its variable."""
+    args = args or ("s",) * len(sums)
+    # what the first n entries read: a polynomial's first n multipliers, or
+    # k and n of the four signed c k^i of a trigonometric term
+    plans = tuple(value for ts in sums for t in ts.terms
+                  for value in t._plan[: n if t.kind == "poly" else n + 1])
+    code = _jet_code(tuple(ts._shape for ts in sums), n, args, direction)
+    return tuple(types.FunctionType(code, names, "jet", plans) for names in (_FLOATS, _ARRAYS))
+
+
+def _jets_by_order(sums, extra: int, args: tuple = (), direction: bool = False) -> tuple:
+    """The group jets a field formula reads, indexed by the order: each
+    gives ``order + extra`` entries of every sum."""
+    return (None, *(_group_jet(sums, order + extra, args, direction) for order in (1, 2)))
 
 
 @dataclass(frozen=True)
@@ -202,32 +263,28 @@ class TermSum:
     """A finite sum of terms of one variable; the empty sum is zero."""
 
     terms: tuple[Term, ...] = ()
-    # The generated jets of its shape on floats, one per number of entries,
-    # each bound on first use with the terms' plans as its argument
-    # defaults; the other two bindings are made per call.
+    # Its one-sum group jets by number of entries and direction, each bound
+    # on first use.
     _jets: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "_jets", {})
 
-    def _float_jet(self, n: int) -> types.FunctionType:
-        jet = self._jets.get(n)
+    @property
+    def _shape(self) -> tuple:
+        """The (kind, polynomial degree or 0) pair of each term."""
+        return tuple((t.kind, t.k if t.kind == "poly" else 0) for t in self.terms)
+
+    def _jet(self, n: int, direction: bool = False) -> tuple:
+        jet = self._jets.get((n, direction))
         if jet is None:
-            shape = tuple((t.kind, t.k if t.kind == "poly" else 0) for t in self.terms)
-            plans = tuple(value for t in self.terms for value in t._plan)
-            jet = self._jets[n] = _bind(_jet_code(shape, n), _FLOATS, plans)
+            jet = self._jets[n, direction] = _group_jet((self,), n, direction=direction)
         return jet
 
     def jet(self, s, n: int = 4):
         """The first n of (f, f', f'', f''') at s, a float or a float array."""
-        jet = self._jets.get(n) or self._float_jet(n)
-        if isinstance(s, np.ndarray):
-            return _bind(jet.__code__, _ARRAYS, jet.__defaults__)(s)
-        try:
-            return jet(s)
-        except (OverflowError, ValueError):
-            return _bind(jet.__code__, _GUARDED, jet.__defaults__)(s)
+        return self._jet(n)[isinstance(s, np.ndarray)](s)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -271,15 +328,7 @@ class AngleField:
     def direction_jet(self, s, order: int = 2):
         """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta, or its
         first four entries at order 1."""
-        th = self.theta.jet(s, order + 1)
-        a, b = _cos_sin(th[0])
-        a1, b1 = -b * th[1], a * th[1]
-        if order == 1:
-            return a, b, a1, b1
-        th1, th2 = th[1], th[2]
-        a2 = -a * th1 * th1 - b * th2
-        b2 = -b * th1 * th1 + a * th2
-        return a, b, a1, b1, a2, b2
+        return self.theta._jet(order + 1, direction=True)[isinstance(s, np.ndarray)](s)
 
 
 @dataclass(frozen=True)
@@ -295,15 +344,19 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _ruled_fields(spec: RuledSpec, s, v, order: int = 2):
+def _ruled_jets(spec: RuledSpec) -> tuple:
+    """The group jets of x, y, t and the ruling direction, by order."""
+    curve = spec.curve
+    return _jets_by_order((curve.x, curve.y, curve.t, spec.angle.theta), 1, direction=True)
+
+
+def _ruled_fields(jets: tuple, s, v, order: int = 2):
     # one unpacking per order: on floats a starred target costs about as
     # much as the second partials it would skip
     if order == 1:
-        (x, x1), (y, y1), (t, t1) = spec.curve.jet3(s, 2)
-        a, b, a1, b1 = spec.angle.direction_jet(s, 1)
+        x, x1, y, y1, t, t1, a, b, a1, b1 = jets[1][isinstance(s, np.ndarray)](s)
     else:
-        (x, x1, x2), (y, y1, y2), (t, t1, t2) = spec.curve.jet3(s, 3)
-        a, b, a1, b1, a2, b2 = spec.angle.direction_jet(s)
+        x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2 = jets[2][isinstance(s, np.ndarray)](s)
     g = y * a - x * b
     g1 = y1 * a + y * a1 - x1 * b - x * b1
     first = (
@@ -372,7 +425,8 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
             "the ruled patch is characteristic everywhere"
         )
     domain = Domain(s0, s1, v0, v1)
-    return make_surface(functools.partial(_ruled_fields, spec), domain, spec.name or "ruled")
+    return make_surface(functools.partial(_ruled_fields, _ruled_jets(spec)), domain,
+                        spec.name or "ruled")
 
 
 def plane_contact_factor(spec: RuledSpec, s, v) -> float:
@@ -460,9 +514,13 @@ def build_tangent_developable(
             "straight segment is not an immersed patch"
         )
 
+    jets = _jets_by_order((curve.x, curve.y, curve.t), 2)
+
     def fields(s, v, order=2):
-        xj, yj, tj = curve.jet3(s, order + 2)
-        (x, x1, x2), (y, y1, y2), (t, t1, t2) = xj[:3], yj[:3], tj[:3]
+        if order == 1:
+            x, x1, x2, y, y1, y2, t, t1, t2 = jets[1][isinstance(s, np.ndarray)](s)
+        else:
+            x, x1, x2, x3, y, y1, y2, y3, t, t1, t2, t3 = jets[2][isinstance(s, np.ndarray)](s)
         first = (
             (x + v * x1, y + v * y1, t + v * t1),
             (x1 + v * x2, y1 + v * y2, t1 + v * t2),
@@ -470,7 +528,7 @@ def build_tangent_developable(
         )
         if order == 1:
             return first
-        return first + ((x2 + v * xj[3], y2 + v * yj[3], t2 + v * tj[3]), (x2, y2, t2))
+        return first + ((x2 + v * x3, y2 + v * y3, t2 + v * t3), (x2, y2, t2))
 
     return make_surface(fields, Domain(s0, s1, v0, v1), label)
 
@@ -500,10 +558,14 @@ def build_cylinder(
             f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
         )
 
+    jets = _jets_by_order((profile.x, profile.y), 1)
+
     def fields(u, v, order=2):
-        xj, yj = profile.x.jet(u, order + 1), profile.y.jet(u, order + 1)
-        first = (xj[0], yj[0], v), (xj[1], yj[1], 0.0), (0.0, 0.0, 1.0)
-        return first if order == 1 else first + ((xj[2], yj[2], 0.0),)
+        if order == 1:
+            x, x1, y, y1 = jets[1][isinstance(u, np.ndarray)](u)
+            return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0)
+        x, x1, x2, y, y1, y2 = jets[2][isinstance(u, np.ndarray)](u)
+        return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
     return make_surface(fields, Domain(s0, s1, h0, h1), label)
 
@@ -516,12 +578,15 @@ def build_graph_separable(
 ) -> SurfaceHandle:
     """Graph of the separable function f(u, v) = f_of_u(u) + f_of_v(v)."""
 
+    jets = _jets_by_order((f_of_u, f_of_v), 1, ("u", "v"))
+
     def fields(u, v, order=2):
-        fu, fv = f_of_u.jet(u, order + 1), f_of_v.jet(v, order + 1)
-        first = (u, v, fu[0] + fv[0]), (1.0, 0.0, fu[1]), (0.0, 1.0, fv[1])
         if order == 1:
-            return first
-        return first + ((0.0, 0.0, fu[2]), (0.0, 0.0, 0.0), (0.0, 0.0, fv[2]))
+            fu, fu1, fv, fv1 = jets[1][isinstance(u, np.ndarray)](u, v)
+            return (u, v, fu + fv), (1.0, 0.0, fu1), (0.0, 1.0, fv1)
+        fu, fu1, fu2, fv, fv1, fv2 = jets[2][isinstance(u, np.ndarray)](u, v)
+        return ((u, v, fu + fv), (1.0, 0.0, fu1), (0.0, 1.0, fv1),
+                (0.0, 0.0, fu2), (0.0, 0.0, 0.0), (0.0, 0.0, fv2))
 
     # Graphs are immersions unconditionally, so no regularity sampling is run.
     return SurfaceHandle(domain, fields, label)

@@ -23,9 +23,12 @@ on arrays through :func:`_lockstep`, with the same bits either way.  An
 RK4 stage reads the value and first partials alone, so both run the
 surface's field formula at order 1 and one fused stage formula,
 :func:`_stage`: the scalar stepper on Python floats, the lockstep on
-arrays.  The seeds and the reported points of a trace are evaluated, and
-screened, with full 2-jets by :func:`heisflow.patch.eval_jets`.
-:func:`integrate_flow` is its one-seed call.
+arrays.  The scalar stepper reads the surface's domain bounds and formula
+once per leg (:func:`_field_of`), and a formula built from term sums makes
+one generated jet call per stage.  The seeds and the reported points of a
+trace are evaluated, and screened, with full 2-jets by
+:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
+call.
 """
 
 from __future__ import annotations
@@ -67,13 +70,15 @@ STOP_FACTOR = 10.0
 # for enough legs.  Measured with 150-step legs from random seeds on the
 # five catalog surfaces of the benchmark and one random ruled patch (2
 # cores, Python 3.11, numpy 2.4), median over the six of the
-# lockstep/scalar time ratio, with first-order stages, in two or four draws
-# of seeds: 2.0-2.1 at 16 legs, 1.4-1.6 at 24, 1.07-1.10 at 32, 1.08-1.11
-# at 34, 1.00-1.04 at 36, 0.95-0.98 at 38, 0.86-0.96 at 40, 0.85-0.88 at
-# 44, 0.81-0.83 at 48 and 0.61-0.62 at 64.  One _field call costs 1.1-3.0
-# us, _fields on 2 points 41-73 us.  At 2 legs, the one-seed call of
-# ``heisflow flow``, the scalar stepper is the only fast one.
-LOCKSTEP_MIN_LEGS = 38
+# lockstep/scalar time ratio, with first-order stages and one generated
+# jet call per field formula, in three or four draws of seeds: 2.7-2.8 at
+# 16 legs, 1.8-1.9 at 24, 1.44-1.50 at 32, 1.16-1.20 at 40, 1.05-1.10 at
+# 44, 1.03-1.07 at 46, 0.97-1.05 at 48, 0.94-1.00 at 50, 0.92-0.97 at 52,
+# 0.85-0.90 at 56 and 0.76-0.80 at 64.  One scalar stage (the field of
+# _field_of) costs 1.0-1.9 us, _fields on 2 points 39-62 us.  At 2 legs,
+# the one-seed call of ``heisflow flow``, the scalar stepper is the only
+# fast one.
+LOCKSTEP_MIN_LEGS = 50
 
 
 class _LegStop(Exception):
@@ -115,27 +120,34 @@ def _stage(x, y, xu, yu, tu, xv, yv, tv, sqrt, hypot):
     return q, q < STOP_FACTOR * thr, tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
 
 
-def _field(surface: SurfaceHandle, u: float, v: float):
-    """The field (du, dv) and the point's x, y at one parameter point, from
-    the first-order field formula on floats: what :func:`_field_rows` gives
-    for the jet of :func:`heisflow.patch.eval_jets`, which raises what this
-    raises about the value and first partials.
+def _field_of(surface: SurfaceHandle):
+    """The field of ``surface`` on floats, ``field(u, v)``: the field (du,
+    dv) and the point's x, y at one parameter point, from the first-order
+    field formula.  It gives what :func:`_field_rows` gives for the jet of
+    :func:`heisflow.patch.eval_jets`, and raises what that raises about the
+    value and first partials.  The domain bounds and the formula are read
+    once, here, not at every stage.
 
     On floats a field formula returns Python floats (see
     :class:`heisflow.patch.SurfaceHandle`), read here as they are.  One sum
     of the nine components screens them: a non-finite component makes it
     non-finite, and only then does the per-component check run, so a
     finite jet whose sum overflows passes as it does in ``eval_jets``."""
-    dom = surface.domain
-    if not (dom.u_min <= u <= dom.u_max and dom.v_min <= v <= dom.v_max):
-        raise _out_of_domain(dom, u, v)
-    (x, y, t), (xu, yu, tu), (xv, yv, tv) = surface.fields(u, v, 1)[:3]
-    if not math.isfinite(x + y + t + xu + yu + tu + xv + yv + tv):
-        _check_finite(jet2_batch(1, (x, y, t), (xu, yu, tu), (xv, yv, tv)))
-    q, near, p_u, p_v = _stage(x, y, xu, yu, tu, xv, yv, tv, math.sqrt, math.hypot)
-    if near:
-        raise _LegStop("characteristic-proximity")
-    return p_v / q, -p_u / q, x, y
+    dom, fields = surface.domain, surface.fields
+    u_min, u_max, v_min, v_max = dom.u_min, dom.u_max, dom.v_min, dom.v_max
+
+    def field(u: float, v: float):
+        if not (u_min <= u <= u_max and v_min <= v <= v_max):
+            raise _out_of_domain(dom, u, v)
+        (x, y, t), (xu, yu, tu), (xv, yv, tv) = fields(u, v, 1)[:3]
+        if not math.isfinite(x + y + t + xu + yu + tu + xv + yv + tv):
+            _check_finite(jet2_batch(1, (x, y, t), (xu, yu, tu), (xv, yv, tv)))
+        q, near, p_u, p_v = _stage(x, y, xu, yu, tu, xv, yv, tv, math.sqrt, math.hypot)
+        if near:
+            raise _LegStop("characteristic-proximity")
+        return p_v / q, -p_u / q, x, y
+
+    return field
 
 
 def _leg(surface, u, v, h, f, max_steps):
@@ -144,15 +156,16 @@ def _leg(surface, u, v, h, f, max_steps):
     (u, v) pairs and a reason."""
     pts: list[tuple[float, float]] = []
     reason = "step-limit"
+    field = _field_of(surface)
     for _ in range(max_steps):
         try:
             k1 = f
-            k2 = _field(surface, u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
-            k3 = _field(surface, u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
-            k4 = _field(surface, u + h * k3[0], v + h * k3[1])
+            k2 = field(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+            k3 = field(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+            k4 = field(u + h * k3[0], v + h * k3[1])
             un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
             vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-            fn = _field(surface, un, vn)
+            fn = field(un, vn)
         except OutOfDomain:
             reason = "domain-exit"
             break
@@ -182,9 +195,9 @@ def _leg(surface, u, v, h, f, max_steps):
 
 
 def _field_rows(jets: np.ndarray):
-    """:func:`_field` at every point of a jet array of order 1 or 2: a
-    (4, N) array of (du, dv, x, y) rows, and the mask of the points where
-    it stops."""
+    """The field of :func:`_field_of` at every point of a jet array of
+    order 1 or 2: a (4, N) array of (du, dv, x, y) rows, and the mask of
+    the points where it stops."""
     x, y = jets[:, 0, 0], jets[:, 0, 1]
     with np.errstate(all="ignore"):
         q, near, p_u, p_v = _stage(
@@ -194,8 +207,8 @@ def _field_rows(jets: np.ndarray):
 
 
 def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
-    """:func:`_field` at the points (u[i], v[i]): the rows of
-    :func:`_field_rows` and a stop code per point, 0 where ``_field``
+    """The field of :func:`_field_of` at the points (u[i], v[i]): the rows
+    of :func:`_field_rows` and a stop code per point, 0 where that field
     returns, else an index into :data:`_STOPS`.  The first-order field
     formula runs once, on the points inside the domain; the rows of the
     points outside stay zero and stop as domain exits."""

@@ -1,9 +1,11 @@
 """The term jets as a per-term loop: the reference for the generated jets.
 
-heisflow.builders.TermSum.jet runs one generated straight-line function per
-term shape.  This module keeps the loop that function replaced, with its own
-copy of the multipliers, so a change to either the generator or the plans in
-the package shows up as a difference here.  On a float a polynomial power is
+heisflow.builders generates one straight-line function per group of term
+sum shapes: TermSum.jet runs the group of one sum, a field formula the group
+of the sums it reads.  This module keeps the per-term loop those functions
+replaced, with its own copy of the multipliers, and the ruling direction
+(a, b) = (cos theta, sin theta) with its derivatives, so a change to either
+the generator or the plans in the package shows up as a difference here.  On a float a polynomial power is
 Python's ``**``, +-inf where ``**`` raises on overflow, and cosine and sine
 are math's, NaN past the float range; on an array both run entry by entry
 as on floats, except that cosine and sine are numpy's and ``s**1`` is s.
@@ -69,3 +71,12 @@ def term_sum_jet(term_sum, s):
         f2 += g2
         f3 += g3
     return f, f1, f2, f3
+
+
+def direction_jet(theta, s, n):
+    """The first n of (a, b), (a', b'), (a'', b'') for a = cos theta and
+    b = sin theta, from the jet of the term sum theta."""
+    th, th1, th2, _ = term_sum_jet(theta, s)
+    a, b = _cos_sin(th)
+    return (a, b, -b * th1, a * th1,
+            -a * th1 * th1 - b * th2, -b * th1 * th1 + a * th2)[: 2 * n]

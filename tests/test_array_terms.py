@@ -29,7 +29,7 @@ from heisflow.builders import (
     ruling_form_coefficients,
 )
 from heisflow.errors import CharacteristicPoint, ConstantRulingDirection
-from heisflow.flow import _field
+from heisflow.flow import _field_of
 from heisflow.patch import Domain
 from term_reference import EXTREMES, POW_DIFFERS
 
@@ -123,7 +123,7 @@ def test_float_trig_past_the_float_range_is_nan():
         TermSum((Term("sin", 1.0, 6),)), TermSum(), Domain(0.0, 1e308, 0.0, 1.0)
     )
     with pytest.raises(ValueError, match="^non-finite jet component in value: "):
-        _field(surface, 1e308, 0.5)
+        _field_of(surface)(1e308, 0.5)
 
 
 @settings(max_examples=200)

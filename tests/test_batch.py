@@ -44,7 +44,7 @@ from heisflow.curvature import (
     mean_curvature_batch,
 )
 from heisflow.errors import CharacteristicPoint, NotRegular, OutOfDomain
-from heisflow.flow import _field
+from heisflow.flow import _field_of
 from heisflow.horizontal import (
     char_threshold,
     horizontal_normal_batch,
@@ -240,7 +240,7 @@ def test_eval_jets_empty_batch(paraboloid):
 
 def test_eval_jets_errors_match_scalar(paraboloid):
     with pytest.raises(OutOfDomain) as scalar:
-        _field(paraboloid, 1.6, 0.0)
+        _field_of(paraboloid)(1.6, 0.0)
     with pytest.raises(OutOfDomain) as batch:
         eval_jets(paraboloid, [0.0, 1.6, 2.0], [0.0, 0.0, 0.0])
     assert str(batch.value) == str(scalar.value)
@@ -249,7 +249,7 @@ def test_eval_jets_errors_match_scalar(paraboloid):
         TermSum((Term("poly", 1e300, 2),)), TermSum(), Domain(-1e10, 1e10, -1.0, 1.0)
     )
     with pytest.raises(ValueError) as scalar:
-        _field(huge, 1e10, 0.5)
+        _field_of(huge)(1e10, 0.5)
     with pytest.raises(ValueError) as batch:
         eval_jets(huge, [0.0, 1e10], [0.5, 0.5])
     assert str(batch.value) == str(scalar.value)
@@ -278,7 +278,7 @@ def test_field_screen_raises_what_eval_jets_raises(position, value, monkeypatch,
     if position < 9:
         # a stage reads the value and first partials and screens them
         with pytest.raises(ValueError) as scalar:
-            _field(surface, 0.3, 0.4)
+            _field_of(surface)(0.3, 0.4)
         assert str(scalar.value) == str(batch.value)
         return
     # a stage reads no second partial, but the seed's 2-jet is screened: the
@@ -297,7 +297,7 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
     # every component is finite, but their one sum is not: the full check runs
     assert all(math.isfinite(c) for f in fields for c in f)
     assert not math.isfinite(sum(map(sum, fields)))
-    got = _field(surface, 1.0, 0.3)
+    got = _field_of(surface)(1.0, 0.3)
     rows, near = flow._field_rows(eval_jets(surface, [1.0], [0.3]))
     assert not near[0]
     assert bits(got).tolist() == bits(rows[:, 0]).tolist()

@@ -164,6 +164,18 @@ def test_uniforms_are_the_stream_of_uniform():
     assert many.state == one.state
 
 
+@pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 65, 90_000])
+def test_jump_ahead_uniforms_match_the_draw_loop(seed, n):
+    # the states are built by composing the step map; the bits and the final
+    # state must be those of n single draws
+    one, many = Lcg64(seed), Lcg64(seed)
+    want = np.array([one.uniform(-1.5, 1.5) for _ in range(n)], float).reshape(-1)
+    got = many.uniforms(n, -1.5, 1.5)
+    assert got.shape == (n,) and got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    assert many.state == one.state and type(many.state) is int
+
+
 def fields(obj):
     """The float fields of a heis value, as a tuple."""
     if isinstance(obj, Point3):

@@ -82,22 +82,27 @@ def starts(surface, seeds):
 def scalar_legs(surface, seeds, rows, steps):
     """Each leg through flow._leg from its seed and the field there (a column
     of rows), forward then backward, with the RK4 stage (counted from the
-    flow._field calls of the leg) and the domain edge of each domain exit,
-    and the number of legs that only a k2, k3 or k4 reversed against k1
-    stops."""
+    calls of the field that flow._field_of makes for the leg) and the
+    domain edge of each domain exit, and the number of legs that only a k2,
+    k3 or k4 reversed against k1 stops."""
     legs, exits = [], []
     reversed_stages = 0
-    real = flow._field
+    real = flow._field_of
     calls = []  # the field each call returned, None where it raised
     point = []  # the (u, v) of the last call
 
-    def counted(*args):
-        calls.append(None)
-        point[:] = args[1:3]
-        calls[-1] = real(*args)
-        return calls[-1]
+    def counted_field_of(surface):
+        field = real(surface)
 
-    flow._field = counted
+        def counted(*args):
+            calls.append(None)
+            point[:] = args
+            calls[-1] = field(*args)
+            return calls[-1]
+
+        return counted
+
+    flow._field_of = counted_field_of
     try:
         for (u, v), f in zip(seeds.tolist(), rows.T.tolist()):
             for h in (DS, -DS):
@@ -118,7 +123,7 @@ def scalar_legs(surface, seeds, rows, steps):
                         and math.hypot(fn[2] - k1[2], fn[3] - k1[3]) >= 0.5 * DS
                     )
     finally:
-        flow._field = real
+        flow._field_of = real
     return legs, exits, reversed_stages
 
 
@@ -205,7 +210,7 @@ def test_integrate_flows_matches_one_seed_calls(name):
     # a second, offset grid keeps the batch over the cutoff
     offset = [
         (dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
-        for fu in (0.4, 0.6)
+        for fu in (0.4, 0.45, 0.6)
         for fv in (0.15, 0.3, 0.4, 0.6, 0.7, 0.85)
     ]
     seeds = interior_seeds(dom) + offset + locus_seeds(name, dom)
@@ -261,10 +266,10 @@ def stop_band_seeds(name):
 
 
 def field_or_stop(surface, u, v):
-    """The bits of flow._field on floats, or the stop code of flow._fields
-    where it raises."""
+    """The bits of the field of flow._field_of on floats, or the stop code
+    of flow._fields where it raises."""
     try:
-        return bits(flow._field(surface, u, v))
+        return bits(flow._field_of(surface)(u, v))
     except OutOfDomain:
         return 1
     except flow._LegStop:
@@ -300,13 +305,13 @@ def test_scalar_field_raises_what_eval_jets_raises():
     )
     for u, v, error in ((1e59, 0.5, ValueError), (2e60, 0.5, OutOfDomain), (0.5, -1.0, OutOfDomain)):
         with pytest.raises(error) as scalar:
-            flow._field(overflow, u, v)
+            flow._field_of(overflow)(u, v)
         with pytest.raises(error) as batch:
             eval_jets(overflow, [u], [v])
         assert str(scalar.value) == str(batch.value)
     assert str(scalar.value).startswith("(u, v) = (0.5, -1.0) outside domain")
     with pytest.raises(ValueError, match="^non-finite jet component in value: ") as scalar:
-        flow._field(overflow, 1e59, 0.5)
+        flow._field_of(overflow)(1e59, 0.5)
     # the lockstep's field raises it too; a point outside the domain only stops
     with pytest.raises(ValueError) as lockstep:
         flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]))

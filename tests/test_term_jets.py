@@ -1,8 +1,9 @@
 """The generated term-sum jets against the per-term loop they replaced.
 
 tests/term_reference.py keeps that loop.  On floats and on float arrays
-the generated jet must give its bits, NaN where it gives NaN, and the same
-shape of each entry: a float where the loop adds no array.
+the generated jet of a sum, and of a group of sums, must give its bits, NaN
+where it gives NaN, and the same shape of each entry: a float where the
+loop adds no array.
 """
 
 import math
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from heisflow import builders
 from heisflow.builders import Term, TermSum, _jet_code, random_ruled_patch
 from heisflow.rng import Lcg64
-from term_reference import EXTREMES, POW_DIFFERS, term_sum_jet
+from term_reference import EXTREMES, POW_DIFFERS, direction_jet, term_sum_jet
 
 SPECIAL = EXTREMES + POW_DIFFERS + [math.inf, -math.inf, math.nan]
 
@@ -30,6 +31,11 @@ term_sums = st.lists(terms, max_size=4).map(TermSum)
 
 def assert_same_jet(got, want):
     assert len(got) == len(want) == 4
+    assert_same_entries(got, want)
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert np.shape(g) == np.shape(w) and isinstance(g, float) == isinstance(w, float)
         g, w = np.asarray(g, float), np.asarray(w, float)
@@ -74,24 +80,42 @@ def test_sums_of_one_shape_keep_their_own_constants():
     a = TermSum((Term("poly", 1.0, 0), Term("poly", 2.0, 3), Term("sin", 0.5, 1)))
     b = TermSum((Term("poly", -3.0, 0), Term("poly", 0.25, 3), Term("sin", 1.5, 4)))
     for n in range(1, 5):
-        assert a._float_jet(n).__code__ is b._float_jet(n).__code__
+        assert a._jet(n)[0].__code__ is b._jet(n)[0].__code__
     for s in [0.3, np.array([0.3, -1.2]), -1.2, 1e60, np.array([1e308])]:
         with np.errstate(all="ignore"):
             got_a, got_b = a.jet(s), b.jet(s)
             want_a, want_b = term_sum_jet(a, s), term_sum_jet(b, s)
         assert_same_jet(got_a, want_a)
         assert_same_jet(got_b, want_b)
+    # so do groups of sums of one shape each, and ruled specs of one shape
+    for n in range(1, 4):
+        ab, ba = builders._group_jet((a, b), n), builders._group_jet((b, a), n)
+        assert ab[0].__code__ is ba[0].__code__ is ab[1].__code__
+        for s in [0.3, np.array([0.3, -1.2]), 1e60]:
+            with np.errstate(all="ignore"):
+                want = [term_sum_jet(ts, s)[:n] for ts in (a, b)]
+                assert_same_entries(ab[isinstance(s, np.ndarray)](s), want[0] + want[1])
+                assert_same_entries(ba[isinstance(s, np.ndarray)](s), want[1] + want[0])
+    rng = Lcg64(5)
+    one, other = (random_ruled_patch(rng, i)[0] for i in range(2))
+    for order in (1, 2):
+        assert (builders._ruled_jets(one)[order][0].__code__
+                is builders._ruled_jets(other)[order][0].__code__)
 
 
 def test_random_ruled_specs_compile_few_shapes(monkeypatch):
-    # a code is compiled once per shape and entry count; a build reads two
-    # entries in its ruling-form scan and three in its 2-jet sample
+    # a code is compiled once per group of shapes and entry count; a build
+    # reads two entries of each sum in its ruling-form scan, and binds the
+    # group of x, y, t and theta at two (order 1) and three (order 2)
     before = _jet_code.cache_info().misses
     asked = set()
-    monkeypatch.setattr(builders, "_jet_code", lambda shape, n: asked.add((shape, n)) or _jet_code(shape, n))
+    monkeypatch.setattr(builders, "_jet_code", lambda *key: asked.add(key) or _jet_code(*key))
     rng = Lcg64(2024)
     specs = [random_ruled_patch(rng, i)[0] for i in range(100)]
-    assert len({shape for shape, _ in asked}) <= 3 and {n for _, n in asked} == {2, 3}
+    sums = {key for key in asked if len(key[0]) == 1}
+    groups = asked - sums
+    assert len({shapes for shapes, *_ in sums}) <= 3 and {n for _, n, *_ in sums} == {2}
+    assert len({shapes for shapes, *_ in groups}) == 1 and {n for _, n, *_ in groups} == {2, 3}
     assert _jet_code.cache_info().misses - before <= len(asked)
     for spec in specs[:10]:
         for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):
@@ -131,3 +155,45 @@ def test_every_entry_count_is_a_prefix_of_the_full_jet():
 def test_entry_counts_match_the_full_jet(ts, s, n):
     with np.errstate(all="ignore"):
         assert_same_prefix(ts.jet(s, n), ts.jet(s), n)
+
+
+def group_reference(group, n, direction, s):
+    """The per-sum loop's entries of a group: the first n of each sum's jet,
+    and for a direction group the direction of its last sum instead."""
+    want = [e for ts in group[: len(group) - direction] for e in term_sum_jet(ts, s)[:n]]
+    return want + list(direction_jet(group[-1], s, n) if direction else ())
+
+
+# 1e60 ** 6 raises OverflowError and math.sin(6 * 1e308) ValueError, so the
+# whole group runs again in the twin body
+GUARDED = [TermSum((Term("poly", 1.0, 6),)), TermSum((Term("sin", 1.0, 6),))]
+
+
+@settings(max_examples=300)
+@given(group=st.lists(term_sums, min_size=1, max_size=4), n=st.integers(1, 3),
+       direction=st.booleans(), s=st.one_of(points, samples))
+@example(group=GUARDED, n=2, direction=False, s=1e60)
+@example(group=GUARDED, n=3, direction=True, s=1e308)
+@example(group=GUARDED[::-1], n=1, direction=True, s=1e60)
+@example(group=GUARDED, n=3, direction=False, s=np.array([1e60, 1e308, 0.5]))
+@example(group=[TermSum((Term("poly", 0.5, 0),))], n=3, direction=True, s=np.array([0.3, 0.7]))
+def test_group_jet_matches_the_per_sum_loop(group, n, direction, s):
+    # a constant angle is a float on either path, with math's direction
+    jet = builders._group_jet(tuple(group), n, direction=direction)[isinstance(s, np.ndarray)]
+    with np.errstate(all="ignore"):
+        assert_same_entries(jet(s), group_reference(group, n, direction, s))
+
+
+@settings(max_examples=100)
+@given(fu=term_sums, fv=term_sums, n=st.integers(1, 3), u=points, v=points)
+@example(fu=GUARDED[0], fv=GUARDED[1], n=2, u=1e60, v=0.5)
+@example(fu=GUARDED[0], fv=GUARDED[1], n=2, u=0.5, v=1e308)
+def test_two_variable_group_jet_matches_the_per_sum_loop(fu, fv, n, u, v):
+    # the graph's group reads f_u at u and f_v at v
+    want = list(term_sum_jet(fu, u)[:n] + term_sum_jet(fv, v)[:n])
+    floats, arrays = builders._group_jet((fu, fv), n, ("u", "v"))
+    assert_same_entries(floats(u, v), want)
+    ua, va = np.array([u, 0.25]), np.array([v, -0.5])
+    with np.errstate(all="ignore"):
+        want = list(term_sum_jet(fu, ua)[:n] + term_sum_jet(fv, va)[:n])
+        assert_same_entries(arrays(ua, va), want)

@@ -162,6 +162,12 @@ def test_uniforms_are_the_stream_of_uniform():
     want = [one.uniform(-1.5, 1.5) for _ in range(50)]
     assert many.uniforms(50, -1.5, 1.5).tolist() == want
     assert many.state == one.state
+    # array bounds broadcast per draw: alternating bounds are alternating calls
+    lo, hi = (-1.5, 0.25), (2.0, 0.75)
+    want = [one.uniform(lo[i % 2], hi[i % 2]) for i in range(50)]
+    got = many.uniforms(50, np.tile(lo, 25), np.tile(hi, 25))
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+    assert many.state == one.state
 
 
 @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])

@@ -17,18 +17,17 @@ A leg stops for one of three reasons:
   step collapsed under half the step;
 * ``step-limit``: max_steps completed without either event.
 
-:func:`integrate_flows` traces many leaves of one surface: a few legs run
-one at a time through the scalar stepper :func:`_leg`, more in lockstep
-on arrays through :func:`_lockstep`, with the same bits either way.  An
-RK4 stage reads the value and first partials alone, so both run the
-surface's field formula at order 1 and one fused stage formula,
-:func:`_stage`: the scalar stepper on Python floats, the lockstep on
-arrays.  The scalar stepper reads the surface's domain bounds and formula
-once per leg (:func:`_field_of`), and a formula built from term sums makes
-one generated jet call per stage.  The seeds and the reported points of a
+:func:`integrate_flows` traces many leaves of one surface, each leg on
+its own through the scalar stepper :func:`_leg`.  An RK4 stage reads the
+value and first partials alone, so the stepper runs the surface's field
+formula at order 1 on Python floats, then one fused stage formula,
+:func:`_stage`.  It reads the surface's domain bounds and formula once
+per leg (:func:`_field_of`), and a formula built from term sums makes one
+generated jet call per stage.  The seeds and the reported points of a
 trace are evaluated, and screened, with full 2-jets by
-:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
-call.
+:func:`heisflow.patch.eval_jets`, and the seeds' fields come from the same
+stage formula on arrays (:func:`_field_rows`).  :func:`integrate_flow` is
+its one-seed call.
 """
 
 from __future__ import annotations
@@ -46,14 +45,12 @@ from .patch import (
     SurfaceHandle,
     _check_finite,
     _out_of_domain,
-    _raw_jets,
     eval_jets,
     jet2_batch,
 )
 
 __all__ = [
     "STOP_FACTOR",
-    "LOCKSTEP_MIN_LEGS",
     "FlowTrace",
     "integrate_flow",
     "integrate_flows",
@@ -63,22 +60,6 @@ __all__ = [
 # threshold; tighter than the NEAR_CHAR_FACTOR reporting band so that traces
 # get as close to the locus as the field stays integrable.
 STOP_FACTOR = 10.0
-
-# integrate_flows steps fewer legs than this one at a time through _leg,
-# and more in lockstep through _lockstep; both give the same bits.  A
-# batched field evaluation costs many scalar ones, so lockstep pays only
-# for enough legs.  Measured with 150-step legs from random seeds on the
-# five catalog surfaces of the benchmark and one random ruled patch (2
-# cores, Python 3.11, numpy 2.4), median over the six of the
-# lockstep/scalar time ratio, with first-order stages and one generated
-# jet call per field formula, in three or four draws of seeds: 2.7-2.8 at
-# 16 legs, 1.8-1.9 at 24, 1.44-1.50 at 32, 1.16-1.20 at 40, 1.05-1.10 at
-# 44, 1.03-1.07 at 46, 0.97-1.05 at 48, 0.94-1.00 at 50, 0.92-0.97 at 52,
-# 0.85-0.90 at 56 and 0.76-0.80 at 64.  One scalar stage (the field of
-# _field_of) costs 1.0-1.9 us, _fields on 2 points 39-62 us.  At 2 legs,
-# the one-seed call of ``heisflow flow``, the scalar stepper is the only
-# fast one.
-LOCKSTEP_MIN_LEGS = 50
 
 
 class _LegStop(Exception):
@@ -206,75 +187,6 @@ def _field_rows(jets: np.ndarray):
         return np.stack((p_v / q, -p_u / q, x, y)), near
 
 
-def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray):
-    """The field of :func:`_field_of` at the points (u[i], v[i]): the rows
-    of :func:`_field_rows` and a stop code per point, 0 where that field
-    returns, else an index into :data:`_STOPS`.  The first-order field
-    formula runs once, on the points inside the domain; the rows of the
-    points outside stay zero and stop as domain exits."""
-    inside = surface.domain.contains(u, v)
-    jets = np.zeros((3, 3, len(u))).transpose(2, 0, 1)  # the layout of jet2_batch
-    if inside.any():
-        with np.errstate(all="ignore"):
-            jets[inside] = _raw_jets(surface, u[inside], v[inside], 1)
-        _check_finite(jets)
-    rows, near = _field_rows(jets)
-    return rows, np.where(inside, np.where(near, 2, 0), 1)
-
-
-_STOPS = ("", "domain-exit", "characteristic-proximity")
-
-
-def _lockstep(surface, u, v, h, f, max_steps):
-    """Every leg (u[i], v[i]) with signed step h[i], advanced together.
-
-    ``f`` is the (4, N) field at the starts.  Each RK4 stage evaluates the
-    live legs in one :func:`_fields` call, and a leg retires at its first
-    stop, so each leg takes exactly the steps and the stop of :func:`_leg`.
-    Returns the accepted (u, v) points of each leg as an (n, 2) array and
-    the stop reasons.
-    """
-    reasons = ["step-limit"] * len(u)
-    legs = np.arange(len(u))
-    taken = []  # (legs, u, v) of the points accepted at each step
-
-    def retire(stop, *state):
-        bad = stop != 0
-        if not bad.any():
-            return state
-        for leg, code in zip(legs[bad].tolist(), stop[bad].tolist()):
-            reasons[leg] = _STOPS[code]
-        return [a[..., ~bad] for a in state]
-
-    for _ in range(max_steps):
-        if not len(legs):
-            break
-        ks = [f[:2]]
-        for c in (0.5, 0.5, 1.0):
-            k = ks[-1]
-            g, stop = _fields(surface, u + c * h * k[0], v + c * h * k[1])
-            legs, u, v, h, f, g, *ks = retire(stop, legs, u, v, h, f, g, *ks)
-            ks.append(g[:2])
-        k1, k2, k3, k4 = ks
-        un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-        vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-        fn, stop = _fields(surface, un, vn)
-        # the field reversals and the chord collapse of _leg
-        chord = _per_element(math.hypot, fn[2] - f[2], fn[3] - f[3])
-        turned = chord < 0.5 * abs(h)
-        for k in (k2, k3, k4, fn):
-            turned |= k[0] * f[0] + k[1] * f[1] < 0.0
-        stop = np.where(stop == 0, np.where(turned, 2, 0), stop)
-        legs, un, vn, h, fn = retire(stop, legs, un, vn, h, fn)
-        taken.append((legs, un, vn))
-        u, v, f = un, vn, fn
-
-    leg, uu, vv = (np.concatenate(a) for a in zip(*taken))
-    order = np.argsort(leg, kind="stable")
-    ends = np.cumsum(np.bincount(leg, minlength=len(reasons)))[:-1]
-    return np.split(np.column_stack((uu, vv))[order], ends), reasons
-
-
 def integrate_flows(
     surface: SurfaceHandle,
     seeds,
@@ -288,9 +200,7 @@ def integrate_flows(
     close to the characteristic locus (where :func:`integrate_flow`
     raises CharacteristicPoint).  Any other seed whose field is not finite,
     or where ``ds`` is under twice its rounding scale, raises ValueError.
-    With fewer than :data:`LOCKSTEP_MIN_LEGS` legs to trace, each leg is
-    stepped on its own; otherwise all of them advance in lockstep.  Both
-    ways give the same bits.
+    Each leg, forward then backward from each seed, is stepped on its own.
     """
     if not (ds > 0.0 and math.isfinite(ds)):
         raise ValueError(f"ds must be positive and finite, got {ds}")
@@ -315,19 +225,13 @@ def integrate_flows(
         i = np.argmax(short)
         u, v = starts[i].tolist()
         raise ValueError(f"ds = {ds} is below 2e = {lim[i].item()} at the seed ({u}, {v})")
-    if 2 * len(ok) < LOCKSTEP_MIN_LEGS:
-        legs = []
-        for (u, v), f in zip(starts.tolist(), rows[:, ok].T.tolist()):
-            for h in (ds, -ds):
-                pts, reason = _leg(surface, u, v, h, f, max_steps)
-                legs.append((np.array(pts, float).reshape(-1, 2), reason))
-        paths, reasons = zip(*legs) if legs else ((), ())
-    else:
-        # legs 2i and 2i + 1 are the forward and backward legs of seed ok[i]
-        u, v = np.repeat(starts, 2, axis=0).T
-        h = np.tile((ds, -ds), len(ok))
-        f = np.repeat(rows[:, ok], 2, axis=1)
-        paths, reasons = _lockstep(surface, u, v, h, f, max_steps)
+    # legs 2i and 2i + 1 are the forward and backward legs of seed ok[i]
+    legs = []
+    for (u, v), f in zip(starts.tolist(), rows[:, ok].T.tolist()):
+        for h in (ds, -ds):
+            pts, reason = _leg(surface, u, v, h, f, max_steps)
+            legs.append((np.array(pts, float).reshape(-1, 2), reason))
+    paths, reasons = zip(*legs) if legs else ((), ())
 
     uvs = [
         np.concatenate((paths[2 * i + 1][::-1], starts[i : i + 1], paths[2 * i]))

@@ -6,6 +6,7 @@ reference: each point's jet from the field formula on floats, the
 first-order formulas on those floats, and the per-point curvature.
 """
 
+import contextlib
 import json
 import math
 from fractions import Fraction
@@ -377,7 +378,10 @@ def test_field_formula_accepts_its_closed_domain(name, tmp_path):
     for got, full in zip(surface.fields(u, v, 1)[:3], surface.fields(u, v)[:3], strict=True):
         for g, f in zip(got, full, strict=True):
             assert np.shape(g) == np.shape(f) and bits(g).tolist() == bits(f).tolist()
-    assert 1 not in flow._fields(surface, u, v)[1].tolist()
+    field = flow._field_of(surface)
+    for a, b in zip(u.tolist(), v.tolist()):
+        with contextlib.suppress(flow._LegStop):  # a stop, but no domain exit
+            field(a, b)
 
 
 def test_field_formulas_return_python_floats_on_floats(tmp_path):
@@ -893,9 +897,9 @@ def test_jet_arrays_are_component_major(paraboloid, monkeypatch):
             return real(jets, *args, **kwargs)
         return wrapped
 
-    # the lockstep field, with points on both sides of the domain edge
+    # the field rows of the flow's seeds
     monkeypatch.setattr(flow, "_field_rows", spy(flow._field_rows))
-    flow._fields(paraboloid, np.array([0.0, 1.6, 0.5, -2.0]), np.zeros(4))
+    flow.integrate_flows(paraboloid, [(0.5, 0.2), (1.0, -0.3)], max_steps=1)
     # the kept subsets of a scan whose band skips points
     monkeypatch.setattr(curvature, "mean_curvature_batch", spy(mean_curvature_batch))
     surfaces = scan_surfaces()
@@ -950,12 +954,14 @@ def test_finite_screen_names_the_first_point_not_the_first_field():
     with pytest.raises(ValueError) as batch:
         eval_jets(two_bad_points(), u, np.zeros(6))
     assert str(batch.value) == want
-    # the lockstep's stages read no second partial: they screen the value,
-    # and name point 5's
-    with pytest.raises(ValueError) as lockstep:
-        flow._fields(two_bad_points(), u, np.zeros(6))
+    # the flow's stages read no second partial: they pass point 3, and
+    # name point 5's value
+    field = flow._field_of(two_bad_points())
+    field(u[3].item(), 0.0)
+    with pytest.raises(ValueError) as stage:
+        field(u[5].item(), 0.0)
     inf_value = np.array([math.inf, 0.0, 0.0])
-    assert str(lockstep.value) == f"non-finite jet component in value: {inf_value!r}"
+    assert str(stage.value) == f"non-finite jet component in value: {inf_value!r}"
     # but the flow screens the 2-jets of its seeds, and names point 3's dvv
     with pytest.raises(ValueError) as seeded:
         flow.integrate_flows(two_bad_points(), np.column_stack((u, np.zeros(6))), max_steps=5)

@@ -8,7 +8,7 @@ import pytest
 
 from heisflow.builders import catalog_get
 from heisflow.errors import CharacteristicPoint
-from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
+from heisflow.flow import integrate_flow, integrate_flows
 from heisflow.patch import eval_jets
 from scalar_curvature import scalar_jet
 
@@ -72,11 +72,10 @@ def test_reversed_stage_stops_the_leg(paraboloid, seed):
     xy = tr.points[:, :2]
     second = np.hypot(*((xy[2:] - 2.0 * xy[1:-1] + xy[:-2]) / (ds * ds)).T)
     assert second.max() <= 1e-4
-    # integrate_flow steps its 2 legs one at a time; with this many legs
-    # integrate_flows runs the lockstep stepper, which stops at the same point
-    (lock, *_) = integrate_flows(paraboloid, [seed] * LOCKSTEP_MIN_LEGS, ds=ds, max_steps=150)
-    assert lock.uv.view(np.int64).tolist() == tr.uv.view(np.int64).tolist()
-    assert (lock.stop_backward, lock.stop_forward) == (tr.stop_backward, tr.stop_forward)
+    # every copy of the seed in one integrate_flows call stops at the same point
+    for many in integrate_flows(paraboloid, [seed] * 3, ds=ds, max_steps=150):
+        assert many.uv.view(np.int64).tolist() == tr.uv.view(np.int64).tolist()
+        assert (many.stop_backward, many.stop_forward) == (tr.stop_backward, tr.stop_forward)
 
 
 def test_stop_reason_step_limit(unit_cylinder):

@@ -1,10 +1,11 @@
-"""The lockstep flow driver against the scalar stepper, bit for bit.
+"""The flow stepper's legs, stops and fields, bit for bit.
 
-``flow._leg`` steps one leg at a time and is the reference; ``flow._lockstep``
-advances many legs together.  Both are called directly, so the cutoff that
-picks between them in ``integrate_flows`` hides neither.  Comparisons are
-on bit patterns, and the inputs put every stop reason and a domain exit at
-each RK4 stage into play.
+``flow._leg`` steps each leg of ``integrate_flows`` on its own.  It is called
+directly here, and the inputs put every stop reason and a domain exit at
+each RK4 stage into play.  Its float field ``flow._field_of`` is compared
+with the array field ``flow._field_rows`` that the seeds use, and
+``integrate_flows`` with its one-seed calls; comparisons are on bit
+patterns.
 """
 
 import math
@@ -21,7 +22,7 @@ from heisflow.builders import (
     surface_from_dict,
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
-from heisflow.flow import LOCKSTEP_MIN_LEGS, integrate_flow, integrate_flows
+from heisflow.flow import integrate_flow, integrate_flows
 from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
 from heisflow.patch import Domain, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
@@ -135,58 +136,35 @@ def exit_edge(dom, u, v):
     return next(name for name, past in edges.items() if past)
 
 
-def lockstep_legs(surface, seeds, rows, steps):
-    u, v = np.repeat(seeds, 2, axis=0).T
-    h = np.tile((DS, -DS), len(seeds))
-    paths, reasons = flow._lockstep(surface, u, v, h, np.repeat(rows, 2, axis=1), steps)
-    return list(zip(paths, reasons))
-
-
 def bits(a):
     return np.ascontiguousarray(a, float).view(np.int64).tolist()
 
 
-@pytest.fixture(scope="module")
-def leg_runs():
-    """Every surface: the scalar and the lockstep legs, the exit stages and
-    edges, and the number of legs stopped by a reversed stage alone."""
+def test_inputs_reach_every_stop_and_every_exit_stage():
+    # every surface: the legs, the exit stages and edges, and the number of
+    # legs stopped by a reversed stage alone
     runs = {}
     for name, build in SURFACES.items():
         surface = build()
         edge, rest = seeds_of(name, surface)
-        scalar, lockstep, exits, reversals = [], [], [], 0
+        legs, exits, reversals = [], [], 0
         # short legs from the edge seeds, long ones from the rest
         for s, steps in ((edge, 3), (rest, 120)):
-            s, r = starts(surface, s)
-            legs, e, rev = scalar_legs(surface, s, r, steps)
-            scalar += legs
-            exits += e
-            reversals += rev
-            lockstep += lockstep_legs(surface, s, r, steps)
-        runs[name] = (scalar, lockstep, exits, reversals)
-    return runs
-
-
-@pytest.mark.parametrize("name", list(SURFACES))
-def test_lockstep_legs_match_scalar_legs(leg_runs, name):
-    scalar, lockstep, _, _ = leg_runs[name]
-    assert len(scalar) == len(lockstep)
-    for (want_uv, want_reason), (got_uv, got_reason) in zip(scalar, lockstep):
-        assert got_reason == want_reason
-        assert bits(got_uv) == bits(want_uv)
-
-
-def test_inputs_reach_every_stop_and_every_exit_stage(leg_runs):
-    reasons = Counter(r for scalar, _, _, _ in leg_runs.values() for _, r in scalar)
-    stages = Counter(s for _, _, exits, _ in leg_runs.values() for s, _ in exits)
+            run = scalar_legs(surface, *starts(surface, s), steps)
+            legs += run[0]
+            exits += run[1]
+            reversals += run[2]
+        runs[name] = (legs, exits, reversals)
+    reasons = Counter(r for legs, _, _ in runs.values() for _, r in legs)
+    stages = Counter(s for _, exits, _ in runs.values() for s, _ in exits)
     assert set(reasons) == {"domain-exit", "characteristic-proximity", "step-limit"}
     assert set(stages) == set(STAGES)
     # some leg stops on an RK4 stage reversed across the locus
-    assert sum(run[3] for run in leg_runs.values()) > 0
+    assert sum(run[2] for run in runs.values()) > 0
     # a leg exits only past an edge, since a field formula accepts its whole
     # closed domain; on these surfaces legs leave through all four edges
     for name in ("paraboloid", "cone_lower", "plane_t0", "cylinder(1.0)"):
-        edges = {edge for _, edge in leg_runs[name][2]}
+        edges = {edge for _, edge in runs[name][1]}
         assert edges == {"u_min", "u_max", "v_min", "v_max"}, (name, edges)
 
 
@@ -203,11 +181,10 @@ def trace_bits(t):
     "name", ["paraboloid", "plane_t0", "cylinder(5.0)", "random-ruled-3"]
 )
 def test_integrate_flows_matches_one_seed_calls(name):
-    # integrate_flow traces 2 legs, under the cutoff: the scalar stepper;
-    # these batches are over it, so integrate_flows runs in lockstep
+    # each seed of a batch, next to the locus too, gets the trace of its
+    # own integrate_flow call
     surface = SURFACES[name]()
     dom = surface.domain
-    # a second, offset grid keeps the batch over the cutoff
     offset = [
         (dom.u_min + fu * dom.u_span, dom.v_min + fv * dom.v_span)
         for fu in (0.4, 0.45, 0.6)
@@ -215,7 +192,6 @@ def test_integrate_flows_matches_one_seed_calls(name):
     ]
     seeds = interior_seeds(dom) + offset + locus_seeds(name, dom)
     got = integrate_flows(surface, seeds, ds=DS, max_steps=120)
-    assert 2 * sum(t is not None for t in got) >= LOCKSTEP_MIN_LEGS
     want = []
     for u, v in seeds:
         try:
@@ -266,14 +242,14 @@ def stop_band_seeds(name):
 
 
 def field_or_stop(surface, u, v):
-    """The bits of the field of flow._field_of on floats, or the stop code
-    of flow._fields where it raises."""
+    """The bits of the field of flow._field_of on floats, or the stop where
+    it raises."""
     try:
         return bits(flow._field_of(surface)(u, v))
     except OutOfDomain:
-        return 1
-    except flow._LegStop:
-        return 2
+        return "domain-exit"
+    except flow._LegStop as stop:
+        return stop.reason
 
 
 @pytest.mark.parametrize("name", list(FIELD_SURFACES))
@@ -290,12 +266,17 @@ def test_scalar_field_matches_field_rows(name):
         + locus_seeds(name, dom) + stop_band_seeds(name), float
     ).reshape(-1, 2)
     u, v = np.concatenate((u, extra[:, 0])), np.concatenate((v, extra[:, 1]))
-    rows, stop = flow._fields(surface, u, v)
-    got = [bits(r) if code == 0 else code for r, code in zip(rows.T, stop.tolist())]
-    assert got == [field_or_stop(surface, a, b) for a, b in zip(u.tolist(), v.tolist())]
-    assert {1, 0} <= set(stop.tolist())
+    # the rows of the first-order jets inside the domain; outside, a domain exit
+    inside = dom.contains(u, v)
+    rows, near = flow._field_rows(eval_jets(surface, u[inside], v[inside], 1))
+    fields = iter(
+        "characteristic-proximity" if n else bits(r) for r, n in zip(rows.T, near.tolist())
+    )
+    want = [next(fields) if i else "domain-exit" for i in inside.tolist()]
+    assert [field_or_stop(surface, a, b) for a, b in zip(u.tolist(), v.tolist())] == want
+    assert inside.any() and not inside.all()
     if name in ("paraboloid", "plane_t0"):
-        assert 2 in stop.tolist()
+        assert near.any()
 
 
 def test_scalar_field_raises_what_eval_jets_raises():
@@ -310,12 +291,8 @@ def test_scalar_field_raises_what_eval_jets_raises():
             eval_jets(overflow, [u], [v])
         assert str(scalar.value) == str(batch.value)
     assert str(scalar.value).startswith("(u, v) = (0.5, -1.0) outside domain")
-    with pytest.raises(ValueError, match="^non-finite jet component in value: ") as scalar:
+    with pytest.raises(ValueError, match="^non-finite jet component in value: "):
         flow._field_of(overflow)(1e59, 0.5)
-    # the lockstep's field raises it too; a point outside the domain only stops
-    with pytest.raises(ValueError) as lockstep:
-        flow._fields(overflow, np.array([2e60, 0.5, 1e59]), np.array([0.5, 0.5, 0.5]))
-    assert str(lockstep.value) == str(scalar.value)
 
 
 def stop_edge(a):

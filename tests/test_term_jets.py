@@ -122,12 +122,37 @@ def test_random_ruled_specs_compile_few_shapes(monkeypatch):
             assert_same_jet(ts.jet(0.7), term_sum_jet(ts, 0.7))
 
 
+def unsigned_nan_bits(a):
+    """The bits of a, with the sign bit of each NaN cleared: a NaN's sign is
+    not part of the documented contract, and CPython's specialised float
+    add can flip it after some calls.  Every other bit stays."""
+    b = a.view(np.int64)
+    return np.where(np.isnan(a), b & np.int64(0x7FFF_FFFF_FFFF_FFFF), b)
+
+
 def assert_same_prefix(got, full, n):
     assert len(got) == n
     for g, w in zip(got, full[:n]):
         assert np.shape(g) == np.shape(w) and isinstance(g, float) == isinstance(w, float)
         g, w = np.asarray(g, float), np.asarray(w, float)
-        assert (g.view(np.int64) == w.view(np.int64)).all(), (n, g, w)
+        assert (unsigned_nan_bits(g) == unsigned_nan_bits(w)).all(), (n, g, w)
+
+
+def test_prefix_check_ignores_only_the_sign_of_nan():
+    # the jet of this sum at -inf is NaN, and CPython's specialised float add
+    # flips its sign once a generated jet has run often enough
+    ts = TermSum((Term("poly", 1.38, 1), Term("poly", 1.38, 4),
+                  Term("cos", 0.0, 3), Term("cos", 0.0, 3)))
+    with np.errstate(all="ignore"):
+        for n in range(1, 5):
+            for _ in range(10):
+                ts.jet(-math.inf, n)
+            assert_same_prefix(ts.jet(-math.inf, n), ts.jet(-math.inf), n)
+    quiet, negative, payload = np.array([0x7FF8 << 48, 0xFFF8 << 48, (0x7FF8 << 48) + 1],
+                                        np.uint64).view(float)
+    assert unsigned_nan_bits(quiet) == unsigned_nan_bits(negative)
+    assert unsigned_nan_bits(quiet) != unsigned_nan_bits(payload)
+    assert unsigned_nan_bits(np.float64(0.0)) != unsigned_nan_bits(np.float64(-0.0))
 
 
 ONE_TERM_SUMS = [TermSum()] + [

@@ -414,6 +414,7 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
     """
     s0, s1 = spec.curve.domain
     v0, v1 = spec.v_range
+    domain = Domain(s0, s1, v0, v1)
     v = _samples(v0, v1, 8)
     with np.errstate(all="ignore"):
         c0, c1, c2 = ruling_form_coefficients(spec, _samples(s0, s1, 32)[:, None])
@@ -424,7 +425,6 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"
         )
-    domain = Domain(s0, s1, v0, v1)
     return make_surface(functools.partial(_ruled_fields, _ruled_jets(spec)), domain,
                         spec.name or "ruled")
 
@@ -490,6 +490,7 @@ def build_tangent_developable(
             f"v range [{v0}, {v1}] contains 0, the singular edge of the developable"
         )
     s0, s1 = curve.domain
+    domain = Domain(s0, s1, v0, v1)
     s = _samples(s0, s1, 64)
     with np.errstate(all="ignore"):
         (x, x1, x2), (y, y1, y2), (_, t1, _) = curve.jet3(s, 3)
@@ -530,7 +531,7 @@ def build_tangent_developable(
             return first
         return first + ((x2 + v * x3, y2 + v * y3, t2 + v * t3), (x2, y2, t2))
 
-    return make_surface(fields, Domain(s0, s1, v0, v1), label)
+    return make_surface(fields, domain, label)
 
 
 def build_cylinder(
@@ -549,6 +550,7 @@ def build_cylinder(
         raise SpecError("cylinder profile must be a plane curve: t terms present")
     h0, h1 = _as_range(height_range, "height_range")
     s0, s1 = profile.domain
+    domain = Domain(s0, s1, h0, h1)
     s = _samples(s0, s1, 64)
     with np.errstate(all="ignore"):
         (_, x1), (_, y1), _ = profile.jet3(s, 2)
@@ -567,7 +569,7 @@ def build_cylinder(
         x, x1, x2, y, y1, y2 = jets[2][isinstance(u, np.ndarray)](u)
         return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
 
-    return make_surface(fields, Domain(s0, s1, h0, h1), label)
+    return make_surface(fields, domain, label)
 
 
 def build_graph_separable(

@@ -19,27 +19,23 @@ A leg stops for one of three reasons:
 
 :func:`integrate_flows` traces many leaves of one surface, each leg on
 its own through the scalar stepper :func:`_leg`.  An RK4 stage reads the
-value and first partials alone, so the stepper runs the surface's field
-formula at order 1 on Python floats, then one fused stage formula,
-:func:`_stage`.  It reads the surface's domain bounds and formula once
-per leg (:func:`_field_of`), and a formula built from term sums makes one
-generated jet call per stage.  The seeds and the reported points of a
-trace are evaluated, and screened, with full 2-jets by
-:func:`heisflow.patch.eval_jets`, and the seeds' fields come from the same
-stage formula on arrays (:func:`_field_rows`).  :func:`integrate_flow` is
-its one-seed call.
+value and first partials alone, so the flow field, :func:`_field_of`, runs
+the surface's field formula at order 1 on Python floats; it is built once
+per call, for the seeds and every stage, and a formula built from term
+sums makes one generated jet call per stage.  The seeds and the reported
+points of a trace are evaluated, and screened, with full 2-jets by
+:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .errors import CharacteristicPoint, OutOfDomain
-from .heis import _per_element
 from .horizontal import EPS_CHAR, horizontal_normal_batch
 from .patch import (
     SurfaceHandle,
@@ -63,8 +59,7 @@ STOP_FACTOR = 10.0
 
 
 class _LegStop(Exception):
-    def __init__(self, reason: str):
-        self.reason = reason
+    """The field is in the characteristic stop band."""
 
 
 @dataclass(frozen=True)
@@ -90,32 +85,22 @@ class FlowTrace:
         return self.points.shape[0]
 
 
-def _stage(x, y, xu, yu, tu, xv, yv, tv, sqrt, hypot):
-    """||N^h||, whether it is in the stop band, and (p_u, p_v) from one
-    first-order jet, on floats or on arrays: the arithmetic of
-    :mod:`heisflow.horizontal`'s ``_normal_components``, ``_threshold`` and
-    ``_pullback_coeffs``, in their order, in one call."""
-    jxy = xu * yv - yu * xv
-    q = hypot((yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy)
-    thr = EPS_CHAR * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
-    return q, q < STOP_FACTOR * thr, tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
-
-
 def _field_of(surface: SurfaceHandle):
-    """The field of ``surface`` on floats, ``field(u, v)``: the field (du,
-    dv) and the point's x, y at one parameter point, from the first-order
-    field formula.  It gives what :func:`_field_rows` gives for the jet of
-    :func:`heisflow.patch.eval_jets`, and raises what that raises about the
-    value and first partials.  The domain bounds and the formula are read
-    once, here, not at every stage.
+    """The flow field of ``surface``, ``field(u, v)``: (du, dv) and the
+    point's x, y from the first-order field formula on Python floats (see
+    :class:`heisflow.patch.SurfaceHandle`), or _LegStop where ||N^h|| is in
+    the stop band.  ||N^h||, the threshold and (p_u, p_v) are the arithmetic
+    of :mod:`heisflow.horizontal`'s ``_normal_components``, ``_threshold``
+    and ``_pullback_coeffs``, in their order.  The domain bounds and the
+    formula are read once, here.
 
-    On floats a field formula returns Python floats (see
-    :class:`heisflow.patch.SurfaceHandle`), read here as they are.  One sum
-    of the nine components screens them: a non-finite component makes it
-    non-finite, and only then does the per-component check run, so a
-    finite jet whose sum overflows passes as it does in ``eval_jets``."""
+    It raises what :func:`heisflow.patch.eval_jets` raises about the value
+    and first partials.  One sum of the nine components screens them: only
+    if it is not finite does the per-component check run, so a finite jet
+    whose sum overflows passes as it does in ``eval_jets``."""
     dom, fields = surface.domain, surface.fields
     u_min, u_max, v_min, v_max = dom.u_min, dom.u_max, dom.v_min, dom.v_max
+    sqrt, hypot = math.sqrt, math.hypot
 
     def field(u: float, v: float):
         if not (u_min <= u <= u_max and v_min <= v <= v_max):
@@ -123,21 +108,22 @@ def _field_of(surface: SurfaceHandle):
         (x, y, t), (xu, yu, tu), (xv, yv, tv) = fields(u, v, 1)[:3]
         if not math.isfinite(x + y + t + xu + yu + tu + xv + yv + tv):
             _check_finite(jet2_batch(1, (x, y, t), (xu, yu, tu), (xv, yv, tv)))
-        q, near, p_u, p_v = _stage(x, y, xu, yu, tu, xv, yv, tv, math.sqrt, math.hypot)
-        if near:
-            raise _LegStop("characteristic-proximity")
-        return p_v / q, -p_u / q, x, y
+        jxy = xu * yv - yu * xv
+        q = hypot((yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy)
+        thr = EPS_CHAR * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+        if q < STOP_FACTOR * thr:
+            raise _LegStop
+        return (tv + 2.0 * (x * yv - y * xv)) / q, -(tu + 2.0 * (x * yu - y * xu)) / q, x, y
 
     return field
 
 
-def _leg(surface, u, v, h, f, max_steps):
-    """One direction of the leaf from the seed (u, v), whose field ``f`` the
-    caller has found finite and clear of the stop band; returns accepted
-    (u, v) pairs and a reason."""
+def _leg(field, u, v, h, f, max_steps):
+    """One direction of the leaf of ``field`` (:func:`_field_of`) from the
+    seed (u, v), whose field ``f`` the caller has found finite and clear of
+    the stop band; returns accepted (u, v) pairs and a reason."""
     pts: list[tuple[float, float]] = []
     reason = "step-limit"
-    field = _field_of(surface)
     for _ in range(max_steps):
         try:
             k1 = f
@@ -150,8 +136,8 @@ def _leg(surface, u, v, h, f, max_steps):
         except OutOfDomain:
             reason = "domain-exit"
             break
-        except _LegStop as stop:
-            reason = stop.reason
+        except _LegStop:
+            reason = "characteristic-proximity"
             break
         if (
             k2[0] * f[0] + k2[1] * f[1] < 0.0
@@ -175,18 +161,6 @@ def _leg(surface, u, v, h, f, max_steps):
     return pts, reason
 
 
-def _field_rows(jets: np.ndarray):
-    """The field of :func:`_field_of` at every point of a jet array of
-    order 1 or 2: a (4, N) array of (du, dv, x, y) rows, and the mask of
-    the points where it stops."""
-    x, y = jets[:, 0, 0], jets[:, 0, 1]
-    with np.errstate(all="ignore"):
-        q, near, p_u, p_v = _stage(
-            x, y, *jets[:, 1].T, *jets[:, 2].T, np.sqrt, partial(_per_element, math.hypot)
-        )
-        return np.stack((p_v / q, -p_u / q, x, y)), near
-
-
 def integrate_flows(
     surface: SurfaceHandle,
     seeds,
@@ -208,13 +182,18 @@ def integrate_flows(
         raise ValueError(f"max_steps must be >= 1, got {max_steps}")
     seeds = np.asarray(seeds, float).reshape(-1, 2)
     jets = eval_jets(surface, seeds[:, 0], seeds[:, 1])
-    rows, near = _field_rows(jets)
-    ok = np.flatnonzero(~near)
+    field = _field_of(surface)
+    ok, fs = [], []  # the seeds clear of the stop band, and the field there
+    for i, (u, v) in enumerate(seeds.tolist()):
+        try:
+            f = field(u, v)
+        except _LegStop:
+            continue
+        if not (math.isfinite(f[0]) and math.isfinite(f[1])):
+            raise ValueError(f"the field is not finite at the seed ({u}, {v})")
+        ok.append(i)
+        fs.append(f)
     starts = seeds[ok]
-    bad = ~np.isfinite(rows[:2, ok]).all(axis=0)
-    if bad.any():
-        u, v = starts[np.argmax(bad)].tolist()
-        raise ValueError(f"the field is not finite at the seed ({u}, {v})")
     # Rounding a step's new (u, v) moves its projected point by up to e / 2,
     # e = ulp(u) |(x_u, y_u)| + ulp(v) |(x_v, y_v)|, so a step under 2 e
     # could read as a collapsed chord, a false characteristic-proximity stop.
@@ -225,33 +204,24 @@ def integrate_flows(
         i = np.argmax(short)
         u, v = starts[i].tolist()
         raise ValueError(f"ds = {ds} is below 2e = {lim[i].item()} at the seed ({u}, {v})")
-    # legs 2i and 2i + 1 are the forward and backward legs of seed ok[i]
-    legs = []
-    for (u, v), f in zip(starts.tolist(), rows[:, ok].T.tolist()):
-        for h in (ds, -ds):
-            pts, reason = _leg(surface, u, v, h, f, max_steps)
-            legs.append((np.array(pts, float).reshape(-1, 2), reason))
-    paths, reasons = zip(*legs) if legs else ((), ())
-
-    uvs = [
-        np.concatenate((paths[2 * i + 1][::-1], starts[i : i + 1], paths[2 * i]))
-        for i in range(len(ok))
-    ]
+    uvs, stops = [], []  # each accepted seed's uv, and its seed index and stops
+    for (u, v), f in zip(starts.tolist(), fs):
+        forward, stop_forward = _leg(field, u, v, ds, f, max_steps)
+        backward, stop_backward = _leg(field, u, v, -ds, f, max_steps)
+        uvs.append(np.array(backward[::-1] + [(u, v)] + forward, float))
+        stops.append((len(backward), stop_backward, stop_forward))
     # a copy, so that a trace does not keep the jets of every trace alive
     points = eval_jets(surface, *np.concatenate(uvs or [np.empty((0, 2))]).T)[:, 0].copy()
     traces: list[FlowTrace | None] = [None] * len(seeds)
     start = 0
-    for i, uv in enumerate(uvs):
+    for i, uv, (seed_index, stop_backward, stop_forward) in zip(ok, uvs, stops):
         pts = points[start : start + len(uv)]
         start += len(uv)
-        seed_index = len(paths[2 * i + 1])
         params = (np.arange(len(uv)) - seed_index) * ds
         chords = np.hypot(np.diff(pts[:, 0]), np.diff(pts[:, 1]))
         arc = np.concatenate(([0.0], np.cumsum(chords)))
         arc -= arc[seed_index]
-        traces[ok[i]] = FlowTrace(
-            params, pts, uv, arc, ds, seed_index, reasons[2 * i + 1], reasons[2 * i]
-        )
+        traces[i] = FlowTrace(params, pts, uv, arc, ds, seed_index, stop_backward, stop_forward)
     return traces
 
 

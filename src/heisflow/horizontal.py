@@ -21,7 +21,7 @@ Every function here takes an (N, 6, 3) jet array from
 :func:`heisflow.patch.eval_jets`, or its (N, 3, 3) first-order part, and
 returns one value per point.  The first-order formulas keep a ``.formula``
 attribute that runs on the Python floats of one jet with :func:`math.sqrt`
-(the flow's stages run three of them fused, in ``heisflow.flow._stage``);
+(the flow field, ``heisflow.flow._field_of``, runs three of them fused);
 on arrays they use only + - * / and sqrt, which numpy rounds as Python does,
 and ||N^h|| comes from :func:`math.hypot` per point, because numpy's hypot
 rounds differently on some inputs.

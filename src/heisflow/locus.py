@@ -148,13 +148,13 @@ def _merge(found: list[LocusPoint], domain: Domain) -> list[LocusPoint]:
     Kept points are hashed into cells twice that box wide, counted from the
     domain corner, so every kept point in range lies in the 3 x 3 cells
     around the new one: rounding moves a cell coordinate by far less than
-    half a cell.  An infinite span puts every point in one cell on its axis.
+    half a cell.
     """
     merge_u = 1e-6 * max(domain.u_span, 1e-300)
     merge_v = 1e-6 * max(domain.v_span, 1e-300)
 
     def cell(x: float, lo: float, merge: float) -> int:
-        return math.floor((x - lo) / (2.0 * merge)) if merge < math.inf else 0
+        return math.floor((x - lo) / (2.0 * merge))
 
     cells: dict[tuple[int, int], list[LocusPoint]] = {}
     kept: list[LocusPoint] = []

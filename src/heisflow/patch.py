@@ -69,6 +69,8 @@ class Domain:
             raise ValueError(f"domain bounds must be finite, got {vals!r}")
         if not (self.u_min < self.u_max and self.v_min < self.v_max):
             raise ValueError(f"empty domain {vals!r}")
+        if not (math.isfinite(self.u_span) and math.isfinite(self.v_span)):
+            raise ValueError(f"domain spans must be finite, got {vals!r}")
 
     @property
     def u_span(self) -> float:

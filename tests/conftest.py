@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
+from heisflow import flow
 from heisflow.builders import (
     AngleField,
     CurveSpec,
@@ -16,6 +18,8 @@ from heisflow.builders import (
 )
 from heisflow.curvature import curvature_scan
 from heisflow.heis import HorizontalVec, Point3
+from heisflow.horizontal import char_threshold, horizontal_normal_batch, induced_form_batch
+from heisflow.patch import Domain, SurfaceHandle
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -54,6 +58,26 @@ def spec_dict(spec: RuledSpec) -> dict:
         "v_range": list(spec.v_range),
     }
     return {**out, "name": spec.name} if spec.name else out
+
+
+def field_rows(jets):
+    """The flow field as arrays, composed from the horizontal formulas at
+    every point of a jet array: the (4, N) rows (p_v / q, -p_u / q, x, y),
+    q = ||N^h||, and the mask of the points in the stop band."""
+    with np.errstate(all="ignore"):
+        q = horizontal_normal_batch(jets)[2]
+        p_u, p_v = induced_form_batch(jets)
+        near = q < flow.STOP_FACTOR * char_threshold(jets)
+        return np.stack((p_v / q, -p_u / q, jets[:, 0, 0], jets[:, 0, 1])), near
+
+
+def jet_field(jet):
+    """The flow's float field (du, dv, x, y) at a surface literal whose
+    value, du and dv rows are those of ``jet``; flow._LegStop in the stop
+    band."""
+    first = np.asarray(jet, float)[:3].tolist()
+    surface = SurfaceHandle(Domain(0.0, 1.0, 0.0, 1.0), lambda u, v, order=2: first)
+    return flow._field_of(surface)(0.0, 0.0)
 
 
 def local_H(surface, u, v) -> float:

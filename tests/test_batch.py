@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow import cli, curvature, flow, verify
-from conftest import local_H, spec_dict, term_list
+from conftest import field_rows, local_H, spec_dict, term_list
 from reference_writer import render
 from scalar_curvature import (
     reference_local,
@@ -299,7 +299,7 @@ def test_field_screen_passes_finite_jets_whose_sum_overflows():
     assert all(math.isfinite(c) for f in fields for c in f)
     assert not math.isfinite(sum(map(sum, fields)))
     got = _field_of(surface)(1.0, 0.3)
-    rows, near = flow._field_rows(eval_jets(surface, [1.0], [0.3]))
+    rows, near = field_rows(eval_jets(surface, [1.0], [0.3]))
     assert not near[0]
     assert bits(got).tolist() == bits(rows[:, 0]).tolist()
 
@@ -897,15 +897,12 @@ def test_jet_arrays_are_component_major(paraboloid, monkeypatch):
             return real(jets, *args, **kwargs)
         return wrapped
 
-    # the field rows of the flow's seeds
-    monkeypatch.setattr(flow, "_field_rows", spy(flow._field_rows))
-    flow.integrate_flows(paraboloid, [(0.5, 0.2), (1.0, -0.3)], max_steps=1)
     # the kept subsets of a scan whose band skips points
     monkeypatch.setattr(curvature, "mean_curvature_batch", spy(mean_curvature_batch))
     surfaces = scan_surfaces()
     u, v = grid_points(*surfaces[0].domain.linspace(25, 25))
     scan = curvature_scan(surfaces, u, v, floor="band", strict=False)
-    assert scan.skip.any() and len(seen) == 1 + len(blocks(scan.skip.size))
+    assert scan.skip.any() and len(seen) == len(blocks(scan.skip.size))
     for jets in seen:
         assert len(jets) >= 2 and component_major(jets)
 
@@ -913,11 +910,10 @@ def test_jet_arrays_are_component_major(paraboloid, monkeypatch):
 def layout_outputs(jets):
     """Every batched consumer of a jet array, as one list of arrays."""
     batch = mean_curvature_batch(jets)
-    rows, near = flow._field_rows(jets)
     return [
         *horizontal_normal_batch(jets), char_threshold(jets),
         *induced_form_batch(jets), normal_compatibility(jets),
-        batch.H, batch.nh_norm, batch.char, rows, near,
+        batch.H, batch.nh_norm, batch.char,
     ]
 
 

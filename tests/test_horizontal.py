@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from heisflow import verify
+from conftest import jet_field
 from heisflow.errors import CharacteristicPoint
-from heisflow.flow import _field_rows, integrate_flow
+from heisflow.flow import integrate_flow
 from heisflow.heis import (
     FrameVector,
     Point3,
@@ -88,13 +89,13 @@ def test_induced_form_frozen():
 
 
 def test_flow_direction_in_kernel():
-    (du, dv, x, y), near = _field_rows(MESSY)
+    du, dv, x, y = jet_field(MESSY[0])
     (p_u,), (p_v,) = induced_form_batch(MESSY)
     q = horizontal_normal_batch(MESSY)[2][0]
-    assert not near[0] and (x[0], y[0]) == (0.5, -1.0)
-    assert du[0] == pytest.approx(p_v / q, rel=1e-15)
-    assert dv[0] == pytest.approx(-p_u / q, rel=1e-15)
-    assert p_u * du[0] + p_v * dv[0] == pytest.approx(0.0, abs=1e-13)
+    assert (x, y) == (0.5, -1.0)
+    assert du == pytest.approx(p_v / q, rel=1e-15)
+    assert dv == pytest.approx(-p_u / q, rel=1e-15)
+    assert p_u * du + p_v * dv == pytest.approx(0.0, abs=1e-13)
 
 
 def test_nh_is_horizontal_part_of_frame_wedge(cone):

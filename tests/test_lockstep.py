@@ -2,18 +2,20 @@
 
 ``flow._leg`` steps each leg of ``integrate_flows`` on its own.  It is called
 directly here, and the inputs put every stop reason and a domain exit at
-each RK4 stage into play.  Its float field ``flow._field_of`` is compared
-with the array field ``flow._field_rows`` that the seeds use, and
-``integrate_flows`` with its one-seed calls; comparisons are on bit
-patterns.
+each RK4 stage into play.  Its float field ``flow._field_of``, the one the
+seeds and every stage use, is compared with the array composition of the
+horizontal formulas (``field_rows``), and ``integrate_flows`` with its
+one-seed calls; comparisons are on bit patterns.
 """
 
+import contextlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from conftest import field_rows
 from heisflow import flow
 from heisflow.builders import (
     CATALOG,
@@ -24,7 +26,7 @@ from heisflow.builders import (
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import integrate_flow, integrate_flows
 from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
-from heisflow.patch import Domain, eval_jets, grid_points, reparametrize_affine
+from heisflow.patch import Domain, SurfaceHandle, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
 
 DS = 1e-2
@@ -74,57 +76,49 @@ def seeds_of(name, surface):
 
 def starts(surface, seeds):
     """The seeds that pass the STOP_FACTOR test, and the field there."""
-    seeds = np.asarray(seeds, float)
-    jets = eval_jets(surface, *seeds.T)
-    rows, near = flow._field_rows(jets)
-    return seeds[~near], rows[:, ~near]
+    field = flow._field_of(surface)
+    kept = []
+    for u, v in seeds:
+        with contextlib.suppress(flow._LegStop):
+            kept.append(((u, v), field(u, v)))
+    return kept
 
 
-def scalar_legs(surface, seeds, rows, steps):
-    """Each leg through flow._leg from its seed and the field there (a column
-    of rows), forward then backward, with the RK4 stage (counted from the
-    calls of the field that flow._field_of makes for the leg) and the
-    domain edge of each domain exit, and the number of legs that only a k2,
-    k3 or k4 reversed against k1 stops."""
+def scalar_legs(surface, seeded, steps):
+    """Each leg through flow._leg from its seed and the field there, forward
+    then backward, with the RK4 stage (counted from the calls of the field
+    that flow._leg makes) and the domain edge of each domain exit, and the
+    number of legs that only a k2, k3 or k4 reversed against k1 stops."""
     legs, exits = [], []
     reversed_stages = 0
-    real = flow._field_of
+    field = flow._field_of(surface)
     calls = []  # the field each call returned, None where it raised
     point = []  # the (u, v) of the last call
 
-    def counted_field_of(surface):
-        field = real(surface)
+    def counted(*args):
+        calls.append(None)
+        point[:] = args
+        calls[-1] = field(*args)
+        return calls[-1]
 
-        def counted(*args):
-            calls.append(None)
-            point[:] = args
-            calls[-1] = field(*args)
-            return calls[-1]
-
-        return counted
-
-    flow._field_of = counted_field_of
-    try:
-        for (u, v), f in zip(seeds.tolist(), rows.T.tolist()):
-            for h in (DS, -DS):
-                calls[:] = [tuple(f)]
-                pts, reason = flow._leg(surface, u, v, h, f, steps)
-                legs.append((np.array(pts, float).reshape(-1, 2), reason))
-                if reason == "domain-exit":
-                    # call 0 is the seed, then k2, k3, k4 and the new point per step
-                    exits.append((STAGES[(len(calls) - 2) % 4], exit_edge(surface.domain, *point)))
-                last = calls[-5:]
-                if reason == "characteristic-proximity" and len(last) == 5 and None not in last:
-                    # only a reversed stage stops this step: the new point
-                    # keeps the direction and the chord does not collapse
-                    k1, *ks, fn = last
-                    reversed_stages += (
-                        any(k[0] * k1[0] + k[1] * k1[1] < 0.0 for k in ks)
-                        and fn[0] * k1[0] + fn[1] * k1[1] >= 0.0
-                        and math.hypot(fn[2] - k1[2], fn[3] - k1[3]) >= 0.5 * DS
-                    )
-    finally:
-        flow._field_of = real
+    for (u, v), f in seeded:
+        for h in (DS, -DS):
+            calls[:] = [f]
+            pts, reason = flow._leg(counted, u, v, h, f, steps)
+            legs.append((np.array(pts, float).reshape(-1, 2), reason))
+            if reason == "domain-exit":
+                # call 0 is the seed, then k2, k3, k4 and the new point per step
+                exits.append((STAGES[(len(calls) - 2) % 4], exit_edge(surface.domain, *point)))
+            last = calls[-5:]
+            if reason == "characteristic-proximity" and len(last) == 5 and None not in last:
+                # only a reversed stage stops this step: the new point
+                # keeps the direction and the chord does not collapse
+                k1, *ks, fn = last
+                reversed_stages += (
+                    any(k[0] * k1[0] + k[1] * k1[1] < 0.0 for k in ks)
+                    and fn[0] * k1[0] + fn[1] * k1[1] >= 0.0
+                    and math.hypot(fn[2] - k1[2], fn[3] - k1[3]) >= 0.5 * DS
+                )
     return legs, exits, reversed_stages
 
 
@@ -150,7 +144,7 @@ def test_inputs_reach_every_stop_and_every_exit_stage():
         legs, exits, reversals = [], [], 0
         # short legs from the edge seeds, long ones from the rest
         for s, steps in ((edge, 3), (rest, 120)):
-            run = scalar_legs(surface, *starts(surface, s), steps)
+            run = scalar_legs(surface, starts(surface, s), steps)
             legs += run[0]
             exits += run[1]
             reversals += run[2]
@@ -203,6 +197,44 @@ def test_integrate_flows_matches_one_seed_calls(name):
         assert None in got  # the 1e-12 seed fails the STOP_FACTOR test
 
 
+def scaled_plane():
+    """The plane t = 0 as (a u, a v, 0): a = 1 on |u| <= 0.9, where the field
+    is radial from the isolated characteristic point at the origin; a = 1e15
+    past u = -0.9, where a step of 1e-2 is under 2e; and a = 1e160 past
+    u = 0.9, where the jet is finite but the field is not."""
+
+    def fields(u, v, order=2):
+        if isinstance(u, np.ndarray):
+            a = np.where(u > 0.9, 1e160, np.where(u < -0.9, 1e15, 1.0))
+        else:
+            a = 1e160 if u > 0.9 else 1e15 if u < -0.9 else 1.0
+        return (a * u, a * v, 0.0), (a, 0.0, 0.0), (0.0, a, 0.0)
+
+    return SurfaceHandle(Domain(-1.0, 1.0, -1.0, 1.0), fields, "scaled-plane")
+
+
+def test_integrate_flows_screens_seeds_in_order():
+    # one call over accepted seeds, a characteristic seed, a seed under 2e
+    # and, after it, two seeds whose field is not finite: the first of those
+    # is named, since the finite screen runs over every seed before the 2e
+    # check; without them the 2e seed is named; without it, every trace is
+    # the trace of its own one-seed call
+    surface = scaled_plane()
+    accepted = [(0.3, 0.4), (1e-12, 0.0), (0.5, -0.1), (-0.2, 0.5)]
+    under_2e, not_finite = [(-0.95, 0.2)], [(0.95, 0.5), (0.97, -0.5)]
+    kw = {"ds": DS, "max_steps": 20}
+    with pytest.raises(ValueError, match=r"^the field is not finite at the seed \(0\.95, 0\.5\)$"):
+        integrate_flows(surface, accepted[:2] + under_2e + accepted[2:] + not_finite, **kw)
+    with pytest.raises(ValueError, match=r"^ds = 0\.01 is below 2e = .* at the seed \(-0\.95, 0\.2\)$"):
+        integrate_flows(surface, accepted[:2] + under_2e + accepted[2:], **kw)
+    got = integrate_flows(surface, accepted, **kw)
+    assert got[1] is None
+    want = [trace_bits(t) for t in got]
+    assert want[0] and want[2] and want[3]
+    for (u, v), w in zip(accepted, want):
+        assert [trace_bits(t) for t in integrate_flows(surface, [(u, v)], **kw)] == [w]
+
+
 def test_integrate_flows_edge_cases(paraboloid):
     assert integrate_flows(paraboloid, []) == []
     assert integrate_flows(paraboloid, [(0.3, -0.3)]) == [None]
@@ -248,8 +280,8 @@ def field_or_stop(surface, u, v):
         return bits(flow._field_of(surface)(u, v))
     except OutOfDomain:
         return "domain-exit"
-    except flow._LegStop as stop:
-        return stop.reason
+    except flow._LegStop:
+        return "characteristic-proximity"
 
 
 @pytest.mark.parametrize("name", list(FIELD_SURFACES))
@@ -268,7 +300,7 @@ def test_scalar_field_matches_field_rows(name):
     u, v = np.concatenate((u, extra[:, 0])), np.concatenate((v, extra[:, 1]))
     # the rows of the first-order jets inside the domain; outside, a domain exit
     inside = dom.contains(u, v)
-    rows, near = flow._field_rows(eval_jets(surface, u[inside], v[inside], 1))
+    rows, near = field_rows(eval_jets(surface, u[inside], v[inside], 1))
     fields = iter(
         "characteristic-proximity" if n else bits(r) for r, n in zip(rows.T, near.tolist())
     )
@@ -319,9 +351,10 @@ def stop_edge(a):
 def test_stage_formula_is_the_three_horizontal_formulas():
     # seeded first-order jets over many scales, a quarter of them with dv
     # nearly parallel to du and x = y = 0, so that ||N^h|| runs through the
-    # stop band, and pairs of jets on either side of its edge: flow._stage
-    # on floats and on arrays gives the bits of _normal_components,
-    # math.hypot, _threshold and _pullback_coeffs
+    # stop band, and pairs of jets on either side of its edge: the float
+    # field of a surface literal that returns them stops where, and gives
+    # the bits that, _normal_components, math.hypot, _threshold and
+    # _pullback_coeffs give, and so does their array composition
     rng = np.random.default_rng(29)
     n = 4000
     jets = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.integers(-6, 7, (n, 3, 3))
@@ -334,27 +367,26 @@ def test_stage_formula_is_the_three_horizontal_formulas():
     jets = np.concatenate((jets, edges))
     n = len(jets)
     jets = jets.transpose(1, 2, 0).copy().transpose(2, 0, 1)  # the layout of jet2_batch
+    table = jets.tolist()
+    literal = SurfaceHandle(Domain(0.0, n - 1.0, 0.0, 1.0), lambda u, v, order=2: table[int(u)])
+    field = flow._field_of(literal)
     want = []
-    for j in jets.tolist():
+    for k, j in enumerate(table):
         (x, y, _), du, dv = j
         n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
         q = math.hypot(n1, n2)
         thr = _threshold.formula(x, y, du, dv, math.sqrt, EPS_CHAR)
         p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
         want.append((q, q < flow.STOP_FACTOR * thr, p_u, p_v))
-        got = flow._stage(x, y, *du, *dv, math.sqrt, math.hypot)
-        assert bits(got) == bits(want[-1])
+        if want[-1][1]:
+            with pytest.raises(flow._LegStop):
+                field(float(k), 0.0)
+        else:
+            assert bits(field(float(k), 0.0)) == bits((p_v / q, -p_u / q, x, y))
     want = np.array(want).T
     assert 0 < want[1].sum() < n  # both sides of the stop band
-    with np.errstate(all="ignore"):
-        got = flow._stage(
-            jets[:, 0, 0], jets[:, 0, 1], *jets[:, 1].T, *jets[:, 2].T, np.sqrt,
-            lambda a, b: np.fromiter(map(math.hypot, a.tolist(), b.tolist()), float, len(a)),
-        )
-    for g, w in zip(got, want, strict=True):
-        assert bits(g) == bits(w)
-    rows, stop = flow._field_rows(jets)
+    rows, stop = field_rows(jets)
     assert (stop == want[1].astype(bool)).all()
     with np.errstate(divide="ignore", invalid="ignore"):
-        field = np.stack((want[3] / want[0], -want[2] / want[0]))
-    assert bits(rows[:2]) == bits(field)
+        fields = np.stack((want[3] / want[0], -want[2] / want[0]))
+    assert bits(rows[:2]) == bits(fields)

@@ -529,6 +529,40 @@ class TestCli:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "spec, bounds",
+        [
+            ({"type": "graph", "domain": {"u": [-1e308, 1e308], "v": [-1, 1]},
+              "fu": term_list(("poly", 1.0, 1))}, (-1e308, 1e308, -1.0, 1.0)),
+            ({**TURNING_LINE, "v_range": [-1e308, 1e308]}, (0.0, 2.0, -1e308, 1e308)),
+            ({"type": "developable", "curve": {**CIRCLE, "t": term_list(("poly", -2.0, 1)),
+                                               "domain": [-1e308, 1e308]}, "v_range": [0.5, 1.0]},
+             (-1e308, 1e308, 0.5, 1.0)),
+            ({"type": "cylinder", "height": [-1e308, 1e308],
+              "profile": {**CIRCLE, "t": [], "domain": [0.0, 1.0]}}, (0.0, 1.0, -1e308, 1e308)),
+        ],
+        ids=["graph", "ruled", "developable", "cylinder"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval"], ["locus"], ["flow", "--seed", "0.5", "0.5", "--steps", "3"]],
+        ids=["eval", "locus", "flow"],
+    )
+    def test_overflowing_domain_span_exits_two(self, tmp_path, spec, bounds, argv):
+        # finite bounds whose difference overflows: the domain is refused
+        # before any sample scan or grid spacing can read its span
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(spec))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "heisflow", argv[0], str(path),
+             *argv[1:]],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"heisflow: domain spans must be finite, got {bounds!r}\n"
+
+    @pytest.mark.parametrize(
         "spec, seed",
         [
             ({"type": "graph", "domain": {"u": [0, 1e308], "v": [0, 1]},

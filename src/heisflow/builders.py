@@ -23,7 +23,7 @@ minimal everywhere else.
 
 The term jets and every formula built on them take a float or a float
 array, so each builder hands :func:`heisflow.patch.make_surface` one field
-formula, which the flow's scalar stepper runs on floats and
+formula, which the flow field runs on floats and
 :func:`heisflow.patch.eval_jets` on arrays.  Both calls run the same
 floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is
@@ -31,9 +31,11 @@ Python's, entry by entry, except for the exponent 1.  The term sums a
 formula reads are one group, whose jet is one generated straight-line
 function per group of term shapes (kinds and polynomial degrees) and number
 of entries: the same text on floats and on arrays, with the guard against
-an overflowing ``**`` or trig past the float range inside it.  A field
-formula call is then one dispatch and one generated call; coefficients and
-frequencies are bound as values, so no file content reaches the text.
+an overflowing ``**`` or trig past the float range inside it.  The formula
+is generated too, from the builder's text for the value and first partials,
+which the flow's generated leg puts inline after the group jet's text
+(:func:`_formula`).  Coefficients and frequencies are bound as values, so no
+file content reaches the text.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ import os
 import re
 import types
 from dataclasses import dataclass, field
+from textwrap import indent
 
 import numpy as np
 
@@ -177,26 +180,18 @@ _ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin,
            "fcos": _nan_cos, "fsin": _nan_sin}
 
 
-@functools.lru_cache(maxsize=None)
-def _jet_code(shapes: tuple, n: int, args: tuple, direction: bool = False) -> types.CodeType:
-    """The code of ``jet(*variables, *plans)``, the straight-line function
-    of a group of term sums: the first n jet entries of each sum, the sums
-    in order.  A sum's shape is a (kind, polynomial degree or 0) pair per
-    term, and ``args`` names the variable each sum reads.  With
-    ``direction`` the last sum is an angle theta, whose n entries give way
-    to the first n of (a, b), (a', b'), (a'', b'') for a = cos theta and
-    b = sin theta.
+def _defined(text: str, names: dict | None = None):
+    """The function that ``text`` defines, with the global names ``names``."""
+    namespace = dict(names or {})
+    exec(compile(text, "<generated>", "exec"), namespace)
+    return namespace.popitem()[1]  # bound last, after __builtins__
 
-    Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
-    entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
-    cos and sin of ``k * s`` once, each only if an entry reads it.  An entry
-    that is identically 0.0 is not added: the sum starts at +0.0, so it is
-    never -0.0, and x + 0.0 is x.  The body runs under ``try`` and its twin,
-    with the guarded names of :data:`_FLOATS`, under ``except``.  The text
-    holds only kinds, degrees, indices and variable names, so no
-    coefficient, frequency or file content reaches ``compile``; the plans
-    are bound."""
-    params, lines, out = list(dict.fromkeys(args)), [], []
+
+@functools.lru_cache(maxsize=None)
+def _jet_text(shapes: tuple, n: int, args: tuple, direction: bool = False) -> tuple:
+    """The plan parameters, body lines and returned entries of the jet of
+    :func:`_jet_code`, with ``{pow}``, ``{cos}`` and ``{sin}`` left to fill."""
+    params, lines, out = [], [], []
     for g, (shape, s) in enumerate(zip(shapes, args)):
         sums = [[] for _ in range(n)]
         for i, (kind, k) in enumerate(shape):
@@ -228,14 +223,35 @@ def _jet_code(shapes: tuple, n: int, args: tuple, direction: bool = False) -> ty
                 entries += [f"-a * {th[1]} * {th[1]} - b * {th[2]}",
                             f"-b * {th[1]} * {th[1]} + a * {th[2]}"]
         out += entries
+    return tuple(params), tuple(lines), tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_code(shapes: tuple, n: int, args: tuple, direction: bool = False) -> types.CodeType:
+    """The code of ``jet(*variables, *plans)``, the straight-line function
+    of a group of term sums: the first n jet entries of each sum, the sums
+    in order.  A sum's shape is a (kind, polynomial degree or 0) pair per
+    term, and ``args`` names the variable each sum reads.  With
+    ``direction`` the last sum is an angle theta, whose n entries give way
+    to the first n of (a, b), (a', b'), (a'', b'') for a = cos theta and
+    b = sin theta.
+
+    Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
+    entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
+    cos and sin of ``k * s`` once, each only if an entry reads it.  An entry
+    that is identically 0.0 is not added: the sum starts at +0.0, so it is
+    never -0.0, and x + 0.0 is x.  The body runs under ``try`` and its twin,
+    with the guarded names of :data:`_FLOATS`, under ``except``.  The text
+    holds only kinds, degrees, indices and variable names, so no
+    coefficient, frequency or file content reaches ``compile``; the plans
+    are bound."""
+    params, lines, out = _jet_text(shapes, n, args, direction)
     body = "".join(f"        {line}\n" for line in lines) + f"        return {', '.join(out)},\n"
-    text = (f"def jet({', '.join(params)}):\n    try:\n"
+    text = (f"def jet({', '.join([*dict.fromkeys(args), *params])}):\n    try:\n"
             + body.format(pow="pow", cos="cos", sin="sin")
             + "    except (OverflowError, ValueError):\n"
             + body.format(pow="gpow", cos="gcos", sin="gsin"))
-    namespace: dict = {}
-    exec(compile(text, "<term sum jet>", "exec"), namespace)
-    return namespace["jet"].__code__
+    return _defined(text).__code__
 
 
 def _group_jet(sums, n: int, args: tuple = (), direction: bool = False) -> tuple:
@@ -252,10 +268,53 @@ def _group_jet(sums, n: int, args: tuple = (), direction: bool = False) -> tuple
     return tuple(types.FunctionType(code, names, "jet", plans) for names in (_FLOATS, _ARRAYS))
 
 
-def _jets_by_order(sums, extra: int, args: tuple = (), direction: bool = False) -> tuple:
-    """The group jets a field formula reads, indexed by the order: each
-    gives ``order + extra`` entries of every sum."""
-    return (None, *(_group_jet(sums, order + extra, args, direction) for order in (1, 2)))
+def _outs(names: tuple, n: int, direction: bool) -> list:
+    """The names of a group jet's n entries of each sum: x, x1, ... for a
+    sum named x, and a, b, a1, b1, ... for a direction."""
+    outs = [f"{name}{j or ''}" for name in names for j in range(n)]
+    return outs + ([f"{c}{j or ''}" for j in range(n) for c in "ab"] if direction else [])
+
+
+@functools.lru_cache(maxsize=None)
+def _formula_code(names: tuple, n: int, call: str, first: str, second: str, direction: bool):
+    """``make(jets)``, the field formula ``fields(u, v, order=2)`` over the
+    group jets ``jets``: it reads n + order - 1 entries of each sum from
+    ``jets[order]`` into the names of :func:`_outs`, runs ``first``, which
+    sets the value and first partials X, Y, T, Xu, ..., Tv, and returns
+    them, with the second partials ``second`` at order 2."""
+    body = [f"{', '.join(_outs(names, n + order - 1, direction))} = "
+            f"jets[{order}][isinstance(u, ndarray)]({call})\n{first}\n"
+            f"return (X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv){tail}"
+            for order, tail in ((1, ""), (2, f", {second}"))]
+    return _defined("def make(jets):\n    def fields(u, v, order=2):\n        if order == 1:\n"
+                    + indent(body[0], " " * 12) + "\n" + indent(body[1], " " * 8)
+                    + "\n    return fields\n", {"ndarray": np.ndarray})
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_slot(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, first: str):
+    """The order-1 group jet, without its guard, and ``first`` as one text
+    on floats, and the jet's plan parameters."""
+    params, lines, out = _jet_text(shapes, n, args, direction)
+    lines += tuple(f"{name} = {entry}" for name, entry in zip(_outs(names, n, direction), out)
+                   if name != entry)
+    return "\n".join((*lines, first)).format(pow="pow", cos="cos", sin="sin"), params
+
+
+def _formula(sums, names: tuple, extra: int, first: str, second: str, args: tuple = (),
+             direction: bool = False):
+    """The field formula of a builder (:func:`_formula_code`) over the term
+    sums ``sums``, named ``names``, whose group jets give ``order + extra``
+    entries of each sum, each reading u unless ``args`` names its variable.
+    ``fields.stage`` is the text, plan parameters and plans of its order-1
+    stage, which the flow's generated leg puts inline."""
+    args = args or ("u",) * len(sums)
+    jets = (None, *(_group_jet(sums, order + extra, args, direction) for order in (1, 2)))
+    fields = _formula_code(names, 1 + extra, ", ".join(dict.fromkeys(args)), first, second,
+                           direction)(jets)
+    slot = _stage_slot(tuple(ts._shape for ts in sums), 1 + extra, args, direction, names, first)
+    fields.stage = (*slot, jets[1][0].__defaults__)
+    return fields
 
 
 @dataclass(frozen=True)
@@ -344,32 +403,6 @@ class RuledSpec:
         object.__setattr__(self, "v_range", _as_range(self.v_range, "v_range"))
 
 
-def _ruled_jets(spec: RuledSpec) -> tuple:
-    """The group jets of x, y, t and the ruling direction, by order."""
-    curve = spec.curve
-    return _jets_by_order((curve.x, curve.y, curve.t, spec.angle.theta), 1, direction=True)
-
-
-def _ruled_fields(jets: tuple, s, v, order: int = 2):
-    # one unpacking per order: on floats a starred target costs about as
-    # much as the second partials it would skip
-    if order == 1:
-        x, x1, y, y1, t, t1, a, b, a1, b1 = jets[1][isinstance(s, np.ndarray)](s)
-    else:
-        x, x1, x2, y, y1, y2, t, t1, t2, a, b, a1, b1, a2, b2 = jets[2][isinstance(s, np.ndarray)](s)
-    g = y * a - x * b
-    g1 = y1 * a + y * a1 - x1 * b - x * b1
-    first = (
-        (x + v * a, y + v * b, t + 2.0 * v * g),
-        (x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1),
-        (a, b, 2.0 * g),
-    )
-    if order == 1:
-        return first
-    g2 = y2 * a + 2.0 * y1 * a1 + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2
-    return first + ((x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * g2), (a1, b1, 2.0 * g1))
-
-
 def _samples(lo: float, hi: float, n: int) -> np.ndarray:
     """The n + 1 points lo + (hi - lo) * i / n, i = 0..n, of a sample scan."""
     return lo + (hi - lo) * np.arange(n + 1) / n
@@ -425,8 +458,16 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"
         )
-    return make_surface(functools.partial(_ruled_fields, _ruled_jets(spec)), domain,
-                        spec.name or "ruled")
+    curve = spec.curve
+    fields = _formula((curve.x, curve.y, curve.t, spec.angle.theta), ("x", "y", "t"), 1, """\
+g = y * a - x * b
+g1 = y1 * a + y * a1 - x1 * b - x * b1
+X, Y, T = x + v * a, y + v * b, t + 2.0 * v * g
+Xu, Yu, Tu = x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1
+Xv, Yv, Tv = a, b, 2.0 * g""", "(x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * (y2 * a + 2.0 * y1 * a1"
+                      " + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2)), (a1, b1, 2.0 * g1)",
+                      direction=True)
+    return make_surface(fields, domain, spec.name or "ruled")
 
 
 def plane_contact_factor(spec: RuledSpec, s, v) -> float:
@@ -515,22 +556,10 @@ def build_tangent_developable(
             "straight segment is not an immersed patch"
         )
 
-    jets = _jets_by_order((curve.x, curve.y, curve.t), 2)
-
-    def fields(s, v, order=2):
-        if order == 1:
-            x, x1, x2, y, y1, y2, t, t1, t2 = jets[1][isinstance(s, np.ndarray)](s)
-        else:
-            x, x1, x2, x3, y, y1, y2, y3, t, t1, t2, t3 = jets[2][isinstance(s, np.ndarray)](s)
-        first = (
-            (x + v * x1, y + v * y1, t + v * t1),
-            (x1 + v * x2, y1 + v * y2, t1 + v * t2),
-            (x1, y1, t1),
-        )
-        if order == 1:
-            return first
-        return first + ((x2 + v * x3, y2 + v * y3, t2 + v * t3), (x2, y2, t2))
-
+    fields = _formula((curve.x, curve.y, curve.t), ("x", "y", "t"), 2, """\
+X, Y, T = x + v * x1, y + v * y1, t + v * t1
+Xu, Yu, Tu = x1 + v * x2, y1 + v * y2, t1 + v * t2
+Xv, Yv, Tv = x1, y1, t1""", "(x2 + v * x3, y2 + v * y3, t2 + v * t3), (x2, y2, t2)")
     return make_surface(fields, domain, label)
 
 
@@ -560,15 +589,10 @@ def build_cylinder(
             f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
         )
 
-    jets = _jets_by_order((profile.x, profile.y), 1)
-
-    def fields(u, v, order=2):
-        if order == 1:
-            x, x1, y, y1 = jets[1][isinstance(u, np.ndarray)](u)
-            return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0)
-        x, x1, x2, y, y1, y2 = jets[2][isinstance(u, np.ndarray)](u)
-        return (x, y, v), (x1, y1, 0.0), (0.0, 0.0, 1.0), (x2, y2, 0.0)
-
+    fields = _formula((profile.x, profile.y), ("x", "y"), 1, """\
+X, Y, T = x, y, v
+Xu, Yu, Tu = x1, y1, 0.0
+Xv, Yv, Tv = 0.0, 0.0, 1.0""", "(x2, y2, 0.0)")
     return make_surface(fields, domain, label)
 
 
@@ -579,32 +603,17 @@ def build_graph_separable(
     label: str = "graph",
 ) -> SurfaceHandle:
     """Graph of the separable function f(u, v) = f_of_u(u) + f_of_v(v)."""
-
-    jets = _jets_by_order((f_of_u, f_of_v), 1, ("u", "v"))
-
-    def fields(u, v, order=2):
-        if order == 1:
-            fu, fu1, fv, fv1 = jets[1][isinstance(u, np.ndarray)](u, v)
-            return (u, v, fu + fv), (1.0, 0.0, fu1), (0.0, 1.0, fv1)
-        fu, fu1, fu2, fv, fv1, fv2 = jets[2][isinstance(u, np.ndarray)](u, v)
-        return ((u, v, fu + fv), (1.0, 0.0, fu1), (0.0, 1.0, fv1),
-                (0.0, 0.0, fu2), (0.0, 0.0, 0.0), (0.0, 0.0, fv2))
-
+    fields = _formula((f_of_u, f_of_v), ("fu", "fv"), 1, """\
+X, Y, T = u, v, fu + fv
+Xu, Yu, Tu = 1.0, 0.0, fu1
+Xv, Yv, Tv = 0.0, 1.0, fv1""", "(0.0, 0.0, fu2), (0.0, 0.0, 0.0), (0.0, 0.0, fv2)", ("u", "v"))
     # Graphs are immersions unconditionally, so no regularity sampling is run.
     return SurfaceHandle(domain, fields, label)
 
 
-def _poly(*coeff_deg: tuple[float, int]) -> TermSum:
-    return TermSum(tuple(Term("poly", c, k) for c, k in coeff_deg))
-
-
-def _circle_profile(radius: float, arc: tuple[float, float]) -> CurveSpec:
-    return CurveSpec(
-        TermSum((Term("cos", radius, 1),)),
-        TermSum((Term("sin", radius, 1),)),
-        TermSum(),
-        arc,
-    )
+def _terms(*terms: tuple) -> TermSum:
+    """The sum of the terms given as (kind, coeff, k) triples."""
+    return TermSum(tuple(Term(*t) for t in terms))
 
 
 def _cone_lower() -> SurfaceHandle:
@@ -651,15 +660,16 @@ def catalog_get(name: str) -> SurfaceHandle:
             raise UnknownName(f"bad cylinder radius in {name!r}") from None
         if not (math.isfinite(radius) and radius > 0.0):
             raise UnknownName(f"cylinder radius must be positive, got {name!r}")
-        profile = _circle_profile(radius, (0.0, 2.0 * math.pi))
+        profile = CurveSpec(_terms(("cos", radius, 1)), _terms(("sin", radius, 1)), TermSum(),
+                            (0.0, 2.0 * math.pi))
         return build_cylinder(profile, (-1.0, 1.0), label=name)
     if name == "cylinder":
         return catalog_get("cylinder(1.0)")
     if name == "paraboloid":
         # t = y^2 - x^2, the classical minimal graph; characteristic on x + y = 0.
         return build_graph_separable(
-            _poly((-1.0, 2)),
-            _poly((1.0, 2)),
+            _terms(("poly", -1.0, 2)),
+            _terms(("poly", 1.0, 2)),
             Domain(-1.5, 1.5, -1.5, 1.5),
             label=name,
         )
@@ -675,17 +685,13 @@ def catalog_get(name: str) -> SurfaceHandle:
         )
     if name == "plane_flow_patch":
         return build_plane_flow_patch(
-            AngleField(_poly((1.0, 1))), (0.0, 3.0), (0.2, 2.0), label=name
+            AngleField(_terms(("poly", 1.0, 1))), (0.0, 3.0), (0.2, 2.0), label=name
         )
     if name == "cone_lower":
         return _cone_lower()
     if name == "circle_lift_developable":
-        curve = CurveSpec(
-            TermSum((Term("cos", 1.0, 1),)),
-            TermSum((Term("sin", 1.0, 1),)),
-            _poly((-2.0, 1)),
-            (0.0, 2.0 * math.pi),
-        )
+        curve = CurveSpec(_terms(("cos", 1.0, 1)), _terms(("sin", 1.0, 1)),
+                          _terms(("poly", -2.0, 1)), (0.0, 2.0 * math.pi))
         return build_tangent_developable(curve, (0.1, 1.2), label=name)
     raise UnknownName(
         f"no catalog surface named {name!r}; choices: {', '.join(CATALOG)}"

@@ -18,23 +18,30 @@ A leg stops for one of three reasons:
 * ``step-limit``: max_steps completed without either event.
 
 :func:`integrate_flows` traces many leaves of one surface, each leg on
-its own through the scalar stepper :func:`_leg`.  An RK4 stage reads the
-value and first partials alone, so the flow field, :func:`_field_of`, runs
-the surface's field formula at order 1 on Python floats; it is built once
-per call, for the seeds and every stage, and a formula built from term
-sums makes one generated jet call per stage.  The seeds and the reported
-points of a trace are evaluated, and screened, with full 2-jets by
-:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
-call.
+its own through one generated function, :func:`_leg_of`, with its four RK4
+stages inline as straight-line text on Python floats.  A stage reads the
+value and first partials alone: a builder's field formula gives the text of
+its group jet and order-1 assembly, and any other surface takes the slot
+``fields(u, v, 1)[:3]``.  The text is compiled once per slot, that is per
+builder and shape of term sums.  The flow field, :func:`_field_of`, is the
+same stage with that generic slot; it gives the seeds' fields, and a stage
+whose inline jet leaves the float range runs again through it.  The seeds
+and the reported points of a trace are evaluated, and screened, with full
+2-jets by :func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its
+one-seed call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from dataclasses import dataclass
+from textwrap import indent
 
 import numpy as np
 
+from .builders import _FLOATS, _defined
 from .errors import CharacteristicPoint, OutOfDomain
 from .horizontal import EPS_CHAR, horizontal_normal_batch
 from .patch import (
@@ -85,80 +92,101 @@ class FlowTrace:
         return self.points.shape[0]
 
 
-def _field_of(surface: SurfaceHandle):
-    """The flow field of ``surface``, ``field(u, v)``: (du, dv) and the
-    point's x, y from the first-order field formula on Python floats (see
-    :class:`heisflow.patch.SurfaceHandle`), or _LegStop where ||N^h|| is in
-    the stop band.  ||N^h||, the threshold and (p_u, p_v) are the arithmetic
-    of :mod:`heisflow.horizontal`'s ``_normal_components``, ``_threshold``
-    and ``_pullback_coeffs``, in their order.  The domain bounds and the
-    formula are read once, here.
+# One stage of the flow field at (u, v), around a slot that sets the value
+# and first partials X, ..., Tv: the domain test; one sum screens the nine,
+# and only past it does the check of eval_jets run, so a finite jet whose sum
+# overflows passes as there; ||N^h||, the threshold and (p_u, p_v) in the
+# order of heisflow.horizontal's formulas; the stop band; the field (du, dv).
+_STAGE = """\
+if not (u_min <= u <= u_max and v_min <= v <= v_max):
+    raise _out_of_domain(dom, u, v)
+{slot}
+if not isfinite(X + Y + T + Xu + Yu + Tu + Xv + Yv + Tv):
+    _check_finite(jet2_batch(1, (X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv)))
+jxy = Xu * Yv - Yu * Xv
+q = hypot((Yu * Tv - Tu * Yv) + 2.0 * Y * jxy, (Tu * Xv - Xu * Tv) - 2.0 * X * jxy)
+thr = EPS_CHAR * (1.0 + sqrt(Xu * Xu + Yu * Yu + Tu * Tu + Xv * Xv + Yv * Yv + Tv * Tv))
+if q < STOP_FACTOR * thr:
+    raise _LegStop
+du, dv = (Tv + 2.0 * (X * Yv - Y * Xv)) / q, -(Tu + 2.0 * (X * Yu - Y * Xu)) / q"""
+_GENERIC = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv) = fields(u, v, 1)[:3]"
 
-    It raises what :func:`heisflow.patch.eval_jets` raises about the value
-    and first partials.  One sum of the nine components screens them: only
-    if it is not finite does the per-component check run, so a finite jet
-    whose sum overflows passes as it does in ``eval_jets``."""
-    dom, fields = surface.domain, surface.fields
-    u_min, u_max, v_min, v_max = dom.u_min, dom.u_max, dom.v_min, dom.v_max
-    sqrt, hypot = math.sqrt, math.hypot
-
-    def field(u: float, v: float):
-        if not (u_min <= u <= u_max and v_min <= v <= v_max):
-            raise _out_of_domain(dom, u, v)
-        (x, y, t), (xu, yu, tu), (xv, yv, tv) = fields(u, v, 1)[:3]
-        if not math.isfinite(x + y + t + xu + yu + tu + xv + yv + tv):
-            _check_finite(jet2_batch(1, (x, y, t), (xu, yu, tu), (xv, yv, tv)))
-        jxy = xu * yv - yu * xv
-        q = hypot((yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy)
-        thr = EPS_CHAR * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
-        if q < STOP_FACTOR * thr:
-            raise _LegStop
-        return (tv + 2.0 * (x * yv - y * xv)) / q, -(tu + 2.0 * (x * yu - y * xu)) / q, x, y
-
-    return field
-
-
-def _leg(field, u, v, h, f, max_steps):
-    """One direction of the leaf of ``field`` (:func:`_field_of`) from the
-    seed (u, v), whose field ``f`` the caller has found finite and clear of
-    the stop band; returns accepted (u, v) pairs and a reason."""
-    pts: list[tuple[float, float]] = []
+# One direction of a leaf from (u0, v0), whose field k1 the caller has found
+# finite and clear of the stop band, in the order of the stops above.  Each
+# {stage} is a _STAGE under ``try``; if its slot raises OverflowError or
+# ValueError (an unguarded float jet past the float range) or its screen
+# fails, the stage runs again as ``field``, whose value, error or stop holds.
+_LEG = """\
+def leg(u0, v0, h, f, max_steps, field, fields, dom, u_min, u_max, v_min, v_max{params}):
+    pts = []
     reason = "step-limit"
+    k1u, k1v, k1x, k1y = f
     for _ in range(max_steps):
         try:
-            k1 = f
-            k2 = field(u + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
-            k3 = field(u + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
-            k4 = field(u + h * k3[0], v + h * k3[1])
-            un = u + h * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]) / 6.0
-            vn = v + h * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]) / 6.0
-            fn = field(un, vn)
+            u, v = u0 + 0.5 * h * k1u, v0 + 0.5 * h * k1v
+{stage}
+            k2u, k2v = du, dv
+            u, v = u0 + 0.5 * h * k2u, v0 + 0.5 * h * k2v
+{stage}
+            k3u, k3v = du, dv
+            u, v = u0 + h * k3u, v0 + h * k3v
+{stage}
+            k4u, k4v = du, dv
+            u = u0 + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
+            v = v0 + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
+{stage}
         except OutOfDomain:
             reason = "domain-exit"
             break
         except _LegStop:
             reason = "characteristic-proximity"
             break
-        if (
-            k2[0] * f[0] + k2[1] * f[1] < 0.0
-            or k3[0] * f[0] + k3[1] * f[1] < 0.0
-            or k4[0] * f[0] + k4[1] * f[1] < 0.0
-            or fn[0] * f[0] + fn[1] * f[1] < 0.0
-        ):
-            # Field reversed within one step: a stage or the new point lies
-            # across the characteristic locus, where the field flips sign.
-            # Reject the new point.
+        if (k2u * k1u + k2v * k1v < 0.0 or k3u * k1u + k3v * k1v < 0.0
+                or k4u * k1u + k4v * k1v < 0.0 or du * k1u + dv * k1v < 0.0
+                or hypot(X - k1x, Y - k1y) < 0.5 * abs(h)):
             reason = "characteristic-proximity"
             break
-        if math.hypot(fn[2] - f[2], fn[3] - f[3]) < 0.5 * abs(h):
-            # A leaf has unit projected speed; a collapsing projected chord
-            # means the substeps straddle the locus and cancel, pinning the
-            # integrator against a characteristic point.
-            reason = "characteristic-proximity"
-            break
-        pts.append((un, vn))
-        u, v, f = un, vn, fn
+        pts.append((u, v))
+        u0, v0, k1u, k1v, k1x, k1y = u, v, du, dv, X, Y
     return pts, reason
+"""
+
+_NAMES = {**_FLOATS, "isfinite": math.isfinite, "hypot": math.hypot, "sqrt": math.sqrt,
+          "EPS_CHAR": EPS_CHAR, "STOP_FACTOR": STOP_FACTOR, "_LegStop": _LegStop,
+          "OutOfDomain": OutOfDomain, "_out_of_domain": _out_of_domain,
+          "_check_finite": _check_finite, "jet2_batch": jet2_batch}
+_FIELD = _defined("def field(u, v, fields, dom, u_min, u_max, v_min, v_max):\n"
+                  + indent(_STAGE.format(slot=_GENERIC), "    ")
+                  + "\n    return du, dv, X, Y\n").__code__
+
+
+def _field_of(surface: SurfaceHandle):
+    """The flow field ``field(u, v)`` of ``surface``: (du, dv) and the
+    point's x, y from its field formula at order 1 on floats (see
+    :class:`heisflow.patch.SurfaceHandle`), or _LegStop in the stop band.
+    It raises what :func:`heisflow.patch.eval_jets` raises about the value
+    and first partials."""
+    dom = surface.domain
+    return types.FunctionType(_FIELD, _NAMES, "field", (
+        surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max))
+
+
+@functools.lru_cache(maxsize=None)
+def _leg_code(slot: str, params: tuple) -> types.CodeType:
+    """The code of :data:`_LEG` with ``slot`` in its stages, ``params`` last."""
+    fallback = "except (OverflowError, ValueError):\n    du, dv, X, Y = field(u, v)"
+    stage = indent(f"try:\n{indent(_STAGE.format(slot=slot), '    ')}\n{fallback}", " " * 12)
+    return _defined(_LEG.format(params="".join(f", {p}" for p in params), stage=stage)).__code__
+
+
+def _leg_of(surface: SurfaceHandle, field):
+    """``leg(u, v, h, f, max_steps)``, the accepted (u, v) pairs and stop
+    reason of one direction, for ``surface`` and its ``field``: its slot is
+    ``fields.stage`` of a builder's formula, or else the generic one."""
+    slot, params, plans = getattr(surface.fields, "stage", (_GENERIC, (), ()))
+    dom = surface.domain
+    return types.FunctionType(_leg_code(slot, params), _NAMES, "leg", (
+        field, surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max, *plans))
 
 
 def integrate_flows(
@@ -174,7 +202,8 @@ def integrate_flows(
     close to the characteristic locus (where :func:`integrate_flow`
     raises CharacteristicPoint).  Any other seed whose field is not finite,
     or where ``ds`` is under twice its rounding scale, raises ValueError.
-    Each leg, forward then backward from each seed, is stepped on its own.
+    Each leg, forward then backward from each seed, is stepped on its own
+    by the surface's generated leg.
     """
     if not (ds > 0.0 and math.isfinite(ds)):
         raise ValueError(f"ds must be positive and finite, got {ds}")
@@ -183,6 +212,7 @@ def integrate_flows(
     seeds = np.asarray(seeds, float).reshape(-1, 2)
     jets = eval_jets(surface, seeds[:, 0], seeds[:, 1])
     field = _field_of(surface)
+    leg = _leg_of(surface, field)
     ok, fs = [], []  # the seeds clear of the stop band, and the field there
     for i, (u, v) in enumerate(seeds.tolist()):
         try:
@@ -206,8 +236,8 @@ def integrate_flows(
         raise ValueError(f"ds = {ds} is below 2e = {lim[i].item()} at the seed ({u}, {v})")
     uvs, stops = [], []  # each accepted seed's uv, and its seed index and stops
     for (u, v), f in zip(starts.tolist(), fs):
-        forward, stop_forward = _leg(field, u, v, ds, f, max_steps)
-        backward, stop_backward = _leg(field, u, v, -ds, f, max_steps)
+        forward, stop_forward = leg(u, v, ds, f, max_steps)
+        backward, stop_backward = leg(u, v, -ds, f, max_steps)
         uvs.append(np.array(backward[::-1] + [(u, v)] + forward, float))
         stops.append((len(backward), stop_backward, stop_forward))
     # a copy, so that a trace does not keep the jets of every trace alive

@@ -19,12 +19,11 @@ turn J(nu^h) = -nu2 X + nu1 Y of the unit horizontal normal.
 
 Every function here takes an (N, 6, 3) jet array from
 :func:`heisflow.patch.eval_jets`, or its (N, 3, 3) first-order part, and
-returns one value per point.  The first-order formulas keep a ``.formula``
-attribute that runs on the Python floats of one jet with :func:`math.sqrt`
-(the flow field, ``heisflow.flow._field_of``, runs three of them fused);
-on arrays they use only + - * / and sqrt, which numpy rounds as Python does,
-and ||N^h|| comes from :func:`math.hypot` per point, because numpy's hypot
-rounds differently on some inputs.
+returns one value per point.  The formulas use only + - * / and sqrt, which
+numpy rounds as Python does, and ||N^h|| comes from :func:`math.hypot` per
+point, because numpy's hypot rounds differently on some inputs; so the flow
+field of :mod:`heisflow.flow`, which writes their arithmetic out on floats,
+gets their bits.
 """
 
 from __future__ import annotations
@@ -50,33 +49,28 @@ EPS_CHAR = 1e-9
 
 
 def _first_order(formula):
-    """Evaluate ``formula(x, y, (xu, yu, tu), (xv, yv, tv), sqrt, *args)`` on
-    the entries of a jet array with np.sqrt under np.errstate(all="ignore"):
-    huge but finite jets overflow there, as float arithmetic does silently."""
+    """Evaluate ``formula(x, y, (xu, yu, tu), (xv, yv, tv), *args)`` on the
+    entries of a jet array under np.errstate(all="ignore"): huge but finite
+    jets overflow there, as float arithmetic does silently."""
 
     def on_jets(j, *args):
         with np.errstate(all="ignore"):
-            return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, np.sqrt, *args)
+            return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, *args)
 
-    on_jets.formula = formula  # for float callers, and to fuse several under one errstate
     on_jets.__name__, on_jets.__doc__ = formula.__name__, formula.__doc__
     return on_jets
 
 
 @_first_order
-def _threshold(x, y, du, dv, sqrt, eps):
-    (xu, yu, tu), (xv, yv, tv) = du, dv
-    return eps * (1.0 + sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
-
-
-def char_threshold(j, eps: float = EPS_CHAR):
+def char_threshold(x, y, du, dv, eps: float = EPS_CHAR):
     """Scale-aware vanishing threshold eps * (1 + ||d1||_F) for ||N^h||
     at every point of an (N, 6, 3) jet array."""
-    return _threshold(j, eps)
+    (xu, yu, tu), (xv, yv, tv) = du, dv
+    return eps * (1.0 + np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
 
 
 @_first_order
-def _normal_components(x, y, du, dv, sqrt):
+def _normal_components(x, y, du, dv):
     """(n1, n2) at every point of a jet array."""
     (xu, yu, tu), (xv, yv, tv) = du, dv
     jxy = xu * yv - yu * xv
@@ -84,8 +78,8 @@ def _normal_components(x, y, du, dv, sqrt):
 
 
 @_first_order
-def _pullback_coeffs(x, y, du, dv, sqrt):
-    """(p_u, p_v) at every point of a jet array."""
+def induced_form_batch(x, y, du, dv):
+    """Pullback coefficients (p_u, p_v) of the contact form at every point."""
     (xu, yu, tu), (xv, yv, tv) = du, dv
     return tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
 
@@ -97,13 +91,8 @@ def horizontal_normal_batch(jets: np.ndarray):
     return n1, n2, _per_element(math.hypot, n1, n2)
 
 
-def induced_form_batch(jets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pullback coefficients (p_u, p_v) of the contact form at every point."""
-    return _pullback_coeffs(jets)
-
-
 @_first_order
-def normal_compatibility(x, y, du, dv, sqrt):
+def normal_compatibility(x, y, du, dv):
     """Ambient dot product N . N^h of the Euclidean and horizontal normals
     at every point of an (N, 6, 3) jet array.
 
@@ -112,7 +101,7 @@ def normal_compatibility(x, y, du, dv, sqrt):
     uncollapsed dot product lets callers verify that identity.
     """
     (xu, yu, tu), (xv, yv, tv) = du, dv
-    n1, n2 = _normal_components.formula(x, y, du, dv, sqrt)
     jxy = xu * yv - yu * xv
+    n1, n2 = (yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy
     nh_t = 2.0 * y * n1 - 2.0 * x * n2  # the t entry of N^h in ambient coordinates
     return (yu * tv - tu * yv) * n1 + (tu * xv - xu * tv) * n2 + jxy * nh_t

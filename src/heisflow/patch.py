@@ -144,8 +144,8 @@ class SurfaceHandle:
     floats standing for every point; :func:`eval_jets` checks its output.
     With ``order=1`` only the first three triples (value, du, dv) are read,
     and a formula may leave out the rest or return them anyway.  On
-    floats every entry is a Python float, not a numpy scalar: the flow's
-    scalar stepper does float arithmetic on them as they are.  A field
+    floats every entry is a Python float, not a numpy scalar: the flow
+    field does float arithmetic on them as they are.  A field
     formula accepts every point of its closed domain: only points outside
     it are refused, by the callers' domain test, never by the formula.
     The parameter order carries the orientation; flipping it means building

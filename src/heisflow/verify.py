@@ -28,8 +28,8 @@ from .builders import (
     AngleField,
     CurveSpec,
     RuledSpec,
-    Term,
     TermSum,
+    _terms,
     build_plane_flow_patch,
     build_straight_ruled,
     catalog_get,
@@ -179,41 +179,21 @@ def check_paraboloid_minimality(seed: int) -> list[CheckResult]:
 
 
 def _plane_flow_spec() -> RuledSpec:
-    zero = TermSum()
-    return RuledSpec(
-        CurveSpec(zero, zero, zero, (0.0, 3.0)),
-        AngleField(TermSum((Term("poly", 1.0, 1),))),
-        (0.2, 2.0),
-        name="plane-flow",
-    )
+    curve = CurveSpec(TermSum(), TermSum(), TermSum(), (0.0, 3.0))
+    return RuledSpec(curve, AngleField(_terms(("poly", 1.0, 1))), (0.2, 2.0), name="plane-flow")
 
 
 def _ruled_paraboloid_spec() -> RuledSpec:
-    return RuledSpec(
-        CurveSpec(
-            TermSum(),
-            TermSum((Term("poly", 1.0, 1),)),
-            TermSum((Term("poly", 1.0, 2),)),
-            (0.5, 2.0),
-        ),
-        AngleField(TermSum((Term("poly", math.pi / 4.0, 0),))),
-        (0.25, 1.25),
-        name="ruled-paraboloid",
-    )
+    curve = CurveSpec(TermSum(), _terms(("poly", 1.0, 1)), _terms(("poly", 1.0, 2)), (0.5, 2.0))
+    return RuledSpec(curve, AngleField(_terms(("poly", math.pi / 4.0, 0))), (0.25, 1.25),
+                     name="ruled-paraboloid")
 
 
 def _circle_lift_ruled_spec() -> RuledSpec:
-    return RuledSpec(
-        CurveSpec(
-            TermSum((Term("cos", 1.0, 1),)),
-            TermSum((Term("sin", 1.0, 1),)),
-            TermSum((Term("poly", -2.0, 1),)),
-            (0.0, 2.0 * math.pi),
-        ),
-        AngleField(TermSum((Term("poly", 1.0, 1),))),
-        (0.2, 1.5),
-        name="circle-lift-ruled",
-    )
+    curve = CurveSpec(_terms(("cos", 1.0, 1)), _terms(("sin", 1.0, 1)),
+                      _terms(("poly", -2.0, 1)), (0.0, 2.0 * math.pi))
+    return RuledSpec(curve, AngleField(_terms(("poly", 1.0, 1))), (0.2, 1.5),
+                     name="circle-lift-ruled")
 
 
 def check_ruled_form_identity(seed: int) -> list[CheckResult]:
@@ -329,15 +309,8 @@ def check_oracle_agreement(seed: int) -> list[CheckResult]:
         if len(seeds) < 200:
             shortfall.append(f"{name}:{len(seeds)}")
     if shortfall:
-        return [
-            _mk(
-                "local-vs-flow-oracle",
-                math.inf,
-                1e-3,
-                count,
-                "under 200 accepted points on " + ", ".join(shortfall),
-            )
-        ]
+        detail = "under 200 accepted points on " + ", ".join(shortfall)
+        return [_mk("local-vs-flow-oracle", math.inf, 1e-3, count, detail)]
     return [_mk("local-vs-flow-oracle", worst, 1e-3, count, where)]
 
 

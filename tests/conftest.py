@@ -80,6 +80,14 @@ def jet_field(jet):
     return flow._field_of(surface)(0.0, 0.0)
 
 
+def unsigned_nan_bits(a):
+    """The bits of a, with the sign bit of each NaN cleared: a NaN's sign is
+    not part of the documented contract, and CPython's specialised float
+    add can flip it after some calls.  Every other bit stays."""
+    b = a.view(np.int64)
+    return np.where(np.isnan(a), b & np.int64(0x7FFF_FFFF_FFFF_FFFF), b)
+
+
 def local_H(surface, u, v) -> float:
     """The local-formula H at one point, a strict scan of one point."""
     return float(curvature_scan([surface], [u], [v]).H[0, 0])

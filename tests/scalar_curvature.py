@@ -2,8 +2,9 @@
 one point at a time on Python floats.
 
 The jet of one point comes from a surface's field formula run on floats,
-the first-order quantities from the package formulas' ``.formula`` run on
-those floats with math.sqrt and math.hypot, and the curvature from the
+the first-order quantities from this file's copies of the formulas of
+heisflow.horizontal run on those floats with math.sqrt and math.hypot, in
+their order of operations, and the curvature from the
 per-point math.fsum path that heisflow.curvature.mean_curvature_batch
 replaced; :func:`reference_local` is that path, and raises
 CharacteristicPoint with the message of the strict
@@ -19,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from heisflow.errors import CharacteristicPoint
-from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
+from heisflow.horizontal import EPS_CHAR
 
 _SPLIT = 134217729.0  # 2**27 + 1
 
@@ -39,25 +40,24 @@ def scalar_jet(surface, u, v):
     return np.array([[float(c) for c in f] for f in fields] + [[0.0] * 3] * (6 - len(fields)))
 
 
-def _first_order_args(j):
-    (x, y, _), du, dv = j[:3].tolist()
-    return x, y, du, dv, math.sqrt
-
-
 def scalar_normal(j):
-    """(n1, n2, ||N^h||) of one (6, 3) jet, on floats."""
-    n1, n2 = _normal_components.formula(*_first_order_args(j))
+    """(n1, n2, ||N^h||) of one (6, 3) or (3, 3) jet, on floats."""
+    (x, y, _), (xu, yu, tu), (xv, yv, tv) = np.asarray(j, float)[:3].tolist()
+    jxy = xu * yv - yu * xv
+    n1, n2 = (yu * tv - tu * yv) + 2.0 * y * jxy, (tu * xv - xu * tv) - 2.0 * x * jxy
     return n1, n2, math.hypot(n1, n2)
 
 
 def scalar_pullback(j):
-    """(p_u, p_v) of one (6, 3) jet, on floats."""
-    return _pullback_coeffs.formula(*_first_order_args(j))
+    """(p_u, p_v) of one (6, 3) or (3, 3) jet, on floats."""
+    (x, y, _), (xu, yu, tu), (xv, yv, tv) = np.asarray(j, float)[:3].tolist()
+    return tu + 2.0 * (x * yu - y * xu), tv + 2.0 * (x * yv - y * xv)
 
 
 def scalar_threshold(j, eps_char=EPS_CHAR):
-    """char_threshold of one (6, 3) jet, on floats."""
-    return _threshold.formula(*_first_order_args(j), eps_char)
+    """char_threshold of one (6, 3) or (3, 3) jet, on floats."""
+    _, (xu, yu, tu), (xv, yv, tv) = np.asarray(j, float)[:3].tolist()
+    return eps_char * (1.0 + math.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
 
 
 def _two_prod(a, b):

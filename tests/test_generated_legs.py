@@ -1,0 +1,163 @@
+"""Generated flow legs against the reference stepper ``scalar_flow.leg``.
+
+``flow._leg_of`` gives each surface one generated leg: a builder's field
+formula puts its order-1 text inline in the four RK4 stages, and every other
+handle takes the generic slot, its formula at order 1.  On random ruled,
+graph and cylinder files, on developables, on every catalog surface, on an
+affine reparametrisation and on a surface literal, each leg must give the
+reference's accepted points bit for bit, its stop reason, and the type and
+message of anything it raises.  A NaN's sign is outside the contract, so
+points compare with it cleared.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import term_list, unsigned_nan_bits
+from scalar_flow import leg as reference_leg
+from heisflow import flow
+from heisflow.builders import CATALOG, catalog_get, surface_from_dict
+from heisflow.errors import SpecError
+from heisflow.patch import Domain, SurfaceHandle, reparametrize_affine
+
+coeffs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-20, 1e150, 1e300]))
+entries = st.lists(
+    st.one_of(
+        st.tuples(st.just("poly"), coeffs, st.integers(0, 6)),
+        st.tuples(st.sampled_from(["cos", "sin"]), coeffs,
+                  st.one_of(st.integers(1, 4), st.just(2**53))),
+    ),
+    max_size=3,
+).map(lambda ts: term_list(*ts))
+ranges = st.sampled_from([[0.0, 2.0], [-1.5, 1.0], [0.5, 1e60], [0.0, 1e293]])
+fractions = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.99, 1.0]))
+steps = st.sampled_from([1e-3, 3e-2, 0.2, 1e290])
+
+RULED = st.fixed_dictionaries({
+    "type": st.just("ruled"),
+    "curve": st.fixed_dictionaries({"x": entries, "y": entries, "t": entries, "domain": ranges}),
+    "theta": entries, "v_range": st.sampled_from([[0.25, 1.25], [-1.0, 1.0]]),
+})
+GRAPH = st.fixed_dictionaries({
+    "type": st.just("graph"),
+    "domain": st.fixed_dictionaries(
+        {"u": ranges, "v": st.sampled_from([[0.0, 1.0], [-2.0, 2.0]])}
+    ),
+    "fu": entries, "fv": entries,
+})
+CYLINDER = st.fixed_dictionaries({
+    "type": st.just("cylinder"),
+    "profile": st.fixed_dictionaries({"x": entries, "y": entries, "domain": ranges}),
+    "height": st.just([-1.0, 1.0]),
+})
+DEVELOPABLE_FILE = {
+    "type": "developable",
+    "curve": {"x": term_list(("cos", 0.5, 2), ("poly", 0.3, 0)),
+              "y": term_list(("sin", 0.5, 2)), "t": term_list(("sin", -0.3, 2), ("poly", -1.0, 1)),
+              "domain": [0.0, 3.0]},
+    "v_range": [-1.5, -0.2],
+}
+# the seed's jet is finite, and cos of a stage past it leaves the float range
+COS_PAST_THE_SEED = {
+    "type": "graph", "domain": {"u": [0, 1e293], "v": [0, 1]},
+    "fu": term_list(("cos", 1e-20, 2**53)),
+}
+
+
+def outcome(run):
+    """The accepted points, with NaN signs cleared, and the stop reason of a
+    leg, or the type and message of what it raises."""
+    try:
+        pts, reason = run()
+    except Exception as e:  # noqa: BLE001 - the comparison is the point
+        return type(e), str(e)
+    return unsigned_nan_bits(np.array(pts, float).reshape(-1, 2)).tolist(), reason
+
+
+def assert_legs_match(surface, fu, fv, ds, max_steps):
+    """Both legs from the point at fractions (fu, fv) of the domain, forward
+    and backward, through the generated leg and the reference; False where
+    the seed's field raises or stops, so that no leg starts."""
+    dom = surface.domain
+    u = min(dom.u_min + fu * dom.u_span, dom.u_max)
+    v = min(dom.v_min + fv * dom.v_span, dom.v_max)
+    field = flow._field_of(surface)
+    try:
+        f = field(u, v)
+    except (flow._LegStop, ValueError):
+        return False
+    generated = flow._leg_of(surface, field)
+    for h in (ds, -ds):
+        want = outcome(lambda: reference_leg(field, u, v, h, f, max_steps))
+        assert outcome(lambda: generated(u, v, h, f, max_steps)) == want, (u, v, h)
+    return True
+
+
+def built(spec):
+    try:
+        return surface_from_dict(spec)
+    except (SpecError, ValueError):
+        assume(False)
+
+
+LEGS = settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@LEGS
+@given(spec=st.one_of(RULED, GRAPH, CYLINDER), fu=fractions, fv=fractions, ds=steps,
+       max_steps=st.integers(1, 40))
+@example(spec=COS_PAST_THE_SEED, fu=1.98e292 / 1e293, fv=0.5, ds=1e290, max_steps=1000)
+@example(spec={"type": "graph", "domain": {"u": [0, 1e60], "v": [0, 1]},
+               "fu": term_list(("poly", 1.0, 6))}, fu=1e-11, fv=0.5, ds=3e48, max_steps=40)
+def test_generated_legs_match_the_reference_on_files(spec, fu, fv, ds, max_steps):
+    assert_legs_match(built(spec), fu, fv, ds, max_steps)
+
+
+def test_guard_past_the_seed_is_reached_inside_a_leg():
+    # the example above: the generated leg raises the reference's error
+    surface = surface_from_dict(COS_PAST_THE_SEED)
+    field = flow._field_of(surface)
+    f = field(1.98e292, 0.5)
+    got = outcome(lambda: flow._leg_of(surface, field)(1.98e292, 0.5, 1e290, f, 1000))
+    assert got == outcome(lambda: reference_leg(field, 1.98e292, 0.5, 1e290, f, 1000))
+    assert got[0] is ValueError and got[1].startswith("non-finite jet component in value: ")
+
+
+def literal():
+    """The plane t = 0 scaled by 1e160 past u = 0.9, from a formula that
+    returns all six field triples: the generic slot, and a field that is
+    not finite there."""
+
+    def fields(u, v, order=2):
+        a = 1e160 if u > 0.9 else 1.0
+        return (a * u, a * v, 0.0), (a, 0.0, 0.0), (0.0, a, 0.0), *((0.0, 0.0, 0.0),) * 3
+
+    return SurfaceHandle(Domain(-1.0, 1.0, -1.0, 1.0), fields, "literal")
+
+
+HANDLES = {
+    **{name: (lambda name=name: catalog_get(name)) for name in CATALOG},
+    "developable-file": lambda: surface_from_dict(DEVELOPABLE_FILE),
+    "reparametrized-cone": lambda: reparametrize_affine(
+        catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)), (-1.25, 3.0),
+        Domain(-0.25, 0.25, -0.9, 0.9),
+    ),
+    "literal": literal,
+}
+
+
+@LEGS
+@given(name=st.sampled_from(sorted(HANDLES)), fu=fractions, fv=fractions,
+       ds=st.sampled_from([1e-3, 3e-2, 0.2]), max_steps=st.integers(1, 300))
+@example(name="literal", fu=0.4, fv=0.6, ds=0.2, max_steps=20)
+def test_generated_legs_match_the_reference_on_handles(name, fu, fv, ds, max_steps):
+    assert_legs_match(HANDLES[name](), fu, fv, ds, max_steps)
+
+
+def test_handles_take_the_slot_of_their_formula():
+    # builders' formulas carry their order-1 text; every other handle takes
+    # the generic slot, so the legs above run both
+    inline = {name for name, build in HANDLES.items() if hasattr(build().fields, "stage")}
+    assert inline == {"paraboloid", "plane_t0", "plane_flow_patch", "cylinder(1.0)",
+                      "circle_lift_developable", "developable-file"}

@@ -1,11 +1,13 @@
 """The flow stepper's legs, stops and fields, bit for bit.
 
-``flow._leg`` steps each leg of ``integrate_flows`` on its own.  It is called
-directly here, and the inputs put every stop reason and a domain exit at
-each RK4 stage into play.  Its float field ``flow._field_of``, the one the
-seeds and every stage use, is compared with the array composition of the
-horizontal formulas (``field_rows``), and ``integrate_flows`` with its
-one-seed calls; comparisons are on bit patterns.
+``integrate_flows`` steps each leg on its own with the generated leg of
+``flow._leg_of``.  The reference stepper ``scalar_flow.leg`` is called
+directly here, with the generated leg beside it on every input, and the
+inputs put every stop reason and a domain exit at each RK4 stage into play.
+The float field ``flow._field_of``, the one the seeds use and a stage falls
+back to, is compared with the array composition of the horizontal formulas
+(``field_rows``), and ``integrate_flows`` with its one-seed calls;
+comparisons are on bit patterns.
 """
 
 import contextlib
@@ -16,6 +18,8 @@ import numpy as np
 import pytest
 
 from conftest import field_rows
+from scalar_curvature import scalar_normal, scalar_pullback, scalar_threshold
+from scalar_flow import leg
 from heisflow import flow
 from heisflow.builders import (
     CATALOG,
@@ -25,7 +29,6 @@ from heisflow.builders import (
 )
 from heisflow.errors import CharacteristicPoint, OutOfDomain
 from heisflow.flow import integrate_flow, integrate_flows
-from heisflow.horizontal import EPS_CHAR, _normal_components, _pullback_coeffs, _threshold
 from heisflow.patch import Domain, SurfaceHandle, eval_jets, grid_points, reparametrize_affine
 from heisflow.rng import Lcg64
 
@@ -85,13 +88,15 @@ def starts(surface, seeds):
 
 
 def scalar_legs(surface, seeded, steps):
-    """Each leg through flow._leg from its seed and the field there, forward
-    then backward, with the RK4 stage (counted from the calls of the field
-    that flow._leg makes) and the domain edge of each domain exit, and the
-    number of legs that only a k2, k3 or k4 reversed against k1 stops."""
+    """Each leg through the reference stepper from its seed and the field
+    there, forward then backward, with the RK4 stage (counted from the calls
+    of the field that it makes) and the domain edge of each domain exit, and
+    the number of legs that only a k2, k3 or k4 reversed against k1 stops.
+    The generated leg gives each leg's points and reason too, bit for bit."""
     legs, exits = [], []
     reversed_stages = 0
     field = flow._field_of(surface)
+    generated = flow._leg_of(surface, field)
     calls = []  # the field each call returned, None where it raised
     point = []  # the (u, v) of the last call
 
@@ -104,8 +109,11 @@ def scalar_legs(surface, seeded, steps):
     for (u, v), f in seeded:
         for h in (DS, -DS):
             calls[:] = [f]
-            pts, reason = flow._leg(counted, u, v, h, f, steps)
+            pts, reason = leg(counted, u, v, h, f, steps)
             legs.append((np.array(pts, float).reshape(-1, 2), reason))
+            got, got_reason = generated(u, v, h, f, steps)
+            assert bits(np.array(got, float).reshape(-1, 2)) == bits(legs[-1][0])
+            assert got_reason == reason
             if reason == "domain-exit":
                 # call 0 is the seed, then k2, k3, k4 and the new point per step
                 exits.append((STAGES[(len(calls) - 2) % 4], exit_edge(surface.domain, *point)))
@@ -335,11 +343,7 @@ def stop_edge(a):
         return [[0.0, 0.0, 0.0], [a, 0.0, 0.0], [0.0, 0.0, float(np.int64(bits).view(float))]]
 
     def stops(j):
-        (x, y, _), du, dv = j
-        n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
-        return math.hypot(n1, n2) < flow.STOP_FACTOR * _threshold.formula(
-            x, y, du, dv, math.sqrt, EPS_CHAR
-        )
+        return scalar_normal(j)[2] < flow.STOP_FACTOR * scalar_threshold(j)
 
     lo, hi = int(np.float64(1e-12).view(np.int64)), int(np.float64(1.0).view(np.int64))
     while hi - lo > 1:
@@ -353,8 +357,9 @@ def test_stage_formula_is_the_three_horizontal_formulas():
     # nearly parallel to du and x = y = 0, so that ||N^h|| runs through the
     # stop band, and pairs of jets on either side of its edge: the float
     # field of a surface literal that returns them stops where, and gives
-    # the bits that, _normal_components, math.hypot, _threshold and
-    # _pullback_coeffs give, and so does their array composition
+    # the bits that scalar_curvature's float copies of the horizontal
+    # formulas (n1, n2 with math.hypot, the threshold, p_u and p_v) give,
+    # and so does the array composition of the package formulas
     rng = np.random.default_rng(29)
     n = 4000
     jets = rng.standard_normal((n, 3, 3)) * 10.0 ** rng.integers(-6, 7, (n, 3, 3))
@@ -373,10 +378,9 @@ def test_stage_formula_is_the_three_horizontal_formulas():
     want = []
     for k, j in enumerate(table):
         (x, y, _), du, dv = j
-        n1, n2 = _normal_components.formula(x, y, du, dv, math.sqrt)
-        q = math.hypot(n1, n2)
-        thr = _threshold.formula(x, y, du, dv, math.sqrt, EPS_CHAR)
-        p_u, p_v = _pullback_coeffs.formula(x, y, du, dv, math.sqrt)
+        q = scalar_normal(j)[2]
+        thr = scalar_threshold(j)
+        p_u, p_v = scalar_pullback(j)
         want.append((q, q < flow.STOP_FACTOR * thr, p_u, p_v))
         if want[-1][1]:
             with pytest.raises(flow._LegStop):

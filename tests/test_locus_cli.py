@@ -562,6 +562,29 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr == f"heisflow: domain spans must be finite, got {bounds!r}\n"
 
+    def test_guard_reached_past_the_seed_exits_two(self, tmp_path):
+        # the seed's jet is finite, and an RK4 stage past it takes cos past
+        # the float range: the stage runs again through the guarded float
+        # jet, whose NaN the finite screen names, exit exactly 2 and no
+        # RuntimeWarning
+        path = tmp_path / "cos.json"
+        path.write_text(json.dumps(
+            {"type": "graph", "domain": {"u": [0, 1e293], "v": [0, 1]},
+             "fu": [{"kind": "cos", "coeff": 1e-20, "k": 9007199254740992}]}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "heisflow", "flow", str(path),
+             "--seed", "1.98e292", "0.5", "--ds", "1e290", "--steps", "1000"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "heisflow: non-finite jet component in value: "
+            "array([2.0000000e+292, 5.0505081e-001,            nan])\n"
+        )
+
     @pytest.mark.parametrize(
         "spec, seed",
         [

@@ -12,9 +12,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heisflow import builders
+from heisflow import builders, flow
 from heisflow.builders import Term, TermSum, _jet_code, random_ruled_patch
 from heisflow.rng import Lcg64
+from conftest import unsigned_nan_bits
 from term_reference import EXTREMES, POW_DIFFERS, direction_jet, term_sum_jet
 
 SPECIAL = EXTREMES + POW_DIFFERS + [math.inf, -math.inf, math.nan]
@@ -96,11 +97,16 @@ def test_sums_of_one_shape_keep_their_own_constants():
                 want = [term_sum_jet(ts, s)[:n] for ts in (a, b)]
                 assert_same_entries(ab[isinstance(s, np.ndarray)](s), want[0] + want[1])
                 assert_same_entries(ba[isinstance(s, np.ndarray)](s), want[1] + want[0])
+    # two ruled patches of one shape share their formula's code and the text
+    # of their flow stage, and so their generated leg, but bind their own plans
     rng = Lcg64(5)
-    one, other = (random_ruled_patch(rng, i)[0] for i in range(2))
+    one, other = (random_ruled_patch(rng, i)[1].fields for i in range(2))
+    assert one.__code__ is other.__code__
+    jets = [f.__closure__[0].cell_contents for f in (one, other)]  # what each closes over
     for order in (1, 2):
-        assert (builders._ruled_jets(one)[order][0].__code__
-                is builders._ruled_jets(other)[order][0].__code__)
+        assert jets[0][order][0].__code__ is jets[1][order][0].__code__
+    assert one.stage[:2] == other.stage[:2] and one.stage[2] != other.stage[2]
+    assert flow._leg_code(*one.stage[:2]) is flow._leg_code(*other.stage[:2])
 
 
 def test_random_ruled_specs_compile_few_shapes(monkeypatch):
@@ -120,14 +126,6 @@ def test_random_ruled_specs_compile_few_shapes(monkeypatch):
     for spec in specs[:10]:
         for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):
             assert_same_jet(ts.jet(0.7), term_sum_jet(ts, 0.7))
-
-
-def unsigned_nan_bits(a):
-    """The bits of a, with the sign bit of each NaN cleared: a NaN's sign is
-    not part of the documented contract, and CPython's specialised float
-    add can flip it after some calls.  Every other bit stays."""
-    b = a.view(np.int64)
-    return np.where(np.isnan(a), b & np.int64(0x7FFF_FFFF_FFFF_FFFF), b)
 
 
 def assert_same_prefix(got, full, n):

@@ -28,14 +28,15 @@ formula, which the flow field runs on floats and
 floating-point operations in the same order and agree bit for bit: cosine
 and sine are math's for a float and numpy's for an array, and ``**`` is
 Python's, entry by entry, except for the exponent 1.  The term sums a
-formula reads are one group, whose jet is one generated straight-line
-function per group of term shapes (kinds and polynomial degrees) and number
-of entries: the same text on floats and on arrays, with the guard against
-an overflowing ``**`` or trig past the float range inside it.  The formula
-is generated too, from the builder's text for the value and first partials,
-which the flow's generated leg puts inline after the group jet's text
-(:func:`_formula`).  Coefficients and frequencies are bound as values, so no
-file content reaches the text.
+formula reads are one group.  One generator, :func:`_code`, writes one
+straight-line function per group of term shapes (kinds and polynomial
+degrees) and number of entries: the jet of a term sum, or the field formula
+itself, which runs the builder's text for the value and partials after the
+group's jet text.  That text runs on arrays as it is, and on floats with a
+twin that guards against an overflowing ``**`` or trig past the float
+range; the flow's generated stages put the float text of the first order
+inline.  Coefficients and frequencies are bound as values, so no file
+content reaches the text.
 """
 
 from __future__ import annotations
@@ -166,23 +167,20 @@ def _nan_sin(w: float) -> float:
     return _cos_sin(w)[1]
 
 
-# The two bindings of a generated jet.  Its straight body calls pow, cos and
-# sin.  On floats an overflowing ** or trig past the float range raises
-# there, and the twin body under ``except`` runs the same text with gpow,
-# gcos and gsin, which give +-inf and NaN instead; nothing raises on
-# arrays.  fcos and fsin take the direction of a constant angle, a float on
-# either path.
-_FLOATS = {"pow": pow, "cos": math.cos, "sin": math.sin,
-           "gpow": _pow, "gcos": _nan_cos, "gsin": _nan_sin,
-           "fcos": _nan_cos, "fsin": _nan_sin}
-_ARRAYS = {"pow": _array_pow, "cos": np.cos, "sin": np.sin,
-           "gpow": _array_pow, "gcos": np.cos, "gsin": np.sin,
-           "fcos": _nan_cos, "fsin": _nan_sin}
+# The names a generated body reads.  Its jet text calls {pow}, {cos} and
+# {sin}: on arrays apow, acos and asin, which never raise; on floats pow,
+# cos and sin, where an overflowing ** or trig past the float range raises,
+# and in the twin under ``except`` gpow, gcos and gsin, which give +-inf and
+# NaN instead.  fcos and fsin take the direction of a constant angle, a
+# float on either path.
+_NAMES = {"ndarray": np.ndarray, "apow": _array_pow, "acos": np.cos, "asin": np.sin,
+          "pow": pow, "cos": math.cos, "sin": math.sin,
+          "gpow": _pow, "gcos": _nan_cos, "gsin": _nan_sin, "fcos": _nan_cos, "fsin": _nan_sin}
 
 
-def _defined(text: str, names: dict | None = None):
-    """The function that ``text`` defines, with the global names ``names``."""
-    namespace = dict(names or {})
+def _defined(text: str):
+    """The function that ``text`` defines."""
+    namespace = {}
     exec(compile(text, "<generated>", "exec"), namespace)
     return namespace.popitem()[1]  # bound last, after __builtins__
 
@@ -190,7 +188,7 @@ def _defined(text: str, names: dict | None = None):
 @functools.lru_cache(maxsize=None)
 def _jet_text(shapes: tuple, n: int, args: tuple, direction: bool = False) -> tuple:
     """The plan parameters, body lines and returned entries of the jet of
-    :func:`_jet_code`, with ``{pow}``, ``{cos}`` and ``{sin}`` left to fill."""
+    :func:`_code`, with ``{pow}``, ``{cos}`` and ``{sin}`` left to fill."""
     params, lines, out = [], [], []
     for g, (shape, s) in enumerate(zip(shapes, args)):
         sums = [[] for _ in range(n)]
@@ -226,48 +224,6 @@ def _jet_text(shapes: tuple, n: int, args: tuple, direction: bool = False) -> tu
     return tuple(params), tuple(lines), tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _jet_code(shapes: tuple, n: int, args: tuple, direction: bool = False) -> types.CodeType:
-    """The code of ``jet(*variables, *plans)``, the straight-line function
-    of a group of term sums: the first n jet entries of each sum, the sums
-    in order.  A sum's shape is a (kind, polynomial degree or 0) pair per
-    term, and ``args`` names the variable each sum reads.  With
-    ``direction`` the last sum is an angle theta, whose n entries give way
-    to the first n of (a, b), (a', b'), (a'', b'') for a = cos theta and
-    b = sin theta.
-
-    Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
-    entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
-    cos and sin of ``k * s`` once, each only if an entry reads it.  An entry
-    that is identically 0.0 is not added: the sum starts at +0.0, so it is
-    never -0.0, and x + 0.0 is x.  The body runs under ``try`` and its twin,
-    with the guarded names of :data:`_FLOATS`, under ``except``.  The text
-    holds only kinds, degrees, indices and variable names, so no
-    coefficient, frequency or file content reaches ``compile``; the plans
-    are bound."""
-    params, lines, out = _jet_text(shapes, n, args, direction)
-    body = "".join(f"        {line}\n" for line in lines) + f"        return {', '.join(out)},\n"
-    text = (f"def jet({', '.join([*dict.fromkeys(args), *params])}):\n    try:\n"
-            + body.format(pow="pow", cos="cos", sin="sin")
-            + "    except (OverflowError, ValueError):\n"
-            + body.format(pow="gpow", cos="gcos", sin="gsin"))
-    return _defined(text).__code__
-
-
-def _group_jet(sums, n: int, args: tuple = (), direction: bool = False) -> tuple:
-    """The generated jet of the term sums ``sums`` (see :func:`_jet_code`),
-    bound to the float and to the array names, in that order, so that
-    ``jet[isinstance(s, np.ndarray)](s)`` runs the one for ``s``.  Each sum
-    reads s unless ``args`` names its variable."""
-    args = args or ("s",) * len(sums)
-    # what the first n entries read: a polynomial's first n multipliers, or
-    # k and n of the four signed c k^i of a trigonometric term
-    plans = tuple(value for ts in sums for t in ts.terms
-                  for value in t._plan[: n if t.kind == "poly" else n + 1])
-    code = _jet_code(tuple(ts._shape for ts in sums), n, args, direction)
-    return tuple(types.FunctionType(code, names, "jet", plans) for names in (_FLOATS, _ARRAYS))
-
-
 def _outs(names: tuple, n: int, direction: bool) -> list:
     """The names of a group jet's n entries of each sum: x, x1, ... for a
     sum named x, and a, b, a1, b1, ... for a direction."""
@@ -276,44 +232,66 @@ def _outs(names: tuple, n: int, direction: bool) -> list:
 
 
 @functools.lru_cache(maxsize=None)
-def _formula_code(names: tuple, n: int, call: str, first: str, second: str, direction: bool):
-    """``make(jets)``, the field formula ``fields(u, v, order=2)`` over the
-    group jets ``jets``: it reads n + order - 1 entries of each sum from
-    ``jets[order]`` into the names of :func:`_outs`, runs ``first``, which
-    sets the value and first partials X, Y, T, Xu, ..., Tv, and returns
-    them, with the second partials ``second`` at order 2."""
-    body = [f"{', '.join(_outs(names, n + order - 1, direction))} = "
-            f"jets[{order}][isinstance(u, ndarray)]({call})\n{first}\n"
-            f"return (X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv){tail}"
-            for order, tail in ((1, ""), (2, f", {second}"))]
-    return _defined("def make(jets):\n    def fields(u, v, order=2):\n        if order == 1:\n"
-                    + indent(body[0], " " * 12) + "\n" + indent(body[1], " " * 8)
-                    + "\n    return fields\n", {"ndarray": np.ndarray})
+def _code(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, first: str,
+          second: str) -> tuple:
+    """The code of the straight-line function of a group of term sums, its
+    plan parameters, and the text of its first order on floats.
+
+    A sum's shape is a (kind, polynomial degree or 0) pair per term, and
+    ``args`` names the variable each sum reads.  The function sets the
+    first n entries of each sum, the sums in order, to the names of
+    :func:`_outs` (:func:`_jet_text`; with ``direction`` the last sum is an
+    angle theta, whose entries give way to those of (a, b) = (cos theta,
+    sin theta)).  Without ``first`` it is ``jet(*variables, *plans)`` and
+    returns them.  With it, it is the field formula ``fields(u, v, order=2,
+    *plans)``: it sets n + order - 1 entries, runs ``first``, which sets
+    the value and first partials X, Y, T, Xu, ..., Tv, and returns them,
+    with the second partials ``second`` at order 2.  The jet text calls the
+    array names of :data:`_NAMES` on arrays; on floats it runs under ``try``
+    and its twin, with the guarded names, under ``except``.
+
+    Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
+    entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
+    cos and sin of ``k * s`` once, each only if an entry reads it.  An entry
+    that is identically 0.0 is not added: the sum starts at +0.0, so it is
+    never -0.0, and x + 0.0 is x.  The text holds only kinds, degrees,
+    indices and variable names, so no coefficient, frequency or file
+    content reaches ``compile``; the plans are bound as defaults."""
+    value = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv)"
+    tails = ([f"{first}\nreturn {value}", f"{first}\nreturn {value}, {second}"] if first
+             else [f"return {', '.join(_outs(names, n, direction))},"])
+    bodies, slots = [], []
+    for m, tail in zip((n, n + 1), tails):
+        params, lines, out = _jet_text(shapes, m, args, direction)
+        text = "\n".join((*lines, *(f"{name} = {entry}" for name, entry
+                                    in zip(_outs(names, m, direction), out) if name != entry)))
+        floats, guarded, arrays = (indent(text.format(pow=f"{p}pow", cos=f"{p}cos", sin=f"{p}sin"),
+                                          "    ") for p in ("", "g", "a"))
+        slots.append(f"try:\n{floats}\nexcept (OverflowError, ValueError):\n{guarded}")
+        bodies.append(f"if isinstance({args[0]}, ndarray):\n{arrays}\nelse:\n"
+                      f"{indent(slots[-1], '    ')}\n{tail}")
+    head = "fields(u, v, order" if first else f"jet({', '.join(dict.fromkeys(args))}"
+    body = f"if order == 1:\n{indent(bodies[0], '    ')}\n{bodies[1]}" if first else bodies[0]
+    text = f"def {head}{''.join(f', {p}' for p in params)}):\n{indent(body, '    ')}\n"
+    return _defined(text).__code__, params, f"{slots[0]}\n{first}"
 
 
-@functools.lru_cache(maxsize=None)
-def _stage_slot(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, first: str):
-    """The order-1 group jet, without its guard, and ``first`` as one text
-    on floats, and the jet's plan parameters."""
-    params, lines, out = _jet_text(shapes, n, args, direction)
-    lines += tuple(f"{name} = {entry}" for name, entry in zip(_outs(names, n, direction), out)
-                   if name != entry)
-    return "\n".join((*lines, first)).format(pow="pow", cos="cos", sin="sin"), params
-
-
-def _formula(sums, names: tuple, extra: int, first: str, second: str, args: tuple = (),
-             direction: bool = False):
-    """The field formula of a builder (:func:`_formula_code`) over the term
-    sums ``sums``, named ``names``, whose group jets give ``order + extra``
-    entries of each sum, each reading u unless ``args`` names its variable.
-    ``fields.stage`` is the text, plan parameters and plans of its order-1
-    stage, which the flow's generated leg puts inline."""
-    args = args or ("u",) * len(sums)
-    jets = (None, *(_group_jet(sums, order + extra, args, direction) for order in (1, 2)))
-    fields = _formula_code(names, 1 + extra, ", ".join(dict.fromkeys(args)), first, second,
-                           direction)(jets)
-    slot = _stage_slot(tuple(ts._shape for ts in sums), 1 + extra, args, direction, names, first)
-    fields.stage = (*slot, jets[1][0].__defaults__)
+def _group(sums, n: int, args: tuple, direction: bool, names: tuple, first: str = "",
+           second: str = ""):
+    """The function of :func:`_code` for the term sums ``sums``, with their
+    plans bound as the defaults after its variables (and ``order=2``).  A
+    field formula's ``stage`` holds the text of its first order on floats,
+    its plan parameters and its plans, which the flow's stages put inline."""
+    code, params, slot = _code(tuple(ts._shape for ts in sums), n, args, direction, names,
+                               first, second)
+    # what the last order reads: a polynomial's first multipliers, or k and
+    # the first of the four signed c k^i of a trigonometric term
+    n += bool(first)
+    plans = tuple(value for ts in sums for t in ts.terms
+                  for value in t._plan[: n if t.kind == "poly" else n + 1])
+    fields = types.FunctionType(code, _NAMES, None, (2, *plans) if first else plans)
+    if first:
+        fields.stage = slot, params, plans
     return fields
 
 
@@ -335,15 +313,16 @@ class TermSum:
         """The (kind, polynomial degree or 0) pair of each term."""
         return tuple((t.kind, t.k if t.kind == "poly" else 0) for t in self.terms)
 
-    def _jet(self, n: int, direction: bool = False) -> tuple:
+    def _jet(self, n: int, direction: bool = False):
         jet = self._jets.get((n, direction))
         if jet is None:
-            jet = self._jets[n, direction] = _group_jet((self,), n, direction=direction)
+            jet = self._jets[n, direction] = _group((self,), n, ("s",), direction,
+                                                    () if direction else ("f",))
         return jet
 
     def jet(self, s, n: int = 4):
         """The first n of (f, f', f'', f''') at s, a float or a float array."""
-        return self._jet(n)[isinstance(s, np.ndarray)](s)
+        return self._jet(n)(s)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -387,7 +366,7 @@ class AngleField:
     def direction_jet(self, s, order: int = 2):
         """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta, or its
         first four entries at order 1."""
-        return self.theta._jet(order + 1, direction=True)[isinstance(s, np.ndarray)](s)
+        return self.theta._jet(order + 1, direction=True)(s)
 
 
 @dataclass(frozen=True)
@@ -459,14 +438,14 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
             "the ruled patch is characteristic everywhere"
         )
     curve = spec.curve
-    fields = _formula((curve.x, curve.y, curve.t, spec.angle.theta), ("x", "y", "t"), 1, """\
+    fields = _group((curve.x, curve.y, curve.t, spec.angle.theta), 2, ("u",) * 4, True,
+                    ("x", "y", "t"), """\
 g = y * a - x * b
 g1 = y1 * a + y * a1 - x1 * b - x * b1
 X, Y, T = x + v * a, y + v * b, t + 2.0 * v * g
 Xu, Yu, Tu = x1 + v * a1, y1 + v * b1, t1 + 2.0 * v * g1
 Xv, Yv, Tv = a, b, 2.0 * g""", "(x2 + v * a2, y2 + v * b2, t2 + 2.0 * v * (y2 * a + 2.0 * y1 * a1"
-                      " + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2)), (a1, b1, 2.0 * g1)",
-                      direction=True)
+                    " + y * a2 - x2 * b - 2.0 * x1 * b1 - x * b2)), (a1, b1, 2.0 * g1)")
     return make_surface(fields, domain, spec.name or "ruled")
 
 
@@ -556,7 +535,7 @@ def build_tangent_developable(
             "straight segment is not an immersed patch"
         )
 
-    fields = _formula((curve.x, curve.y, curve.t), ("x", "y", "t"), 2, """\
+    fields = _group((curve.x, curve.y, curve.t), 3, ("u",) * 3, False, ("x", "y", "t"), """\
 X, Y, T = x + v * x1, y + v * y1, t + v * t1
 Xu, Yu, Tu = x1 + v * x2, y1 + v * y2, t1 + v * t2
 Xv, Yv, Tv = x1, y1, t1""", "(x2 + v * x3, y2 + v * y3, t2 + v * t3), (x2, y2, t2)")
@@ -589,7 +568,7 @@ def build_cylinder(
             f"profile speed vanishes near s = {s[np.argmax(slow)]}; cylinder not immersed"
         )
 
-    fields = _formula((profile.x, profile.y), ("x", "y"), 1, """\
+    fields = _group((profile.x, profile.y), 2, ("u", "u"), False, ("x", "y"), """\
 X, Y, T = x, y, v
 Xu, Yu, Tu = x1, y1, 0.0
 Xv, Yv, Tv = 0.0, 0.0, 1.0""", "(x2, y2, 0.0)")
@@ -603,10 +582,10 @@ def build_graph_separable(
     label: str = "graph",
 ) -> SurfaceHandle:
     """Graph of the separable function f(u, v) = f_of_u(u) + f_of_v(v)."""
-    fields = _formula((f_of_u, f_of_v), ("fu", "fv"), 1, """\
+    fields = _group((f_of_u, f_of_v), 2, ("u", "v"), False, ("fu", "fv"), """\
 X, Y, T = u, v, fu + fv
 Xu, Yu, Tu = 1.0, 0.0, fu1
-Xv, Yv, Tv = 0.0, 1.0, fv1""", "(0.0, 0.0, fu2), (0.0, 0.0, 0.0), (0.0, 0.0, fv2)", ("u", "v"))
+Xv, Yv, Tv = 0.0, 1.0, fv1""", "(0.0, 0.0, fu2), (0.0, 0.0, 0.0), (0.0, 0.0, fv2)")
     # Graphs are immersions unconditionally, so no regularity sampling is run.
     return SurfaceHandle(domain, fields, label)
 
@@ -852,6 +831,8 @@ def load_surface_file(path: str) -> SurfaceHandle:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from e
+    except RecursionError:  # the decoder recurses once per nested array or object
+        raise SpecError(f"{path}: JSON nested too deeply to parse") from None
     return surface_from_dict(data)
 
 

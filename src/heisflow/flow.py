@@ -20,28 +20,29 @@ A leg stops for one of three reasons:
 :func:`integrate_flows` traces many leaves of one surface, each leg on
 its own through one generated function, :func:`_leg_of`, with its four RK4
 stages inline as straight-line text on Python floats.  A stage reads the
-value and first partials alone: a builder's field formula gives the text of
-its group jet and order-1 assembly, and any other surface takes the slot
-``fields(u, v, 1)[:3]``.  The text is compiled once per slot, that is per
-builder and shape of term sums.  The flow field, :func:`_field_of`, is the
-same stage with that generic slot; it gives the seeds' fields, and a stage
-whose inline jet leaves the float range runs again through it.  The seeds
-and the reported points of a trace are evaluated, and screened, with full
-2-jets by :func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its
-one-seed call.
+value and first partials alone: a builder's field formula gives the float
+text of its first order, the group jet with its overflow guard and the
+assembly, and any other surface takes the slot ``fields(u, v, 1)[:3]``.
+The text is compiled once per slot, that is per builder and shape of term
+sums.  The flow field, :func:`_field_of`, is one stage with the same slot;
+it gives the seeds' fields.  The seeds and the reported points of a trace
+are evaluated, and screened, with full 2-jets by
+:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
+call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 import types
 from dataclasses import dataclass
 from textwrap import indent
 
 import numpy as np
 
-from .builders import _FLOATS, _defined
+from .builders import _NAMES as _JET_NAMES, _defined
 from .errors import CharacteristicPoint, OutOfDomain
 from .horizontal import EPS_CHAR, horizontal_normal_batch
 from .patch import (
@@ -112,29 +113,27 @@ du, dv = (Tv + 2.0 * (X * Yv - Y * Xv)) / q, -(Tu + 2.0 * (X * Yu - Y * Xu)) / q
 _GENERIC = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv) = fields(u, v, 1)[:3]"
 
 # One direction of a leaf from (u0, v0), whose field k1 the caller has found
-# finite and clear of the stop band, in the order of the stops above.  Each
-# {stage} is a _STAGE under ``try``; if its slot raises OverflowError or
-# ValueError (an unguarded float jet past the float range) or its screen
-# fails, the stage runs again as ``field``, whose value, error or stop holds.
+# finite and clear of the stop band, in the order of the stops above, with a
+# _STAGE at each {stage}.
 _LEG = """\
-def leg(u0, v0, h, f, max_steps, field, fields, dom, u_min, u_max, v_min, v_max{params}):
+def leg(u0, v0, h, f, max_steps, fields, dom, u_min, u_max, v_min, v_max{params}):
     pts = []
     reason = "step-limit"
     k1u, k1v, k1x, k1y = f
     for _ in range(max_steps):
         try:
             u, v = u0 + 0.5 * h * k1u, v0 + 0.5 * h * k1v
-{stage}
+            {stage}
             k2u, k2v = du, dv
             u, v = u0 + 0.5 * h * k2u, v0 + 0.5 * h * k2v
-{stage}
+            {stage}
             k3u, k3v = du, dv
             u, v = u0 + h * k3u, v0 + h * k3v
-{stage}
+            {stage}
             k4u, k4v = du, dv
             u = u0 + h * (k1u + 2.0 * k2u + 2.0 * k3u + k4u) / 6.0
             v = v0 + h * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
-{stage}
+            {stage}
         except OutOfDomain:
             reason = "domain-exit"
             break
@@ -150,43 +149,51 @@ def leg(u0, v0, h, f, max_steps, field, fields, dom, u_min, u_max, v_min, v_max{
         u0, v0, k1u, k1v, k1x, k1y = u, v, du, dv, X, Y
     return pts, reason
 """
+# The flow field at (u, v): one _STAGE, returning (du, dv) and the point's x, y.
+_POINT = """\
+def field(u, v, fields, dom, u_min, u_max, v_min, v_max{params}):
+    {stage}
+    return du, dv, X, Y
+"""
 
-_NAMES = {**_FLOATS, "isfinite": math.isfinite, "hypot": math.hypot, "sqrt": math.sqrt,
+_NAMES = {**_JET_NAMES, "isfinite": math.isfinite, "hypot": math.hypot, "sqrt": math.sqrt,
           "EPS_CHAR": EPS_CHAR, "STOP_FACTOR": STOP_FACTOR, "_LegStop": _LegStop,
           "OutOfDomain": OutOfDomain, "_out_of_domain": _out_of_domain,
           "_check_finite": _check_finite, "jet2_batch": jet2_batch}
-_FIELD = _defined("def field(u, v, fields, dom, u_min, u_max, v_min, v_max):\n"
-                  + indent(_STAGE.format(slot=_GENERIC), "    ")
-                  + "\n    return du, dv, X, Y\n").__code__
+
+
+@functools.lru_cache(maxsize=None)
+def _code(text: str, slot: str, params: tuple) -> types.CodeType:
+    """The code of ``text``, :data:`_LEG` or :data:`_POINT`, with the
+    :data:`_STAGE` of ``slot`` at each ``{stage}``, at its indent, and
+    ``params`` last."""
+    stage = _STAGE.format(slot=slot)
+    text = re.sub(r"^( *)\{stage\}$", lambda m: indent(stage, m[1]), text, flags=re.M)
+    return _defined(text.replace("{params}", "".join(f", {p}" for p in params))).__code__
+
+
+def _bound(text: str, surface: SurfaceHandle):
+    """The function of ``text`` for ``surface``: its slot is ``fields.stage``
+    of a builder's formula, or else the generic one."""
+    slot, params, plans = getattr(surface.fields, "stage", (_GENERIC, (), ()))
+    dom = surface.domain
+    return types.FunctionType(_code(text, slot, params), _NAMES, None, (
+        surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max, *plans))
 
 
 def _field_of(surface: SurfaceHandle):
     """The flow field ``field(u, v)`` of ``surface``: (du, dv) and the
-    point's x, y from its field formula at order 1 on floats (see
+    point's x, y from the value and first partials on floats (see
     :class:`heisflow.patch.SurfaceHandle`), or _LegStop in the stop band.
     It raises what :func:`heisflow.patch.eval_jets` raises about the value
     and first partials."""
-    dom = surface.domain
-    return types.FunctionType(_FIELD, _NAMES, "field", (
-        surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max))
+    return _bound(_POINT, surface)
 
 
-@functools.lru_cache(maxsize=None)
-def _leg_code(slot: str, params: tuple) -> types.CodeType:
-    """The code of :data:`_LEG` with ``slot`` in its stages, ``params`` last."""
-    fallback = "except (OverflowError, ValueError):\n    du, dv, X, Y = field(u, v)"
-    stage = indent(f"try:\n{indent(_STAGE.format(slot=slot), '    ')}\n{fallback}", " " * 12)
-    return _defined(_LEG.format(params="".join(f", {p}" for p in params), stage=stage)).__code__
-
-
-def _leg_of(surface: SurfaceHandle, field):
+def _leg_of(surface: SurfaceHandle):
     """``leg(u, v, h, f, max_steps)``, the accepted (u, v) pairs and stop
-    reason of one direction, for ``surface`` and its ``field``: its slot is
-    ``fields.stage`` of a builder's formula, or else the generic one."""
-    slot, params, plans = getattr(surface.fields, "stage", (_GENERIC, (), ()))
-    dom = surface.domain
-    return types.FunctionType(_leg_code(slot, params), _NAMES, "leg", (
-        field, surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max, *plans))
+    reason of one direction of a leaf of ``surface``."""
+    return _bound(_LEG, surface)
 
 
 def integrate_flows(
@@ -212,7 +219,7 @@ def integrate_flows(
     seeds = np.asarray(seeds, float).reshape(-1, 2)
     jets = eval_jets(surface, seeds[:, 0], seeds[:, 1])
     field = _field_of(surface)
-    leg = _leg_of(surface, field)
+    leg = _leg_of(surface)
     ok, fs = [], []  # the seeds clear of the stop band, and the field there
     for i, (u, v) in enumerate(seeds.tolist()):
         try:

@@ -80,6 +80,15 @@ def jet_field(jet):
     return flow._field_of(surface)(0.0, 0.0)
 
 
+def generic_slot(surface):
+    """``surface`` with its formula behind a wrapper that has no ``stage``,
+    so that the flow's field and legs read it through the generic slot
+    ``fields(u, v, 1)[:3]``: a reference that does not run a builder's
+    inline stage text."""
+    return SurfaceHandle(surface.domain, lambda u, v, order=2: surface.fields(u, v, order),
+                         surface.label)
+
+
 def unsigned_nan_bits(a):
     """The bits of a, with the sign bit of each NaN cleared: a NaN's sign is
     not part of the documented contract, and CPython's specialised float

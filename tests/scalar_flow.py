@@ -1,5 +1,6 @@
 """The reference flow stepper: one direction of a leaf, one RK4 stage at a
-time through the flow's float field ``heisflow.flow._field_of``.
+time through a float flow field ``heisflow.flow._field_of``, which the tests
+take through the generic slot (``conftest.generic_slot``).
 
 ``heisflow.integrate_flows`` steps each leg with a generated function whose
 four stages are straight-line text; :func:`leg` is the loop that it

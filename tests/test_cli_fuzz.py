@@ -14,6 +14,7 @@ import os
 import tempfile
 from contextlib import redirect_stderr
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -157,3 +158,19 @@ def test_surface_files_end_in_a_documented_exit(spec, command, fu, fv):
         assert err.getvalue().startswith("heisflow: ")
     if code == 1:
         assert err.getvalue().startswith("heisflow: seed too close to the characteristic locus")
+
+
+@pytest.mark.parametrize("command", ["eval", "locus", "flow"])
+def test_deeply_nested_file_is_an_input_error(command):
+    # the JSON decoder recurses once per nested array, so 200,000 of them
+    # exceed the recursion limit: a message and exit 2, not a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "nested.json")
+        with open(path, "w") as fh:
+            fh.write("[" * 200_000)
+        seed = ["--seed", "0.5", "0.5"] if command == "flow" else []
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main([command, path, *seed])
+    assert code == 2
+    assert err.getvalue() == f"heisflow: {path}: JSON nested too deeply to parse\n"

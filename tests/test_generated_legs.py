@@ -2,7 +2,10 @@
 
 ``flow._leg_of`` gives each surface one generated leg: a builder's field
 formula puts its order-1 text inline in the four RK4 stages, and every other
-handle takes the generic slot, its formula at order 1.  On random ruled,
+handle takes the generic slot, its formula at order 1.  The reference
+steps the flow field of the same surface through the generic slot
+(``conftest.generic_slot``), so it runs the builder's formula rather than
+the text inlined in the leg.  On random ruled,
 graph and cylinder files, on developables, on every catalog surface, on an
 affine reparametrisation and on a surface literal, each leg must give the
 reference's accepted points bit for bit, its stop reason, and the type and
@@ -14,7 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import term_list, unsigned_nan_bits
+from conftest import generic_slot, term_list, unsigned_nan_bits
 from scalar_flow import leg as reference_leg
 from heisflow import flow
 from heisflow.builders import CATALOG, catalog_get, surface_from_dict
@@ -78,16 +81,20 @@ def outcome(run):
 def assert_legs_match(surface, fu, fv, ds, max_steps):
     """Both legs from the point at fractions (fu, fv) of the domain, forward
     and backward, through the generated leg and the reference; False where
-    the seed's field raises or stops, so that no leg starts."""
+    the seed's field raises or stops, so that no leg starts.  The seed's
+    field from the surface's own slot is the reference's too."""
     dom = surface.domain
     u = min(dom.u_min + fu * dom.u_span, dom.u_max)
     v = min(dom.v_min + fv * dom.v_span, dom.v_max)
-    field = flow._field_of(surface)
+    field = flow._field_of(generic_slot(surface))
+    # (du, dv, x, y) as two pairs of points
+    own = outcome(lambda: (flow._field_of(surface)(u, v), ""))
+    assert own == outcome(lambda: (field(u, v), ""))
     try:
         f = field(u, v)
     except (flow._LegStop, ValueError):
         return False
-    generated = flow._leg_of(surface, field)
+    generated = flow._leg_of(surface)
     for h in (ds, -ds):
         want = outcome(lambda: reference_leg(field, u, v, h, f, max_steps))
         assert outcome(lambda: generated(u, v, h, f, max_steps)) == want, (u, v, h)
@@ -117,9 +124,9 @@ def test_generated_legs_match_the_reference_on_files(spec, fu, fv, ds, max_steps
 def test_guard_past_the_seed_is_reached_inside_a_leg():
     # the example above: the generated leg raises the reference's error
     surface = surface_from_dict(COS_PAST_THE_SEED)
-    field = flow._field_of(surface)
+    field = flow._field_of(generic_slot(surface))
     f = field(1.98e292, 0.5)
-    got = outcome(lambda: flow._leg_of(surface, field)(1.98e292, 0.5, 1e290, f, 1000))
+    got = outcome(lambda: flow._leg_of(surface)(1.98e292, 0.5, 1e290, f, 1000))
     assert got == outcome(lambda: reference_leg(field, 1.98e292, 0.5, 1e290, f, 1000))
     assert got[0] is ValueError and got[1].startswith("non-finite jet component in value: ")
 

@@ -2,12 +2,14 @@
 
 ``integrate_flows`` steps each leg on its own with the generated leg of
 ``flow._leg_of``.  The reference stepper ``scalar_flow.leg`` is called
-directly here, with the generated leg beside it on every input, and the
-inputs put every stop reason and a domain exit at each RK4 stage into play.
-The float field ``flow._field_of``, the one the seeds use and a stage falls
-back to, is compared with the array composition of the horizontal formulas
-(``field_rows``), and ``integrate_flows`` with its one-seed calls;
-comparisons are on bit patterns.
+directly here, on the flow field through the generic slot
+(``conftest.generic_slot``), with the generated leg beside it on every
+input, and the inputs put every stop reason and a domain exit at each RK4
+stage into play.  The float field ``flow._field_of``, the one the seeds
+use, compiled from the surface's own slot as the leg is, is compared with
+the array composition of the horizontal formulas (``field_rows``), and
+``integrate_flows`` with its one-seed calls; comparisons are on bit
+patterns.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import field_rows
+from conftest import field_rows, generic_slot
 from scalar_curvature import scalar_normal, scalar_pullback, scalar_threshold
 from scalar_flow import leg
 from heisflow import flow
@@ -79,7 +81,7 @@ def seeds_of(name, surface):
 
 def starts(surface, seeds):
     """The seeds that pass the STOP_FACTOR test, and the field there."""
-    field = flow._field_of(surface)
+    field = flow._field_of(generic_slot(surface))
     kept = []
     for u, v in seeds:
         with contextlib.suppress(flow._LegStop):
@@ -95,8 +97,8 @@ def scalar_legs(surface, seeded, steps):
     The generated leg gives each leg's points and reason too, bit for bit."""
     legs, exits = [], []
     reversed_stages = 0
-    field = flow._field_of(surface)
-    generated = flow._leg_of(surface, field)
+    field = flow._field_of(generic_slot(surface))
+    generated = flow._leg_of(surface)
     calls = []  # the field each call returned, None where it raised
     point = []  # the (u, v) of the last call
 

@@ -3,7 +3,9 @@
 tests/term_reference.py keeps that loop.  On floats and on float arrays
 the generated jet of a sum, and of a group of sums, must give its bits, NaN
 where it gives NaN, and the same shape of each entry: a float where the
-loop adds no array.
+loop adds no array.  A group's jet and a builder's field formula come from
+one generator, ``builders._code``, whose function runs the jet text on
+arrays, and on floats under ``try`` with its guarded twin under ``except``.
 """
 
 import math
@@ -13,7 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisflow import builders, flow
-from heisflow.builders import Term, TermSum, _jet_code, random_ruled_patch
+from heisflow.builders import Term, TermSum, _code, build_graph_separable, random_ruled_patch
+from heisflow.patch import Domain
 from heisflow.rng import Lcg64
 from conftest import unsigned_nan_bits
 from term_reference import EXTREMES, POW_DIFFERS, direction_jet, term_sum_jet
@@ -28,6 +31,14 @@ terms = st.one_of(
     st.builds(Term, st.sampled_from(["cos", "sin"]), coeffs, st.integers(1, 6)),
 )
 term_sums = st.lists(terms, max_size=4).map(TermSum)
+
+
+def group_jet(sums, n, args=(), direction=False):
+    """The generated jet of a group of term sums, each reading s unless
+    ``args`` names its variable: the first n entries of each sum, in order,
+    or for a direction group the direction of its last sum instead."""
+    names = tuple(f"f{g}_" for g in range(len(sums) - direction))
+    return builders._group(tuple(sums), n, args or ("s",) * len(sums), direction, names)
 
 
 def assert_same_jet(got, want):
@@ -75,13 +86,23 @@ def test_the_guarded_path():
     assert all(math.isnan(x) for x in sin.jet(1e308))
     for ts, s in [(poly, 1e60), (sin, 1e308), (poly, 0.75), (sin, 0.75)]:
         assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
+    # a field formula runs the same twin on floats, and gives its array bits
+    for fu, fv, u, v in [(poly, TermSum(), 1e60, 0.5), (TermSum(), sin, 0.5, 1e308)]:
+        fields = build_graph_separable(fu, fv, Domain(0.0, 1e61, 0.0, 1e308)).fields
+        for order in (1, 2):
+            got = fields(u, v, order)
+            with np.errstate(all="ignore"):
+                want = fields(np.array([u]), np.array([v]), order)
+            assert got[0][2] == math.inf if fu is poly else math.isnan(got[0][2])
+            assert_same_entries([c for f in got for c in f],
+                                [float(c[0]) if np.ndim(c) else c for f in want for c in f])
 
 
 def test_sums_of_one_shape_keep_their_own_constants():
     a = TermSum((Term("poly", 1.0, 0), Term("poly", 2.0, 3), Term("sin", 0.5, 1)))
     b = TermSum((Term("poly", -3.0, 0), Term("poly", 0.25, 3), Term("sin", 1.5, 4)))
     for n in range(1, 5):
-        assert a._jet(n)[0].__code__ is b._jet(n)[0].__code__
+        assert a._jet(n).__code__ is b._jet(n).__code__
     for s in [0.3, np.array([0.3, -1.2]), -1.2, 1e60, np.array([1e308])]:
         with np.errstate(all="ignore"):
             got_a, got_b = a.jet(s), b.jet(s)
@@ -90,39 +111,43 @@ def test_sums_of_one_shape_keep_their_own_constants():
         assert_same_jet(got_b, want_b)
     # so do groups of sums of one shape each, and ruled specs of one shape
     for n in range(1, 4):
-        ab, ba = builders._group_jet((a, b), n), builders._group_jet((b, a), n)
-        assert ab[0].__code__ is ba[0].__code__ is ab[1].__code__
+        ab, ba = group_jet((a, b), n), group_jet((b, a), n)
+        assert ab.__code__ is ba.__code__
         for s in [0.3, np.array([0.3, -1.2]), 1e60]:
             with np.errstate(all="ignore"):
                 want = [term_sum_jet(ts, s)[:n] for ts in (a, b)]
-                assert_same_entries(ab[isinstance(s, np.ndarray)](s), want[0] + want[1])
-                assert_same_entries(ba[isinstance(s, np.ndarray)](s), want[1] + want[0])
-    # two ruled patches of one shape share their formula's code and the text
-    # of their flow stage, and so their generated leg, but bind their own plans
+                assert_same_entries(ab(s), want[0] + want[1])
+                assert_same_entries(ba(s), want[1] + want[0])
+    # two ruled patches of one shape share their formula's code, which holds
+    # the group jet at both orders, and the text of their flow stage, and so
+    # their generated leg and field, but bind their own plans
     rng = Lcg64(5)
-    one, other = (random_ruled_patch(rng, i)[1].fields for i in range(2))
-    assert one.__code__ is other.__code__
-    jets = [f.__closure__[0].cell_contents for f in (one, other)]  # what each closes over
-    for order in (1, 2):
-        assert jets[0][order][0].__code__ is jets[1][order][0].__code__
-    assert one.stage[:2] == other.stage[:2] and one.stage[2] != other.stage[2]
-    assert flow._leg_code(*one.stage[:2]) is flow._leg_code(*other.stage[:2])
+    one, other = (random_ruled_patch(rng, i)[1] for i in range(2))
+    assert one.fields.__code__ is other.fields.__code__
+    assert one.fields.__defaults__ != other.fields.__defaults__
+    assert one.fields.stage[:2] == other.fields.stage[:2]
+    assert one.fields.stage[2] == one.fields.__defaults__[1:] != other.fields.stage[2]
+    for bound in (flow._leg_of, flow._field_of):
+        assert bound(one).__code__ is bound(other).__code__
+        assert bound(one).__defaults__ != bound(other).__defaults__
 
 
 def test_random_ruled_specs_compile_few_shapes(monkeypatch):
     # a code is compiled once per group of shapes and entry count; a build
     # reads two entries of each sum in its ruling-form scan, and binds the
-    # group of x, y, t and theta at two (order 1) and three (order 2)
-    before = _jet_code.cache_info().misses
+    # field formula of x, y, t and theta, which reads two entries of each
+    # (order 1) or three (order 2)
+    before = _code.cache_info().misses
     asked = set()
-    monkeypatch.setattr(builders, "_jet_code", lambda *key: asked.add(key) or _jet_code(*key))
+    monkeypatch.setattr(builders, "_code", lambda *key: asked.add(key) or _code(*key))
     rng = Lcg64(2024)
     specs = [random_ruled_patch(rng, i)[0] for i in range(100)]
     sums = {key for key in asked if len(key[0]) == 1}
     groups = asked - sums
     assert len({shapes for shapes, *_ in sums}) <= 3 and {n for _, n, *_ in sums} == {2}
-    assert len({shapes for shapes, *_ in groups}) == 1 and {n for _, n, *_ in groups} == {2, 3}
-    assert _jet_code.cache_info().misses - before <= len(asked)
+    assert len({shapes for shapes, *_ in groups}) == 1 and {n for _, n, *_ in groups} == {2}
+    assert all(first for *_, first, _ in groups) and not any(first for *_, first, _ in sums)
+    assert _code.cache_info().misses - before <= len(asked)
     for spec in specs[:10]:
         for ts in (spec.curve.x, spec.curve.y, spec.curve.t, spec.angle.theta):
             assert_same_jet(ts.jet(0.7), term_sum_jet(ts, 0.7))
@@ -202,7 +227,7 @@ GUARDED = [TermSum((Term("poly", 1.0, 6),)), TermSum((Term("sin", 1.0, 6),))]
 @example(group=[TermSum((Term("poly", 0.5, 0),))], n=3, direction=True, s=np.array([0.3, 0.7]))
 def test_group_jet_matches_the_per_sum_loop(group, n, direction, s):
     # a constant angle is a float on either path, with math's direction
-    jet = builders._group_jet(tuple(group), n, direction=direction)[isinstance(s, np.ndarray)]
+    jet = group_jet(group, n, direction=direction)
     with np.errstate(all="ignore"):
         assert_same_entries(jet(s), group_reference(group, n, direction, s))
 
@@ -214,9 +239,9 @@ def test_group_jet_matches_the_per_sum_loop(group, n, direction, s):
 def test_two_variable_group_jet_matches_the_per_sum_loop(fu, fv, n, u, v):
     # the graph's group reads f_u at u and f_v at v
     want = list(term_sum_jet(fu, u)[:n] + term_sum_jet(fv, v)[:n])
-    floats, arrays = builders._group_jet((fu, fv), n, ("u", "v"))
-    assert_same_entries(floats(u, v), want)
+    jet = group_jet((fu, fv), n, ("u", "v"))
+    assert_same_entries(jet(u, v), want)
     ua, va = np.array([u, 0.25]), np.array([v, -0.5])
     with np.errstate(all="ignore"):
         want = list(term_sum_jet(fu, ua)[:n] + term_sum_jet(fv, va)[:n])
-        assert_same_entries(arrays(ua, va), want)
+        assert_same_entries(jet(ua, va), want)

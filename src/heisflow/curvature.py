@@ -31,11 +31,14 @@ column of terms by TwoSum distillation (Ogita, Rump and Oishi, "Accurate
 sum and dot product", SIAM J. Sci. Comput. 26(6), 2005) in tiers, each
 kept only where a bound on the residual proves the result correctly
 rounded: one distillation on every column; a second only on the columns
-the first leaves open (0 to 18% on the catalog grids, mostly exact-zero
-sums on H-minimal surfaces); and math.fsum only on those the second leaves
-too (0 to 1.04%).  Sums of one shape share one call: a batch makes four,
-for n1 and n2, their four derivatives, the four factors of the numerator,
-and the numerator.
+the first leaves open (0 to 17.6% of the sums on the catalog grids); and
+math.fsum only on those the second leaves too (0 to 1.17%).  Sums of one
+shape share one call: a dense batch makes four, for n1 and n2, their four
+derivatives, the four factors of the numerator, and the numerator.  On a
+block whose jet entries are all at most ``_SAFE``, a product with a factor
+that is zero at every point of the block is never expanded, and a sum left
+with none is +0.0 (ruled patches have sigma_vv = 0, the paraboloid 9 zero
+jet components of 18).
 
 :func:`curvature_scan` runs it over one or more surfaces on a shared sample
 set, with the skip rule of a grid check, in blocks of ``JET_BLOCK`` points.
@@ -255,19 +258,27 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     for the K ``(pairs, triples)`` in ``sums``, each factor an array of one
     value per point or a float.
 
-    Every product is expanded error-free into the rows of one (terms, K*N)
-    array, shorter sums padded with exact-zero products, so one
-    :func:`_fsum_columns` call adds all K sums and cancellation between terms
-    costs no accuracy.  Triples assume c is an exact double (here always
-    +-2x, +-2y or a doubled jet entry, and doubling is exact).
+    A product with the float factor 0.0 is dropped: its rows would be exact
+    zeros, so no sum changes, and a sum left with no product is +0.0.  Every
+    other product is expanded error-free into the rows of one (terms, k*N)
+    array for the k sums left, shorter sums padded with exact-zero products,
+    so one :func:`_fsum_columns` call adds them all and cancellation between
+    terms costs no accuracy.  Triples assume c is an exact double (here
+    always +-2x, +-2y or a doubled jet entry, and doubling is exact).
     """
-    k, n = len(sums), len(safe)
-    n_pairs = max(len(pairs) for pairs, _ in sums)
-    n_triples = max(len(triples) for _, triples in sums)
+    sums = [tuple([f for f in terms if not any(type(x) is float and x == 0.0 for x in f)]
+                  for terms in s) for s in sums]
+    live = [i for i, s in enumerate(sums) if any(s)]
+    if not live:
+        return np.zeros((len(sums), len(safe)))
+    left = [sums[i] for i in live]
+    k, n = len(left), len(safe)
+    n_pairs = max(len(pairs) for pairs, _ in left)
+    n_triples = max(len(triples) for _, triples in left)
     # the factors of each product go into the rows its terms take, and are
     # expanded there: a, b -> p, e and c, a, b -> q, f, c*e
     t = np.zeros((2 * n_pairs + 3 * n_triples, k, n))
-    for i, (pairs, triples) in enumerate(sums):
+    for i, (pairs, triples) in enumerate(left):
         for start, terms in ((0, pairs), (2 * n_pairs, triples)):
             for r, x in enumerate((x for factors in terms for x in factors), start):
                 t[r, i] = x
@@ -279,7 +290,10 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     np.multiply(c, b, out=b)
     _two_prod(c, a, c, a)
     need = None if need is None else np.tile(need, k)
-    return _fsum_columns(t, np.tile(safe, k), need).reshape(k, n)
+    done = _fsum_columns(t, np.tile(safe, k), need).reshape(k, n)
+    out = np.zeros((len(sums), n))
+    out[live] = done
+    return out
 
 
 def _raise_if_characteristic(nh_norm: np.ndarray, char: np.ndarray) -> None:
@@ -295,11 +309,20 @@ def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
     blocks of at most ``JET_BLOCK`` points to bound the temporaries.
     """
     safe = np.abs(jets).max(axis=(1, 2)) <= _SAFE
-    (xu, yu, tu), (xv, yv, tv), (xuu, yuu, tuu), (xuv, yuv, tuv), (xvv, yvv, tvv) = (
-        jets[:, f].T for f in range(1, 6)
+    # on a block with no unsafe point, a factor that is zero at every point
+    # is the float 0.0, whose products _sums drops; elsewhere a zero factor
+    # may meet an infinite one, and 0 * inf is NaN
+    sparse = bool(safe.all())
+    live = jets.any(axis=0) | (not sparse)
+
+    def lean(x):
+        return x if not sparse or x.any() else 0.0
+
+    (x, y, _), (xu, yu, tu), (xv, yv, tv), (xuu, yuu, tuu), (xuv, yuv, tuv), (xvv, yvv, tvv) = (
+        [c if k else 0.0 for c, k in zip(jets[:, f].T, live[f])] for f in range(6)
     )
     with np.errstate(all="ignore"):
-        x2, y2 = 2.0 * jets[:, 0, 0], 2.0 * jets[:, 0, 1]
+        x2, y2 = 2.0 * x, 2.0 * y
         xu2, yu2, xv2, yv2 = 2.0 * xu, 2.0 * yu, 2.0 * xv, 2.0 * yv
         # N^h = (jyt + 2y*jxy, jtx - 2x*jxy) in jacobian shorthand, then its
         # u- and v-derivatives by the product rule
@@ -307,7 +330,7 @@ def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
             (((yu, tv), (-tu, yv)), ((y2, xu, yv), (-y2, yu, xv))),
             (((tu, xv), (-xu, tv)), ((-x2, xu, yv), (x2, yu, xv))),
         ], safe)
-        n1_u, n1_v, n2_u, n2_v = _sums([
+        n1_u, n1_v, n2_u, n2_v = map(lean, _sums([
             (((yuu, tv), (yu, tuv), (-tuu, yv), (-tu, yuv)),
              ((yu2, xu, yv), (-yu2, yu, xv),
               (y2, xuu, yv), (y2, xu, yuv), (-y2, yuu, xv), (-y2, yu, xuv))),
@@ -320,18 +343,19 @@ def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
             (((tuv, xv), (tu, xvv), (-xuv, tv), (-xu, tvv)),
              ((-xv2, xu, yv), (xv2, yu, xv),
               (-x2, xuv, yv), (-x2, xu, yvv), (x2, yuv, xv), (x2, yu, xvv))),
-        ], safe)
+        ], safe))
         q2 = n1 * n1 + n2 * n2
         q = np.sqrt(q2)
         char = q < char_threshold(jets, EPS_CHAR)
         # numerator p_v A_u - p_u A_v, with p_u, p_v, A_u and A_v each
         # correctly rounded first
-        p_u, p_v, a_u, a_v = _sums([
+        m1, m2 = lean(n1), lean(n2)
+        p_u, p_v, a_u, a_v = map(lean, _sums([
             (((tu, 1.0), (x2, yu), (-y2, xu)), ()),
             (((tv, 1.0), (x2, yv), (-y2, xv)), ()),
-            (((n1, n2_u), (-n2, n1_u)), ()),
-            (((n1, n2_v), (-n2, n1_v)), ()),
-        ], safe, ~char)
+            (((m1, n2_u), (-m2, n1_u)), ()),
+            (((m1, n2_v), (-m2, n1_v)), ()),
+        ], safe, ~char))
         (num,) = _sums([(((p_v, a_u), (-p_u, a_v)), ())], safe, ~char)
         H = np.where(char, math.nan, num / (q2 * q))
     return CurvatureBatch(H, q, char)

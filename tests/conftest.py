@@ -15,11 +15,13 @@ from heisflow.builders import (
     TermSum,
     build_straight_ruled,
     catalog_get,
+    random_ruled_patch,
 )
 from heisflow.curvature import curvature_scan
 from heisflow.heis import HorizontalVec, Point3
 from heisflow.horizontal import char_threshold, horizontal_normal_batch, induced_form_batch
-from heisflow.patch import Domain, SurfaceHandle
+from heisflow.patch import Domain, SurfaceHandle, reparametrize_affine
+from heisflow.rng import Lcg64
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -95,6 +97,15 @@ def unsigned_nan_bits(a):
     add can flip it after some calls.  Every other bit stays."""
     b = a.view(np.int64)
     return np.where(np.isnan(a), b & np.int64(0x7FFF_FFFF_FFFF_FFFF), b)
+
+
+def turned_ruled():
+    """The first random ruled patch of seed 3, turned by half a radian about
+    (1.0, 0.75) on [-0.2, 0.2]^2: no jet component of it is zero anywhere,
+    where a ruled patch has sigma_vv = 0."""
+    _, ruled = random_ruled_patch(Lcg64(3), 0)
+    c, s = math.cos(0.5), math.sin(0.5)
+    return reparametrize_affine(ruled, ((c, -s), (s, c)), (1.0, 0.75), Domain(-0.2, 0.2, -0.2, 0.2))
 
 
 def local_H(surface, u, v) -> float:

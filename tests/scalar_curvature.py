@@ -133,7 +133,11 @@ def _gate(j, n1, n2, eps_char):
 def reference_local(surface, u, v, eps_char=EPS_CHAR):
     """The curvature of one point by the per-point math.fsum path, raising
     CharacteristicPoint under the threshold."""
-    j = scalar_jet(surface, u, v)
+    return local_of_jet(scalar_jet(surface, u, v), eps_char)
+
+
+def local_of_jet(j, eps_char=EPS_CHAR):
+    """:func:`reference_local` of one (6, 3) jet."""
     n1, n2, n1_u, n1_v, n2_u, n2_v, _ = normal_jet(j)
     q2, q = _gate(j, n1, n2, eps_char)
     (x, y, _), (xu, yu, tu), (xv, yv, tv) = j[:3].tolist()

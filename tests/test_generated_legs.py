@@ -6,23 +6,26 @@ handle takes the generic slot, its formula at order 1.  The reference
 steps the flow field of the same surface through the generic slot
 (``conftest.generic_slot``), so it runs the builder's formula rather than
 the text inlined in the leg.  On random ruled,
-graph and cylinder files, on developables, on every catalog surface, on an
-affine reparametrisation and on a surface literal, each leg must give the
+graph and cylinder files, on a fixed ruled file and four random ruled
+patches, on developables, on every catalog surface, on an affine
+reparametrisation and on a surface literal, each leg must give the
 reference's accepted points bit for bit, its stop reason, and the type and
 message of anything it raises.  A NaN's sign is outside the contract, so
 points compare with it cleared.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import generic_slot, term_list, unsigned_nan_bits
 from scalar_flow import leg as reference_leg
 from heisflow import flow
-from heisflow.builders import CATALOG, catalog_get, surface_from_dict
+from heisflow.builders import CATALOG, catalog_get, random_ruled_patch, surface_from_dict
 from heisflow.errors import SpecError
 from heisflow.patch import Domain, SurfaceHandle, reparametrize_affine
+from heisflow.rng import Lcg64
 
 coeffs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-20, 1e150, 1e300]))
 entries = st.lists(
@@ -60,6 +63,15 @@ DEVELOPABLE_FILE = {
               "y": term_list(("sin", 0.5, 2)), "t": term_list(("sin", -0.3, 2), ("poly", -1.0, 1)),
               "domain": [0.0, 3.0]},
     "v_range": [-1.5, -0.2],
+}
+# a ruled file whose x, y, t and theta each have poly, cos and sin terms
+RULED_ALL_KINDS = {
+    "type": "ruled", "v_range": [0.25, 1.25],
+    "theta": term_list(("poly", 0.5, 0), ("poly", 0.8, 1), ("cos", 0.2, 2), ("sin", -0.3, 1)),
+    "curve": {"domain": [0.0, 2.0],
+              "x": term_list(("poly", 0.3, 0), ("poly", -0.7, 1), ("cos", 0.4, 2), ("sin", 0.1, 3)),
+              "y": term_list(("poly", 0.9, 1), ("poly", 0.25, 2), ("sin", -0.6, 1), ("cos", 0.2, 1)),
+              "t": term_list(("poly", 0.5, 1), ("poly", -0.1, 3), ("sin", 0.3, 2), ("cos", 0.15, 1))},
 }
 # the seed's jet is finite, and cos of a stage past it leaves the float range
 COS_PAST_THE_SEED = {
@@ -115,6 +127,7 @@ LEGS = settings(max_examples=60, suppress_health_check=[HealthCheck.filter_too_m
 @given(spec=st.one_of(RULED, GRAPH, CYLINDER), fu=fractions, fv=fractions, ds=steps,
        max_steps=st.integers(1, 40))
 @example(spec=COS_PAST_THE_SEED, fu=1.98e292 / 1e293, fv=0.5, ds=1e290, max_steps=1000)
+@example(spec=RULED_ALL_KINDS, fu=0.8, fv=0.55, ds=3e-2, max_steps=40)
 @example(spec={"type": "graph", "domain": {"u": [0, 1e60], "v": [0, 1]},
                "fu": term_list(("poly", 1.0, 6))}, fu=1e-11, fv=0.5, ds=3e48, max_steps=40)
 def test_generated_legs_match_the_reference_on_files(spec, fu, fv, ds, max_steps):
@@ -152,6 +165,26 @@ HANDLES = {
     ),
     "literal": literal,
 }
+
+
+def random_ruled(i):
+    """Patch i of the seed-3 stream of random_ruled_patch."""
+    rng = Lcg64(3)
+    for k in range(i + 1):
+        _, surface = random_ruled_patch(rng, k)
+    return surface
+
+
+RULED_HANDLES = {"ruled-all-kinds": lambda: surface_from_dict(RULED_ALL_KINDS),
+                 **{f"random-ruled-{i}": (lambda i=i: random_ruled(i)) for i in range(4)}}
+
+
+@pytest.mark.parametrize("fu, fv", [(0.8, 0.55), (0.3, 0.2), (0.5, 0.9)])
+@pytest.mark.parametrize("name", sorted(RULED_HANDLES))
+def test_generated_legs_match_the_reference_on_ruled_patches(name, fu, fv):
+    # the random files above seldom build a ruled patch, so every run steps
+    # these: legs of 10 to 89 points, each way, along the rulings
+    assert assert_legs_match(RULED_HANDLES[name](), fu, fv, 1e-2, 300)
 
 
 @LEGS

@@ -148,23 +148,20 @@ def _array_pow(s: np.ndarray, p: int) -> np.ndarray:
         return np.float_power(s, float(p))
 
 
-def _cos_sin(w):
-    """(cos w, sin w): math's for a float, with NaN past the float range where
-    math raises, and numpy's, which round the same, for an array."""
-    if isinstance(w, np.ndarray):
-        return np.cos(w), np.sin(w)
-    try:
-        return math.cos(w), math.sin(w)
-    except ValueError:
-        return math.nan, math.nan
-
-
 def _nan_cos(w: float) -> float:
-    return _cos_sin(w)[0]
+    """math.cos, with NaN past the float range where it raises."""
+    try:
+        return math.cos(w)
+    except ValueError:
+        return math.nan
 
 
 def _nan_sin(w: float) -> float:
-    return _cos_sin(w)[1]
+    """math.sin, with NaN past the float range where it raises."""
+    try:
+        return math.sin(w)
+    except ValueError:
+        return math.nan
 
 
 # The names a generated body reads.  Its jet text calls {pow}, {cos} and
@@ -365,7 +362,7 @@ class AngleField:
 
     def direction_jet(self, s, order: int = 2):
         """(a, b, a', b', a'', b'') for a = cos theta, b = sin theta, or its
-        first four entries at order 1."""
+        first four entries at order 1, or (a, b) at order 0."""
         return self.theta._jet(order + 1, direction=True)(s)
 
 
@@ -402,8 +399,8 @@ def ruling_form_coefficients(spec: RuledSpec, s) -> tuple[float, float, float]:
     """(c0, c1, c2) of the induced-form coefficient c = c0 + c1 v + c2 v^2,
     at s a float or a float array."""
     (x, x1), (y, y1), (t, t1) = spec.curve.jet3(s, 2)
-    th, th1 = spec.angle.theta.jet(s, 2)
-    a, b = _cos_sin(th)
+    _, th1 = spec.angle.theta.jet(s, 2)
+    a, b = spec.angle.direction_jet(s, 0)
     c0 = t1 + 2.0 * (x * y1 - y * x1)
     c1 = 4.0 * (a * y1 - b * x1)
     c2 = 2.0 * th1
@@ -595,83 +592,73 @@ def _terms(*terms: tuple) -> TermSum:
     return TermSum(tuple(Term(*t) for t in terms))
 
 
-def _cone_lower() -> SurfaceHandle:
-    def fields(u, v, order=2):
-        cv, sv = _cos_sin(v)
-        first = (u * cv, u * sv, u), (cv, sv, 1.0), (-u * sv, u * cv, 0.0)
-        if order == 1:
-            return first
-        return first + ((0.0, 0.0, 0.0), (-sv, cv, 0.0), (-u * cv, -u * sv, 0.0))
-
-    return make_surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), "cone_lower")
-
-
 _CYLINDER_RE = re.compile(r"^cylinder\((?P<radius>[^)]+)\)$")
 
-# Instantiable named surfaces; cylinder accepts any radius via cylinder(R).
-CATALOG = (
-    "paraboloid",
-    "cone_lower",
-    "vertical_plane_x0",
-    "plane_t0",
-    "plane_flow_patch",
-    "cylinder(1.0)",
-    "circle_lift_developable",
-)
+# The horizontal lift of the unit circle, (cos s, sin s, -2s) on [0, 2 pi].
+_CIRCLE_LIFT = CurveSpec(_terms(("cos", 1.0, 1)), _terms(("sin", 1.0, 1)),
+                         _terms(("poly", -2.0, 1)), (0.0, 2.0 * math.pi))
 
-# The subset with identically vanishing horizontal mean curvature.
-H_MINIMAL_CATALOG = (
-    "paraboloid",
-    "vertical_plane_x0",
-    "plane_t0",
-    "plane_flow_patch",
-    "circle_lift_developable",
-)
+
+def _cylinder(name: str) -> SurfaceHandle:
+    """The catalog surface cylinder(R): the vertical cylinder over the circle
+    of radius R > 0."""
+    try:
+        radius = float(_CYLINDER_RE.match(name)["radius"])
+    except ValueError:
+        raise UnknownName(f"bad cylinder radius in {name!r}") from None
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise UnknownName(f"cylinder radius must be positive, got {name!r}")
+    profile = CurveSpec(_terms(("cos", radius, 1)), _terms(("sin", radius, 1)), TermSum(),
+                        (0.0, 2.0 * math.pi))
+    return build_cylinder(profile, (-1.0, 1.0), label=name)
+
+
+def _cone_lower(name: str) -> SurfaceHandle:
+    """The cone (u cos v, u sin v, u), the control with H != 0: one group over
+    the sum sin v, whose entries 0 and 1 are sin v and cos v."""
+    fields = _group((_terms(("sin", 1.0, 1)),), 2, ("v",), False, ("s",), """\
+X, Y, T = u * s1, u * s, u
+Xu, Yu, Tu = s1, s, 1.0
+Xv, Yv, Tv = -u * s, u * s1, 0.0""", "(0.0, 0.0, 0.0), (-s, s1, 0.0), (-u * s1, -u * s, 0.0)")
+    return make_surface(fields, Domain(-2.0, -0.5, 0.0, 2.0 * math.pi), name)
+
+
+# Each named surface, whether it is horizontally minimal, and its build from
+# its name; cylinder(R) builds a cylinder of any radius R > 0.
+_CATALOG = {
+    # t = y^2 - x^2, the classical minimal graph; characteristic on x + y = 0.
+    "paraboloid": (True, lambda name: build_graph_separable(
+        _terms(("poly", -1.0, 2)), _terms(("poly", 1.0, 2)), Domain(-1.5, 1.5, -1.5, 1.5),
+        label=name)),
+    "cone_lower": (False, _cone_lower),
+    # the plane x = 0, a cylinder over the line y = s
+    "vertical_plane_x0": (True, lambda name: build_cylinder(
+        CurveSpec(TermSum(), _terms(("poly", 1.0, 1)), TermSum(), (-2.0, 2.0)), (-2.0, 2.0),
+        label=name)),
+    "plane_t0": (True, lambda name: build_graph_separable(
+        TermSum(), TermSum(), Domain(-2.0, 2.0, -2.0, 2.0), label=name)),
+    "plane_flow_patch": (True, lambda name: build_plane_flow_patch(
+        AngleField(_terms(("poly", 1.0, 1))), (0.0, 3.0), (0.2, 2.0), label=name)),
+    "cylinder(1.0)": (False, _cylinder),
+    "circle_lift_developable": (True, lambda name: build_tangent_developable(
+        _CIRCLE_LIFT, (0.1, 1.2), label=name)),
+}
+
+# Instantiable named surfaces, and the subset with identically vanishing
+# horizontal mean curvature.
+CATALOG = tuple(_CATALOG)
+H_MINIMAL_CATALOG = tuple(name for name, (minimal, _) in _CATALOG.items() if minimal)
 
 
 def catalog_get(name: str) -> SurfaceHandle:
-    """Build a named reference surface; see CATALOG for the choices."""
-    m = _CYLINDER_RE.match(name)
-    if m:
-        try:
-            radius = float(m.group("radius"))
-        except ValueError:
-            raise UnknownName(f"bad cylinder radius in {name!r}") from None
-        if not (math.isfinite(radius) and radius > 0.0):
-            raise UnknownName(f"cylinder radius must be positive, got {name!r}")
-        profile = CurveSpec(_terms(("cos", radius, 1)), _terms(("sin", radius, 1)), TermSum(),
-                            (0.0, 2.0 * math.pi))
-        return build_cylinder(profile, (-1.0, 1.0), label=name)
+    """Build a named reference surface: a name of CATALOG, cylinder(R) for
+    any radius R > 0, or cylinder, which is cylinder(1.0)."""
     if name == "cylinder":
-        return catalog_get("cylinder(1.0)")
-    if name == "paraboloid":
-        # t = y^2 - x^2, the classical minimal graph; characteristic on x + y = 0.
-        return build_graph_separable(
-            _terms(("poly", -1.0, 2)),
-            _terms(("poly", 1.0, 2)),
-            Domain(-1.5, 1.5, -1.5, 1.5),
-            label=name,
-        )
-    if name == "vertical_plane_x0":
-        return make_surface(
-            lambda u, v, order=2: ((0.0, u, v), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-            Domain(-2.0, 2.0, -2.0, 2.0),
-            name,
-        )
-    if name == "plane_t0":
-        return build_graph_separable(
-            TermSum(), TermSum(), Domain(-2.0, 2.0, -2.0, 2.0), label=name
-        )
-    if name == "plane_flow_patch":
-        return build_plane_flow_patch(
-            AngleField(_terms(("poly", 1.0, 1))), (0.0, 3.0), (0.2, 2.0), label=name
-        )
-    if name == "cone_lower":
-        return _cone_lower()
-    if name == "circle_lift_developable":
-        curve = CurveSpec(_terms(("cos", 1.0, 1)), _terms(("sin", 1.0, 1)),
-                          _terms(("poly", -2.0, 1)), (0.0, 2.0 * math.pi))
-        return build_tangent_developable(curve, (0.1, 1.2), label=name)
+        name = "cylinder(1.0)"
+    if name in _CATALOG:
+        return _CATALOG[name][1](name)
+    if _CYLINDER_RE.match(name):
+        return _cylinder(name)
     raise UnknownName(
         f"no catalog surface named {name!r}; choices: {', '.join(CATALOG)}"
     )

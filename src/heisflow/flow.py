@@ -20,9 +20,11 @@ A leg stops for one of three reasons:
 :func:`integrate_flows` traces many leaves of one surface, each leg on
 its own through one generated function, :func:`_leg_of`, with its four RK4
 stages inline as straight-line text on Python floats.  A stage reads the
-value and first partials alone: a builder's field formula gives the float
-text of its first order, the group jet with its overflow guard and the
-assembly, and any other surface takes the slot ``fields(u, v, 1)[:3]``.
+value and first partials alone: a builder's field formula, as on every
+catalog surface and surface file, gives the float text of its first order,
+the group jet with its overflow guard and the assembly; only
+:func:`heisflow.patch.reparametrize_affine` and handles written by callers
+take the slot ``fields(u, v, 1)[:3]``.
 The text is compiled once per slot, that is per builder and shape of term
 sums.  The flow field, :func:`_field_of`, is one stage with the same slot;
 it gives the seeds' fields.  The seeds and the reported points of a trace

@@ -29,6 +29,7 @@ from .builders import (
     CurveSpec,
     RuledSpec,
     TermSum,
+    _CIRCLE_LIFT,
     _terms,
     build_plane_flow_patch,
     build_straight_ruled,
@@ -190,9 +191,7 @@ def _ruled_paraboloid_spec() -> RuledSpec:
 
 
 def _circle_lift_ruled_spec() -> RuledSpec:
-    curve = CurveSpec(_terms(("cos", 1.0, 1)), _terms(("sin", 1.0, 1)),
-                      _terms(("poly", -2.0, 1)), (0.0, 2.0 * math.pi))
-    return RuledSpec(curve, AngleField(_terms(("poly", 1.0, 1))), (0.2, 1.5),
+    return RuledSpec(_CIRCLE_LIFT, AngleField(_terms(("poly", 1.0, 1))), (0.2, 1.5),
                      name="circle-lift-ruled")
 
 

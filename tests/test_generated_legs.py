@@ -196,8 +196,9 @@ def test_generated_legs_match_the_reference_on_handles(name, fu, fv, ds, max_ste
 
 
 def test_handles_take_the_slot_of_their_formula():
-    # builders' formulas carry their order-1 text; every other handle takes
-    # the generic slot, so the legs above run both
+    # builders' formulas, the whole catalog among them, carry their order-1
+    # text; a reparametrized handle and a literal take the generic slot, so
+    # the legs above run both
     inline = {name for name, build in HANDLES.items() if hasattr(build().fields, "stage")}
-    assert inline == {"paraboloid", "plane_t0", "plane_flow_patch", "cylinder(1.0)",
-                      "circle_lift_developable", "developable-file"}
+    assert inline == {*CATALOG, "developable-file"}
+    assert set(HANDLES) - inline == {"reparametrized-cone", "literal"}

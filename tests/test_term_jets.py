@@ -134,17 +134,19 @@ def test_sums_of_one_shape_keep_their_own_constants():
 
 def test_random_ruled_specs_compile_few_shapes(monkeypatch):
     # a code is compiled once per group of shapes and entry count; a build
-    # reads two entries of each sum in its ruling-form scan, and binds the
-    # field formula of x, y, t and theta, which reads two entries of each
-    # (order 1) or three (order 2)
+    # reads two entries of each sum and theta's one-entry direction jet in
+    # its ruling-form scan, and binds the field formula of x, y, t and
+    # theta, which reads two entries of each (order 1) or three (order 2)
     before = _code.cache_info().misses
     asked = set()
     monkeypatch.setattr(builders, "_code", lambda *key: asked.add(key) or _code(*key))
     rng = Lcg64(2024)
     specs = [random_ruled_patch(rng, i)[0] for i in range(100)]
     sums = {key for key in asked if len(key[0]) == 1}
+    directions = {key for key in sums if key[3]}
     groups = asked - sums
-    assert len({shapes for shapes, *_ in sums}) <= 3 and {n for _, n, *_ in sums} == {2}
+    assert len({shapes for shapes, *_ in sums}) <= 3
+    assert {n for _, n, *_ in directions} == {1} and {n for _, n, *_ in sums - directions} == {2}
     assert len({shapes for shapes, *_ in groups}) == 1 and {n for _, n, *_ in groups} == {2}
     assert all(first for *_, first, _ in groups) and not any(first for *_, first, _ in sums)
     assert _code.cache_info().misses - before <= len(asked)

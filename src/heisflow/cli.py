@@ -1,9 +1,11 @@
 """Command line front end: evaluate grids, find loci, trace flows, verify.
 
-Output is deterministic: floats print through %.17g (lossless for binary64
-and locale independent), JSON keys keep insertion order, and randomized
-verification takes an explicit --seed.  Non-finite floats become null in
-JSON and literal nan/inf tokens in CSV.
+Output is deterministic: floats print as %.17g prints them (lossless for
+binary64 and locale independent), JSON keys keep insertion order, and
+randomized verification takes an explicit --seed.  Non-finite floats become
+null in JSON and literal nan/inf tokens in CSV.  Table floats go through a
+numpy kernel with the bytes of %.17g; the few values it cannot place (out
+of its range, non-finite, or a rounding too near a tie) take %.17g itself.
 
 Exit codes: 0 success; 1 a verification check failed or the requested
 computation has no result (e.g. flow seeded on the characteristic locus);
@@ -125,21 +127,170 @@ def _json_atom(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# The %.17g kernel.  The 17 correctly rounded significant digits of |x| are
+# the integer nearest |x| 10^(16 - k), k = floor(log10 |x|): fixed-precision
+# conversion in the manner of Ryu printf (Adams, OOPSLA 2019).  The product
+# is Dekker's exact two-product (Numer. Math. 18, 1971) with 10^(16 - k) as
+# a double-double, so its error stays under 2**-46 and only a fraction
+# within _TIE of one half could round the wrong way.  Dekker's splits and
+# the low halves stay normal floats for 1e-280 <= |x| < 1e280.
+_K_MIN, _K_MAX = -281, 281  # the decimal exponents of the kernel's tables
+_SPLIT = 134217729.0  # 2**27 + 1
+_TIE = 2.0**-40
+_TAIL = np.frombuffer(b"e   ", np.uint32)[0]  # the last word of a source row
+
+
+@functools.cache
+def _powers() -> np.ndarray:
+    """10^(16 - k) for k in [_K_MIN, _K_MAX] as the rows hi, Dekker's split
+    of hi into two halves, and lo, where hi + lo has 106 correct bits."""
+    hi, lo = [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        d = 10 ** abs(16 - k)
+        h = float(d) if k <= 16 else 1 / d  # int true division rounds correctly
+        a, b = h.as_integer_ratio()
+        hi.append(h)
+        lo.append(float(d - a) if k <= 16 else (b - a * d) / (d * b))
+    hi = np.array(hi)
+    t = hi * _SPLIT
+    hh = t - (t - hi)
+    return np.stack((hi, hh, hi - hh, np.array(lo)))
+
+
+@functools.cache
+def _layout():
+    """The lookup tables of the text layout.
+
+    A value's source row is 7 words: "-.0" and its 17 digits (bytes 0-19),
+    the sign and three digits of its exponent (20-23), then "e" and three
+    spaces.  Its text is the row taken through the pattern of its key: the
+    form (fixed for k in [-4, 16], else with a 2 or 3 digit exponent), the
+    count of digits left once trailing zeros are stripped, and the sign.
+    Patterns end in spaces, which split the taken texts apart.
+
+    Returns the first word by leading digit, the text of each 4-digit group,
+    the place of a group's last nonzero digit (0 for 0000) plus 4 for each
+    group before it, the exponent word and the key of the form by
+    k - _K_MIN, and the patterns by key.
+    """
+    d = np.arange(10000, dtype=np.int16)
+    d = np.stack((d // 1000, d // 100 % 10, d // 10 % 10, d % 10), 1).astype(np.uint8)
+    group = (d + 48).view(np.uint32).ravel()
+    head = np.frombuffer(b"".join(b"-.0%d" % i for i in range(10)), np.uint32)
+    nz = d[:, ::-1] != 0
+    place = np.where(nz.any(1), 4 - nz.argmax(1), 0).astype(np.uint8)
+    last = np.where(place, place + np.arange(0, 16, 4, dtype=np.uint8)[:, None], 0)
+    ks = range(_K_MIN, _K_MAX + 1)
+    expo = np.frombuffer(b"".join(b"%+04d" % k for k in ks), np.uint32)
+    form = [k + 4 if -4 <= k <= 16 else 21 + (abs(k) >= 100) for k in ks]
+    digits = list(range(3, 20))
+    table = np.full((2, 23, 17, 25), 25, np.int8)  # by sign, form and count
+    for c in range(23):
+        for s in range(1, 18):
+            kept = digits[:s]
+            if c < 4:  # 0.000ddd
+                p = [2, 1] + [2] * (3 - c) + kept
+            elif c < 21:  # ddd.ddd, with k + 1 = c - 3 digits before the point
+                p = digits[:c - 3] + ([1] + kept[c - 3:] if s > c - 3 else [])
+            else:  # d.ddde+XX
+                p = kept[:1] + ([1] + kept[1:] if s > 1 else []) + [24, 20]
+                p += [22, 23] if c == 21 else [21, 22, 23]
+            table[0, c, s - 1, :len(p)] = p
+            table[1, c, s - 1, :len(p) + 1] = [0] + p
+    return head, group, last.ravel(), expo, 17 * np.array(form), table.reshape(-1, 25)
+
+
+def _scaled(a: np.ndarray, i: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor(a 10^(16 - k)) as int64 and its fraction, at i = k - _K_MIN."""
+    hi, hh, hl, lo = (c.take(i) for c in _powers())
+    p = a * hi
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    err = ((ah * hh - p) + ah * hl + al * hh) + al * hl  # p + err = a hi exactly
+    p0 = np.floor(p)
+    r = (p - p0) + (err + a * lo)
+    r0 = np.floor(r)
+    return p0.astype(np.int64) + r0.astype(np.int64), r - r0
+
+
+def _decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """a = n 10^(k - 16) rounded half to even, with 17 digits in n, for a
+    in the kernel's range: n, i = k - _K_MIN, and where the rounding is
+    within _TIE of a tie."""
+    i = np.floor(np.log10(a)).astype(np.intp) - _K_MIN
+    n, f = _scaled(a, i)
+    # log10 can round across a power of ten: move k to where n has 17 digits
+    off = (n >= 10**17).astype(np.intp) - (n < 10**16)
+    redo = np.flatnonzero(off)
+    if len(redo):
+        i[redo] += off[redo]
+        n[redo], f[redo] = _scaled(a[redo], i[redo])
+    n += f > 0.5
+    carry = n == 10**17
+    n[carry] = 10**16
+    i += carry
+    return n, i, np.abs(f - 0.5) < _TIE
+
+
+def _source(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source rows of ``_layout`` as bytes, the pattern keys, and where
+    the rounding is within _TIE of a tie, for a in the kernel's range."""
+    head, group, last, expo, form, table = _layout()
+    n, i, tie = _decimal(a)
+    top = n // 10**8
+    g = np.empty((4, len(n)), np.intp)  # the 4-digit groups after the leading digit
+    g[2] = n - top * 10**8
+    lead = top // 10**8
+    g[0] = top - lead * 10**8
+    g[1] = g[0] % 10**4
+    g[0] //= 10**4
+    g[3] = g[2] % 10**4
+    g[2] //= 10**4
+    rows = np.empty((len(n), 7), np.uint32)
+    rows[:, 0] = head.take(lead)
+    rows[:, 1:5] = group.take(g).T
+    rows[:, 5] = expo.take(i)
+    rows[:, 6] = _TAIL
+    g += np.arange(0, 40000, 10000)[:, None]
+    w = last.take(g)
+    key = form.take(i)
+    key += np.maximum(np.maximum(w[0], w[1]), np.maximum(w[2], w[3]))
+    key += len(table) // 2 * neg
+    return rows.view(np.uint8), key, tie
+
+
+def _g17(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """An object array with the %.17g text of each value, and the indices
+    whose text is left to the caller: values outside the kernel's range
+    (zeros and non-finite values among them) and roundings within _TIE of
+    a tie."""
+    a = np.abs(values)
+    done = (a >= 1e-280) & (a < 1e280)
+    raw, key, tie = _source(np.where(done, a, 1.0), values < 0)
+    table = _layout()[-1]
+    texts = []
+    for sl in blocks(len(key)):  # the flat index takes 200 bytes a value
+        idx = table.take(key[sl], axis=0) + np.arange(28 * sl.start, 28 * sl.stop, 28)[:, None]
+        texts += raw.take(idx).tobytes().decode("ascii").split()
+    done &= ~tie
+    return np.fromiter(texts, object, len(texts)), np.flatnonzero(~done).tolist()
+
+
 def _table(table: np.ndarray, atom, row: str, sep: str, out) -> None:
     """Write an (N, k) float table's rows to ``out`` through ``row`` (a %s
     per column), joined by ``sep``, one block at a time.  Each block formats
     its distinct values, told apart by bits (-0.0 == 0.0 but prints as -0,
-    and NaN never equals itself), in one %.17g pass, which is ``atom`` of
-    every finite float; ``atom`` itself runs only on the non-finite ones."""
+    and NaN never equals itself), through the %.17g kernel ``_g17``, whose
+    text is ``atom`` of every finite float; ``atom`` itself runs only on the
+    values the kernel leaves, each on its own."""
     for sl in blocks(len(table)):
         block = table[sl]
         bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
         values = bits.view(np.float64)
-        floats = values.tolist()
-        text = ("%.17g\0" * len(floats) % tuple(floats)).split("\0")
-        for i in np.flatnonzero(~np.isfinite(values)).tolist():
-            text[i] = atom(floats[i])
-        text = np.array(text, dtype=object)
+        text, rest = _g17(values)
+        for i in rest:
+            text[i] = atom(values[i].item())
         if sl.start:
             out.write(sep)
         out.write(sep.join([row] * len(block)) % tuple(text[inv].tolist()))

@@ -1,14 +1,18 @@
 """The CLI table writer against the per-value reference writer, byte for byte.
 
-``cli._emit`` formats each distinct value of a block once and builds the
-rows from one template; ``reference_writer.render`` formats every cell on
-its own.  Both must give the same text for every table, in both formats.
+``cli._emit`` formats each distinct value of a block once, through the
+numpy %.17g kernel ``cli._g17``, and builds the rows from one template;
+``reference_writer.render`` formats every cell on its own with %.17g.  Both
+must give the same text for every table, in both formats, and the kernel
+must give the text of %.17g for every float it does not leave to it.
 """
 
 import contextlib
 import io
 import math
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,9 +21,11 @@ from hypothesis import strategies as st
 
 from heisflow import cli
 from heisflow.builders import catalog_get
+from heisflow.curvature import mean_curvature_batch
 from heisflow.flow import integrate_flow
+from heisflow.horizontal import EPS_CHAR, horizontal_normal_batch, induced_form_batch
 from heisflow.locus import characteristic_locus
-from heisflow.patch import JET_BLOCK
+from heisflow.patch import JET_BLOCK, blocks, eval_jets, grid_points
 from reference_writer import render
 
 
@@ -56,12 +62,78 @@ SPECIAL = [
     1e23,
     0.5,
     2.5,
+    # exact ties at the 17th digit, rounded to even: ...0.2 and ...0.8
+    1000000000000000.25,
+    1000000000000000.75,
 ]
 CELLS = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(),
     st.integers(0, 2**64 - 1).map(_bits),
 )
+
+
+def _kernel_text(values):
+    """The kernel's text of each value, %.17g where it leaves a value, and
+    the indices it left."""
+    text, rest = cli._g17(np.array(values, float))
+    for i in rest:
+        text[i] = "%.17g" % values[i]
+    return text.tolist(), rest
+
+
+def _tie_distance(x: float) -> Fraction:
+    """The exact distance from |x| 10^(16 - k), k = floor(log10 |x|), to
+    the nearest half-integer: how close the 17-digit rounding is to a tie."""
+    q = abs(Fraction(x)) * Fraction(10) ** (16 - Decimal(x).adjusted())
+    return abs(q - math.floor(q) - Fraction(1, 2))
+
+
+def _neighbours(xs):
+    xs = np.asarray(xs, float)
+    return np.concatenate((xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)))
+
+
+def test_kernel_matches_percent_g_on_random_bits():
+    values = np.random.default_rng(37).integers(0, 2**64, 200_000, dtype=np.uint64)
+    values = values.view(np.float64).tolist()
+    text, rest = _kernel_text(values)
+    assert text == ["%.17g" % x for x in values]
+    # every exponent of a normal float occurs, and the kernel leaves only
+    # what it must: values outside its range and roundings within 2**-40
+    # of a tie
+    assert {math.frexp(x)[1] for x in values} >= set(range(-1021, 1025))
+    left = [values[i] for i in rest if 1e-280 <= abs(values[i]) < 1e280]
+    assert len(rest) - len(left) == sum(not 1e-280 <= abs(x) < 1e280 for x in values)
+    assert len(left) < 500
+    assert all(_tie_distance(x) < Fraction(1, 2**40) for x in left)
+
+
+def test_kernel_matches_percent_g_at_powers_of_ten():
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    values = _neighbours(powers + [-x for x in powers]).tolist()
+    text, _ = _kernel_text(values)
+    assert text == ["%.17g" % x for x in values]
+
+
+def test_kernel_matches_percent_g_at_switches_and_ends():
+    edges = [
+        0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308,
+        1e-5, 1e-4, 9.9999999999999991e-05, 1e16, 1e17, 9.999999999999999e16,
+        1e-280, 1e280, 1e308,
+    ]
+    subnormals = [math.ldexp(m, -1074) for m in (1, 2, 3, 2**51 + 1, 2**52 - 1)]
+    values = np.append(_neighbours(edges + subnormals), 1.7976931348623157e308)
+    values = np.concatenate((values, -values)).tolist()
+    text, _ = _kernel_text(values)
+    assert text == ["%.17g" % x for x in values]
+
+
+def test_kernel_leaves_exact_ties_to_percent_g():
+    values = [1000000000000000.25, 1000000000000000.75, 0.5, 2.5]
+    text, rest = _kernel_text(values)
+    assert text == ["1000000000000000.2", "1000000000000000.8", "0.5", "2.5"]
+    assert rest == [0, 1]  # the two ties; 0.5 and 2.5 have fewer than 17 digits
 
 
 def _report(rows, columns):
@@ -192,3 +264,48 @@ def test_locus_stdout_matches_reference_writer(capsys, name, grid, fmt):
             assert got == "u,v,x,y,t,nh_norm\n"
         else:
             assert got.endswith('  "rows": []\n}\n')
+
+
+@pytest.mark.parametrize(
+    "name, grid",
+    [
+        ("paraboloid", (121, 121)),  # 15 blocks
+        ("plane_t0", (101, 101)),  # H is NaN at the characteristic origin
+        ("cylinder(1e300)", (5, 5)),  # values past the kernel's range
+    ],
+)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_eval_stdout_matches_reference_writer(capsys, name, grid, fmt):
+    argv = ["eval", name, "--grid", f"{grid[0]}x{grid[1]}", "--format", fmt]
+    assert cli.main(argv) == 0
+    got = capsys.readouterr().out
+
+    surface = catalog_get(name)
+    dom = surface.domain
+    nu, nv = grid
+    axes = [
+        [min(lo + (hi - lo) * i / (n - 1), hi) for i in range(n)]
+        for lo, hi, n in ((dom.u_min, dom.u_max, nu), (dom.v_min, dom.v_max, nv))
+    ]
+    us, vs = grid_points(*axes)
+    cols = []
+    for sl in blocks(len(us)):
+        jets = eval_jets(surface, us[sl], vs[sl])
+        cols.append((us[sl], vs[sl], *jets[:, 0].T, *horizontal_normal_batch(jets),
+                     *induced_form_batch(jets), mean_curvature_batch(jets).H))
+    columns = ["u", "v", "x", "y", "t", "n1", "n2", "nh_norm", "p_u", "p_v", "H"]
+    rows = [list(r) for c in cols for r in zip(*(a.tolist() for a in c))]
+    report = {
+        "surface": surface.label or name,
+        "grid": [nu, nv],
+        "urange": [dom.u_min, dom.u_max],
+        "vrange": [dom.v_min, dom.v_max],
+        "eps_char": EPS_CHAR,
+        "columns": columns,
+        "rows": rows,
+    }
+    assert got == render(report, columns, fmt)
+    if name == "plane_t0":
+        assert any(math.isnan(r[-1]) for r in rows)
+    if name == "cylinder(1e300)":
+        assert any(abs(x) >= 1e280 for r in rows for x in r)

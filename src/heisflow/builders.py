@@ -32,11 +32,11 @@ formula reads are one group.  One generator, :func:`_code`, writes one
 straight-line function per group of term shapes (kinds and polynomial
 degrees) and number of entries: the jet of a term sum, or the field formula
 itself, which runs the builder's text for the value and partials after the
-group's jet text.  That text runs on arrays as it is, and on floats with a
-twin that guards against an overflowing ``**`` or trig past the float
-range; the flow's generated stages put the float text of the first order
-inline.  Coefficients and frequencies are bound as values, so no file
-content reaches the text.
+group's jet text.  That text runs on arrays as it is, and on floats under
+``try``: a float call that raises (an overflowing ``**`` or trig past the
+float range) runs again as a batch of one.  The flow's generated stages
+put the float text of the first order inline.  Coefficients and
+frequencies are bound as values, so no file content reaches the text.
 """
 
 from __future__ import annotations
@@ -131,53 +131,32 @@ class Term:
         object.__setattr__(self, "_plan", tuple(plan))
 
 
-def _pow(s: float, p: int) -> float:
-    """Python's float ``s ** p``, with +-inf where ``**`` raises on overflow."""
-    try:
-        return s**p
-    except OverflowError:
-        return math.copysign(math.inf, s) ** p
-
-
 def _array_pow(s: np.ndarray, p: int) -> np.ndarray:
-    """:func:`_pow` on an array: np.float_power calls libm pow per entry, as
-    float ``**`` does (np.power rounds differently); s**1 is s."""
+    """Float ``**`` on an array, +-inf where it raises: np.float_power calls
+    libm pow per entry, as ``**`` does (np.power rounds differently); s**1 is s."""
     if p == 1:
         return s
     with np.errstate(over="ignore"):
         return np.float_power(s, float(p))
 
 
-def _nan_cos(w: float) -> float:
-    """math.cos, with NaN past the float range where it raises."""
-    try:
-        return math.cos(w)
-    except ValueError:
-        return math.nan
-
-
-def _nan_sin(w: float) -> float:
-    """math.sin, with NaN past the float range where it raises."""
-    try:
-        return math.sin(w)
-    except ValueError:
-        return math.nan
+def _floats(entries) -> tuple:
+    """A batch of one's entries, tuples of them included, as Python floats."""
+    return tuple(_floats(e) if isinstance(e, tuple) else float(np.ravel(e)[0]) for e in entries)
 
 
 # The names a generated body reads.  Its jet text calls {pow}, {cos} and
 # {sin}: on arrays apow, acos and asin, which never raise; on floats pow,
 # cos and sin, where an overflowing ** or trig past the float range raises,
-# and in the twin under ``except`` gpow, gcos and gsin, which give +-inf and
-# NaN instead.  fcos and fsin take the direction of a constant angle, a
-# float on either path.
+# and the call then runs again on a batch of one (array, errstate, floats).
 _NAMES = {"ndarray": np.ndarray, "apow": _array_pow, "acos": np.cos, "asin": np.sin,
           "pow": pow, "cos": math.cos, "sin": math.sin,
-          "gpow": _pow, "gcos": _nan_cos, "gsin": _nan_sin, "fcos": _nan_cos, "fsin": _nan_sin}
+          "array": np.array, "errstate": np.errstate, "floats": _floats}
 
 
-def _defined(text: str):
-    """The function that ``text`` defines."""
-    namespace = {}
+def _defined(text: str, **names):
+    """The function that ``text`` defines, with ``names`` as its globals."""
+    namespace = dict(names)
     exec(compile(text, "<generated>", "exec"), namespace)
     return namespace.popitem()[1]  # bound last, after __builtins__
 
@@ -208,9 +187,7 @@ def _jet_text(shapes: tuple, n: int, args: tuple, direction: bool = False) -> tu
         if direction and g == len(shapes) - 1:
             th = [f"e{g}_{j}" for j in range(n)]
             lines += [f"{e} = {entry}" for e, entry in zip(th, entries)]
-            varies = any(kind != "poly" or k for kind, k in shape)
-            cos, sin = ("{cos}", "{sin}") if varies else ("fcos", "fsin")
-            lines += [f"a = {cos}({th[0]})", f"b = {sin}({th[0]})"]
+            lines += [f"a = {{cos}}({th[0]})", f"b = {{sin}}({th[0]})"]
             entries = ["a", "b"]
             if n > 1:
                 entries += [f"-b * {th[1]}", f"a * {th[1]}"]
@@ -231,8 +208,8 @@ def _outs(names: tuple, n: int, direction: bool) -> list:
 @functools.lru_cache(maxsize=None)
 def _code(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, first: str,
           second: str) -> tuple:
-    """The code of the straight-line function of a group of term sums, its
-    plan parameters, and the text of its first order on floats.
+    """The code and closure of the straight-line function of a group of term
+    sums, its plan parameters, and the text of its first order on floats.
 
     A sum's shape is a (kind, polynomial degree or 0) pair per term, and
     ``args`` names the variable each sum reads.  The function sets the
@@ -244,8 +221,11 @@ def _code(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, fir
     *plans)``: it sets n + order - 1 entries, runs ``first``, which sets
     the value and first partials X, Y, T, Xu, ..., Tv, and returns them,
     with the second partials ``second`` at order 2.  The jet text calls the
-    array names of :data:`_NAMES` on arrays; on floats it runs under ``try``
-    and its twin, with the guarded names, under ``except``.
+    array names of :data:`_NAMES` on arrays and the float names on floats,
+    under ``try``: where a float call raises, the function calls itself on
+    its variables as a batch of one, and its plans, under
+    ``np.errstate(all="ignore")`` and returns that call's entries as Python
+    floats.
 
     Each entry sums its terms as ``0.0 + g0 + g1 + ...``.  A polynomial's
     entry is m, ``m * s`` or ``m * pow(s, p)``; a trigonometric term takes
@@ -257,20 +237,29 @@ def _code(shapes: tuple, n: int, args: tuple, direction: bool, names: tuple, fir
     value = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv)"
     tails = ([f"{first}\nreturn {value}", f"{first}\nreturn {value}, {second}"] if first
              else [f"return {', '.join(_outs(names, n, direction))},"])
+    func, variables = ("fields", ("u", "v")) if first else ("jet", tuple(dict.fromkeys(args)))
+    params = _jet_text(shapes, n + bool(first), args, direction)[0]
+    order = ("order",) if first else ()
+    call = f"{func}({', '.join((*(f'array([{x}])' for x in variables), *order, *params))})"
     bodies, slots = [], []
     for m, tail in zip((n, n + 1), tails):
-        params, lines, out = _jet_text(shapes, m, args, direction)
+        _, lines, out = _jet_text(shapes, m, args, direction)
         text = "\n".join((*lines, *(f"{name} = {entry}" for name, entry
                                     in zip(_outs(names, m, direction), out) if name != entry)))
-        floats, guarded, arrays = (indent(text.format(pow=f"{p}pow", cos=f"{p}cos", sin=f"{p}sin"),
-                                          "    ") for p in ("", "g", "a"))
-        slots.append(f"try:\n{floats}\nexcept (OverflowError, ValueError):\n{guarded}")
-        bodies.append(f"if isinstance({args[0]}, ndarray):\n{arrays}\nelse:\n"
-                      f"{indent(slots[-1], '    ')}\n{tail}")
-    head = "fields(u, v, order" if first else f"jet({', '.join(dict.fromkeys(args))}"
+        slots.append(text.format(pow="pow", cos="cos", sin="sin"))
+        bodies.append(f"if isinstance({args[0]}, ndarray):\n"
+                      f"{indent(text.format(pow='apow', cos='acos', sin='asin'), '    ')}\nelse:\n"
+                      f"    try:\n{indent(slots[-1], '        ')}\n"
+                      f"    except (OverflowError, ValueError):\n"
+                      f"        with errstate(all=\"ignore\"):\n"
+                      f"            return floats({call})\n{tail}")
     body = f"if order == 1:\n{indent(bodies[0], '    ')}\n{bodies[1]}" if first else bodies[0]
-    text = f"def {head}{''.join(f', {p}' for p in params)}):\n{indent(body, '    ')}\n"
-    return _defined(text).__code__, params, f"{slots[0]}\n{first}"
+    text = f"def {func}({', '.join((*variables, *order, *params))}):\n{indent(body, '    ')}\n"
+    # Defined inside outer, its name is a closure cell, which holds it with no
+    # plans bound; the batch of one passes the plans, so that no bound
+    # function refers to itself and each is freed without the cyclic GC.
+    shared = _defined(f"def outer():\n{indent(text, '    ')}    return {func}\n", **_NAMES)()
+    return shared.__code__, shared.__closure__, params, f"{slots[0]}\n{first}"
 
 
 def _group(sums, n: int, args: tuple, direction: bool, names: tuple, first: str = "",
@@ -279,14 +268,14 @@ def _group(sums, n: int, args: tuple, direction: bool, names: tuple, first: str 
     plans bound as the defaults after its variables (and ``order=2``).  A
     field formula's ``stage`` holds the text of its first order on floats,
     its plan parameters and its plans, which the flow's stages put inline."""
-    code, params, slot = _code(tuple(ts._shape for ts in sums), n, args, direction, names,
+    code, closure, params, slot = _code(tuple(ts._shape for ts in sums), n, args, direction, names,
                                first, second)
     # what the last order reads: a polynomial's first multipliers, or k and
     # the first of the four signed c k^i of a trigonometric term
     n += bool(first)
     plans = tuple(value for ts in sums for t in ts.terms
                   for value in t._plan[: n if t.kind == "poly" else n + 1])
-    fields = types.FunctionType(code, _NAMES, None, (2, *plans) if first else plans)
+    fields = types.FunctionType(code, _NAMES, None, (2, *plans) if first else plans, closure)
     if first:
         fields.stage = slot, params, plans
     return fields
@@ -830,6 +819,8 @@ def resolve_surface(arg: str) -> SurfaceHandle:
     try:
         return catalog_get(arg)
     except UnknownName:
+        if _CYLINDER_RE.match(arg):  # keep the message about its radius
+            raise
         raise UnknownName(
             f"{arg!r} is neither a readable file nor a catalog name; "
             f"catalog: {', '.join(CATALOG)}"

@@ -22,9 +22,9 @@ its own through one generated function, :func:`_leg_of`, with its four RK4
 stages inline as straight-line text on Python floats.  A stage reads the
 value and first partials alone: a builder's field formula, as on every
 catalog surface and surface file, gives the float text of its first order,
-the group jet with its overflow guard and the assembly; only
+the group jet and the assembly, run under ``try``; only
 :func:`heisflow.patch.reparametrize_affine` and handles written by callers
-take the slot ``fields(u, v, 1)[:3]``.
+take the slot ``fields(u, v, 1)[:3]``, as does a stage whose text raises.
 The text is compiled once per slot, that is per builder and shape of term
 sums.  The flow field, :func:`_field_of`, is one stage with the same slot;
 it gives the seeds' fields.  The seeds and the reported points of a trace
@@ -113,6 +113,9 @@ if q < STOP_FACTOR * thr:
     raise _LegStop
 du, dv = (Tv + 2.0 * (X * Yv - Y * Xv)) / q, -(Tu + 2.0 * (X * Yu - Y * Xu)) / q"""
 _GENERIC = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv) = fields(u, v, 1)[:3]"
+# A builder's float text under try: where it raises (an overflowing ** or trig
+# past the float range), the generic slot runs its formula as a batch of one.
+_INLINE = "try:\n{}\nexcept (OverflowError, ValueError):\n    " + _GENERIC
 
 # One direction of a leaf from (u0, v0), whose field k1 the caller has found
 # finite and clear of the stop band, in the order of the stops above, with a
@@ -176,8 +179,9 @@ def _code(text: str, slot: str, params: tuple) -> types.CodeType:
 
 def _bound(text: str, surface: SurfaceHandle):
     """The function of ``text`` for ``surface``: its slot is ``fields.stage``
-    of a builder's formula, or else the generic one."""
-    slot, params, plans = getattr(surface.fields, "stage", (_GENERIC, (), ()))
+    of a builder's formula as :data:`_INLINE`, or else the generic one."""
+    slot, params, plans = getattr(surface.fields, "stage", (None, (), ()))
+    slot = _GENERIC if slot is None else _INLINE.format(indent(slot, "    "))
     dom = surface.domain
     return types.FunctionType(_code(text, slot, params), _NAMES, None, (
         surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max, *plans))

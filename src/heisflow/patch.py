@@ -147,7 +147,10 @@ class SurfaceHandle:
     With ``order=1`` only the first three triples (value, du, dv) are read,
     and a formula may leave out the rest or return them anyway.  On
     floats every entry is a Python float, not a numpy scalar: the flow
-    field does float arithmetic on them as they are.  A field
+    field does float arithmetic on them as they are.  A float call gives
+    the bits of the array call at its one point: a builder's formula whose
+    float text raises (an overflowing ``**`` or trig past the float range)
+    runs as a batch of one and gives its +-inf and NaN.  A field
     formula accepts every point of its closed domain: only points outside
     it are refused, by the callers' domain test, never by the formula.
     The parameter order carries the orientation; flipping it means building

@@ -23,7 +23,6 @@ from heisflow.builders import (
     Term,
     TermSum,
     _array_pow,
-    _pow,
     build_graph_separable,
     plane_contact_factor,
     ruling_form_coefficients,
@@ -31,7 +30,7 @@ from heisflow.builders import (
 from heisflow.errors import CharacteristicPoint, ConstantRulingDirection
 from heisflow.flow import _field_of
 from heisflow.patch import Domain
-from term_reference import EXTREMES, POW_DIFFERS
+from term_reference import EXTREMES, POW_DIFFERS, _pow
 
 values = st.floats(allow_nan=False, allow_infinity=False)
 samples = st.lists(values, min_size=1, max_size=8).map(

@@ -392,6 +392,17 @@ class TestCli:
         )
 
     @pytest.mark.parametrize(
+        "name, err",
+        [("cylinder(0)", "cylinder radius must be positive, got 'cylinder(0)'"),
+         ("cylinder(inf)", "cylinder radius must be positive, got 'cylinder(inf)'"),
+         ("cylinder(abc)", "bad cylinder radius in 'cylinder(abc)'")],
+        ids=["zero", "inf", "abc"],
+    )
+    def test_cylinder_name_keeps_its_radius_message(self, capsys, name, err):
+        assert main(["eval", name]) == 2
+        assert capsys.readouterr().err == f"heisflow: {err}\n"
+
+    @pytest.mark.parametrize(
         "argv, code, err",
         [
             (["eval", "cylinder(1e300)", "--grid", "5x5"], 0, ""),
@@ -564,9 +575,9 @@ class TestCli:
 
     def test_guard_reached_past_the_seed_exits_two(self, tmp_path):
         # the seed's jet is finite, and an RK4 stage past it takes cos past
-        # the float range: the stage runs again through the guarded float
-        # jet, whose NaN the finite screen names, exit exactly 2 and no
-        # RuntimeWarning
+        # the float range: the stage takes the generic slot, whose formula
+        # runs as a batch of one, and the finite screen names its NaN, exit
+        # exactly 2 and no RuntimeWarning
         path = tmp_path / "cos.json"
         path.write_text(json.dumps(
             {"type": "graph", "domain": {"u": [0, 1e293], "v": [0, 1]},

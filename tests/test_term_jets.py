@@ -5,17 +5,21 @@ the generated jet of a sum, and of a group of sums, must give its bits, NaN
 where it gives NaN, and the same shape of each entry: a float where the
 loop adds no array.  A group's jet and a builder's field formula come from
 one generator, ``builders._code``, whose function runs the jet text on
-arrays, and on floats under ``try`` with its guarded twin under ``except``.
+arrays, and on floats under ``try``; where the float text raises, the call
+runs again as a batch of one.  For those inputs the float call is the array
+call, so the per-term loop is the independent check.
 """
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heisflow import builders, flow
-from heisflow.builders import Term, TermSum, _code, build_graph_separable, random_ruled_patch
+from heisflow.builders import (AngleField, Term, TermSum, _code, build_graph_separable,
+                               random_ruled_patch)
 from heisflow.patch import Domain
 from heisflow.rng import Lcg64
 from conftest import unsigned_nan_bits
@@ -78,24 +82,66 @@ def test_term_jet_is_the_jet_of_a_one_term_sum(term, s):
     assert_same_jet(one.jet(s), term_sum_jet(one, s))
 
 
+def assert_python_floats(got, want):
+    """Each entry of got, tuples of them included, is a Python float (not a
+    numpy scalar, not an array) with the bits of want's, or NaN where it is."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert_python_floats(g, w)
+            continue
+        assert type(g) is float, (g, w)
+        assert math.isnan(g) and math.isnan(w) or np.float64(g).view(np.int64) == np.float64(
+            w).view(np.int64), (g, w)
+
+
 def test_the_guarded_path():
     # 1e60 ** 6 raises OverflowError and math.sin(6e308) raises ValueError;
-    # the jet then runs again with +-inf powers and NaN trig
+    # the call then runs again as a batch of one, with +-inf powers and NaN
+    # trig, and returns Python floats without a RuntimeWarning
     poly, sin = TermSum((Term("poly", 1.0, 6),)), TermSum((Term("sin", 1.0, 6),))
-    assert poly.jet(1e60)[0] == math.inf
-    assert all(math.isnan(x) for x in sin.jet(1e308))
-    for ts, s in [(poly, 1e60), (sin, 1e308), (poly, 0.75), (sin, 0.75)]:
-        assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
-    # a field formula runs the same twin on floats, and gives its array bits
-    for fu, fv, u, v in [(poly, TermSum(), 1e60, 0.5), (TermSum(), sin, 0.5, 1e308)]:
-        fields = build_graph_separable(fu, fv, Domain(0.0, 1e61, 0.0, 1e308)).fields
-        for order in (1, 2):
-            got = fields(u, v, order)
-            with np.errstate(all="ignore"):
-                want = fields(np.array([u]), np.array([v]), order)
-            assert got[0][2] == math.inf if fu is poly else math.isnan(got[0][2])
-            assert_same_entries([c for f in got for c in f],
-                                [float(c[0]) if np.ndim(c) else c for f in want for c in f])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poly.jet(1e60)[0] == math.inf
+        assert all(math.isnan(x) for x in sin.jet(1e308))
+        for ts, s in [(poly, 1e60), (sin, 1e308), (poly, 0.75), (sin, 0.75)]:
+            assert_same_jet(ts.jet(s), term_sum_jet(ts, s))
+        ts = TermSum((Term("poly", -1.0, 6), Term("cos", 1.0, 1)))
+        assert ts.jet(1e308) == (-math.inf,) * 4
+        for ts, s in [(poly, 1e60), (sin, 1e308), (ts, 1e308)]:
+            assert_python_floats(ts.jet(s), term_sum_jet(ts, s))
+        assert all(math.isnan(x) for x in AngleField(poly).direction_jet(1e60))
+        assert_python_floats(AngleField(poly).direction_jet(1e60), direction_jet(poly, 1e60, 3))
+        # a field formula: a graph whose -u**6 overflows at u = -1e60, to -inf
+        # with entries of both signs, and one whose sin(6 v) is past the float
+        # range at v = 1e308
+        neg = TermSum((Term("poly", -1.0, 6),))
+        for fu, fv, u, v in [(neg, TermSum(), -1e60, 0.5), (TermSum(), sin, 0.5, 1e308)]:
+            fields = build_graph_separable(fu, fv, Domain(-1e61, 1.0, 0.0, 1e308)).fields
+            (f, f1, f2, _), (g, g1, g2, _) = term_sum_jet(fu, u), term_sum_jet(fv, v)
+            want = ((u, v, f + g), (1.0, 0.0, f1), (0.0, 1.0, g1))
+            assert_python_floats(fields(u, v, 1), want)
+            assert_python_floats(fields(u, v, 2), (*want, (0.0, 0.0, f2), (0.0, 0.0, 0.0),
+                                                   (0.0, 0.0, g2)))
+            assert not math.isfinite(fields(u, v, 1)[0][2])
+
+
+def test_a_constant_angle_has_the_direction_of_math():
+    # degree-0 terms only, so theta is a float on either path; a sum past the
+    # float range is inf, whose cosine and sine are NaN
+    for coeffs in [(0.5,), (1.0, -3.0, 0.25), (2.5e15,), (1e308, 1e308)]:
+        theta = TermSum(tuple(Term("poly", c, 0) for c in coeffs))
+        th = sum(coeffs, 0.0)
+        want = direction_jet(theta, 0.3, 3)
+        assert_python_floats(want[:2], (math.cos(th), math.sin(th)) if math.isfinite(th)
+                             else (math.nan, math.nan))
+        for s in (0.3, -2.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert_python_floats(AngleField(theta).direction_jet(s), want)
+        with np.errstate(all="ignore"):
+            got = AngleField(theta).direction_jet(np.array([0.3, -2.0]))
+        assert_same_entries(got, want)
 
 
 def test_sums_of_one_shape_keep_their_own_constants():
@@ -190,7 +236,7 @@ ONE_TERM_SUMS = [TermSum()] + [
 
 def test_every_entry_count_is_a_prefix_of_the_full_jet():
     # the empty sum, each polynomial degree and both trigonometric kinds,
-    # on floats (the guarded path included) and on arrays
+    # on floats (the batch of one included) and on arrays
     s_array = np.array([0.0, -0.0, 0.3, -1.7, 1e60, 1e308, math.inf, math.nan] + POW_DIFFERS)
     for ts in ONE_TERM_SUMS + [TermSum(tuple(t.terms[0] for t in ONE_TERM_SUMS[1::3]))]:
         for s in [0.3, -1.7, 0.0, 1e60, 1e308, math.inf, s_array]:
@@ -215,7 +261,7 @@ def group_reference(group, n, direction, s):
 
 
 # 1e60 ** 6 raises OverflowError and math.sin(6 * 1e308) ValueError, so the
-# whole group runs again in the twin body
+# whole group runs again as a batch of one
 GUARDED = [TermSum((Term("poly", 1.0, 6),)), TermSum((Term("sin", 1.0, 6),))]
 
 

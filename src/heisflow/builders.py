@@ -416,9 +416,10 @@ def build_straight_ruled(spec: RuledSpec) -> SurfaceHandle:
     v = _samples(v0, v1, 8)
     with np.errstate(all="ignore"):
         c0, c1, c2 = ruling_form_coefficients(spec, _samples(s0, s1, 32)[:, None])
-        cscale = _fold_max(abs(c0) + abs(c1) + abs(c2))
+        cscale = abs(c0) + abs(c1) + abs(c2)
         cmax = _fold_max(abs(c0 + v * (c1 + v * c2)))
-    if cmax <= 1e-12 * (1.0 + cscale):
+    # a non-finite coefficient skips the test and fails make_surface's finite check
+    if np.isfinite(cscale).all() and cmax <= 1e-12 * (1.0 + _fold_max(cscale)):
         raise DegenerateRuling(
             "induced-form coefficient vanishes identically; "
             "the ruled patch is characteristic everywhere"

@@ -9,13 +9,15 @@ a direct node test.  Curve-shaped loci are recovered as point chains at
 edge resolution; isolated points off the node lattice can be missed when
 the grid is too coarse, so refine the grid rather than the bisection when
 points seem absent.  The search is batched: one blocked pass of
-:func:`heisflow.patch.eval_jets` over the nodes, then lockstep bisection of
-every sign-changing edge with one batch of midpoints per step.  A midpoint
-needs only the sign of one component, so it gets (n1, n2) from its
-first-order jet and nothing else; each edge bisects only the coordinate it
-runs along, and leaves the batch at an exact root or once bisection can no
-longer move it, so the search ends before ``refine`` steps when every edge
-has converged.
+:func:`heisflow.patch.eval_jets` over the nodes, then lockstep bisection
+on compact arrays, one entry per live edge.  Each step evaluates the live
+midpoints in blocks, with the domain and finite checks of ``eval_jets``,
+from first-order jets: a midpoint needs only the sign of one component.
+Each edge bisects only the coordinate it runs along, and leaves the live
+arrays at an exact root or once bisection can no longer move it, so the
+search ends before ``refine`` steps when every edge has converged.
+Nodes and roots keep their 2-jets; their candidate rows (u, v, x, y, t,
+||N^h||) become points only once the merge keeps them.
 """
 
 from __future__ import annotations
@@ -47,36 +49,25 @@ class LocusPoint:
     nh_norm: float
 
 
-def _fields(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
-    """Rows n1, n2, keep threshold, x, y, t at the (u, v) rows of ``pts``."""
-    out = np.empty((6, len(pts)))
-    for sl in blocks(len(pts)):
-        jets = eval_jets(surface, pts[sl, 0], pts[sl, 1])
+def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows n1, n2, keep threshold, x, y, t at the points (u[i], v[i])."""
+    out = np.empty((6, len(u)))
+    for sl in blocks(len(u)):
+        jets = eval_jets(surface, u[sl], v[sl])
         out[:2, sl] = _normal_components(jets)
         out[2, sl] = char_threshold(jets, KEEP_TOL)
         out[3:, sl] = jets[:, 0].T
     return out
 
 
-def _components(surface: SurfaceHandle, pts: np.ndarray) -> np.ndarray:
-    """Rows n1, n2 at the (u, v) rows of ``pts``, from first-order jets: all
-    a midpoint's sign needs."""
-    out = np.empty((2, len(pts)))
-    for sl in blocks(len(pts)):
-        out[:, sl] = _normal_components(eval_jets(surface, pts[sl, 0], pts[sl, 1], 1))
-    return out
-
-
-def _kept(pts: np.ndarray, f: np.ndarray) -> list[LocusPoint]:
-    """The rows of ``pts`` where ||N^h|| <= keep threshold, in row order,
-    from their :func:`_fields` ``f``.  math.hypot runs only where
+def _kept(u: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The rows (u, v, x, y, t, ||N^h||) where ||N^h|| <= keep threshold, in
+    point order, from their :func:`_fields` ``f``.  math.hypot runs only where
     max(|n1|, |n2|) <= threshold: it is never below that max, NaN included."""
     near = np.flatnonzero(np.fmax(abs(f[0]), abs(f[1])) <= f[2])
     nh = _per_element(math.hypot, f[0, near], f[1, near])
     ok = nh <= f[2, near]
-    u, v = pts[near[ok]].T.tolist()
-    x, y, t = f[3:, near[ok]].tolist()
-    return list(map(LocusPoint, u, v, x, y, t, nh[ok].tolist()))
+    return np.column_stack((u[near[ok]], v[near[ok]], f[3:, near[ok]].T, nh[ok]))
 
 
 def characteristic_locus(
@@ -94,11 +85,12 @@ def characteristic_locus(
     nu, nv = grid
     if nu < 2 or nv < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
-    nodes = np.column_stack(grid_points(*surface.domain.linspace(nu, nv)))
-    f = _fields(surface, nodes)
+    us, vs = surface.domain.linspace(nu, nv)
+    u, v = grid_points(us, vs)
+    f = _fields(surface, u, v)
 
     # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
-    # or the v-edge (d = 1) leaving node (i, k); np.nonzero lists candidates
+    # or the v-edge (d = 1) leaving node (i, k); flat order lists candidates
     # node by node, u-edge before v-edge, n1 before n2.  Signs are compared
     # rather than multiplied, because a product can underflow to 0.
     g = f[:2].T.reshape(nu, nv, 2)
@@ -106,63 +98,69 @@ def characteristic_locus(
     change = np.zeros((nu, nv, 2, 2), bool)
     change[:-1, :, 0] = nz[:-1] & nz[1:] & (neg[:-1] != neg[1:])
     change[:, :-1, 1] = nz[:, :-1] & nz[:, 1:] & (neg[:, :-1] != neg[:, 1:])
-    i, k, d, comp = np.nonzero(change)
-    lo, hi = nodes[i * nv + k], nodes[(i + 1 - d) * nv + k + d]
-    neg = neg[i, k, comp]
+    i, k, d, comp = np.unravel_index(np.flatnonzero(change), change.shape)
+    on_v, neg = d == 1, neg[i, k, comp]
 
-    # Lockstep bisection of coordinate d, the one each edge runs along: ``a``
-    # keeps the sign the component has at the edge's first node and ``b``
-    # the other.  The other coordinate of ``mid`` keeps the bits
-    # 0.5 * (lo + hi) that every midpoint has.  An edge leaves the live set
-    # at an exact root (a = b = midpoint), or once its midpoint equals one
-    # of its ends: each end's sign is known and nonzero, so no later step
-    # could move it.
-    live = e = np.arange(len(comp))
-    a, b, mid = lo[e, d], hi[e, d], 0.5 * (lo + hi)
+    # Lockstep bisection of the coordinate each edge runs along, on compact
+    # arrays with one entry per live edge: the bracket ends a, which keeps
+    # the component's sign at the edge's first node, and b; the edge index,
+    # the other coordinate w (the bits 0.5 * (lo + hi) of every midpoint),
+    # the axis and component flags and the start sign.  An edge is done at
+    # an exact root, or once its midpoint equals an end, whose sign is known
+    # and nonzero, so no later step could move it: either way its midpoint
+    # is its root.  Only a step where some edge is done stores those roots
+    # and compacts the live arrays.
+    a, b = np.where(on_v, vs[k], us[i]), np.where(on_v, vs[k + d], us[i + 1 - d])
+    w = 0.5 * np.where(on_v, us[i] + us[i], vs[k] + vs[k])
+    root, fixed = np.empty(len(d)), (np.arange(len(d)), w, on_v, comp == 1, neg)
     for _ in range(refine):
-        if not live.size:
+        if not len(a):
             break
-        m = 0.5 * (a[live] + b[live])
-        mid[live, d[live]] = m
-        gm = _components(surface, mid[live])[comp[live], np.arange(live.size)]
-        hit = gm == 0.0
-        to_b = (neg[live] != (gm < 0.0)) | hit
-        to_a = ~to_b | hit
-        done = hit | (m == a[live]) | (m == b[live])
-        b[live[to_b]] = m[to_b]
-        a[live[to_a]] = m[to_a]
-        live = live[~done]
-    mid[e, d] = 0.5 * (a + b)
+        edge, lw, lv, l2, lneg = fixed
+        m = 0.5 * (a + b)
+        mu, mv, gm = np.where(lv, lw, m), np.where(lv, m, lw), np.empty(len(m))
+        for sl in blocks(len(m)):
+            n1, n2 = _normal_components(eval_jets(surface, mu[sl], mv[sl], 1))
+            gm[sl] = np.where(l2[sl], n2, n1)
+        flip = lneg != (gm < 0.0)
+        done = (gm == 0.0) | (m == a) | (m == b)
+        a, b = np.where(flip, a, m), np.where(flip, m, b)
+        if done.any():
+            root[edge[done]] = m[done]
+            a, b, *fixed = (x[~done] for x in (a, b, *fixed))
+    root[fixed[0]] = 0.5 * (a + b)
+    ru, rv = np.where(on_v, w, root), np.where(on_v, root, w)
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).
-    found = _kept(nodes, f) + _kept(mid, _fields(surface, mid))
-    found.sort(key=lambda p: (p.u, p.v))
-    return _merge(found, surface.domain)
+    rows = np.concatenate((_kept(u, v, f), _kept(ru, rv, _fields(surface, ru, rv))))
+    keys = rows[:, :2].tolist()
+    rows = rows[sorted(range(len(keys)), key=keys.__getitem__)]
+    return list(map(LocusPoint, *_merge(rows, surface.domain).T.tolist()))
 
 
-def _merge(found: list[LocusPoint], domain: Domain) -> list[LocusPoint]:
-    """Greedy merge of points of the domain sorted by (u, v): each point is
-    kept unless an earlier kept point lies within 1e-6 of the spans on both
-    axes.
+def _merge(rows: np.ndarray, domain: Domain) -> np.ndarray:
+    """The rows (u, v, ...) of points of the domain, sorted by (u, v), that a
+    greedy merge keeps: each row is kept unless an earlier kept row lies
+    within 1e-6 of the spans on both axes.
 
-    Kept points are hashed into cells twice that box wide, counted from the
-    domain corner, so every kept point in range lies in the 3 x 3 cells
+    A row more than that past the previous row in u is kept with no
+    comparison: rounding is monotone, so every earlier row is at least as
+    far.  Kept rows are hashed into cells twice that box wide, counted from
+    the domain corner, so every kept row in range lies in the 3 x 3 cells
     around the new one: rounding moves a cell coordinate by far less than
     half a cell.
     """
-    merge_u = 1e-6 * max(domain.u_span, 1e-300)
-    merge_v = 1e-6 * max(domain.v_span, 1e-300)
-
-    def cell(x: float, lo: float, merge: float) -> int:
-        return math.floor((x - lo) / (2.0 * merge))
-
-    cells: dict[tuple[int, int], list[LocusPoint]] = {}
-    kept: list[LocusPoint] = []
-    for p in found:
-        i, k = cell(p.u, domain.u_min, merge_u), cell(p.v, domain.v_min, merge_v)
-        near = (q for a in (i - 1, i, i + 1) for b in (k - 1, k, k + 1)
-                for q in cells.get((a, b), ()))
-        if not any(abs(p.u - q.u) <= merge_u and abs(p.v - q.v) <= merge_v for q in near):
-            kept.append(p)
-            cells.setdefault((i, k), []).append(p)
-    return kept
+    merge_u, merge_v = (1e-6 * max(span, 1e-300) for span in (domain.u_span, domain.v_span))
+    u, v = rows[:, 0], rows[:, 1]
+    fresh = np.diff(u, prepend=-math.inf) > merge_u
+    cu = np.floor((u - domain.u_min) / (2.0 * merge_u))
+    cv = np.floor((v - domain.v_min) / (2.0 * merge_v))
+    cells, kept = {}, []
+    for j, (p, q, new, i, k) in enumerate(np.column_stack((u, v, fresh, cu, cv)).tolist()):
+        if not new and any(abs(p - pk) <= merge_u and abs(q - qk) <= merge_v
+                           for a in (i - 1, i, i + 1) for b in (k - 1, k, k + 1)
+                           for pk, qk in cells.get((a, b), ())):
+            continue
+        kept.append(j)
+        cells.setdefault((i, k), []).append((p, q))
+    return rows[kept]

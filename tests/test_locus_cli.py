@@ -206,6 +206,17 @@ class TestLocus:
                 reference_locus(surface, grid, 100)
             ), k
 
+    # Edges of small odd, even and mixed grids finish on different steps at
+    # refine 60, so the live arrays are compacted in many orders; at refine
+    # 0, 1 and 7 the roots are the brackets that no step finished.
+    @given(st.integers(0, 2**64 - 1), st.integers(2, 15), st.integers(2, 15),
+           st.sampled_from([0, 1, 7, 60]))
+    def test_random_ruled_small_grids_match_per_point_search(self, seed, nu, nv, refine):
+        _, surface = random_ruled_patch(Lcg64(seed))
+        assert as_bits(characteristic_locus(surface, grid=(nu, nv), refine=refine)) == as_bits(
+            reference_locus(surface, (nu, nv), refine)
+        )
+
     @pytest.mark.parametrize("name", ["paraboloid", "turning-line"])
     def test_bisection_stops_once_every_edge_converges(self, name, monkeypatch):
         # At 101x101 every edge's bisection ends before step 60: on the
@@ -624,6 +635,25 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("heisflow: non-finite jet component in ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval"], ["locus"], ["flow", "--seed", "0.5", "0.5"]],
+        ids=["eval", "locus", "flow"],
+    )
+    def test_overflowing_angle_sum_exits_with_the_finite_check(self, tmp_path, capsys, argv):
+        # theta = 1e308 + 1e308 is inf, so the ruling direction and the
+        # induced-form coefficients are NaN: the finite check names the jet
+        # entry; the vanishing test must not call the patch characteristic
+        spec = {**TURNING_LINE, "theta": term_list(("poly", 1e308, 0), ("poly", 1e308, 0))}
+        path = tmp_path / "theta.json"
+        path.write_text(json.dumps(spec))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "heisflow: non-finite jet component in value: array([nan, nan, nan])\n"
 
     def test_huge_finite_jets_give_null_curvature(self, tmp_path, capsys):
         # y = 1e300 s: the curvature sums meet inf - inf, which fsum rejects

@@ -1,17 +1,26 @@
 """The locus merge's cell hash against the greedy loop it replaced.
 
-``locus._merge`` prunes candidates by cell; the greedy loop compares each
-point with every point kept so far.  Both must keep the same points, in
-the same order.
+``locus._merge`` takes candidate rows (u, v, x, y, t, ||N^h||), skips the
+comparison for rows past every earlier one in u and prunes the rest by
+cell; the greedy loop compares each point with every point kept so far.
+Both must keep the same points, in the same order.
 """
 
 import math
+from dataclasses import astuple
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from heisflow.locus import LocusPoint, _merge
 from heisflow.patch import Domain
+
+
+def cell_merge(found, domain):
+    """``_merge`` on the rows of the points ``found``, as points."""
+    rows = np.array([astuple(p) for p in found]).reshape(-1, 6)
+    return [LocusPoint(*row) for row in _merge(rows, domain).tolist()]
 
 
 def greedy_merge(found, domain):
@@ -68,13 +77,22 @@ def merge_inputs(draw):
 @given(merge_inputs())
 def test_cell_merge_keeps_what_the_greedy_loop_keeps(inputs):
     found, domain = inputs
-    assert _merge(found, domain) == greedy_merge(found, domain)
+    assert cell_merge(found, domain) == greedy_merge(found, domain)
 
 
 def test_cell_merge_on_a_dense_vertical_line():
     domain = Domain(0.0, 1.0, 0.0, 1.0)
     step = 1e-6 * 0.25
     found = [LocusPoint(0.5, i * step, 0.0, 0.0, 0.0, 0.0) for i in range(4000)]
-    kept = _merge(found, domain)
+    kept = cell_merge(found, domain)
     assert kept == greedy_merge(found, domain)
     assert 0 < len(kept) < len(found)
+
+
+def test_row_exactly_a_merge_past_the_last_is_compared():
+    # 1e-6 - 0.0 is exactly the merge distance of the unit square: the
+    # second point merges into the first, and its upper neighbour does not
+    domain = Domain(0.0, 1.0, 0.0, 1.0)
+    for u, n_kept in ((1e-6, 1), (math.nextafter(1e-6, 1.0), 2)):
+        found = [LocusPoint(0.0, 0.5, 0.0, 0.0, 0.0, 0.0), LocusPoint(u, 0.5, 0.0, 0.0, 0.0, 1.0)]
+        assert cell_merge(found, domain) == greedy_merge(found, domain) == found[:n_kept]

@@ -6,6 +6,7 @@ randomized verification takes an explicit --seed.  Non-finite floats become
 null in JSON and literal nan/inf tokens in CSV.  Table floats go through a
 numpy kernel with the bytes of %.17g; the few values it cannot place (out
 of its range, non-finite, or a rounding too near a tie) take %.17g itself.
+Each block of table rows is built as one byte matrix and written at once.
 
 Exit codes: 0 success; 1 a verification check failed or the requested
 computation has no result (e.g. flow seeded on the characteristic locus);
@@ -25,7 +26,7 @@ import sys
 
 import numpy as np
 
-from .curvature import mean_curvature_batch
+from .curvature import _SPLIT, mean_curvature_batch
 from .errors import HeisflowError, OutOfDomain, SpecError, UnknownName
 from .flow import integrate_flow
 from .horizontal import EPS_CHAR, horizontal_normal_batch, induced_form_batch
@@ -102,9 +103,8 @@ def _json_dump(value, out, indent=0):
         if not len(value):
             out.write("[]")
             return
-        row = pad + "  [" + ", ".join(["%s"] * value.shape[1]) + "]"
         out.write("[\n")
-        _table(value, _json_atom, row, ",\n", out)
+        _table(value, _json_atom, pad + "  [", ", ", "]", ",\n", out)
         out.write("\n" + pad + "]")
     else:
         out.write(_json_atom(value))
@@ -135,9 +135,8 @@ def _json_atom(value) -> str:
 # within _TIE of one half could round the wrong way.  Dekker's splits and
 # the low halves stay normal floats for 1e-280 <= |x| < 1e280.
 _K_MIN, _K_MAX = -281, 281  # the decimal exponents of the kernel's tables
-_SPLIT = 134217729.0  # 2**27 + 1
 _TIE = 2.0**-40
-_TAIL = np.frombuffer(b"e   ", np.uint32)[0]  # the last word of a source row
+_TAIL = np.frombuffer(b"e\0\0\0", np.uint32)[0]  # the last word of a source row
 
 
 @functools.cache
@@ -163,10 +162,10 @@ def _layout():
 
     A value's source row is 7 words: "-.0" and its 17 digits (bytes 0-19),
     the sign and three digits of its exponent (20-23), then "e" and three
-    spaces.  Its text is the row taken through the pattern of its key: the
+    NULs.  Its text is the row taken through the pattern of its key: the
     form (fixed for k in [-4, 16], else with a 2 or 3 digit exponent), the
     count of digits left once trailing zeros are stripped, and the sign.
-    Patterns end in spaces, which split the taken texts apart.
+    Patterns are 25 bytes, padded with NUL.
 
     Returns the first word by leading digit, the text of each 4-digit group,
     the place of a group's last nonzero digit (0 for 0000) plus 4 for each
@@ -261,46 +260,56 @@ def _source(a: np.ndarray, neg: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _g17(values: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """An object array with the %.17g text of each value, and the indices
-    whose text is left to the caller: values outside the kernel's range
-    (zeros and non-finite values among them) and roundings within _TIE of
-    a tie."""
+    """The %.17g text of each value as an (n, 25) uint8 array, NUL-padded,
+    and the indices whose text is left to the caller: values outside the
+    kernel's range (zeros and non-finite values among them) and roundings
+    within _TIE of a tie.  Its flat index takes 200 bytes a value."""
     a = np.abs(values)
     done = (a >= 1e-280) & (a < 1e280)
     raw, key, tie = _source(np.where(done, a, 1.0), values < 0)
-    table = _layout()[-1]
-    texts = []
-    for sl in blocks(len(key)):  # the flat index takes 200 bytes a value
-        idx = table.take(key[sl], axis=0) + np.arange(28 * sl.start, 28 * sl.stop, 28)[:, None]
-        texts += raw.take(idx).tobytes().decode("ascii").split()
+    idx = _layout()[-1].take(key, axis=0) + np.arange(0, 28 * len(key), 28)[:, None]
     done &= ~tie
-    return np.fromiter(texts, object, len(texts)), np.flatnonzero(~done).tolist()
+    return raw.take(idx), np.flatnonzero(~done).tolist()
 
 
-def _table(table: np.ndarray, atom, row: str, sep: str, out) -> None:
-    """Write an (N, k) float table's rows to ``out`` through ``row`` (a %s
-    per column), joined by ``sep``, one block at a time.  Each block formats
-    its distinct values, told apart by bits (-0.0 == 0.0 but prints as -0,
-    and NaN never equals itself), through the %.17g kernel ``_g17``, whose
-    text is ``atom`` of every finite float; ``atom`` itself runs only on the
-    values the kernel leaves, each on its own."""
+def _table(table: np.ndarray, atom, head: str, comma: str, tail: str, sep: str, out) -> None:
+    """Write an (N, k) float table to ``out``: rows of ``head``, the cells
+    joined by ``comma``, and ``tail``, joined by ``sep``.  Each block of
+    rows formats its distinct values, told apart by bits (-0.0 == 0.0 but
+    prints as -0, and NaN never equals itself), through the %.17g kernel
+    ``_g17``, whose text is ``atom`` of every finite float; ``atom`` runs
+    only on the values the kernel leaves, each on its own.  Each cell takes
+    its value's 25 text bytes and w bytes of comma, the last column's w
+    bytes are ``tail + sep + head``, and the block is written with its NULs
+    deleted; the final ``sep + head`` is cut."""
+
+    def pad(text, n):  # the bytes of text as n uint8, NUL-padded
+        return np.frombuffer(text.encode().ljust(n, b"\0"), np.uint8)
+
+    end = tail + sep + head
+    w = max(len(comma), len(end))
+    out.write(head)
     for sl in blocks(len(table)):
         block = table[sl]
         bits, inv = np.unique(block.view(np.int64).ravel(), return_inverse=True)
         values = bits.view(np.float64)
-        text, rest = _g17(values)
+        slot = np.empty((len(values), 25 + w), np.uint8)
+        slot[:, :25], rest = _g17(values)
+        slot[:, 25:] = pad(comma, w)
         for i in rest:
-            text[i] = atom(values[i].item())
-        if sl.start:
-            out.write(sep)
-        out.write(sep.join([row] * len(block)) % tuple(text[inv].tolist()))
+            slot[i, :25] = pad(atom(values[i].item()), 25)
+        rows = np.empty((*block.shape, 25 + w), np.uint8)
+        slot.take(inv, axis=0, out=rows.reshape(len(inv), 25 + w), mode="clip")
+        rows[:, -1, 25:] = pad(end, w)
+        text = rows.tobytes().translate(None, b"\0").decode("ascii")
+        out.write(text if sl.stop < len(table) else text[:len(text) - len(sep + head)])
 
 
 def _emit(report: dict, columns: list[str] | None, fmt: str, out_path: str | None):
     buf = io.StringIO()
     if fmt == "csv":
         buf.write(",".join(columns) + "\n")
-        _table(report["rows"], _fmt, ",".join(["%s"] * len(columns)) + "\n", "", buf)
+        _table(report["rows"], _fmt, "", ",", "\n", "", buf)
     else:
         _json_dump(report, buf)
         buf.write("\n")

@@ -285,10 +285,11 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     t = t.reshape(len(t), k * n)
     a, b = t[0 : 2 * n_pairs : 2], t[1 : 2 * n_pairs : 2]
     _two_prod(a, b, a, b)
-    c, a, b = (t[2 * n_pairs + r :: 3] for r in range(3))
-    _two_prod(a, b, a, b)
-    np.multiply(c, b, out=b)
-    _two_prod(c, a, c, a)
+    if n_triples:
+        c, a, b = (t[2 * n_pairs + r :: 3] for r in range(3))
+        _two_prod(a, b, a, b)
+        np.multiply(c, b, out=b)
+        _two_prod(c, a, c, a)
     need = None if need is None else np.tile(need, k)
     done = _fsum_columns(t, np.tile(safe, k), need).reshape(k, n)
     out = np.zeros((len(sums), n))

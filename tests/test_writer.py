@@ -1,7 +1,7 @@
 """The CLI table writer against the per-value reference writer, byte for byte.
 
 ``cli._emit`` formats each distinct value of a block once, through the
-numpy %.17g kernel ``cli._g17``, and builds the rows from one template;
+numpy %.17g kernel ``cli._g17``, and builds the rows as one byte block;
 ``reference_writer.render`` formats every cell on its own with %.17g.  Both
 must give the same text for every table, in both formats, and the kernel
 must give the text of %.17g for every float it does not leave to it.
@@ -76,10 +76,11 @@ CELLS = st.one_of(
 def _kernel_text(values):
     """The kernel's text of each value, %.17g where it leaves a value, and
     the indices it left."""
-    text, rest = cli._g17(np.array(values, float))
+    rows, rest = cli._g17(np.array(values, float))
+    text = [row.tobytes().rstrip(b"\0").decode("ascii") for row in rows]
     for i in rest:
         text[i] = "%.17g" % values[i]
-    return text.tolist(), rest
+    return text, rest
 
 
 def _tie_distance(x: float) -> Fraction:
@@ -97,7 +98,11 @@ def _neighbours(xs):
 def test_kernel_matches_percent_g_on_random_bits():
     values = np.random.default_rng(37).integers(0, 2**64, 200_000, dtype=np.uint64)
     values = values.view(np.float64).tolist()
-    text, rest = _kernel_text(values)
+    text, rest = [], []
+    for sl in blocks(len(values)):  # the kernel's flat index takes 200 bytes a value
+        t, r = _kernel_text(values[sl])
+        text += t
+        rest += [i + sl.start for i in r]
     assert text == ["%.17g" % x for x in values]
     # every exponent of a normal float occurs, and the kernel leaves only
     # what it must: values outside its range and roundings within 2**-40
@@ -272,6 +277,7 @@ def test_locus_stdout_matches_reference_writer(capsys, name, grid, fmt):
         ("paraboloid", (121, 121)),  # 15 blocks
         ("plane_t0", (101, 101)),  # H is NaN at the characteristic origin
         ("cylinder(1e300)", (5, 5)),  # values past the kernel's range
+        ("cylinder(2.0)", (81, 81)),  # about 120 distinct values a block, most cells shared
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -25,16 +25,19 @@ catalog surface and surface file, gives the float text of its first order,
 the group jet and the assembly, run under ``try``; only
 :func:`heisflow.patch.reparametrize_affine` and handles written by callers
 take the slot ``fields(u, v, 1)[:3]``, as does a stage whose text raises.
-The text is compiled once per slot, that is per builder and shape of term
-sums.  The flow field, :func:`_field_of`, is one stage with the same slot;
-it gives the seeds' fields.  The seeds and the reported points of a trace
-are evaluated, and screened, with full 2-jets by
-:func:`heisflow.patch.eval_jets`.  :func:`integrate_flow` is its one-seed
-call.
+Under a memo, :func:`_split`, its lines of u alone run only when u
+changes: a leaf of a ruled patch is a ruling, which keeps u bit for bit,
+so its leg computes the curve and angle terms once.  The text is compiled
+once per slot, that is per builder and shape of term sums.  The flow field,
+:func:`_field_of`, is one stage with the same slot; it gives the seeds'
+fields.  The seeds and the reported points of a trace are evaluated, and
+screened, with full 2-jets by :func:`heisflow.patch.eval_jets`.
+:func:`integrate_flow` is its one-seed call.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -99,7 +102,8 @@ class FlowTrace:
 # and first partials X, ..., Tv: the domain test; one sum screens the nine,
 # and only past it does the check of eval_jets run, so a finite jet whose sum
 # overflows passes as there; ||N^h||, the threshold and (p_u, p_v) in the
-# order of heisflow.horizontal's formulas; the stop band; the field (du, dv).
+# order of heisflow.horizontal's formulas; the stop band (as char_threshold,
+# by hypot where the sum of squares overflows); the field (du, dv).
 _STAGE = """\
 if not (u_min <= u <= u_max and v_min <= v <= v_max):
     raise _out_of_domain(dom, u, v)
@@ -109,21 +113,24 @@ if not isfinite(X + Y + T + Xu + Yu + Tu + Xv + Yv + Tv):
 jxy = Xu * Yv - Yu * Xv
 q = hypot((Yu * Tv - Tu * Yv) + 2.0 * Y * jxy, (Tu * Xv - Xu * Tv) - 2.0 * X * jxy)
 thr = EPS_CHAR * (1.0 + sqrt(Xu * Xu + Yu * Yu + Tu * Tu + Xv * Xv + Yv * Yv + Tv * Tv))
-if q < STOP_FACTOR * thr:
+if q < STOP_FACTOR * thr and (
+        thr < inf or q < STOP_FACTOR * (EPS_CHAR * (1.0 + hypot(Xu, Yu, Tu, Xv, Yv, Tv)))):
     raise _LegStop
 du, dv = (Tv + 2.0 * (X * Yv - Y * Xv)) / q, -(Tu + 2.0 * (X * Yu - Y * Xu)) / q"""
 _GENERIC = "(X, Y, T), (Xu, Yu, Tu), (Xv, Yv, Tv) = fields(u, v, 1)[:3]"
 # A builder's float text under try: where it raises (an overflowing ** or trig
-# past the float range), the generic slot runs its formula as a batch of one.
-_INLINE = "try:\n{}\nexcept (OverflowError, ValueError):\n    " + _GENERIC
+# past the float range), the memo clears and the generic slot runs a batch of one.
+_INLINE = "try:\n{}\nexcept (OverflowError, ValueError):\n    u_memo = nan\n    " + _GENERIC
 
 # One direction of a leaf from (u0, v0), whose field k1 the caller has found
 # finite and clear of the stop band, in the order of the stops above, with a
-# _STAGE at each {stage}.
+# _STAGE at each {stage}; the memo starts as NaN, so only the first stage of a
+# leg along a ruling runs the lines of u alone.
 _LEG = """\
 def leg(u0, v0, h, f, max_steps, fields, dom, u_min, u_max, v_min, v_max{params}):
     pts = []
     reason = "step-limit"
+    u_memo = nan
     k1u, k1v, k1x, k1y = f
     for _ in range(max_steps):
         try:
@@ -157,21 +164,46 @@ def leg(u0, v0, h, f, max_steps, fields, dom, u_min, u_max, v_min, v_max{params}
 # The flow field at (u, v): one _STAGE, returning (du, dv) and the point's x, y.
 _POINT = """\
 def field(u, v, fields, dom, u_min, u_max, v_min, v_max{params}):
+    u_memo = nan
     {stage}
     return du, dv, X, Y
 """
 
 _NAMES = {**_JET_NAMES, "isfinite": math.isfinite, "hypot": math.hypot, "sqrt": math.sqrt,
-          "EPS_CHAR": EPS_CHAR, "STOP_FACTOR": STOP_FACTOR, "_LegStop": _LegStop,
-          "OutOfDomain": OutOfDomain, "_out_of_domain": _out_of_domain,
+          "inf": math.inf, "nan": math.nan, "EPS_CHAR": EPS_CHAR, "STOP_FACTOR": STOP_FACTOR,
+          "_LegStop": _LegStop, "OutOfDomain": OutOfDomain, "_out_of_domain": _out_of_domain,
           "_check_finite": _check_finite, "jet2_batch": jet2_batch}
 
 
 @functools.lru_cache(maxsize=None)
-def _code(text: str, slot: str, params: tuple) -> types.CodeType:
+def _split(slot: str) -> str:
+    """A builder's stage text ``slot``, assignments, with the ruling memo:
+    those that read neither v nor a name set from v, of u alone, go first
+    and run only when u differs from ``u_memo`` or is a zero of either sign.
+    ``slot`` as it is where none is of u alone, or a name is set twice or
+    after a read."""
+    head, tail, of_v, seen = [], [], {"v"}, {"u", "v"}
+    for node in ast.parse(slot).body:
+        reads = {n.id for n in ast.walk(node.value) if isinstance(n, ast.Name)}
+        writes = {n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        if writes & (seen | reads):
+            return slot
+        seen |= reads | writes
+        if reads & of_v:
+            of_v |= writes
+        (tail if reads & of_v else head).append(ast.get_source_segment(slot, node))
+    if not head:
+        return slot
+    return "\n".join(("if u != u_memo or u == 0.0:", indent("\n".join(head), "    "),
+                      "    u_memo = u", *tail))
+
+
+@functools.lru_cache(maxsize=None)
+def _code(text: str, slot: str | None, params: tuple) -> types.CodeType:
     """The code of ``text``, :data:`_LEG` or :data:`_POINT`, with the
-    :data:`_STAGE` of ``slot`` at each ``{stage}``, at its indent, and
-    ``params`` last."""
+    :data:`_STAGE` of a builder's ``slot`` (:func:`_split`, :data:`_INLINE`;
+    None: the generic slot) at each ``{stage}``, its indent, ``params`` last."""
+    slot = _GENERIC if slot is None else _INLINE.format(indent(_split(slot), "    "))
     stage = _STAGE.format(slot=slot)
     text = re.sub(r"^( *)\{stage\}$", lambda m: indent(stage, m[1]), text, flags=re.M)
     return _defined(text.replace("{params}", "".join(f", {p}" for p in params))).__code__
@@ -179,9 +211,8 @@ def _code(text: str, slot: str, params: tuple) -> types.CodeType:
 
 def _bound(text: str, surface: SurfaceHandle):
     """The function of ``text`` for ``surface``: its slot is ``fields.stage``
-    of a builder's formula as :data:`_INLINE`, or else the generic one."""
+    of a builder's formula, or else the generic one."""
     slot, params, plans = getattr(surface.fields, "stage", (None, (), ()))
-    slot = _GENERIC if slot is None else _INLINE.format(indent(slot, "    "))
     dom = surface.domain
     return types.FunctionType(_code(text, slot, params), _NAMES, None, (
         surface.fields, dom, dom.u_min, dom.u_max, dom.v_min, dom.v_max, *plans))

@@ -63,10 +63,14 @@ def _first_order(formula):
 
 @_first_order
 def char_threshold(x, y, du, dv, eps: float = EPS_CHAR):
-    """Scale-aware vanishing threshold eps * (1 + ||d1||_F) for ||N^h||
-    at every point of an (N, 6, 3) jet array."""
+    """Scale-aware vanishing threshold eps * (1 + ||d1||_F) for ||N^h|| at
+    each point of a jet array (math.hypot's norm where squares overflow)."""
     (xu, yu, tu), (xv, yv, tv) = du, dv
-    return eps * (1.0 + np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    thr = eps * (1.0 + np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    huge = np.isinf(thr)
+    if huge.any():
+        thr[huge] = eps * (1.0 + _per_element(math.hypot, *(d[huge] for d in (*du, *dv))))
+    return thr
 
 
 @_first_order

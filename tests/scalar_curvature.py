@@ -57,7 +57,10 @@ def scalar_pullback(j):
 def scalar_threshold(j, eps_char=EPS_CHAR):
     """char_threshold of one (6, 3) or (3, 3) jet, on floats."""
     _, (xu, yu, tu), (xv, yv, tv) = np.asarray(j, float)[:3].tolist()
-    return eps_char * (1.0 + math.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    thr = eps_char * (1.0 + math.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
+    if thr == math.inf:  # the sum of squares overflowed: the norm by hypot
+        thr = eps_char * (1.0 + math.hypot(xu, yu, tu, xv, yv, tv))
+    return thr
 
 
 def _two_prod(a, b):

@@ -11,8 +11,14 @@ patches, on developables, on every catalog surface, on an affine
 reparametrisation and on a surface literal, each leg must give the
 reference's accepted points bit for bit, its stop reason, and the type and
 message of anything it raises.  A NaN's sign is outside the contract, so
-points compare with it cleared.
+points compare with it cleared.  The stage's ruling memo is checked by the
+trig calls of ruled and cylinder legs, by legs seeded at u = -0.0 and 0.0,
+and on stage texts directly.
 """
+
+import collections
+import math
+from textwrap import indent
 
 import numpy as np
 import pytest
@@ -93,11 +99,16 @@ def outcome(run):
 def assert_legs_match(surface, fu, fv, ds, max_steps):
     """Both legs from the point at fractions (fu, fv) of the domain, forward
     and backward, through the generated leg and the reference; False where
-    the seed's field raises or stops, so that no leg starts.  The seed's
-    field from the surface's own slot is the reference's too."""
+    the seed's field raises or stops, so that no leg starts."""
     dom = surface.domain
     u = min(dom.u_min + fu * dom.u_span, dom.u_max)
     v = min(dom.v_min + fv * dom.v_span, dom.v_max)
+    return assert_legs_match_at(surface, u, v, ds, max_steps)
+
+
+def assert_legs_match_at(surface, u, v, ds, max_steps):
+    """:func:`assert_legs_match` from the seed (u, v).  The seed's field
+    from the surface's own slot is the reference's too."""
     field = flow._field_of(generic_slot(surface))
     # (du, dv, x, y) as two pairs of points
     own = outcome(lambda: (flow._field_of(surface)(u, v), ""))
@@ -202,3 +213,97 @@ def test_handles_take_the_slot_of_their_formula():
     inline = {name for name, build in HANDLES.items() if hasattr(build().fields, "stage")}
     assert inline == {*CATALOG, "developable-file"}
     assert set(HANDLES) - inline == {"reparametrized-cone", "literal"}
+
+
+# The ruling memo: a stage runs the lines of its builder's text that are of
+# u alone only when u changes, and a leaf of a ruled patch keeps u.
+RULED_ACROSS_ZERO = {**RULED_ALL_KINDS, "curve": {**RULED_ALL_KINDS["curve"], "domain": [-1.0, 1.0]}}
+
+
+def centre(surface):
+    dom = surface.domain
+    return 0.5 * (dom.u_min + dom.u_max), 0.5 * (dom.v_min + dom.v_max)
+
+
+def trig_calls(monkeypatch, surface, steps=100):
+    """The calls of cos and sin, which the generated fields and legs read
+    from flow._NAMES, in one field at the centre of ``surface`` and in a
+    step-limit leaf pair of ``steps`` steps from there; and its trace."""
+    calls = collections.Counter()
+    for name in ("cos", "sin"):
+        def call(w, name=name, fn=flow._NAMES[name]):
+            calls[name] += 1
+            return fn(w)
+        monkeypatch.setitem(flow._NAMES, name, call)
+    u, v = centre(surface)
+    flow._field_of(surface)(u, v)
+    per_field = dict(calls)
+    calls.clear()
+    trace = flow.integrate_flow(surface, u, v, ds=1e-3, max_steps=steps)
+    assert (trace.stop_backward, trace.stop_forward) == ("step-limit", "step-limit")
+    return per_field, dict(calls), trace
+
+
+@pytest.mark.parametrize("build", [lambda: catalog_get("plane_flow_patch"),
+                                   lambda: catalog_get("circle_lift_developable"),
+                                   lambda: random_ruled(0)],
+                         ids=["plane_flow_patch", "circle_lift_developable", "random-ruled-0"])
+def test_ruled_legs_take_their_trig_once_per_leg(monkeypatch, build):
+    surface = build()
+    per_field, calls, trace = trig_calls(monkeypatch, surface)
+    assert per_field["cos"] and per_field["sin"]
+    assert (trace.uv[:, 0] == centre(surface)[0]).all()
+    # the seed's field, then one run of the memo in each leg of 400 stages
+    assert calls == {name: 3 * n for name, n in per_field.items()}
+
+
+def test_cylinder_legs_take_at_most_half_the_trig(monkeypatch, unit_cylinder):
+    # the field is constant in (u, v): the two midpoint stages of a step
+    # share their u, and so do the endpoint stage and the new point; past
+    # the seed's field, at most half of the trig of the 2 * 4 * 100 stages
+    per_field, calls, _ = trig_calls(monkeypatch, unit_cylinder)
+    for name, n in per_field.items():
+        assert 0 < calls[name] - n <= 2 * 4 * 100 * n // 2
+
+
+@pytest.mark.parametrize("u", [-0.0, 0.0])
+@pytest.mark.parametrize("build", [lambda: surface_from_dict(RULED_ACROSS_ZERO),
+                                   lambda: catalog_get("plane_flow_patch")],
+                         ids=["ruled-across-zero", "plane_flow_patch"])
+def test_legs_seeded_at_a_signed_zero_u_match_the_reference(build, u):
+    surface = build()
+    assert assert_legs_match_at(surface, u, centre(surface)[1], 1e-2, 60)
+
+
+def test_memo_split_moves_the_lines_of_u_alone_first():
+    text = "a = v * 2.0\nb = u + 1.0\nc = a + b\nd = cos(b)\nX, Y = d, c"
+    assert flow._split(text) == ("if u != u_memo or u == 0.0:\n    b = u + 1.0\n    d = cos(b)\n"
+                                 "    u_memo = u\na = v * 2.0\nc = a + b\nX, Y = d, c")
+    # no line of u alone, a name set twice, or a name set after a read: as given
+    for text in ("a = v\nb = a", "a = u\na = v", "b = a\na = u"):
+        assert flow._split(text) == text
+
+
+def test_memo_reruns_its_lines_at_a_zero_of_either_sign():
+    # -0.0 == 0.0, so u != u_memo alone would keep the +0.0 line at -0.0
+    text = flow._split("X = u * 1.0\nY = v")
+    names = {"u_memo": math.nan, "v": 0.5}
+    for u in (0.0, -0.0, -0.0, 0.0, 2.0, 2.0):
+        names["u"] = u
+        exec(text, names)
+        assert math.copysign(1.0, names["X"]) == math.copysign(1.0, u) and names["X"] == u
+
+
+def test_a_raising_stage_text_leaves_no_memo():
+    # the second stage raises after s is set; the generic slot takes it, and
+    # the third, back at the first u, runs the lines again rather than
+    # reading s of the second
+    text = flow._INLINE.format(indent(flow._split(
+        "s = u * 2.0\np = pow(u, 400)\nX, Y, T = s + 0.0 * p, v, 0.0\n"
+        "Xu, Yu, Tu = 1.0, 0.0, 0.0\nXv, Yv, Tv = 0.0, 1.0, 0.0"), "    "))
+    names = {"pow": pow, "nan": math.nan, "u_memo": math.nan, "v": 0.5,
+             "fields": lambda u, v, order: ((u, v, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))}
+    for u, x in ((1.0, 2.0), (10.0, 10.0), (1.0, 2.0)):
+        names["u"] = u
+        exec(text, names)
+        assert names["X"] == x

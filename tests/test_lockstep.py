@@ -371,6 +371,8 @@ def test_stage_formula_is_the_three_horizontal_formulas():
     ) * rng.standard_normal((near.sum(), 3))
     jets[near, 0, :2] = 0.0
     edges = [j for a in rng.uniform(0.1, 10.0, 200).tolist() for j in stop_edge(a)]
+    # and where the threshold's sum of squares overflows, so that it takes hypot's norm
+    edges += [j for a in (10.0 ** rng.uniform(155.0, 300.0, 50)).tolist() for j in stop_edge(a)]
     jets = np.concatenate((jets, edges))
     n = len(jets)
     jets = jets.transpose(1, 2, 0).copy().transpose(2, 0, 1)  # the layout of jet2_batch

@@ -30,10 +30,13 @@ error-free and each sum is correctly rounded.  :func:`_fsum_columns` sums a
 column of terms by TwoSum distillation (Ogita, Rump and Oishi, "Accurate
 sum and dot product", SIAM J. Sci. Comput. 26(6), 2005) in tiers, each
 kept only where a bound on the residual proves the result correctly
-rounded: one distillation on every column; a second only on the columns
-the first leaves open (0 to 17.6% of the sums on the catalog grids); and
-math.fsum only on those the second leaves too (0 to 1.17%).  Sums of one
-shape share one call: a dense batch makes four, for n1 and n2, their four
+rounded: on every column, one distillation of the products' high parts,
+their low parts added in floats, as in the paper's Dot2; two
+distillations of all terms only on the columns the first tier leaves open
+(0 to 18.3% of the sums on the catalog grids); and math.fsum only on
+those the second leaves too (0 to 1.11%).  Each distinct inner product
+a*b of the c*a*b terms is expanded once per call.  Sums of one shape
+share one call: a dense batch makes four, for n1 and n2, their four
 derivatives, the four factors of the numerator, and the numerator.  On a
 block whose jet entries are all at most ``_SAFE``, a product with a factor
 that is zero at every point of the block is never expanded, and a sum left
@@ -203,39 +206,47 @@ def _certify(s, s2, r):
     return hi, (r == 0.0) | inside
 
 
-def _fsum_columns(t: np.ndarray, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
+def _fsum_columns(t: np.ndarray, safe: np.ndarray, need: np.ndarray | None = None,
+                  n_high: int | None = None, order=slice(None)) -> np.ndarray:
     """math.fsum of every column of the (terms, M) array t, with two or more
     terms, bit for bit.
 
+    The first ``n_high`` rows (all by default) are high parts, the rest low
+    parts; ``t[order]`` holds the terms in their interleaved order.
     Certification runs in two tiers; an exact zero sum gives +0.0, as fsum
     does.
-    - Tier 1, every column: one distillation leaves sum(t) = s + sum(e)
-      exactly.  s2 = fl(sum(e)), in any order, is within gamma * sum(|e|)
-      of sum(e), and the bound r of that, rounded up, is zero only where
-      every e is; hi = fl(s + s2) is kept where :func:`_certify` holds.
-    - Tier 2, only the safe columns tier 1 left: a second distillation of
-      e leaves sum(t) = s + s2 + sum(e2) exactly, with r bounding
-      |sum(e2)|, and :func:`_certify` again.
-    Other columns are summed by math.fsum, but only where ``need`` is set;
-    the rest are NaN, as are the columns where fsum raises (inf - inf, or an
-    intermediate overflow of huge finite terms).
+    - Tier 1, every column: one distillation of the high parts only (Dot2
+      of Ogita, Rump and Oishi) leaves sum(t) = s + sum(e) + sum(lows)
+      exactly.  s2, that sum of e and lows in floats, in any order, is
+      within gamma * sum(|e| + |lows|) of it, and the bound r of that,
+      rounded up, is zero only where every e and low part is; hi =
+      fl(s + s2) is kept where :func:`_certify` holds.
+    - Tier 2, only the safe columns tier 1 left: two distillations of their
+      terms in the interleaved order leave sum(t) = s + s2 + sum(e2)
+      exactly, with r bounding |sum(e2)|, and :func:`_certify` again.
+    Other columns are summed by math.fsum, terms in the interleaved order,
+    but only where ``need`` is set; the rest are NaN, as are the columns
+    where fsum raises (inf - inf, or an intermediate overflow of huge
+    finite terms).
     """
     with np.errstate(all="ignore"):
-        s, e = _distil(t)
-        s2 = e.sum(axis=0)
-        r = np.abs(e, out=e).sum(axis=0)
-        # with k rows of e, gamma_{k-1} / (1 - gamma_{k-1}) < k * 2**-52
+        high = t[:n_high]
+        s, e = _distil(high)
+        low = t[len(high) :]
+        s2 = e.sum(axis=0) + low.sum(axis=0)
+        r = np.abs(e, out=e).sum(axis=0) + np.abs(low).sum(axis=0)
+        # with m float-summed rows, gamma_{m-1} / (1 - gamma_{m-1}) < m * 2**-52
         # bounds the error of s2 against the rounded mass; the product is
         # rounded up, so it stays nonzero where it underflows
         mass = r > 0.0
-        r *= len(e) * 2.0**-52
+        r *= (len(e) + len(low)) * 2.0**-52
         np.nextafter(r, np.inf, out=r, where=mass)
         del e
         hi, ok = _certify(s, s2, r)
         ok &= safe
         again = np.flatnonzero(safe & ~ok)
         if again.size:
-            s, e = _distil(t[:, again])
+            s, e = _distil(t[:, again][order])
             s2, e2 = _distil(e)
             del e
             r = np.abs(e2, out=e2).sum(axis=0) * (1.0 + 2.0**-30)
@@ -245,9 +256,10 @@ def _fsum_columns(t: np.ndarray, safe: np.ndarray, need: np.ndarray | None = Non
     if need is not None:
         out[redo & ~need] = math.nan
         redo &= need
-    for i in np.flatnonzero(redo).tolist():
+    redo = np.flatnonzero(redo)
+    for i, terms in zip(redo.tolist(), t[:, redo][order].T.tolist()):
         try:
-            out[i] = math.fsum(t[:, i].tolist())
+            out[i] = math.fsum(terms)
         except (ValueError, OverflowError):
             out[i] = math.nan
     return out
@@ -263,8 +275,11 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     other product is expanded error-free into the rows of one (terms, k*N)
     array for the k sums left, shorter sums padded with exact-zero products,
     so one :func:`_fsum_columns` call adds them all and cancellation between
-    terms costs no accuracy.  Triples assume c is an exact double (here
-    always +-2x, +-2y or a doubled jet entry, and doubling is exact).
+    terms costs no accuracy.  A pair a*b gives the terms p + e, a triple
+    c*a*b gives q + f + c*e where a*b = p + e and c*p = q + f; each distinct
+    (a, b) of the triples is expanded once.  The high parts p and q lead
+    the rows.  Triples assume c is an exact double (here always +-2x, +-2y
+    or a doubled jet entry, and doubling is exact).
     """
     sums = [tuple([f for f in terms if not any(type(x) is float and x == 0.0 for x in f)]
                   for terms in s) for s in sums]
@@ -275,23 +290,39 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     k, n = len(left), len(safe)
     n_pairs = max(len(pairs) for pairs, _ in left)
     n_triples = max(len(triples) for _, triples in left)
-    # the factors of each product go into the rows its terms take, and are
-    # expanded there: a, b -> p, e and c, a, b -> q, f, c*e
-    t = np.zeros((2 * n_pairs + 3 * n_triples, k, n))
-    for i, (pairs, triples) in enumerate(left):
-        for start, terms in ((0, pairs), (2 * n_pairs, triples)):
-            for r, x in enumerate((x for factors in terms for x in factors), start):
-                t[r, i] = x
-    t = t.reshape(len(t), k * n)
-    a, b = t[0 : 2 * n_pairs : 2], t[1 : 2 * n_pairs : 2]
-    _two_prod(a, b, a, b)
+    n_high = n_pairs + n_triples
+    # rows p, q, e, f, c*e: each product's factors go into the rows its
+    # terms take and are expanded there, a, b -> p, e and c, p_ab, e_ab ->
+    # q, f, c*e
+    t = np.zeros((2 * n_high + n_triples, k, n))
+    p, q, e = t[:n_pairs], t[n_pairs:n_high], t[n_high : n_high + n_pairs]
+    f, ce = t[n_high + n_pairs : 2 * n_high], t[2 * n_high :]
+    for i, (pairs, _) in enumerate(left):
+        for r, (a, b) in enumerate(pairs):
+            p[r, i], e[r, i] = a, b
+    _two_prod(p, e, p, e)
     if n_triples:
-        c, a, b = (t[2 * n_pairs + r :: 3] for r in range(3))
-        _two_prod(a, b, a, b)
-        np.multiply(c, b, out=b)
-        _two_prod(c, a, c, a)
+        # the distinct inner products p_ab + e_ab = a*b in rows 1.. of ab,
+        # and in row 0 a zero one that pads short sums
+        inner, slot = {}, np.zeros((n_triples, k), int)
+        for i, (_, triples) in enumerate(left):
+            for r, (c, a, b) in enumerate(triples):
+                q[r, i] = c
+                slot[r, i] = inner.setdefault((id(a), id(b)), (len(inner) + 1, a, b))[0]
+        ab = np.zeros((2, len(inner) + 1, n))
+        for j, a, b in inner.values():
+            ab[0, j], ab[1, j] = a, b
+        _two_prod(ab[0], ab[1], ab[0], ab[1])
+        np.take(ab[0], slot, axis=0, out=f, mode="clip")
+        np.take(ab[1], slot, axis=0, out=ce, mode="clip")
+        np.multiply(q, ce, out=ce)
+        _two_prod(q, f, q, f)
+    # the interleaved order: p, e of each pair, then q, f, c*e of each triple
+    order = [r for j in range(n_pairs) for r in (j, n_high + j)]
+    order += [r for j in range(n_pairs, n_high) for r in (j, n_high + j, n_high + n_triples + j)]
     need = None if need is None else np.tile(need, k)
-    done = _fsum_columns(t, np.tile(safe, k), need).reshape(k, n)
+    t = t.reshape(len(t), k * n)
+    done = _fsum_columns(t, np.tile(safe, k), need, n_high, order).reshape(k, n)
     out = np.zeros((len(sums), n))
     out[live] = done
     return out

@@ -169,6 +169,46 @@ def test_batch_makes_one_column_sum_per_term_shape(monkeypatch, paraboloid):
     assert bits(H).tolist() == [0, 0, 0]
 
 
+def test_batch_expands_each_distinct_inner_product_once(monkeypatch):
+    calls = []
+
+    def spying(a, b, p, e):
+        calls.append((np.array(a), np.array(b)))
+        return two_prod(a, b, p, e)
+
+    two_prod = curvature._two_prod
+    monkeypatch.setattr(curvature, "_two_prod", spying)
+    jets = eval_jets(turned_ruled(), [0.1, -0.05, 0.15], [0.0, 0.1, -0.12])
+    assert jets.all()
+    mean_curvature_batch(jets)
+    # per sum call, the pairs as (pairs, sums, points), the inner products of
+    # the triples as (products, points), and c times those as (triples, sums,
+    # points): n1 and n2, their derivatives, p_u, p_v, A_u and A_v, and the
+    # numerator
+    assert [a.shape for a, _ in calls] == [
+        (2, 2, 3), (3, 3), (2, 2, 3),
+        (4, 4, 3), (11, 3), (6, 4, 3),
+        (3, 4, 3),
+        (2, 1, 3),
+    ]
+    # row 0 of an inner table is the zero product that pads short sums; the
+    # others are the distinct a*b of the triples, 2 in the n1/n2 group and
+    # 10 in the derivative group of 24 triples
+    _, (xu, yu, _), (xv, yv, _), (xuu, yuu, _), (xuv, yuv, _), (xvv, yvv, _) = (
+        jets.transpose(1, 2, 0)
+    )
+    want = [
+        [(xu, yv), (yu, xv)],
+        [(xu, yv), (yu, xv), (xuu, yv), (xu, yuv), (yuu, xv), (yu, xuv),
+         (xuv, yv), (xu, yvv), (yuv, xv), (yu, xvv)],
+    ]
+    for (a, b), pairs in zip([calls[1], calls[4]], want):
+        assert not a[0].any() and not b[0].any()
+        assert len({(f.tobytes(), g.tobytes()) for f, g in zip(a[1:], b[1:])}) == len(pairs)
+        np.testing.assert_array_equal(bits(a[1:]), bits([f for f, _ in pairs]))
+        np.testing.assert_array_equal(bits(b[1:]), bits([g for _, g in pairs]))
+
+
 def test_random_ruled_batch_bit_identical():
     rng = Lcg64(0)
     for i in range(100):
@@ -441,25 +481,31 @@ def test_fsum_columns_give_nan_where_fsum_raises():
     assert got[[0, 1, 3]].tolist() == [3.0, 3.0, 3.0] and math.isnan(got[2])
 
 
-def _fsum_tiers(t, safe):
-    """``_fsum_columns(t, safe)``, the (s, s2, r) that each tier passes to
-    ``_certify``, and the number of math.fsum calls."""
-    seen, fsums = [], []
-    certify, fsum = curvature._certify, math.fsum
+def _fsum_tiers(t, safe, *args):
+    """``_fsum_columns(t, safe, *args)``, the (s, s2, r) that each tier passes
+    to ``_certify``, the rows that each ``_distil`` call gets, and the terms
+    of each math.fsum call."""
+    seen, distils, fsums = [], [], []
+    certify, distil, fsum = curvature._certify, curvature._distil, math.fsum
 
     def spy(s, s2, r):
         seen.append((s.copy(), s2.copy(), r.copy()))
         return certify(s, s2, r)
 
+    def distilling(rows):
+        distils.append(rows.copy())
+        return distil(rows)
+
     def counting(terms):
-        fsums.append(1)
+        fsums.append(list(terms))
         return fsum(terms)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curvature, "_certify", spy)
+        mp.setattr(curvature, "_distil", distilling)
         mp.setattr(math, "fsum", counting)
-        out = _fsum_columns(t, safe)
-    return out, seen, len(fsums)
+        out = _fsum_columns(t, safe, *args)
+    return out, seen, distils, fsums
 
 
 def _exact(x) -> Fraction:
@@ -508,7 +554,7 @@ def _column(kind: str, k: int):
 def test_fsum_column_tiers_match_fsum(columns):
     t = np.array([c for c, _ in columns], float).T
     safe = np.array([sf for _, sf in columns], bool)
-    out, seen, n_fsum = _fsum_tiers(t, safe)
+    out, seen, _, fsums = _fsum_tiers(t, safe)
     want = [math.fsum(col) for col, _ in columns]
     np.testing.assert_array_equal(bits(out), bits(want))
 
@@ -526,7 +572,56 @@ def test_fsum_column_tiers_match_fsum(columns):
     n2 = len(tier2[0][0]) if tier2 else 0
     assert n2 == again.sum()
     ok2 = curvature._certify(*tier2[0])[1].sum() if tier2 else 0
-    assert n_fsum == (~safe).sum() + n2 - ok2
+    assert len(fsums) == (~safe).sum() + n2 - ok2
+
+
+@given(
+    st.integers(2, 12).flatmap(
+        lambda k: st.tuples(
+            st.lists(
+                st.tuples(st.sampled_from(["wide", "zero", "tie", "subnormal"]),
+                          st.booleans(), st.booleans())
+                .flatmap(lambda ks: st.tuples(_column(ks[0], k), *map(st.just, ks[1:]))),
+                min_size=1, max_size=12,
+            ),
+            st.lists(st.booleans(), min_size=k, max_size=k).filter(any),
+        )
+    )
+)
+def test_fsum_columns_on_high_low_splits(case):
+    # the rows of t are the terms in their interleaved order; a random split
+    # leads with the high rows, and order puts the terms back
+    columns, high = case
+    t = np.array([c for c, _, _ in columns], float).T
+    safe = np.array([sf for _, sf, _ in columns], bool)
+    need = np.array([nd for _, _, nd in columns], bool)
+    laid = np.concatenate((np.flatnonzero(high), np.flatnonzero(np.logical_not(high))))
+    n_high, order = sum(high), np.argsort(laid)
+    out, seen, distils, fsums = _fsum_tiers(t[laid], safe, need, n_high, order)
+
+    # tier 1: r bounds the error of s2 against the exact sum of the
+    # distillation's errors and the low rows, and is zero only where all are
+    (s, s2, r), *tier2 = seen
+    _, e = curvature._distil(t[laid][:n_high])
+    rest = np.concatenate((e, t[laid][n_high:]))
+    for i in range(t.shape[1]):
+        err = abs(sum(map(_exact, rest[:, i])) - _exact(s2[i]))
+        assert err <= _exact(r[i])
+        assert (r[i] == 0.0) == (not rest[:, i].any())
+    # tier 2 gets the safe columns tier 1 left, and fsum the needed columns
+    # that neither tier certified, both with their terms in the interleaved order
+    _, ok = curvature._certify(s, s2, r)
+    ok &= safe
+    again = np.flatnonzero(safe & ~ok)
+    assert len(tier2) == (again.size > 0) and len(distils) == 1 + 2 * len(tier2)
+    if tier2:
+        np.testing.assert_array_equal(bits(distils[1]), bits(t[:, again]))
+        ok[again] = curvature._certify(*tier2[0])[1]
+    assert fsums == [t[:, i].tolist() for i in np.flatnonzero(~ok & need)]
+    # the certified and needed columns equal fsum bit for bit, the rest are NaN
+    want = np.array([math.fsum(col) for col, _, _ in columns])
+    want[~ok & ~need] = math.nan
+    np.testing.assert_array_equal(bits(out), bits(want))
 
 
 @pytest.mark.parametrize(
@@ -546,19 +641,22 @@ def test_fsum_columns_reach_each_tier(column, tier):
     want = {1: (1, 0), 2: (2, 0), 3: (2, 1)}[tier]
     t = np.array([column], float).T
     for safe, calls in ((True, want), (False, (1, 1))):
-        out, seen, n_fsum = _fsum_tiers(t, np.array([safe]))
+        out, seen, _, fsums = _fsum_tiers(t, np.array([safe]))
         assert bits(out).tolist() == bits([math.fsum(column)]).tolist()
-        assert (len(seen), n_fsum) == calls
+        assert (len(seen), len(fsums)) == calls
 
 
 # math.fsum calls of a strict=False curvature scan of each catalog grid:
-# the counts of the two-distillation certification on the sums left after
-# the products with a factor zero on the whole block are dropped, which
-# tier 1 alone exceeds on four of these grids
+# the counts of the two-tier certification (tier 1 distils the high parts
+# of the products, tier 2 all terms in their interleaved order) on the sums
+# left after the products with a factor zero on the whole block are
+# dropped, which tier 1 alone exceeds on five of these grids (on plane_t0
+# and plane_flow_patch by 9,216 and 20,059: sums that cancel below the
+# float error bound of their low parts, on plane_t0 all exact zeros)
 FSUM_CALLS = [
     ("paraboloid", 121, 0),
     ("cone_lower", 81, 2),
-    ("circle_lift_developable", 81, 843),
+    ("circle_lift_developable", 81, 803),
     ("cylinder(2.0)", 81, 0),
     ("plane_t0", 101, 0),
     ("vertical_plane_x0", 81, 0),

@@ -51,13 +51,16 @@ EPS_CHAR = 1e-9
 def _first_order(formula):
     """Evaluate ``formula(x, y, (xu, yu, tu), (xv, yv, tv), *args)`` on the
     entries of a jet array under np.errstate(all="ignore"): huge but finite
-    jets overflow there, as float arithmetic does silently."""
+    jets overflow there, as float arithmetic does silently.  ``formula``
+    itself stays reachable as ``.entries``, for entries that are floats or
+    arrays broadcasting together, as a formula returns them on grid axes."""
 
     def on_jets(j, *args):
         with np.errstate(all="ignore"):
             return formula(j[:, 0, 0], j[:, 0, 1], j[:, 1].T, j[:, 2].T, *args)
 
     on_jets.__name__, on_jets.__doc__ = formula.__name__, formula.__doc__
+    on_jets.entries = formula
     return on_jets
 
 
@@ -67,10 +70,16 @@ def char_threshold(x, y, du, dv, eps: float = EPS_CHAR):
     each point of a jet array (math.hypot's norm where squares overflow)."""
     (xu, yu, tu), (xv, yv, tv) = du, dv
     thr = eps * (1.0 + np.sqrt(xu * xu + yu * yu + tu * tu + xv * xv + yv * yv + tv * tv))
-    huge = np.isinf(thr)
-    if huge.any():
-        thr[huge] = eps * (1.0 + _per_element(math.hypot, *(d[huge] for d in (*du, *dv))))
+    if np.isinf(thr).any():  # broadcast first: entries may be floats or axis arrays
+        *d, thr = np.broadcast_arrays(*du, *dv, thr)
+        thr, huge = thr.copy(), np.isinf(thr)
+        thr[huge] = eps * (1.0 + _per_element(math.hypot, *(c[huge] for c in d)))
     return thr
+
+
+# The threshold on entries under its own name, which stays the formula where
+# char_threshold is wrapped (as the benchmark's traced pass wraps it).
+_threshold = char_threshold.entries
 
 
 @_first_order

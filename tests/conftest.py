@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from heisflow import flow
 from heisflow.builders import (
@@ -43,6 +44,38 @@ def ts(*terms) -> TermSum:
 def term_list(*entries) -> list:
     """The file entries of (kind, coeff, k) triples."""
     return [{"kind": kind, "coeff": coeff, "k": k} for kind, coeff, k in entries]
+
+
+# Random ruled, graph and cylinder files: terms of every kind, with huge
+# coefficients, a frequency of 2**53 and domains out to 1e293 among them, so
+# that many builds fail and many jets overflow.
+coeffs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-20, 1e150, 1e300]))
+entries = st.lists(
+    st.one_of(
+        st.tuples(st.just("poly"), coeffs, st.integers(0, 6)),
+        st.tuples(st.sampled_from(["cos", "sin"]), coeffs,
+                  st.one_of(st.integers(1, 4), st.just(2**53))),
+    ),
+    max_size=3,
+).map(lambda ts: term_list(*ts))
+ranges = st.sampled_from([[0.0, 2.0], [-1.5, 1.0], [0.5, 1e60], [0.0, 1e293]])
+RULED = st.fixed_dictionaries({
+    "type": st.just("ruled"),
+    "curve": st.fixed_dictionaries({"x": entries, "y": entries, "t": entries, "domain": ranges}),
+    "theta": entries, "v_range": st.sampled_from([[0.25, 1.25], [-1.0, 1.0]]),
+})
+GRAPH = st.fixed_dictionaries({
+    "type": st.just("graph"),
+    "domain": st.fixed_dictionaries(
+        {"u": ranges, "v": st.sampled_from([[0.0, 1.0], [-2.0, 2.0]])}
+    ),
+    "fu": entries, "fv": entries,
+})
+CYLINDER = st.fixed_dictionaries({
+    "type": st.just("cylinder"),
+    "profile": st.fixed_dictionaries({"x": entries, "y": entries, "domain": ranges}),
+    "height": st.just([-1.0, 1.0]),
+})
 
 
 def spec_dict(spec: RuledSpec) -> dict:

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import generic_slot, term_list, unsigned_nan_bits
+from conftest import CYLINDER, GRAPH, RULED, generic_slot, term_list, unsigned_nan_bits
 from scalar_flow import leg as reference_leg
 from heisflow import flow
 from heisflow.builders import CATALOG, catalog_get, random_ruled_patch, surface_from_dict
@@ -33,36 +33,9 @@ from heisflow.errors import SpecError
 from heisflow.patch import Domain, SurfaceHandle, reparametrize_affine
 from heisflow.rng import Lcg64
 
-coeffs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, 1e-20, 1e150, 1e300]))
-entries = st.lists(
-    st.one_of(
-        st.tuples(st.just("poly"), coeffs, st.integers(0, 6)),
-        st.tuples(st.sampled_from(["cos", "sin"]), coeffs,
-                  st.one_of(st.integers(1, 4), st.just(2**53))),
-    ),
-    max_size=3,
-).map(lambda ts: term_list(*ts))
-ranges = st.sampled_from([[0.0, 2.0], [-1.5, 1.0], [0.5, 1e60], [0.0, 1e293]])
 fractions = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.99, 1.0]))
 steps = st.sampled_from([1e-3, 3e-2, 0.2, 1e290])
 
-RULED = st.fixed_dictionaries({
-    "type": st.just("ruled"),
-    "curve": st.fixed_dictionaries({"x": entries, "y": entries, "t": entries, "domain": ranges}),
-    "theta": entries, "v_range": st.sampled_from([[0.25, 1.25], [-1.0, 1.0]]),
-})
-GRAPH = st.fixed_dictionaries({
-    "type": st.just("graph"),
-    "domain": st.fixed_dictionaries(
-        {"u": ranges, "v": st.sampled_from([[0.0, 1.0], [-2.0, 2.0]])}
-    ),
-    "fu": entries, "fv": entries,
-})
-CYLINDER = st.fixed_dictionaries({
-    "type": st.just("cylinder"),
-    "profile": st.fixed_dictionaries({"x": entries, "y": entries, "domain": ranges}),
-    "height": st.just([-1.0, 1.0]),
-})
 DEVELOPABLE_FILE = {
     "type": "developable",
     "curve": {"x": term_list(("cos", 0.5, 2), ("poly", 0.3, 0)),

@@ -1,15 +1,15 @@
-"""The flow stepper's legs, stops and fields, bit for bit.
+"""``integrate_flows``: its legs, stops and fields, bit for bit.
 
-``integrate_flows`` steps each leg on its own with the generated leg of
-``flow._leg_of``.  The reference stepper ``scalar_flow.leg`` is called
-directly here, on the flow field through the generic slot
-(``conftest.generic_slot``), with the generated leg beside it on every
-input, and the inputs put every stop reason and a domain exit at each RK4
-stage into play.  The float field ``flow._field_of``, the one the seeds
-use, compiled from the surface's own slot as the leg is, is compared with
-the array composition of the horizontal formulas (``field_rows``), and
-``integrate_flows`` with its one-seed calls; comparisons are on bit
-patterns.
+``integrate_flows`` traces the leaf through each seed, and steps each leg
+on its own with the generated leg of ``flow._leg_of``.  The reference
+stepper ``scalar_flow.leg`` is called directly here, on the flow field
+through the generic slot (``conftest.generic_slot``), with the generated
+leg beside it on every input, and the inputs put every stop reason and a
+domain exit at each RK4 stage into play.  The float field
+``flow._field_of``, the one the seeds use, compiled from the surface's own
+slot as the leg is, is compared with the array composition of the
+horizontal formulas (``field_rows``), and ``integrate_flows`` with its
+one-seed calls; comparisons are on bit patterns.
 """
 
 import contextlib

@@ -33,15 +33,22 @@ kept only where a bound on the residual proves the result correctly
 rounded: on every column, one distillation of the products' high parts,
 their low parts added in floats, as in the paper's Dot2; two
 distillations of all terms only on the columns the first tier leaves open
-(0 to 18.3% of the sums on the catalog grids); and math.fsum only on
+(0 to 18.3% of the columns on the catalog grids); and math.fsum only on
 those the second leaves too (0 to 1.11%).  Each distinct inner product
 a*b of the c*a*b terms is expanded once per call.  Sums of one shape
 share one call: a dense batch makes four, for n1 and n2, their four
-derivatives, the four factors of the numerator, and the numerator.  On a
-block whose jet entries are all at most ``_SAFE``, a product with a factor
-that is zero at every point of the block is never expanded, and a sum left
-with none is +0.0 (ruled patches have sigma_vv = 0, the paraboloid 9 zero
-jet components of 18).
+derivatives, the four factors of the numerator, and the numerator.
+
+On a block whose jet entries are all at most ``_SAFE``, a jet component
+constant on the block is a float.  A product with the factor 0.0 is never
+expanded, and a sum left with none is +0.0 (ruled patches have sigma_vv =
+0, the paraboloid 9 zero jet components of 18).  A product whose factors
+all but one are powers of two of magnitude at least 1 is exact, and a sum
+of at most two exact products is their float sum, which round to nearest
+even makes correctly rounded; a sum of floats alone stays a float.  On the
+graphs and planes x_u = y_v = 1, and the paraboloid's t_uu and t_vv are
+-2 and 2, so its blocks sum nothing by columns and plane_t0's only the
+numerator.
 
 :func:`curvature_scan` runs it over one or more surfaces on a shared sample
 set, with the skip rule of a grid check, in blocks of ``JET_BLOCK`` points.
@@ -265,27 +272,56 @@ def _fsum_columns(t: np.ndarray, safe: np.ndarray, need: np.ndarray | None = Non
     return out
 
 
-def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
-    """Correctly rounded sums of a*b pairs and c*a*b triples: a (K, N) array
-    for the K ``(pairs, triples)`` in ``sums``, each factor an array of one
-    value per point or a float.
+def _exact_product(factors):
+    """The product of the factors, a float or an array, when it is exact:
+    all but at most one are float powers of two of magnitude at least 1,
+    by which a product neither rounds nor, under ``_SAFE``, overflows.
+    None otherwise."""
+    scale, rest = 1.0, []
+    for x in factors:
+        if type(x) is float and abs(math.frexp(x)[0]) == 0.5 and abs(x) >= 1.0:
+            scale *= x
+        else:
+            rest.append(x)
+    if len(rest) > 1:
+        return None
+    return scale * rest[0] if rest else scale
+
+
+def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> list:
+    """Correctly rounded sums of a*b pairs and c*a*b triples: one value per
+    point, an array or a float, for each of the K ``(pairs, triples)`` in
+    ``sums``, each factor an array of one value per point or a float.
 
     A product with the float factor 0.0 is dropped: its rows would be exact
-    zeros, so no sum changes, and a sum left with no product is +0.0.  Every
-    other product is expanded error-free into the rows of one (terms, k*N)
-    array for the k sums left, shorter sums padded with exact-zero products,
-    so one :func:`_fsum_columns` call adds them all and cancellation between
-    terms costs no accuracy.  A pair a*b gives the terms p + e, a triple
-    c*a*b gives q + f + c*e where a*b = p + e and c*p = q + f; each distinct
-    (a, b) of the triples is expanded once.  The high parts p and q lead
-    the rows.  Triples assume c is an exact double (here always +-2x, +-2y
-    or a doubled jet entry, and doubling is exact).
+    zeros, so no sum changes, and a sum left with no product is +0.0.  On a
+    block with no unsafe point, a product whose factors all but one are
+    float powers of two of magnitude at least 1 is exact, and a sum of at
+    most two exact products is their float sum, which round to nearest even
+    makes correctly rounded (-0.0 becomes +0.0, as in fsum); a sum of floats
+    alone stays a float.  Every other product is expanded error-free into
+    the rows of one (terms, k*N) array for the k sums left, shorter sums
+    padded with exact-zero products, so one :func:`_fsum_columns` call adds
+    them all and cancellation between terms costs no accuracy.  A pair a*b
+    gives the terms p + e, a triple c*a*b gives q + f + c*e where a*b = p +
+    e and c*p = q + f; each distinct (a, b) of the triples is expanded once.
+    The high parts p and q lead the rows.  Triples assume c is an exact
+    double (here always +-2x, +-2y or a doubled jet entry, and doubling is
+    exact).
     """
     sums = [tuple([f for f in terms if not any(type(x) is float and x == 0.0 for x in f)]
                   for terms in s) for s in sums]
-    live = [i for i, s in enumerate(sums) if any(s)]
+    out, live = [0.0] * len(sums), []
+    exact = bool(safe.all())
+    for i, (pairs, triples) in enumerate(sums):
+        terms = pairs + triples
+        products = [_exact_product(f) for f in terms] if exact and len(terms) <= 2 else [None]
+        if any(x is None for x in products):
+            live.append(i)
+        else:
+            out[i] = sum(products, 0.0)
     if not live:
-        return np.zeros((len(sums), len(safe)))
+        return out
     left = [sums[i] for i in live]
     k, n = len(left), len(safe)
     n_pairs = max(len(pairs) for pairs, _ in left)
@@ -323,8 +359,8 @@ def _sums(sums, safe: np.ndarray, need: np.ndarray | None = None) -> np.ndarray:
     need = None if need is None else np.tile(need, k)
     t = t.reshape(len(t), k * n)
     done = _fsum_columns(t, np.tile(safe, k), need, n_high, order).reshape(k, n)
-    out = np.zeros((len(sums), n))
-    out[live] = done
+    for i, row in zip(live, done):
+        out[i] = row
     return out
 
 
@@ -340,18 +376,22 @@ def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
     characteristic points get H = NaN instead of an exception.  Callers pass
     blocks of at most ``JET_BLOCK`` points to bound the temporaries.
     """
+    if not len(jets):
+        return CurvatureBatch(np.empty(0), np.empty(0), np.empty(0, bool))
     safe = np.abs(jets).max(axis=(1, 2)) <= _SAFE
-    # on a block with no unsafe point, a factor that is zero at every point
-    # is the float 0.0, whose products _sums drops; elsewhere a zero factor
-    # may meet an infinite one, and 0 * inf is NaN
+    # on a block with no unsafe point, a factor that is constant on the
+    # block is a float: _sums drops the products of 0.0 and adds exact
+    # products in floats; elsewhere a zero factor may meet an infinite one,
+    # and 0 * inf is NaN
     sparse = bool(safe.all())
-    live = jets.any(axis=0) | (not sparse)
+    const = (sparse & (jets.min(axis=0) == jets.max(axis=0))).tolist()
+    first = jets[0].tolist()
 
     def lean(x):
-        return x if not sparse or x.any() else 0.0
+        return x if not sparse or type(x) is float or x.any() else 0.0
 
     (x, y, _), (xu, yu, tu), (xv, yv, tv), (xuu, yuu, tuu), (xuv, yuv, tuv), (xvv, yvv, tvv) = (
-        [c if k else 0.0 for c, k in zip(jets[:, f].T, live[f])] for f in range(6)
+        [first[f][i] if const[f][i] else jets[:, f, i] for i in range(3)] for f in range(6)
     )
     with np.errstate(all="ignore"):
         x2, y2 = 2.0 * x, 2.0 * y
@@ -376,7 +416,8 @@ def mean_curvature_batch(jets: np.ndarray) -> CurvatureBatch:
              ((-xv2, xu, yv), (xv2, yu, xv),
               (-x2, xuv, yv), (-x2, xu, yvv), (x2, yuv, xv), (x2, yu, xvv))),
         ], safe))
-        q2 = n1 * n1 + n2 * n2
+        # an N-array even where n1 and n2 are both constant
+        q2 = np.broadcast_to(n1 * n1 + n2 * n2, len(jets))
         q = np.sqrt(q2)
         char = q < char_threshold(jets, EPS_CHAR)
         # numerator p_v A_u - p_u A_v, with p_u, p_v, A_u and A_v each

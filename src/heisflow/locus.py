@@ -95,14 +95,15 @@ def _node_fields(surface: SurfaceHandle, us: np.ndarray, vs: np.ndarray) -> np.n
     return _fields(surface, *grid_points(us, vs))
 
 
-def _kept(u: np.ndarray, v: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _kept(f: np.ndarray, uv) -> np.ndarray:
     """The rows (u, v, x, y, t, ||N^h||) where ||N^h|| <= keep threshold, in
-    point order, from their :func:`_fields` ``f``.  math.hypot runs only where
-    max(|n1|, |n2|) <= threshold: it is never below that max, NaN included."""
+    point order, from their :func:`_fields` ``f`` and ``uv``, which maps
+    point indices to their u and v.  math.hypot runs only where max(|n1|,
+    |n2|) <= threshold: it is never below that max, NaN included."""
     near = np.flatnonzero(np.fmax(abs(f[0]), abs(f[1])) <= f[2])
     nh = _per_element(math.hypot, f[0, near], f[1, near])
     ok = nh <= f[2, near]
-    return np.column_stack((u[near[ok]], v[near[ok]], f[3:, near[ok]].T, nh[ok]))
+    return np.column_stack((*uv(near[ok]), f[3:, near[ok]].T, nh[ok]))
 
 
 def characteristic_locus(
@@ -121,7 +122,6 @@ def characteristic_locus(
     if nu < 2 or nv < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
     us, vs = surface.domain.linspace(nu, nv)
-    u, v = grid_points(us, vs)
     f = _node_fields(surface, us, vs)
 
     # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
@@ -167,7 +167,10 @@ def characteristic_locus(
     ru, rv = np.where(on_v, w, root), np.where(on_v, root, w)
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).
-    rows = np.concatenate((_kept(u, v, f), _kept(ru, rv, _fields(surface, ru, rv))))
+    rows = np.concatenate((
+        _kept(f, lambda j: (us[j // nv], vs[j % nv])),
+        _kept(_fields(surface, ru, rv), lambda j: (ru[j], rv[j])),
+    ))
     keys = rows[:, :2].tolist()
     rows = rows[sorted(range(len(keys)), key=keys.__getitem__)]
     return list(map(LocusPoint, *_merge(rows, surface.domain).T.tolist()))

@@ -14,8 +14,8 @@ pass runs a builder's formula on the grid axes, a block of whole grid rows
 at a time, so its terms of u alone and of v alone run once per u and per
 v; other handles take blocked :func:`heisflow.patch.eval_jets` calls over
 the flat grid, with the same bits.  Each step evaluates the live
-midpoints in blocks, with the domain and finite checks of ``eval_jets``,
-from first-order jets: a midpoint needs only the sign of one component.
+midpoints from the first-order formula (:func:`_midpoint_components`):
+a midpoint needs only the sign of one component.
 Each edge bisects only the coordinate it runs along, and leaves the live
 arrays at an exact root or once bisection can no longer move it, so the
 search ends before ``refine`` steps when every edge has converged.
@@ -95,6 +95,29 @@ def _node_fields(surface: SurfaceHandle, us: np.ndarray, vs: np.ndarray) -> np.n
     return _fields(surface, *grid_points(us, vs))
 
 
+def _midpoint_components(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray,
+                         second: np.ndarray) -> np.ndarray:
+    """n2 where ``second``, else n1, at points between in-domain bracket ends,
+    from the first-order formula.  n1 and n2 read every entry but t, and + - *
+    make no finite result of a non-finite operand, so only a block where
+    n1 + n2 + t is not finite needs eval_jets: its error, or the same bits.
+    Runs under the bisection loop's errstate, as does :func:`_midpoints`."""
+    out = np.empty(len(u))
+    for sl in blocks(len(u)):
+        (x, y, t), du, dv = surface.fields(u[sl], v[sl], 1)[:3]
+        n1, n2 = _normal_components.entries(x, y, du, dv)
+        if not np.isfinite(n1 + n2 + t).all():
+            n1, n2 = _normal_components(eval_jets(surface, u[sl], v[sl], 1))
+        out[sl] = np.where(second[sl], n2, n1)
+    return out
+
+
+def _midpoints(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """0.5 * (a + b), or 0.5 * a + 0.5 * b where a + b overflows."""
+    m = 0.5 * (a + b)
+    return np.where(np.isinf(m), 0.5 * a + 0.5 * b, m)
+
+
 def _kept(f: np.ndarray, uv) -> np.ndarray:
     """The rows (u, v, x, y, t, ||N^h||) where ||N^h|| <= keep threshold, in
     point order, from their :func:`_fields` ``f`` and ``uv``, which maps
@@ -139,31 +162,29 @@ def characteristic_locus(
     # Lockstep bisection of the coordinate each edge runs along, on compact
     # arrays with one entry per live edge: the bracket ends a, which keeps
     # the component's sign at the edge's first node, and b; the edge index,
-    # the other coordinate w (the bits 0.5 * (lo + hi) of every midpoint),
-    # the axis and component flags and the start sign.  An edge is done at
+    # the other coordinate w (the node's, which every midpoint keeps), the
+    # axis and component flags and the start sign.  An edge is done at
     # an exact root, or once its midpoint equals an end, whose sign is known
     # and nonzero, so no later step could move it: either way its midpoint
     # is its root.  Only a step where some edge is done stores those roots
-    # and compacts the live arrays.
+    # and compacts the live arrays.  One errstate covers every step.
     a, b = np.where(on_v, vs[k], us[i]), np.where(on_v, vs[k + d], us[i + 1 - d])
-    w = 0.5 * np.where(on_v, us[i] + us[i], vs[k] + vs[k])
+    w = np.where(on_v, us[i], vs[k])
     root, fixed = np.empty(len(d)), (np.arange(len(d)), w, on_v, comp == 1, neg)
-    for _ in range(refine):
-        if not len(a):
-            break
-        edge, lw, lv, l2, lneg = fixed
-        m = 0.5 * (a + b)
-        mu, mv, gm = np.where(lv, lw, m), np.where(lv, m, lw), np.empty(len(m))
-        for sl in blocks(len(m)):
-            n1, n2 = _normal_components(eval_jets(surface, mu[sl], mv[sl], 1))
-            gm[sl] = np.where(l2[sl], n2, n1)
-        flip = lneg != (gm < 0.0)
-        done = (gm == 0.0) | (m == a) | (m == b)
-        a, b = np.where(flip, a, m), np.where(flip, m, b)
-        if done.any():
-            root[edge[done]] = m[done]
-            a, b, *fixed = (x[~done] for x in (a, b, *fixed))
-    root[fixed[0]] = 0.5 * (a + b)
+    with np.errstate(all="ignore"):
+        for _ in range(refine):
+            if not len(a):
+                break
+            edge, lw, lv, l2, lneg = fixed
+            m = _midpoints(a, b)
+            gm = _midpoint_components(surface, np.where(lv, lw, m), np.where(lv, m, lw), l2)
+            flip = lneg != (gm < 0.0)
+            done = (gm == 0.0) | (m == a) | (m == b)
+            a, b = np.where(flip, a, m), np.where(flip, m, b)
+            if done.any():
+                root[edge[done]] = m[done]
+                a, b, *fixed = (x[~done] for x in (a, b, *fixed))
+        root[fixed[0]] = _midpoints(a, b)
     ru, rv = np.where(on_v, w, root), np.where(on_v, root, w)
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).

@@ -142,8 +142,8 @@ class SurfaceHandle:
     """Immutable surface patch: a domain plus a 2-jet field formula.
 
     ``fields(u, v, order=2)`` takes floats or equal-length float arrays and
-    returns the three to six field triples of :func:`jet2_batch`, with
-    floats standing for every point; :func:`eval_jets` checks its output.
+    returns the three to six field triples of :func:`jet2_batch`, of float64
+    arrays or floats standing for every point; :func:`eval_jets` checks them.
     With ``order=1`` only the first three triples (value, du, dv) are read,
     and a formula may leave out the rest or return them anyway.  On
     floats every entry is a Python float, not a numpy scalar: the flow

@@ -20,7 +20,6 @@ from heisflow.builders import (
 )
 from heisflow.cli import main
 from heisflow.locus import LocusPoint, characteristic_locus
-from heisflow.patch import eval_jets
 from heisflow.rng import Lcg64
 from conftest import term_list
 from scalar_curvature import scalar_jet, scalar_normal, scalar_threshold
@@ -233,13 +232,13 @@ class TestLocus:
         # at midpoints equal to an end.  More steps evaluate no more points
         # and change no bit.
         surface = surface_from_dict(TURNING_LINE) if name == "turning-line" else catalog_get(name)
-        evaluated = [0]
+        evaluated, midpoint_components = [0], locus._midpoint_components
 
-        def counting(surface, u, v, order=2):
+        def counting(surface, u, v, second):
             evaluated[0] += len(u)
-            return eval_jets(surface, u, v, order)
+            return midpoint_components(surface, u, v, second)
 
-        monkeypatch.setattr(locus, "eval_jets", counting)
+        monkeypatch.setattr(locus, "_midpoint_components", counting)
 
         def run(refine):
             evaluated[0] = 0

@@ -219,7 +219,7 @@ def column_roots(spec, us, vs):
 def test_ruled_locus_finds_every_column_root(grid):
     # Every real root of c on a grid column is a locus point on that column,
     # and every locus point on a column is a root: the points are v-edge
-    # bisection roots, at u = 0.5 * (u + u) = u exactly.
+    # bisection roots, at the grid column's own u.
     worst, unmatched, doubles = 0.0, [], []
     for index, (spec, surface) in enumerate(random_ruled(20)):
         us, vs = surface.domain.linspace(*grid)

@@ -9,18 +9,15 @@ a direct node test.  Curve-shaped loci are recovered as point chains at
 edge resolution; isolated points off the node lattice can be missed when
 the grid is too coarse, so refine the grid rather than the bisection when
 points seem absent.  The search is batched: one pass over the nodes, then
-lockstep bisection on compact arrays, one entry per live edge.  The node
-pass runs a builder's formula on the grid axes, a block of whole grid rows
-at a time, so its terms of u alone and of v alone run once per u and per
-v; other handles take blocked :func:`heisflow.patch.eval_jets` calls over
-the flat grid, with the same bits.  Each step evaluates the live
-midpoints from the first-order formula (:func:`_midpoint_components`):
-a midpoint needs only the sign of one component.
+lockstep bisection on compact arrays, one entry per live edge.  Nodes and
+roots call the surface's 2-jet formula, and each step the first-order
+formula at the live midpoints, whose sign is all it needs; the checks of
+:func:`heisflow.patch.eval_jets` run only where an entry is not finite.
 Each edge bisects only the coordinate it runs along, and leaves the live
 arrays at an exact root or once bisection can no longer move it, so the
 search ends before ``refine`` steps when every edge has converged.
-Nodes and roots keep their 2-jets; their candidate rows (u, v, x, y, t,
-||N^h||) become points only once the merge keeps them.
+The candidate rows (u, v, x, y, t, ||N^h||) of nodes and roots become
+points only once the merge keeps them.
 """
 
 from __future__ import annotations
@@ -31,8 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heis import _per_element
-from .horizontal import _normal_components, _threshold, char_threshold
-from .patch import JET_BLOCK, Domain, SurfaceHandle, blocks, eval_jets, grid_points
+from .horizontal import _normal_components, _threshold
+from .patch import (JET_BLOCK, Domain, SurfaceHandle, _check_finite, blocks, eval_jets,
+                    grid_points, jet2_batch)
 
 __all__ = ["LocusPoint", "characteristic_locus"]
 
@@ -52,47 +50,37 @@ class LocusPoint:
     nh_norm: float
 
 
-def _fields(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rows n1, n2, keep threshold, x, y, t at the points (u[i], v[i])."""
-    out = np.empty((6, len(u)))
-    for sl in blocks(len(u)):
-        jets = eval_jets(surface, u[sl], v[sl])
-        out[:2, sl] = _normal_components(jets)
-        out[2, sl] = char_threshold(jets, KEEP_TOL)
-        out[3:, sl] = jets[:, 0].T
-    return out
+def _fields(surface: SurfaceHandle, u, v, out: np.ndarray) -> None:
+    """Write the rows n1, n2, keep threshold, x, y, t at the points (u, v),
+    which broadcast to ``out[0]``, from one call of the 2-jet formula; where an
+    entry is not finite, eval_jets at the same flat points raises its error."""
+    value, du, dv, *second = surface.fields(u, v)
+    if not all(np.isfinite(e).all() for f in (value, du, dv, *second) for e in f):
+        eval_jets(surface, *np.broadcast_arrays(u, v))
+    x, y, _ = out[3], out[4], out[5] = value
+    out[0], out[1] = _normal_components.entries(x, y, du, dv)
+    out[2] = _threshold(x, y, du, dv, KEEP_TOL)
 
 
 def _node_fields(surface: SurfaceHandle, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """:func:`_fields` at the nodes of the grid us x vs, in the order of
-    :func:`grid_points`, from one call of a builder's formula (one with
-    ``stage``) per block of whole grid rows, on the axes ``us[rows, None]``
-    and ``vs[None, :]``: broadcasting runs its lines of u alone once per u
-    and of v alone once per v, with the same bits, and the rows come from
-    the broadcast entries through the horizontal formulas.  Other handles,
-    rows longer than a block, nodes outside the domain and non-finite
-    entries take the flat :func:`_fields`, which raises what eval_jets
-    raises."""
-    dom, nv = surface.domain, len(vs)
+    """The (6, nu * nv) :func:`_fields` rows at the nodes of the grid us x vs,
+    in the order of :func:`grid_points`, in blocks of whole grid rows: a
+    builder's formula (one with ``stage``) runs on the axes ``us[rows, None]``
+    and ``vs[None, :]``, so its lines of u alone run once per u and of v
+    alone once per v, with the same bits; other handles on flat points."""
+    nv = len(vs)
+    out = np.empty((6, len(us) * nv))
     # Blocks of at most 4 * JET_BLOCK points: at 101 x 101 on a random ruled
-    # patch the pass peaks at 1.11 MiB (tracemalloc; the flat pass 0.97, one
-    # block 1.56, JET_BLOCK points a block 0.63 at twice the time).
-    step = 4 * JET_BLOCK // nv
-    if step and hasattr(surface.fields, "stage") and dom.contains(us, vs[0]).all() \
-            and dom.contains(us[0], vs).all():
-        out = np.empty((6, len(us), nv))
-        with np.errstate(all="ignore"):
-            for i in range(0, len(us), step):
-                value, du, dv, *second = surface.fields(us[i:i + step, None], vs[None, :])
-                if not all(np.isfinite(e).all() for f in (value, du, dv, *second) for e in f):
-                    break
-                o, (x, y, _) = out[:, i:i + step], value
-                o[0], o[1] = _normal_components.entries(x, y, du, dv)
-                o[2] = _threshold(x, y, du, dv, KEEP_TOL)
-                o[3], o[4], o[5] = value
-            else:
-                return out.reshape(6, -1)
-    return _fields(surface, *grid_points(us, vs))
+    # patch the pass peaks at 1.11 MiB (tracemalloc; one block 1.56,
+    # JET_BLOCK points a block 0.63 at twice the time).
+    step = max(1, 4 * JET_BLOCK // nv)
+    for i in range(0, len(us), step):
+        o = out[:, i * nv:(i + step) * nv]
+        if hasattr(surface.fields, "stage"):
+            _fields(surface, us[i:i + step, None], vs[None, :], o.reshape(6, -1, nv))
+        else:
+            _fields(surface, *grid_points(us[i:i + step], vs), o)
+    return out
 
 
 def _midpoint_components(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray,
@@ -100,14 +88,14 @@ def _midpoint_components(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray,
     """n2 where ``second``, else n1, at points between in-domain bracket ends,
     from the first-order formula.  n1 and n2 read every entry but t, and + - *
     make no finite result of a non-finite operand, so only a block where
-    n1 + n2 + t is not finite needs eval_jets: its error, or the same bits.
-    Runs under the bisection loop's errstate, as does :func:`_midpoints`."""
+    n1 + n2 + t is not finite needs the finite check of eval_jets.  Runs under
+    the errstate of :func:`characteristic_locus`, as :func:`_fields` does."""
     out = np.empty(len(u))
     for sl in blocks(len(u)):
-        (x, y, t), du, dv = surface.fields(u[sl], v[sl], 1)[:3]
+        (x, y, t), du, dv = first = surface.fields(u[sl], v[sl], 1)[:3]
         n1, n2 = _normal_components.entries(x, y, du, dv)
         if not np.isfinite(n1 + n2 + t).all():
-            n1, n2 = _normal_components(eval_jets(surface, u[sl], v[sl], 1))
+            _check_finite(jet2_batch(len(out[sl]), *first))
         out[sl] = np.where(second[sl], n2, n1)
     return out
 
@@ -145,33 +133,33 @@ def characteristic_locus(
     if nu < 2 or nv < 2:
         raise ValueError(f"grid must be at least 2x2, got {grid}")
     us, vs = surface.domain.linspace(nu, nv)
-    f = _node_fields(surface, us, vs)
+    with np.errstate(all="ignore"):  # one errstate covers every formula call
+        f = _node_fields(surface, us, vs)
 
-    # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
-    # or the v-edge (d = 1) leaving node (i, k); flat order lists candidates
-    # node by node, u-edge before v-edge, n1 before n2.  Signs are compared
-    # rather than multiplied, because a product can underflow to 0.
-    g = f[:2].T.reshape(nu, nv, 2)
-    nz, neg = g != 0.0, g < 0.0
-    change = np.zeros((nu, nv, 2, 2), bool)
-    change[:-1, :, 0] = nz[:-1] & nz[1:] & (neg[:-1] != neg[1:])
-    change[:, :-1, 1] = nz[:, :-1] & nz[:, 1:] & (neg[:, :-1] != neg[:, 1:])
-    i, k, d, comp = np.unravel_index(np.flatnonzero(change), change.shape)
-    on_v, neg = d == 1, neg[i, k, comp]
+        # change[i, k, d, c]: component c changes sign along the u-edge (d = 0)
+        # or the v-edge (d = 1) leaving node (i, k); flat order lists candidates
+        # node by node, u-edge before v-edge, n1 before n2.  Signs are compared
+        # rather than multiplied, because a product can underflow to 0.
+        g = f[:2].T.reshape(nu, nv, 2)
+        nz, neg = g != 0.0, g < 0.0
+        change = np.zeros((nu, nv, 2, 2), bool)
+        change[:-1, :, 0] = nz[:-1] & nz[1:] & (neg[:-1] != neg[1:])
+        change[:, :-1, 1] = nz[:, :-1] & nz[:, 1:] & (neg[:, :-1] != neg[:, 1:])
+        i, k, d, comp = np.unravel_index(np.flatnonzero(change), change.shape)
+        on_v, neg = d == 1, neg[i, k, comp]
 
-    # Lockstep bisection of the coordinate each edge runs along, on compact
-    # arrays with one entry per live edge: the bracket ends a, which keeps
-    # the component's sign at the edge's first node, and b; the edge index,
-    # the other coordinate w (the node's, which every midpoint keeps), the
-    # axis and component flags and the start sign.  An edge is done at
-    # an exact root, or once its midpoint equals an end, whose sign is known
-    # and nonzero, so no later step could move it: either way its midpoint
-    # is its root.  Only a step where some edge is done stores those roots
-    # and compacts the live arrays.  One errstate covers every step.
-    a, b = np.where(on_v, vs[k], us[i]), np.where(on_v, vs[k + d], us[i + 1 - d])
-    w = np.where(on_v, us[i], vs[k])
-    root, fixed = np.empty(len(d)), (np.arange(len(d)), w, on_v, comp == 1, neg)
-    with np.errstate(all="ignore"):
+        # Lockstep bisection of the coordinate each edge runs along, on compact
+        # arrays with one entry per live edge: the bracket ends a, which keeps
+        # the component's sign at the edge's first node, and b; the edge index,
+        # the other coordinate w (the node's, which every midpoint keeps), the
+        # axis and component flags and the start sign.  An edge is done at
+        # an exact root, or once its midpoint equals an end, whose sign is known
+        # and nonzero, so no later step could move it: either way its midpoint
+        # is its root.  Only a step where some edge is done stores those roots
+        # and compacts the live arrays.
+        a, b = np.where(on_v, vs[k], us[i]), np.where(on_v, vs[k + d], us[i + 1 - d])
+        w = np.where(on_v, us[i], vs[k])
+        root, fixed = np.empty(len(d)), (np.arange(len(d)), w, on_v, comp == 1, neg)
         for _ in range(refine):
             if not len(a):
                 break
@@ -185,12 +173,15 @@ def characteristic_locus(
                 root[edge[done]] = m[done]
                 a, b, *fixed = (x[~done] for x in (a, b, *fixed))
         root[fixed[0]] = _midpoints(a, b)
-    ru, rv = np.where(on_v, w, root), np.where(on_v, root, w)
+        ru, rv = np.where(on_v, w, root), np.where(on_v, root, w)
+        r = np.empty((6, len(ru)))
+        for sl in blocks(len(ru)):
+            _fields(surface, ru[sl], rv[sl], r[:, sl])
 
     # Candidates in the order nodes, then roots, stably sorted by (u, v).
     rows = np.concatenate((
         _kept(f, lambda j: (us[j // nv], vs[j % nv])),
-        _kept(_fields(surface, ru, rv), lambda j: (ru[j], rv[j])),
+        _kept(r, lambda j: (ru[j], rv[j])),
     ))
     keys = rows[:, :2].tolist()
     rows = rows[sorted(range(len(keys)), key=keys.__getitem__)]

@@ -4,17 +4,15 @@ A :class:`SurfaceHandle` bundles a closed parameter rectangle with one field
 formula for the full 2-jet of the parametrisation: the ambient value
 (x, y, t), the six first partials and the nine second partials (mixed partials
 symmetric, stored once), or at order 1 the value and first partials alone.
-Every surface differentiates in closed form.  Handles are immutable;
-re-parametrisation produces a fresh handle.
+Every surface differentiates in closed form.
 
 The formula takes floats or float arrays.  :func:`eval_jets` evaluates it
 at a point set, one point being a set of one, and returns the jets as one
 array of shape (N, 6, 3): rows are points, then the fields value, du, dv,
-duu, duv, dvv, then the coordinates x, y, t; at order 1 only the first
-three fields, (N, 3, 3).  That array is the only jet representation.  It
-is stored component-major, as the transposed view of a (6, 3, N) array,
-because every consumer reads it one component at a time; fancy indexing
-gives point-major copies, which every consumer accepts too.
+duu, duv, dvv, then the coordinates x, y, t.  That array is the only jet
+representation.  It is stored component-major, as the transposed view of a
+(6, 3, N) array, because every consumer reads it one component at a time;
+fancy indexing gives point-major copies, which every consumer accepts too.
 """
 
 from __future__ import annotations
@@ -88,9 +86,10 @@ class Domain:
 
     def linspace(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
         """Inclusive nu x nv grid axes over the rectangle."""
+        # clamped: np.linspace steps past the upper bound of some subnormal spans
         return (
-            np.linspace(self.u_min, self.u_max, nu),
-            np.linspace(self.v_min, self.v_max, nv),
+            np.minimum(np.linspace(self.u_min, self.u_max, nu), self.u_max),
+            np.minimum(np.linspace(self.v_min, self.v_max, nv), self.v_max),
         )
 
     def interior_linspace(self, nu: int, nv: int) -> tuple[np.ndarray, np.ndarray]:
@@ -98,8 +97,8 @@ class Domain:
         du = 1e-6 * self.u_span
         dv = 1e-6 * self.v_span
         return (
-            np.linspace(self.u_min + du, self.u_max - du, nu),
-            np.linspace(self.v_min + dv, self.v_max - dv, nv),
+            np.minimum(np.linspace(self.u_min + du, self.u_max - du, nu), self.u_max - du),
+            np.minimum(np.linspace(self.v_min + dv, self.v_max - dv, nv), self.v_max - dv),
         )
 
 
@@ -112,14 +111,8 @@ def jet2_batch(n: int, value, du, dv, duu=_ZERO3, duv=_ZERO3, dvv=_ZERO3) -> np.
     of a C-contiguous (6, 3, n) array, so each component is one contiguous
     row of n floats.
     """
-    return _stack(n, (value, du, dv, duu, duv, dvv))
-
-
-def _stack(n: int, fields) -> np.ndarray:
-    """The field triples ``fields`` as an (n, len(fields), 3) component-major
-    array: the work of :func:`jet2_batch`, for any number of fields."""
-    out = np.empty((len(fields), 3, n))
-    for f, field_ in enumerate(fields):
+    out = np.empty((6, 3, n))
+    for f, field_ in enumerate((value, du, dv, duu, duv, dvv)):
         for c in range(3):
             out[f, c] = field_[c]
     return out.transpose(2, 0, 1)
@@ -162,14 +155,6 @@ class SurfaceHandle:
     label: str = ""
 
 
-def _raw_jets(surface: SurfaceHandle, u: np.ndarray, v: np.ndarray, order: int = 2):
-    """The unchecked (N, 6, 3) jets of ``surface`` at the points (u[i], v[i]),
-    or at order 1 their (N, 3, 3) first-order part."""
-    if order == 1:
-        return _stack(len(u), surface.fields(u, v, 1)[:3])
-    return jet2_batch(len(u), *surface.fields(u, v))
-
-
 def _check_finite(jets: np.ndarray) -> None:
     """Raise a ValueError naming the field of the first non-finite jet entry,
     the first in point order and then field order.  One flat pass over the
@@ -187,9 +172,8 @@ def _out_of_domain(domain: Domain, u, v) -> OutOfDomain:
     )
 
 
-def eval_jets(surface: SurfaceHandle, u, v, order: int = 2) -> np.ndarray:
-    """Jets at the points (u[i], v[i]) as an (N, 6, 3) array, or with
-    ``order=1`` as the (N, 3, 3) array of value, du and dv alone.
+def eval_jets(surface: SurfaceHandle, u, v) -> np.ndarray:
+    """Jets at the points (u[i], v[i]) as an (N, 6, 3) array.
 
     The domain check and the finite check each run once for the whole batch
     and raise OutOfDomain or ValueError naming the first failing point in
@@ -204,9 +188,9 @@ def eval_jets(surface: SurfaceHandle, u, v, order: int = 2) -> np.ndarray:
         i = int(np.argmin(inside))
         raise _out_of_domain(dom, float(u[i]), float(v[i]))
     if not len(u):
-        return _stack(0, (_ZERO3,) * 3 * order)
+        return jet2_batch(0, _ZERO3, _ZERO3, _ZERO3)
     with np.errstate(all="ignore"):
-        jets = _raw_jets(surface, u, v, order)
+        jets = jet2_batch(len(u), *surface.fields(u, v))
     _check_finite(jets)
     return jets
 
@@ -218,7 +202,7 @@ def make_surface(fields: Callable, domain: Domain, label: str = "") -> SurfaceHa
     u, v = grid_points(*domain.interior_linspace(21, 21))
     surface = SurfaceHandle(domain=domain, fields=fields, label=label)
     with np.errstate(all="ignore"):  # huge finite jets overflow to inf
-        jets = _raw_jets(surface, u, v)
+        jets = jet2_batch(len(u), *fields(u, v))
         cross = np.cross(jets[:, 1], jets[:, 2])
         norm = np.hypot(np.hypot(cross[:, 0], cross[:, 1]), cross[:, 2])
     _check_finite(jets)

@@ -1,5 +1,6 @@
 """Shared constructors and fixtures for the test suite."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from heisflow import flow
+from heisflow import flow, locus
 from heisflow.builders import (
     AngleField,
     CurveSpec,
@@ -19,6 +20,7 @@ from heisflow.builders import (
     random_ruled_patch,
 )
 from heisflow.curvature import curvature_scan
+from heisflow.errors import HeisflowError
 from heisflow.heis import HorizontalVec, Point3
 from heisflow.horizontal import char_threshold, horizontal_normal_batch, induced_form_batch
 from heisflow.patch import Domain, SurfaceHandle, reparametrize_affine
@@ -122,6 +124,42 @@ def generic_slot(surface):
     inline stage text."""
     return SurfaceHandle(surface.domain, lambda u, v, order=2: surface.fields(u, v, order),
                          surface.label)
+
+
+ENTRIES = ["x", "y", "t", "x_u", "y_u", "t_u", "x_v", "y_v", "t_v"]
+
+
+def poisoned(entry, bad, at):
+    """A handle without ``stage`` on the unit square: x = u, y = v, t = u v,
+    whose first-order entry number ``entry`` is ``bad`` at the points with
+    u == ``at``."""
+    def fields(u, v, order=2):
+        one, zero = np.ones_like(u), np.zeros_like(u)
+        e = [u, v, u * v, one, zero, v, zero, one, u]
+        e[entry] = np.where(u == at, bad, e[entry])
+        return (*(tuple(e[i:i + 3]) for i in (0, 3, 6)), *((zero,) * 3,) * 3)
+    return SurfaceHandle(Domain(0.0, 1.0, 0.0, 1.0), fields, "poisoned")
+
+
+def locus_row_blocks(surface, grid):
+    """Every ``locus._fields`` call of a scan at ``grid``, nodes then roots:
+    its points, flat, and the (6, N) rows it wrote, or the type and message
+    of what it raised.  A scan that raises ends the list."""
+    written, fields = [], locus._fields
+
+    def recording(surface, u, v, out):
+        written.append([a.ravel() for a in np.broadcast_arrays(u, v)])
+        try:
+            fields(surface, u, v, out)
+        except Exception as e:
+            written[-1].append((type(e), str(e)))
+            raise
+        written[-1].append(out.reshape(6, -1).copy())
+
+    with pytest.MonkeyPatch.context() as mp, contextlib.suppress(HeisflowError, ValueError):
+        mp.setattr(locus, "_fields", recording)
+        locus.characteristic_locus(surface, grid)
+    return written
 
 
 def unsigned_nan_bits(a):

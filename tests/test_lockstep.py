@@ -308,9 +308,10 @@ def test_scalar_field_matches_field_rows(name):
         + locus_seeds(name, dom) + stop_band_seeds(name), float
     ).reshape(-1, 2)
     u, v = np.concatenate((u, extra[:, 0])), np.concatenate((v, extra[:, 1]))
-    # the rows of the first-order jets inside the domain; outside, a domain exit
+    # the rows of the first three fields of the 2-jets inside the domain; outside,
+    # a domain exit
     inside = dom.contains(u, v)
-    rows, near = field_rows(eval_jets(surface, u[inside], v[inside], 1))
+    rows, near = field_rows(eval_jets(surface, u[inside], v[inside])[:, :3])
     fields = iter(
         "characteristic-proximity" if n else bits(r) for r, n in zip(rows.T, near.tolist())
     )

@@ -264,6 +264,23 @@ class TestLocus:
         assert len(rows) == count
         assert max(abs(v - 2.0 * math.sin(u)) for u, v, *_ in rows) <= 1e-12
 
+    @pytest.mark.parametrize("grid", ["101x101", "100x100", "40x37", "2x2"])
+    def test_locus_on_a_subnormal_span(self, tmp_path, grid):
+        # np.linspace steps past u_max on this u span at 101 and 100 nodes; the
+        # clamped axes stay in the domain, and every grid finds one point
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps({
+            "type": "graph", "domain": {"u": [-1.65e-321, 2.554e-321], "v": [-1, 1]},
+            "fu": [{"kind": "poly", "coeff": 0.5, "k": 2}],
+            "fv": [{"kind": "poly", "coeff": 1.0, "k": 2}]}))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "heisflow", "locus",
+             str(path), "--grid", grid],
+            capture_output=True, text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["count"] == 1
+
 
 class TestCli:
     def test_eval_json_marks_characteristic_points_null(self, capsys):

@@ -1,10 +1,11 @@
 """The locus bisection step: ``locus._midpoint_components`` and
 ``locus._midpoints``.
 
-The reference for the components is the step they replaced,
-``np.where(second, n2, n1)`` over ``_normal_components(eval_jets(..., 1))``:
-the rows must agree bit for bit, and anything raised must have the same type
-and message.
+The reference for the components is ``np.where(second, n2, n1)`` over
+``_normal_components`` of the first three fields of ``eval_jets``, on points
+whose 2-jets are finite wherever their first-order entries are (drawn files
+whose second partials alone overflow are skipped): the rows must agree bit
+for bit, and anything raised must have the same type and message.
 """
 
 import json
@@ -16,12 +17,19 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CYLINDER, GRAPH, RULED
+from conftest import CYLINDER, ENTRIES, GRAPH, RULED, locus_row_blocks, poisoned
 from heisflow import locus
 from heisflow.builders import CATALOG, catalog_get, random_ruled_patch, surface_from_dict
 from heisflow.errors import HeisflowError
-from heisflow.horizontal import _normal_components
-from heisflow.patch import JET_BLOCK, Domain, SurfaceHandle, eval_jets, reparametrize_affine
+from heisflow.horizontal import _normal_components, _threshold
+from heisflow.patch import (
+    JET_BLOCK,
+    Domain,
+    SurfaceHandle,
+    eval_jets,
+    jet2_batch,
+    reparametrize_affine,
+)
 from heisflow.rng import Lcg64
 
 # cylinder(1.5e308) has finite entries, but 2 y overflows where |y| > 2**1023,
@@ -58,11 +66,12 @@ def components(surface, u, v, second):
 
 
 def reference(surface, u, v, second):
-    """The bisection step's component row as eval_jets gives it, block by block."""
+    """The bisection step's component row from the first three fields of
+    eval_jets, block by block."""
     out = np.empty(len(u))
     for i in range(0, len(u), JET_BLOCK):
         sl = slice(i, i + JET_BLOCK)
-        n1, n2 = _normal_components(eval_jets(surface, u[sl], v[sl], 1))
+        n1, n2 = _normal_components(eval_jets(surface, u[sl], v[sl])[:, :3])
         out[sl] = np.where(second[sl], n2, n1)
     return out
 
@@ -117,14 +126,15 @@ def test_midpoint_row_matches_eval_jets_on_the_catalog(name):
 
 
 def test_finite_entries_with_overflowing_components_take_the_fallback(monkeypatch):
-    # the 1.5e308 cylinder's entries are finite, so eval_jets returns them
-    # and the fallback gives the same bits (the tests above)
-    orders, surface = [], catalog_get("cylinder(1.5e308)")
+    # the 1.5e308 cylinder's entries are finite, so the finite check of its
+    # first-order jets passes and the row keeps its bits (the tests above)
+    checked, surface = [], catalog_get("cylinder(1.5e308)")
     u, v, second = midpoints_of(surface)[-1]
-    monkeypatch.setattr(locus, "eval_jets", lambda s, u, v, order=2: (
-        orders.append(order), eval_jets(s, u, v, order))[1])
+    check = locus._check_finite
+    monkeypatch.setattr(locus, "_check_finite", lambda jets: (
+        checked.append(jets.shape[1:]), check(jets))[1])
     components(surface, u, v, second)
-    assert orders and set(orders) == {1}
+    assert checked and set(checked) == {(6, 3)}
 
 
 def test_midpoint_row_matches_eval_jets_on_random_ruled_patches():
@@ -145,21 +155,11 @@ def test_midpoint_row_matches_eval_jets_on_files(spec):
         surface = surface_from_dict(spec)
     except (HeisflowError, ValueError):
         assume(False)
+    for u, v, _ in midpoints_of(surface):
+        with np.errstate(all="ignore"):
+            bad = ~np.isfinite(jet2_batch(len(u), *surface.fields(u, v))).all(axis=2)
+        assume(not (bad[:, 3:].any(axis=1) & ~bad[:, :3].any(axis=1)).any())
     assert_matches_eval_jets(surface)
-
-
-ENTRIES = ["x", "y", "t", "x_u", "y_u", "t_u", "x_v", "y_v", "t_v"]
-
-
-def poisoned(entry, bad, at):
-    """x = u, y = v, t = u v, whose first-order entry number ``entry`` is
-    ``bad`` at the points with u == ``at``."""
-    def fields(u, v, order=2):
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        e = [u, v, u * v, one, zero, v, zero, one, u]
-        e[entry] = np.where(u == at, bad, e[entry])
-        return (*(tuple(e[i:i + 3]) for i in (0, 3, 6)), *((zero,) * 3,) * 3)
-    return SurfaceHandle(Domain(0.0, 1.0, 0.0, 1.0), fields, "poisoned")
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -178,37 +178,58 @@ def test_a_non_finite_entry_raises_what_eval_jets_raises(entry, bad):
     assert want[0] is ValueError and "non-finite jet component in" in want[1]
 
 
+def float32_fields(u, v, order=2):
+    """x = u, y = v, t = u v / 3 in float32, with zero second partials."""
+    u, v = np.asarray(u, np.float32), np.asarray(v, np.float32)
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    return (u, v, u * v / 3), (one, zero, v / 7), (zero, one, u / 3)
+
+
 def test_float32_entries_are_read_as_they_are():
     # Array entries are float64 or floats by the SurfaceHandle contract.  The
     # step does not copy them to float64 as eval_jets does, so a formula
     # that returns float32 arrays gets its components in float32.
-    def fields(u, v, order=2):
-        u, v = u.astype(np.float32), v.astype(np.float32)
-        one, zero = np.ones_like(u), np.zeros_like(u)
-        return (u, v, u * v / 3), (one, zero, v / 7), (zero, one, u / 3)
     u, v = np.linspace(0.1, 0.9, 50), np.linspace(0.2, 0.8, 50)
     second = np.arange(50) % 2 == 0
-    (x, y, _), du, dv = fields(u, v)
+    (x, y, _), du, dv = float32_fields(u, v)
     n1, n2 = _normal_components.entries(x, y, du, dv)
     assert n1.dtype == n2.dtype == np.float32
-    got = components(SurfaceHandle(Domain(0.0, 1.0, 0.0, 1.0), fields), u, v, second)
+    got = components(SurfaceHandle(Domain(0.0, 1.0, 0.0, 1.0), float32_fields), u, v, second)
     assert got.tobytes() == np.where(second, n2, n1).astype(float).tobytes()
+
+
+def test_float32_node_and_root_rows_are_read_as_they_are():
+    # Nodes and roots read the entries as the formula returns them too: their
+    # rows are the float32 results of the horizontal formulas, written into
+    # float64 rows.  n2 = -7 u / 3 changes sign between the grid columns
+    # next to u = 0, so the scan has roots.
+    surface = SurfaceHandle(Domain(-1.0, 1.0, -1.0, 1.0), float32_fields)
+    written = locus_row_blocks(surface, (40, 37))
+    assert sum(len(u) for u, _, _ in written) > 40 * 37
+    for u, v, rows in written:
+        (x, y, t), du, dv = float32_fields(u, v)
+        with np.errstate(all="ignore"):
+            want = (*_normal_components.entries(x, y, du, dv),
+                    _threshold(x, y, du, dv, locus.KEEP_TOL), x, y, t)
+        assert [w.dtype for w in want] == [np.float32] * 6
+        assert rows.tobytes() == np.array(want, float).tobytes()
 
 
 @pytest.mark.parametrize("name", ["paraboloid", "plane_t0", "plane_flow_patch", "cone_lower",
                                   "circle_lift_developable", "ruled"])
-def test_scans_call_eval_jets_only_for_the_roots(name, monkeypatch):
-    # The node pass of a builder's formula and every bisection step run the
-    # formula directly: eval_jets sees only the roots' 2-jets, in the flat
-    # pass that gives their candidate rows.
+def test_scans_call_eval_jets_only_on_a_non_finite_entry(name, monkeypatch):
+    # Nodes, bisection steps and roots run the formula directly, and their
+    # entries are finite here: neither eval_jets nor the finite check runs,
+    # though the scan bisects edges and writes the rows of their roots.
     surface = random_ruled(1)[0] if name == "ruled" else catalog_get(name)
-    orders, roots, fields = [], [], locus._fields
-    monkeypatch.setattr(locus, "eval_jets", lambda s, u, v, order=2: (
-        orders.append((order, len(u))), eval_jets(s, u, v, order))[1])
-    monkeypatch.setattr(locus, "_fields", lambda s, u, v: (roots.append(len(u)), fields(s, u, v))[1])
-    locus.characteristic_locus(surface, (101, 101))
-    assert {order for order, _ in orders} <= {2}
-    assert sum(n for _, n in orders) == sum(roots)
+    calls = []
+    monkeypatch.setattr(locus, "eval_jets", lambda *args: calls.append(args))
+    monkeypatch.setattr(locus, "_check_finite", lambda *args: calls.append(args))
+    written = locus_row_blocks(surface, (101, 101))
+    assert calls == []
+    # plane_t0's sign changes sit on nodes, so its scan has no root
+    assert (sum(len(u) for u, _, _ in written) > 101 * 101) == (name != "plane_t0")
+    assert not any(isinstance(rows, tuple) for _, _, rows in written)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "%dx%d" % g)

@@ -1,12 +1,15 @@
-"""The locus node pass on the grid axes, and ruled loci against closed-form roots.
+"""The locus node and root rows, and ruled loci against closed-form roots.
 
-``locus._node_fields`` runs a builder's formula once per block of whole grid
-rows, on the axes ``us[rows, None]`` and ``vs[None, :]``, and composes the
-node rows (n1, n2, keep threshold, x, y, t) from the broadcast entries.  The
-flat pass ``locus._fields`` on ``grid_points(us, vs)`` is its reference: the
-rows must agree bit for bit, and anything raised must have the same type and
-message.  Handles without ``stage``, rows longer than a block and failing
-nodes must take the flat pass itself.
+``locus._fields`` writes the rows (n1, n2, keep threshold, x, y, t) from one
+call of the 2-jet formula: ``locus._node_fields`` calls it once per block of
+whole grid rows, on the axes ``us[rows, None]`` and ``vs[None, :]`` for a
+builder's formula and on flat points for other handles, and the roots call
+it on flat points.  The test-side flat reference :func:`reference` composes
+the rows from ``eval_jets``, ``_normal_components`` and ``char_threshold``
+at ``grid_points(us, vs)``: node and root rows must agree with it bit for
+bit, and anything raised must have the same type and message.  Spies record
+the shapes the formula receives and check that ``eval_jets`` runs only
+where an entry is not finite.
 
 On a ruled patch ``||N^h|| = |c0 + c1 v + c2 v^2|`` with the coefficients of
 ``ruling_form_coefficients``, so the characteristic points on the grid
@@ -14,16 +17,18 @@ column ``u = us[i]`` are the real roots of a quadratic in v: an exact oracle
 for the whole search, node pass included.
 """
 
+import dataclasses
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import CYLINDER, GRAPH, RULED
-from heisflow import locus
+from conftest import CYLINDER, ENTRIES, GRAPH, RULED, locus_row_blocks, poisoned
+from heisflow import horizontal, locus, patch
 from heisflow.builders import (
     CATALOG,
     catalog_get,
@@ -33,7 +38,15 @@ from heisflow.builders import (
 )
 from heisflow.cli import main
 from heisflow.errors import HeisflowError
-from heisflow.patch import JET_BLOCK, Domain, grid_points, reparametrize_affine
+from heisflow.horizontal import _normal_components, char_threshold
+from heisflow.patch import (
+    JET_BLOCK,
+    Domain,
+    blocks,
+    eval_jets,
+    grid_points,
+    reparametrize_affine,
+)
 from heisflow.rng import Lcg64
 
 # 1000 x 7 has a short last row block (585 rows, then 415)
@@ -52,26 +65,72 @@ def outcome(run):
     return rows.shape, rows.view(np.int64).tobytes()
 
 
+def reference(surface, u, v):
+    """The rows n1, n2, keep threshold, x, y, t at the points (u[i], v[i]),
+    from blocked eval_jets calls: the flat pass the locus once ran."""
+    out = np.empty((6, len(u)))
+    for sl in blocks(len(u)):
+        jets = eval_jets(surface, u[sl], v[sl])
+        out[:2, sl] = _normal_components(jets)
+        out[2, sl] = char_threshold(jets, locus.KEEP_TOL)
+        out[3:, sl] = jets[:, 0].T
+    return out
+
+
+def node_rows(surface, us, vs):
+    """``locus._node_fields`` under the errstate characteristic_locus holds."""
+    with np.errstate(all="ignore"):
+        return locus._node_fields(surface, us, vs)
+
+
+def spied(surface):
+    """``surface`` with a formula that records the shapes of the u and v it
+    receives, and keeps ``stage`` if the formula has one; and the record."""
+    shapes, fields = [], surface.fields
+
+    def recording(u, v, *order):
+        shapes.append((np.shape(u), np.shape(v), *order))
+        return fields(u, v, *order)
+
+    if hasattr(fields, "stage"):
+        recording.stage = fields.stage
+    return dataclasses.replace(surface, fields=recording), shapes
+
+
 @pytest.fixture
-def flat_calls(monkeypatch):
-    """The point counts of every call of the flat pass ``locus._fields``."""
-    calls, flat = [], locus._fields
-
-    def counting(surface, u, v):
-        calls.append(len(u))
-        return flat(surface, u, v)
-
-    monkeypatch.setattr(locus, "_fields", counting)
-    return calls, flat
+def eval_calls(monkeypatch):
+    """The point counts of every ``eval_jets`` call the locus makes."""
+    calls = []
+    monkeypatch.setattr(locus, "eval_jets", lambda s, u, v: (
+        calls.append(np.size(u)), eval_jets(s, u, v))[1])
+    return calls
 
 
-def assert_node_pass_matches(surface, grid, flat):
-    """The node pass at ``grid`` against the flat pass ``flat``; returns the
-    outcome."""
+def assert_node_pass_matches(surface, grid):
+    """The node pass at ``grid`` against the flat reference; returns the
+    outcome and the shapes of the u and v that the formula received."""
     us, vs = surface.domain.linspace(*grid)
-    got = outcome(lambda: locus._node_fields(surface, us, vs))
-    assert got == outcome(lambda: flat(surface, *grid_points(us, vs))), grid
-    return got
+    spy, shapes = spied(surface)
+    got = outcome(lambda: node_rows(spy, us, vs))
+    assert got == outcome(lambda: reference(surface, *grid_points(us, vs))), grid
+    return got, shapes
+
+
+def assert_scan_rows_match(surface, grid):
+    """Every row block a scan at ``grid`` writes, nodes and roots, against the
+    flat reference at its points, errors included; returns the number of
+    root points."""
+    written = locus_row_blocks(surface, grid)
+    for u, v, rows in written:
+        got = rows if isinstance(rows, tuple) else outcome(lambda: rows)
+        assert got == outcome(lambda: reference(surface, u, v)), grid
+    return sum(len(u) for u, _, _ in written) - grid[0] * grid[1]
+
+
+def assert_on_the_axes(shapes, nu, nv):
+    """The formula got the grid axes, whole rows at a time, once per row."""
+    assert [su[1:] + sv for su, sv in shapes] == [(1, 1, nv)] * len(shapes)
+    assert sum(su[0] for su, _ in shapes) == nu
 
 
 def random_ruled(n):
@@ -82,22 +141,26 @@ def random_ruled(n):
 
 
 @pytest.mark.parametrize("name", [*CATALOG, *CYLINDERS])
-def test_node_pass_matches_the_flat_pass_on_the_catalog(name, flat_calls):
+def test_node_pass_matches_the_flat_pass_on_the_catalog(name, eval_calls):
     # cylinder(1e200) and cylinder(1e300) take char_threshold's hypot path,
     # on entries of shape (rows, 1) and Python floats
-    calls, flat = flat_calls
-    surface = catalog_get(name)
+    surface, roots = catalog_get(name), 0
     for grid in GRIDS:
-        assert_node_pass_matches(surface, grid, flat)
-    assert calls == []
+        assert_on_the_axes(assert_node_pass_matches(surface, grid)[1], *grid)
+        roots += assert_scan_rows_match(surface, grid)
+    assert eval_calls == []
+    # every scan but those of the plane x = 0 bisects some edge to a root
+    assert (roots > 0) == (name != "vertical_plane_x0"), roots
 
 
-def test_node_pass_matches_the_flat_pass_on_random_ruled_patches(flat_calls):
-    calls, flat = flat_calls
+def test_node_pass_matches_the_flat_pass_on_random_ruled_patches(eval_calls):
+    roots = 0
     for _, surface in random_ruled(20):
         for grid in GRIDS:
-            assert_node_pass_matches(surface, grid, flat)
-    assert calls == []
+            assert_on_the_axes(assert_node_pass_matches(surface, grid)[1], *grid)
+            roots += assert_scan_rows_match(surface, grid)
+    assert eval_calls == []
+    assert roots
 
 
 def developable_file(k, e, a, b, lo, span, v0):
@@ -139,26 +202,29 @@ def test_node_pass_matches_the_flat_pass_on_files(spec, grid):
         surface = surface_from_dict(spec)
     except (HeisflowError, ValueError):
         assume(False)
-    assert_node_pass_matches(surface, grid, locus._fields)
+    assert_node_pass_matches(surface, grid)
+    assert_scan_rows_match(surface, grid)
 
 
-def test_affine_reparametrisation_takes_the_flat_pass(flat_calls):
-    calls, flat = flat_calls
+def test_affine_reparametrisation_takes_the_flat_pass(eval_calls):
+    # no stage: the formula runs on the flat points of each row block
     surface = reparametrize_affine(catalog_get("cone_lower"), ((1.1, -0.15), (0.2, 0.9)),
                                    (-1.25, 3.0), Domain(-0.25, 0.25, -0.9, 0.9))
     assert not hasattr(surface.fields, "stage")
-    assert_node_pass_matches(surface, (40, 37), flat)
-    assert calls == [40 * 37]
+    assert assert_node_pass_matches(surface, (40, 37))[1] == [((40 * 37,), (40 * 37,))]
+    shapes = assert_node_pass_matches(surface, (200, 37))[1]
+    assert shapes == [((110 * 37,), (110 * 37,)), ((90 * 37,), (90 * 37,))]
+    assert_scan_rows_match(surface, (40, 37))
+    assert eval_calls == []
 
 
-def test_rows_longer_than_a_block_take_the_flat_pass(flat_calls):
-    calls, flat = flat_calls
+def test_rows_longer_than_a_block_take_a_block_of_one_row(eval_calls):
+    # a row past 4 * JET_BLOCK points is a block of its own, still on the axes
     nv = 4 * JET_BLOCK + 1
-    assert_node_pass_matches(catalog_get("paraboloid"), (2, nv), flat)
-    assert calls == [2 * nv]
-    del calls[:]
-    assert_node_pass_matches(catalog_get("paraboloid"), (2, nv - 1), flat)
-    assert calls == []
+    surface = catalog_get("paraboloid")
+    assert assert_node_pass_matches(surface, (2, nv))[1] == [((1, 1), (1, nv))] * 2
+    assert assert_node_pass_matches(surface, (2, nv - 1))[1] == [((1, 1), (1, nv - 1))] * 2
+    assert eval_calls == []
 
 
 # u**6 with a coefficient of 1e308 overflows the value at u = -2; at 1.5e307
@@ -177,17 +243,33 @@ OVERFLOWS = {
 
 
 @pytest.mark.parametrize("case", sorted(OVERFLOWS))
-def test_non_finite_nodes_raise_what_the_flat_pass_raises(case, tmp_path, capsys, flat_calls):
-    calls, flat = flat_calls
+def test_non_finite_nodes_raise_what_the_flat_pass_raises(case, tmp_path, capsys, eval_calls):
+    # eval_jets runs once, on the flat points of the first failing row block
     spec, grid, field = OVERFLOWS[case]
     nu, nv = map(int, grid.split("x"))
-    got = assert_node_pass_matches(surface_from_dict(spec), (nu, nv), flat)
+    got, _ = assert_node_pass_matches(surface_from_dict(spec), (nu, nv))
     assert got == (ValueError, f"non-finite jet component in {field}")
-    assert calls == [nu * nv]
+    assert eval_calls == [min(nu, 4 * JET_BLOCK // nv) * nv]
     path = tmp_path / f"{case}.json"
     path.write_text(json.dumps(spec))
     assert main(["locus", str(path), "--grid", grid]) == 2
     assert capsys.readouterr() == ("", f"heisflow: non-finite jet component in {field}\n")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("entry", range(9), ids=ENTRIES)
+def test_a_non_finite_node_entry_raises_what_the_flat_pass_raises(entry, bad, eval_calls):
+    # A handle without stage, poisoned on the grid column u = us[50], in the
+    # second of three row blocks (40 rows of 101 each): the first block is
+    # finite, and eval_jets runs once, on the second block's flat points.
+    us, _ = Domain(0.0, 1.0, 0.0, 1.0).linspace(101, 101)
+    surface = poisoned(entry, bad, us[50])
+    got, _ = assert_node_pass_matches(surface, (101, 101))
+    assert got[0] is ValueError and "non-finite jet component in" in got[1]
+    assert eval_calls == [40 * 101]
+    with pytest.raises(ValueError) as scan:
+        locus.characteristic_locus(surface, (101, 101))
+    assert str(scan.value) == got[1]
 
 
 def column_roots(spec, us, vs):
@@ -240,10 +322,16 @@ def test_ruled_locus_finds_every_column_root(grid):
 
 
 def test_node_pass_runs_with_the_public_horizontal_functions_wrapped(monkeypatch):
-    # the benchmark's traced pass replaces every public function by a plain
-    # wrapper; the node pass must not read attributes of char_threshold
+    # the benchmark's traced pass replaces every public function of each
+    # layer, by identity, with a plain wrapper that keeps no attributes; the
+    # locus reads attributes only of the formulas on entries, which stay
     surface = catalog_get("paraboloid")
     want = locus.characteristic_locus(surface, (40, 37))
-    threshold = locus.char_threshold
-    monkeypatch.setattr(locus, "char_threshold", lambda *args: threshold(*args))
+    public = [getattr(m, n) for m in (horizontal, patch) for n in m.__all__]
+    wrapped = sorted(name for name, f in vars(locus).items()
+                     if isinstance(f, types.FunctionType) and any(f is p for p in public))
+    for name in wrapped:
+        f = getattr(locus, name)
+        monkeypatch.setattr(locus, name, lambda *args, f=f: f(*args))
+    assert wrapped == ["blocks", "eval_jets", "grid_points", "jet2_batch"]
     assert locus.characteristic_locus(surface, (40, 37)) == want

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from heisflow.builders import catalog_get
+from heisflow.builders import catalog_get, surface_from_dict
+from heisflow.curvature import is_h_minimal
 from scalar_curvature import scalar_jet
 from heisflow.errors import NotRegular, OutOfDomain
 from heisflow.patch import (
@@ -64,6 +67,43 @@ def test_domain_linspace():
     ius, ivs = DOM.interior_linspace(3, 3)
     assert ius[0] > DOM.u_min and ius[-1] < DOM.u_max
     assert ivs[0] > DOM.v_min and ivs[-1] < DOM.v_max
+
+
+# Domain bounds of normal, huge, tiny and subnormal size: on some subnormal
+# spans np.linspace steps past its upper end.
+BOUNDS = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e307, 1e307),
+                   st.floats(-1e-300, 1e-300), st.floats(-1e-320, 1e-320))
+SUBNORMAL_SPAN = (-1.65e-321, 2.554e-321)
+
+
+@given(ends=st.tuples(BOUNDS, BOUNDS).map(sorted).filter(lambda e: e[0] < e[1]),
+       n=st.integers(2, 1000))
+@example(ends=SUBNORMAL_SPAN, n=101)
+def test_linspace_axes_stay_in_the_domain(ends, n):
+    # every node in [lo, hi], the axis non-decreasing from lo to hi, and the
+    # bits of np.linspace wherever it stayed inside
+    dom = Domain(*ends, -1.0, 1.0)
+    d = 1e-6 * dom.u_span
+    for axis, lo, hi in ((dom.linspace(n, 2)[0], *ends),
+                         (dom.interior_linspace(n, 2)[0], ends[0] + d, ends[1] - d)):
+        raw = np.linspace(lo, hi, n)
+        assert ((lo <= axis) & (axis <= hi)).all() and (np.diff(axis) >= 0.0).all()
+        assert (axis[0], axis[-1]) == (lo, hi)
+        inside = raw <= hi
+        assert axis[inside].tobytes() == raw[inside].tobytes()
+
+
+def test_linspace_clamps_a_subnormal_span():
+    # np.linspace ends this axis 2.707e-321, 2.752e-321, 2.554e-321
+    assert (np.linspace(*SUBNORMAL_SPAN, 101)[-3:-1] > SUBNORMAL_SPAN[1]).all()
+    us, _ = Domain(*SUBNORMAL_SPAN, -1.0, 1.0).linspace(101, 2)
+    assert us[-1] == us[-2] == us[-3] == SUBNORMAL_SPAN[1]
+    # the grid checks read the axes too: a report, not OutOfDomain
+    surface = surface_from_dict({
+        "type": "graph", "domain": {"u": list(SUBNORMAL_SPAN), "v": [-1, 1]},
+        "fu": [{"kind": "poly", "coeff": 0.5, "k": 2}],
+        "fv": [{"kind": "poly", "coeff": 1.0, "k": 2}]})
+    assert is_h_minimal(surface).grid == (101, 101)
 
 
 def test_jet2_rejects_nonfinite():
